@@ -1,9 +1,9 @@
 """Spin^c verifications in both dimension families.
 
-The line bundle contributes the weight-1 generator u; intermediate data lives
-over the Gaussian rationals, and rendering in the standard basis (Pontryagin
-classes and the first Chern class c = 2i*u) must produce purely real
-coefficients.  That reality is asserted, not assumed.
+The line bundle contributes the weight-1 generator w = c/2, where c is the
+first Chern class; the line's root variable is u = -i*w.  Written in w every
+coefficient is rational, so the standard basis (Pontryagin classes and c)
+is real by construction; the demo still asserts it on every P1 coefficient.
 """
 
 from anomcancel import build_P, make_setting, verify_theorem

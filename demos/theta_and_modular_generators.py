@@ -1,6 +1,6 @@
 """Tour of the theta layer: nulls, the product identity, level-2 generators.
 
-Everything is exact: q-expansions carry Gaussian-rational coefficients on the
+Everything is exact: q-expansions carry rational coefficients on the
 (1/8)-lattice, and the classical product identity for the derivative null
 reduces to an identity of integer series that the engine checks to any order.
 """

@@ -3,12 +3,11 @@
 The package reconstructs the theta-function/characteristic-class machinery
 behind a family of anomaly cancellation formulas on spin and spin^c
 manifolds and checks every identity as an exact equality of polynomials in
-normalized Pontryagin-type generators, with arbitrary-precision rational
-(or Gaussian-rational) coefficients throughout.
+normalized Pontryagin-type generators, with exact ``fractions.Fraction``
+coefficients throughout.
 """
 
-from .algebra import (GaussianRational, Generator, GeneratorTable,
-                      GradedPolynomial, gauss, newton_convert)
+from .algebra import Generator, GeneratorTable, GradedPolynomial, newton_convert
 from .anomaly import (Setting, VerificationReport, build_P,
                       cross_check_bundle_expansion, divisibility_check,
                       make_setting, structural_checks, verify_theorem)

@@ -1,10 +1,9 @@
-"""Exact scalar and sparse graded-polynomial arithmetic.
+"""Exact sparse graded-polynomial arithmetic over the rationals.
 
-Scalars are Gaussian rationals (``a + b*i`` with ``a``, ``b`` exact
-``fractions.Fraction``).  Polynomials live in a fixed table of weighted
-generators and are truncated by total weight; they stand for characteristic
-forms written in normalized Pontryagin-type generators.  Every operation is
-exact: no floats anywhere.
+Scalars are ``fractions.Fraction`` (ints are accepted and coerced).
+Polynomials live in a fixed table of weighted generators and are truncated
+by total weight; they stand for characteristic forms written in normalized
+Pontryagin-type generators.  Every operation is exact: no floats anywhere.
 """
 
 from __future__ import annotations
@@ -12,11 +11,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence, Union
 
-ScalarLike = Union[int, Fraction, "GaussianRational"]
+ScalarLike = Union[int, Fraction]
 
 
 class AlgebraError(ValueError):
-    """Structural misuse: table mismatch, bad weights, division by zero."""
+    """Structural misuse: table mismatch, bad weights, a non-invertible input."""
 
 
 def _frac(x) -> Fraction:
@@ -25,130 +24,6 @@ def _frac(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
-
-
-class GaussianRational:
-    """Exact complex rational ``re + im*i``.
-
-    >>> (GaussianRational(1, 1) / GaussianRational(1, -1)).to_text()
-    '0+1*i'
-    >>> GaussianRational(Fraction(1, 2)) + GaussianRational(Fraction(1, 3))
-    GaussianRational(5/6)
-    """
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
-        object.__setattr__(self, "re", _frac(re))
-        object.__setattr__(self, "im", _frac(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
-
-    @staticmethod
-    def coerce(x: ScalarLike) -> "GaussianRational":
-        if isinstance(x, GaussianRational):
-            return x
-        return GaussianRational(_frac(x))
-
-    def __add__(self, other):
-        o = GaussianRational.coerce(other)
-        return GaussianRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = GaussianRational.coerce(other)
-        return GaussianRational(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        return GaussianRational.coerce(other) - self
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __mul__(self, other):
-        o = GaussianRational.coerce(other)
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = GaussianRational.coerce(other)
-        n = o.re * o.re + o.im * o.im
-        if n == 0:
-            raise AlgebraError("division by zero")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / n,
-            (self.im * o.re - self.re * o.im) / n,
-        )
-
-    def __rtruediv__(self, other):
-        return GaussianRational.coerce(other) / self
-
-    def inverse(self) -> "GaussianRational":
-        return GaussianRational(1) / self
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = GaussianRational(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            o = GaussianRational.coerce(other)
-            return self.re == o.re and self.im == o.im
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
-    def real_fraction(self) -> Fraction:
-        if self.im != 0:
-            raise AlgebraError(f"{self.to_text()} is not real")
-        return self.re
-
-    def is_integer(self) -> bool:
-        return self.im == 0 and self.re.denominator == 1
-
-    def to_text(self) -> str:
-        """Canonical form: ``a/b`` when real, else ``a/b+c/d*i`` (or ``-c/d*i``)."""
-        if self.im == 0:
-            return str(self.re)
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}*i"
-
-    def __repr__(self):
-        return f"GaussianRational({self.to_text()})"
-
-
-QI_ZERO = GaussianRational(0)
-QI_ONE = GaussianRational(1)
-QI_I = GaussianRational(0, 1)
-
-
-def gauss(re=0, im=0) -> GaussianRational:
-    return GaussianRational(_frac(re), _frac(im))
 
 
 class Generator(NamedTuple):
@@ -163,7 +38,7 @@ class Generator(NamedTuple):
     weight: int
     family: str
     std_name: str
-    std_factor: GaussianRational
+    std_factor: Fraction
 
 
 class GeneratorTable:
@@ -223,20 +98,21 @@ class GradedPolynomial:
 
     Terms of weight above ``max_weight`` are discarded on every operation,
     so products agree with the exact product up to that weight.  Stored
-    coefficients are never zero.
+    coefficients are nonzero ``Fraction``s; anything but an int or a
+    ``Fraction`` is rejected with ``TypeError``.
     """
 
     __slots__ = ("table", "terms", "max_weight")
 
-    def __init__(self, table: GeneratorTable, terms: Mapping[tuple[int, ...], GaussianRational], max_weight: int):
-        clean: dict[tuple[int, ...], GaussianRational] = {}
+    def __init__(self, table: GeneratorTable, terms: Mapping[tuple[int, ...], ScalarLike], max_weight: int):
+        clean: dict[tuple[int, ...], Fraction] = {}
         n = len(table)
         for exps, coeff in terms.items():
             if len(exps) != n:
                 raise AlgebraError("exponent vector length does not match table")
             if table.monomial_weight(exps) > max_weight:
                 continue
-            c = GaussianRational.coerce(coeff)
+            c = _frac(coeff)
             if c:
                 clean[exps] = c
         object.__setattr__(self, "table", table)
@@ -254,7 +130,7 @@ class GradedPolynomial:
 
     @staticmethod
     def scalar(value: ScalarLike, table: GeneratorTable, max_weight: int) -> "GradedPolynomial":
-        return GradedPolynomial(table, {_zero_exps(len(table)): GaussianRational.coerce(value)}, max_weight)
+        return GradedPolynomial(table, {_zero_exps(len(table)): value}, max_weight)
 
     @staticmethod
     def one(table: GeneratorTable, max_weight: int) -> "GradedPolynomial":
@@ -264,7 +140,7 @@ class GradedPolynomial:
     def generator(name: str, table: GeneratorTable, max_weight: int, power: int = 1) -> "GradedPolynomial":
         i = table.index(name)
         exps = tuple(power if j == i else 0 for j in range(len(table)))
-        return GradedPolynomial(table, {exps: QI_ONE}, max_weight)
+        return GradedPolynomial(table, {exps: 1}, max_weight)
 
     # -- ring operations ---------------------------------------------------
 
@@ -275,22 +151,19 @@ class GradedPolynomial:
             raise AlgebraError("truncation weight mismatch")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, (int, Fraction)):
             other = GradedPolynomial.scalar(other, self.table, self.max_weight)
         self._check_compatible(other)
         terms = dict(self.terms)
         for exps, c in other.terms.items():
-            s = terms.get(exps, QI_ZERO) + c
-            if s:
-                terms[exps] = s
-            else:
-                terms.pop(exps, None)
+            s = terms.get(exps)
+            terms[exps] = c if s is None else s + c
         return GradedPolynomial(self.table, terms, self.max_weight)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, (int, Fraction)):
             other = GradedPolynomial.scalar(other, self.table, self.max_weight)
         return self + (-other)
 
@@ -301,32 +174,27 @@ class GradedPolynomial:
         return GradedPolynomial(self.table, {e: -c for e, c in self.terms.items()}, self.max_weight)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_compatible(other)
         table = self.table
         cap = self.max_weight
-        weights = tuple(g.weight for g in table.gens)
-        out: dict[tuple[int, ...], GaussianRational] = {}
+        out: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in self.terms.items():
             w1 = table.monomial_weight(e1)
             for e2, c2 in other.terms.items():
-                w = w1 + table.monomial_weight(e2)
-                if w > cap:
+                if w1 + table.monomial_weight(e2) > cap:
                     continue
                 exps = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(exps, QI_ZERO) + c1 * c2
-                if s:
-                    out[exps] = s
-                else:
-                    out.pop(exps, None)
-        del weights
+                p = c1 * c2
+                s = out.get(exps)
+                out[exps] = p if s is None else s + p
         return GradedPolynomial(table, out, cap)
 
     __rmul__ = __mul__
 
     def scale(self, value: ScalarLike) -> "GradedPolynomial":
-        c = GaussianRational.coerce(value)
+        c = _frac(value)
         if not c:
             return GradedPolynomial.zero(self.table, self.max_weight)
         return GradedPolynomial(self.table, {e: v * c for e, v in self.terms.items()}, self.max_weight)
@@ -350,7 +218,7 @@ class GradedPolynomial:
         if isinstance(other, GradedPolynomial):
             return (self.table == other.table and self.max_weight == other.max_weight
                     and self.terms == other.terms)
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, (int, Fraction)):
             return self == GradedPolynomial.scalar(other, self.table, self.max_weight)
         return NotImplemented
 
@@ -363,8 +231,8 @@ class GradedPolynomial:
         terms = {e: c for e, c in self.terms.items() if self.table.monomial_weight(e) == weight}
         return GradedPolynomial(self.table, terms, self.max_weight)
 
-    def constant_term(self) -> GaussianRational:
-        return self.terms.get(_zero_exps(len(self.table)), QI_ZERO)
+    def constant_term(self) -> Fraction:
+        return self.terms.get(_zero_exps(len(self.table)), Fraction(0))
 
     def one_like(self) -> "GradedPolynomial":
         return GradedPolynomial.one(self.table, self.max_weight)
@@ -389,23 +257,6 @@ class GradedPolynomial:
             out = out + GradedPolynomial(self.table, {rest: coeff}, self.max_weight) * powers[e]
         return out
 
-    def inverse(self) -> "GradedPolynomial":
-        """Inverse of ``c*(1 + nilpotent)``; the constant term must be nonzero."""
-        c = self.constant_term()
-        if not c:
-            raise AlgebraError("polynomial with zero constant term is not invertible")
-        u = self.scale(c.inverse()) - 1
-        out = GradedPolynomial.one(self.table, self.max_weight)
-        term = GradedPolynomial.one(self.table, self.max_weight)
-        sign = 1
-        for _ in range(self.max_weight):
-            term = term * u
-            if not term:
-                break
-            sign = -sign
-            out = out + term.scale(sign)
-        return out.scale(c.inverse())
-
     # -- basis change and rendering -----------------------------------------
 
     def to_standard_basis(self) -> "GradedPolynomial":
@@ -417,19 +268,18 @@ class GradedPolynomial:
         inverts it exactly.
         """
         std_table = standard_table_of(self.table)
-        terms: dict[tuple[int, ...], GaussianRational] = {}
+        terms: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in self.terms.items():
             c = coeff
             for e, g in zip(exps, self.table.gens):
                 if e:
                     c = c * g.std_factor ** e
-            if c:
-                terms[exps] = terms.get(exps, QI_ZERO) + c
+            terms[exps] = c
         return GradedPolynomial(std_table, terms, self.max_weight)
 
     def from_standard_basis(self, normalized_table: GeneratorTable) -> "GradedPolynomial":
         """Inverse of :meth:`to_standard_basis` (self must be in standard names)."""
-        terms: dict[tuple[int, ...], GaussianRational] = {}
+        terms: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in self.terms.items():
             c = coeff
             for e, g in zip(exps, normalized_table.gens):
@@ -439,7 +289,8 @@ class GradedPolynomial:
         return GradedPolynomial(normalized_table, terms, self.max_weight)
 
     def is_real(self) -> bool:
-        return all(c.is_real for c in self.terms.values())
+        """True when no coefficient has an imaginary part (always, for ``Fraction``)."""
+        return not any(c.imag for c in self.terms.values())
 
     def sorted_terms(self):
         """Terms in canonical order: by weight, then by exponent vector."""
@@ -455,24 +306,18 @@ class GradedPolynomial:
                 for e, g in zip(exps, self.table.gens)
                 if e
             )
-            ct = coeff.to_text()
+            ct = str(coeff)
             if not mono:
                 parts.append(ct)
             elif ct == "1":
                 parts.append(mono)
             else:
-                parts.append(f"{ct}*{mono}" if "+" not in ct[1:] and "-" not in ct[1:] else f"({ct})*{mono}")
+                parts.append(f"{ct}*{mono}")
         return " + ".join(parts)
 
     def to_json_obj(self):
-        out = []
-        for exps, coeff in self.sorted_terms():
-            mono = {g.name: e for e, g in zip(exps, self.table.gens) if e}
-            entry = {"mono": mono, "re": str(coeff.re)}
-            if coeff.im:
-                entry["im"] = str(coeff.im)
-            out.append(entry)
-        return out
+        return [{"mono": {g.name: e for e, g in zip(exps, self.table.gens) if e}, "re": str(coeff)}
+                for exps, coeff in self.sorted_terms()]
 
     def __repr__(self):
         return f"GradedPolynomial({self.to_text()})"
@@ -486,7 +331,7 @@ def standard_table_of(table: GeneratorTable) -> GeneratorTable:
     cached = _STD_TABLE_CACHE.get(table)
     if cached is None:
         cached = GeneratorTable(tuple(
-            Generator(g.std_name, g.weight, g.family, g.std_name, QI_ONE) for g in table.gens
+            Generator(g.std_name, g.weight, g.family, g.std_name, Fraction(1)) for g in table.gens
         ))
         _STD_TABLE_CACHE[table] = cached
     return cached
@@ -495,50 +340,37 @@ def standard_table_of(table: GeneratorTable) -> GeneratorTable:
 # -- symmetric function bridge ----------------------------------------------
 
 
-def newton_convert(coeffs: Sequence[ScalarLike], n_roots: int, direction: str) -> list[GaussianRational]:
+def newton_convert(coeffs: Sequence[ScalarLike], n_roots: int, direction: str) -> list[Fraction]:
     """Convert between power sums ``s_1..s_m`` and elementaries ``e_1..e_m``.
 
     Newton's identities with ``e_i = 0`` for ``i > n_roots``.  ``direction``
     is ``"powersum->elementary"`` or ``"elementary->powersum"``.
 
-    >>> [c.to_text() for c in newton_convert([0, 2], 2, "elementary->powersum")]
+    >>> [str(c) for c in newton_convert([0, 2], 2, "elementary->powersum")]
     ['0', '-4']
     """
     if n_roots < 1:
         raise AlgebraError("n_roots must be >= 1")
-    vals = [GaussianRational.coerce(c) for c in coeffs]
+    vals = [_frac(c) for c in coeffs]
     m = len(vals)
+    zero = Fraction(0)
     if direction == "powersum->elementary":
-        s = [QI_ZERO] + vals
-        e: list[GaussianRational] = [QI_ONE]
+        s = [zero] + vals
+        e: list[Fraction] = [Fraction(1)]
         for i in range(1, m + 1):
-            acc = QI_ZERO
+            acc = zero
             for j in range(1, i + 1):
                 acc = acc + (e[i - j] * s[j] if j % 2 == 1 else -(e[i - j] * s[j]))
-            ei = acc / GaussianRational(i)
-            e.append(ei if i <= n_roots else QI_ZERO)
+            e.append(acc / i if i <= n_roots else zero)
         return e[1:]
     if direction == "elementary->powersum":
-        e = [QI_ONE] + [v if i + 1 <= n_roots else QI_ZERO for i, v in enumerate(vals)]
-        s = [QI_ZERO]
+        e = [Fraction(1)] + [v if i + 1 <= n_roots else zero for i, v in enumerate(vals)]
+        s = [zero]
         for i in range(1, m + 1):
-            acc = QI_ZERO
+            acc = zero
             for j in range(1, i):
                 acc = acc + (e[j] * s[i - j] if j % 2 == 1 else -(e[j] * s[i - j]))
-            term = GaussianRational(i) * e[i]
+            term = i * e[i]
             s.append(acc + (term if i % 2 == 1 else -term))
         return s[1:]
     raise AlgebraError(f"unknown direction {direction!r}")
-
-
-def scalar_arith(a: GaussianRational, b: GaussianRational, op: str) -> GaussianRational:
-    """Dispatch helper kept for symmetry with the serialized report format."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise AlgebraError(f"unknown op {op!r}")

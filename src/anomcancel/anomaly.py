@@ -22,8 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import (AlgebraError, GaussianRational, GradedPolynomial, QI_I,
-                      gauss)
+from .algebra import AlgebraError, GradedPolynomial
 from .genus import (FAMILY_TM, FAMILY_V, RootFamily, apply_constraint,
                     build_generator_table, classical_genus, eval_at_var,
                     prod_over_roots)
@@ -141,16 +140,15 @@ class _Env:
             msum = (self._factor_product("t1", self.tm)
                     + self._factor_product("t2", self.tm)
                     + self._factor_product("t3", self.tm))
-            return (ap * msum).scale(gauss(2 ** s.tm_roots))
+            return (ap * msum).scale(2 ** s.tm_roots)
         if s.kind == "spinc4k":
             ufac = None
             for kind in ("t1", "t2", "t3"):
                 e = eval_at_var(theta_factor(kind, s.n_q, s.weight), self.table, s.weight, s.n_q)
                 ufac = e if ufac is None else ufac * e
             return ap * ufac
-        # spinc4k2: the odd factor times sqrt(-1)
-        d = eval_at_var(theta_factor("d", s.n_q, s.weight), self.table, s.weight, s.n_q)
-        return ap * d.scale(QI_I)
+        # spinc4k2: the odd factor times sqrt(-1), which eval_at_var returns real
+        return ap * eval_at_var(theta_factor("d", s.n_q, s.weight), self.table, s.weight, s.n_q)
 
     def p_series(self, which: str) -> PuiseuxSeries:
         """Top-weight component of P1/P2/P3 with the constraint applied."""
@@ -165,7 +163,7 @@ class _Env:
         vkind = {"P1": "t1", "P2": "t2", "P3": "t3"}[which]
         series = core * self._factor_product(vkind, self.v)
         if which == "P1":
-            series = series.scale(gauss(2 ** s.l))
+            series = series.scale(2 ** s.l)
         series = series.map_coefficients(lambda p: p.component(s.weight))
         series = apply_constraint(series, s.kind)
         self._p[which] = series
@@ -197,7 +195,7 @@ class _Env:
             th1 = character_series(theta_object("theta1", self.tangent, None, order))
             th2 = character_series(theta_object("theta2", self.tangent, None, order))
             th3 = character_series(theta_object("theta3", self.tangent, None, order))
-            msum = th1.scale(self.ch_delta_m) + (th2 + th3).scale(gauss(2 ** (2 * s.k)))
+            msum = th1.scale(self.ch_delta_m) + (th2 + th3).scale(2 ** (2 * s.k))
             out = msum.scale(self.ahat)
         elif s.kind == "spinc4k":
             thc = character_series(theta_object("theta_c", self.tangent, self.line, order))
@@ -361,7 +359,7 @@ class VerificationReport:
 
 
 def _imag_part(p: GradedPolynomial) -> GradedPolynomial:
-    terms = {e: GaussianRational(c.im) for e, c in p.terms.items() if c.im}
+    terms = {e: c.imag for e, c in p.terms.items() if c.imag}
     return GradedPolynomial(p.table, terms, p.max_weight)
 
 
@@ -608,7 +606,7 @@ def divisibility_check(corollary: str, m: int, l: int | None = None,
     order = k // 2 + 2
     n = k // 2 + 1
     from .modforms import _invert_lower_triangular
-    minor = [[basis_element(GROUP_UPPER, k, r, order).series.coefficient(4 * j).real_fraction()
+    minor = [[basis_element(GROUP_UPPER, k, r, order).series.coefficient(4 * j)
               for r in range(n)] for j in range(n)]
     inv = _invert_lower_triangular(minor)
     integral = all(c.denominator == 1 for row in inv for c in row)

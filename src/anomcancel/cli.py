@@ -77,6 +77,13 @@ def _cmd_verify(args) -> int:
     return 0 if report.status in ("PASS", "PASS_WITH_VARIANT") else 1
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _cmd_expand(args) -> int:
     order = args.order
     obj: dict = {"schema": 1, "object": args.object, "order": order}
@@ -104,6 +111,8 @@ def _cmd_expand(args) -> int:
         obj["text"] = el.series.to_text()
     elif name in ("P1", "P2", "P3"):
         setting = anomaly.make_setting(args.setting, args.k, args.l, args.qorder)
+        order = setting.n_q
+        obj["order"] = order
         series = anomaly.build_P(setting, name)
         if args.basis == "standard":
             series = series.map_coefficients(lambda p: p.to_standard_basis(),
@@ -132,7 +141,7 @@ def _cmd_decompose(args) -> int:
                   + [f"residual zero: {dec.residual_zero}",
                      f"integral solve: {dec.integral_solve}"])
     _write(payload, args.output)
-    return 0
+    return 0 if dec.residual_zero and dec.integral_solve else 1
 
 
 def _cmd_suite(args) -> int:
@@ -168,8 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", help="print a series, factor or basis element")
     p.add_argument("--object", required=True, choices=EXPAND_OBJECTS)
-    p.add_argument("--order", type=int, default=10, help="q-order of the expansion")
-    p.add_argument("--weight", type=int, default=6, help="z-degree bound for factors")
+    p.add_argument("--order", type=_non_negative_int, default=10,
+                   help="q-order of the expansion (P-series use --qorder)")
+    p.add_argument("--weight", type=_non_negative_int, default=6, help="z-degree bound for factors")
     p.add_argument("--group", choices=("upper", "lower"), default="upper")
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--l", type=int, default=1)

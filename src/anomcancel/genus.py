@@ -11,7 +11,9 @@ the library and used only as a small-instance test oracle.
 Root conventions: a rank-2n real family contributes n squared-root variables;
 the tangent family of a dim-4k (resp. 4k+2) manifold has 2k (resp. 2k+1) of
 them, an auxiliary rank-2l bundle has l, and the spin^c line contributes the
-single weight-1 generator ``u``.
+single weight-1 generator ``w = c/2``.  The line's root variable is
+``u = -i*w``; writing every line quantity in ``w`` keeps all coefficients
+rational (see :func:`eval_at_var`).
 """
 
 from __future__ import annotations
@@ -19,14 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (AlgebraError, GaussianRational, Generator, GeneratorTable,
-                      GradedPolynomial, QI_I, QI_ONE, QI_ZERO, gauss)
+from .algebra import AlgebraError, Generator, GeneratorTable, GradedPolynomial
 from .qseries import PuiseuxSeries
 from .theta import (RootFactor, cos_coeffs, invert_z_coeffs, sin_over_z_coeffs)
 
 FAMILY_TM = "TM"
 FAMILY_V = "V"
-FAMILY_U = "U"
+FAMILY_W = "W"
 
 CONSTRAINT_KINDS = ("spin4k", "spinc4k", "spinc4k2")
 
@@ -41,26 +42,23 @@ class RootFamily:
             raise AlgebraError("a root family needs at least one root")
 
 
-def build_generator_table(n_tm_roots: int, n_v_roots: int, include_u: bool,
+def build_generator_table(n_tm_roots: int, n_v_roots: int, include_w: bool,
                           max_weight: int) -> GeneratorTable:
     """Table of normalized generators for one verification setting.
 
     Tangent generators ``nM_i`` and auxiliary generators ``nV_i`` have weight
-    ``2i`` and standard forms ``p_i = (-4)^i n_i``; the line generator ``u``
-    has weight 1 and standard form ``c = 2i*u``.  Generators whose weight
+    ``2i`` and standard forms ``p_i = (-4)^i n_i``; the line generator ``w``
+    has weight 1 and standard form ``c = 2*w``.  Generators whose weight
     exceeds the truncation, or whose index exceeds the family's root count,
     are omitted (they are identically zero there).
     """
     gens: list[Generator] = []
     for i in range(1, min(n_tm_roots, max_weight // 2) + 1):
-        gens.append(Generator(f"nM{i}", 2 * i, FAMILY_TM, f"pM{i}",
-                              gauss(Fraction(-1, 4) ** i)))
+        gens.append(Generator(f"nM{i}", 2 * i, FAMILY_TM, f"pM{i}", Fraction(-1, 4) ** i))
     for i in range(1, min(n_v_roots, max_weight // 2) + 1):
-        gens.append(Generator(f"nV{i}", 2 * i, FAMILY_V, f"pV{i}",
-                              gauss(Fraction(-1, 4) ** i)))
-    if include_u:
-        # u = -(i/2) c, so the standard-basis factor is -i/2
-        gens.append(Generator("u", 1, FAMILY_U, "c", gauss(0, Fraction(-1, 2))))
+        gens.append(Generator(f"nV{i}", 2 * i, FAMILY_V, f"pV{i}", Fraction(-1, 4) ** i))
+    if include_w:
+        gens.append(Generator("w", 1, FAMILY_W, "c", Fraction(1, 2)))
     return GeneratorTable(gens)
 
 
@@ -78,9 +76,6 @@ def power_sum_gp(fam: RootFamily, m: int, table: GeneratorTable, max_weight: int
     """Power sum ``s_m`` of squared roots in the elementary generators."""
     if m == 0:
         return GradedPolynomial.scalar(fam.n_roots, table, max_weight)
-    if fam.family == FAMILY_U:
-        # single root u^2: s_m = u^{2m}
-        return GradedPolynomial.generator("u", table, max_weight, power=2 * m)
     e = [elementary_gp(fam, i, table, max_weight) for i in range(m + 1)]
     s: list[GradedPolynomial] = [GradedPolynomial.scalar(fam.n_roots, table, max_weight)]
     for i in range(1, m + 1):
@@ -93,38 +88,34 @@ def power_sum_gp(fam: RootFamily, m: int, table: GeneratorTable, max_weight: int
     return s[m]
 
 
-def _factor_log(f: RootFactor) -> dict[tuple[int, int], GaussianRational]:
+def _factor_log(f: RootFactor) -> dict[tuple[int, int], Fraction]:
     """``log f`` for an even factor with z=0 slice 1; terms have z-degree >= 2."""
     u = {dk: c for dk, c in f.terms.items() if dk != (0, 0)}
     if any(d == 0 for d, _ in u):
         raise AlgebraError("factor must have z=0 slice identically 1")
-    out: dict[tuple[int, int], GaussianRational] = {}
+    out: dict[tuple[int, int], Fraction] = {}
     power = dict(u)
     sign = 1
     m = 1
     while power:
-        inv_m = gauss(Fraction(sign, m))
+        inv_m = Fraction(sign, m)
         for dk, c in power.items():
-            s = out.get(dk, QI_ZERO) + c * inv_m
-            if s:
-                out[dk] = s
-            else:
-                out.pop(dk, None)
-        nxt: dict[tuple[int, int], GaussianRational] = {}
+            t = c * inv_m
+            s = out.get(dk)
+            out[dk] = t if s is None else s + t
+        nxt: dict[tuple[int, int], Fraction] = {}
         for (d1, k1), c1 in power.items():
             for (d2, k2), c2 in u.items():
                 d, k = d1 + d2, k1 + k2
                 if d > f.z_bound or k > f.q_bound:
                     continue
-                s = nxt.get((d, k), QI_ZERO) + c1 * c2
-                if s:
-                    nxt[(d, k)] = s
-                else:
-                    nxt.pop((d, k), None)
-        power = nxt
+                p = c1 * c2
+                s = nxt.get((d, k))
+                nxt[(d, k)] = p if s is None else s + p
+        power = {dk: c for dk, c in nxt.items() if c}
         sign = -sign
         m += 1
-    return out
+    return {dk: c for dk, c in out.items() if c}
 
 
 def _exp_gp_series(S: PuiseuxSeries, max_weight: int) -> PuiseuxSeries:
@@ -150,12 +141,12 @@ def prod_over_roots(f: RootFactor, fam: RootFamily, table: GeneratorTable,
     """
     if f.parity != "even":
         raise AlgebraError("prod_over_roots needs an even factor")
-    if f.coefficient(0, 0) != QI_ONE:
+    if f.coefficient(0, 0) != 1:
         raise AlgebraError("prod_over_roots needs constant term 1")
     bound = min(8 * order, f.q_bound)
     zero = GradedPolynomial.zero(table, max_weight)
     log_terms = _factor_log(f)
-    columns: dict[int, dict[int, GaussianRational]] = {}
+    columns: dict[int, dict[int, Fraction]] = {}
     for (d, k), c in log_terms.items():
         if k > bound or d % 2 or d // 2 > max_weight // 2:
             continue
@@ -174,7 +165,6 @@ def additive_over_roots(z2_coeffs, fam: RootFamily, table: GeneratorTable,
     """``sum_{j=1..n} g(z_j^2)`` where ``z2_coeffs[m]`` multiplies ``z^(2m)``."""
     out = GradedPolynomial.zero(table, max_weight)
     for m, c in enumerate(z2_coeffs):
-        c = GaussianRational.coerce(c)
         if not c:
             continue
         out = out + power_sum_gp(fam, m, table, max_weight).scale(c)
@@ -183,17 +173,22 @@ def additive_over_roots(z2_coeffs, fam: RootFamily, table: GeneratorTable,
 
 def eval_at_var(f: RootFactor, table: GeneratorTable, max_weight: int,
                 order: int) -> PuiseuxSeries:
-    """Substitute the single weight-1 generator ``u`` for ``z``."""
+    """Evaluate a factor at the line root ``z = u = -i*w``, in the real generator ``w``.
+
+    Maps ``z^d -> (-1)^(d//2) w^d``.  For an even factor that is exactly
+    ``f(-i*w)``; for an odd factor it is ``i*f(-i*w)``, the real form the
+    spin^c dimension-(4k+2) product needs.
+    """
     bound = min(8 * order, f.q_bound)
     zero = GradedPolynomial.zero(table, max_weight)
     columns: dict[int, GradedPolynomial] = {}
-    u_pow = {0: GradedPolynomial.one(table, max_weight)}
+    w_pow = {0: GradedPolynomial.one(table, max_weight)}
     for (d, k), c in f.terms.items():
         if k > bound or d > max_weight:
             continue
-        if d not in u_pow:
-            u_pow[d] = GradedPolynomial.generator("u", table, max_weight, power=d)
-        gp = u_pow[d].scale(c)
+        if d not in w_pow:
+            w_pow[d] = GradedPolynomial.generator("w", table, max_weight, power=d)
+        gp = w_pow[d].scale(-c if (d // 2) % 2 else c)
         if not gp:
             continue
         columns[k] = columns.get(k, zero) + gp
@@ -221,15 +216,15 @@ def classical_genus(kind: str, fam: RootFamily, table: GeneratorTable,
 
     ``ahat`` is ``prod z_j/sin z_j``; ``lhat`` is ``prod 2 z_j cot z_j``;
     ``spinor_ch`` is ``prod 2 cos z_j`` (spinor character, rank ``2^n``);
-    ``exp_half_c`` is ``e^{iu}``, the half line-class exponential.
+    ``exp_half_c`` is ``e^{iu} = e^{w}``, the half line-class exponential.
     """
     if kind == "exp_half_c":
         out = GradedPolynomial.one(table, max_weight)
         fact = 1
         for d in range(1, max_weight + 1):
             fact *= d
-            out = out + GradedPolynomial.generator("u", table, max_weight, power=d).scale(
-                QI_I ** d * gauss(Fraction(1, fact)))
+            out = out + GradedPolynomial.generator("w", table, max_weight, power=d).scale(
+                Fraction(1, fact))
         return out
     zb = 2 * (max_weight // 2)
     if kind == "ahat":
@@ -252,17 +247,17 @@ def constraint_replacement(kind: str, table: GeneratorTable, max_weight: int) ->
     """The generator substitution implementing a setting's first-class relation.
 
     * ``spin4k``:   auxiliary class vanishes, ``nV1 -> 0``;
-    * ``spinc4k``:  ``nM1 -> 3u^2 + nV1``;
-    * ``spinc4k2``: ``nM1 -> u^2 + nV1``.
+    * ``spinc4k``:  ``nM1 -> 3u^2 + nV1 = -3w^2 + nV1``;
+    * ``spinc4k2``: ``nM1 -> u^2 + nV1 = -w^2 + nV1``.
     """
     if kind == "spin4k":
         return "nV1", GradedPolynomial.zero(table, max_weight)
-    u2 = GradedPolynomial.generator("u", table, max_weight, power=2)
+    w2 = GradedPolynomial.generator("w", table, max_weight, power=2)
     nv1 = GradedPolynomial.generator("nV1", table, max_weight)
     if kind == "spinc4k":
-        return "nM1", u2.scale(3) + nv1
+        return "nM1", nv1 - w2.scale(3)
     if kind == "spinc4k2":
-        return "nM1", u2 + nv1
+        return "nM1", nv1 - w2
     raise AlgebraError(f"unknown constraint kind {kind!r}")
 
 

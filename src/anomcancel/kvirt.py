@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import AlgebraError, GaussianRational, GradedPolynomial, GeneratorTable, gauss
+from .algebra import AlgebraError, GradedPolynomial, GeneratorTable
 from .genus import FAMILY_TM, FAMILY_V, RootFamily, additive_over_roots
 from .qseries import PuiseuxSeries
 
@@ -39,9 +39,9 @@ class VirtualBundle:
     @property
     def rank(self) -> int:
         c = self.ch.constant_term()
-        if not c.is_integer():
-            raise AlgebraError(f"rank {c.to_text()} is not an integer")
-        return int(c.re)
+        if c.denominator != 1:
+            raise AlgebraError(f"rank {c} is not an integer")
+        return int(c)
 
     @staticmethod
     def trivial(n: int, table: GeneratorTable, max_weight: int) -> "VirtualBundle":
@@ -86,8 +86,7 @@ class VirtualBundle:
         if m < 1:
             raise AlgebraError("Adams operations need m >= 1")
         table = self.ch.table
-        terms = {e: c * GaussianRational.coerce(m ** table.monomial_weight(e))
-                 for e, c in self.ch.terms.items()}
+        terms = {e: c * m ** table.monomial_weight(e) for e, c in self.ch.terms.items()}
         return VirtualBundle(GradedPolynomial(table, terms, self.ch.max_weight))
 
     def lambda_power(self, i: int) -> "VirtualBundle":
@@ -130,18 +129,18 @@ def _cosine_bundle(fam: RootFamily, table: GeneratorTable, max_weight: int) -> V
     for m in range(0, max_weight // 2 + 1):
         if m:
             fact *= (2 * m - 1) * (2 * m)
-        coeffs.append(gauss(2 * Fraction((-4) ** m, fact)))
+        coeffs.append(2 * Fraction((-4) ** m, fact))
     return VirtualBundle(additive_over_roots(coeffs, fam, table, max_weight))
 
 
 def line_pair_bundle(table: GeneratorTable, max_weight: int) -> VirtualBundle:
-    """The complexified line ``L + conj(L)``: ``e^{2iu} + e^{-2iu}``, rank 2."""
+    """The complexified line ``L + conj(L)``: ``e^{2iu} + e^{-2iu} = 2 cosh 2w``, rank 2."""
     out = GradedPolynomial.scalar(2, table, max_weight)
     fact = 1
     for d in range(2, max_weight + 1, 2):
         fact *= (d - 1) * d
-        out = out + GradedPolynomial.generator("u", table, max_weight, power=d).scale(
-            gauss(2 * Fraction((-4) ** (d // 2), fact)))
+        out = out + GradedPolynomial.generator("w", table, max_weight, power=d).scale(
+            2 * Fraction(2 ** d, fact))
     return VirtualBundle(out)
 
 
@@ -171,7 +170,7 @@ def lambda_series(E: VirtualBundle, step_units: int, sign: int, order: int) -> P
     terms = {}
     m = 1
     while m * step_units <= bound:
-        c = gauss(Fraction((-1) ** (m - 1) * sign ** m, m))
+        c = Fraction((-1) ** (m - 1) * sign ** m, m)
         terms[m * step_units] = E.adams(m).scale(c)
         m += 1
     return _exp_bundle_series(PuiseuxSeries(terms, bound, zero))

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgebraError, GaussianRational, QI_ZERO, GradedPolynomial, gauss
+from .algebra import AlgebraError, GradedPolynomial
 from .qseries import PuiseuxSeries
 from .theta import HALF_UNIT, Q_UNIT, theta_null
 
@@ -44,14 +44,14 @@ def delta_eps(which: str, order: int) -> PuiseuxSeries:
         a = theta_null("theta2", order) ** 4
         b = theta_null("theta3", order) ** 4
     elif which in ("delta2", "eps2"):
-        a = (theta_null("theta1", order).scale(gauss(2)) ** 4).truncate(bound)
+        a = (theta_null("theta1", order).scale(2) ** 4).truncate(bound)
         b = theta_null("theta3", order) ** 4
     else:
         raise AlgebraError(f"unknown generator {which!r}")
     if which.startswith("delta"):
-        out = (a + b).scale(gauss(Fraction(1, 8) if which == "delta1" else Fraction(-1, 8)))
+        out = (a + b).scale(Fraction(1, 8) if which == "delta1" else Fraction(-1, 8))
     else:
-        out = (a * b).scale(gauss(Fraction(1, 16)))
+        out = (a * b).scale(Fraction(1, 16))
     out = out.truncate(bound)
     _gen_cache[key] = out
     return out
@@ -80,11 +80,11 @@ def basis_element(group: str, k: int, r: int, order: int) -> ModularBasisElement
         d, e = delta_eps("delta1", order), delta_eps("eps1", order)
     else:
         raise AlgebraError(f"unknown group {group!r}")
-    series = (d.scale(gauss(8)) ** (k - 2 * r)) * (e ** r)
+    series = (d.scale(8) ** (k - 2 * r)) * (e ** r)
     series = series.truncate(Q_UNIT * order)
     if group == GROUP_UPPER:
         lead = series.leading_exponent()
-        if lead != HALF_UNIT * r or series.coefficient(lead) != gauss((-1) ** k):
+        if lead != HALF_UNIT * r or series.coefficient(lead) != (-1) ** k:
             raise AlgebraError("upper basis element lost triangularity")
     return ModularBasisElement(group, k, r, series)
 
@@ -143,9 +143,9 @@ def decompose(P: PuiseuxSeries, k: int, order: int | None = None) -> Decompositi
         for s in range(r):
             acc = acc - h[s].scale(basis[s].series.coefficient(HALF_UNIT * r))
         lead = basis[r].series.coefficient(HALF_UNIT * r)
-        h.append(acc.scale(lead.inverse()))
+        h.append(acc.scale(1 / lead))
 
-    minor = [[basis[s].series.coefficient(HALF_UNIT * j).real_fraction() for s in range(n_unknowns)]
+    minor = [[basis[s].series.coefficient(HALF_UNIT * j) for s in range(n_unknowns)]
              for j in range(n_unknowns)]
     inv = _invert_lower_triangular(minor)
     integral = all(c.denominator == 1 for row in inv for c in row)
@@ -192,7 +192,7 @@ def transfer_residual(P1: PuiseuxSeries, h: list[GradedPolynomial], l: int, k: i
     order = P1.order_bound // Q_UNIT
     zero = P1.zero
     rebuilt = reconstruct(h, GROUP_LOWER, k, order, zero)
-    return P1 - rebuilt.scale(GaussianRational.coerce(2 ** l))
+    return P1 - rebuilt.scale(2 ** l)
 
 
 def integrality_report(order: int) -> dict[str, bool]:
@@ -203,11 +203,11 @@ def integrality_report(order: int) -> dict[str, bool]:
     out = {}
     d1 = delta_eps("delta1", order)
     checks = {
-        "8*delta2": delta_eps("delta2", order).scale(gauss(8)),
+        "8*delta2": delta_eps("delta2", order).scale(8),
         "eps2": delta_eps("eps2", order),
-        "16*eps1": delta_eps("eps1", order).scale(gauss(16)),
-        "delta1-1/4": d1 - PuiseuxSeries.constant(gauss(Fraction(1, 4)), d1.order_bound, QI_ZERO),
+        "16*eps1": delta_eps("eps1", order).scale(16),
+        "delta1-1/4": d1 - PuiseuxSeries.constant(Fraction(1, 4), d1.order_bound, Fraction(0)),
     }
     for name, series in checks.items():
-        out[name] = all(c.is_integer() for c in series.terms.values())
+        out[name] = all(c.denominator == 1 for c in series.terms.values())
     return out

@@ -3,7 +3,7 @@
 Exponents are stored as integers ``k`` meaning ``q^(k/8)``.  A series knows
 its ``order_bound``: coefficients at lattice positions above the bound are
 *unknown*, not zero, and asking for one raises :class:`TruncationError`.
-Coefficients may be any exact ring element (Gaussian rationals, graded
+Coefficients may be any exact ring element (``Fraction`` scalars, graded
 polynomials, virtual bundles); the series carries the ring's zero so the two
 rings never mix silently.
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .algebra import AlgebraError, GaussianRational
+from .algebra import AlgebraError
 
 
 class TruncationError(ValueError):
@@ -159,15 +159,14 @@ class PuiseuxSeries:
                              self.order_bound + units, self.zero)
 
     def inverse(self) -> "PuiseuxSeries":
-        """Multiplicative inverse; the leading coefficient must be invertible."""
+        """Multiplicative inverse of a scalar series (nonzero ``Fraction`` lead)."""
         if not self.terms:
             raise AlgebraError("cannot invert the zero series")
         lead = self.leading_exponent()
         c0 = self.terms[lead]
-        if hasattr(c0, "inverse"):
-            c0_inv = c0.inverse()
-        else:
-            c0_inv = 1 / c0
+        if not isinstance(c0, Fraction):
+            raise AlgebraError(f"cannot invert a leading {type(c0).__name__} coefficient")
+        c0_inv = 1 / c0
         bound = self.order_bound - 2 * lead
         if bound < 0:
             raise AlgebraError("insufficient order to invert this series")
@@ -175,7 +174,7 @@ class PuiseuxSeries:
         u = PuiseuxSeries(
             {k - lead: c * c0_inv for k, c in self.terms.items() if k != lead and k - lead <= bound},
             bound, self.zero)
-        out = PuiseuxSeries.constant(c0_inv * c0, bound, self.zero)  # exact one of the ring
+        out = PuiseuxSeries.constant(Fraction(1), bound, self.zero)
         term = out
         sign = 1
         steps = bound // max(u.leading_exponent(), 1) + 1 if u else 0
@@ -261,19 +260,8 @@ class PuiseuxSeries:
 
 def _ring_one(zero):
     """The multiplicative unit of the coefficient ring that ``zero`` belongs to."""
-    if isinstance(zero, GaussianRational):
-        from .algebra import QI_ONE
-        return QI_ONE
+    if isinstance(zero, Fraction):
+        return Fraction(1)
     if hasattr(zero, "one_like"):
         return zero.one_like()
     raise AlgebraError(f"no unit known for coefficient type {type(zero).__name__}")
-
-
-def qs_arith(f: PuiseuxSeries, g: PuiseuxSeries, op: str) -> PuiseuxSeries:
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    raise AlgebraError(f"unknown op {op!r}")

@@ -22,12 +22,9 @@ of every verified product formula:
 
 from __future__ import annotations
 
-import json
-import os
 from fractions import Fraction
-from pathlib import Path
 
-from .algebra import AlgebraError, GaussianRational, QI_ONE, QI_ZERO, gauss
+from .algebra import AlgebraError, _frac
 from .qseries import PuiseuxSeries
 
 Q_UNIT = 8       # lattice units in q^1
@@ -36,24 +33,22 @@ HALF_UNIT = 4    # lattice units in q^(1/2)
 NULL_KINDS = ("theta1", "theta2", "theta3", "theta_prime")
 FACTOR_KINDS = ("a", "t1", "t2", "t3", "d")
 
-CACHE_ENV = "ANOMCANCEL_CACHE_DIR"
-
 _null_cache: dict[tuple, PuiseuxSeries] = {}
 _factor_cache: dict[tuple, "RootFactor"] = {}
 
 
-def _sseries(terms: dict[int, GaussianRational], bound: int) -> PuiseuxSeries:
-    return PuiseuxSeries(terms, bound, QI_ZERO)
+def _sseries(terms: dict[int, Fraction], bound: int) -> PuiseuxSeries:
+    return PuiseuxSeries(terms, bound, Fraction(0))
 
 
 def _binfactor(offset_units: int, coeff: int, bound: int) -> PuiseuxSeries:
     """The series ``1 + coeff * q^(offset/8)``."""
-    return _sseries({0: QI_ONE, offset_units: gauss(coeff)}, bound)
+    return _sseries({0: Fraction(1), offset_units: Fraction(coeff)}, bound)
 
 
 def _null_product(order: int, builders) -> PuiseuxSeries:
     bound = Q_UNIT * order
-    out = _sseries({0: QI_ONE}, bound)
+    out = _sseries({0: Fraction(1)}, bound)
     for j in range(1, order + 2):
         for offset, coeff, power in builders(j):
             if offset > bound:
@@ -106,17 +101,18 @@ def jacobi_residual(order: int) -> PuiseuxSeries:
 class RootFactor:
     """Truncated bivariate series in one root variable ``z`` and ``q^(1/8)``.
 
-    ``terms`` maps ``(z_degree, lattice_exponent)`` to a Gaussian rational.
+    ``terms`` maps ``(z_degree, lattice_exponent)`` to a ``Fraction``.
     The even factors have constant term 1 and a z=0 slice identically 1.
     """
 
     __slots__ = ("terms", "z_bound", "q_bound")
 
-    def __init__(self, terms: dict[tuple[int, int], GaussianRational], z_bound: int, q_bound: int):
+    def __init__(self, terms: dict[tuple[int, int], Fraction], z_bound: int, q_bound: int):
         clean = {}
         for (d, k), c in terms.items():
             if d > z_bound or k > q_bound:
                 continue
+            c = _frac(c)
             if c:
                 clean[(d, k)] = c
         object.__setattr__(self, "terms", clean)
@@ -134,17 +130,16 @@ class RootFactor:
             return "mixed"
         return "odd" if has_odd else "even"
 
-    def coefficient(self, d: int, k: int) -> GaussianRational:
-        return self.terms.get((d, k), QI_ZERO)
+    def coefficient(self, d: int, k: int) -> Fraction:
+        return self.terms.get((d, k), Fraction(0))
 
     @staticmethod
     def one(z_bound: int, q_bound: int) -> "RootFactor":
-        return RootFactor({(0, 0): QI_ONE}, z_bound, q_bound)
+        return RootFactor({(0, 0): 1}, z_bound, q_bound)
 
     @staticmethod
     def from_z_coeffs(coeffs, z_bound: int, q_bound: int) -> "RootFactor":
-        return RootFactor({(d, 0): GaussianRational.coerce(c) for d, c in enumerate(coeffs)},
-                          z_bound, q_bound)
+        return RootFactor({(d, 0): c for d, c in enumerate(coeffs)}, z_bound, q_bound)
 
     @staticmethod
     def from_q_series(series: PuiseuxSeries, z_bound: int) -> "RootFactor":
@@ -154,17 +149,15 @@ class RootFactor:
     def __mul__(self, other: "RootFactor") -> "RootFactor":
         zb = min(self.z_bound, other.z_bound)
         qb = min(self.q_bound, other.q_bound)
-        out: dict[tuple[int, int], GaussianRational] = {}
+        out: dict[tuple[int, int], Fraction] = {}
         for (d1, k1), c1 in self.terms.items():
             for (d2, k2), c2 in other.terms.items():
                 d, k = d1 + d2, k1 + k2
                 if d > zb or k > qb:
                     continue
-                s = out.get((d, k), QI_ZERO) + c1 * c2
-                if s:
-                    out[(d, k)] = s
-                else:
-                    out.pop((d, k), None)
+                p = c1 * c2
+                s = out.get((d, k))
+                out[(d, k)] = p if s is None else s + p
         return RootFactor(out, zb, qb)
 
     def __add__(self, other: "RootFactor") -> "RootFactor":
@@ -174,24 +167,21 @@ class RootFactor:
         for dk, c in other.terms.items():
             if dk[0] > zb or dk[1] > qb:
                 continue
-            s = out.get(dk, QI_ZERO) + c
-            if s:
-                out[dk] = s
-            else:
-                out.pop(dk, None)
+            s = out.get(dk)
+            out[dk] = c if s is None else s + c
         return RootFactor(out, zb, qb)
 
     def __sub__(self, other: "RootFactor") -> "RootFactor":
-        return self + other.scale(gauss(-1))
+        return self + other.scale(-1)
 
-    def scale(self, c: GaussianRational) -> "RootFactor":
+    def scale(self, c: Fraction) -> "RootFactor":
         return RootFactor({dk: v * c for dk, v in self.terms.items()}, self.z_bound, self.q_bound)
 
     def inverse(self) -> "RootFactor":
-        c0 = self.terms.get((0, 0), QI_ZERO)
+        c0 = self.coefficient(0, 0)
         if not c0:
             raise AlgebraError("root factor with zero constant term is not invertible")
-        inv0 = c0.inverse()
+        inv0 = 1 / c0
         u = RootFactor({dk: c * inv0 for dk, c in self.terms.items() if dk != (0, 0)},
                        self.z_bound, self.q_bound)
         out = RootFactor.one(self.z_bound, self.q_bound)
@@ -202,12 +192,12 @@ class RootFactor:
             if not term.terms:
                 break
             sign = -sign
-            out = out + (term if sign > 0 else term.scale(gauss(-1)))
+            out = out + (term if sign > 0 else term.scale(-1))
         return out.scale(inv0)
 
-    def q0_slice(self) -> list[GaussianRational]:
+    def q0_slice(self) -> list[Fraction]:
         """z-coefficients of the q^0 part, index = z-degree."""
-        out = [QI_ZERO] * (self.z_bound + 1)
+        out = [Fraction(0)] * (self.z_bound + 1)
         for (d, k), c in self.terms.items():
             if k == 0:
                 out[d] = c
@@ -216,16 +206,8 @@ class RootFactor:
     def z0_slice(self) -> PuiseuxSeries:
         return _sseries({k: c for (d, k), c in self.terms.items() if d == 0}, self.q_bound)
 
-    def assert_real(self):
-        for dk, c in self.terms.items():
-            if not c.is_real:
-                raise AlgebraError(f"expected real coefficients, found {c.to_text()} at {dk}")
-
     def to_json_obj(self):
-        rows = []
-        for (d, k) in sorted(self.terms):
-            c = self.terms[(d, k)]
-            rows.append([d, k, str(c.re), str(c.im)])
+        rows = [[d, k, str(self.terms[(d, k)])] for (d, k) in sorted(self.terms)]
         return {"z_bound": self.z_bound, "q_bound": self.q_bound, "terms": rows}
 
     def to_text(self) -> str:
@@ -282,34 +264,18 @@ def invert_z_coeffs(coeffs: list[Fraction]) -> list[Fraction]:
     return out
 
 
-def exp_two_iz(sign: int, z_bound: int) -> RootFactor:
-    """Truncated exponential ``exp(+-2iz)`` with Gaussian-rational coefficients."""
-    terms = {}
-    c = QI_ONE
-    for d in range(z_bound + 1):
-        if d:
-            c = c * gauss(0, Fraction(2 * sign, d))
-        terms[(d, 0)] = c
-    return RootFactor(terms, z_bound, 0)
-
-
 def _paired_factor(sign: int, offset_units: int, z_bound: int, q_bound: int) -> RootFactor:
-    """``(1 + sign*e^{2iz} q^a)(1 + sign*e^{-2iz} q^a)`` at ``a = offset/8``.
+    """``(1 + sign*e^{2iz} q^a)(1 + sign*e^{-2iz} q^a) = 1 + 2*sign*cos(2z) q^a + q^{2a}``.
 
-    Built from the two conjugate exponentials; the product is asserted real.
+    The factor sits at ``a = offset/8``; ``cos 2z = sum (-4)^m z^{2m} / (2m)!``.
     """
     if offset_units > q_bound:
         return RootFactor.one(z_bound, q_bound)
-    s = gauss(sign)
-    plus = RootFactor({(0, 0): QI_ONE}, z_bound, q_bound) + RootFactor(
-        {(d, offset_units): c * s for (d, _), c in exp_two_iz(+1, z_bound).terms.items()},
-        z_bound, q_bound)
-    minus = RootFactor({(0, 0): QI_ONE}, z_bound, q_bound) + RootFactor(
-        {(d, offset_units): c * s for (d, _), c in exp_two_iz(-1, z_bound).terms.items()},
-        z_bound, q_bound)
-    pair = plus * minus
-    pair.assert_real()
-    return pair
+    terms = {(0, 0): Fraction(1), (0, 2 * offset_units): Fraction(1)}
+    for d, c in enumerate(cos_coeffs(z_bound)):
+        if c:
+            terms[(d, offset_units)] = 2 * sign * 2 ** d * c
+    return RootFactor(terms, z_bound, q_bound)
 
 
 def _scalar_sq_inverse(sign: int, offset_units: int, z_bound: int, q_bound: int) -> RootFactor:
@@ -327,16 +293,10 @@ def theta_factor(kind: str, order: int, z_bound: int) -> RootFactor:
     cached = _factor_cache.get(key)
     if cached is not None:
         return cached
-    cached = _load_cached_factor(key)
-    if cached is not None:
-        _factor_cache[key] = cached
-        return cached
-
     q_bound = Q_UNIT * order
     out = _build_factor(kind, order, z_bound, q_bound)
     _check_factor(kind, out)
     _factor_cache[key] = out
-    _store_cached_factor(key, out)
     return out
 
 
@@ -375,46 +335,17 @@ def _build_factor(kind: str, order: int, z_bound: int, q_bound: int) -> RootFact
 
 
 def _check_factor(kind: str, f: RootFactor):
-    f.assert_real()
     if kind == "d":
         if f.parity != "odd":
             raise AlgebraError("factor d must be odd in z")
-        if f.coefficient(1, 0) != QI_ONE:
+        if f.coefficient(1, 0) != 1:
             raise AlgebraError("factor d must start with z")
         return
     if f.parity != "even":
         raise AlgebraError(f"factor {kind} must be even in z")
     z0 = f.z0_slice()
-    if z0.terms != {0: QI_ONE}:
+    if z0.terms != {0: 1}:
         raise AlgebraError(f"factor {kind} must have z=0 slice identically 1")
-
-
-# -- optional on-disk memoization ---------------------------------------------
-
-
-def _cache_path(key: tuple) -> Path | None:
-    root = os.environ.get(CACHE_ENV)
-    if not root:
-        return None
-    kind, order, z_bound = key
-    return Path(root) / f"factor_{kind}_{order}_{z_bound}.json"
-
-
-def _load_cached_factor(key: tuple) -> RootFactor | None:
-    path = _cache_path(key)
-    if path is None or not path.is_file():
-        return None
-    data = json.loads(path.read_text())
-    terms = {(d, k): gauss(Fraction(re), Fraction(im)) for d, k, re, im in data["terms"]}
-    return RootFactor(terms, data["z_bound"], data["q_bound"])
-
-
-def _store_cached_factor(key: tuple, f: RootFactor):
-    path = _cache_path(key)
-    if path is None:
-        return
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(f.to_json_obj()))
 
 
 def factor_count_sufficient(kind: str, order: int, z_bound: int) -> bool:

@@ -8,7 +8,9 @@ term elimination instead of the log/Newton/exp route.
 
 from __future__ import annotations
 
-from anomcancel.algebra import GaussianRational, GradedPolynomial, QI_ONE, QI_ZERO, gauss
+from fractions import Fraction
+
+from anomcancel.algebra import GradedPolynomial
 from anomcancel.qseries import PuiseuxSeries
 from anomcancel.theta import RootFactor
 
@@ -17,7 +19,7 @@ def theta_null_sum_form(kind: str, order: int) -> PuiseuxSeries:
     """Classical lattice-sum expansions of the theta nulls (reduced forms)."""
     offset = kind in ("theta1", "theta_prime")
     bound = 8 * order + (1 if offset else 0)
-    terms: dict[int, GaussianRational] = {}
+    terms: dict[int, Fraction] = {}
     n = 0
     while True:
         if kind in ("theta2", "theta3"):
@@ -30,21 +32,21 @@ def theta_null_sum_form(kind: str, order: int) -> PuiseuxSeries:
             if k > bound:
                 break
             c = (-1) ** n * (2 * n + 1) if kind == "theta_prime" else 1
-        terms[k] = terms.get(k, QI_ZERO) + gauss(c)
+        terms[k] = terms.get(k, Fraction(0)) + c
         n += 1
-    return PuiseuxSeries(terms, bound, QI_ZERO)
+    return PuiseuxSeries(terms, bound, Fraction(0))
 
 
 # -- explicit-root product oracle ------------------------------------------------
 
 
-def _elementary_explicit(i: int, n: int) -> dict[tuple[int, ...], GaussianRational]:
+def _elementary_explicit(i: int, n: int) -> dict[tuple[int, ...], Fraction]:
     """e_i(Z_1..Z_n) as an explicit polynomial."""
-    out: dict[tuple[int, ...], GaussianRational] = {}
+    out: dict[tuple[int, ...], Fraction] = {}
 
     def rec(start, left, exps):
         if left == 0:
-            out[tuple(exps)] = QI_ONE
+            out[tuple(exps)] = Fraction(1)
             return
         for j in range(start, n - left + 1):
             exps[j] = 1
@@ -63,7 +65,7 @@ def _poly_mul(a, b, cap):
             if d1 + sum(e2) > cap:
                 continue
             e = tuple(x + y for x, y in zip(e1, e2))
-            s = out.get(e, QI_ZERO) + c1 * c2
+            s = out.get(e, Fraction(0)) + c1 * c2
             if s:
                 out[e] = s
             else:
@@ -75,7 +77,7 @@ def _conjugate_partition(lam: tuple[int, ...]) -> list[int]:
     return [sum(1 for part in lam if part >= i) for i in range(1, (lam[0] if lam else 0) + 1)]
 
 
-def symmetric_to_elementary(poly: dict[tuple[int, ...], GaussianRational], n: int,
+def symmetric_to_elementary(poly: dict[tuple[int, ...], Fraction], n: int,
                             prefix: str, table, max_weight: int) -> GradedPolynomial:
     """Rewrite a symmetric polynomial in Z_1..Z_n into the e-generators."""
     work = {e: c for e, c in poly.items() if c}
@@ -90,13 +92,13 @@ def symmetric_to_elementary(poly: dict[tuple[int, ...], GaussianRational], n: in
             work.pop(lead)
             continue
         gp_term = GradedPolynomial.scalar(coeff, table, max_weight)
-        explicit = {(0,) * n: QI_ONE}
+        explicit = {(0,) * n: Fraction(1)}
         for part in _conjugate_partition(lam):
             gp_term = gp_term * GradedPolynomial.generator(f"{prefix}{part}", table, max_weight)
             explicit = _poly_mul(explicit, _elementary_explicit(part, n), sum(lam))
         out = out + gp_term
         for e, c in explicit.items():
-            s = work.get(e, QI_ZERO) - coeff * c
+            s = work.get(e, Fraction(0)) - coeff * c
             if s:
                 work[e] = s
             else:
@@ -115,7 +117,7 @@ def brute_force_prod(factor: RootFactor, n_roots: int, prefix: str, table,
             continue
         assert d % 2 == 0, "oracle handles even factors only"
         per_root[(d // 2, k)] = c
-    series: dict[int, dict[tuple[int, ...], GaussianRational]] = {0: {(0,) * n_roots: QI_ONE}}
+    series: dict[int, dict[tuple[int, ...], Fraction]] = {0: {(0,) * n_roots: Fraction(1)}}
     for j in range(n_roots):
         nxt: dict[int, dict] = {}
         for k1, poly in series.items():
@@ -128,7 +130,7 @@ def brute_force_prod(factor: RootFactor, n_roots: int, prefix: str, table,
                     if sum(exps) + m > cap:
                         continue
                     e = tuple(x + (m if i == j else 0) for i, x in enumerate(exps))
-                    s = bucket.get(e, QI_ZERO) + c0 * c
+                    s = bucket.get(e, Fraction(0)) + c0 * c
                     if s:
                         bucket[e] = s
                     else:

@@ -1,12 +1,14 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from anomcancel import anomaly
 from anomcancel.algebra import AlgebraError
 from anomcancel.anomaly import (build_P, cross_check_bundle_expansion,
-                                divisibility_check, make_setting,
-                                structural_checks, verify_theorem)
+                                decompose_setting, divisibility_check, get_env,
+                                make_setting, structural_checks, verify_theorem)
+from anomcancel.modforms import DELTA_EPS_KINDS, delta_eps
 
 
 def gating_failures(report):
@@ -152,3 +154,16 @@ def test_generalizes_beyond_the_grid():
     assert r.status == "PASS", gating_failures(r)
     r = verify_theorem("4.6", k=3, l=1)
     assert r.status == "PASS", gating_failures(r)
+
+
+@pytest.mark.parametrize("kind", ["spin4k", "spinc4k", "spinc4k2"])
+def test_single_scalar_ring(kind):
+    """Every coefficient the engine produces is exactly a Fraction."""
+    setting = make_setting(kind, 1, 1)
+    polys = [p for which in ("P1", "P2", "P3") for p in build_P(setting, which).terms.values()]
+    polys += decompose_setting(setting).h
+    coeffs = [c for p in polys for c in p.terms.values()]
+    coeffs += [g.std_factor for g in get_env(setting).table.gens]
+    coeffs += [c for name in DELTA_EPS_KINDS for c in delta_eps(name, setting.n_q).terms.values()]
+    assert coeffs
+    assert {type(c) for c in coeffs} == {Fraction}

@@ -1,5 +1,9 @@
 import json
+import os
 
+import pytest
+
+from anomcancel import suite
 from anomcancel.cli import main
 
 
@@ -83,3 +87,65 @@ def test_suite_qorder_guard(capsys):
     code, _, err = run(capsys, "suite", "--qorder", "3")
     assert code == 2
     assert "insufficient" in err
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """``max_workers`` of every pool the suite opens; the grid is cut to three audits.
+
+    The pool is replaced by one that maps in-process, so no worker starts.
+    """
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    real_cases = suite.suite_cases
+    monkeypatch.setattr(suite, "suite_cases",
+                        lambda n_q=None: [c for c in real_cases(n_q) if c.kind == "divisibility"][:3])
+    monkeypatch.setattr(suite, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+# (argv, expected exit code, check on (stdout, stderr, pool sizes)); the suite
+# rows run three cases on a machine that reports four CPUs
+EXIT_CODE_TABLE = [
+    (["decompose", "--setting", "spinc4k2", "--k", "1", "--l", "1", "--which", "P1"], 1,
+     lambda out, err, pools: json.loads(out)["residual_zero"] is False),
+    (["expand", "--object", "factor-a", "--weight", "-1"], 2,
+     lambda out, err, pools: "--weight" in err),
+    (["expand", "--object", "delta1", "--order", "-1"], 2,
+     lambda out, err, pools: "--order" in err),
+    (["expand", "--object", "P1", "--k", "1", "--l", "1", "--order", "99"], 0,
+     lambda out, err, pools: json.loads(out)["order"] == 6),
+    (["suite", "--parallel", "0"], 2,
+     lambda out, err, pools: "parallel must be >= 1" in err and pools == []),
+    (["suite", "--parallel", "1000"], 0,
+     lambda out, err, pools: pools == [3]),
+]
+
+
+@pytest.mark.parametrize("argv,code,check", EXIT_CODE_TABLE,
+                         ids=[" ".join(row[0]) for row in EXIT_CODE_TABLE])
+def test_exit_code_contract(capsys, monkeypatch, pool_sizes, argv, code, check):
+    """1 = FAIL or GAP, 2 = usage error; the pool never exceeds CPUs or cases."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    got, out, err = run(capsys, *argv)
+    assert got == code, err
+    assert check(out, err, pool_sizes)
+
+
+def test_suite_workers_clamped_to_cpus(monkeypatch, pool_sizes):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert suite.run_suite(parallel=64)["all_ok"]
+    assert pool_sizes == [2]

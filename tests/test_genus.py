@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from anomcancel.algebra import AlgebraError, GradedPolynomial, QI_I, QI_ONE, gauss
+from anomcancel.algebra import AlgebraError, GradedPolynomial
 from anomcancel.genus import (FAMILY_TM, RootFamily, additive_over_roots,
                               apply_constraint, build_generator_table, classical_genus,
                               eval_at_var, prod_over_roots)
@@ -14,7 +14,7 @@ from helpers import brute_force_prod
 
 def test_prod_simple_polynomial_factor():
     table = build_generator_table(2, 1, False, 4)
-    f = RootFactor({(0, 0): QI_ONE, (2, 0): QI_ONE}, 4, 0)
+    f = RootFactor({(0, 0): 1, (2, 0): 1}, 4, 0)
     out = prod_over_roots(f, RootFamily(FAMILY_TM, 2), table, 4, 0)
     n1 = GradedPolynomial.generator("nM1", table, 4)
     n2 = GradedPolynomial.generator("nM2", table, 4)
@@ -23,10 +23,10 @@ def test_prod_simple_polynomial_factor():
 
 def test_prod_rejects_bad_factors():
     table = build_generator_table(2, 1, False, 4)
-    odd = RootFactor({(0, 0): QI_ONE, (1, 0): QI_ONE}, 4, 0)
+    odd = RootFactor({(0, 0): 1, (1, 0): 1}, 4, 0)
     with pytest.raises(AlgebraError):
         prod_over_roots(odd, RootFamily(FAMILY_TM, 2), table, 4, 0)
-    nonunit = RootFactor({(0, 0): gauss(2), (2, 0): QI_ONE}, 4, 0)
+    nonunit = RootFactor({(0, 0): Fraction(2), (2, 0): 1}, 4, 0)
     with pytest.raises(AlgebraError):
         prod_over_roots(nonunit, RootFamily(FAMILY_TM, 2), table, 4, 0)
 
@@ -37,37 +37,38 @@ def test_classical_genera():
     ahat = classical_genus("ahat", fam, table, 4)
     n1 = GradedPolynomial.generator("nM1", table, 4)
     assert ahat.component(2) == n1.scale(Fraction(1, 6))
-    assert ahat.constant_term() == QI_ONE
+    assert ahat.constant_term() == 1
     # in the standard basis the weight-2 part is -p1/24
     assert ahat.component(2).to_standard_basis().to_text() == "-1/24*pM1"
     sp = classical_genus("spinor_ch", fam, table, 4)
-    assert sp.constant_term() == gauss(4)
+    assert sp.constant_term() == Fraction(4)
     lhat = classical_genus("lhat", fam, table, 4)
     # the spinor character ties the two genera together: ahat * spinor == lhat
     assert ahat * sp == lhat
     one_root = RootFamily(FAMILY_TM, 1)
     lh1 = classical_genus("lhat", one_root, table, 4)
-    assert lh1.constant_term() == gauss(2)
+    assert lh1.constant_term() == Fraction(2)
     assert lh1.component(2) == GradedPolynomial.generator("nM1", table, 4).scale(Fraction(-2, 3))
 
 
 def test_exp_half_c():
     table = build_generator_table(2, 1, True, 3)
     e = classical_genus("exp_half_c", RootFamily(FAMILY_TM, 2), table, 3)
-    u = GradedPolynomial.generator("u", table, 3)
+    w = GradedPolynomial.generator("w", table, 3)
+    # e^{iu} with u = -i*w is e^{w}
     assert e.component(0) == GradedPolynomial.one(table, 3)
-    assert e.component(1) == u.scale(QI_I)
-    assert e.component(2) == (u * u).scale(Fraction(-1, 2))
+    assert e.component(1) == w
+    assert e.component(2) == (w * w).scale(Fraction(1, 2))
 
 
 def test_additive_over_roots():
     table = build_generator_table(4, 1, False, 4)
     fam = RootFamily(FAMILY_TM, 4)
-    assert additive_over_roots([gauss(1)], fam, table, 4).constant_term() == gauss(4)
+    assert additive_over_roots([Fraction(1)], fam, table, 4).constant_term() == Fraction(4)
     n1 = GradedPolynomial.generator("nM1", table, 4)
-    assert additive_over_roots([gauss(0), gauss(1)], fam, table, 4) == n1
+    assert additive_over_roots([Fraction(0), Fraction(1)], fam, table, 4) == n1
     # 2cos(2z) - 2 has weight-2 part -4 n1
-    g = [gauss(0), gauss(-4), gauss(Fraction(4, 3))]
+    g = [Fraction(0), Fraction(-4), Fraction(Fraction(4, 3))]
     out = additive_over_roots(g, fam, table, 4)
     assert out.component(2) == n1.scale(-4)
 
@@ -77,11 +78,11 @@ def test_eval_at_var():
     t2 = eval_at_var(theta_factor("t2", 3, 3), table, 3, 3)
     assert t2.coefficient(0) == GradedPolynomial.one(table, 3)
     d = eval_at_var(theta_factor("d", 3, 3), table, 3, 3)
-    u = GradedPolynomial.generator("u", table, 3)
-    assert d.coefficient(0) == u - (u ** 3).scale(Fraction(1, 6))
-    # i * sin(u) is real in the standard basis: c/2 + c^3/48
-    i_sin = d.coefficient(0).scale(QI_I).to_standard_basis()
-    assert i_sin.to_text() == "1/2*c + 1/48*c^3"
+    w = GradedPolynomial.generator("w", table, 3)
+    # the odd factor comes back as i * sin(u) = i * sin(-i*w) = w + w^3/6
+    assert d.coefficient(0) == w + (w ** 3).scale(Fraction(1, 6))
+    # and renders as c/2 + c^3/48 in the standard basis
+    assert d.coefficient(0).to_standard_basis().to_text() == "1/2*c + 1/48*c^3"
 
 
 def test_prod_multiplicativity_randomized():
@@ -90,11 +91,11 @@ def test_prod_multiplicativity_randomized():
     rng = random.Random(23)
     for _ in range(4):
         def rand_factor():
-            terms = {(0, 0): QI_ONE}
+            terms = {(0, 0): 1}
             for d in (2, 4):
                 for k in (0, 4, 8):
                     if rng.random() < 0.5:
-                        terms[(d, k)] = gauss(Fraction(rng.randint(-3, 3), rng.choice([1, 2])))
+                        terms[(d, k)] = Fraction(Fraction(rng.randint(-3, 3), rng.choice([1, 2])))
             return RootFactor({dk: c for dk, c in terms.items() if c}, 6, 16)
         f, g = rand_factor(), rand_factor()
         lhs = prod_over_roots(f * g, fam, table, 6, 2)
@@ -120,10 +121,10 @@ def test_constraints():
     table = build_generator_table(2, 2, True, 4)
     nv1 = GradedPolynomial.generator("nV1", table, 4)
     nm1 = GradedPolynomial.generator("nM1", table, 4)
-    u = GradedPolynomial.generator("u", table, 4)
+    w = GradedPolynomial.generator("w", table, 4)
     assert apply_constraint(nv1, "spin4k") == GradedPolynomial.zero(table, 4)
-    assert apply_constraint(nm1 - (u * u).scale(3), "spinc4k") == nv1
-    assert apply_constraint(nm1 * nm1, "spinc4k2") == (u * u + nv1) ** 2
+    assert apply_constraint(nm1 + (w * w).scale(3), "spinc4k") == nv1
+    assert apply_constraint(nm1 * nm1, "spinc4k2") == (nv1 - w * w) ** 2
 
 
 def test_constraint_is_ring_homomorphism():

@@ -43,9 +43,9 @@ def test_adams():
     assert T.adams(1) == T
     assert T.adams(2).adams(3) == T.adams(6)
     assert T.adams(2).rank == T.rank
-    # doubling the roots of the line pair: e^{4iu} + e^{-4iu}
-    u = GradedPolynomial.generator("u", table, 4)
-    want = GradedPolynomial.scalar(2, table, 4) - (u * u).scale(16) + (u ** 4).scale(Fraction(64, 3))
+    # doubling the roots of the line pair: e^{4iu} + e^{-4iu} = 2 cosh 4w
+    w = GradedPolynomial.generator("w", table, 4)
+    want = GradedPolynomial.scalar(2, table, 4) + (w * w).scale(16) + (w ** 4).scale(Fraction(64, 3))
     assert L.adams(2).ch == want
 
 

@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from anomcancel.algebra import AlgebraError, QI_ONE, QI_ZERO, gauss
+from anomcancel.algebra import AlgebraError
 from anomcancel.modforms import delta_eps
 from anomcancel.qseries import PuiseuxSeries, RingMismatchError, TruncationError
 
 
 def S(terms, bound=80):
-    return PuiseuxSeries({k: gauss(v) for k, v in terms.items()}, bound, QI_ZERO)
+    return PuiseuxSeries({k: Fraction(v) for k, v in terms.items()}, bound, Fraction(0))
 
 
 def test_lattice_multiplication():
@@ -19,52 +19,52 @@ def test_lattice_multiplication():
     assert S({1: 1}) * S({1: 1}) == S({2: 1}, bound=81)
     # (2 q^{1/8})^4 (1+q) = 16 q^{1/2} + 16 q^{3/2}
     m = S({1: 2})
-    assert (m ** 4) * S({0: 1, 8: 1}) == PuiseuxSeries({4: gauss(16), 12: gauss(16)}, 83, QI_ZERO)
+    assert (m ** 4) * S({0: 1, 8: 1}) == PuiseuxSeries({4: Fraction(16), 12: Fraction(16)}, 83, Fraction(0))
 
 
 def test_inverse():
     geo = S({0: 1, 8: -1}, bound=40).inverse()
-    assert all(geo.coefficient(8 * i) == QI_ONE for i in range(5))
+    assert all(geo.coefficient(8 * i) == 1 for i in range(5))
     mono = S({1: 2}, bound=9).inverse()
-    assert mono.terms == {-1: gauss(Fraction(1, 2))}
+    assert mono.terms == {-1: Fraction(Fraction(1, 2))}
     f = S({0: 1, 4: 8}, bound=16).inverse()
-    assert f.coefficient(4) == gauss(-8)
-    assert f.coefficient(8) == gauss(64)
-    assert f.coefficient(12) == gauss(-512)
+    assert f.coefficient(4) == Fraction(-8)
+    assert f.coefficient(8) == Fraction(64)
+    assert f.coefficient(12) == Fraction(-512)
     with pytest.raises(AlgebraError):
-        PuiseuxSeries.zero_series(8, QI_ZERO).inverse()
+        PuiseuxSeries.zero_series(8, Fraction(0)).inverse()
 
 
 def test_inverse_is_inverse_randomized():
     rng = random.Random(5)
     for _ in range(10):
-        terms = {0: gauss(rng.choice([1, -1, 2]))}
+        terms = {0: Fraction(rng.choice([1, -1, 2]))}
         for k in range(1, 30):
             if rng.random() < 0.3:
-                terms[k] = gauss(rng.randint(-4, 4))
-        f = PuiseuxSeries({k: v for k, v in terms.items() if v}, 30, QI_ZERO)
+                terms[k] = Fraction(rng.randint(-4, 4))
+        f = PuiseuxSeries({k: v for k, v in terms.items() if v}, 30, Fraction(0))
         prod = f * f.inverse()
-        assert prod.coefficient(0) == QI_ONE
+        assert prod.coefficient(0) == 1
         assert all(not prod.coefficient(k) for k in range(1, prod.order_bound + 1))
 
 
 def test_pow():
     assert S({0: 1, 8: 1}) ** 2 == S({0: 1, 8: 2, 16: 1})
-    assert S({4: 1}) ** 3 == PuiseuxSeries({12: QI_ONE}, 88, QI_ZERO)
+    assert S({4: 1}) ** 3 == PuiseuxSeries({12: 1}, 88, Fraction(0))
     sq = S({0: -1, 4: -24}) ** 2
-    assert sq.coefficient(0) == QI_ONE
-    assert sq.coefficient(4) == gauss(48)
-    assert sq.coefficient(8) == gauss(576)
+    assert sq.coefficient(0) == 1
+    assert sq.coefficient(4) == Fraction(48)
+    assert sq.coefficient(8) == Fraction(576)
 
 
 def test_coefficient_contract():
     f = S({0: 1, 8: 6}, bound=8)
-    assert f.coefficient(8) == gauss(6)
-    assert f.coefficient(3) == QI_ZERO
+    assert f.coefficient(8) == Fraction(6)
+    assert f.coefficient(3) == Fraction(0)
     with pytest.raises(TruncationError):
         f.coefficient(12)
     # the published q-coefficient of the first generator
-    assert delta_eps("delta1", 4).coefficient(8) == gauss(6)
+    assert delta_eps("delta1", 4).coefficient(8) == Fraction(6)
 
 
 def test_sign_flip():

@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-from anomcancel.algebra import QI_ONE, gauss
 from anomcancel.theta import (factor_count_sufficient, jacobi_residual,
                               theta_factor, theta_null)
 
@@ -18,9 +17,9 @@ def test_nulls_match_lattice_sums(kind):
 
 def test_null_leading_terms():
     t3 = theta_null("theta3", 4)
-    assert t3.coefficient(0) == QI_ONE and t3.coefficient(4) == gauss(2)
+    assert t3.coefficient(0) == 1 and t3.coefficient(4) == Fraction(2)
     t2 = theta_null("theta2", 4)
-    assert t2.coefficient(4) == gauss(-2)
+    assert t2.coefficient(4) == Fraction(-2)
     # reduced odd-type nulls start at q^{1/8}
     assert theta_null("theta1", 4).leading_exponent() == 1
     assert theta_null("theta_prime", 4).leading_exponent() == 1
@@ -40,31 +39,31 @@ def test_jacobi_checker_detects_perturbation():
     broken = t2 * t3  # forgot the t1 factor entirely
     assert not (tp - broken).is_zero()
     # and a milder perturbation: scale one null
-    assert not (tp - t1.scale(gauss(Fraction(1, 2))) * t2 * t3).is_zero()
+    assert not (tp - t1.scale(Fraction(Fraction(1, 2))) * t2 * t3).is_zero()
 
 
 def test_factor_q0_slices():
     a = theta_factor("a", 3, 6)
-    assert [c.to_text() for c in a.q0_slice()] == ["1", "0", "1/6", "0", "7/360", "0", "31/15120"]
+    assert [str(c) for c in a.q0_slice()] == ["1", "0", "1/6", "0", "7/360", "0", "31/15120"]
     t1 = theta_factor("t1", 3, 4)
-    assert [c.to_text() for c in t1.q0_slice()] == ["1", "0", "-1/2", "0", "1/24"]
+    assert [str(c) for c in t1.q0_slice()] == ["1", "0", "-1/2", "0", "1/24"]
     d = theta_factor("d", 3, 5)
-    assert [c.to_text() for c in d.q0_slice()] == ["0", "1", "0", "-1/6", "0", "1/120"]
+    assert [str(c) for c in d.q0_slice()] == ["0", "1", "0", "-1/6", "0", "1/120"]
 
 
 def test_factor_parity_and_unit():
     for kind in ("a", "t1", "t2", "t3"):
         f = theta_factor(kind, 4, 6)
         assert f.parity == "even"
-        assert f.coefficient(0, 0) == QI_ONE
-        assert f.z0_slice().terms == {0: QI_ONE}
+        assert f.coefficient(0, 0) == 1
+        assert f.z0_slice().terms == {0: 1}
     assert theta_factor("d", 4, 5).parity == "odd"
 
 
 def test_a_times_reduced_theta_is_z():
     a = theta_factor("a", 4, 6)
     d = theta_factor("d", 4, 6)
-    assert (a * d).terms == {(1, 0): QI_ONE}
+    assert (a * d).terms == {(1, 0): 1}
 
 
 def test_sign_flip_swaps_half_integer_factors():
@@ -85,20 +84,10 @@ def test_factor_count_sufficiency(kind):
 def test_root_factor_inverse():
     f = theta_factor("t1", 3, 4)
     g = f.inverse()
-    assert (f * g).terms == {(0, 0): QI_ONE}
+    assert (f * g).terms == {(0, 0): 1}
 
 
 def test_null_integrality():
     for kind in ("theta1", "theta2", "theta3", "theta_prime"):
-        assert all(c.is_integer() for c in theta_null(kind, 10).terms.values())
+        assert all(c.denominator == 1 for c in theta_null(kind, 10).terms.values())
 
-
-def test_disk_cache_roundtrip(tmp_path, monkeypatch):
-    import anomcancel.theta as theta_mod
-    monkeypatch.setenv("ANOMCANCEL_CACHE_DIR", str(tmp_path))
-    monkeypatch.setattr(theta_mod, "_factor_cache", {})
-    first = theta_mod.theta_factor("t2", 2, 4)
-    assert list(tmp_path.glob("factor_t2_2_4.json"))
-    monkeypatch.setattr(theta_mod, "_factor_cache", {})
-    second = theta_mod.theta_factor("t2", 2, 4)
-    assert second.terms == first.terms
