@@ -9,6 +9,7 @@ Pontryagin-type generators.  Every operation is exact: no floats anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Mapping, NamedTuple, Sequence, Union
 
 ScalarLike = Union[int, Fraction]
@@ -42,9 +43,14 @@ class Generator(NamedTuple):
 
 
 class GeneratorTable:
-    """Ordered, immutable list of generators; positions index exponent vectors."""
+    """Ordered, immutable list of generators; positions index exponent vectors.
 
-    __slots__ = ("gens", "_index")
+    The table owns monomial weights: each distinct exponent vector's weight is
+    computed once and memoized on the instance.  The generators never change,
+    so the memo is exact.
+    """
+
+    __slots__ = ("gens", "_index", "_weights", "_standard")
 
     def __init__(self, gens: Sequence[Generator]):
         names = [g.name for g in gens]
@@ -55,6 +61,8 @@ class GeneratorTable:
                 raise AlgebraError(f"generator {g.name} must have positive weight")
         object.__setattr__(self, "gens", tuple(gens))
         object.__setattr__(self, "_index", {g.name: i for i, g in enumerate(gens)})
+        object.__setattr__(self, "_weights", {})
+        object.__setattr__(self, "_standard", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("GeneratorTable is immutable")
@@ -75,7 +83,29 @@ class GeneratorTable:
         return tuple(g for g in self.gens if g.family == fam)
 
     def monomial_weight(self, exponents: tuple[int, ...]) -> int:
-        return sum(e * g.weight for e, g in zip(exponents, self.gens))
+        w = self._weights.get(exponents)
+        if w is None:
+            w = sum(e * g.weight for e, g in zip(exponents, self.gens))
+            self._weights[exponents] = w
+        return w
+
+    def weight_groups(self, terms: Mapping[tuple[int, ...], Fraction]) -> list[tuple[int, list]]:
+        """``(weight, [(exponents, coeff), ...])`` pairs in increasing weight."""
+        groups: dict[int, list] = {}
+        for item in terms.items():
+            groups.setdefault(self.monomial_weight(item[0]), []).append(item)
+        return sorted(groups.items())
+
+    @property
+    def standard_table(self) -> "GeneratorTable":
+        """Companion table whose generators carry the standard names (built once)."""
+        std = self._standard
+        if std is None:
+            std = GeneratorTable(tuple(
+                Generator(g.std_name, g.weight, g.family, g.std_name, Fraction(1)) for g in self.gens
+            ))
+            object.__setattr__(self, "_standard", std)
+        return std
 
     def __eq__(self, other):
         if isinstance(other, GeneratorTable):
@@ -97,7 +127,11 @@ class GradedPolynomial:
     """Sparse polynomial in weighted generators, truncated by total weight.
 
     Terms of weight above ``max_weight`` are discarded on every operation,
-    so products agree with the exact product up to that weight.  Stored
+    so products agree with the exact product up to that weight.  A product
+    never visits a pair of terms whose weights add up to more than
+    ``max_weight``: both operands are grouped by weight and each left group
+    meets only the right groups that fit.  Monomial weights come from the
+    table, which computes each exponent vector's weight once.  Stored
     coefficients are nonzero ``Fraction``s; anything but an int or a
     ``Fraction`` is rejected with ``TypeError``.
     """
@@ -179,16 +213,18 @@ class GradedPolynomial:
         self._check_compatible(other)
         table = self.table
         cap = self.max_weight
+        right = table.weight_groups(other.terms)
         out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            w1 = table.monomial_weight(e1)
-            for e2, c2 in other.terms.items():
-                if w1 + table.monomial_weight(e2) > cap:
-                    continue
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                p = c1 * c2
-                s = out.get(exps)
-                out[exps] = p if s is None else s + p
+        for w1, left in table.weight_groups(self.terms):
+            fits = [item for w2, group in right if w1 + w2 <= cap for item in group]
+            if not fits:
+                break
+            for e1, c1 in left:
+                for e2, c2 in fits:
+                    exps = tuple(map(add, e1, e2))
+                    p = c1 * c2
+                    s = out.get(exps)
+                    out[exps] = p if s is None else s + p
         return GradedPolynomial(table, out, cap)
 
     __rmul__ = __mul__
@@ -323,18 +359,9 @@ class GradedPolynomial:
         return f"GradedPolynomial({self.to_text()})"
 
 
-_STD_TABLE_CACHE: dict[GeneratorTable, GeneratorTable] = {}
-
-
 def standard_table_of(table: GeneratorTable) -> GeneratorTable:
     """Companion table whose generators carry the standard names."""
-    cached = _STD_TABLE_CACHE.get(table)
-    if cached is None:
-        cached = GeneratorTable(tuple(
-            Generator(g.std_name, g.weight, g.family, g.std_name, Fraction(1)) for g in table.gens
-        ))
-        _STD_TABLE_CACHE[table] = cached
-    return cached
+    return table.standard_table
 
 
 # -- symmetric function bridge ----------------------------------------------

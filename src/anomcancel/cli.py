@@ -28,7 +28,10 @@ EXPAND_OBJECTS = (
 
 def _write(payload: str, output: str | None):
     if output:
-        Path(output).write_text(payload + "\n")
+        try:
+            Path(output).write_text(payload + "\n")
+        except OSError as e:
+            raise ValueError(f"cannot write --output {output}: {e.strerror}") from None
     else:
         print(payload)
 

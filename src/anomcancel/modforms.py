@@ -72,6 +72,8 @@ def basis_element(group: str, k: int, r: int, order: int) -> ModularBasisElement
     2, eps weight 4).  Upper-group elements are triangular: the series starts
     at ``q^(r/2)`` with leading coefficient ``(-1)^k``.
     """
+    if k < 0:
+        raise AlgebraError(f"k={k} must be >= 0")
     if not 0 <= r <= k // 2:
         raise AlgebraError(f"r={r} outside 0..{k // 2}")
     if group == GROUP_UPPER:

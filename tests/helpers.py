@@ -57,14 +57,19 @@ def _elementary_explicit(i: int, n: int) -> dict[tuple[int, ...], Fraction]:
     return out
 
 
-def _poly_mul(a, b, cap):
+def weighted_poly_mul(a_terms, b_terms, gen_weights, cap):
+    """Product of two exponent-vector term maps, keeping monomials of weight <= cap.
+
+    Visits every pair and weighs each product monomial from ``gen_weights``
+    (one weight per exponent position), so it shares no pruning with the
+    library's graded multiply.
+    """
     out = {}
-    for e1, c1 in a.items():
-        d1 = sum(e1)
-        for e2, c2 in b.items():
-            if d1 + sum(e2) > cap:
-                continue
+    for e1, c1 in a_terms.items():
+        for e2, c2 in b_terms.items():
             e = tuple(x + y for x, y in zip(e1, e2))
+            if sum(x * g for x, g in zip(e, gen_weights)) > cap:
+                continue
             s = out.get(e, Fraction(0)) + c1 * c2
             if s:
                 out[e] = s
@@ -95,7 +100,7 @@ def symmetric_to_elementary(poly: dict[tuple[int, ...], Fraction], n: int,
         explicit = {(0,) * n: Fraction(1)}
         for part in _conjugate_partition(lam):
             gp_term = gp_term * GradedPolynomial.generator(f"{prefix}{part}", table, max_weight)
-            explicit = _poly_mul(explicit, _elementary_explicit(part, n), sum(lam))
+            explicit = weighted_poly_mul(explicit, _elementary_explicit(part, n), (1,) * n, sum(lam))
         out = out + gp_term
         for e, c in explicit.items():
             s = work.get(e, Fraction(0)) - coeff * c

@@ -128,6 +128,10 @@ EXIT_CODE_TABLE = [
      lambda out, err, pools: "--order" in err),
     (["expand", "--object", "P1", "--k", "1", "--l", "1", "--order", "99"], 0,
      lambda out, err, pools: json.loads(out)["order"] == 6),
+    (["verify", "--theorem", "3.1", "--k", "1", "--output", "/nonexistent/d/x.json"], 2,
+     lambda out, err, pools: err.startswith("error:") and "/nonexistent/d/x.json" in err),
+    (["expand", "--object", "basis", "--k", "-1"], 2,
+     lambda out, err, pools: "k=-1" in err),
     (["suite", "--parallel", "0"], 2,
      lambda out, err, pools: "parallel must be >= 1" in err and pools == []),
     (["suite", "--parallel", "1000"], 0,
