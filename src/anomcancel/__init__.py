@@ -18,6 +18,6 @@ from .kvirt import VirtualBundle, bundle_coefficient, theta_object
 from .modforms import basis_element, decompose, delta_eps, transfer_residual
 from .qseries import PuiseuxSeries, TruncationError
 from .suite import run_suite, suite_cases
-from .theta import RootFactor, jacobi_residual, theta_factor, theta_null
+from .theta import RootFactor, jacobi_residual, theta_factor, theta_log, theta_null
 
 __version__ = "0.1.0"

@@ -67,6 +67,9 @@ class GeneratorTable:
     def __setattr__(self, name, value):
         raise AttributeError("GeneratorTable is immutable")
 
+    def __reduce__(self):
+        return GeneratorTable, (self.gens,)
+
     def __len__(self):
         return len(self.gens)
 
@@ -155,6 +158,9 @@ class GradedPolynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedPolynomial is immutable")
+
+    def __reduce__(self):
+        return GradedPolynomial, (self.table, self.terms, self.max_weight)
 
     # -- constructors ------------------------------------------------------
 

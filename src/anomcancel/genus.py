@@ -1,12 +1,16 @@
 """Symmetric-function engine: per-root factors to polynomial-valued series.
 
-A multiplicative factor ``f(z)`` with f(0) = 1 is turned into
-``prod_j f(z_j)`` over a family of formal roots by the log/Newton/exp route:
-the logarithm collects ``z^{2m}`` columns, each column maps to the power sum
-``s_m`` of the squared roots, power sums convert to the elementary generators
-``n_i = e_i(z^2)`` (with ``e_i = 0`` beyond the family's root count), and the
-exponential reassembles the product.  Explicit-root expansion is kept out of
-the library and used only as a small-instance test oracle.
+A multiplicative factor ``f(z)`` with f(0) = 1 enters through its log, which
+:func:`anomcancel.theta.theta_log` gives in closed form.  ``prod_j f(z_j)``
+over a family of formal roots is then assembled by the log/Newton/exp route:
+the ``z^{2m}`` column of the log multiplies the power sum ``s_m`` of the
+squared roots, power sums convert to the elementary generators
+``n_i = e_i(z^2)`` by Newton's identities (with ``e_i = 0`` beyond the
+family's root count), and one exp, run weight piece by weight piece with the
+Euler recurrence ``n*F_n = sum_j j*S_j*F_(n-j)``, reassembles the product.
+Evaluation at the spin^c line root and the classical genera go through the
+same exp.  Explicit-root expansion is kept out of the library and used only
+as a small-instance test oracle.
 
 Root conventions: a rank-2n real family contributes n squared-root variables;
 the tangent family of a dim-4k (resp. 4k+2) manifold has 2k (resp. 2k+1) of
@@ -23,7 +27,7 @@ from fractions import Fraction
 
 from .algebra import AlgebraError, Generator, GeneratorTable, GradedPolynomial
 from .qseries import PuiseuxSeries
-from .theta import (RootFactor, cos_coeffs, invert_z_coeffs, sin_over_z_coeffs)
+from .theta import RootFactor, log_cos_coeffs, log_z_coeffs, sin_over_z_coeffs
 
 FAMILY_TM = "TM"
 FAMILY_V = "V"
@@ -72,139 +76,117 @@ def elementary_gp(fam: RootFamily, i: int, table: GeneratorTable, max_weight: in
     return GradedPolynomial.generator(f"{prefix}{i}", table, max_weight)
 
 
-def power_sum_gp(fam: RootFamily, m: int, table: GeneratorTable, max_weight: int) -> GradedPolynomial:
-    """Power sum ``s_m`` of squared roots in the elementary generators."""
-    if m == 0:
-        return GradedPolynomial.scalar(fam.n_roots, table, max_weight)
-    e = [elementary_gp(fam, i, table, max_weight) for i in range(m + 1)]
+def power_sums_gp(fam: RootFamily, m_max: int, table: GeneratorTable,
+                  max_weight: int) -> list[GradedPolynomial]:
+    """Power sums ``s_0..s_m_max`` of squared roots in the elementary generators (Newton)."""
+    e = [elementary_gp(fam, i, table, max_weight) for i in range(m_max + 1)]
     s: list[GradedPolynomial] = [GradedPolynomial.scalar(fam.n_roots, table, max_weight)]
-    for i in range(1, m + 1):
+    for i in range(1, m_max + 1):
         acc = GradedPolynomial.zero(table, max_weight)
         for j in range(1, i):
             term = e[j] * s[i - j]
             acc = acc + (term if j % 2 == 1 else -term)
         lead = e[i].scale(i)
         s.append(acc + (lead if i % 2 == 1 else -lead))
-    return s[m]
+    return s
 
 
-def _factor_log(f: RootFactor) -> dict[tuple[int, int], Fraction]:
-    """``log f`` for an even factor with z=0 slice 1; terms have z-degree >= 2."""
-    u = {dk: c for dk, c in f.terms.items() if dk != (0, 0)}
-    if any(d == 0 for d, _ in u):
-        raise AlgebraError("factor must have z=0 slice identically 1")
-    out: dict[tuple[int, int], Fraction] = {}
-    power = dict(u)
-    sign = 1
-    m = 1
-    while power:
-        inv_m = Fraction(sign, m)
-        for dk, c in power.items():
-            t = c * inv_m
-            s = out.get(dk)
-            out[dk] = t if s is None else s + t
-        nxt: dict[tuple[int, int], Fraction] = {}
-        for (d1, k1), c1 in power.items():
-            for (d2, k2), c2 in u.items():
-                d, k = d1 + d2, k1 + k2
-                if d > f.z_bound or k > f.q_bound:
-                    continue
-                p = c1 * c2
-                s = nxt.get((d, k))
-                nxt[(d, k)] = p if s is None else s + p
-        power = {dk: c for dk, c in nxt.items() if c}
-        sign = -sign
-        m += 1
-    return {dk: c for dk, c in out.items() if c}
-
-
-def _exp_gp_series(S: PuiseuxSeries, max_weight: int) -> PuiseuxSeries:
-    """``exp`` of a polynomial-valued series whose terms all have weight >= 2."""
-    zero = S.zero
-    one = zero.one_like()
-    out = PuiseuxSeries.constant(one, S.order_bound, zero)
-    term = out
-    for t in range(1, max_weight // 2 + 1):
-        term = (term * S).map_coefficients(lambda p: p.scale(Fraction(1, t)))
-        if term.is_zero():
-            break
-        out = out + term
-    return out
-
-
-def prod_over_roots(f: RootFactor, fam: RootFamily, table: GeneratorTable,
-                    max_weight: int, order: int) -> PuiseuxSeries:
-    """``prod_{j=1..n} f(z_j)`` expanded in the family's generators.
-
-    The factor must be even with constant term 1; unit constants (such as a
-    per-root 2) are the caller's responsibility.
-    """
-    if f.parity != "even":
-        raise AlgebraError("prod_over_roots needs an even factor")
-    if f.coefficient(0, 0) != 1:
-        raise AlgebraError("prod_over_roots needs constant term 1")
-    bound = min(8 * order, f.q_bound)
-    zero = GradedPolynomial.zero(table, max_weight)
-    log_terms = _factor_log(f)
+def _log_columns(log: RootFactor, max_weight: int, order: int) -> tuple[int, dict[int, dict[int, Fraction]]]:
+    """``(bound, {m: {lattice: coeff}})``: the z^2m columns of a log through q^order."""
+    if any(d % 2 or d == 0 for d, _ in log.terms):
+        raise AlgebraError("a root-factor log must be even in z and vanish at z = 0")
+    if log.z_bound < 2 * (max_weight // 2):
+        raise AlgebraError(f"log known through z^{log.z_bound}, weight {max_weight} needs more")
+    bound = min(8 * order, log.q_bound)
     columns: dict[int, dict[int, Fraction]] = {}
-    for (d, k), c in log_terms.items():
-        if k > bound or d % 2 or d // 2 > max_weight // 2:
-            continue
-        columns.setdefault(d // 2, {})[k] = c
-    S = PuiseuxSeries.zero_series(bound, zero)
-    for m, col in sorted(columns.items()):
-        sm = power_sum_gp(fam, m, table, max_weight)
-        if not sm:
-            continue
-        S = S + PuiseuxSeries({k: sm.scale(c) for k, c in col.items()}, bound, zero)
-    return _exp_gp_series(S, max_weight)
+    for (d, k), c in log.terms.items():
+        if k <= bound and d <= max_weight:
+            columns.setdefault(d // 2, {})[k] = c
+    return bound, columns
+
+
+def _exp_weight_pieces(pieces: dict[int, tuple[GradedPolynomial, dict[int, Fraction]]],
+                       bound: int, table: GeneratorTable, max_weight: int) -> PuiseuxSeries:
+    """``F = exp(S)`` for ``S = sum_j p_j * c_j(q)``, one weight piece at a time.
+
+    ``p_j`` is homogeneous of weight ``2j`` and ``c_j`` a scalar q-series
+    ``{lattice: coeff}``.  The Euler operator (weight/2) is a derivation, so
+    the weight-2n piece of F obeys ``n*F_n = sum_j j * p_j * c_j * F_(n-j)``.
+    Each step convolves ``c_j`` with ``F_(n-j)`` in q and multiplies by
+    ``p_j`` once per q-position.
+    """
+    one = GradedPolynomial.one(table, max_weight)
+    pieces_of_f: list[dict[int, GradedPolynomial]] = [{0: one}]
+    total: dict[int, GradedPolynomial] = {0: one}
+    for n in range(1, max_weight // 2 + 1):
+        acc: dict[int, GradedPolynomial] = {}
+        for j in range(1, n + 1):
+            prev = pieces_of_f[n - j]
+            if j not in pieces or not prev:
+                continue
+            poly, col = pieces[j]
+            conv: dict[int, dict[tuple[int, ...], Fraction]] = {}
+            for k1, c in col.items():
+                cj = c * Fraction(j, n)
+                for k2, g in prev.items():
+                    k = k1 + k2
+                    if k > bound:
+                        continue
+                    bucket = conv.setdefault(k, {})
+                    for e, v in g.terms.items():
+                        t = v * cj
+                        s = bucket.get(e)
+                        bucket[e] = t if s is None else s + t
+            for k, terms in conv.items():
+                t = GradedPolynomial(table, terms, max_weight) * poly
+                acc[k] = acc[k] + t if k in acc else t
+        piece = {k: g for k, g in acc.items() if g}
+        pieces_of_f.append(piece)
+        for k, g in piece.items():
+            total[k] = total[k] + g if k in total else g
+    return PuiseuxSeries(total, bound, GradedPolynomial.zero(table, max_weight))
+
+
+def prod_over_roots(log: RootFactor, fam: RootFamily, table: GeneratorTable,
+                    max_weight: int, order: int) -> PuiseuxSeries:
+    """``prod_{j=1..n} f(z_j) = exp(sum_m s_m * [z^2m] log f)`` in the family's generators.
+
+    ``log`` is the log of an even per-root factor with ``f(0) = 1`` (see
+    :func:`anomcancel.theta.theta_log`): even in z, with no z^0 terms.  Unit
+    constants (such as a per-root 2) are the caller's responsibility.
+    """
+    bound, columns = _log_columns(log, max_weight, order)
+    sums = power_sums_gp(fam, max(columns, default=0), table, max_weight)
+    pieces = {m: (sums[m], col) for m, col in columns.items() if sums[m]}
+    return _exp_weight_pieces(pieces, bound, table, max_weight)
 
 
 def additive_over_roots(z2_coeffs, fam: RootFamily, table: GeneratorTable,
                         max_weight: int) -> GradedPolynomial:
     """``sum_{j=1..n} g(z_j^2)`` where ``z2_coeffs[m]`` multiplies ``z^(2m)``."""
+    sums = power_sums_gp(fam, len(z2_coeffs) - 1, table, max_weight)
     out = GradedPolynomial.zero(table, max_weight)
     for m, c in enumerate(z2_coeffs):
-        if not c:
-            continue
-        out = out + power_sum_gp(fam, m, table, max_weight).scale(c)
+        if c:
+            out = out + sums[m].scale(c)
     return out
 
 
-def eval_at_var(f: RootFactor, table: GeneratorTable, max_weight: int,
+def eval_at_var(log: RootFactor, table: GeneratorTable, max_weight: int,
                 order: int) -> PuiseuxSeries:
-    """Evaluate a factor at the line root ``z = u = -i*w``, in the real generator ``w``.
+    """``f(u)`` at the line root ``u = -i*w``, from the log of an even factor.
 
-    Maps ``z^d -> (-1)^(d//2) w^d``.  For an even factor that is exactly
-    ``f(-i*w)``; for an odd factor it is ``i*f(-i*w)``, the real form the
-    spin^c dimension-(4k+2) product needs.
+    The line is a one-root family whose squared root is ``u^2 = -w^2``, so
+    its power sums are ``(-w^2)^m`` and the same exp applies.  An odd factor
+    ``d = z * exp(log(d/z))`` enters as ``w * eval_at_var(log(d/z))``, which
+    is ``i*d(u)``: the real form the spin^c dimension-(4k+2) product needs.
     """
-    bound = min(8 * order, f.q_bound)
-    zero = GradedPolynomial.zero(table, max_weight)
-    columns: dict[int, GradedPolynomial] = {}
-    w_pow = {0: GradedPolynomial.one(table, max_weight)}
-    for (d, k), c in f.terms.items():
-        if k > bound or d > max_weight:
-            continue
-        if d not in w_pow:
-            w_pow[d] = GradedPolynomial.generator("w", table, max_weight, power=d)
-        gp = w_pow[d].scale(-c if (d // 2) % 2 else c)
-        if not gp:
-            continue
-        columns[k] = columns.get(k, zero) + gp
-    return PuiseuxSeries({k: v for k, v in columns.items() if v}, bound, zero)
-
-
-def _mult_z_coeffs(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if i + j < n and y:
-                out[i + j] += x * y
-    return out
+    bound, columns = _log_columns(log, max_weight, order)
+    pieces = {}
+    for m, col in columns.items():
+        u_2m = GradedPolynomial.generator("w", table, max_weight, power=2 * m).scale((-1) ** m)
+        pieces[m] = (u_2m, col)
+    return _exp_weight_pieces(pieces, bound, table, max_weight)
 
 
 GENUS_KINDS = ("ahat", "lhat", "spinor_ch", "exp_half_c")
@@ -227,19 +209,20 @@ def classical_genus(kind: str, fam: RootFamily, table: GeneratorTable,
                 Fraction(1, fact))
         return out
     zb = 2 * (max_weight // 2)
+    log_sin = log_z_coeffs(sin_over_z_coeffs(zb))
     if kind == "ahat":
-        coeffs = invert_z_coeffs(sin_over_z_coeffs(zb))
+        coeffs = [-c for c in log_sin]
         unit = 1
     elif kind == "lhat":
-        coeffs = _mult_z_coeffs(cos_coeffs(zb), invert_z_coeffs(sin_over_z_coeffs(zb)))
+        coeffs = [lc - c for lc, c in zip(log_cos_coeffs(zb), log_sin)]
         unit = 2 ** fam.n_roots
     elif kind == "spinor_ch":
-        coeffs = cos_coeffs(zb)
+        coeffs = log_cos_coeffs(zb)
         unit = 2 ** fam.n_roots
     else:
         raise AlgebraError(f"unknown genus kind {kind!r}")
-    factor = RootFactor.from_z_coeffs(coeffs, zb, 0)
-    series = prod_over_roots(factor, fam, table, max_weight, order=0)
+    log = RootFactor.from_z_coeffs(coeffs, zb, 0)
+    series = prod_over_roots(log, fam, table, max_weight, order=0)
     return series.coefficient(0).scale(unit)
 
 

@@ -53,6 +53,9 @@ class PuiseuxSeries:
     def __setattr__(self, name, value):
         raise AttributeError("PuiseuxSeries is immutable")
 
+    def __reduce__(self):
+        return PuiseuxSeries, (self.terms, self.order_bound, self.zero)
+
     # -- constructors --------------------------------------------------------
 
     @staticmethod

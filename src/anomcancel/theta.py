@@ -18,11 +18,19 @@ of every verified product formula:
 * ``a``  -- ``z * theta'(0)/theta(z)``, the Witten-type factor, q0 slice ``z/sin z``
 * ``t1, t2, t3`` -- ``theta_i(z)/theta_i(0)``, q0 slices ``cos z, 1, 1``
 * ``d``  -- ``pi * theta(z)/theta'(0)``, odd in ``z``, q0 slice ``sin z``
+
+:func:`theta_factor` builds a factor as a product of ``O(order)`` bivariate
+series; it serves ``expand --object factor-*``, the demos and the tests.  The
+verification path instead takes each factor's log in closed form
+(:func:`theta_log`): a Bernoulli constant from the q0 slice plus an
+Eisenstein-type divisor sum per ``z^2j`` column, which ``genus`` turns into
+power sums and exps.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 from .algebra import AlgebraError, _frac
 from .qseries import PuiseuxSeries
@@ -35,6 +43,7 @@ FACTOR_KINDS = ("a", "t1", "t2", "t3", "d")
 
 _null_cache: dict[tuple, PuiseuxSeries] = {}
 _factor_cache: dict[tuple, "RootFactor"] = {}
+_log_cache: dict[tuple, "RootFactor"] = {}
 
 
 def _sseries(terms: dict[int, Fraction], bound: int) -> PuiseuxSeries:
@@ -121,6 +130,9 @@ class RootFactor:
 
     def __setattr__(self, name, value):
         raise AttributeError("RootFactor is immutable")
+
+    def __reduce__(self):
+        return RootFactor, (self.terms, self.z_bound, self.q_bound)
 
     @property
     def parity(self) -> str:
@@ -264,6 +276,23 @@ def invert_z_coeffs(coeffs: list[Fraction]) -> list[Fraction]:
     return out
 
 
+def log_z_coeffs(coeffs: list[Fraction]) -> list[Fraction]:
+    """``log`` of a z-series with constant term 1, from ``n*g_n = n*f_n - sum k*g_k*f_(n-k)``."""
+    if coeffs[0] != 1:
+        raise AlgebraError("z-series log needs constant term 1")
+    out = [Fraction(0)] * len(coeffs)
+    for n in range(1, len(coeffs)):
+        acc = n * coeffs[n] - sum(k * out[k] * coeffs[n - k] for k in range(1, n))
+        out[n] = acc / n
+    return out
+
+
+def log_cos_coeffs(z_bound: int) -> list[Fraction]:
+    """``log cos z = log(sin 2z/2z) - log(sin z/z)``: the z^2j coefficient is ``(4^j - 1)``
+    times that of ``log(sin z/z)``."""
+    return [(2 ** d - 1) * c for d, c in enumerate(log_z_coeffs(sin_over_z_coeffs(z_bound)))]
+
+
 def _paired_factor(sign: int, offset_units: int, z_bound: int, q_bound: int) -> RootFactor:
     """``(1 + sign*e^{2iz} q^a)(1 + sign*e^{-2iz} q^a) = 1 + 2*sign*cos(2z) q^a + q^{2a}``.
 
@@ -297,6 +326,47 @@ def theta_factor(kind: str, order: int, z_bound: int) -> RootFactor:
     out = _build_factor(kind, order, z_bound, q_bound)
     _check_factor(kind, out)
     _factor_cache[key] = out
+    return out
+
+
+def theta_log(kind: str, order: int, z_bound: int) -> RootFactor:
+    """Closed-form log of a per-root factor through ``q^order`` and ``z^z_bound``.
+
+    Every term has even z-degree >= 2; for ``d`` the result is ``log(d/z)``,
+    i.e. ``d = z * exp(theta_log("d", ...))``.  Each factor is its q^0 slice
+    times ``prod_n (1 + s e^{2iz} q^a_n)(1 + s e^{-2iz} q^a_n) / (1 + s q^a_n)^2``
+    (inverted for ``a``), with ``a_n = n`` or ``n - 1/2``, and
+    ``log`` of one such quotient is ``-sum_m (-s)^m (2cos 2mz - 2) q^(m a_n) / m``.
+    Since ``2cos 2mz - 2 = sum_j 2(-4)^j m^2j z^2j / (2j)!``, the z^2j column
+    is the Bernoulli constant of the q^0 slice plus the Eisenstein-type divisor
+    sum ``2(-4)^j/(2j)! * sum_{m a_n = N} sign(m) m^(2j-1)`` at ``q^N``.
+    Memoized by ``(kind, order, z_bound)``.
+    """
+    key = (kind, order, z_bound)
+    cached = _log_cache.get(key)
+    if cached is not None:
+        return cached
+    if kind not in FACTOR_KINDS:
+        raise AlgebraError(f"unknown factor kind {kind!r}")
+    q_bound = Q_UNIT * order
+    log_sin = log_z_coeffs(sin_over_z_coeffs(z_bound))
+    q0 = {"a": [-c for c in log_sin], "t1": log_cos_coeffs(z_bound), "d": log_sin}.get(kind, [])
+    terms = {(d, 0): c for d, c in enumerate(q0)}
+    s = +1 if kind in ("t1", "t3") else -1
+    outer = +1 if kind == "a" else -1
+    shift = HALF_UNIT if kind in ("t2", "t3") else 0
+    sums: dict[tuple[int, int], int] = {}
+    for n in range(1, order + 1):
+        offset = Q_UNIT * n - shift
+        for m in range(1, q_bound // offset + 1):
+            sign = outer * (-s) ** m
+            for d in range(2, z_bound + 1, 2):
+                dk = (d, m * offset)
+                sums[dk] = sums.get(dk, 0) + sign * m ** (d - 1)
+    for (d, k), v in sums.items():
+        terms[(d, k)] = Fraction(2 * (-4) ** (d // 2), factorial(d)) * v
+    out = RootFactor(terms, z_bound, q_bound)
+    _log_cache[key] = out
     return out
 
 

@@ -1,9 +1,11 @@
 """Independent oracles used by the tests.
 
 Nothing here shares code paths with the library: theta nulls come from
-classical lattice sums instead of products, and root products are expanded in
+classical lattice sums instead of products, root products are expanded in
 explicit symbolic roots and rewritten into the elementary basis by leading-
-term elimination instead of the log/Newton/exp route.
+term elimination instead of the log/Newton/exp route, logs of product-built
+factors are taken by the power series ``sum (-1)^(m+1) u^m / m`` instead of
+closed-form divisor sums, and exps are the plain ``sum S^t / t!``.
 """
 
 from __future__ import annotations
@@ -148,3 +150,83 @@ def brute_force_prod(factor: RootFactor, n_roots: int, prefix: str, table,
         if gp:
             terms[k] = gp
     return PuiseuxSeries(terms, bound, zero)
+
+
+# -- log, exp and line-evaluation oracles -----------------------------------------
+
+
+def series_log(terms: dict[tuple[int, int], Fraction], z_bound: int,
+               q_bound: int) -> dict[tuple[int, int], Fraction]:
+    """``log f`` of a bivariate ``{(z_degree, lattice): coeff}`` series with f = 1 at z = 0.
+
+    The power series ``sum (-1)^(m+1) u^m / m`` with ``u = f - 1``; the result
+    has no z^0 terms.
+    """
+    u = {dk: c for dk, c in terms.items() if dk != (0, 0)}
+    assert terms.get((0, 0)) == 1 and all(d > 0 for d, _ in u), "needs f = 1 at z = 0"
+    out: dict[tuple[int, int], Fraction] = {}
+    power = dict(u)
+    m = 1
+    while power:
+        for dk, c in power.items():
+            out[dk] = out.get(dk, Fraction(0)) + c * Fraction((-1) ** (m + 1), m)
+        nxt: dict[tuple[int, int], Fraction] = {}
+        for (d1, k1), c1 in power.items():
+            for (d2, k2), c2 in u.items():
+                if d1 + d2 <= z_bound and k1 + k2 <= q_bound:
+                    nxt[(d1 + d2, k1 + k2)] = nxt.get((d1 + d2, k1 + k2), Fraction(0)) + c1 * c2
+        power = {dk: c for dk, c in nxt.items() if c}
+        m += 1
+    return {dk: c for dk, c in out.items() if c}
+
+
+def _series_mul(a: dict, b: dict, bound: int) -> dict:
+    out = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            if k1 + k2 <= bound:
+                out[k1 + k2] = out[k1 + k2] + c1 * c2 if k1 + k2 in out else c1 * c2
+    return out
+
+
+def naive_exp_over_roots(log_terms: dict[tuple[int, int], Fraction], n_roots: int, prefix: str,
+                         table, max_weight: int, bound: int) -> PuiseuxSeries:
+    """``exp(sum_m s_m * [z^2m] log)`` as ``sum S^t / t!``.
+
+    The power sums ``s_m`` of the squared roots are rewritten into the
+    e-generators from explicit roots (``symmetric_to_elementary``).
+    """
+    one = GradedPolynomial.one(table, max_weight)
+    S: dict[int, GradedPolynomial] = {}
+    for (d, k), c in log_terms.items():
+        assert d % 2 == 0 and d > 0, "needs an even log without z^0 terms"
+        if k > bound or d > max_weight:
+            continue
+        explicit = {tuple(d // 2 if i == j else 0 for i in range(n_roots)): Fraction(1)
+                    for j in range(n_roots)}
+        s_m = symmetric_to_elementary(explicit, n_roots, prefix, table, max_weight)
+        S[k] = S[k] + s_m.scale(c) if k in S else s_m.scale(c)
+    out = {0: one}
+    term = {0: one}
+    for t in range(1, max_weight // 2 + 1):
+        term = {k: g.scale(Fraction(1, t)) for k, g in _series_mul(term, S, bound).items()}
+        for k, g in term.items():
+            out[k] = out[k] + g if k in out else g
+    return PuiseuxSeries({k: g for k, g in out.items() if g}, bound,
+                         GradedPolynomial.zero(table, max_weight))
+
+
+def eval_factor_at_w(factor: RootFactor, table, max_weight: int, bound: int) -> PuiseuxSeries:
+    """A product-built factor at ``z = -i*w``, read as ``z^d -> (-1)^(d//2) w^d``.
+
+    For an odd factor this is ``i*f(-i*w)``, its real form.
+    """
+    out: dict[int, GradedPolynomial] = {}
+    for (d, k), c in factor.terms.items():
+        if k > bound or d > max_weight:
+            continue
+        gp = GradedPolynomial.generator("w", table, max_weight, power=d).scale(
+            -c if (d // 2) % 2 else c)
+        out[k] = out[k] + gp if k in out else gp
+    return PuiseuxSeries({k: g for k, g in out.items() if g}, bound,
+                         GradedPolynomial.zero(table, max_weight))

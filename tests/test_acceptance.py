@@ -12,7 +12,7 @@ from fractions import Fraction
 from anomcancel import anomaly, suite
 from anomcancel.genus import FAMILY_TM, RootFamily, build_generator_table, prod_over_roots
 from anomcancel.modforms import delta_eps, integrality_report
-from anomcancel.theta import jacobi_residual, theta_factor
+from anomcancel.theta import jacobi_residual, theta_factor, theta_log
 
 from helpers import brute_force_prod
 
@@ -89,9 +89,9 @@ def test_criterion_4_oracle_equivalence():
         table = build_generator_table(n_roots, 1, False, 6)
         fam = RootFamily(FAMILY_TM, n_roots)
         for kind in ("a", "t2"):
-            f = theta_factor(kind, 2, 6)
-            engine = prod_over_roots(f, fam, table, 6, 2)
-            ok = ok and (engine - brute_force_prod(f, n_roots, "nM", table, 6, 2)).is_zero()
+            engine = prod_over_roots(theta_log(kind, 2, 6), fam, table, 6, 2)
+            oracle = brute_force_prod(theta_factor(kind, 2, 6), n_roots, "nM", table, 6, 2)
+            ok = ok and (engine - oracle).is_zero()
     announce(4, ok, "theta path and bundle path agree at q^0, q^(1/2), q^1 on the whole grid; "
                     "genus engine matches explicit-root brute force (<= 3 roots, weight <= 6)")
 

@@ -1,4 +1,5 @@
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,9 @@ from anomcancel.algebra import AlgebraError
 from anomcancel.anomaly import (build_P, cross_check_bundle_expansion,
                                 decompose_setting, divisibility_check, get_env,
                                 make_setting, structural_checks, verify_theorem)
+from anomcancel.genus import build_generator_table
 from anomcancel.modforms import DELTA_EPS_KINDS, delta_eps
+from anomcancel.theta import RootFactor, theta_factor, theta_log, theta_null
 
 
 def gating_failures(report):
@@ -167,3 +170,21 @@ def test_single_scalar_ring(kind):
     coeffs += [c for name in DELTA_EPS_KINDS for c in delta_eps(name, setting.n_q).terms.values()]
     assert coeffs
     assert {type(c) for c in coeffs} == {Fraction}
+
+
+
+def test_pickle_roundtrip():
+    """Every immutable series type survives pickling (it is rebuilt through its constructor)."""
+    p2 = build_P(make_setting("spinc4k", 2, 1), "P2")
+    table = build_generator_table(2, 2, True, 4)
+    for obj in (table, p2, p2.zero, theta_null("theta3", 3), theta_factor("t2", 3, 4),
+                theta_log("a", 3, 4)):
+        back = pickle.loads(pickle.dumps(obj))
+        assert type(back) is type(obj)
+        if isinstance(obj, RootFactor):   # no __eq__: compare its state
+            assert (back.terms, back.z_bound, back.q_bound) == (obj.terms, obj.z_bound, obj.q_bound)
+        else:
+            assert back == obj
+    back = pickle.loads(pickle.dumps(table))
+    assert back.monomial_weight((1, 0, 1, 0, 1)) == 5
+    assert back.standard_table == table.standard_table

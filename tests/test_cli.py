@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -153,3 +154,18 @@ def test_suite_workers_clamped_to_cpus(monkeypatch, pool_sizes):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert suite.run_suite(parallel=64)["all_ok"]
     assert pool_sizes == [2]
+
+
+SUITE_JSON_SHA256 = "c945fa7224b0dd17c89009de4d6e39c7f6c3e8a2d403819c7cb9fa85d8f56cd9"
+
+
+def test_suite_json_hash_is_pinned(capsys):
+    """Refactor gate: `suite --format json` stdout is byte-identical to the recorded run,
+    serial and with two workers."""
+    code, serial, _ = run(capsys, "suite", "--format", "json")
+    assert code == 0
+    assert serial == suite.suite_json(suite.run_suite()) + "\n"
+    assert hashlib.sha256(serial.encode()).hexdigest() == SUITE_JSON_SHA256
+    code, parallel, _ = run(capsys, "suite", "--format", "json", "--parallel", "2")
+    assert code == 0
+    assert parallel == serial

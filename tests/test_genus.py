@@ -7,15 +7,17 @@ from anomcancel.algebra import AlgebraError, GradedPolynomial
 from anomcancel.genus import (FAMILY_TM, RootFamily, additive_over_roots,
                               apply_constraint, build_generator_table, classical_genus,
                               eval_at_var, prod_over_roots)
-from anomcancel.theta import RootFactor, theta_factor
+from anomcancel.theta import RootFactor, theta_factor, theta_log
 
-from helpers import brute_force_prod
+from helpers import brute_force_prod, eval_factor_at_w, series_log
 
 
 def test_prod_simple_polynomial_factor():
     table = build_generator_table(2, 1, False, 4)
-    f = RootFactor({(0, 0): 1, (2, 0): 1}, 4, 0)
-    out = prod_over_roots(f, RootFamily(FAMILY_TM, 2), table, 4, 0)
+    # log(1 + z^2) = z^2 - z^4/2 through z^4
+    log = RootFactor(series_log({(0, 0): 1, (2, 0): 1}, 4, 0), 4, 0)
+    assert log.terms == {(2, 0): 1, (4, 0): Fraction(-1, 2)}
+    out = prod_over_roots(log, RootFamily(FAMILY_TM, 2), table, 4, 0)
     n1 = GradedPolynomial.generator("nM1", table, 4)
     n2 = GradedPolynomial.generator("nM2", table, 4)
     assert out.coefficient(0) == GradedPolynomial.one(table, 4) + n1 + n2
@@ -23,12 +25,20 @@ def test_prod_simple_polynomial_factor():
 
 def test_prod_rejects_bad_factors():
     table = build_generator_table(2, 1, False, 4)
-    odd = RootFactor({(0, 0): 1, (1, 0): 1}, 4, 0)
+    fam = RootFamily(FAMILY_TM, 2)
+    odd = RootFactor({(1, 0): 1, (2, 0): 1}, 4, 0)
     with pytest.raises(AlgebraError):
-        prod_over_roots(odd, RootFamily(FAMILY_TM, 2), table, 4, 0)
+        prod_over_roots(odd, fam, table, 4, 0)
+    # a z^0 term is a log of a factor with f(0) != 1
     nonunit = RootFactor({(0, 0): Fraction(2), (2, 0): 1}, 4, 0)
     with pytest.raises(AlgebraError):
-        prod_over_roots(nonunit, RootFamily(FAMILY_TM, 2), table, 4, 0)
+        prod_over_roots(nonunit, fam, table, 4, 0)
+    # a log known only through z^2 cannot give weight 4
+    short = RootFactor({(2, 0): 1}, 2, 0)
+    with pytest.raises(AlgebraError):
+        prod_over_roots(short, fam, table, 4, 0)
+    with pytest.raises(AlgebraError):
+        eval_at_var(odd, build_generator_table(2, 1, True, 4), 4, 0)
 
 
 def test_classical_genera():
@@ -75,11 +85,11 @@ def test_additive_over_roots():
 
 def test_eval_at_var():
     table = build_generator_table(2, 1, True, 3)
-    t2 = eval_at_var(theta_factor("t2", 3, 3), table, 3, 3)
+    t2 = eval_at_var(theta_log("t2", 3, 3), table, 3, 3)
     assert t2.coefficient(0) == GradedPolynomial.one(table, 3)
-    d = eval_at_var(theta_factor("d", 3, 3), table, 3, 3)
     w = GradedPolynomial.generator("w", table, 3)
-    # the odd factor comes back as i * sin(u) = i * sin(-i*w) = w + w^3/6
+    d = eval_at_var(theta_log("d", 3, 3), table, 3, 3).scale(w)
+    # the odd factor enters as w * exp(log(d/z) at u) = i * sin(u) = i * sin(-i*w) = w + w^3/6
     assert d.coefficient(0) == w + (w ** 3).scale(Fraction(1, 6))
     # and renders as c/2 + c^3/48 in the standard basis
     assert d.coefficient(0).to_standard_basis().to_text() == "1/2*c + 1/48*c^3"
@@ -90,15 +100,16 @@ def test_prod_multiplicativity_randomized():
     fam = RootFamily(FAMILY_TM, 3)
     rng = random.Random(23)
     for _ in range(4):
-        def rand_factor():
-            terms = {(0, 0): 1}
-            for d in (2, 4):
+        def rand_log():
+            terms = {}
+            for d in (2, 4, 6):
                 for k in (0, 4, 8):
                     if rng.random() < 0.5:
-                        terms[(d, k)] = Fraction(Fraction(rng.randint(-3, 3), rng.choice([1, 2])))
-            return RootFactor({dk: c for dk, c in terms.items() if c}, 6, 16)
-        f, g = rand_factor(), rand_factor()
-        lhs = prod_over_roots(f * g, fam, table, 6, 2)
+                        terms[(d, k)] = Fraction(rng.randint(-3, 3), rng.choice([1, 2]))
+            return RootFactor(terms, 6, 16)
+        f, g = rand_log(), rand_log()
+        # the log of a product is the sum of the logs
+        lhs = prod_over_roots(f + g, fam, table, 6, 2)
         rhs = prod_over_roots(f, fam, table, 6, 2) * prod_over_roots(g, fam, table, 6, 2)
         assert (lhs - rhs).is_zero()
 
@@ -111,10 +122,23 @@ def test_brute_force_oracle(n_roots, kind):
     W = 6
     table = build_generator_table(n_roots, 1, False, W)
     fam = RootFamily(FAMILY_TM, n_roots)
-    f = theta_factor(kind, 2, W)
-    engine = prod_over_roots(f, fam, table, W, 2)
-    oracle = brute_force_prod(f, n_roots, "nM", table, W, 2)
+    engine = prod_over_roots(theta_log(kind, 2, W), fam, table, W, 2)
+    oracle = brute_force_prod(theta_factor(kind, 2, W), n_roots, "nM", table, W, 2)
     assert (engine - oracle).is_zero()
+
+
+@pytest.mark.parametrize("order,W", [(2, 6), (3, 7), (4, 4)])
+def test_eval_at_var_matches_product_oracle(order, W):
+    """One exp of the summed t1+t2+t3 logs (and of log(d/z), times w) at the line root
+    equals the product-built factors read at ``z = -i*w``."""
+    table = build_generator_table(1, 1, True, W)
+    bound = 8 * order
+    logs = theta_log("t1", order, W) + theta_log("t2", order, W) + theta_log("t3", order, W)
+    product = theta_factor("t1", order, W) * theta_factor("t2", order, W) * theta_factor("t3", order, W)
+    assert eval_at_var(logs, table, W, order) == eval_factor_at_w(product, table, W, bound)
+    w = GradedPolynomial.generator("w", table, W)
+    odd = eval_at_var(theta_log("d", order, W), table, W, order).scale(w)
+    assert odd == eval_factor_at_w(theta_factor("d", order, W), table, W, bound)
 
 
 def test_constraints():

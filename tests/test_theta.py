@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 
 from anomcancel.theta import (factor_count_sufficient, jacobi_residual,
-                              theta_factor, theta_null)
+                              theta_factor, theta_log, theta_null)
 
-from helpers import theta_null_sum_form
+from helpers import series_log, theta_null_sum_form
 
 
 @pytest.mark.parametrize("kind", ["theta1", "theta2", "theta3", "theta_prime"])
@@ -91,3 +91,34 @@ def test_null_integrality():
     for kind in ("theta1", "theta2", "theta3", "theta_prime"):
         assert all(c.denominator == 1 for c in theta_null(kind, 10).terms.values())
 
+
+
+LOG_GRID = [(2, 6), (3, 4), (4, 10), (6, 8), (12, 4), (14, 12)]
+
+
+@pytest.mark.parametrize("order,z_bound", LOG_GRID)
+@pytest.mark.parametrize("kind", ["a", "t1", "t2", "t3"])
+def test_theta_log_matches_product_log(kind, order, z_bound):
+    """The divisor-sum log equals the power-series log of the product-built factor."""
+    f = theta_factor(kind, order, z_bound)
+    got = theta_log(kind, order, z_bound)
+    assert (got.z_bound, got.q_bound) == (z_bound, f.q_bound)
+    assert got.terms == series_log(f.terms, z_bound, f.q_bound)
+
+
+@pytest.mark.parametrize("order,z_bound", LOG_GRID)
+def test_theta_log_of_odd_factor_is_log_d_over_z(order, z_bound):
+    d = theta_factor("d", order, z_bound + 1)
+    d_over_z = {(dd - 1, k): c for (dd, k), c in d.terms.items()}
+    assert theta_log("d", order, z_bound).terms == series_log(d_over_z, z_bound, d.q_bound)
+
+
+def test_theta_log_columns():
+    """q^0: log(z/sin z) = z^2/6 + z^4/180; q^1 of log a: (2cos 2z - 2) = -4z^2 + 4z^4/3."""
+    a = theta_log("a", 2, 4)
+    assert a.coefficient(2, 0) == Fraction(1, 6) and a.coefficient(4, 0) == Fraction(1, 180)
+    assert a.coefficient(2, 8) == -4 and a.coefficient(4, 8) == Fraction(4, 3)
+    # q^2: m = 1, 2 divide 2, so the z^2 column is -4 * sigma_1(2) = -12
+    assert a.coefficient(2, 16) == -12
+    assert all(d % 2 == 0 and d >= 2 for d, _ in a.terms)
+    assert theta_log("t2", 2, 4).q0_slice() == [0] * 5
