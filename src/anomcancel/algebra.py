@@ -4,12 +4,18 @@ Scalars are ``fractions.Fraction`` (ints are accepted and coerced).
 Polynomials live in a fixed table of weighted generators and are truncated
 by total weight; they stand for characteristic forms written in normalized
 Pontryagin-type generators.  Every operation is exact: no floats anywhere.
+
+Coefficients are ``Fraction`` at rest, and every reader of ``.terms`` sees
+``Fraction``s.  Every product goes through one kernel, :func:`dot`, which
+brings its operands to integer numerators over one common denominator,
+multiplies and adds plain ints, and builds one reduced ``Fraction`` per
+output term at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from math import gcd, lcm
 from typing import Mapping, NamedTuple, Sequence, Union
 
 ScalarLike = Union[int, Fraction]
@@ -50,7 +56,7 @@ class GeneratorTable:
     so the memo is exact.
     """
 
-    __slots__ = ("gens", "_index", "_weights", "_standard")
+    __slots__ = ("gens", "_index", "_weights", "_standard", "_packings")
 
     def __init__(self, gens: Sequence[Generator]):
         names = [g.name for g in gens]
@@ -63,6 +69,7 @@ class GeneratorTable:
         object.__setattr__(self, "_index", {g.name: i for i, g in enumerate(gens)})
         object.__setattr__(self, "_weights", {})
         object.__setattr__(self, "_standard", None)
+        object.__setattr__(self, "_packings", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("GeneratorTable is immutable")
@@ -92,12 +99,12 @@ class GeneratorTable:
             self._weights[exponents] = w
         return w
 
-    def weight_groups(self, terms: Mapping[tuple[int, ...], Fraction]) -> list[tuple[int, list]]:
-        """``(weight, [(exponents, coeff), ...])`` pairs in increasing weight."""
-        groups: dict[int, list] = {}
-        for item in terms.items():
-            groups.setdefault(self.monomial_weight(item[0]), []).append(item)
-        return sorted(groups.items())
+    def packing(self, cap: int) -> "Packing":
+        """The exponent packing for polynomials truncated at ``cap`` (built once per cap)."""
+        p = self._packings.get(cap)
+        if p is None:
+            p = self._packings[cap] = Packing(self.gens, cap)
+        return p
 
     @property
     def standard_table(self) -> "GeneratorTable":
@@ -122,6 +129,52 @@ class GeneratorTable:
         return f"GeneratorTable({[g.name for g in self.gens]})"
 
 
+class Packing:
+    """Exponent vectors of weight <= ``cap`` packed into one int, one bit field per generator.
+
+    Generator ``i`` gets a field wide enough for ``cap // weight_i``.  Two
+    vectors whose weights add up to at most ``cap`` add field by field with
+    no carry, so their packed keys add as plain ints.  Both directions are
+    memoized; the generators and the cap never change, so the memos are exact.
+
+    >>> from anomcancel.genus import build_generator_table
+    >>> p = build_generator_table(2, 0, True, 4).packing(4)
+    >>> p.key((1, 0, 2)) + p.key((0, 1, 0)) == p.key((1, 1, 2))
+    True
+    >>> p.vector(p.key((0, 1, 0)))
+    (0, 1, 0)
+    """
+
+    __slots__ = ("fields", "keys", "vectors")
+
+    def __init__(self, gens: Sequence[Generator], cap: int):
+        fields = []
+        shift = 0
+        for g in gens:
+            bits = (cap // g.weight).bit_length()
+            fields.append((shift, (1 << bits) - 1))
+            shift += bits
+        self.fields = tuple(fields)
+        self.keys: dict[tuple[int, ...], int] = {}
+        self.vectors: dict[int, tuple[int, ...]] = {}
+
+    def key(self, exponents: tuple[int, ...]) -> int:
+        k = self.keys.get(exponents)
+        if k is None:
+            k = sum(e << shift for e, (shift, _) in zip(exponents, self.fields))
+            self.keys[exponents] = k
+            self.vectors[k] = exponents
+        return k
+
+    def vector(self, key: int) -> tuple[int, ...]:
+        v = self.vectors.get(key)
+        if v is None:
+            v = tuple((key >> shift) & mask for shift, mask in self.fields)
+            self.vectors[key] = v
+            self.keys[v] = key
+        return v
+
+
 def _zero_exps(n: int) -> tuple[int, ...]:
     return (0,) * n
 
@@ -130,16 +183,17 @@ class GradedPolynomial:
     """Sparse polynomial in weighted generators, truncated by total weight.
 
     Terms of weight above ``max_weight`` are discarded on every operation,
-    so products agree with the exact product up to that weight.  A product
-    never visits a pair of terms whose weights add up to more than
-    ``max_weight``: both operands are grouped by weight and each left group
-    meets only the right groups that fit.  Monomial weights come from the
+    so products agree with the exact product up to that weight.  Products
+    go through :func:`dot`, which never visits a pair of terms whose weights
+    add up to more than ``max_weight``.  Monomial weights come from the
     table, which computes each exponent vector's weight once.  Stored
     coefficients are nonzero ``Fraction``s; anything but an int or a
-    ``Fraction`` is rejected with ``TypeError``.
+    ``Fraction`` is rejected with ``TypeError``.  Inside ``dot`` the
+    coefficients are integer numerators over one common denominator; that
+    form is built on first use and kept on the (immutable) instance.
     """
 
-    __slots__ = ("table", "terms", "max_weight")
+    __slots__ = ("table", "terms", "max_weight", "_ints")
 
     def __init__(self, table: GeneratorTable, terms: Mapping[tuple[int, ...], ScalarLike], max_weight: int):
         clean: dict[tuple[int, ...], Fraction] = {}
@@ -155,9 +209,40 @@ class GradedPolynomial:
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "max_weight", max_weight)
+        object.__setattr__(self, "_ints", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedPolynomial is immutable")
+
+    @staticmethod
+    def _with_form(table: GeneratorTable, terms: dict[tuple[int, ...], Fraction], max_weight: int,
+                   form) -> "GradedPolynomial":
+        """A polynomial from checked terms (nonzero ``Fraction``s within the cap) and their int form."""
+        self = object.__new__(GradedPolynomial)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "max_weight", max_weight)
+        object.__setattr__(self, "_ints", form)
+        return self
+
+    def int_form(self) -> tuple[int, list[tuple[int, list[tuple[int, int]]]]]:
+        """``(den, [(weight, [(key, numerator), ...]), ...])``, weights increasing.
+
+        ``den`` is the least common denominator of the coefficients, each
+        coefficient equals ``numerator / den``, and ``key`` is the exponent
+        vector packed by ``table.packing(max_weight)``.
+        """
+        form = self._ints
+        if form is None:
+            den, nums = int_numerators(self.terms)
+            key = self.table.packing(self.max_weight).key
+            weight = self.table.monomial_weight
+            groups: dict[int, list] = {}
+            for e, n in nums.items():
+                groups.setdefault(weight(e), []).append((key(e), n))
+            form = (den, sorted(groups.items()))
+            object.__setattr__(self, "_ints", form)
+        return form
 
     def __reduce__(self):
         return GradedPolynomial, (self.table, self.terms, self.max_weight)
@@ -184,16 +269,10 @@ class GradedPolynomial:
 
     # -- ring operations ---------------------------------------------------
 
-    def _check_compatible(self, other: "GradedPolynomial"):
-        if self.table != other.table:
-            raise AlgebraError("generator table mismatch")
-        if self.max_weight != other.max_weight:
-            raise AlgebraError("truncation weight mismatch")
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = GradedPolynomial.scalar(other, self.table, self.max_weight)
-        self._check_compatible(other)
+        _check_space(other, self.table, self.max_weight)
         terms = dict(self.terms)
         for exps, c in other.terms.items():
             s = terms.get(exps)
@@ -216,24 +295,13 @@ class GradedPolynomial:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        self._check_compatible(other)
-        table = self.table
-        cap = self.max_weight
-        right = table.weight_groups(other.terms)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for w1, left in table.weight_groups(self.terms):
-            fits = [item for w2, group in right if w1 + w2 <= cap for item in group]
-            if not fits:
-                break
-            for e1, c1 in left:
-                for e2, c2 in fits:
-                    exps = tuple(map(add, e1, e2))
-                    p = c1 * c2
-                    s = out.get(exps)
-                    out[exps] = p if s is None else s + p
-        return GradedPolynomial(table, out, cap)
+        return dot([(self, other)], self.table, self.max_weight)
 
     __rmul__ = __mul__
+
+    def dot(self, pairs, scalars=None) -> "GradedPolynomial":
+        """``sum_i s_i * a_i * b_i`` in this polynomial's ring (see :func:`dot`)."""
+        return dot(pairs, self.table, self.max_weight, scalars)
 
     def scale(self, value: ScalarLike) -> "GradedPolynomial":
         c = _frac(value)
@@ -258,8 +326,8 @@ class GradedPolynomial:
 
     def __eq__(self, other):
         if isinstance(other, GradedPolynomial):
-            return (self.table == other.table and self.max_weight == other.max_weight
-                    and self.terms == other.terms)
+            return ((self.table is other.table or self.table == other.table)
+                    and self.max_weight == other.max_weight and self.terms == other.terms)
         if isinstance(other, (int, Fraction)):
             return self == GradedPolynomial.scalar(other, self.table, self.max_weight)
         return NotImplemented
@@ -284,20 +352,19 @@ class GradedPolynomial:
 
     def substitute(self, name: str, replacement: "GradedPolynomial") -> "GradedPolynomial":
         """Replace one generator by a homogeneous polynomial of equal weight."""
-        self._check_compatible(replacement)
+        _check_space(replacement, self.table, self.max_weight)
         i = self.table.index(name)
         w = self.table.gens[i].weight
         if not replacement.is_homogeneous(w):
             raise AlgebraError(f"replacement for {name} must be homogeneous of weight {w}")
-        out = GradedPolynomial.zero(self.table, self.max_weight)
-        powers: dict[int, GradedPolynomial] = {0: GradedPolynomial.one(self.table, self.max_weight)}
-        for exps, coeff in sorted(self.terms.items()):
-            e = exps[i]
-            if e not in powers:
-                powers[e] = replacement ** e
-            rest = tuple(0 if j == i else v for j, v in enumerate(exps))
-            out = out + GradedPolynomial(self.table, {rest: coeff}, self.max_weight) * powers[e]
-        return out
+        rests: dict[int, dict[tuple[int, ...], Fraction]] = {}
+        for exps, coeff in self.terms.items():
+            rests.setdefault(exps[i], {})[exps[:i] + (0,) + exps[i + 1:]] = coeff
+        powers = [self.one_like()]
+        for _ in range(max(rests, default=0)):
+            powers.append(powers[-1] * replacement)
+        return self.dot([(GradedPolynomial(self.table, rest, self.max_weight), powers[e])
+                         for e, rest in rests.items()])
 
     # -- basis change and rendering -----------------------------------------
 
@@ -363,6 +430,95 @@ class GradedPolynomial:
 
     def __repr__(self):
         return f"GradedPolynomial({self.to_text()})"
+
+
+def int_numerators(terms: Mapping) -> tuple[int, dict]:
+    """``(den, {key: numerator})``: ``Fraction`` values over their least common denominator.
+
+    >>> int_numerators({0: Fraction(1, 2), 3: Fraction(-2, 3)})
+    (6, {0: 3, 3: -4})
+    """
+    den = lcm(*(c.denominator for c in terms.values()))
+    return den, {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
+
+
+def _check_space(p: GradedPolynomial, table: GeneratorTable, cap: int):
+    if p.table is not table and p.table != table:
+        raise AlgebraError("generator table mismatch")
+    if p.max_weight != cap:
+        raise AlgebraError("truncation weight mismatch")
+
+
+def dot(pairs: Sequence[tuple[GradedPolynomial, GradedPolynomial]], table: GeneratorTable,
+        cap: int, scalars: Sequence[ScalarLike] | None = None) -> GradedPolynomial:
+    """``sum_i s_i * a_i * b_i`` for polynomial pairs ``(a_i, b_i)``, truncated at ``cap``.
+
+    ``s_i`` is ``scalars[i]`` (1 when ``scalars`` is None).  Every operand
+    must live on ``table`` with ``max_weight == cap``.  Each operand enters
+    through its integer form (:meth:`GradedPolynomial.int_form`); pair ``i``
+    has denominator ``d_i = den(a_i) * den(b_i) * den(s_i)``, and all pairs
+    are accumulated as plain ints over ``D = lcm(d_i)``, so each output
+    coefficient is one ``Fraction(n, D)``.  Both operands are grouped by
+    weight: a left group meets only the right groups that fit under
+    ``cap``, and none once nothing fits.  Pairs with the same right operand
+    (the same object) have their scaled left operands summed first and
+    multiply once.  Packed exponents add as ints (see :class:`Packing`), and
+    the result keeps the integer form it was built from.
+
+    >>> from anomcancel.genus import build_generator_table
+    >>> t = build_generator_table(1, 0, True, 2)
+    >>> w = GradedPolynomial.generator("w", t, 2)
+    >>> dot([(w, w), (w.one_like(), w)], t, 2, [Fraction(1, 2), 3]).to_text()
+    '3*w + 1/2*w^2'
+    """
+    by_right: dict[int, tuple] = {}     # id(b) -> (b, b's groups, [(d_i, num(s_i), a_i's groups)])
+    den = 1
+    for i, (a, b) in enumerate(pairs):
+        if a.table is not table or b.table is not table or a.max_weight != cap or b.max_weight != cap:
+            _check_space(a, table, cap)
+            _check_space(b, table, cap)
+        s = 1 if scalars is None else _frac(scalars[i])
+        da, left = a._ints or a.int_form()
+        db, right = b._ints or b.int_form()
+        if s and left and right:
+            d = da * db * s.denominator
+            den = lcm(den, d)
+            # the entry holds b, so no other operand can take over its id
+            by_right.setdefault(id(b), (b, right, []))[2].append((d, s.numerator, left))
+    acc: dict[int, dict[int, int]] = {}
+    for _, right, lefts in by_right.values():
+        # bilinearity: the pairs that share a right operand are summed before they multiply
+        d, num, left = lefts[0]
+        if len(lefts) > 1 or d != den or num != 1:
+            merged: dict[int, dict[int, int]] = {}
+            for d, num, left in lefts:
+                m = den // d * num
+                for w, group in left:
+                    if w + right[0][0] > cap:
+                        break
+                    mw = merged.setdefault(w, {})
+                    get = mw.get
+                    for k, n in group:
+                        mw[k] = get(k, 0) + n * m
+            left = [(w, [item for item in mw.items() if item[1]]) for w, mw in merged.items()]
+        for w1, group in left:
+            for w2, g in right:
+                if w1 + w2 > cap:
+                    break
+                out = acc.setdefault(w1 + w2, {})
+                get = out.get
+                for k1, n1 in group:
+                    for k2, n2 in g:
+                        out[k1 + k2] = get(k1 + k2, 0) + n1 * n2
+    groups = [(w, [item for item in out.items() if item[1]]) for w, out in sorted(acc.items())]
+    groups = [(w, items) for w, items in groups if items]
+    common = gcd(den, *(n for _, items in groups for _, n in items))
+    if common > 1:
+        den //= common
+        groups = [(w, [(k, n // common) for k, n in items]) for w, items in groups]
+    vector = table.packing(cap).vector
+    terms = {vector(k): Fraction(n, den) for _, items in groups for k, n in items}
+    return GradedPolynomial._with_form(table, terms, cap, (den, groups))
 
 
 def standard_table_of(table: GeneratorTable) -> GeneratorTable:

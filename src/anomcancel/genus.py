@@ -112,39 +112,34 @@ def _exp_weight_pieces(pieces: dict[int, tuple[GradedPolynomial, dict[int, Fract
     ``p_j`` is homogeneous of weight ``2j`` and ``c_j`` a scalar q-series
     ``{lattice: coeff}``.  The Euler operator (weight/2) is a derivation, so
     the weight-2n piece of F obeys ``n*F_n = sum_j j * p_j * c_j * F_(n-j)``.
-    Each step convolves ``c_j`` with ``F_(n-j)`` in q and multiplies by
-    ``p_j`` once per q-position.
+    Each q-position of ``F_n`` is one :func:`dot` over the pairs
+    ``(F_(n-j)[k2], p_j)`` with scalars ``c_j[k1] * j/n``, ``k1 + k2 = k``;
+    the kernel sums the pairs that share ``p_j`` first, so each ``p_j``
+    multiplies once per position.  The pieces have disjoint weights, so
+    ``F`` is their union.
     """
     one = GradedPolynomial.one(table, max_weight)
     pieces_of_f: list[dict[int, GradedPolynomial]] = [{0: one}]
-    total: dict[int, GradedPolynomial] = {0: one}
     for n in range(1, max_weight // 2 + 1):
-        acc: dict[int, GradedPolynomial] = {}
-        for j in range(1, n + 1):
-            prev = pieces_of_f[n - j]
-            if j not in pieces or not prev:
+        pairs: dict[int, tuple[list, list]] = {}
+        for j, (poly, col) in pieces.items():
+            if j > n:
                 continue
-            poly, col = pieces[j]
-            conv: dict[int, dict[tuple[int, ...], Fraction]] = {}
             for k1, c in col.items():
                 cj = c * Fraction(j, n)
-                for k2, g in prev.items():
-                    k = k1 + k2
-                    if k > bound:
-                        continue
-                    bucket = conv.setdefault(k, {})
-                    for e, v in g.terms.items():
-                        t = v * cj
-                        s = bucket.get(e)
-                        bucket[e] = t if s is None else s + t
-            for k, terms in conv.items():
-                t = GradedPolynomial(table, terms, max_weight) * poly
-                acc[k] = acc[k] + t if k in acc else t
-        piece = {k: g for k, g in acc.items() if g}
-        pieces_of_f.append(piece)
+                for k2, g in pieces_of_f[n - j].items():
+                    if k1 + k2 <= bound:
+                        ps, ss = pairs.setdefault(k1 + k2, ([], []))
+                        ps.append((g, poly))
+                        ss.append(cj)
+        piece = {k: one.dot(ps, ss) for k, (ps, ss) in pairs.items()}
+        pieces_of_f.append({k: g for k, g in piece.items() if g})
+    total: dict[int, dict] = {}
+    for piece in pieces_of_f:
         for k, g in piece.items():
-            total[k] = total[k] + g if k in total else g
-    return PuiseuxSeries(total, bound, GradedPolynomial.zero(table, max_weight))
+            total.setdefault(k, {}).update(g.terms)
+    return PuiseuxSeries({k: GradedPolynomial(table, t, max_weight) for k, t in total.items()},
+                         bound, GradedPolynomial.zero(table, max_weight))
 
 
 def prod_over_roots(log: RootFactor, fam: RootFamily, table: GeneratorTable,

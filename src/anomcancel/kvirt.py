@@ -66,6 +66,10 @@ class VirtualBundle:
         """Tensor product: characters multiply."""
         return VirtualBundle(self.ch * other.ch)
 
+    def dot(self, pairs) -> "VirtualBundle":
+        """``sum_i a_i * b_i`` over bundle pairs, through the characters' kernel."""
+        return VirtualBundle(self.ch.dot([(a.ch, b.ch) for a, b in pairs]))
+
     def scale(self, value) -> "VirtualBundle":
         return VirtualBundle(self.ch.scale(value))
 

@@ -114,9 +114,15 @@ class Decomposition:
         }
 
 
-def _scaled_by_poly(series: PuiseuxSeries, poly: GradedPolynomial, zero: GradedPolynomial) -> PuiseuxSeries:
-    """Scalar q-series times a fixed polynomial, as a polynomial-valued series."""
-    return series.map_coefficients(lambda c: poly.scale(c), new_zero=zero)
+def _combine(h: list[GradedPolynomial], series: list[PuiseuxSeries], bound: int,
+             zero: GradedPolynomial) -> PuiseuxSeries:
+    """``sum_r h_r * series_r`` through lattice ``bound``: one :func:`dot` per q-position."""
+    bound = min([bound] + [s.order_bound for s in series])
+    one = zero.one_like()
+    pairs = [(hr, one) for hr in h]
+    positions = sorted({k for s in series for k in s.terms if k <= bound})
+    return PuiseuxSeries({k: zero.dot(pairs, [s.coefficient(k) for s in series]) for k in positions},
+                         bound, zero)
 
 
 def decompose(P: PuiseuxSeries, k: int, order: int | None = None) -> Decomposition:
@@ -158,9 +164,7 @@ def decompose(P: PuiseuxSeries, k: int, order: int | None = None) -> Decompositi
         if from_matrix != h[r]:
             raise AlgebraError("triangular solve and matrix inverse disagree")
 
-    residual = P
-    for r in range(n_unknowns):
-        residual = residual - _scaled_by_poly(basis[r].series, h[r], zero)
+    residual = P - _combine(h, [b.series for b in basis], P.order_bound, zero)
     return Decomposition(k, h, residual, inv, integral)
 
 
@@ -177,10 +181,8 @@ def _invert_lower_triangular(m: list[list[Fraction]]) -> list[list[Fraction]]:
 def reconstruct(h: list[GradedPolynomial], group: str, k: int, order: int,
                 zero: GradedPolynomial) -> PuiseuxSeries:
     """``sum_r h_r * basis(group, k, r)`` as a polynomial-valued series."""
-    out = PuiseuxSeries.zero_series(Q_UNIT * order, zero)
-    for r, hr in enumerate(h):
-        out = out + _scaled_by_poly(basis_element(group, k, r, order).series, hr, zero)
-    return out
+    series = [basis_element(group, k, r, order).series for r in range(len(h))]
+    return _combine(h, series, Q_UNIT * order, zero)
 
 
 def transfer_residual(P1: PuiseuxSeries, h: list[GradedPolynomial], l: int, k: int) -> PuiseuxSeries:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .algebra import AlgebraError
+from .algebra import AlgebraError, int_numerators
 
 
 class TruncationError(ValueError):
@@ -130,22 +130,14 @@ class PuiseuxSeries:
         self._check_ring(other)
         bound = min(self.order_bound + other.leading_exponent(),
                     other.order_bound + self.leading_exponent())
-        terms: dict[int, object] = {}
+        if isinstance(self.zero, Fraction):
+            return PuiseuxSeries(_scalar_convolution(self.terms, other.terms, bound), bound, self.zero)
+        pairs: dict[int, list] = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                k = k1 + k2
-                if k > bound:
-                    continue
-                p = c1 * c2
-                if not p:
-                    continue
-                s = terms.get(k)
-                s = p if s is None else s + p
-                if s:
-                    terms[k] = s
-                else:
-                    terms.pop(k, None)
-        return PuiseuxSeries(terms, bound, self.zero)
+                if k1 + k2 <= bound:
+                    pairs.setdefault(k1 + k2, []).append((c1, c2))
+        return PuiseuxSeries({k: self.zero.dot(p) for k, p in pairs.items()}, bound, self.zero)
 
     def scale(self, value) -> "PuiseuxSeries":
         """Multiply every coefficient by a fixed ring element."""
@@ -259,6 +251,29 @@ class PuiseuxSeries:
 
     def __repr__(self):
         return f"PuiseuxSeries({self.to_text()}, order<=q^({Fraction(self.order_bound, 8)}))"
+
+
+def _scalar_convolution(a: Mapping[int, Fraction], b: Mapping[int, Fraction],
+                        bound: int) -> dict[int, Fraction]:
+    """Product of two ``Fraction`` series through lattice ``bound``.
+
+    The same integer arithmetic as :func:`anomcancel.algebra.dot`: both
+    operands over their common denominators, plain-int products and sums,
+    one ``Fraction`` per output position.
+    """
+    da, na = int_numerators(a)
+    db, nb = int_numerators(b)
+    right = sorted(nb.items())
+    acc: dict[int, int] = {}
+    get = acc.get
+    for k1, n1 in na.items():
+        for k2, n2 in right:
+            k = k1 + k2
+            if k > bound:
+                break
+            acc[k] = get(k, 0) + n1 * n2
+    den = da * db
+    return {k: Fraction(n, den) for k, n in acc.items() if n}
 
 
 def _ring_one(zero):

@@ -56,16 +56,23 @@ def _binfactor(offset_units: int, coeff: int, bound: int) -> PuiseuxSeries:
 
 
 def _null_product(order: int, builders) -> PuiseuxSeries:
+    """``prod (1 + coeff * q^(offset/8))^power`` over the builders' binomials, through ``q^order``.
+
+    Each binomial is one shift-and-add pass over the integer coefficients,
+    ``out += coeff * out.shift(offset)``, run from the top down so that it
+    reads only positions not yet updated in the pass.
+    """
     bound = Q_UNIT * order
-    out = _sseries({0: Fraction(1)}, bound)
+    out = [1] + [0] * bound
     for j in range(1, order + 2):
         for offset, coeff, power in builders(j):
             if offset > bound:
                 continue
-            f = _binfactor(offset, coeff, bound)
             for _ in range(power):
-                out = out * f
-    return out
+                for k in range(bound, offset - 1, -1):
+                    if out[k - offset]:
+                        out[k] += coeff * out[k - offset]
+    return _sseries({k: Fraction(c) for k, c in enumerate(out) if c}, bound)
 
 
 def theta_null(kind: str, order: int) -> PuiseuxSeries:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from anomcancel.algebra import AlgebraError, GradedPolynomial, newton_convert
+from anomcancel.algebra import AlgebraError, GradedPolynomial, dot, newton_convert
 from anomcancel.genus import build_generator_table
 
 
@@ -130,3 +130,32 @@ def test_float_coefficients_rejected():
         GradedPolynomial(t, {n1.sorted_terms()[0][0]: 0.5}, 4)
     with pytest.raises(TypeError):
         n1.scale(0.5)
+
+
+def test_table_and_cap_mismatch_rejected():
+    t = table4()
+    other = build_generator_table(4, 2, False, 4)
+    a = GradedPolynomial.generator("nM1", t, 4)
+    for b in (GradedPolynomial.generator("nM1", other, 4), GradedPolynomial.generator("nM1", t, 6)):
+        with pytest.raises(AlgebraError):
+            a * b
+        with pytest.raises(AlgebraError):
+            a + b
+        with pytest.raises(AlgebraError):
+            dot([(a, a), (a, b)], t, 4)
+        with pytest.raises(AlgebraError):
+            dot([(b, a)], t, 4)
+    # an equal table that is a different object is the same ring
+    twin = GradedPolynomial.generator("nM1", build_generator_table(4, 2, True, 4), 4)
+    assert twin.table is not t and a * twin == a * a and dot([(twin, a)], t, 4) == a * a
+
+
+def test_dot_rescales_each_pair_to_the_common_denominator():
+    t = table4()
+    n1 = GradedPolynomial.generator("nM1", t, 4)
+    w = GradedPolynomial.generator("w", t, 4)
+    half, third = n1.scale(Fraction(1, 2)), w.scale(Fraction(1, 3))
+    got = dot([(half, third), (w, w), (third, third)], t, 4, [Fraction(3, 5), 1, 7])
+    assert got == half * third * Fraction(3, 5) + w * w + third * third * 7
+    assert got.terms[(1, 0, 0, 0, 1)] == Fraction(1, 10)
+    assert got.terms[(0, 0, 0, 0, 2)] == Fraction(16, 9)

@@ -1,12 +1,13 @@
 """Property tests for the ring laws of ``GradedPolynomial`` over ``Fraction``."""
 
+from fractions import Fraction
 from itertools import product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anomcancel.algebra import GradedPolynomial
-from anomcancel.genus import build_generator_table
+from anomcancel.algebra import GradedPolynomial, dot
+from anomcancel.genus import build_generator_table, constraint_replacement
 from helpers import weighted_poly_mul
 
 W = 4
@@ -102,3 +103,120 @@ def test_standard_basis_roundtrip(a, b):
     assert std.from_standard_basis(TABLE) == a
     assert std.is_real()
     assert (a * b).to_standard_basis() == std * b.to_standard_basis()
+
+
+# -- the dot kernel against the all-pairs oracle ----------------------------------
+
+# nonzero coefficients with mixed denominators up to 12
+mixed_coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(bool)
+scalar_values = st.one_of(st.integers(-3, 3), st.fractions(min_value=-5, max_value=5, max_denominator=9))
+
+
+@st.composite
+def dot_cases(draw):
+    """A cap, up to four pairs of term maps (possibly empty) and their scalars.
+
+    With some draws every pair shares the first pair's right operand, and
+    with some a pair is repeated with the negated scalar, or with its left
+    operand negated, so that its products cancel exactly.
+    """
+    cap = draw(st.integers(0, 2 * W))
+
+    def operand():
+        """Up to four terms that fit under the cap, and maybe one above it."""
+        terms = draw(st.dictionaries(AT_MOST[cap], mixed_coeffs, max_size=4))
+        if draw(st.booleans()):
+            terms[draw(ABOVE[cap])] = draw(mixed_coeffs)
+        return terms
+
+    pairs = [(operand(), operand()) for _ in range(draw(st.integers(0, 4)))]
+    if pairs and draw(st.booleans()):
+        pairs = [(a, pairs[0][1]) for a, _ in pairs]
+    scalars = [draw(scalar_values) for _ in pairs]
+    if pairs and draw(st.booleans()):
+        i = draw(st.integers(0, len(pairs) - 1))
+        a, b = pairs[i]
+        if draw(st.booleans()):
+            pairs.append((a, b))
+            scalars.append(-scalars[i])
+        else:
+            pairs.append(({e: -c for e, c in a.items()}, b))
+            scalars.append(scalars[i])
+    return cap, pairs, scalars
+
+
+def _oracle_dot(pairs, scalars, cap):
+    out = {}
+    for (ta, tb), s in zip(pairs, scalars):
+        ta = {e: c for e, c in ta.items() if _weight(e) <= cap}
+        tb = {e: c for e, c in tb.items() if _weight(e) <= cap}
+        for e, c in weighted_poly_mul(ta, tb, GEN_WEIGHTS, cap).items():
+            out[e] = out.get(e, Fraction(0)) + Fraction(s) * c
+    return {e: c for e, c in out.items() if c}
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(dot_cases())
+def test_dot_matches_oracle(case):
+    """``dot`` equals the sum of scaled all-pairs products, and stores no zero."""
+    cap, pairs, scalars = case
+    made = {}    # equal term maps become one object, so pairs share operands
+
+    def poly(terms):
+        key = frozenset(terms.items())
+        if key not in made:
+            made[key] = GradedPolynomial(TABLE, terms, cap)
+        return made[key]
+
+    polys = [(poly(ta), poly(tb)) for ta, tb in pairs]
+    got = dot(polys, TABLE, cap, scalars)
+    want = _oracle_dot(pairs, scalars, cap)
+    assert got.terms == want
+    assert all(type(c) is Fraction and c for c in got.terms.values())
+    # the integer form the kernel hands on equals the one built from the stored terms
+    assert got.int_form() == GradedPolynomial(TABLE, got.terms, cap).int_form()
+    if pairs:
+        # ... and feeds a further product correctly, summed with another left operand
+        a, b = polys[0]
+        again = dot([(got, b), (a, b)], TABLE, cap, [Fraction(1, 3), Fraction(2, 3)])
+        assert again.terms == _oracle_dot([(want, b.terms), (a.terms, b.terms)],
+                                          [Fraction(1, 3), Fraction(2, 3)], cap)
+
+
+@PROPERTY
+@given(polys)
+def test_dot_of_nothing_and_of_empty_operands(a):
+    zero = GradedPolynomial.zero(TABLE, W)
+    assert dot([], TABLE, W) == zero
+    assert dot([(a, zero), (zero, a)], TABLE, W, [1, Fraction(1, 2)]) == zero
+    assert dot([(a, a.one_like())], TABLE, W, [0]) == zero
+
+
+# -- substitute against a term-by-term oracle --------------------------------------
+
+
+def _oracle_power(terms, e, cap):
+    out = {(0,) * len(TABLE): Fraction(1)}
+    for _ in range(e):
+        out = weighted_poly_mul(out, terms, GEN_WEIGHTS, cap)
+    return out
+
+
+def _oracle_substitute(terms, i, repl, cap):
+    out = {}
+    for exps, c in terms.items():
+        rest = {exps[:i] + (0,) + exps[i + 1:]: c}
+        for e, v in weighted_poly_mul(rest, _oracle_power(repl, exps[i], cap), GEN_WEIGHTS, cap).items():
+            out[e] = out.get(e, Fraction(0)) + v
+    return {e: c for e, c in out.items() if c}
+
+
+@PROPERTY
+@given(st.sampled_from(["spinc4k", "spinc4k2"]), st.dictionaries(st.sampled_from(MONOMIALS),
+                                                               mixed_coeffs, max_size=8))
+def test_substitute_matches_oracle(kind, terms):
+    p = GradedPolynomial(TABLE, terms, W)
+    name, repl = constraint_replacement(kind, TABLE, W)
+    got = p.substitute(name, repl)
+    assert got.terms == _oracle_substitute(p.terms, TABLE.index(name), repl.terms, W)
+    assert all(got.terms.values())

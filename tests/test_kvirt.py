@@ -38,6 +38,14 @@ def test_tensor_characters_randomized():
         assert (a * b).ch.constant_term() == a.ch.constant_term() * b.ch.constant_term()
 
 
+def test_bundle_dot_is_sum_of_tensor_products():
+    table, T, V, L = setup_bundles()
+    pairs = [(T, V), (L, T.reduced()), (V, V)]
+    want = T * V + L * T.reduced() + V * V
+    assert T.dot(pairs) == want
+    assert T.dot([]) == T.zero_like()
+
+
 def test_adams():
     table, T, V, L = setup_bundles()
     assert T.adams(1) == T

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anomcancel.algebra import AlgebraError
 from anomcancel.modforms import delta_eps
@@ -121,3 +123,51 @@ def test_inverse_needs_invertible_leading_coefficient():
     f = PuiseuxSeries({0: lead}, 16, GradedPolynomial.zero(t, 4))
     with pytest.raises(AlgebraError):
         f.inverse()
+
+
+def _naive_product(a: PuiseuxSeries, b: PuiseuxSeries):
+    """All-pairs ``Fraction`` convolution and the leading-exponent bound rule."""
+    bound = min(a.order_bound + b.leading_exponent(), b.order_bound + a.leading_exponent())
+    out = {}
+    for k1, c1 in a.terms.items():
+        for k2, c2 in b.terms.items():
+            if k1 + k2 <= bound:
+                out[k1 + k2] = out.get(k1 + k2, Fraction(0)) + c1 * c2
+    return {k: c for k, c in out.items() if c}, bound
+
+
+scalar_coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=10).filter(bool)
+
+
+@st.composite
+def scalar_series(draw):
+    """A ``Fraction`` series on the 1/8, 1/2 or integer lattice, from a shifted start."""
+    step = draw(st.sampled_from([1, 4, 8]))
+    start = draw(st.sampled_from([-4, -1, 0, 1, 4]))
+    bound = start + draw(st.integers(0, 40))
+    positions = st.integers(0, (bound - start) // step).map(lambda i: start + i * step)
+    terms = draw(st.dictionaries(positions, scalar_coeffs, max_size=8))
+    return PuiseuxSeries(terms, bound, Fraction(0))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(scalar_series(), scalar_series(), st.booleans())
+def test_scalar_product_matches_naive_convolution(a, b, cancel):
+    if cancel:
+        # (a + x*a/3) * (b - x*b/3) with x = q^(1/2): the cross terms cancel exactly
+        b = b + b.shift(4).truncate(b.order_bound).scale(Fraction(-1, 3))
+        a = a + a.shift(4).truncate(a.order_bound).scale(Fraction(1, 3))
+    want, bound = _naive_product(a, b)
+    got = a * b
+    assert got.order_bound == bound
+    assert got.terms == want
+    assert all(type(c) is Fraction and c for c in got.terms.values())
+
+
+def test_scalar_product_cancels_to_zero():
+    one = S({0: 1}, bound=40)
+    h = S({4: Fraction(1, 2)}, bound=40)
+    assert ((one + h) * (one - h)).terms == {0: Fraction(1), 8: Fraction(-1, 4)}
+    lead = S({1: Fraction(3, 8), 9: Fraction(-5, 6)}, bound=33)
+    assert (lead * lead.scale(0)).is_zero()
+    assert (lead * lead.scale(0)).order_bound == 33 + 1   # the empty operand's lead is 34

@@ -15,6 +15,14 @@ def test_nulls_match_lattice_sums(kind):
     assert got.terms == want.terms
 
 
+@pytest.mark.parametrize("order", [1, 2, 7, 32])
+def test_nulls_match_lattice_sums_at_other_orders(order):
+    for kind in ("theta1", "theta2", "theta3", "theta_prime"):
+        got = theta_null(kind, order)
+        want = theta_null_sum_form(kind, order)
+        assert got.terms == want.terms and got.order_bound == want.order_bound
+
+
 def test_null_leading_terms():
     t3 = theta_null("theta3", 4)
     assert t3.coefficient(0) == 1 and t3.coefficient(4) == Fraction(2)
