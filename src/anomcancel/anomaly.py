@@ -2,8 +2,11 @@
 
 For each setting (spin dim-4k, spin^c dim-4k, spin^c dim-4k+2) the engine
 
-1. assembles the three P-series from normalized theta factors, extracts the
-   top-weight component and imposes the setting's first-class relation;
+1. assembles the three P-series from the closed-form logs of the normalized
+   theta factors: the setting's first-class relation acts on each root
+   family's power sums, the logs on the tangent roots and the line are
+   exponentiated together, and only the pairs of weights that add up to the
+   top weight are multiplied with the auxiliary factor;
 2. decomposes P2 over the triangular half-integer basis, solving the h_r and
    checking the residual against every computed order;
 3. checks the transfer identity ``P1 = 2^l sum h_r (8 delta1)^(k-2r) eps1^r``;
@@ -20,18 +23,20 @@ is PASS only when every gating residual is identically zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 from .algebra import AlgebraError, GradedPolynomial
-from .genus import (FAMILY_TM, FAMILY_V, RootFamily, apply_constraint,
-                    build_generator_table, classical_genus, eval_at_var,
-                    prod_over_roots)
+from .genus import (FAMILY_TM, FAMILY_V, LINE, RootFamily, apply_constraint,
+                    build_generator_table, classical_genus, constrained_power_sums,
+                    exp_by_weight)
+from .genus import prod_over_roots  # not called here: kept as the alias the benchmark tracer wraps
 from .kvirt import (aux_bundle, character_series, lambda_string,
                     line_pair_bundle, tangent_bundle, theta_object)
 from .modforms import (GROUP_UPPER, Decomposition, basis_element, decompose,
                        transfer_residual)
 from .qseries import PuiseuxSeries
-from .theta import Q_UNIT, theta_log
+from .theta import Q_UNIT, RootFactor, theta_log
 from .theta import theta_factor  # not called here: kept as the alias the benchmark tracer wraps
 
 SETTING_KINDS = ("spin4k", "spinc4k", "spinc4k2")
@@ -122,49 +127,64 @@ class _Env:
         self.aux = aux_bundle(s.l, self.table, W)
         self.line = line_pair_bundle(self.table, W) if s.spin_c else None
         self.exp_half_c = classical_genus("exp_half_c", self.tm, self.table, W) if s.spin_c else None
+        self.tm_sums = constrained_power_sums(self.tm, s.kind, self.table, W)
+        self.v_sums = constrained_power_sums(self.v, s.kind, self.table, W)
+        self.line_sums = constrained_power_sums(LINE, s.kind, self.table, W) if s.spin_c else None
         self._p: dict[str, PuiseuxSeries] = {}
         self._decomp: Decomposition | None = None
         self._kvirt: dict[str, PuiseuxSeries] = {}
 
     # -- theta path ---------------------------------------------------------
 
-    def _factor_product(self, kind: str, fam: RootFamily) -> PuiseuxSeries:
+    def _exp(self, logs) -> list[PuiseuxSeries]:
+        """The weight pieces of an exp over the setting's power sums; piece n has weight 2n."""
         s = self.setting
-        return prod_over_roots(theta_log(kind, s.n_q, s.weight), fam, self.table, s.weight, s.n_q)
+        bound, pieces = exp_by_weight(logs, self.table, s.weight, s.n_q)
+        return [PuiseuxSeries(f, bound, self.gp_zero) for f in pieces]
 
-    def _core(self) -> PuiseuxSeries:
-        """Everything of the P-series except the auxiliary-bundle factor."""
+    def _log(self, kind: str) -> RootFactor:
+        return theta_log(kind, self.setting.n_q, self.setting.weight)
+
+    @cached_property
+    def _core(self) -> dict[int, PuiseuxSeries]:
+        """Weight -> the weight's part of the constrained P-series without the auxiliary factor."""
         s = self.setting
-        ap = self._factor_product("a", self.tm)
+        a = self._log("a")
         if s.kind == "spin4k":
-            msum = (self._factor_product("t1", self.tm)
-                    + self._factor_product("t2", self.tm)
-                    + self._factor_product("t3", self.tm))
-            return (ap * msum).scale(2 ** s.tm_roots)
+            # 2^n * sum_i prod_TM a*t_i: one exp of a summed log per i
+            parts = zip(*(self._exp([(a + self._log(t), self.tm_sums)]) for t in ("t1", "t2", "t3")))
+            return {2 * n: (f1 + f2 + f3).scale(2 ** s.tm_roots) for n, (f1, f2, f3) in enumerate(parts)}
         if s.kind == "spinc4k":
-            log = (theta_log("t1", s.n_q, s.weight) + theta_log("t2", s.n_q, s.weight)
-                   + theta_log("t3", s.n_q, s.weight))
-            return ap * eval_at_var(log, self.table, s.weight, s.n_q)
+            t123 = self._log("t1") + self._log("t2") + self._log("t3")
+            return {2 * n: f for n, f in enumerate(self._exp([(a, self.tm_sums), (t123, self.line_sums)]))}
         # spinc4k2: the odd factor times sqrt(-1), i*d(u) = w*exp(log(d/z) at u), which is real
         w = GradedPolynomial.generator("w", self.table, s.weight)
-        return ap * eval_at_var(theta_log("d", s.n_q, s.weight), self.table, s.weight, s.n_q).scale(w)
+        pieces = self._exp([(a, self.tm_sums), (self._log("d"), self.line_sums)])
+        return {2 * n + 1: f.scale(w) for n, f in enumerate(pieces)}
 
     def p_series(self, which: str) -> PuiseuxSeries:
-        """Top-weight component of P1/P2/P3 with the constraint applied."""
+        """Top-weight component of P1/P2/P3 with the constraint applied.
+
+        The relation is already on the power sums, and each q-position is one
+        :func:`dot` over the pairs (core at weight ``W - b``, auxiliary factor
+        at weight ``b``), so every pair visited lands at weight ``W``.
+        """
         cached = self._p.get(which)
         if cached is not None:
             return cached
         s = self.setting
-        core = self._p.get("_core")
-        if core is None:
-            core = self._core()
-            self._p["_core"] = core
-        vkind = {"P1": "t1", "P2": "t2", "P3": "t3"}[which]
-        series = core * self._factor_product(vkind, self.v)
-        if which == "P1":
-            series = series.scale(2 ** s.l)
-        series = series.map_coefficients(lambda p: p.component(s.weight))
-        series = apply_constraint(series, s.kind)
+        core = self._core
+        aux = self._exp([(self._log({"P1": "t1", "P2": "t2", "P3": "t3"}[which]), self.v_sums)])
+        bound = min(f.order_bound for f in (*core.values(), *aux))   # both start at q^0
+        pairs: dict[int, list] = {}
+        for n, f in enumerate(aux):
+            for k2, v in f.terms.items():
+                for k1, c in core[s.weight - 2 * n].terms.items():
+                    if k1 + k2 <= bound:
+                        pairs.setdefault(k1 + k2, []).append((c, v))
+        unit = 2 ** s.l if which == "P1" else 1
+        series = PuiseuxSeries({k: self.gp_zero.dot(ps, [unit] * len(ps)) for k, ps in pairs.items()},
+                               bound, self.gp_zero)
         self._p[which] = series
         return series
 

@@ -8,22 +8,30 @@ squared roots, power sums convert to the elementary generators
 ``n_i = e_i(z^2)`` by Newton's identities (with ``e_i = 0`` beyond the
 family's root count), and one exp, run weight piece by weight piece with the
 Euler recurrence ``n*F_n = sum_j j*S_j*F_(n-j)``, reassembles the product.
-Evaluation at the spin^c line root and the classical genera go through the
-same exp.  Explicit-root expansion is kept out of the library and used only
-as a small-instance test oracle.
+Logs on several families go into one exp (:func:`exp_by_weight`), which
+returns the result split by weight, so a caller that reads only the top
+weight of a product multiplies only the pairs of pieces whose weights add up
+to it.  A setting's first-class relation is a weight-preserving ring map, so
+it commutes with the exp: it is applied once to each family's power sums
+(:func:`constrained_power_sums`), never to a series.  Evaluation at the
+spin^c line root and the classical genera go through the same exp.
+Explicit-root expansion is kept out of the library and used only as a
+small-instance test oracle.
 
 Root conventions: a rank-2n real family contributes n squared-root variables;
 the tangent family of a dim-4k (resp. 4k+2) manifold has 2k (resp. 2k+1) of
-them, an auxiliary rank-2l bundle has l, and the spin^c line contributes the
-single weight-1 generator ``w = c/2``.  The line's root variable is
-``u = -i*w``; writing every line quantity in ``w`` keeps all coefficients
-rational (see :func:`eval_at_var`).
+them, an auxiliary rank-2l bundle has l, and the spin^c line is the one-root
+family :data:`LINE` over the single weight-1 generator ``w = c/2``.  The
+line's root variable is ``u = -i*w``, so its squared root is ``-w^2`` and its
+power sums are ``(-w^2)^m``; writing every line quantity in ``w`` keeps all
+coefficients rational (see :func:`eval_at_var`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .algebra import AlgebraError, Generator, GeneratorTable, GradedPolynomial
 from .qseries import PuiseuxSeries
@@ -44,6 +52,11 @@ class RootFamily:
     def __post_init__(self):
         if self.n_roots < 1:
             raise AlgebraError("a root family needs at least one root")
+        if self.family == FAMILY_W and self.n_roots != 1:
+            raise AlgebraError("the spin^c line is a single root")
+
+
+LINE = RootFamily(FAMILY_W, 1)
 
 
 def build_generator_table(n_tm_roots: int, n_v_roots: int, include_w: bool,
@@ -67,11 +80,16 @@ def build_generator_table(n_tm_roots: int, n_v_roots: int, include_w: bool,
 
 
 def elementary_gp(fam: RootFamily, i: int, table: GeneratorTable, max_weight: int) -> GradedPolynomial:
-    """``e_i`` of the family's squared roots as a table generator (or zero)."""
+    """``e_i`` of the family's squared roots as a table generator (or zero).
+
+    The line's one squared root is ``u^2 = -w^2``.
+    """
     if i == 0:
         return GradedPolynomial.one(table, max_weight)
     if i > fam.n_roots or 2 * i > max_weight:
         return GradedPolynomial.zero(table, max_weight)
+    if fam.family == FAMILY_W:
+        return GradedPolynomial.generator("w", table, max_weight, power=2).scale(-1)
     prefix = {FAMILY_TM: "nM", FAMILY_V: "nV"}[fam.family]
     return GradedPolynomial.generator(f"{prefix}{i}", table, max_weight)
 
@@ -105,24 +123,25 @@ def _log_columns(log: RootFactor, max_weight: int, order: int) -> tuple[int, dic
     return bound, columns
 
 
-def _exp_weight_pieces(pieces: dict[int, tuple[GradedPolynomial, dict[int, Fraction]]],
-                       bound: int, table: GeneratorTable, max_weight: int) -> PuiseuxSeries:
-    """``F = exp(S)`` for ``S = sum_j p_j * c_j(q)``, one weight piece at a time.
+def _exp_weight_pieces(pieces: list[tuple[int, GradedPolynomial, dict[int, Fraction]]],
+                       bound: int, table: GeneratorTable,
+                       max_weight: int) -> list[dict[int, GradedPolynomial]]:
+    """The weight pieces ``F_0..F_(max_weight//2)`` of ``F = exp(S)``, ``S = sum_j p_j * c_j(q)``.
 
-    ``p_j`` is homogeneous of weight ``2j`` and ``c_j`` a scalar q-series
-    ``{lattice: coeff}``.  The Euler operator (weight/2) is a derivation, so
-    the weight-2n piece of F obeys ``n*F_n = sum_j j * p_j * c_j * F_(n-j)``.
+    Each piece ``(j, p_j, c_j)`` pairs a polynomial homogeneous of weight
+    ``2j`` with a scalar q-series ``{lattice: coeff}``; several may share a
+    ``j``.  The Euler operator (weight/2) is a derivation, so the weight-2n
+    piece of F obeys ``n*F_n = sum_j j * p_j * c_j * F_(n-j)``.
     Each q-position of ``F_n`` is one :func:`dot` over the pairs
     ``(F_(n-j)[k2], p_j)`` with scalars ``c_j[k1] * j/n``, ``k1 + k2 = k``;
     the kernel sums the pairs that share ``p_j`` first, so each ``p_j``
-    multiplies once per position.  The pieces have disjoint weights, so
-    ``F`` is their union.
+    multiplies once per position.  ``F_n`` keeps only nonzero positions.
     """
     one = GradedPolynomial.one(table, max_weight)
     pieces_of_f: list[dict[int, GradedPolynomial]] = [{0: one}]
     for n in range(1, max_weight // 2 + 1):
         pairs: dict[int, tuple[list, list]] = {}
-        for j, (poly, col) in pieces.items():
+        for j, poly, col in pieces:
             if j > n:
                 continue
             for k1, c in col.items():
@@ -134,8 +153,30 @@ def _exp_weight_pieces(pieces: dict[int, tuple[GradedPolynomial, dict[int, Fract
                         ss.append(cj)
         piece = {k: one.dot(ps, ss) for k, (ps, ss) in pairs.items()}
         pieces_of_f.append({k: g for k, g in piece.items() if g})
+    return pieces_of_f
+
+
+def exp_by_weight(logs: Sequence[tuple[RootFactor, Sequence[GradedPolynomial]]], table: GeneratorTable,
+                  max_weight: int, order: int) -> tuple[int, list[dict[int, GradedPolynomial]]]:
+    """``(bound, F)``: ``F[n]`` is the weight-2n part of ``exp(sum_(log, s) sum_m s_m * [z^2m] log)``.
+
+    Each entry pairs the log of an even per-root factor with the power sums
+    ``s_0..s_(max_weight//2)`` of one root family, so one exp multiplies the
+    factors of several families.  ``F[n]`` maps lattice positions, through
+    ``bound``, to coefficients.
+    """
+    cols = [(_log_columns(log, max_weight, order), sums) for log, sums in logs]
+    bound = min(b for (b, _), _ in cols)
+    pieces = [(m, sums[m], col) for (_, columns), sums in cols for m, col in columns.items() if sums[m]]
+    return bound, _exp_weight_pieces(pieces, bound, table, max_weight)
+
+
+def exp_over_roots(logs: Sequence[tuple[RootFactor, Sequence[GradedPolynomial]]], table: GeneratorTable,
+                   max_weight: int, order: int) -> PuiseuxSeries:
+    """:func:`exp_by_weight` as one series, the union of its disjoint weight pieces."""
+    bound, pieces = exp_by_weight(logs, table, max_weight, order)
     total: dict[int, dict] = {}
-    for piece in pieces_of_f:
+    for piece in pieces:
         for k, g in piece.items():
             total.setdefault(k, {}).update(g.terms)
     return PuiseuxSeries({k: GradedPolynomial(table, t, max_weight) for k, t in total.items()},
@@ -150,10 +191,8 @@ def prod_over_roots(log: RootFactor, fam: RootFamily, table: GeneratorTable,
     :func:`anomcancel.theta.theta_log`): even in z, with no z^0 terms.  Unit
     constants (such as a per-root 2) are the caller's responsibility.
     """
-    bound, columns = _log_columns(log, max_weight, order)
-    sums = power_sums_gp(fam, max(columns, default=0), table, max_weight)
-    pieces = {m: (sums[m], col) for m, col in columns.items() if sums[m]}
-    return _exp_weight_pieces(pieces, bound, table, max_weight)
+    sums = power_sums_gp(fam, max_weight // 2, table, max_weight)
+    return exp_over_roots([(log, sums)], table, max_weight, order)
 
 
 def additive_over_roots(z2_coeffs, fam: RootFamily, table: GeneratorTable,
@@ -171,17 +210,12 @@ def eval_at_var(log: RootFactor, table: GeneratorTable, max_weight: int,
                 order: int) -> PuiseuxSeries:
     """``f(u)`` at the line root ``u = -i*w``, from the log of an even factor.
 
-    The line is a one-root family whose squared root is ``u^2 = -w^2``, so
-    its power sums are ``(-w^2)^m`` and the same exp applies.  An odd factor
-    ``d = z * exp(log(d/z))`` enters as ``w * eval_at_var(log(d/z))``, which
-    is ``i*d(u)``: the real form the spin^c dimension-(4k+2) product needs.
+    This is the product over the one-root family :data:`LINE`.  An odd
+    factor ``d = z * exp(log(d/z))`` enters as ``w * eval_at_var(log(d/z))``,
+    which is ``i*d(u)``: the real form the spin^c dimension-(4k+2) product
+    needs.
     """
-    bound, columns = _log_columns(log, max_weight, order)
-    pieces = {}
-    for m, col in columns.items():
-        u_2m = GradedPolynomial.generator("w", table, max_weight, power=2 * m).scale((-1) ** m)
-        pieces[m] = (u_2m, col)
-    return _exp_weight_pieces(pieces, bound, table, max_weight)
+    return prod_over_roots(log, LINE, table, max_weight, order)
 
 
 GENUS_KINDS = ("ahat", "lhat", "spinor_ch", "exp_half_c")
@@ -239,10 +273,20 @@ def constraint_replacement(kind: str, table: GeneratorTable, max_weight: int) ->
     raise AlgebraError(f"unknown constraint kind {kind!r}")
 
 
-def apply_constraint(obj, kind: str):
-    """Apply the setting's relation to a polynomial or a polynomial-valued series."""
-    if isinstance(obj, PuiseuxSeries):
-        name, repl = constraint_replacement(kind, obj.zero.table, obj.zero.max_weight)
-        return obj.map_coefficients(lambda p: p.substitute(name, repl))
-    name, repl = constraint_replacement(kind, obj.table, obj.max_weight)
-    return obj.substitute(name, repl)
+def apply_constraint(poly: GradedPolynomial, kind: str) -> GradedPolynomial:
+    """Apply the setting's relation to a polynomial."""
+    if not isinstance(poly, GradedPolynomial):
+        raise AlgebraError(f"the relation applies to a polynomial, not a {type(poly).__name__}")
+    name, repl = constraint_replacement(kind, poly.table, poly.max_weight)
+    return poly.substitute(name, repl)
+
+
+def constrained_power_sums(fam: RootFamily, kind: str, table: GeneratorTable,
+                           max_weight: int) -> list[GradedPolynomial]:
+    """Power sums ``s_0..s_(max_weight//2)`` of the family with the setting's relation applied.
+
+    The relation is a weight-preserving ring map, so it commutes with the
+    exp, with products and with weight components: an exp over these sums is
+    the relation applied to the exp over the plain ones.
+    """
+    return [apply_constraint(s, kind) for s in power_sums_gp(fam, max_weight // 2, table, max_weight)]

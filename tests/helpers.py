@@ -6,6 +6,10 @@ explicit symbolic roots and rewritten into the elementary basis by leading-
 term elimination instead of the log/Newton/exp route, logs of product-built
 factors are taken by the power series ``sum (-1)^(m+1) u^m / m`` instead of
 closed-form divisor sums, and exps are the plain ``sum S^t / t!``.
+
+:func:`reference_P` is the one exception: it reassembles a P-series from the
+library's single-family products, which the oracles above pin, by the
+unfused route the library no longer takes.
 """
 
 from __future__ import annotations
@@ -13,8 +17,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from anomcancel.algebra import GradedPolynomial
+from anomcancel.genus import (FAMILY_TM, FAMILY_V, RootFamily, build_generator_table,
+                              constraint_replacement, eval_at_var, prod_over_roots)
 from anomcancel.qseries import PuiseuxSeries
-from anomcancel.theta import RootFactor
+from anomcancel.theta import RootFactor, theta_log
 
 
 def theta_null_sum_form(kind: str, order: int) -> PuiseuxSeries:
@@ -230,3 +236,44 @@ def eval_factor_at_w(factor: RootFactor, table, max_weight: int, bound: int) -> 
         out[k] = out[k] + gp if k in out else gp
     return PuiseuxSeries({k: g for k, g in out.items() if g}, bound,
                          GradedPolynomial.zero(table, max_weight))
+
+
+# -- unfused P-series assembly ------------------------------------------------------
+
+
+def reference_P(setting, which: str) -> PuiseuxSeries:
+    """P1/P2/P3 of a setting by the unfused route.
+
+    Each factor is its own full-weight product over its family's roots; the
+    core is ``2^n * a * (t1 + t2 + t3)`` over the tangent roots (spin), or
+    ``a`` times the product of the line evaluations of ``t1``, ``t2`` and
+    ``t3`` (spin^c, dim 4k), or ``a * w * d/z`` at the line (spin^c, dim
+    4k+2).  The core times the auxiliary factor (and ``2^l`` for P1) is cut
+    to its top-weight component, then the relation is substituted into each
+    coefficient.
+    """
+    s = setting
+    W = s.weight
+    table = build_generator_table(s.tm_roots, s.l, s.spin_c, W)
+
+    def log(kind):
+        return theta_log(kind, s.n_q, W)
+
+    def over(kind, fam):
+        return prod_over_roots(log(kind), fam, table, W, s.n_q)
+
+    tm = RootFamily(FAMILY_TM, s.tm_roots)
+    a = over("a", tm)
+    if s.kind == "spin4k":
+        core = (a * (over("t1", tm) + over("t2", tm) + over("t3", tm))).scale(2 ** s.tm_roots)
+    elif s.kind == "spinc4k":
+        at_line = [eval_at_var(log(t), table, W, s.n_q) for t in ("t1", "t2", "t3")]
+        core = a * at_line[0] * at_line[1] * at_line[2]
+    else:
+        w = GradedPolynomial.generator("w", table, W)
+        core = a * eval_at_var(log("d"), table, W, s.n_q).scale(w)
+    series = core * over({"P1": "t1", "P2": "t2", "P3": "t3"}[which], RootFamily(FAMILY_V, s.l))
+    if which == "P1":
+        series = series.scale(2 ** s.l)
+    name, repl = constraint_replacement(s.kind, table, W)
+    return series.map_coefficients(lambda p: p.component(W).substitute(name, repl))

@@ -13,6 +13,8 @@ from anomcancel.genus import build_generator_table
 from anomcancel.modforms import DELTA_EPS_KINDS, delta_eps
 from anomcancel.theta import RootFactor, theta_factor, theta_log, theta_null
 
+from helpers import reference_P
+
 
 def gating_failures(report):
     return [n for n, c in report.checks.items() if c.gating and not c.zero]
@@ -45,6 +47,18 @@ def test_spin_constant_term_content():
     s1 = make_setting("spin4k", 1, 1)
     dec1 = anomaly.decompose_setting(s1)
     assert dec1.h[0] == -build_P(s1, "P2").coefficient(0)
+
+
+@pytest.mark.parametrize("kind", ["spin4k", "spinc4k", "spinc4k2"])
+def test_p_series_match_the_unfused_reference(kind):
+    """Summed logs, the relation on the power sums and top-weight-only pairs change no
+    term and no order bound."""
+    for k in (1, 2, 3):
+        for l in (1, 2, 3):
+            for n_q in (None, 2 * k + 7):
+                s = make_setting(kind, k, l, n_q)
+                for which in ("P1", "P2", "P3"):
+                    assert build_P(s, which) == reference_P(s, which), (s, which)
 
 
 def test_degenerate_k1_case():

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from anomcancel.algebra import AlgebraError, GradedPolynomial
-from anomcancel.genus import (FAMILY_TM, RootFamily, additive_over_roots,
+from anomcancel.genus import (FAMILY_TM, FAMILY_W, LINE, RootFamily, additive_over_roots,
                               apply_constraint, build_generator_table, classical_genus,
-                              eval_at_var, prod_over_roots)
+                              eval_at_var, power_sums_gp, prod_over_roots)
 from anomcancel.theta import RootFactor, theta_factor, theta_log
 
 from helpers import brute_force_prod, eval_factor_at_w, series_log
@@ -149,6 +149,17 @@ def test_constraints():
     assert apply_constraint(nv1, "spin4k") == GradedPolynomial.zero(table, 4)
     assert apply_constraint(nm1 + (w * w).scale(3), "spinc4k") == nv1
     assert apply_constraint(nm1 * nm1, "spinc4k2") == (nv1 - w * w) ** 2
+    series = prod_over_roots(theta_log("t2", 1, 4), RootFamily(FAMILY_TM, 2), table, 4, 1)
+    with pytest.raises(AlgebraError):
+        apply_constraint(series, "spinc4k")   # a series takes the relation through its power sums
+
+
+def test_line_is_a_one_root_family():
+    table = build_generator_table(2, 1, True, 6)
+    w2 = GradedPolynomial.generator("w", table, 6, power=2)
+    assert power_sums_gp(LINE, 3, table, 6) == [w2.one_like(), -w2, w2 * w2, -(w2 ** 3)]
+    with pytest.raises(AlgebraError):
+        RootFamily(FAMILY_W, 2)
 
 
 def test_constraint_is_ring_homomorphism():
