@@ -86,9 +86,6 @@ class GeneratorTable:
         except KeyError:
             raise AlgebraError(f"unknown generator {name!r}") from None
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(g.name for g in self.gens)
-
     def family(self, fam: str) -> tuple[Generator, ...]:
         return tuple(g for g in self.gens if g.family == fam)
 

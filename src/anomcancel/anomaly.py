@@ -18,6 +18,12 @@ For each setting (spin dim-4k, spin^c dim-4k, spin^c dim-4k+2) the engine
 
 All comparisons are exact equalities of graded polynomials; a report's status
 is PASS only when every gating residual is identically zero.
+
+A setting's work splits in two.  The tangent half (the table, the core of
+step 1, the tangent genera and the tangent side of the lambda-ring path)
+depends only on (kind, k, n_q) and is memoized in ``_tangent_cache``, so a
+grid over l builds it once.  The rest (the auxiliary bundle, the P-series,
+the decomposition and the twists) is per setting, in ``_env_cache``.
 """
 
 from __future__ import annotations
@@ -106,61 +112,100 @@ def make_setting(kind: str, k: int, l: int, n_q: int | None = None) -> Setting:
     return Setting(kind, k, l, (2 * k + 4) if n_q is None else n_q)
 
 
+_tangent_cache: dict[tuple[str, int, int], "_TangentHalf"] = {}
 _env_cache: dict[Setting, "_Env"] = {}
 
 
+class _TangentHalf:
+    """The part of a setting that does not depend on l, shared by every l of one (kind, k, n_q).
+
+    It holds the generator table, the tangent and line power sums, the core,
+    the tangent genera and bundles, and the tangent side of the lambda-ring
+    path.  The table always carries ``nV1..nV_(W//2)``, the same at every l,
+    so each l's auxiliary polynomials live on this table with no embedding:
+    they never touch ``nV_i`` for i > l, and rendering skips zero exponents.
+    """
+
+    def __init__(self, s: Setting):
+        self.kind, self.k, self.n_q = s.kind, s.k, s.n_q
+        self.weight = W = s.weight
+        self.table = build_generator_table(s.tm_roots, W // 2, s.spin_c, W)
+        self.tm = RootFamily(FAMILY_TM, s.tm_roots)
+        self.gp_zero = GradedPolynomial.zero(self.table, W)
+        self.ahat = classical_genus("ahat", self.tm, self.table, W)
+        self.ch_delta_m = classical_genus("spinor_ch", self.tm, self.table, W)
+        self.tangent = tangent_bundle(s.tm_roots, self.table, W)
+        self.line = line_pair_bundle(self.table, W) if s.spin_c else None
+        self.exp_half_c = classical_genus("exp_half_c", self.tm, self.table, W) if s.spin_c else None
+        self.tm_sums = constrained_power_sums(self.tm, s.kind, self.table, W)
+        self.line_sums = constrained_power_sums(LINE, s.kind, self.table, W) if s.spin_c else None
+        self._kvirt: dict[int, PuiseuxSeries] = {}
+
+    def exp(self, logs) -> list[PuiseuxSeries]:
+        """The weight pieces of an exp over the given power sums; piece n has weight 2n."""
+        bound, pieces = exp_by_weight(logs, self.table, self.weight, self.n_q)
+        return [PuiseuxSeries(f, bound, self.gp_zero) for f in pieces]
+
+    def log(self, kind: str) -> RootFactor:
+        return theta_log(kind, self.n_q, self.weight)
+
+    @cached_property
+    def core(self) -> dict[int, PuiseuxSeries]:
+        """Weight -> the weight's part of the constrained P-series without the auxiliary factor."""
+        a = self.log("a")
+        if self.kind == "spin4k":
+            # 2^n * sum_i prod_TM a*t_i: one exp of a summed log per i
+            parts = zip(*(self.exp([(a + self.log(t), self.tm_sums)]) for t in ("t1", "t2", "t3")))
+            return {2 * n: (f1 + f2 + f3).scale(2 ** self.tm.n_roots) for n, (f1, f2, f3) in enumerate(parts)}
+        if self.kind == "spinc4k":
+            t123 = self.log("t1") + self.log("t2") + self.log("t3")
+            return {2 * n: f for n, f in enumerate(self.exp([(a, self.tm_sums), (t123, self.line_sums)]))}
+        # spinc4k2: the odd factor times sqrt(-1), i*d(u) = w*exp(log(d/z) at u), which is real
+        w = GradedPolynomial.generator("w", self.table, self.weight)
+        pieces = self.exp([(a, self.tm_sums), (self.log("d"), self.line_sums)])
+        return {2 * n + 1: f.scale(w) for n, f in enumerate(pieces)}
+
+    def kvirt_tangent(self, order: int) -> PuiseuxSeries:
+        """The tangent side of the lambda-ring P-series: the theta objects times the genera."""
+        cached = self._kvirt.get(order)
+        if cached is not None:
+            return cached
+        if self.kind == "spin4k":
+            th1 = character_series(theta_object("theta1", self.tangent, None, order))
+            th2 = character_series(theta_object("theta2", self.tangent, None, order))
+            th3 = character_series(theta_object("theta3", self.tangent, None, order))
+            msum = th1.scale(self.ch_delta_m) + (th2 + th3).scale(2 ** (2 * self.k))
+            out = msum.scale(self.ahat)
+        else:
+            name = "theta_c" if self.kind == "spinc4k" else "theta_c_star"
+            thc = character_series(theta_object(name, self.tangent, self.line, order))
+            out = thc.scale(self.ahat * self.exp_half_c)
+        self._kvirt[order] = out
+        return out
+
+
 class _Env:
-    """Tables, genera, factor products and decomposition for one setting."""
+    """One setting: its l-free tangent half plus the auxiliary bundle, P-series and decomposition."""
 
     def __init__(self, s: Setting):
         self.setting = s
         W = s.weight
-        self.table = build_generator_table(s.tm_roots, s.l, s.spin_c, W)
-        self.tm = RootFamily(FAMILY_TM, s.tm_roots)
+        key = (s.kind, s.k, s.n_q)
+        if key not in _tangent_cache:
+            _tangent_cache[key] = _TangentHalf(s)
+        self.half = half = _tangent_cache[key]
+        self.table, self.gp_zero = half.table, half.gp_zero
+        self.ahat, self.ch_delta_m, self.exp_half_c = half.ahat, half.ch_delta_m, half.exp_half_c
+        self.tangent, self.line = half.tangent, half.line
         self.v = RootFamily(FAMILY_V, s.l)
-        self.gp_zero = GradedPolynomial.zero(self.table, W)
-        self.gp_one = GradedPolynomial.one(self.table, W)
-        self.ahat = classical_genus("ahat", self.tm, self.table, W)
-        self.ch_delta_m = classical_genus("spinor_ch", self.tm, self.table, W)
         self.ch_delta_v = classical_genus("spinor_ch", self.v, self.table, W)
-        self.tangent = tangent_bundle(s.tm_roots, self.table, W)
         self.aux = aux_bundle(s.l, self.table, W)
-        self.line = line_pair_bundle(self.table, W) if s.spin_c else None
-        self.exp_half_c = classical_genus("exp_half_c", self.tm, self.table, W) if s.spin_c else None
-        self.tm_sums = constrained_power_sums(self.tm, s.kind, self.table, W)
         self.v_sums = constrained_power_sums(self.v, s.kind, self.table, W)
-        self.line_sums = constrained_power_sums(LINE, s.kind, self.table, W) if s.spin_c else None
         self._p: dict[str, PuiseuxSeries] = {}
         self._decomp: Decomposition | None = None
         self._kvirt: dict[str, PuiseuxSeries] = {}
 
     # -- theta path ---------------------------------------------------------
-
-    def _exp(self, logs) -> list[PuiseuxSeries]:
-        """The weight pieces of an exp over the setting's power sums; piece n has weight 2n."""
-        s = self.setting
-        bound, pieces = exp_by_weight(logs, self.table, s.weight, s.n_q)
-        return [PuiseuxSeries(f, bound, self.gp_zero) for f in pieces]
-
-    def _log(self, kind: str) -> RootFactor:
-        return theta_log(kind, self.setting.n_q, self.setting.weight)
-
-    @cached_property
-    def _core(self) -> dict[int, PuiseuxSeries]:
-        """Weight -> the weight's part of the constrained P-series without the auxiliary factor."""
-        s = self.setting
-        a = self._log("a")
-        if s.kind == "spin4k":
-            # 2^n * sum_i prod_TM a*t_i: one exp of a summed log per i
-            parts = zip(*(self._exp([(a + self._log(t), self.tm_sums)]) for t in ("t1", "t2", "t3")))
-            return {2 * n: (f1 + f2 + f3).scale(2 ** s.tm_roots) for n, (f1, f2, f3) in enumerate(parts)}
-        if s.kind == "spinc4k":
-            t123 = self._log("t1") + self._log("t2") + self._log("t3")
-            return {2 * n: f for n, f in enumerate(self._exp([(a, self.tm_sums), (t123, self.line_sums)]))}
-        # spinc4k2: the odd factor times sqrt(-1), i*d(u) = w*exp(log(d/z) at u), which is real
-        w = GradedPolynomial.generator("w", self.table, s.weight)
-        pieces = self._exp([(a, self.tm_sums), (self._log("d"), self.line_sums)])
-        return {2 * n + 1: f.scale(w) for n, f in enumerate(pieces)}
 
     def p_series(self, which: str) -> PuiseuxSeries:
         """Top-weight component of P1/P2/P3 with the constraint applied.
@@ -173,8 +218,8 @@ class _Env:
         if cached is not None:
             return cached
         s = self.setting
-        core = self._core
-        aux = self._exp([(self._log({"P1": "t1", "P2": "t2", "P3": "t3"}[which]), self.v_sums)])
+        core = self.half.core
+        aux = self.half.exp([(self.half.log({"P1": "t1", "P2": "t2", "P3": "t3"}[which]), self.v_sums)])
         bound = min(f.order_bound for f in (*core.values(), *aux))   # both start at q^0
         pairs: dict[int, list] = {}
         for n, f in enumerate(aux):
@@ -201,7 +246,6 @@ class _Env:
         cached = self._kvirt.get(key)
         if cached is not None:
             return cached
-        s = self.setting
         vt = self.aux.reduced()
         if which == "P1":
             twist = lambda_string(vt, False, +1, order)
@@ -210,19 +254,7 @@ class _Env:
             twist_gp = character_series(lambda_string(vt, True, -1, order))
         else:
             twist_gp = character_series(lambda_string(vt, True, +1, order))
-        if s.kind == "spin4k":
-            th1 = character_series(theta_object("theta1", self.tangent, None, order))
-            th2 = character_series(theta_object("theta2", self.tangent, None, order))
-            th3 = character_series(theta_object("theta3", self.tangent, None, order))
-            msum = th1.scale(self.ch_delta_m) + (th2 + th3).scale(2 ** (2 * s.k))
-            out = msum.scale(self.ahat)
-        elif s.kind == "spinc4k":
-            thc = character_series(theta_object("theta_c", self.tangent, self.line, order))
-            out = thc.scale(self.ahat * self.exp_half_c)
-        else:
-            thcs = character_series(theta_object("theta_c_star", self.tangent, self.line, order))
-            out = thcs.scale(self.ahat * self.exp_half_c)
-        out = out * twist_gp
+        out = self.half.kvirt_tangent(order) * twist_gp
         self._kvirt[key] = out
         return out
 

@@ -68,12 +68,15 @@ def _render_audit_text(obj: dict) -> str:
 
 def _cmd_verify(args) -> int:
     if args.theorem in anomaly.DIVISIBILITY_IDS:
-        audit = anomaly.divisibility_check(args.theorem, args.m, args.l_opt, args.v2h)
+        if args.k is not None and args.k != 2 * args.m + 1:
+            raise AlgebraError(f"{args.theorem} fixes k = 2m+1 = {2 * args.m + 1}")
+        audit = anomaly.divisibility_check(args.theorem, args.m, args.l, args.v2h)
         obj = audit.to_json_obj()
         payload = json.dumps(obj, indent=2) if args.format == "json" else _render_audit_text(obj)
         _write(payload, args.output)
         return 0 if audit.outcome == "PASS" else 1
-    report = anomaly.verify_theorem(args.theorem, k=args.k, l=args.l, n_q=args.qorder)
+    report = anomaly.verify_theorem(args.theorem, k=args.k, l=1 if args.l is None else args.l,
+                                    n_q=args.qorder)
     obj = report.to_json_obj(basis=args.basis, include_timings=args.timings)
     payload = json.dumps(obj, indent=2) if args.format == "json" else _render_report_text(obj)
     _write(payload, args.output)
@@ -163,12 +166,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify one identity or divisibility audit")
     p.add_argument("--theorem", required=True,
                    choices=list(anomaly.THEOREM_IDS) + list(anomaly.DIVISIBILITY_IDS))
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--l", type=int, default=1)
+    p.add_argument("--k", type=int, default=None,
+                   help="dimension index (divisibility audits: must be 2m+1 if given)")
+    p.add_argument("--l", type=int, default=None,
+                   help="auxiliary rank parameter (default 1; divisibility audits: 4m+2)")
     p.add_argument("--qorder", type=int, default=None)
     p.add_argument("--m", type=int, default=0, help="divisibility audits: dimension index")
-    p.add_argument("--l-opt", type=int, default=None, dest="l_opt",
-                   help="divisibility audits: auxiliary rank parameter (default 4m+2)")
     p.add_argument("--v2h", type=int, default=1,
                    help="divisibility audits: assumed 2-adic valuation of the h_r")
     p.add_argument("--basis", choices=("standard", "normalized"), default="standard")

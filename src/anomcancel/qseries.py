@@ -63,10 +63,6 @@ class PuiseuxSeries:
         return PuiseuxSeries({0: value}, order_bound, zero)
 
     @staticmethod
-    def monomial(k: int, value, order_bound: int, zero) -> "PuiseuxSeries":
-        return PuiseuxSeries({k: value}, order_bound, zero)
-
-    @staticmethod
     def zero_series(order_bound: int, zero) -> "PuiseuxSeries":
         return PuiseuxSeries({}, order_bound, zero)
 

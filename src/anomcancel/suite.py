@@ -6,6 +6,12 @@ settings in both dimension families, the bundle-path cross-checks, the
 structural relations, and the divisibility audits.  Case reports carry no
 timestamps or timings, so suite output is byte-identical across runs and
 across worker counts.
+
+With more than one worker the cases go out in shards: every theorem,
+cross-check and structural case of one (kind, k, n_q) family in one shard, so
+a worker builds the family's l-free tangent half once and reuses it for every
+l; the theta layer and each audit go alone.  The heaviest shards go first,
+and the results come back in grid order.
 """
 
 from __future__ import annotations
@@ -143,19 +149,47 @@ def run_case(case: SuiteCase) -> dict:
             "ok": ok, "report": report}
 
 
+def _shards(cases: list[SuiteCase]) -> list[list[int]]:
+    """Case positions grouped by (kind, k, n_q) family, heaviest first (weight, then size).
+
+    Corollaries 3.3 and 3.4 carry their pinned k, so they join that spin
+    family; the theta layer and each audit are shards of their own.
+    """
+    groups: dict[object, tuple[int, list[int]]] = {}
+    for i, case in enumerate(cases):
+        if case.kind in ("theorem", "crosscheck", "structural"):
+            first, k, _, n_q = case.params      # first: a theorem id or a setting kind
+            kind = anomaly._THEOREM_KIND.get(first, first)
+            key, weight = (kind, k, n_q), 2 * k + (kind == "spinc4k2")   # the setting's weight
+        else:
+            key, weight = case.case_id, 0
+        groups.setdefault(key, (weight, []))[1].append(i)
+    ranked = sorted(groups.values(), key=lambda g: (g[0], len(g[1])), reverse=True)
+    return [idx for _, idx in ranked]
+
+
+def _run_shard(shard: list[SuiteCase]) -> list[dict]:
+    return [run_case(c) for c in shard]
+
+
 def run_suite(n_q: int | None = None, parallel: int = 1) -> dict:
     """Run the whole grid; the result dict is deterministic and JSON-ready.
 
     ``parallel`` asks for that many worker processes; at most one per CPU and
-    one per case is started.
+    one per shard is started.
     """
     if parallel < 1:
         raise ValueError(f"parallel must be >= 1, got {parallel}")
     cases = suite_cases(n_q)
-    workers = min(parallel, os.cpu_count() or 1, len(cases))
+    shards = _shards(cases)
+    workers = min(parallel, os.cpu_count() or 1, len(shards))
     if workers > 1:
+        results: list = [None] * len(cases)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_case, cases))
+            done = pool.map(_run_shard, [[cases[i] for i in idx] for idx in shards])
+            for idx, shard_results in zip(shards, done):
+                for i, r in zip(idx, shard_results):
+                    results[i] = r
     else:
         results = [run_case(c) for c in cases]
     counts = {"PASS": 0, "PASS_WITH_VARIANT": 0, "GAP": 0, "FAIL": 0}

@@ -254,7 +254,7 @@ def reference_P(setting, which: str) -> PuiseuxSeries:
     """
     s = setting
     W = s.weight
-    table = build_generator_table(s.tm_roots, s.l, s.spin_c, W)
+    table = build_generator_table(s.tm_roots, W // 2, s.spin_c, W)
 
     def log(kind):
         return theta_log(kind, s.n_q, W)

@@ -202,3 +202,45 @@ def test_pickle_roundtrip():
     back = pickle.loads(pickle.dumps(table))
     assert back.monomial_weight((1, 0, 1, 0, 1)) == 5
     assert back.standard_table == table.standard_table
+
+
+_KIND_THEOREMS = {"spin4k": ("3.1", "3.2"), "spinc4k": ("4.1", "4.2"), "spinc4k2": ("4.6", "4.8")}
+
+
+def _verdicts_at(kind, k, l):
+    """verify JSON in both bases for the kind's two identities, and P1/P2/P3."""
+    reports = [json.dumps(verify_theorem(tid, k=k, l=l).to_json_obj(basis))
+               for tid in _KIND_THEOREMS[kind] for basis in ("standard", "normalized")]
+    return reports, [build_P(make_setting(kind, k, l), which) for which in ("P1", "P2", "P3")]
+
+
+@pytest.mark.parametrize("kind", list(_KIND_THEOREMS))
+def test_sharing_the_tangent_half_cannot_change_a_verdict(kind, monkeypatch):
+    """l=3 built cold equals l=3 built after l=1 and l=2 filled the memo.
+
+    Settings that differ only in l share one tangent half, whose exps run once.
+    """
+    monkeypatch.setattr(anomaly, "_env_cache", {})
+    monkeypatch.setattr(anomaly, "_tangent_cache", {})
+    cold = _verdicts_at(kind, 2, 3)
+
+    calls = []
+    real_exp = anomaly.exp_by_weight
+
+    def counting_exp(logs, *rest):
+        calls.append([sums for _, sums in logs])
+        return real_exp(logs, *rest)
+
+    monkeypatch.setattr(anomaly, "_env_cache", {})
+    monkeypatch.setattr(anomaly, "_tangent_cache", {})
+    monkeypatch.setattr(anomaly, "exp_by_weight", counting_exp)
+    _verdicts_at(kind, 2, 1)
+    _verdicts_at(kind, 2, 2)
+    assert _verdicts_at(kind, 2, 3) == cold
+
+    envs = [get_env(make_setting(kind, 2, l)) for l in (1, 2, 3)]
+    half = envs[0].half
+    assert all(env.half is half for env in envs)
+    tangent_exps = [c for c in calls if any(sums is half.tm_sums for sums in c)]
+    assert len(tangent_exps) == (3 if kind == "spin4k" else 1)
+    assert len(calls) - len(tangent_exps) == 3 * 3     # P1/P2/P3's auxiliary exp at each l

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+from types import SimpleNamespace
 
 import pytest
 
@@ -91,16 +92,16 @@ def test_suite_qorder_guard(capsys):
 
 
 @pytest.fixture
-def pool_sizes(monkeypatch):
-    """``max_workers`` of every pool the suite opens; the grid is cut to three audits.
+def recording_pool(monkeypatch):
+    """Every pool the suite opens: ``sizes`` holds each ``max_workers``, ``tasks`` what it mapped.
 
     The pool is replaced by one that maps in-process, so no worker starts.
     """
-    sizes = []
+    record = SimpleNamespace(sizes=[], tasks=[])
 
     class RecordingPool:
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            record.sizes.append(max_workers)
 
         def __enter__(self):
             return self
@@ -109,13 +110,21 @@ def pool_sizes(monkeypatch):
             return False
 
         def map(self, fn, items):
+            items = list(items)
+            record.tasks.extend(items)
             return map(fn, items)
 
+    monkeypatch.setattr(suite, "ProcessPoolExecutor", RecordingPool)
+    return record
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch, recording_pool):
+    """``max_workers`` of every pool the suite opens; the grid is cut to three audits."""
     real_cases = suite.suite_cases
     monkeypatch.setattr(suite, "suite_cases",
                         lambda n_q=None: [c for c in real_cases(n_q) if c.kind == "divisibility"][:3])
-    monkeypatch.setattr(suite, "ProcessPoolExecutor", RecordingPool)
-    return sizes
+    return recording_pool.sizes
 
 
 # (argv, expected exit code, check on (stdout, stderr, pool sizes)); the suite
@@ -137,6 +146,10 @@ EXIT_CODE_TABLE = [
      lambda out, err, pools: "parallel must be >= 1" in err and pools == []),
     (["suite", "--parallel", "1000"], 0,
      lambda out, err, pools: pools == [3]),
+    (["verify", "--theorem", "3.6", "--m", "0", "--k", "7", "--l", "9"], 2,
+     lambda out, err, pools: "2m+1" in err),
+    (["verify", "--theorem", "3.6", "--m", "0", "--l", "9"], 0,
+     lambda out, err, pools: (json.loads(out)["k"], json.loads(out)["l"]) == (1, 9)),
 ]
 
 
@@ -154,6 +167,25 @@ def test_suite_workers_clamped_to_cpus(monkeypatch, pool_sizes):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert suite.run_suite(parallel=64)["all_ok"]
     assert pool_sizes == [2]
+
+
+def test_parallel_suite_shards_by_family(monkeypatch, recording_pool):
+    """One task per (kind, k, n_q) family, one for the theta layer, one per audit;
+    the sharded result equals the serial one."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    serial = suite.run_suite()
+    assert recording_pool.sizes == []
+    family = {r["case"]: tuple(r["report"]["setting"][f] for f in ("kind", "k", "n_q"))
+              for r in serial["cases"] if "setting" in r["report"]}
+    assert suite.run_suite(parallel=2) == serial
+    assert recording_pool.sizes == [2]
+    tasks = recording_pool.tasks
+    assert len(tasks) == 20
+    families = [{family[c.case_id] for c in task if c.case_id in family} for task in tasks]
+    assert all(len(f) <= 1 for f in families)                          # no task mixes families
+    assert sum(map(len, families)) == len(set().union(*families)) == 7  # no family is split
+    assert all(len(task) == 1 for task, f in zip(tasks, families) if not f)
+    assert sorted(c.case_id for task in tasks for c in task) == sorted(r["case"] for r in serial["cases"])
 
 
 SUITE_JSON_SHA256 = "c945fa7224b0dd17c89009de4d6e39c7f6c3e8a2d403819c7cb9fa85d8f56cd9"
