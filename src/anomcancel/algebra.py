@@ -6,15 +6,26 @@ by total weight; they stand for characteristic forms written in normalized
 Pontryagin-type generators.  Every operation is exact: no floats anywhere.
 
 Coefficients are ``Fraction`` at rest, and every reader of ``.terms`` sees
-``Fraction``s.  Every product goes through one kernel, :func:`dot`, which
-brings its operands to integer numerators over one common denominator,
-multiplies and adds plain ints, and builds one reduced ``Fraction`` per
-output term at the end.
+``Fraction``s.  Polynomial products go through :func:`dot`, which brings its
+operands to integer numerators over one common denominator, multiplies and
+adds plain ints, and builds one reduced ``Fraction`` per output term at the
+end.
+
+Polynomial-valued q-series on the hot path live in a transposed integer
+form, :class:`QColumns`: ``(den, step, {packed monomial: [numerator per
+position]})``.  :func:`mul_sum` multiplies them by Kronecker substitution:
+each monomial's numerators become one int with one bit field per position,
+so a pair of monomials costs one big-int multiply, and each output monomial
+is unpacked once by balanced residues.  The field width is one bit more than
+the bit length of a bound on every output |numerator| that
+:func:`field_width` computes from the operands alone, so no cache and no
+worker count can change it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import Mapping, NamedTuple, Sequence, Union
 
@@ -516,6 +527,130 @@ def dot(pairs: Sequence[tuple[GradedPolynomial, GradedPolynomial]], table: Gener
     vector = table.packing(cap).vector
     terms = {vector(k): Fraction(n, den) for _, items in groups for k, n in items}
     return GradedPolynomial._with_form(table, terms, cap, (den, groups))
+
+
+# -- polynomial-valued q-series in packed integer form ------------------------
+
+
+class QColumns(NamedTuple):
+    """A polynomial-valued q-series in transposed integer form.
+
+    ``cols[key][i] / den`` is the coefficient of the monomial packed as
+    ``key`` (by the table's :class:`Packing` at the truncation weight) at
+    lattice position ``i * step``; positions past the end of a list are
+    zero.  A monomial with no nonzero position is absent.
+    """
+
+    den: int
+    step: int
+    cols: dict[int, list[int]]
+
+    def terms(self, table: GeneratorTable, cap: int, into: dict | None = None) -> dict:
+        """``{lattice: {exponents: Fraction}}`` over the nonzero positions, added to ``into``."""
+        vector = table.packing(cap).vector
+        den, step = self.den, self.step
+        at = {} if into is None else into
+        for key, nums in self.cols.items():
+            e = vector(key)
+            for i, n in enumerate(nums):
+                if n:
+                    at.setdefault(i * step, {})[e] = Fraction(n, den)
+        return at
+
+    def polys(self, table: GeneratorTable, cap: int) -> dict[int, GradedPolynomial]:
+        """``{lattice: coefficient}`` over the nonzero positions, as polynomials on ``table``."""
+        at = self.terms(table, cap)
+        return {k: GradedPolynomial._with_form(table, at[k], cap, None) for k in sorted(at)}
+
+
+def field_width(positions: int, products: Sequence[tuple[int, int, int, int]]) -> int:
+    """Bits per field for a sum of packed products, one more than any output |numerator| needs.
+
+    ``products`` holds one ``(scalar_l1, pairs, max_left, max_right)`` per
+    product: the L1 norm of its integer scalars, the most monomial pairs of
+    its operands that can land on one output monomial, and each operand's
+    largest |numerator|.  One output position sums at most ``positions``
+    index pairs of one monomial pair, so every output |numerator| is at most
+    ``positions * sum(scalar_l1 * pairs * max_left * max_right)``, and a
+    field one bit wider than that bound's bit length holds it as a balanced
+    residue.
+    """
+    return (positions * sum(s * p * a * b for s, p, a, b in products)).bit_length() + 1
+
+
+def _pack(nums: Sequence[int], width: int) -> int:
+    """``sum_i nums[i] * 2^(i*width)``: signed numerators, one field each, packed by halves."""
+    if len(nums) > 8:
+        h = len(nums) // 2
+        return _pack(nums[:h], width) + (_pack(nums[h:], width) << (h * width))
+    x = 0
+    for n in reversed(nums):
+        x = (x << width) + n
+    return x
+
+
+def _max_abs(c: QColumns) -> int:
+    return max(map(abs, chain.from_iterable(c.cols.values())))
+
+
+def mul_sum(products, step: int, count: int) -> QColumns:
+    """``sum (n/d) * x^t * a * b`` over ``(a, b, d, scatter)`` in ``products`` and ``(t, n)`` in ``scatter``.
+
+    ``a`` and ``b`` are :class:`QColumns` whose steps are multiples of
+    ``step``, ``d`` is a positive int, and each ``(t, n)`` pairs a packed
+    monomial key with an int.  The result holds the positions ``0, step,
+    .., (count - 1) * step`` over one reduced denominator.  Every product's
+    scalars are brought to integers over the lcm of all denominators, each
+    operand's monomials are packed into one int with one field of
+    :func:`field_width` bits per position (Kronecker substitution), so each
+    monomial pair costs one big-int multiply, and each output monomial is
+    unpacked once, field by field, by balanced residues.  Keys add as ints,
+    so every ``t + key(a) + key(b)`` must stay within the truncation weight.
+
+    >>> one = QColumns(1, 8, {0: [1, 1]})            # 1 + q
+    >>> mul_sum([(one, one, 2, [(0, 1)])], 8, 3)
+    QColumns(den=2, step=8, cols={0: [1, 2, 1]})
+    """
+    live = [(a, b, a.den * b.den * d, scatter) for a, b, d, scatter in products if a.cols and b.cols]
+    den = lcm(*(d for _, _, d, _ in live))
+    jobs = [(a, b, [(t, n * (den // d)) for t, n in scatter if n]) for a, b, d, scatter in live]
+    width = field_width(count, [(sum(abs(n) for _, n in ints), min(len(a.cols), len(b.cols)),
+                                 _max_abs(a), _max_abs(b)) for a, b, ints in jobs])
+
+    def pack(c: QColumns) -> list[tuple[int, int]]:
+        if c.step % step:
+            raise AlgebraError(f"lattice step {c.step} is not a multiple of {step}")
+        spread = c.step // step
+        top = (count - 1) // spread + 1
+        return [(k, _pack(v[:top], width * spread)) for k, v in c.cols.items()]
+
+    acc: dict[int, int] = {}
+    get = acc.get
+    for a, b, ints in jobs:
+        right = pack(b)
+        for ka, x in pack(a):
+            for kb, y in right:
+                p = x * y
+                for t, n in ints:
+                    k = ka + kb + t
+                    acc[k] = get(k, 0) + (p if n == 1 else p * n)
+    # balanced residues: adding half of every field makes each field its value plus half
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    low = (1 << (width * count)) - 1
+    bias = low // mask * half
+    shifts = range(0, width * count, width)
+    cols: dict[int, list[int]] = {}
+    for k, x in acc.items():
+        x = (x + bias) & low
+        nums = [((x >> sh) & mask) - half for sh in shifts]
+        if any(nums):
+            cols[k] = nums
+    common = gcd(den, *chain.from_iterable(cols.values()))
+    if common > 1:
+        den //= common
+        cols = {k: [n // common for n in nums] for k, nums in cols.items()}
+    return QColumns(den, step, cols)
 
 
 def standard_table_of(table: GeneratorTable) -> GeneratorTable:

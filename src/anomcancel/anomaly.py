@@ -31,8 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from math import gcd
 
-from .algebra import AlgebraError, GradedPolynomial
+from .algebra import AlgebraError, GradedPolynomial, QColumns, mul_sum
 from .genus import (FAMILY_TM, FAMILY_V, LINE, RootFamily, apply_constraint,
                     build_generator_table, classical_genus, constrained_power_sums,
                     exp_by_weight)
@@ -141,29 +142,38 @@ class _TangentHalf:
         self.line_sums = constrained_power_sums(LINE, s.kind, self.table, W) if s.spin_c else None
         self._kvirt: dict[int, PuiseuxSeries] = {}
 
-    def exp(self, logs) -> list[PuiseuxSeries]:
-        """The weight pieces of an exp over the given power sums; piece n has weight 2n."""
-        bound, pieces = exp_by_weight(logs, self.table, self.weight, self.n_q)
-        return [PuiseuxSeries(f, bound, self.gp_zero) for f in pieces]
+    def exp(self, logs) -> tuple[int, list[QColumns]]:
+        """``(bound, pieces)`` of an exp over the given power sums; piece n has weight 2n."""
+        return exp_by_weight(logs, self.table, self.weight, self.n_q)
 
     def log(self, kind: str) -> RootFactor:
         return theta_log(kind, self.n_q, self.weight)
 
     @cached_property
-    def core(self) -> dict[int, PuiseuxSeries]:
-        """Weight -> the weight's part of the constrained P-series without the auxiliary factor."""
+    def core(self) -> tuple[int, dict[int, QColumns]]:
+        """``(bound, {weight: part})``: the constrained P-series without the auxiliary factor.
+
+        The parts stay in packed integer form; only ``p_series`` reads them.
+        """
         a = self.log("a")
         if self.kind == "spin4k":
-            # 2^n * sum_i prod_TM a*t_i: one exp of a summed log per i
-            parts = zip(*(self.exp([(a + self.log(t), self.tm_sums)]) for t in ("t1", "t2", "t3")))
-            return {2 * n: (f1 + f2 + f3).scale(2 ** self.tm.n_roots) for n, (f1, f2, f3) in enumerate(parts)}
+            # 2^n * sum_i prod_TM a*t_i: one exp of a summed log per i, summed as products with 1
+            exps = [self.exp([(a + self.log(t), self.tm_sums)]) for t in ("t1", "t2", "t3")]
+            bound = exps[0][0]
+            step = gcd(*(f.step for _, pieces in exps for f in pieces))
+            one, unit = QColumns(1, step, {0: [1]}), [(0, 2 ** self.tm.n_roots)]
+            parts = zip(*(pieces for _, pieces in exps))
+            return bound, {2 * n: mul_sum([(f, one, 1, unit) for f in fs], step, bound // step + 1)
+                           for n, fs in enumerate(parts)}
         if self.kind == "spinc4k":
             t123 = self.log("t1") + self.log("t2") + self.log("t3")
-            return {2 * n: f for n, f in enumerate(self.exp([(a, self.tm_sums), (t123, self.line_sums)]))}
+            bound, pieces = self.exp([(a, self.tm_sums), (t123, self.line_sums)])
+            return bound, {2 * n: f for n, f in enumerate(pieces)}
         # spinc4k2: the odd factor times sqrt(-1), i*d(u) = w*exp(log(d/z) at u), which is real
-        w = GradedPolynomial.generator("w", self.table, self.weight)
-        pieces = self.exp([(a, self.tm_sums), (self.log("d"), self.line_sums)])
-        return {2 * n + 1: f.scale(w) for n, f in enumerate(pieces)}
+        w = self.table.packing(self.weight).key(tuple(int(g.name == "w") for g in self.table.gens))
+        bound, pieces = self.exp([(a, self.tm_sums), (self.log("d"), self.line_sums)])
+        return bound, {2 * n + 1: QColumns(f.den, f.step, {k + w: v for k, v in f.cols.items()})
+                       for n, f in enumerate(pieces)}
 
     def kvirt_tangent(self, order: int) -> PuiseuxSeries:
         """The tangent side of the lambda-ring P-series: the theta objects times the genera."""
@@ -210,26 +220,25 @@ class _Env:
     def p_series(self, which: str) -> PuiseuxSeries:
         """Top-weight component of P1/P2/P3 with the constraint applied.
 
-        The relation is already on the power sums, and each q-position is one
-        :func:`dot` over the pairs (core at weight ``W - b``, auxiliary factor
-        at weight ``b``), so every pair visited lands at weight ``W``.
+        The relation is already on the power sums, and the series is one
+        :func:`~anomcancel.algebra.mul_sum` over the pairs (core at weight
+        ``W - b``, auxiliary factor at weight ``b``), so every monomial pair
+        multiplied lands at weight ``W``.  Only the result leaves the packed
+        integer form.
         """
         cached = self._p.get(which)
         if cached is not None:
             return cached
         s = self.setting
-        core = self.half.core
-        aux = self.half.exp([(self.half.log({"P1": "t1", "P2": "t2", "P3": "t3"}[which]), self.v_sums)])
-        bound = min(f.order_bound for f in (*core.values(), *aux))   # both start at q^0
-        pairs: dict[int, list] = {}
-        for n, f in enumerate(aux):
-            for k2, v in f.terms.items():
-                for k1, c in core[s.weight - 2 * n].terms.items():
-                    if k1 + k2 <= bound:
-                        pairs.setdefault(k1 + k2, []).append((c, v))
-        unit = 2 ** s.l if which == "P1" else 1
-        series = PuiseuxSeries({k: self.gp_zero.dot(ps, [unit] * len(ps)) for k, ps in pairs.items()},
-                               bound, self.gp_zero)
+        bound, core = self.half.core
+        aux_bound, aux = self.half.exp([(self.half.log({"P1": "t1", "P2": "t2", "P3": "t3"}[which]),
+                                         self.v_sums)])
+        bound = min(bound, aux_bound)
+        unit = [(0, 2 ** s.l if which == "P1" else 1)]
+        pairs = [(core[s.weight - 2 * n], f, 1, unit) for n, f in enumerate(aux)]
+        step = gcd(*(c.step for pair in pairs for c in pair[:2]))
+        top = mul_sum(pairs, step, bound // step + 1)
+        series = PuiseuxSeries(top.polys(self.table, s.weight), bound, self.gp_zero)
         self._p[which] = series
         return series
 

@@ -8,6 +8,12 @@ squared roots, power sums convert to the elementary generators
 ``n_i = e_i(z^2)`` by Newton's identities (with ``e_i = 0`` beyond the
 family's root count), and one exp, run weight piece by weight piece with the
 Euler recurrence ``n*F_n = sum_j j*S_j*F_(n-j)``, reassembles the product.
+The pieces ``F_n`` stay in the packed integer form of
+:class:`~anomcancel.algebra.QColumns`: each step of the recurrence is one
+:func:`~anomcancel.algebra.mul_sum`, a big-int multiply per pair of a log
+column and a monomial of ``F_(n-j)`` with fields as wide as
+:func:`~anomcancel.algebra.field_width` bounds, and only the callers that
+hand a series on (:func:`exp_over_roots`) turn it into ``Fraction``s.
 Logs on several families go into one exp (:func:`exp_by_weight`), which
 returns the result split by weight, so a caller that reads only the top
 weight of a product multiplies only the pairs of pieces whose weights add up
@@ -31,11 +37,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
-from .algebra import AlgebraError, Generator, GeneratorTable, GradedPolynomial
+from .algebra import (AlgebraError, Generator, GeneratorTable, GradedPolynomial, QColumns,
+                      int_numerators, mul_sum)
 from .qseries import PuiseuxSeries
-from .theta import RootFactor, log_cos_coeffs, log_z_coeffs, sin_over_z_coeffs
+from .theta import RootFactor, log_cos_coeffs, log_sin_over_z
 
 FAMILY_TM = "TM"
 FAMILY_V = "V"
@@ -124,50 +132,53 @@ def _log_columns(log: RootFactor, max_weight: int, order: int) -> tuple[int, dic
 
 
 def _exp_weight_pieces(pieces: list[tuple[int, GradedPolynomial, dict[int, Fraction]]],
-                       bound: int, table: GeneratorTable,
-                       max_weight: int) -> list[dict[int, GradedPolynomial]]:
+                       bound: int, table: GeneratorTable, max_weight: int) -> list[QColumns]:
     """The weight pieces ``F_0..F_(max_weight//2)`` of ``F = exp(S)``, ``S = sum_j p_j * c_j(q)``.
 
     Each piece ``(j, p_j, c_j)`` pairs a polynomial homogeneous of weight
     ``2j`` with a scalar q-series ``{lattice: coeff}``; several may share a
     ``j``.  The Euler operator (weight/2) is a derivation, so the weight-2n
-    piece of F obeys ``n*F_n = sum_j j * p_j * c_j * F_(n-j)``.
-    Each q-position of ``F_n`` is one :func:`dot` over the pairs
-    ``(F_(n-j)[k2], p_j)`` with scalars ``c_j[k1] * j/n``, ``k1 + k2 = k``;
-    the kernel sums the pairs that share ``p_j`` first, so each ``p_j``
-    multiplies once per position.  ``F_n`` keeps only nonzero positions.
+    piece of F obeys ``n*F_n = sum_j j * p_j * c_j * F_(n-j)``.  Each ``F_n``
+    is one :func:`~anomcancel.algebra.mul_sum`: per piece, the column
+    ``c_j`` is packed once and multiplies each monomial of ``F_(n-j)`` once,
+    and the product is scattered over the terms of ``p_j`` with integer
+    scalars: ``j`` times their numerators, over ``n`` times their
+    denominator.  The lattice step is the gcd of the bound and the columns'
+    positions.
     """
-    one = GradedPolynomial.one(table, max_weight)
-    pieces_of_f: list[dict[int, GradedPolynomial]] = [{0: one}]
+    step = gcd(bound, *(k for _, _, col in pieces for k in col)) or 1
+    key = table.packing(max_weight).key
+    columns = []
+    for j, poly, col in pieces:
+        den, nums = int_numerators({k: c for k, c in col.items() if k <= bound})
+        ints = [0] * (bound // step + 1)
+        for k, n in nums.items():
+            ints[k // step] = n
+        d, terms = int_numerators(poly.terms)
+        columns.append((j, QColumns(den, step, {0: ints} if nums else {}), d,
+                        [(key(e), j * n) for e, n in terms.items()]))
+    f = [QColumns(1, step, {0: [1]})]
     for n in range(1, max_weight // 2 + 1):
-        pairs: dict[int, tuple[list, list]] = {}
-        for j, poly, col in pieces:
-            if j > n:
-                continue
-            for k1, c in col.items():
-                cj = c * Fraction(j, n)
-                for k2, g in pieces_of_f[n - j].items():
-                    if k1 + k2 <= bound:
-                        ps, ss = pairs.setdefault(k1 + k2, ([], []))
-                        ps.append((g, poly))
-                        ss.append(cj)
-        piece = {k: one.dot(ps, ss) for k, (ps, ss) in pairs.items()}
-        pieces_of_f.append({k: g for k, g in piece.items() if g})
-    return pieces_of_f
+        f.append(mul_sum([(c, f[n - j], n * d, terms) for j, c, d, terms in columns if j <= n],
+                         step, bound // step + 1))
+    return f
 
 
 def exp_by_weight(logs: Sequence[tuple[RootFactor, Sequence[GradedPolynomial]]], table: GeneratorTable,
-                  max_weight: int, order: int) -> tuple[int, list[dict[int, GradedPolynomial]]]:
+                  max_weight: int, order: int) -> tuple[int, list[QColumns]]:
     """``(bound, F)``: ``F[n]`` is the weight-2n part of ``exp(sum_(log, s) sum_m s_m * [z^2m] log)``.
 
     Each entry pairs the log of an even per-root factor with the power sums
     ``s_0..s_(max_weight//2)`` of one root family, so one exp multiplies the
-    factors of several families.  ``F[n]`` maps lattice positions, through
-    ``bound``, to coefficients.
+    factors of several families.  ``F[n]`` is in packed integer form
+    (:class:`~anomcancel.algebra.QColumns`) through lattice ``bound``.
     """
     cols = [(_log_columns(log, max_weight, order), sums) for log, sums in logs]
     bound = min(b for (b, _), _ in cols)
     pieces = [(m, sums[m], col) for (_, columns), sums in cols for m, col in columns.items() if sums[m]]
+    for m, s, _ in pieces:
+        if not s.is_homogeneous(2 * m):
+            raise AlgebraError(f"power sum s_{m} must be homogeneous of weight {2 * m}")
     return bound, _exp_weight_pieces(pieces, bound, table, max_weight)
 
 
@@ -176,10 +187,9 @@ def exp_over_roots(logs: Sequence[tuple[RootFactor, Sequence[GradedPolynomial]]]
     """:func:`exp_by_weight` as one series, the union of its disjoint weight pieces."""
     bound, pieces = exp_by_weight(logs, table, max_weight, order)
     total: dict[int, dict] = {}
-    for piece in pieces:
-        for k, g in piece.items():
-            total.setdefault(k, {}).update(g.terms)
-    return PuiseuxSeries({k: GradedPolynomial(table, t, max_weight) for k, t in total.items()},
+    for piece in pieces:   # disjoint monomials: each weight piece adds its own terms
+        piece.terms(table, max_weight, total)
+    return PuiseuxSeries({k: GradedPolynomial._with_form(table, t, max_weight, None) for k, t in sorted(total.items())},
                          bound, GradedPolynomial.zero(table, max_weight))
 
 
@@ -238,7 +248,7 @@ def classical_genus(kind: str, fam: RootFamily, table: GeneratorTable,
                 Fraction(1, fact))
         return out
     zb = 2 * (max_weight // 2)
-    log_sin = log_z_coeffs(sin_over_z_coeffs(zb))
+    log_sin = log_sin_over_z(zb)
     if kind == "ahat":
         coeffs = [-c for c in log_sin]
         unit = 1

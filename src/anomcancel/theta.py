@@ -44,6 +44,7 @@ FACTOR_KINDS = ("a", "t1", "t2", "t3", "d")
 _null_cache: dict[tuple, PuiseuxSeries] = {}
 _factor_cache: dict[tuple, "RootFactor"] = {}
 _log_cache: dict[tuple, "RootFactor"] = {}
+_log_sin_cache: dict[int, tuple[Fraction, ...]] = {}
 
 
 def _sseries(terms: dict[int, Fraction], bound: int) -> PuiseuxSeries:
@@ -294,10 +295,18 @@ def log_z_coeffs(coeffs: list[Fraction]) -> list[Fraction]:
     return out
 
 
+def log_sin_over_z(z_bound: int) -> tuple[Fraction, ...]:
+    """The z-coefficients of ``log(sin z/z)`` through ``z^z_bound``, memoized by ``z_bound``."""
+    out = _log_sin_cache.get(z_bound)
+    if out is None:
+        out = _log_sin_cache[z_bound] = tuple(log_z_coeffs(sin_over_z_coeffs(z_bound)))
+    return out
+
+
 def log_cos_coeffs(z_bound: int) -> list[Fraction]:
     """``log cos z = log(sin 2z/2z) - log(sin z/z)``: the z^2j coefficient is ``(4^j - 1)``
     times that of ``log(sin z/z)``."""
-    return [(2 ** d - 1) * c for d, c in enumerate(log_z_coeffs(sin_over_z_coeffs(z_bound)))]
+    return [(2 ** d - 1) * c for d, c in enumerate(log_sin_over_z(z_bound))]
 
 
 def _paired_factor(sign: int, offset_units: int, z_bound: int, q_bound: int) -> RootFactor:
@@ -356,7 +365,7 @@ def theta_log(kind: str, order: int, z_bound: int) -> RootFactor:
     if kind not in FACTOR_KINDS:
         raise AlgebraError(f"unknown factor kind {kind!r}")
     q_bound = Q_UNIT * order
-    log_sin = log_z_coeffs(sin_over_z_coeffs(z_bound))
+    log_sin = log_sin_over_z(z_bound)
     q0 = {"a": [-c for c in log_sin], "t1": log_cos_coeffs(z_bound), "d": log_sin}.get(kind, [])
     terms = {(d, 0): c for d, c in enumerate(q0)}
     s = +1 if kind in ("t1", "t3") else -1

@@ -5,7 +5,10 @@ classical lattice sums instead of products, root products are expanded in
 explicit symbolic roots and rewritten into the elementary basis by leading-
 term elimination instead of the log/Newton/exp route, logs of product-built
 factors are taken by the power series ``sum (-1)^(m+1) u^m / m`` instead of
-closed-form divisor sums, and exps are the plain ``sum S^t / t!``.
+closed-form divisor sums, exps are the plain ``sum S^t / t!``, products over
+many roots are summed over partitions in the monomial symmetric basis, and
+packed q-series products are convolved one position pair at a time in
+``Fraction`` arithmetic.
 
 :func:`reference_P` is the one exception: it reassembles a P-series from the
 library's single-family products, which the oracles above pin, by the
@@ -15,6 +18,7 @@ unfused route the library no longer takes.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from anomcancel.algebra import GradedPolynomial
 from anomcancel.genus import (FAMILY_TM, FAMILY_V, RootFamily, build_generator_table,
@@ -156,6 +160,125 @@ def brute_force_prod(factor: RootFactor, n_roots: int, prefix: str, table,
         if gp:
             terms[k] = gp
     return PuiseuxSeries(terms, bound, zero)
+
+
+# -- monomial-symmetric product oracle ---------------------------------------------
+
+
+def _partitions(d: int, largest: int | None = None):
+    """Partitions of ``d`` as non-increasing tuples."""
+    if d == 0:
+        yield ()
+        return
+    for first in range(min(d, largest or d), 0, -1):
+        for rest in _partitions(d - first, first):
+            yield (first,) + rest
+
+
+@lru_cache(maxsize=None)
+def _zero_one_matrices(rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
+    """How many 0/1 matrices have row sums ``rows`` and column sums ``cols`` (sorted, nonzero)."""
+    if not rows:
+        return int(not cols)
+    total = 0
+
+    def choose(start, left, remaining):
+        nonlocal total
+        if left == 0:
+            rest = tuple(sorted((c for c in remaining if c), reverse=True))
+            total += _zero_one_matrices(rows[1:], rest)
+            return
+        for j in range(start, len(remaining) - left + 1):
+            remaining[j] -= 1
+            choose(j + 1, left - 1, remaining)
+            remaining[j] += 1
+
+    choose(0, rows[0], list(cols))
+    return total
+
+
+def _invert(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Inverse of a square matrix by Gauss-Jordan elimination."""
+    n = len(matrix)
+    work = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if work[r][c])
+        work[c], work[pivot] = work[pivot], work[c]
+        inv = 1 / work[c][c]
+        work[c] = [x * inv for x in work[c]]
+        for r in range(n):
+            if r != c and work[r][c]:
+                f = work[r][c]
+                work[r] = [x - f * y for x, y in zip(work[r], work[c])]
+    return [row[n:] for row in work]
+
+
+def monomial_symmetric_prod(factor: RootFactor, n_roots: int, prefix: str, table,
+                            max_weight: int, order: int) -> PuiseuxSeries:
+    """``prod_j f(z_j) = sum_lambda (prod_i f_(lambda_i)) m_lambda``, rewritten into the e-generators.
+
+    ``f_m`` is the q-series in front of ``z^2m`` of an even factor with
+    ``f_0 = 1``.  Each ``m_lambda`` of weight ``d`` becomes ``sum_mu
+    (M^-1)[lambda][mu] e_mu``, where ``M[mu][lambda]`` counts the 0/1
+    matrices with row sums ``mu`` and column sums ``lambda`` (the
+    coefficient of ``m_lambda`` in ``e_mu``).  Needs at least
+    ``max_weight // 2`` roots, so no partition is cut by the root count.
+    """
+    cap = max_weight // 2
+    assert n_roots >= cap, "the oracle needs a root for every part"
+    bound = min(8 * order, factor.q_bound)
+    f: dict[int, dict[int, Fraction]] = {}
+    for (d, k), c in factor.terms.items():
+        assert d % 2 == 0, "oracle handles even factors only"
+        if k <= bound and d // 2 <= cap:
+            f.setdefault(d // 2, {})[k] = c
+    assert f.get(0) == {0: 1}, "needs f = 1 at z = 0"
+    gens = {i: table.index(f"{prefix}{i}") for i in range(1, cap + 1)}
+    out: dict[int, dict[tuple[int, ...], Fraction]] = {}
+    for d in range(cap + 1):
+        parts = list(_partitions(d))
+        inverse = _invert([[Fraction(_zero_one_matrices(mu, lam)) for lam in parts] for mu in parts])
+        for lam, row in zip(parts, inverse):
+            series = {0: Fraction(1)}
+            for part in lam:
+                series = _series_mul(series, f.get(part, {}), bound)
+            for mu, c in zip(parts, row):
+                if not c:
+                    continue
+                exps = [0] * len(table)
+                for part in mu:
+                    exps[gens[part]] += 1
+                for k, v in series.items():
+                    bucket = out.setdefault(k, {})
+                    bucket[tuple(exps)] = bucket.get(tuple(exps), Fraction(0)) + c * v
+    zero = GradedPolynomial.zero(table, max_weight)
+    terms = {k: GradedPolynomial(table, t, max_weight) for k, t in out.items()}
+    return PuiseuxSeries({k: g for k, g in terms.items() if g}, bound, zero)
+
+
+# -- packed q-series product oracle -------------------------------------------------
+
+
+def naive_mul_sum(products, step: int, count: int) -> dict[tuple[int, int], Fraction]:
+    """``{(key, lattice): coeff}`` of ``sum (n/d) * x^t * a * b``, one position pair at a time.
+
+    Each operand is a ``(den, step, {key: [numerator per position]})``
+    triple; keys add as ints, and positions above ``(count - 1) * step``
+    are dropped.
+    """
+    top = (count - 1) * step
+    out: dict[tuple[int, int], Fraction] = {}
+    for (da, sa, ca), (db, sb, cb), d, scatter in products:
+        for ka, xs in ca.items():
+            for i, x in enumerate(xs):
+                for kb, ys in cb.items():
+                    for j, y in enumerate(ys):
+                        if i * sa + j * sb > top:
+                            continue
+                        for t, n in scatter:
+                            where = (ka + kb + t, i * sa + j * sb)
+                            out[where] = out.get(where, Fraction(0)) + Fraction(x * y * n, da * db * d)
+    return {where: c for where, c in out.items() if c}
 
 
 # -- log, exp and line-evaluation oracles -----------------------------------------

@@ -2,13 +2,16 @@
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anomcancel.algebra import GradedPolynomial, dot
+import pytest
+
+from anomcancel.algebra import GradedPolynomial, QColumns, dot, field_width, mul_sum
 from anomcancel.genus import build_generator_table, constraint_replacement
-from helpers import weighted_poly_mul
+from helpers import naive_mul_sum, weighted_poly_mul
 
 W = 4
 # nM1, nM2 (tangent), nV1, nV2 (auxiliary) and the weight-1 line generator w
@@ -220,3 +223,72 @@ def test_substitute_matches_oracle(kind, terms):
     got = p.substitute(name, repl)
     assert got.terms == _oracle_substitute(p.terms, TABLE.index(name), repl.terms, W)
     assert all(got.terms.values())
+
+
+# -- the packed multiply-and-sum against a position-by-position convolution ---------
+
+wide_numerators = st.integers(-2 ** 256, 2 ** 256)
+
+
+@st.composite
+def packed_cases(draw):
+    """A step (4 or 8), up to 40 positions and up to three products of packed series.
+
+    Operand steps are the step or twice it, lists may stop short of the last
+    position or run past it, denominators go up to 10^6, and with some draws
+    a product is repeated with negated scalars, or everything is, so that its
+    pairs cancel to exactly zero.
+    """
+    step = draw(st.sampled_from([4, 8]))
+    count = draw(st.integers(1, 40))
+
+    def operand():
+        own = draw(st.sampled_from([step, 2 * step]))
+        cols = draw(st.dictionaries(st.integers(0, 3), st.lists(wide_numerators, min_size=1, max_size=count),
+                                    max_size=3))
+        return QColumns(draw(st.integers(1, 10 ** 6)), own, cols)
+
+    def scatter():
+        return draw(st.lists(st.tuples(st.integers(0, 3), st.integers(-2 ** 64, 2 ** 64)), max_size=3))
+
+    products = [(operand(), operand(), draw(st.integers(1, 10 ** 6)), scatter())
+                for _ in range(draw(st.integers(0, 3)))]
+    if products and draw(st.booleans()):
+        a, b, d, sc = products[draw(st.integers(0, len(products) - 1))]
+        products.append((a, b, d, [(t, -n) for t, n in sc]))
+    if draw(st.booleans()):
+        products += [(a, b, d, [(t, -n) for t, n in sc]) for a, b, d, sc in products]
+    return step, count, products
+
+
+def _as_terms(c: QColumns) -> dict[tuple[int, int], Fraction]:
+    return {(k, i * c.step): Fraction(n, c.den) for k, nums in c.cols.items() for i, n in enumerate(nums) if n}
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(packed_cases())
+def test_packed_mul_sum_matches_naive_convolution(case):
+    """Packed products equal the Fraction convolution, over a reduced denominator, with no
+    all-zero monomial and one entry per position."""
+    step, count, products = case
+    got = mul_sum(products, step, count)
+    assert _as_terms(got) == naive_mul_sum(products, step, count)
+    assert got.step == step and all(len(nums) == count and any(nums) for nums in got.cols.values())
+    assert gcd(got.den, *(n for nums in got.cols.values() for n in nums)) == 1
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("step", [4, 8])
+def test_packed_mul_sum_at_full_width(step, sign):
+    """Every numerator at the maximum with one sign: at its last position the monomial that
+    two pairs reach, times both scalars, meets the width rule's bound exactly, so a field
+    one bit narrower could not hold it."""
+    count, top = 40, 2 ** 256 - 1
+    a = QColumns(1, step, {0: [sign * top] * count, 1: [sign * top] * count})
+    b = QColumns(1, step, {0: [top] * count, 1: [top] * count})
+    products = [(a, b, 1, [(0, 1), (0, 2)])]
+    got = mul_sum(products, step, count)
+    bound = count * 3 * 2 * top * top
+    assert got.cols[1][-1] == sign * bound
+    assert field_width(count, [(3, 2, top, top)]) == bound.bit_length() + 1
+    assert _as_terms(got) == naive_mul_sum(products, step, count)

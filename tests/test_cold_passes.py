@@ -39,4 +39,5 @@ def test_only_cache_named_module_dicts_grow():
     grew = json.loads(out)
     assert "anomcancel.anomaly._env_cache" in grew
     assert "anomcancel.anomaly._tangent_cache" in grew
+    assert "anomcancel.theta._log_sin_cache" in grew
     assert [name for name in grew if not name.endswith("_cache")] == []

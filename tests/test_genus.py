@@ -9,7 +9,7 @@ from anomcancel.genus import (FAMILY_TM, FAMILY_W, LINE, RootFamily, additive_ov
                               eval_at_var, power_sums_gp, prod_over_roots)
 from anomcancel.theta import RootFactor, theta_factor, theta_log
 
-from helpers import brute_force_prod, eval_factor_at_w, series_log
+from helpers import brute_force_prod, eval_factor_at_w, monomial_symmetric_prod, series_log
 
 
 def test_prod_simple_polynomial_factor():
@@ -125,6 +125,17 @@ def test_brute_force_oracle(n_roots, kind):
     engine = prod_over_roots(theta_log(kind, 2, W), fam, table, W, 2)
     oracle = brute_force_prod(theta_factor(kind, 2, W), n_roots, "nM", table, W, 2)
     assert (engine - oracle).is_zero()
+
+
+@pytest.mark.parametrize("k", [6, 8])
+@pytest.mark.parametrize("kind", ["a", "t2"])
+def test_monomial_symmetric_oracle_at_scale(kind, k):
+    """Over the 2k tangent roots of dimension 4k, the exp equals the sum over partitions
+    of the product-built factor's columns times the monomial symmetric functions."""
+    W, order = 2 * k, k + 2
+    table = build_generator_table(2 * k, 0, False, W)
+    engine = prod_over_roots(theta_log(kind, order, W), RootFamily(FAMILY_TM, 2 * k), table, W, order)
+    assert engine == monomial_symmetric_prod(theta_factor(kind, order, W), 2 * k, "nM", table, W, order)
 
 
 @pytest.mark.parametrize("order,W", [(2, 6), (3, 7), (4, 4)])

@@ -1,5 +1,7 @@
 """Property tests for the one exp behind ``prod_over_roots``, ``eval_at_var`` and the P-series."""
 
+from fractions import Fraction
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +16,9 @@ ORDER = 2
 BOUND = 8 * ORDER
 TABLE = build_generator_table(3, 1, True, W)
 
-coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+# small coefficients, and wide ones whose exps need packed fields of hundreds of bits
+coeffs = st.one_of(st.fractions(min_value=-4, max_value=4, max_denominator=4),
+                   st.builds(Fraction, st.integers(-2 ** 128, 2 ** 128), st.integers(1, 10 ** 6)))
 positions = st.tuples(st.sampled_from([2, 4, 6]), st.sampled_from([0, 4, 8, 12, 16]))
 # logs of even per-root factors with f(0) = 1: even z-degree >= 2
 logs = st.dictionaries(positions, coeffs, max_size=6).map(lambda t: RootFactor(t, W, BOUND))
