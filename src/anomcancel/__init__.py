@@ -7,7 +7,7 @@ normalized Pontryagin-type generators, with exact ``fractions.Fraction``
 coefficients throughout.
 """
 
-from .algebra import Generator, GeneratorTable, GradedPolynomial, newton_convert
+from .algebra import Generator, GeneratorTable, GradedPolynomial
 from .anomaly import (Setting, VerificationReport, build_P,
                       cross_check_bundle_expansion, divisibility_check,
                       make_setting, structural_checks, verify_theorem)

@@ -384,7 +384,7 @@ class GradedPolynomial:
         The map is a graded ring isomorphism and ``from_standard_basis``
         inverts it exactly.
         """
-        std_table = standard_table_of(self.table)
+        std_table = self.table.standard_table
         terms: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in self.terms.items():
             c = coeff
@@ -651,47 +651,3 @@ def mul_sum(products, step: int, count: int) -> QColumns:
         den //= common
         cols = {k: [n // common for n in nums] for k, nums in cols.items()}
     return QColumns(den, step, cols)
-
-
-def standard_table_of(table: GeneratorTable) -> GeneratorTable:
-    """Companion table whose generators carry the standard names."""
-    return table.standard_table
-
-
-# -- symmetric function bridge ----------------------------------------------
-
-
-def newton_convert(coeffs: Sequence[ScalarLike], n_roots: int, direction: str) -> list[Fraction]:
-    """Convert between power sums ``s_1..s_m`` and elementaries ``e_1..e_m``.
-
-    Newton's identities with ``e_i = 0`` for ``i > n_roots``.  ``direction``
-    is ``"powersum->elementary"`` or ``"elementary->powersum"``.
-
-    >>> [str(c) for c in newton_convert([0, 2], 2, "elementary->powersum")]
-    ['0', '-4']
-    """
-    if n_roots < 1:
-        raise AlgebraError("n_roots must be >= 1")
-    vals = [_frac(c) for c in coeffs]
-    m = len(vals)
-    zero = Fraction(0)
-    if direction == "powersum->elementary":
-        s = [zero] + vals
-        e: list[Fraction] = [Fraction(1)]
-        for i in range(1, m + 1):
-            acc = zero
-            for j in range(1, i + 1):
-                acc = acc + (e[i - j] * s[j] if j % 2 == 1 else -(e[i - j] * s[j]))
-            e.append(acc / i if i <= n_roots else zero)
-        return e[1:]
-    if direction == "elementary->powersum":
-        e = [Fraction(1)] + [v if i + 1 <= n_roots else zero for i, v in enumerate(vals)]
-        s = [zero]
-        for i in range(1, m + 1):
-            acc = zero
-            for j in range(1, i):
-                acc = acc + (e[j] * s[i - j] if j % 2 == 1 else -(e[j] * s[i - j]))
-            term = i * e[i]
-            s.append(acc + (term if i % 2 == 1 else -term))
-        return s[1:]
-    raise AlgebraError(f"unknown direction {direction!r}")

@@ -149,37 +149,9 @@ class PuiseuxSeries:
         return PuiseuxSeries({k + units: c for k, c in self.terms.items()},
                              self.order_bound + units, self.zero)
 
-    def inverse(self) -> "PuiseuxSeries":
-        """Multiplicative inverse of a scalar series (nonzero ``Fraction`` lead)."""
-        if not self.terms:
-            raise AlgebraError("cannot invert the zero series")
-        lead = self.leading_exponent()
-        c0 = self.terms[lead]
-        if not isinstance(c0, Fraction):
-            raise AlgebraError(f"cannot invert a leading {type(c0).__name__} coefficient")
-        c0_inv = 1 / c0
-        bound = self.order_bound - 2 * lead
-        if bound < 0:
-            raise AlgebraError("insufficient order to invert this series")
-        # f = c0 q^lead (1 + u); 1/f = c0^{-1} q^{-lead} sum (-u)^m
-        u = PuiseuxSeries(
-            {k - lead: c * c0_inv for k, c in self.terms.items() if k != lead and k - lead <= bound},
-            bound, self.zero)
-        out = PuiseuxSeries.constant(Fraction(1), bound, self.zero)
-        term = out
-        sign = 1
-        steps = bound // max(u.leading_exponent(), 1) + 1 if u else 0
-        for _ in range(steps):
-            term = term * u
-            if term.is_zero():
-                break
-            sign = -sign
-            out = out + (term if sign > 0 else -term)
-        return out.shift(-lead).scale(c0_inv)
-
     def __pow__(self, m: int) -> "PuiseuxSeries":
         if m < 0:
-            return self.inverse() ** (-m)
+            raise AlgebraError("negative series powers are not supported")
         out = None
         base = self
         while True:

@@ -1,7 +1,9 @@
 """Independent oracles used by the tests.
 
 Nothing here shares code paths with the library: theta nulls come from
-classical lattice sums instead of products, root products are expanded in
+classical lattice sums instead of products, per-root factors are multiplied
+out from their ``O(order)`` bivariate product form (:func:`product_factor`)
+instead of exponentiating closed-form logs, root products are expanded in
 explicit symbolic roots and rewritten into the elementary basis by leading-
 term elimination instead of the log/Newton/exp route, logs of product-built
 factors are taken by the power series ``sum (-1)^(m+1) u^m / m`` instead of
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from anomcancel.algebra import GradedPolynomial
 from anomcancel.genus import (FAMILY_TM, FAMILY_V, RootFamily, build_generator_table,
@@ -47,6 +50,74 @@ def theta_null_sum_form(kind: str, order: int) -> PuiseuxSeries:
         terms[k] = terms.get(k, Fraction(0)) + c
         n += 1
     return PuiseuxSeries(terms, bound, Fraction(0))
+
+
+# -- product-built factor oracle -------------------------------------------------
+
+
+def bivariate_mul(a: dict, b: dict, z_bound: int, q_bound: int) -> dict:
+    """Product of two ``{(z_degree, lattice): coeff}`` series, cut at both bounds."""
+    out = {}
+    for (d1, k1), c1 in a.items():
+        for (d2, k2), c2 in b.items():
+            if d1 + d2 <= z_bound and k1 + k2 <= q_bound:
+                dk = (d1 + d2, k1 + k2)
+                out[dk] = out.get(dk, Fraction(0)) + c1 * c2
+    return {dk: c for dk, c in out.items() if c}
+
+
+def bivariate_inverse(f: dict, z_bound: int, q_bound: int) -> dict:
+    """``1/f = sum (-u)^m`` with ``u = f - 1``, for a bivariate series with f = 1 at z = q = 0."""
+    assert f.get((0, 0)) == 1, "needs f = 1 at z = q = 0"
+    minus_u = {dk: -c for dk, c in f.items() if dk != (0, 0)}
+    out = {(0, 0): Fraction(1)}
+    power = dict(out)
+    while power:
+        power = bivariate_mul(power, minus_u, z_bound, q_bound)
+        for dk, c in power.items():
+            out[dk] = out.get(dk, Fraction(0)) + c
+    return {dk: c for dk, c in out.items() if c}
+
+
+def _trig(z_bound: int, odd: bool) -> dict:
+    """``sin z`` (odd) or ``cos z`` through ``z^z_bound`` as a q^0 bivariate series."""
+    return {(d, 0): Fraction((-1) ** (d // 2), factorial(d)) for d in range(int(odd), z_bound + 1, 2)}
+
+
+@lru_cache(maxsize=None)
+def product_factor(kind: str, order: int, z_bound: int) -> RootFactor:
+    """A per-root factor through ``q^order`` and ``z^z_bound``, multiplied out as a product.
+
+    The factor is its q^0 slice (``z/sin z``, ``cos z``, ``1``, ``1``,
+    ``sin z`` for ``a, t1, t2, t3, d``) times, for ``n = 1..order``, the
+    quotient ``(1 + s e^{2iz} q^a)(1 + s e^{-2iz} q^a) / (1 + s q^a)^2``
+    (inverted for ``a``), with ``s = +1`` for ``t1, t3`` and ``-1``
+    otherwise and ``a = n - 1/2`` for ``t2, t3`` and ``n`` otherwise.  The
+    paired numerator is ``1 + 2s cos(2z) q^a + q^2a``.  Every product and
+    inverse is done here on plain dicts.
+    """
+    q_bound = 8 * order
+    s = +1 if kind in ("t1", "t3") else -1
+    shift = 4 if kind in ("t2", "t3") else 0
+    if kind == "a":
+        sin_over_z = {(d - 1, 0): c for (d, _), c in _trig(z_bound + 1, odd=True).items()}
+        out = bivariate_inverse(sin_over_z, z_bound, q_bound)
+    elif kind in ("t1", "d"):
+        out = _trig(z_bound, odd=kind == "d")
+    elif kind in ("t2", "t3"):
+        out = {(0, 0): Fraction(1)}
+    else:
+        raise ValueError(f"unknown factor kind {kind!r}")
+    cos_2z = {(d, 0): c * 2 ** d for (d, _), c in _trig(z_bound, odd=False).items()}
+    for n in range(1, order + 1):
+        a = 8 * n - shift
+        paired = {(d, a): 2 * s * c for (d, _), c in cos_2z.items()}
+        paired.update({(0, 0): Fraction(1), (0, 2 * a): Fraction(1)})
+        scalar_sq = {(0, 0): Fraction(1), (0, a): Fraction(2 * s), (0, 2 * a): Fraction(1)}
+        num, den = (scalar_sq, paired) if kind == "a" else (paired, scalar_sq)
+        quotient = bivariate_mul(num, bivariate_inverse(den, z_bound, q_bound), z_bound, q_bound)
+        out = bivariate_mul(out, quotient, z_bound, q_bound)
+    return RootFactor(out, z_bound, q_bound)
 
 
 # -- explicit-root product oracle ------------------------------------------------
@@ -299,12 +370,7 @@ def series_log(terms: dict[tuple[int, int], Fraction], z_bound: int,
     while power:
         for dk, c in power.items():
             out[dk] = out.get(dk, Fraction(0)) + c * Fraction((-1) ** (m + 1), m)
-        nxt: dict[tuple[int, int], Fraction] = {}
-        for (d1, k1), c1 in power.items():
-            for (d2, k2), c2 in u.items():
-                if d1 + d2 <= z_bound and k1 + k2 <= q_bound:
-                    nxt[(d1 + d2, k1 + k2)] = nxt.get((d1 + d2, k1 + k2), Fraction(0)) + c1 * c2
-        power = {dk: c for dk, c in nxt.items() if c}
+        power = bivariate_mul(power, u, z_bound, q_bound)
         m += 1
     return {dk: c for dk, c in out.items() if c}
 

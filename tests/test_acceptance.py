@@ -12,9 +12,9 @@ from fractions import Fraction
 from anomcancel import anomaly, suite
 from anomcancel.genus import FAMILY_TM, RootFamily, build_generator_table, prod_over_roots
 from anomcancel.modforms import delta_eps, integrality_report
-from anomcancel.theta import jacobi_residual, theta_factor, theta_log
+from anomcancel.theta import jacobi_residual, theta_log
 
-from helpers import brute_force_prod
+from helpers import brute_force_prod, product_factor
 
 SPIN_GRID = [(k, l) for k in (1, 2, 3) for l in (1, 2, 3, 4)]
 SPINC4K_GRID = [(k, l) for k in (1, 2) for l in (1, 2, 3)]
@@ -90,7 +90,7 @@ def test_criterion_4_oracle_equivalence():
         fam = RootFamily(FAMILY_TM, n_roots)
         for kind in ("a", "t2"):
             engine = prod_over_roots(theta_log(kind, 2, 6), fam, table, 6, 2)
-            oracle = brute_force_prod(theta_factor(kind, 2, 6), n_roots, "nM", table, 6, 2)
+            oracle = brute_force_prod(product_factor(kind, 2, 6), n_roots, "nM", table, 6, 2)
             ok = ok and (engine - oracle).is_zero()
     announce(4, ok, "theta path and bundle path agree at q^0, q^(1/2), q^1 on the whole grid; "
                     "genus engine matches explicit-root brute force (<= 3 roots, weight <= 6)")

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from anomcancel.algebra import AlgebraError, GradedPolynomial, dot, newton_convert
+from anomcancel.algebra import AlgebraError, GradedPolynomial, dot
 from anomcancel.genus import build_generator_table
 
 
@@ -96,29 +96,6 @@ def test_substitute_is_homomorphism():
         lhs = (f * g).substitute("nM1", repl)
         rhs = f.substitute("nM1", repl) * g.substitute("nM1", repl)
         assert lhs == rhs
-
-
-def test_newton_convert():
-    # s1 -> e1, s2 -> e1^2 - 2 e2 checked on numeric instances
-    e = newton_convert([Fraction(3), Fraction(5)], 4, "powersum->elementary")
-    assert e[0] == Fraction(3)
-    assert e[1] == Fraction(2)  # (s1^2 - s2)/2 = (9-5)/2
-    s = newton_convert(e, 4, "elementary->powersum")
-    assert s == [Fraction(3), Fraction(5)]
-    # single root: e2 forced to zero, s2 = e1^2
-    e1 = newton_convert([Fraction(2), Fraction(4)], 1, "powersum->elementary")
-    assert e1[1] == Fraction(0)
-    s1 = newton_convert([Fraction(2), Fraction(0)], 1, "elementary->powersum")
-    assert s1 == [Fraction(2), Fraction(4)]
-
-
-def test_newton_roundtrip_randomized():
-    rng = random.Random(3)
-    for n_roots in (3, 5):
-        for _ in range(10):
-            s = [Fraction(rng.randint(-9, 9)) for _ in range(3)]
-            e = newton_convert(s, n_roots, "powersum->elementary")
-            assert newton_convert(e, n_roots, "elementary->powersum") == s
 
 
 def test_float_coefficients_rejected():

@@ -7,9 +7,10 @@ from anomcancel.algebra import AlgebraError, GradedPolynomial
 from anomcancel.genus import (FAMILY_TM, FAMILY_W, LINE, RootFamily, additive_over_roots,
                               apply_constraint, build_generator_table, classical_genus,
                               eval_at_var, power_sums_gp, prod_over_roots)
-from anomcancel.theta import RootFactor, theta_factor, theta_log
+from anomcancel.theta import RootFactor, theta_log
 
-from helpers import brute_force_prod, eval_factor_at_w, monomial_symmetric_prod, series_log
+from helpers import (bivariate_mul, brute_force_prod, eval_factor_at_w, monomial_symmetric_prod,
+                     product_factor, series_log)
 
 
 def test_prod_simple_polynomial_factor():
@@ -123,7 +124,7 @@ def test_brute_force_oracle(n_roots, kind):
     table = build_generator_table(n_roots, 1, False, W)
     fam = RootFamily(FAMILY_TM, n_roots)
     engine = prod_over_roots(theta_log(kind, 2, W), fam, table, W, 2)
-    oracle = brute_force_prod(theta_factor(kind, 2, W), n_roots, "nM", table, W, 2)
+    oracle = brute_force_prod(product_factor(kind, 2, W), n_roots, "nM", table, W, 2)
     assert (engine - oracle).is_zero()
 
 
@@ -135,7 +136,7 @@ def test_monomial_symmetric_oracle_at_scale(kind, k):
     W, order = 2 * k, k + 2
     table = build_generator_table(2 * k, 0, False, W)
     engine = prod_over_roots(theta_log(kind, order, W), RootFamily(FAMILY_TM, 2 * k), table, W, order)
-    assert engine == monomial_symmetric_prod(theta_factor(kind, order, W), 2 * k, "nM", table, W, order)
+    assert engine == monomial_symmetric_prod(product_factor(kind, order, W), 2 * k, "nM", table, W, order)
 
 
 @pytest.mark.parametrize("order,W", [(2, 6), (3, 7), (4, 4)])
@@ -145,11 +146,12 @@ def test_eval_at_var_matches_product_oracle(order, W):
     table = build_generator_table(1, 1, True, W)
     bound = 8 * order
     logs = theta_log("t1", order, W) + theta_log("t2", order, W) + theta_log("t3", order, W)
-    product = theta_factor("t1", order, W) * theta_factor("t2", order, W) * theta_factor("t3", order, W)
+    t1, t2, t3 = (product_factor(kind, order, W).terms for kind in ("t1", "t2", "t3"))
+    product = RootFactor(bivariate_mul(bivariate_mul(t1, t2, W, bound), t3, W, bound), W, bound)
     assert eval_at_var(logs, table, W, order) == eval_factor_at_w(product, table, W, bound)
     w = GradedPolynomial.generator("w", table, W)
     odd = eval_at_var(theta_log("d", order, W), table, W, order).scale(w)
-    assert odd == eval_factor_at_w(theta_factor("d", order, W), table, W, bound)
+    assert odd == eval_factor_at_w(product_factor("d", order, W), table, W, bound)
 
 
 def test_constraints():

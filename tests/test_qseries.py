@@ -24,32 +24,6 @@ def test_lattice_multiplication():
     assert (m ** 4) * S({0: 1, 8: 1}) == PuiseuxSeries({4: Fraction(16), 12: Fraction(16)}, 83, Fraction(0))
 
 
-def test_inverse():
-    geo = S({0: 1, 8: -1}, bound=40).inverse()
-    assert all(geo.coefficient(8 * i) == 1 for i in range(5))
-    mono = S({1: 2}, bound=9).inverse()
-    assert mono.terms == {-1: Fraction(Fraction(1, 2))}
-    f = S({0: 1, 4: 8}, bound=16).inverse()
-    assert f.coefficient(4) == Fraction(-8)
-    assert f.coefficient(8) == Fraction(64)
-    assert f.coefficient(12) == Fraction(-512)
-    with pytest.raises(AlgebraError):
-        PuiseuxSeries.zero_series(8, Fraction(0)).inverse()
-
-
-def test_inverse_is_inverse_randomized():
-    rng = random.Random(5)
-    for _ in range(10):
-        terms = {0: Fraction(rng.choice([1, -1, 2]))}
-        for k in range(1, 30):
-            if rng.random() < 0.3:
-                terms[k] = Fraction(rng.randint(-4, 4))
-        f = PuiseuxSeries({k: v for k, v in terms.items() if v}, 30, Fraction(0))
-        prod = f * f.inverse()
-        assert prod.coefficient(0) == 1
-        assert all(not prod.coefficient(k) for k in range(1, prod.order_bound + 1))
-
-
 def test_pow():
     assert S({0: 1, 8: 1}) ** 2 == S({0: 1, 8: 2, 16: 1})
     assert S({4: 1}) ** 3 == PuiseuxSeries({12: 1}, 88, Fraction(0))
@@ -115,14 +89,9 @@ def test_truncation_metadata_under_mul():
     assert (f * g).order_bound == 8  # min(16 + 4, 8 + 0): the shorter operand wins
 
 
-def test_inverse_needs_invertible_leading_coefficient():
-    from anomcancel.algebra import GradedPolynomial
-    from anomcancel.genus import build_generator_table
-    t = build_generator_table(2, 1, False, 4)
-    lead = GradedPolynomial.generator("nM1", t, 4)
-    f = PuiseuxSeries({0: lead}, 16, GradedPolynomial.zero(t, 4))
+def test_negative_power_is_rejected():
     with pytest.raises(AlgebraError):
-        f.inverse()
+        S({0: 1, 8: -1}) ** -1
 
 
 def _naive_product(a: PuiseuxSeries, b: PuiseuxSeries):
