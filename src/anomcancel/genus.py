@@ -51,6 +51,8 @@ FAMILY_W = "W"
 
 CONSTRAINT_KINDS = ("spin4k", "spinc4k", "spinc4k2")
 
+_power_sums_cache: dict[tuple, tuple[GradedPolynomial, ...]] = {}
+
 
 @dataclass(frozen=True)
 class RootFamily:
@@ -104,17 +106,27 @@ def elementary_gp(fam: RootFamily, i: int, table: GeneratorTable, max_weight: in
 
 def power_sums_gp(fam: RootFamily, m_max: int, table: GeneratorTable,
                   max_weight: int) -> list[GradedPolynomial]:
-    """Power sums ``s_0..s_m_max`` of squared roots in the elementary generators (Newton)."""
-    e = [elementary_gp(fam, i, table, max_weight) for i in range(m_max + 1)]
-    s: list[GradedPolynomial] = [GradedPolynomial.scalar(fam.n_roots, table, max_weight)]
-    for i in range(1, m_max + 1):
-        acc = GradedPolynomial.zero(table, max_weight)
-        for j in range(1, i):
-            term = e[j] * s[i - j]
-            acc = acc + (term if j % 2 == 1 else -term)
-        lead = e[i].scale(i)
-        s.append(acc + (lead if i % 2 == 1 else -lead))
-    return s
+    """Power sums ``s_0..s_m_max`` of squared roots in the elementary generators (Newton).
+
+    The sums through ``s_(max_weight//2)`` are built once per family, table
+    and weight; ``s_m`` has weight ``2m``, so the later ones vanish and are
+    left out.
+    """
+    key = (fam, table, max_weight)
+    sums = _power_sums_cache.get(key)
+    if sums is None:
+        m_top = max_weight // 2
+        e = [elementary_gp(fam, i, table, max_weight) for i in range(m_top + 1)]
+        s: list[GradedPolynomial] = [GradedPolynomial.scalar(fam.n_roots, table, max_weight)]
+        for i in range(1, m_top + 1):
+            acc = GradedPolynomial.zero(table, max_weight)
+            for j in range(1, i):
+                term = e[j] * s[i - j]
+                acc = acc + (term if j % 2 == 1 else -term)
+            lead = e[i].scale(i)
+            s.append(acc + (lead if i % 2 == 1 else -lead))
+        sums = _power_sums_cache[key] = tuple(s)
+    return list(sums[:m_max + 1])
 
 
 def _log_columns(log: RootFactor, max_weight: int, order: int) -> tuple[int, dict[int, dict[int, Fraction]]]:

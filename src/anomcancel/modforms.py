@@ -14,14 +14,27 @@ so the ``h_r`` are solved successively from the first coefficients and, since
 the basis expansions are integral, each ``h_r`` is an integer combination of
 the input coefficients.  The residual against the *full* available order is
 the q-expansion witness that the input really lies in the span.
+
+Everything runs in the packed integer form of
+:class:`~anomcancel.algebra.QColumns`.  Each group's pair ``(8*delta, eps)``
+is built once per order from the nulls' integer coefficients, each fourth
+power as two squarings by :func:`~anomcancel.algebra.mul_sum`: the upper pair
+on step 4 (``q^(1/2)``), the lower pair on step 8 with ``16*eps1`` over the
+denominator 16.  The rows ``(8*delta)^(k-2r) eps^r`` of one ``(group, k,
+order)`` are built together from shared powers of ``(8*delta)^2`` and
+``eps``.  A residual ``P - s * sum_r h_r * row_r`` is one ``mul_sum``, each
+``h_r`` a single-position operand, and only its nonzero result turns into
+polynomials.  :func:`delta_eps` and :func:`basis_element` are ``Fraction``
+views of the same integer columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
-from .algebra import AlgebraError, GradedPolynomial
+from .algebra import AlgebraError, GradedPolynomial, QColumns, mul_sum
 from .qseries import PuiseuxSeries
 from .theta import HALF_UNIT, Q_UNIT, theta_null
 
@@ -29,32 +42,112 @@ GROUP_LOWER = "Gamma_0(2)"   # integer-exponent side  (delta1, eps1)
 GROUP_UPPER = "Gamma^0(2)"   # half-integer side      (delta2, eps2)
 
 DELTA_EPS_KINDS = ("delta1", "eps1", "delta2", "eps2")
+_GROUP_OF = {"delta1": GROUP_LOWER, "eps1": GROUP_LOWER, "delta2": GROUP_UPPER, "eps2": GROUP_UPPER}
 
-_gen_cache: dict[tuple, PuiseuxSeries] = {}
+_UNIT = [(0, 1)]   # mul_sum scatter: the product itself, at the constant monomial
+
+_gen_cache: dict[tuple, tuple[QColumns, QColumns]] = {}
+_basis_cache: dict[tuple, tuple[QColumns, ...]] = {}
+
+
+def _fourth_power(nums: list[int], step: int, count: int) -> list[int]:
+    """The first ``count`` positions of the fourth power of an integer series: two squarings."""
+    c = QColumns(1, step, {0: nums})
+    for _ in range(2):
+        c = mul_sum([(c, c, 1, _UNIT)], step, count)
+    return c.cols[0]
+
+
+def _on_step8(nums: list[int]) -> list[int]:
+    if any(nums[1::2]):
+        raise AlgebraError("a lower-group generator left the integer lattice")
+    return nums[::2]
+
+
+def _generators(group: str, order: int) -> tuple[QColumns, QColumns]:
+    """``(8*delta, eps)`` of one group through ``q^order`` (built once per order)."""
+    key = (group, order)
+    pair = _gen_cache.get(key)
+    if pair is not None:
+        return pair
+    count = 2 * order + 1     # step-4 positions through q^order
+
+    def null(kind):
+        terms = theta_null(kind, order).terms
+        return [int(terms.get(HALF_UNIT * i, 0)) for i in range(count)]
+
+    t3 = _fourth_power(null("theta3"), HALF_UNIT, count)
+    if group == GROUP_UPPER:
+        # (2*theta1)^4 = q^(1/2) * u^4, with u = 2*theta1 / q^(1/8) on the integer lattice
+        terms = theta_null("theta1", order).terms
+        u4 = _fourth_power([2 * int(terms.get(Q_UNIT * i + 1, 0)) for i in range(order + 1)],
+                           Q_UNIT, order + 1)
+        t1 = [0] * count
+        t1[1::2] = u4[:order]
+        a, b = QColumns(1, HALF_UNIT, {0: t1}), QColumns(1, HALF_UNIT, {0: t3})
+        pair = (QColumns(1, HALF_UNIT, {0: [-x - y for x, y in zip(t1, t3)]}),
+                mul_sum([(a, b, 16, _UNIT)], HALF_UNIT, count))
+    elif group == GROUP_LOWER:
+        t2 = _fourth_power(null("theta2"), HALF_UNIT, count)
+        a, b = QColumns(1, HALF_UNIT, {0: t2}), QColumns(1, HALF_UNIT, {0: t3})
+        pair = (QColumns(1, Q_UNIT, {0: _on_step8([x + y for x, y in zip(t2, t3)])}),
+                QColumns(16, Q_UNIT, {0: _on_step8(mul_sum([(a, b, 1, _UNIT)], HALF_UNIT, count).cols[0])}))
+    else:
+        raise AlgebraError(f"unknown group {group!r}")
+    _gen_cache[key] = pair
+    return pair
+
+
+def _view(c: QColumns, order: int, den: int = 1) -> PuiseuxSeries:
+    """A scalar column divided by ``den`` as a ``Fraction`` series through ``q^order``."""
+    d = c.den * den
+    return PuiseuxSeries({i * c.step: Fraction(n, d) for i, n in enumerate(c.cols.get(0, ())) if n},
+                         Q_UNIT * order, Fraction(0))
 
 
 def delta_eps(which: str, order: int) -> PuiseuxSeries:
     """One of the four level-2 generators through ``q^order``."""
-    key = (which, order)
-    cached = _gen_cache.get(key)
-    if cached is not None:
-        return cached
-    bound = Q_UNIT * order
-    if which in ("delta1", "eps1"):
-        a = theta_null("theta2", order) ** 4
-        b = theta_null("theta3", order) ** 4
-    elif which in ("delta2", "eps2"):
-        a = (theta_null("theta1", order).scale(2) ** 4).truncate(bound)
-        b = theta_null("theta3", order) ** 4
-    else:
+    group = _GROUP_OF.get(which)
+    if group is None:
         raise AlgebraError(f"unknown generator {which!r}")
-    if which.startswith("delta"):
-        out = (a + b).scale(Fraction(1, 8) if which == "delta1" else Fraction(-1, 8))
-    else:
-        out = (a * b).scale(Fraction(1, 16))
-    out = out.truncate(bound)
-    _gen_cache[key] = out
-    return out
+    d8, eps = _generators(group, order)
+    return _view(d8, order, 8) if which.startswith("delta") else _view(eps, order)
+
+
+def _basis_rows(group: str, k: int, order: int) -> tuple[QColumns, ...]:
+    """The rows ``(8*delta)^(k-2r) * eps^r``, ``r = 0..k//2``, through ``q^order`` (built once).
+
+    The rows share the powers of ``(8*delta)^2`` and of ``eps``: about k
+    products in all.  Upper rows are triangular: row ``r`` vanishes below
+    ``q^(r/2)`` and has the leading coefficient ``(-1)^k`` there, whenever
+    that position is within the order.
+    """
+    key = (group, k, order)
+    rows = _basis_cache.get(key)
+    if rows is not None:
+        return rows
+    d8, eps = _generators(group, order)
+    step, count, n = d8.step, Q_UNIT * order // d8.step + 1, k // 2
+
+    def mul(a, b):
+        return mul_sum([(a, b, 1, _UNIT)], step, count)
+
+    one = QColumns(1, step, {0: [1]})
+    d2 = mul(d8, d8)
+    d_pows = [d8 if k % 2 else one]           # (8*delta)^(k%2 + 2i)
+    e_pows = [one]                            # eps^i
+    for _ in range(n):
+        d_pows.append(mul(d_pows[-1], d2))
+        e_pows.append(mul(e_pows[-1], eps))
+    rows = tuple(mul(d_pows[n - r], e_pows[r]) for r in range(n + 1))
+    if group == GROUP_UPPER:
+        for r, row in enumerate(rows):
+            nums = row.cols.get(0, ())
+            lead = next((i for i, x in enumerate(nums) if x), count)
+            if lead != min(r, count) or (lead < count and nums[lead] != (-1) ** k * row.den):
+                raise AlgebraError("upper basis element lost triangularity")
+    _basis_cache[key] = rows
+    return rows
 
 
 @dataclass(frozen=True)
@@ -76,19 +169,10 @@ def basis_element(group: str, k: int, r: int, order: int) -> ModularBasisElement
         raise AlgebraError(f"k={k} must be >= 0")
     if not 0 <= r <= k // 2:
         raise AlgebraError(f"r={r} outside 0..{k // 2}")
-    if group == GROUP_UPPER:
-        d, e = delta_eps("delta2", order), delta_eps("eps2", order)
-    elif group == GROUP_LOWER:
-        d, e = delta_eps("delta1", order), delta_eps("eps1", order)
-    else:
-        raise AlgebraError(f"unknown group {group!r}")
-    series = (d.scale(8) ** (k - 2 * r)) * (e ** r)
-    series = series.truncate(Q_UNIT * order)
-    if group == GROUP_UPPER:
-        lead = series.leading_exponent()
-        if lead != HALF_UNIT * r or series.coefficient(lead) != (-1) ** k:
-            raise AlgebraError("upper basis element lost triangularity")
-    return ModularBasisElement(group, k, r, series)
+    row = _basis_rows(group, k, order)[r]
+    if group == GROUP_UPPER and HALF_UNIT * r > Q_UNIT * order:
+        raise AlgebraError(f"upper basis element r={r} starts beyond q^{order}")
+    return ModularBasisElement(group, k, r, _view(row, order))
 
 
 @dataclass(frozen=True)
@@ -114,15 +198,23 @@ class Decomposition:
         }
 
 
-def _combine(h: list[GradedPolynomial], series: list[PuiseuxSeries], bound: int,
-             zero: GradedPolynomial) -> PuiseuxSeries:
-    """``sum_r h_r * series_r`` through lattice ``bound``: one :func:`dot` per q-position."""
-    bound = min([bound] + [s.order_bound for s in series])
-    one = zero.one_like()
-    pairs = [(hr, one) for hr in h]
-    positions = sorted({k for s in series for k in s.terms if k <= bound})
-    return PuiseuxSeries({k: zero.dot(pairs, [s.coefficient(k) for s in series]) for k in positions},
-                         bound, zero)
+def _packed_sum(terms: dict, h: list[GradedPolynomial], rows: tuple[QColumns, ...], scale: int,
+                bound: int, zero: GradedPolynomial) -> PuiseuxSeries:
+    """``terms + scale * sum_r h_r * rows_r`` through lattice ``bound``: one :func:`mul_sum`.
+
+    ``terms`` maps lattice positions to polynomial coefficients.  The output
+    step is the gcd of the rows' step and the positions of ``terms`` within
+    the bound, so a term off the rows' lattice stays in the result.
+    """
+    table, cap = zero.table, zero.max_weight
+    if any(p.table != table or p.max_weight != cap for p in h):
+        raise AlgebraError("basis coefficients live in another polynomial ring")
+    terms = {k: c for k, c in terms.items() if k <= bound}
+    step = gcd(rows[0].step, *terms)
+    products = [(QColumns.from_polys({0: p}, step), row, 1, [(0, scale)]) for p, row in zip(h, rows)]
+    products.append((QColumns.from_polys(terms, step), QColumns(1, step, {0: [1]}), 1, _UNIT))
+    out = mul_sum(products, step, bound // step + 1)
+    return PuiseuxSeries(out.polys(table, cap), bound, zero)
 
 
 def decompose(P: PuiseuxSeries, k: int, order: int | None = None) -> Decomposition:
@@ -142,29 +234,29 @@ def decompose(P: PuiseuxSeries, k: int, order: int | None = None) -> Decompositi
             f"series order {P.order_bound} lattice units cannot determine {n_unknowns} coefficients")
     if order is None:
         order = P.order_bound // Q_UNIT
-    zero = P.zero
-    basis = [basis_element(GROUP_UPPER, k, r, order) for r in range(n_unknowns)]
+    elif 2 * order < k // 2:
+        raise AlgebraError(f"basis order {order} cannot hold the leading {n_unknowns} coefficients")
+    rows = _basis_rows(GROUP_UPPER, k, order)
+    # minor[j][s]: basis row s at q^(j/2), read from the integer rows
+    minor = [[Fraction(row.cols[0][j], row.den) for row in rows] for j in range(n_unknowns)]
 
     h: list[GradedPolynomial] = []
     for r in range(n_unknowns):
         acc = P.coefficient(HALF_UNIT * r)
         for s in range(r):
-            acc = acc - h[s].scale(basis[s].series.coefficient(HALF_UNIT * r))
-        lead = basis[r].series.coefficient(HALF_UNIT * r)
-        h.append(acc.scale(1 / lead))
+            acc = acc - h[s].scale(minor[r][s])
+        h.append(acc.scale(1 / minor[r][r]))
 
-    minor = [[basis[s].series.coefficient(HALF_UNIT * j) for s in range(n_unknowns)]
-             for j in range(n_unknowns)]
     inv = _invert_lower_triangular(minor)
     integral = all(c.denominator == 1 for row in inv for c in row)
     for r in range(n_unknowns):
-        from_matrix = zero
+        from_matrix = P.zero
         for j in range(n_unknowns):
             from_matrix = from_matrix + P.coefficient(HALF_UNIT * j).scale(inv[r][j])
         if from_matrix != h[r]:
             raise AlgebraError("triangular solve and matrix inverse disagree")
 
-    residual = P - _combine(h, [b.series for b in basis], P.order_bound, zero)
+    residual = _packed_sum(P.terms, h, rows, -1, min(P.order_bound, Q_UNIT * order), P.zero)
     return Decomposition(k, h, residual, inv, integral)
 
 
@@ -181,8 +273,9 @@ def _invert_lower_triangular(m: list[list[Fraction]]) -> list[list[Fraction]]:
 def reconstruct(h: list[GradedPolynomial], group: str, k: int, order: int,
                 zero: GradedPolynomial) -> PuiseuxSeries:
     """``sum_r h_r * basis(group, k, r)`` as a polynomial-valued series."""
-    series = [basis_element(group, k, r, order).series for r in range(len(h))]
-    return _combine(h, series, Q_UNIT * order, zero)
+    if len(h) > k // 2 + 1:
+        raise AlgebraError(f"{len(h)} coefficients for the {k // 2 + 1} basis elements of k={k}")
+    return _packed_sum({}, h, _basis_rows(group, k, order), 1, Q_UNIT * order, zero)
 
 
 def transfer_residual(P1: PuiseuxSeries, h: list[GradedPolynomial], l: int, k: int) -> PuiseuxSeries:
@@ -194,9 +287,8 @@ def transfer_residual(P1: PuiseuxSeries, h: list[GradedPolynomial], l: int, k: i
     if len(h) != k // 2 + 1:
         raise AlgebraError("coefficient list length does not match k")
     order = P1.order_bound // Q_UNIT
-    zero = P1.zero
-    rebuilt = reconstruct(h, GROUP_LOWER, k, order, zero)
-    return P1 - rebuilt.scale(2 ** l)
+    return _packed_sum(P1.terms, h, _basis_rows(GROUP_LOWER, k, order), -(2 ** l), Q_UNIT * order,
+                       P1.zero)
 
 
 def integrality_report(order: int) -> dict[str, bool]:

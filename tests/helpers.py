@@ -10,7 +10,8 @@ factors are taken by the power series ``sum (-1)^(m+1) u^m / m`` instead of
 closed-form divisor sums, exps are the plain ``sum S^t / t!``, products over
 many roots are summed over partitions in the monomial symmetric basis, and
 packed q-series products are convolved one position pair at a time in
-``Fraction`` arithmetic.
+``Fraction`` arithmetic, and the level-2 generators and basis rows are
+multiplied out from the lattice sums by plain dict convolution.
 
 :func:`reference_P` is the one exception: it reassembles a P-series from the
 library's single-family products, which the oracles above pin, by the
@@ -26,6 +27,7 @@ from math import factorial
 from anomcancel.algebra import GradedPolynomial
 from anomcancel.genus import (FAMILY_TM, FAMILY_V, RootFamily, build_generator_table,
                               constraint_replacement, eval_at_var, prod_over_roots)
+from anomcancel.modforms import GROUP_UPPER
 from anomcancel.qseries import PuiseuxSeries
 from anomcancel.theta import RootFactor, theta_log
 
@@ -350,6 +352,67 @@ def naive_mul_sum(products, step: int, count: int) -> dict[tuple[int, int], Frac
                             where = (ka + kb + t, i * sa + j * sb)
                             out[where] = out.get(where, Fraction(0)) + Fraction(x * y * n, da * db * d)
     return {where: c for where, c in out.items() if c}
+
+
+# -- level-2 generator and basis oracle ---------------------------------------------
+
+
+def _power_terms(base: dict, m: int, bound: int) -> dict:
+    out = {0: Fraction(1)}
+    for _ in range(m):
+        out = _series_mul(out, base, bound)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _level2_oracle_pair(group: str, order: int) -> tuple[dict, dict]:
+    """``(8*delta, eps)`` of one group as ``{lattice: coeff}``, from the lattice-sum nulls."""
+    bound = 8 * order
+    t3 = _power_terms(theta_null_sum_form("theta3", order).terms, 4, bound)
+    if group == GROUP_UPPER:
+        t1 = {k: 16 * c for k, c in _power_terms(theta_null_sum_form("theta1", order).terms, 4, bound).items()}
+        d8 = {k: -t1.get(k, 0) - t3.get(k, 0) for k in set(t1) | set(t3)}
+        eps = {k: c / 16 for k, c in _series_mul(t1, t3, bound).items()}
+    else:
+        t2 = _power_terms(theta_null_sum_form("theta2", order).terms, 4, bound)
+        d8 = {k: t2.get(k, 0) + t3.get(k, 0) for k in set(t2) | set(t3)}
+        eps = {k: c / 16 for k, c in _series_mul(t2, t3, bound).items()}
+    return d8, eps
+
+
+@lru_cache(maxsize=None)
+def _level2_oracle_power(group: str, which: int, m: int, order: int) -> tuple:
+    """``(8*delta)^m`` (``which`` 0) or ``eps^m`` (``which`` 1) as ``(lattice, coeff)`` pairs."""
+    if m == 0:
+        return ((0, Fraction(1)),)
+    prev = dict(_level2_oracle_power(group, which, m - 1, order))
+    return tuple(_series_mul(prev, _level2_oracle_pair(group, order)[which], 8 * order).items())
+
+
+def modular_basis_oracle(group: str, k: int, r: int, order: int) -> PuiseuxSeries:
+    """``(8*delta)^(k-2r) * eps^r`` through ``q^order`` by plain dict convolution.
+
+    The generators come from the lattice sums (:func:`theta_null_sum_form`)
+    as ``theta^4`` and ``theta2^4 theta3^4 / 16`` (lower group) or
+    ``-(16*theta1^4 + theta3^4)`` and ``theta1^4 theta3^4`` (upper group); every
+    power is repeated multiplication.  ``k=1, r=0`` gives ``8*delta`` and
+    ``k=2, r=1`` gives ``eps``.
+    """
+    d = dict(_level2_oracle_power(group, 0, k - 2 * r, order))
+    e = dict(_level2_oracle_power(group, 1, r, order))
+    terms = _series_mul(d, e, 8 * order)
+    return PuiseuxSeries({pos: c for pos, c in terms.items() if c}, 8 * order, Fraction(0))
+
+
+def residual_oracle(P: PuiseuxSeries, h, group: str, k: int, scale: int, order: int) -> PuiseuxSeries:
+    """``P - scale * sum_r h_r * basis_r`` through ``min(P.order_bound, 8*order)``, position by position."""
+    bound = min(P.order_bound, 8 * order)
+    out = {pos: c for pos, c in P.terms.items() if pos <= bound}
+    for r, hr in enumerate(h):
+        for pos, b in modular_basis_oracle(group, k, r, order).terms.items():
+            if pos <= bound:
+                out[pos] = out.get(pos, P.zero) - hr.scale(b * scale)
+    return PuiseuxSeries({pos: c for pos, c in out.items() if c}, bound, P.zero)
 
 
 # -- log, exp and line-evaluation oracles -----------------------------------------

@@ -248,3 +248,73 @@ def test_expand_factor_bytes_are_pinned(capsys, kind, order, weight, fmt):
                        "--weight", str(weight), "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == FACTOR_SHA256[(kind, order, weight, fmt)]
+
+
+# sha256 of `expand --object KIND --order ORDER --format FORMAT` stdout and of
+# `expand --object basis --group GROUP --k K --r R --order 10 --format FORMAT`
+# stdout, recorded when the generators and basis were Fraction series products
+DELTA_EPS_SHA256 = {
+    ("delta1", 1, "json"): "e8b900fc241c492becc8bd172019d490ce0527d2253c6bd0b3b465d585198894",
+    ("delta1", 1, "text"): "d385be90bf83e5ddc432d6e78434365f10132f1b906e76e1e153a16ecd85237d",
+    ("delta1", 6, "json"): "aa0f26e0247c340031fb910fd870f6206fbb82cefca653fd5765900d257d4d6a",
+    ("delta1", 6, "text"): "9a29f18a5d1954642a0e8d83a25469a75a597143f4eff2a1b12d8062e2283c4f",
+    ("delta1", 32, "json"): "30c50fb3ebc8e9cfaf5fb11577a5ff5332c6b96a72e3bbd8acaed1904c9694c5",
+    ("delta1", 32, "text"): "3ca94e3f217e28345a1e6a795beff29508fdc65ca8e7db50eef278418c0496aa",
+    ("eps1", 1, "json"): "55ed75dbaa0e7e5da67a56ba9a6d2e0361f60c974f4dbe33c28dff011de33d96",
+    ("eps1", 1, "text"): "84e9d7a8ac704a581acc4f50bea5adf17b7973959e69bf8b08d48c87657df394",
+    ("eps1", 6, "json"): "51f96231d754409c4fd371f3f03f4527a3ace382f81ccf468e29e0e8c79bb9a3",
+    ("eps1", 6, "text"): "c9c40bdfa8429cb3488d033ab5de8bc758ac408272156e79f73eee044ca10603",
+    ("eps1", 32, "json"): "c950eeb07f9d8dde0bb1d1e1ece4310d91ef43c669ab42e84e69e293f1798855",
+    ("eps1", 32, "text"): "fa4e7ee796eaff368eb8d0c5a4a2e40c957b97382071a3a05bad63217692607e",
+    ("delta2", 1, "json"): "914edbe4b34af0195c379c1f7a2f740b67e18b5a4dde7b0588e2a0184300b9fa",
+    ("delta2", 1, "text"): "c8f1b1a8d85bf15fb7cfe5a9b6df76c50b58ffceeb72beb7e37e7e9da20cf459",
+    ("delta2", 6, "json"): "2abe20ae01cebcb4a89a16fad014dac370d99e1e9cf164e52007f3351a0569c1",
+    ("delta2", 6, "text"): "7fd0d09109a789f18d8381d90c14020a15aacf186c1fa1d789672edacda927e5",
+    ("delta2", 32, "json"): "04c9ed08726400db438f2bfa4870918e910a7be96a9c178d000d15a340bcc318",
+    ("delta2", 32, "text"): "e59f2f589a279314d4890def395b7e2df7a7aafc6d7e706ec8e593efc769e9d7",
+    ("eps2", 1, "json"): "2df748ba670cade6566ae9a311c79aae54cb94ab6e4fa107c94f4276fb3b4707",
+    ("eps2", 1, "text"): "2e1f22420292b2b071e28c9b0a90e2ff523808bd0d9c6458e1dd8124b1510480",
+    ("eps2", 6, "json"): "35c221849fe2e919e4612ed7129e90e6b824f65671cd5a88cfa04d200258d2d0",
+    ("eps2", 6, "text"): "584f48a91801d4488e97e2b5928a82a6ba738e0745cd1cf70b52b26dbe1827ae",
+    ("eps2", 32, "json"): "e6b994b7fb82ecf96ae5369cda5f4422898e1457f6fe54f40bc30b66877283f4",
+    ("eps2", 32, "text"): "6f82c8200566392c4a4b6f47727c3b9f406e5a66f35bc37a94773d49390fd26d",
+}
+BASIS_SHA256 = {
+    ("upper", 1, 0, "json"): "29dd4ee03774dae486e3d5a2a92079deeec042858572045cd1db6152beeeb2c9",
+    ("upper", 1, 0, "text"): "dd833c63ade630c23a96d0e19c1160c22c9b6b1456fed4c91d80d4d06ba50bd5",
+    ("upper", 4, 0, "json"): "b755355a14f1f1400a0a2dc0206c38f3055bfea9cd0b40f7b4f8f4f8f2388231",
+    ("upper", 4, 0, "text"): "2cacb56eba7c572772224da6ce31a2b5addd225f90967d121ba417b0262f5d5d",
+    ("upper", 4, 2, "json"): "6820b0a0e3d7515a2b6cbe0441bf0fe5f0926bfbc4b0fa86df604f92090fd480",
+    ("upper", 4, 2, "text"): "98c6124f6994cfc23c2870fb5bd1bcec9530500ba4d79fee4390dc9ba0798ee3",
+    ("upper", 7, 0, "json"): "6f160401980f5e59d49b3e3dcbb3f3b48b3f52e7e8260a243b5547a0d1591451",
+    ("upper", 7, 0, "text"): "7a13e1ad9b582bef739bb256961ad8c9a93903bb7b739d04a9e3705b7b0d0234",
+    ("upper", 7, 3, "json"): "bad4beb9b8e034e9d302a168339221548df4cce282898694b0f6ca081824447f",
+    ("upper", 7, 3, "text"): "cd6e664c193d3b1d6c016121bfcdb84ed11f9316893e80a69f98117e1ebcc2c3",
+    ("lower", 1, 0, "json"): "984456d04889e26b3db30f285fb5e96f3a95ecc58b074998e88e2ab92855284d",
+    ("lower", 1, 0, "text"): "45943c287edb5643d0cfbc0c5bed08653c46a6dff7c7a92224f6125132e300c5",
+    ("lower", 4, 0, "json"): "33d51cb5f68a809cd0af877d7f3b0f557f3af85b47af82e0b760cb5c88db3457",
+    ("lower", 4, 0, "text"): "98345113fb99ed8eed5aad3ae776b63fbe0f3bcde8eeaac5c9d9f9f585e24ec3",
+    ("lower", 4, 2, "json"): "c9576b5b402845a469d679955fd0eb84c8e55ab03a86e580d58c6518b33c83e0",
+    ("lower", 4, 2, "text"): "808984089254377d73b482d049d0803f7f968c5c01983c9de3883fe81e7cd92f",
+    ("lower", 7, 0, "json"): "a2277356aefeda7659959fd5f231a92727293934beb3f84ca1fc32eb81276d37",
+    ("lower", 7, 0, "text"): "ea2161010f0d9d3800c1aeaae6e8e0f8e7329e40895f766b524153a27d8ec8d9",
+    ("lower", 7, 3, "json"): "22edac098940e7c21820f8dc19c10356f931085b6d41616d6f838093e2e410f0",
+    ("lower", 7, 3, "text"): "0ac7e302717a4376caa06b7a99e674297fd1f95b9f7dd1db2b9ea42ad5136d23",
+}
+
+
+@pytest.mark.parametrize("kind,order,fmt", sorted(DELTA_EPS_SHA256),
+                         ids=["-".join(map(str, key)) for key in sorted(DELTA_EPS_SHA256)])
+def test_expand_generator_bytes_are_pinned(capsys, kind, order, fmt):
+    code, out, _ = run(capsys, "expand", "--object", kind, "--order", str(order), "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DELTA_EPS_SHA256[(kind, order, fmt)]
+
+
+@pytest.mark.parametrize("group,k,r,fmt", sorted(BASIS_SHA256),
+                         ids=["-".join(map(str, key)) for key in sorted(BASIS_SHA256)])
+def test_expand_basis_bytes_are_pinned(capsys, group, k, r, fmt):
+    code, out, _ = run(capsys, "expand", "--object", "basis", "--group", group, "--k", str(k),
+                       "--r", str(r), "--order", "10", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == BASIS_SHA256[(group, k, r, fmt)]

@@ -10,6 +10,8 @@ from anomcancel.modforms import (GROUP_LOWER, GROUP_UPPER, basis_element, decomp
                                  transfer_residual)
 from anomcancel.qseries import PuiseuxSeries
 
+from helpers import modular_basis_oracle, residual_oracle
+
 
 def test_generator_leading_terms():
     d1 = delta_eps("delta1", 6)
@@ -127,3 +129,93 @@ def test_decompose_flags_non_modular_input():
     dec = decompose(good + junk, 1)
     assert dec.h[0] == GradedPolynomial.one(table, 2)  # solve still works
     assert not dec.residual_zero                        # but the witness fails
+
+
+ORACLE_ORDERS = (1, 2, 7, 24, 32)
+
+
+@pytest.mark.parametrize("order", ORACLE_ORDERS)
+def test_generators_match_lattice_sum_oracle(order):
+    for which, group, k, r, den in (("delta1", GROUP_LOWER, 1, 0, 8), ("eps1", GROUP_LOWER, 2, 1, 1),
+                                    ("delta2", GROUP_UPPER, 1, 0, 8), ("eps2", GROUP_UPPER, 2, 1, 1)):
+        expected = modular_basis_oracle(group, k, r, order).scale(Fraction(1, den))
+        assert delta_eps(which, order) == expected, which
+
+
+@pytest.mark.parametrize("group", (GROUP_UPPER, GROUP_LOWER))
+@pytest.mark.parametrize("order", ORACLE_ORDERS)
+def test_basis_matches_lattice_sum_oracle(group, order):
+    for k in range(9):
+        for r in range(k // 2 + 1):
+            if group == GROUP_UPPER and 4 * r > 8 * order:
+                with pytest.raises(AlgebraError):   # the element starts beyond the order
+                    basis_element(group, k, r, order)
+                continue
+            assert basis_element(group, k, r, order).series == modular_basis_oracle(group, k, r, order), (k, r)
+
+
+def _residual_ring():
+    table = build_generator_table(2, 1, True, 4)
+    gen = {g.name: GradedPolynomial.generator(g.name, table, 4) for g in table.gens}
+    h = [gen["nM1"] * gen["nV1"] + gen["w"].scale(Fraction(-3, 5)) + 2,
+         gen["nM2"].scale(Fraction(1, 6)) - gen["w"] ** 4 + Fraction(7, 3)]
+    return table, gen, h, GradedPolynomial.zero(table, 4)
+
+
+def _assert_same_residual(got, expected):
+    assert got == expected
+    assert got.to_text() == expected.to_text()
+    assert got.is_zero() == expected.is_zero()
+    assert got.order_bound == expected.order_bound
+
+
+def test_decompose_residual_keeps_junk_at_the_last_position():
+    table, gen, h, zero = _residual_ring()
+    k, order = 3, 6
+    junk = (gen["nM1"] * gen["w"] ** 2).scale(Fraction(3, 7)) - gen["nM2"]
+    P = residual_oracle(PuiseuxSeries({8 * order: junk}, 8 * order, zero), h, GROUP_UPPER, k, -1, order)
+    dec = decompose(P, k)
+    assert dec.h == h
+    _assert_same_residual(dec.residual, residual_oracle(P, dec.h, GROUP_UPPER, k, 1, order))
+    assert dec.residual.terms == {8 * order: junk}
+
+
+def test_decompose_residual_with_order_bound_off_a_multiple_of_8():
+    table, gen, h, zero = _residual_ring()
+    k, order = 3, 5
+    junk = {4 * 7: gen["w"].scale(Fraction(1, 9)), 8 * order + 4: gen["nV1"]}
+    P = residual_oracle(PuiseuxSeries(junk, 8 * order + 4, zero), h, GROUP_UPPER, k, -1, order + 1)
+    dec = decompose(P, k)
+    assert dec.h == h
+    expected = residual_oracle(P, dec.h, GROUP_UPPER, k, 1, order)
+    _assert_same_residual(dec.residual, expected)
+    assert dec.residual.order_bound == 8 * order
+    assert dec.residual.terms == {4 * 7: junk[4 * 7]}
+
+
+def test_transfer_residual_keeps_a_term_at_q_one_eighth():
+    table, gen, h, zero = _residual_ring()
+    k, l, order = 3, 2, 6
+    odd = gen["w"].scale(Fraction(5, 2))
+    P1 = residual_oracle(PuiseuxSeries({1: odd}, 8 * order, zero), h, GROUP_LOWER, k, -(2 ** l), order)
+    _assert_same_residual(transfer_residual(P1, h, l, k), PuiseuxSeries({1: odd}, 8 * order, zero))
+    h_bad = [h[0], h[1] + gen["nM1"]]
+    res = transfer_residual(P1, h_bad, l, k)
+    _assert_same_residual(res, residual_oracle(P1, h_bad, GROUP_LOWER, k, 2 ** l, order))
+    assert res.coefficient(1) == odd and len(res.terms) > 1
+
+
+def test_transfer_residual_with_order_bound_off_a_multiple_of_8():
+    table, gen, h, zero = _residual_ring()
+    k, l, order = 2, 3, 4
+    tail = {8 * order + 4: gen["nM1"], 8 * order + 5: gen["w"]}
+    P1 = residual_oracle(PuiseuxSeries(tail, 8 * order + 5, zero), h, GROUP_LOWER, k, -(2 ** l),
+                         order + 1)
+    assert P1.order_bound == 8 * order + 5
+    res = transfer_residual(P1, h, l, k)
+    _assert_same_residual(res, residual_oracle(P1, h, GROUP_LOWER, k, 2 ** l, order))
+    assert res.is_zero() and res.order_bound == 8 * order
+    h_bad = [h[0].scale(3), h[1]]
+    res = transfer_residual(P1, h_bad, l, k)
+    _assert_same_residual(res, residual_oracle(P1, h_bad, GROUP_LOWER, k, 2 ** l, order))
+    assert not res.is_zero() and res.order_bound == 8 * order
