@@ -557,6 +557,14 @@ class QColumns(NamedTuple):
                     at.setdefault(i * step, {})[e] = Fraction(n, den)
         return at
 
+    def coefficient(self, k: int, table: GeneratorTable, cap: int) -> GradedPolynomial:
+        """The coefficient at lattice ``k`` as a polynomial on ``table`` (zero off the lattice)."""
+        i, off = divmod(k, self.step)
+        vector = table.packing(cap).vector
+        terms = {vector(key): Fraction(nums[i], self.den) for key, nums in self.cols.items()
+                 if not off and i < len(nums) and nums[i]}
+        return GradedPolynomial._with_form(table, terms, cap, None)
+
     def polys(self, table: GeneratorTable, cap: int) -> dict[int, GradedPolynomial]:
         """``{lattice: coefficient}`` over the nonzero positions, as polynomials on ``table``."""
         at = self.terms(table, cap)

@@ -24,6 +24,12 @@ step 1, the tangent genera and the tangent side of the lambda-ring path)
 depends only on (kind, k, n_q) and is memoized in ``_tangent_cache``, so a
 grid over l builds it once.  The rest (the auxiliary bundle, the P-series,
 the decomposition and the twists) is per setting, in ``_env_cache``.
+
+The P-series stay in packed integer form (``_Env.packed``): the
+decomposition, the transfer and the P3-vs-P2 sign-flip check read them as
+they are, and the identity checks read single coefficients
+(``_Env.coefficient``).  Only :func:`build_P` turns a whole P-series into
+polynomials.
 """
 
 from __future__ import annotations
@@ -40,9 +46,9 @@ from .genus import (FAMILY_TM, FAMILY_V, LINE, RootFamily, apply_constraint,
 from .genus import prod_over_roots  # not called here: kept as the alias the benchmark tracer wraps
 from .kvirt import (aux_bundle, character_series, lambda_string,
                     line_pair_bundle, tangent_bundle, theta_object)
-from .modforms import (GROUP_UPPER, Decomposition, basis_element, decompose,
-                       transfer_residual)
-from .qseries import PuiseuxSeries
+from .modforms import (Decomposition, decompose_packed, leading_minor, transfer_packed,
+                       unit_lower_inverse)
+from .qseries import PuiseuxSeries, require_known
 from .theta import Q_UNIT, RootFactor, theta_log
 from .theta import theta_factor  # not called here: kept as the alias the benchmark tracer wraps
 
@@ -153,7 +159,7 @@ class _TangentHalf:
     def core(self) -> tuple[int, dict[int, QColumns]]:
         """``(bound, {weight: part})``: the constrained P-series without the auxiliary factor.
 
-        The parts stay in packed integer form; only ``p_series`` reads them.
+        The parts stay in packed integer form; only ``packed`` reads them.
         """
         a = self.log("a")
         if self.kind == "spin4k":
@@ -211,20 +217,19 @@ class _Env:
         self.ch_delta_v = classical_genus("spinor_ch", self.v, self.table, W)
         self.aux = aux_bundle(s.l, self.table, W)
         self.v_sums = constrained_power_sums(self.v, s.kind, self.table, W)
-        self._p: dict[str, PuiseuxSeries] = {}
+        self._p: dict[str, tuple[int, QColumns]] = {}
         self._decomp: Decomposition | None = None
         self._kvirt: dict[str, PuiseuxSeries] = {}
 
     # -- theta path ---------------------------------------------------------
 
-    def p_series(self, which: str) -> PuiseuxSeries:
-        """Top-weight component of P1/P2/P3 with the constraint applied.
+    def packed(self, which: str) -> tuple[int, QColumns]:
+        """``(bound, columns)``: the top-weight component of P1/P2/P3 with the constraint applied.
 
         The relation is already on the power sums, and the series is one
         :func:`~anomcancel.algebra.mul_sum` over the pairs (core at weight
         ``W - b``, auxiliary factor at weight ``b``), so every monomial pair
-        multiplied lands at weight ``W``.  Only the result leaves the packed
-        integer form.
+        multiplied lands at weight ``W``.  It stays in packed integer form.
         """
         cached = self._p.get(which)
         if cached is not None:
@@ -237,14 +242,18 @@ class _Env:
         unit = [(0, 2 ** s.l if which == "P1" else 1)]
         pairs = [(core[s.weight - 2 * n], f, 1, unit) for n, f in enumerate(aux)]
         step = gcd(*(c.step for pair in pairs for c in pair[:2]))
-        top = mul_sum(pairs, step, bound // step + 1)
-        series = PuiseuxSeries(top.polys(self.table, s.weight), bound, self.gp_zero)
-        self._p[which] = series
-        return series
+        self._p[which] = out = (bound, mul_sum(pairs, step, bound // step + 1))
+        return out
+
+    def coefficient(self, which: str, k: int) -> GradedPolynomial:
+        """One coefficient of P1/P2/P3, at lattice ``k``, read from the packed form."""
+        bound, top = self.packed(which)
+        require_known(k, bound)
+        return top.coefficient(k, self.table, self.setting.weight)
 
     def decomposition(self) -> Decomposition:
         if self._decomp is None:
-            self._decomp = decompose(self.p_series("P2"), self.setting.k)
+            self._decomp = decompose_packed(*self.packed("P2"), self.setting.k, self.gp_zero)
         return self._decomp
 
     # -- bundle path ----------------------------------------------------------
@@ -326,10 +335,12 @@ def get_env(setting: Setting) -> _Env:
 
 
 def build_P(setting: Setting, which: str) -> PuiseuxSeries:
-    """Top-weight, constraint-applied P-series for the setting."""
+    """Top-weight, constraint-applied P-series for the setting, as a series of polynomials."""
     if which not in ("P1", "P2", "P3"):
         raise AlgebraError(f"unknown P-series {which!r}")
-    return get_env(setting).p_series(which)
+    env = get_env(setting)
+    bound, top = env.packed(which)
+    return PuiseuxSeries(top.polys(env.table, setting.weight), bound, env.gp_zero)
 
 
 def decompose_setting(setting: Setting) -> Decomposition:
@@ -344,7 +355,7 @@ def cross_check_bundle_expansion(setting: Setting, exponent_units: int,
     constraint; the difference must vanish identically.
     """
     env = get_env(setting)
-    theta_side = env.p_series(which).coefficient(exponent_units)
+    theta_side = env.coefficient(which, exponent_units)
     kv = env.kvirt_series(which, order=max(1, exponent_units // Q_UNIT))
     bundle_side = apply_constraint(
         kv.coefficient(exponent_units).component(setting.weight), setting.kind)
@@ -372,7 +383,7 @@ class VerificationReport:
     setting: Setting
     checks: dict[str, Check] = field(default_factory=dict)
     h: list[GradedPolynomial] = field(default_factory=list)
-    solve_coeffs: list[list[Fraction]] = field(default_factory=list)
+    solve_coeffs: list[list[int]] = field(default_factory=list)
     solve_integral: bool = True
     variant_notes: list[str] = field(default_factory=list)
     elapsed: float | None = None
@@ -433,16 +444,15 @@ def _reality_residual(env: _Env, polys: list[GradedPolynomial]) -> GradedPolynom
     return out
 
 
-def _pipeline(report: VerificationReport, env: _Env):
+def _pipeline(report: VerificationReport, env: _Env) -> Decomposition:
     dec = env.decomposition()
     report.h = dec.h
     report.solve_coeffs = dec.solve_coeffs
     report.solve_integral = dec.integral_solve
     report.checks["decomposition_residual"] = Check(dec.residual)
-    p1 = env.p_series("P1")
     report.checks["transfer_residual"] = Check(
-        transfer_residual(p1, dec.h, env.setting.l, env.setting.k))
-    return dec, p1
+        transfer_packed(*env.packed("P1"), dec.h, env.setting.l, env.setting.k, env.gp_zero))
+    return dec
 
 
 def verify_theorem(theorem: str, k: int | None = None, l: int = 1,
@@ -475,18 +485,18 @@ def verify_theorem(theorem: str, k: int | None = None, l: int = 1,
 
     if env.setting.spin_c:
         report.checks["reality_standard_basis"] = Check(
-            _reality_residual(env, report.h + [env.p_series("P1").coefficient(0)]))
+            _reality_residual(env, report.h + [env.coefficient("P1", 0)]))
     report.elapsed = time.perf_counter() - t0
     return report
 
 
 def _verify_constant_term(report: VerificationReport, env: _Env):
-    dec, p1 = _pipeline(report, env)
+    dec = _pipeline(report, env)
     lhs = env.constant_term_lhs()
     rhs = env.rhs_constant(dec.h)
     report.checks["main_identity"] = Check(lhs - rhs)
-    report.checks["p1_constant_term"] = Check(p1.coefficient(0) - lhs)
-    report.checks["p1_half_coefficient"] = Check(p1.coefficient(4))
+    report.checks["p1_constant_term"] = Check(env.coefficient("P1", 0) - lhs)
+    report.checks["p1_half_coefficient"] = Check(env.coefficient("P1", 4))
     s = env.setting
     if s.kind == "spin4k":
         # explicit forms of the two leading coefficients
@@ -500,13 +510,13 @@ def _verify_constant_term(report: VerificationReport, env: _Env):
 
 
 def _verify_q1(report: VerificationReport, env: _Env):
-    dec, p1 = _pipeline(report, env)
+    dec = _pipeline(report, env)
     lhs = env.q1_lhs()
     rhs = env.rhs_q1(dec.h)
     report.checks["main_identity"] = Check(lhs - rhs)
     # direct q^1 coefficient of P1 against the two bundle-built sides
     expected_q1 = lhs + env.constant_term_lhs().scale(24 * env.setting.k)
-    report.checks["p1_q1_coefficient"] = Check(p1.coefficient(Q_UNIT) - expected_q1)
+    report.checks["p1_q1_coefficient"] = Check(env.coefficient("P1", Q_UNIT) - expected_q1)
     if env.setting.kind == "spinc4k":
         # the reduced and unreduced line combinations must agree exactly:
         # the trivial-summand corrections cancel across the four terms
@@ -544,7 +554,7 @@ def _verify_corollary(report: VerificationReport, env: _Env, theorem: str):
     records the residual of the literal independent-V reading alongside.
     """
     s = env.setting
-    dec, _ = _pipeline(report, env)
+    dec = _pipeline(report, env)
     W = s.weight
     x = env.ahat * (env.ch_delta_m + GradedPolynomial.scalar(2 ** (2 * s.k + 1), env.table, W))
     zero_nm1 = GradedPolynomial.zero(env.table, W)
@@ -585,14 +595,26 @@ def _verify_corollary(report: VerificationReport, env: _Env, theorem: str):
 def structural_checks(setting: Setting) -> dict[str, Check]:
     """Sign-flip relation between P3 and P2, plus the degenerate k=1 spin case."""
     env = get_env(setting)
-    out: dict[str, Check] = {}
-    p2 = env.p_series("P2")
-    p3 = env.p_series("P3")
-    out["p3_equals_p2_sign_flipped"] = Check(p3 - p2.sign_flip())
+    out: dict[str, Check] = {"p3_equals_p2_sign_flipped": Check(_sign_flip_residual(env))}
     if setting.kind == "spin4k" and setting.k == 1:
         out["degenerate_lhs_vanishes"] = Check(env.constant_term_lhs())
         out["degenerate_rhs_vanishes"] = Check(env.rhs_constant(env.decomposition().h))
     return out
+
+
+def _sign_flip_residual(env: _Env) -> PuiseuxSeries:
+    """P3 minus P2 under ``q^(1/2) -> -q^(1/2)``: one :func:`~anomcancel.algebra.mul_sum` over the packed series."""
+    (b2, p2), (b3, p3) = env.packed("P2"), env.packed("P3")
+    step, bound = gcd(p2.step, p3.step), min(b2, b3)
+    flipped = {}
+    for key, nums in p2.cols.items():
+        if any(n and i * p2.step % 4 for i, n in enumerate(nums)):
+            raise AlgebraError("sign flip needs all exponents to be multiples of 1/2")
+        flipped[key] = [-n if i * p2.step // 4 % 2 else n for i, n in enumerate(nums)]
+    one = QColumns(1, step, {0: [1]})
+    out = mul_sum([(p3, one, 1, [(0, 1)]), (QColumns(p2.den, p2.step, flipped), one, 1, [(0, -1)])],
+                  step, bound // step + 1)
+    return PuiseuxSeries(out.polys(env.table, env.setting.weight), bound, env.gp_zero)
 
 
 # -- divisibility audits ------------------------------------------------------------
@@ -663,14 +685,10 @@ def divisibility_check(corollary: str, m: int, l: int | None = None,
         exps = [l + k - 6 * r + assumed_v2_h for r in range(0, k // 2 + 1)]
     implied = min(exps) if exps else None
 
-    order = k // 2 + 2
-    n = k // 2 + 1
-    from .modforms import _invert_lower_triangular
-    minor = [[basis_element(GROUP_UPPER, k, r, order).series.coefficient(4 * j)
-              for r in range(n)] for j in range(n)]
-    inv = _invert_lower_triangular(minor)
-    integral = all(c.denominator == 1 for row in inv for c in row)
+    # the same integer inverse as the decomposition: it exists, with integer
+    # entries, exactly when the minor is unit lower-triangular, and raises otherwise
+    unit_lower_inverse(leading_minor(k, k // 2 + 2))
 
     ok = implied is None or implied >= claimed
-    outcome = "PASS" if (ok and integral) else ("GAP" if integral else "FAIL")
-    return DivisibilityAudit(corollary, m, k, l, assumed_v2_h, claimed, implied, integral, outcome)
+    return DivisibilityAudit(corollary, m, k, l, assumed_v2_h, claimed, implied, True,
+                             "PASS" if ok else "GAP")

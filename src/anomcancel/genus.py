@@ -1,7 +1,9 @@
 """Symmetric-function engine: per-root factors to polynomial-valued series.
 
 A multiplicative factor ``f(z)`` with f(0) = 1 enters through its log, which
-:func:`anomcancel.theta.theta_log` gives in closed form.  ``prod_j f(z_j)``
+:func:`anomcancel.theta.theta_log` gives in closed form as integer columns
+(one scalar :class:`~anomcancel.algebra.QColumns` per ``z^2m``), read here
+as they are.  ``prod_j f(z_j)``
 over a family of formal roots is then assembled by the log/Newton/exp route:
 the ``z^{2m}`` column of the log multiplies the power sum ``s_m`` of the
 squared roots, power sums convert to the elementary generators
@@ -129,46 +131,38 @@ def power_sums_gp(fam: RootFamily, m_max: int, table: GeneratorTable,
     return list(sums[:m_max + 1])
 
 
-def _log_columns(log: RootFactor, max_weight: int, order: int) -> tuple[int, dict[int, dict[int, Fraction]]]:
-    """``(bound, {m: {lattice: coeff}})``: the z^2m columns of a log through q^order."""
-    if any(d % 2 or d == 0 for d, _ in log.terms):
+def _log_columns(log: RootFactor, max_weight: int, order: int) -> tuple[int, dict[int, QColumns]]:
+    """``(bound, {m: column})``: the z^2m columns of a log, to be read through lattice ``bound``."""
+    if any(d % 2 or d == 0 for d in log.cols):
         raise AlgebraError("a root-factor log must be even in z and vanish at z = 0")
     if log.z_bound < 2 * (max_weight // 2):
         raise AlgebraError(f"log known through z^{log.z_bound}, weight {max_weight} needs more")
-    bound = min(8 * order, log.q_bound)
-    columns: dict[int, dict[int, Fraction]] = {}
-    for (d, k), c in log.terms.items():
-        if k <= bound and d <= max_weight:
-            columns.setdefault(d // 2, {})[k] = c
-    return bound, columns
+    return min(8 * order, log.q_bound), {d // 2: c for d, c in log.cols.items() if d <= max_weight}
 
 
-def _exp_weight_pieces(pieces: list[tuple[int, GradedPolynomial, dict[int, Fraction]]],
+def _exp_weight_pieces(pieces: list[tuple[int, GradedPolynomial, QColumns]],
                        bound: int, table: GeneratorTable, max_weight: int) -> list[QColumns]:
     """The weight pieces ``F_0..F_(max_weight//2)`` of ``F = exp(S)``, ``S = sum_j p_j * c_j(q)``.
 
     Each piece ``(j, p_j, c_j)`` pairs a polynomial homogeneous of weight
-    ``2j`` with a scalar q-series ``{lattice: coeff}``; several may share a
-    ``j``.  The Euler operator (weight/2) is a derivation, so the weight-2n
-    piece of F obeys ``n*F_n = sum_j j * p_j * c_j * F_(n-j)``.  Each ``F_n``
-    is one :func:`~anomcancel.algebra.mul_sum`: per piece, the column
-    ``c_j`` is packed once and multiplies each monomial of ``F_(n-j)`` once,
-    and the product is scattered over the terms of ``p_j`` with integer
-    scalars: ``j`` times their numerators, over ``n`` times their
-    denominator.  The lattice step is the gcd of the bound and the columns'
-    positions.
+    ``2j`` with a scalar integer column; several may share a ``j``.  The
+    Euler operator (weight/2) is a derivation, so the weight-2n piece of F
+    obeys ``n*F_n = sum_j j * p_j * c_j * F_(n-j)``.  Each ``F_n`` is one
+    :func:`~anomcancel.algebra.mul_sum`: per piece, the column ``c_j``
+    (cut at ``bound``) multiplies each monomial of ``F_(n-j)`` once, and the
+    product is scattered over the terms of ``p_j`` with integer scalars:
+    ``j`` times their numerators, over ``n`` times their denominator.  The
+    lattice step is the gcd of the bound and the columns' steps.
     """
-    step = gcd(bound, *(k for _, _, col in pieces for k in col)) or 1
+    step = gcd(bound, *(c.step for _, _, c in pieces)) or 1
     key = table.packing(max_weight).key
     columns = []
-    for j, poly, col in pieces:
-        den, nums = int_numerators({k: c for k, c in col.items() if k <= bound})
-        ints = [0] * (bound // step + 1)
-        for k, n in nums.items():
-            ints[k // step] = n
-        d, terms = int_numerators(poly.terms)
-        columns.append((j, QColumns(den, step, {0: ints} if nums else {}), d,
-                        [(key(e), j * n) for e, n in terms.items()]))
+    for j, poly, c in pieces:
+        nums = c.cols[0][:bound // c.step + 1]
+        if any(nums):
+            d, terms = int_numerators(poly.terms)
+            columns.append((j, QColumns(c.den, c.step, {0: nums}), d,
+                            [(key(e), j * n) for e, n in terms.items()]))
     f = [QColumns(1, step, {0: [1]})]
     for n in range(1, max_weight // 2 + 1):
         f.append(mul_sum([(c, f[n - j], n * d, terms) for j, c, d, terms in columns if j <= n],

@@ -24,8 +24,14 @@ denominator 16.  The rows ``(8*delta)^(k-2r) eps^r`` of one ``(group, k,
 order)`` are built together from shared powers of ``(8*delta)^2`` and
 ``eps``.  A residual ``P - s * sum_r h_r * row_r`` is one ``mul_sum``, each
 ``h_r`` a single-position operand, and only its nonzero result turns into
-polynomials.  :func:`delta_eps` and :func:`basis_element` are ``Fraction``
-views of the same integer columns.
+polynomials.  The ``h_r`` themselves come from P2's integer numerators: the
+leading minor is unit lower-triangular with integer entries, so
+back-substitution needs no division, and it is checked against the minor's
+integer inverse (:func:`unit_lower_inverse`).  The verdict path hands in
+packed series (:func:`decompose_packed`, :func:`transfer_packed`); the
+public :func:`decompose` and :func:`transfer_residual` take a
+``PuiseuxSeries`` and pack it at that edge.  :func:`delta_eps` and
+:func:`basis_element` are ``Fraction`` views of the same integer columns.
 """
 
 from __future__ import annotations
@@ -177,12 +183,16 @@ def basis_element(group: str, k: int, r: int, order: int) -> ModularBasisElement
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Result of expressing a series over the upper-group basis."""
+    """Result of expressing a series over the upper-group basis.
+
+    ``solve_coeffs`` is the integer inverse of the leading minor, so
+    ``integral_solve`` always holds: a minor with no integer inverse raises.
+    """
 
     k: int
     h: list[GradedPolynomial]
     residual: PuiseuxSeries
-    solve_coeffs: list[list[Fraction]]
+    solve_coeffs: list[list[int]]
     integral_solve: bool
 
     @property
@@ -198,76 +208,115 @@ class Decomposition:
         }
 
 
-def _packed_sum(terms: dict, h: list[GradedPolynomial], rows: tuple[QColumns, ...], scale: int,
-                bound: int, zero: GradedPolynomial) -> PuiseuxSeries:
-    """``terms + scale * sum_r h_r * rows_r`` through lattice ``bound``: one :func:`mul_sum`.
+def leading_minor(k: int, order: int) -> list[list[int]]:
+    """``minor[j][r]``: upper basis row ``r`` at ``q^(j/2)``, ``j, r = 0..k//2``, as integers."""
+    rows = _basis_rows(GROUP_UPPER, k, order)
+    if any(row.den != 1 for row in rows):
+        raise AlgebraError("upper basis rows must be integral")
+    return [[row.cols[0][j] for row in rows] for j in range(k // 2 + 1)]
 
-    ``terms`` maps lattice positions to polynomial coefficients.  The output
-    step is the gcd of the rows' step and the positions of ``terms`` within
-    the bound, so a term off the rows' lattice stays in the result.
+
+def unit_lower_inverse(m: list[list[int]]) -> list[list[int]]:
+    """The inverse of an integer lower-triangular matrix with diagonal entries ``±1``, in integers.
+
+    Each diagonal entry is its own inverse, so no step divides; any other
+    diagonal entry, or an entry above the diagonal, raises ``AlgebraError``.
+
+    >>> unit_lower_inverse([[1, 0], [24, -1]])
+    [[1, 0], [24, -1]]
+    """
+    n = len(m)
+    if any(m[r][r] not in (1, -1) or any(m[r][r + 1:]) for r in range(n)):
+        raise AlgebraError("leading basis minor is not unit lower-triangular")
+    inv = [[0] * n for _ in range(n)]
+    for r in range(n):
+        inv[r][r] = m[r][r]
+        for j in range(r - 1, -1, -1):
+            inv[r][j] = -m[r][r] * sum(m[r][i] * inv[i][j] for i in range(j, r))
+    return inv
+
+
+def _packed_sum(P: QColumns | None, h: list[GradedPolynomial], rows: tuple[QColumns, ...], scale: int,
+                bound: int, zero: GradedPolynomial) -> PuiseuxSeries:
+    """``P + scale * sum_r h_r * rows_r`` through lattice ``bound``: one :func:`mul_sum`.
+
+    ``P`` (or None) is a packed series on the ring of ``zero``.  The output
+    step is the gcd of the rows' step and ``P``'s, so a term of ``P`` off
+    the rows' lattice stays in the result.  Each ``h_r`` enters through its
+    integer form as a single-position operand.
     """
     table, cap = zero.table, zero.max_weight
     if any(p.table != table or p.max_weight != cap for p in h):
         raise AlgebraError("basis coefficients live in another polynomial ring")
-    terms = {k: c for k, c in terms.items() if k <= bound}
-    step = gcd(rows[0].step, *terms)
-    products = [(QColumns.from_polys({0: p}, step), row, 1, [(0, scale)]) for p, row in zip(h, rows)]
-    products.append((QColumns.from_polys(terms, step), QColumns(1, step, {0: [1]}), 1, _UNIT))
+    step = gcd(rows[0].step, P.step if P else 0)
+    products = []
+    for p, row in zip(h, rows):
+        den, groups = p.int_form()
+        products.append((QColumns(den, step, {key: [n] for _, items in groups for key, n in items}),
+                         row, 1, [(0, scale)]))
+    if P is not None:
+        products.append((P, QColumns(1, step, {0: [1]}), 1, _UNIT))
     out = mul_sum(products, step, bound // step + 1)
     return PuiseuxSeries(out.polys(table, cap), bound, zero)
 
 
-def decompose(P: PuiseuxSeries, k: int, order: int | None = None) -> Decomposition:
-    """Solve ``P = sum_r h_r (8*delta2)^(k-2r) eps2^r`` and report the residual.
+def _packed(P: PuiseuxSeries) -> QColumns:
+    """A polynomial-valued series in packed integer form: the public entry points' edge."""
+    return QColumns.from_polys(P.terms, gcd(Q_UNIT, *P.terms))
 
-    ``P`` has graded-polynomial coefficients on the half-integer lattice.  The
-    ``h_r`` come out of the triangular system at ``q^0 .. q^(r/2)``; the
-    residual is then checked against every further coefficient ``P`` carries.
-    ``solve_coeffs`` is the inverse of the leading basis minor, recording each
-    ``h_r`` as an (integer) combination of the input coefficients.
+
+def decompose(P: PuiseuxSeries, k: int, order: int | None = None) -> Decomposition:
+    """Solve ``P = sum_r h_r (8*delta2)^(k-2r) eps2^r`` and report the residual (see :func:`decompose_packed`).
+
+    ``P`` has graded-polynomial coefficients on the half-integer lattice.
     """
-    if not P.support_on_lattice(HALF_UNIT):
+    return decompose_packed(P.order_bound, _packed(P), k, P.zero, order)
+
+
+def decompose_packed(bound: int, P: QColumns, k: int, zero: GradedPolynomial,
+                     order: int | None = None) -> Decomposition:
+    """:func:`decompose` of a packed series known through lattice ``bound``, on the ring of ``zero``.
+
+    The ``h_r`` come out of the triangular system at ``q^0 .. q^(r/2)`` by
+    back-substitution on ``P``'s integer numerators: the leading minor is
+    unit lower-triangular with integer entries (:func:`leading_minor`), so
+    no step divides and every ``h_r`` keeps ``P``'s denominator.
+    ``solve_coeffs`` is the minor's integer inverse, recording each ``h_r``
+    as an integer combination of the input coefficients, and the solve is
+    checked against it.  The residual is then checked against every further
+    coefficient ``P`` carries.
+    """
+    if P.step % HALF_UNIT and any(n for nums in P.cols.values() for i, n in enumerate(nums)
+                                  if i * P.step % HALF_UNIT):
         raise AlgebraError("decomposition input must live on the half-integer lattice")
     n_unknowns = k // 2 + 1
-    if P.order_bound < Q_UNIT * n_unknowns:
+    if bound < Q_UNIT * n_unknowns:
         raise AlgebraError(
-            f"series order {P.order_bound} lattice units cannot determine {n_unknowns} coefficients")
+            f"series order {bound} lattice units cannot determine {n_unknowns} coefficients")
     if order is None:
-        order = P.order_bound // Q_UNIT
+        order = bound // Q_UNIT
     elif 2 * order < k // 2:
         raise AlgebraError(f"basis order {order} cannot hold the leading {n_unknowns} coefficients")
-    rows = _basis_rows(GROUP_UPPER, k, order)
-    # minor[j][s]: basis row s at q^(j/2), read from the integer rows
-    minor = [[Fraction(row.cols[0][j], row.den) for row in rows] for j in range(n_unknowns)]
-
-    h: list[GradedPolynomial] = []
-    for r in range(n_unknowns):
-        acc = P.coefficient(HALF_UNIT * r)
-        for s in range(r):
-            acc = acc - h[s].scale(minor[r][s])
-        h.append(acc.scale(1 / minor[r][r]))
-
-    inv = _invert_lower_triangular(minor)
-    integral = all(c.denominator == 1 for row in inv for c in row)
-    for r in range(n_unknowns):
-        from_matrix = P.zero
-        for j in range(n_unknowns):
-            from_matrix = from_matrix + P.coefficient(HALF_UNIT * j).scale(inv[r][j])
-        if from_matrix != h[r]:
-            raise AlgebraError("triangular solve and matrix inverse disagree")
-
-    residual = _packed_sum(P.terms, h, rows, -1, min(P.order_bound, Q_UNIT * order), P.zero)
-    return Decomposition(k, h, residual, inv, integral)
-
-
-def _invert_lower_triangular(m: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(m)
-    inv = [[Fraction(0)] * n for _ in range(n)]
-    for r in range(n):
-        inv[r][r] = 1 / m[r][r]
-        for j in range(r - 1, -1, -1):
-            inv[r][j] = -sum((m[r][i] * inv[i][j] for i in range(j, r)), Fraction(0)) / m[r][r]
-    return inv
+    minor = leading_minor(k, order)
+    inv = unit_lower_inverse(minor)
+    at = [divmod(HALF_UNIT * j, P.step) for j in range(n_unknowns)]
+    solved: dict[int, list[int]] = {}
+    for key, nums in P.cols.items():
+        c = [nums[i] if not off and i < len(nums) else 0 for i, off in at]   # P at q^(j/2)
+        h: list[int] = []
+        for r in range(n_unknowns):
+            h.append(minor[r][r] * (c[r] - sum(minor[r][s] * h[s] for s in range(r))))
+            if h[r] != sum(inv[r][j] * c[j] for j in range(n_unknowns)):
+                raise AlgebraError("triangular solve and matrix inverse disagree")
+        solved[key] = h
+    table, cap = zero.table, zero.max_weight
+    vector = table.packing(cap).vector
+    h_polys = [GradedPolynomial._with_form(
+        table, {vector(key): Fraction(h[r], P.den) for key, h in solved.items() if h[r]}, cap, None)
+        for r in range(n_unknowns)]
+    residual = _packed_sum(P, h_polys, _basis_rows(GROUP_UPPER, k, order), -1,
+                           min(bound, Q_UNIT * order), zero)
+    return Decomposition(k, h_polys, residual, inv, True)
 
 
 def reconstruct(h: list[GradedPolynomial], group: str, k: int, order: int,
@@ -275,20 +324,25 @@ def reconstruct(h: list[GradedPolynomial], group: str, k: int, order: int,
     """``sum_r h_r * basis(group, k, r)`` as a polynomial-valued series."""
     if len(h) > k // 2 + 1:
         raise AlgebraError(f"{len(h)} coefficients for the {k // 2 + 1} basis elements of k={k}")
-    return _packed_sum({}, h, _basis_rows(group, k, order), 1, Q_UNIT * order, zero)
+    return _packed_sum(None, h, _basis_rows(group, k, order), 1, Q_UNIT * order, zero)
 
 
 def transfer_residual(P1: PuiseuxSeries, h: list[GradedPolynomial], l: int, k: int) -> PuiseuxSeries:
-    """Residual of ``P1 = 2^l sum_r h_r (8*delta1)^(k-2r) eps1^r``.
+    """Residual of ``P1 = 2^l sum_r h_r (8*delta1)^(k-2r) eps1^r`` (see :func:`transfer_packed`)."""
+    return transfer_packed(P1.order_bound, _packed(P1), h, l, k, P1.zero)
+
+
+def transfer_packed(bound: int, P1: QColumns, h: list[GradedPolynomial], l: int, k: int,
+                    zero: GradedPolynomial) -> PuiseuxSeries:
+    """:func:`transfer_residual` of a packed P1 known through lattice ``bound``, on the ring of ``zero``.
 
     A zero residual is the q-expansion witness of the modular transfer from
     the upper-group decomposition to the integer-exponent side.
     """
     if len(h) != k // 2 + 1:
         raise AlgebraError("coefficient list length does not match k")
-    order = P1.order_bound // Q_UNIT
-    return _packed_sum(P1.terms, h, _basis_rows(GROUP_LOWER, k, order), -(2 ** l), Q_UNIT * order,
-                       P1.zero)
+    order = bound // Q_UNIT
+    return _packed_sum(P1, h, _basis_rows(GROUP_LOWER, k, order), -(2 ** l), Q_UNIT * order, zero)
 
 
 def integrality_report(order: int) -> dict[str, bool]:

@@ -34,6 +34,15 @@ def exponent_text(k: int) -> str:
     return f"q^({f})"
 
 
+def require_known(k: int, order_bound: int):
+    """Raise :class:`TruncationError` when lattice ``k`` lies beyond ``order_bound``."""
+    if k > order_bound:
+        raise TruncationError(
+            f"coefficient at q^({Fraction(k, 8)}) is beyond the computed order "
+            f"q^({Fraction(order_bound, 8)})"
+        )
+
+
 class PuiseuxSeries:
     """Sparse truncated series ``sum c_k q^(k/8)`` with ``k <= order_bound``."""
 
@@ -70,11 +79,7 @@ class PuiseuxSeries:
 
     def coefficient(self, k: int):
         """Exact coefficient at lattice ``k``; unknown positions are an error."""
-        if k > self.order_bound:
-            raise TruncationError(
-                f"coefficient at q^({Fraction(k, 8)}) is beyond the computed order "
-                f"q^({Fraction(self.order_bound, 8)})"
-            )
+        require_known(k, self.order_bound)
         return self.terms.get(k, self.zero)
 
     def leading_exponent(self) -> int:
@@ -148,22 +153,6 @@ class PuiseuxSeries:
         """Multiply by ``q^(units/8)``."""
         return PuiseuxSeries({k + units: c for k, c in self.terms.items()},
                              self.order_bound + units, self.zero)
-
-    def __pow__(self, m: int) -> "PuiseuxSeries":
-        if m < 0:
-            raise AlgebraError("negative series powers are not supported")
-        out = None
-        base = self
-        while True:
-            if m & 1:
-                out = base if out is None else out * base
-            m >>= 1
-            if not m:
-                break
-            base = base * base
-        if out is None:
-            return PuiseuxSeries.constant(_ring_one(self.zero), self.order_bound, self.zero)
-        return out
 
     def sign_flip(self) -> "PuiseuxSeries":
         """The involution ``q^(1/2) -> -q^(1/2)`` on half-integer series."""
@@ -242,12 +231,3 @@ def _scalar_convolution(a: Mapping[int, Fraction], b: Mapping[int, Fraction],
             acc[k] = get(k, 0) + n1 * n2
     den = da * db
     return {k: Fraction(n, den) for k, n in acc.items() if n}
-
-
-def _ring_one(zero):
-    """The multiplicative unit of the coefficient ring that ``zero`` belongs to."""
-    if isinstance(zero, Fraction):
-        return Fraction(1)
-    if hasattr(zero, "one_like"):
-        return zero.one_like()
-    raise AlgebraError(f"no unit known for coefficient type {type(zero).__name__}")

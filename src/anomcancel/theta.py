@@ -21,7 +21,11 @@ product formula:
 
 Each factor is known through its log in closed form (:func:`theta_log`): a
 Bernoulli constant from the q0 slice plus an Eisenstein-type divisor sum per
-``z^2j`` column, which ``genus`` turns into power sums and exps.  The factor
+``z^2j`` column, which ``genus`` turns into power sums and exps.  A log is
+held as integer columns, one per ``z^2j`` degree (see :class:`RootFactor`):
+the divisor sums are summed as ints with the column's scale folded into the
+numerators, logs add column by column in integers, and ``Fraction``s appear
+only in the on-demand ``terms`` view.  The factor
 itself (:func:`theta_factor`, printed by ``expand --object factor-*``) is
 that exp at a single root; nothing in the library multiplies out the
 ``O(order)`` product form, which the tests keep as an independent oracle.
@@ -30,9 +34,9 @@ that exp at a single root; nothing in the library multiplies out the
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
-from .algebra import AlgebraError, _frac
+from .algebra import AlgebraError, QColumns, _frac, int_numerators
 from .qseries import PuiseuxSeries
 
 Q_UNIT = 8       # lattice units in q^1
@@ -112,30 +116,57 @@ def jacobi_residual(order: int) -> PuiseuxSeries:
 class RootFactor:
     """A per-root factor or its log: a truncated series in one root variable ``z`` and ``q^(1/8)``.
 
-    ``terms`` maps ``(z_degree, lattice_exponent)`` to a ``Fraction``.  Logs
-    (:func:`theta_log`) feed the exps of ``genus``; factors
-    (:func:`theta_factor`) are rendered by ``expand --object factor-*``.
+    At rest it is integer columns: ``cols[d]`` is the ``z^d`` column as a
+    scalar :class:`~anomcancel.algebra.QColumns` ``(den, step, {0:
+    numerators})``, numerator ``i`` standing at lattice ``i * step``; a
+    column with no nonzero entry is absent.  Logs (:func:`theta_log`) feed
+    the exps of ``genus`` column by column; ``terms``, the ``{(z_degree,
+    lattice): Fraction}`` view, is built on demand for rendering
+    (``expand --object factor-*``) and for the tests.
     """
 
-    __slots__ = ("terms", "z_bound", "q_bound")
+    __slots__ = ("cols", "z_bound", "q_bound")
 
     def __init__(self, terms: dict[tuple[int, int], Fraction], z_bound: int, q_bound: int):
-        clean = {}
+        by_degree: dict[int, dict[int, Fraction]] = {}
         for (d, k), c in terms.items():
-            if d > z_bound or k > q_bound:
-                continue
-            c = _frac(c)
-            if c:
-                clean[(d, k)] = c
-        object.__setattr__(self, "terms", clean)
+            if d <= z_bound and k <= q_bound:
+                c = _frac(c)
+                if c:
+                    by_degree.setdefault(d, {})[k] = c
+        cols = {}
+        for d, col in by_degree.items():
+            den, nums = int_numerators(col)
+            step = gcd(q_bound, *col) or 1
+            ints = [0] * (max(col) // step + 1)
+            for k, n in nums.items():
+                ints[k // step] = n
+            cols[d] = QColumns(den, step, {0: ints})
+        self._set(cols, z_bound, q_bound)
+
+    def _set(self, cols: dict[int, QColumns], z_bound: int, q_bound: int):
+        object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "z_bound", z_bound)
         object.__setattr__(self, "q_bound", q_bound)
+
+    @staticmethod
+    def from_columns(cols: dict[int, QColumns], z_bound: int, q_bound: int) -> "RootFactor":
+        """A factor from its integer columns; all-zero columns are dropped, the rest reduced."""
+        self = object.__new__(RootFactor)
+        self._set({d: _reduced(c) for d, c in sorted(cols.items()) if any(c.cols[0])}, z_bound, q_bound)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("RootFactor is immutable")
 
     def __reduce__(self):
-        return RootFactor, (self.terms, self.z_bound, self.q_bound)
+        return RootFactor.from_columns, (self.cols, self.z_bound, self.q_bound)
+
+    @property
+    def terms(self) -> dict[tuple[int, int], Fraction]:
+        """``{(z_degree, lattice): coefficient}`` over the nonzero entries, as ``Fraction``s."""
+        return {(d, i * c.step): Fraction(n, c.den)
+                for d, c in self.cols.items() for i, n in enumerate(c.cols[0]) if n}
 
     def coefficient(self, d: int, k: int) -> Fraction:
         return self.terms.get((d, k), Fraction(0))
@@ -161,27 +192,43 @@ class RootFactor:
         return RootFactor(out, zb, qb)
 
     def __add__(self, other: "RootFactor") -> "RootFactor":
+        """The termwise sum, column by column in integers over the lcm of the two denominators."""
         zb = min(self.z_bound, other.z_bound)
         qb = min(self.q_bound, other.q_bound)
-        out = {dk: c for dk, c in self.terms.items() if dk[0] <= zb and dk[1] <= qb}
-        for dk, c in other.terms.items():
-            if dk[0] > zb or dk[1] > qb:
+        cols = {}
+        for d in self.cols.keys() | other.cols.keys():
+            if d > zb:
                 continue
-            s = out.get(dk)
-            out[dk] = c if s is None else s + c
-        return RootFactor(out, zb, qb)
+            parts = [c for c in (self.cols.get(d), other.cols.get(d)) if c is not None]
+            step = gcd(*(c.step for c in parts))
+            den = lcm(*(c.den for c in parts))
+            nums = [0] * (qb // step + 1)
+            for c in parts:
+                m, spread = den // c.den, c.step // step
+                for i, n in enumerate(c.cols[0][:qb // c.step + 1]):
+                    nums[i * spread] += m * n
+            cols[d] = QColumns(den, step, {0: nums})
+        return RootFactor.from_columns(cols, zb, qb)
 
     def to_json_obj(self):
-        rows = [[d, k, str(self.terms[(d, k)])] for (d, k) in sorted(self.terms)]
+        terms = self.terms
+        rows = [[d, k, str(terms[(d, k)])] for (d, k) in sorted(terms)]
         return {"z_bound": self.z_bound, "q_bound": self.q_bound, "terms": rows}
 
     def to_text(self) -> str:
+        terms = self.terms
         lines = []
         for d in range(self.z_bound + 1):
-            row = {k: c for (dd, k), c in self.terms.items() if dd == d}
+            row = {k: c for (dd, k), c in terms.items() if dd == d}
             if row:
                 lines.append(f"z^{d}: " + _sseries(row, self.q_bound).to_text())
         return "\n".join(lines) if lines else "0"
+
+
+def _reduced(c: QColumns) -> QColumns:
+    """A scalar column over its least denominator."""
+    common = gcd(c.den, *c.cols[0])
+    return c if common == 1 else QColumns(c.den // common, c.step, {0: [n // common for n in c.cols[0]]})
 
 
 # -- elementary z-series ------------------------------------------------------
@@ -233,6 +280,9 @@ def theta_log(kind: str, order: int, z_bound: int) -> RootFactor:
     Since ``2cos 2mz - 2 = sum_j 2(-4)^j m^2j z^2j / (2j)!``, the z^2j column
     is the Bernoulli constant of the q^0 slice plus the Eisenstein-type divisor
     sum ``2(-4)^j/(2j)! * sum_{m a_n = N} sign(m) m^(2j-1)`` at ``q^N``.
+    Each column is built as integers: the divisor sums on the lattice of the
+    ``a_n`` (step 4 for ``t2``/``t3``, 8 otherwise), times the numerator of
+    the scale, over the common denominator of the scale and the constant.
     Memoized by ``(kind, order, z_bound)``.
     """
     key = (kind, order, z_bound)
@@ -243,22 +293,28 @@ def theta_log(kind: str, order: int, z_bound: int) -> RootFactor:
         raise AlgebraError(f"unknown factor kind {kind!r}")
     q_bound = Q_UNIT * order
     log_sin = log_sin_over_z(z_bound)
-    q0 = {"a": [-c for c in log_sin], "t1": log_cos_coeffs(z_bound), "d": log_sin}.get(kind, [])
-    terms = {(d, 0): c for d, c in enumerate(q0)}
+    q0 = {"a": [-c for c in log_sin], "t1": log_cos_coeffs(z_bound), "d": log_sin}.get(kind)
     s = +1 if kind in ("t1", "t3") else -1
     outer = +1 if kind == "a" else -1
     shift = HALF_UNIT if kind in ("t2", "t3") else 0
-    sums: dict[tuple[int, int], int] = {}
-    for n in range(1, order + 1):
-        offset = Q_UNIT * n - shift
-        for m in range(1, q_bound // offset + 1):
-            sign = outer * (-s) ** m
-            for d in range(2, z_bound + 1, 2):
-                dk = (d, m * offset)
-                sums[dk] = sums.get(dk, 0) + sign * m ** (d - 1)
-    for (d, k), v in sums.items():
-        terms[(d, k)] = Fraction(2 * (-4) ** (d // 2), factorial(d)) * v
-    out = RootFactor(terms, z_bound, q_bound)
+    step = HALF_UNIT if shift else Q_UNIT
+    # one (index, m^2, sign * m) per term q^(m a_n) of the divisor sums
+    hits = [(m * (Q_UNIT * n - shift) // step, m * m, outer * (-s) ** m * m)
+            for n in range(1, order + 1) for m in range(1, q_bound // (Q_UNIT * n - shift) + 1)]
+    cols = {}
+    for d in range(2, z_bound + 1, 2):
+        scale = Fraction(2 * (-4) ** (d // 2), factorial(d))
+        c0 = q0[d] if q0 else Fraction(0)
+        den = lcm(scale.denominator, c0.denominator)
+        nums = [0] * (q_bound // step + 1)
+        for i, _, p in hits:
+            nums[i] += p
+        f = scale.numerator * (den // scale.denominator)
+        nums = [f * n for n in nums]
+        nums[0] = c0.numerator * (den // c0.denominator)
+        cols[d] = QColumns(den, step, {0: nums})
+        hits = [(i, m2, p * m2) for i, m2, p in hits]     # sign * m^(d+1) for the next column
+    out = RootFactor.from_columns(cols, z_bound, q_bound)
     _log_cache[key] = out
     return out
 

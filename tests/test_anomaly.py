@@ -10,7 +10,8 @@ from anomcancel.anomaly import (build_P, cross_check_bundle_expansion,
                                 decompose_setting, divisibility_check, get_env,
                                 make_setting, structural_checks, verify_theorem)
 from anomcancel.genus import build_generator_table
-from anomcancel.modforms import DELTA_EPS_KINDS, delta_eps
+from anomcancel.modforms import (DELTA_EPS_KINDS, decompose, delta_eps, transfer_packed,
+                                 transfer_residual)
 from anomcancel.theta import RootFactor, theta_factor, theta_log, theta_null
 
 from helpers import reference_P
@@ -244,3 +245,22 @@ def test_sharing_the_tangent_half_cannot_change_a_verdict(kind, monkeypatch):
     tangent_exps = [c for c in calls if any(sums is half.tm_sums for sums in c)]
     assert len(tangent_exps) == (3 if kind == "spin4k" else 1)
     assert len(calls) - len(tangent_exps) == 3 * 3     # P1/P2/P3's auxiliary exp at each l
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("kind", ["spin4k", "spinc4k", "spinc4k2"])
+def test_public_and_packed_decompositions_agree(kind, k):
+    """``decompose(build_P(s, "P2"), k)`` enters through the series edge; the verdict path
+    decomposes the packed P2.  Both give the same h_r, solve, residual and transfer residual."""
+    for l in (1, 2, 3):
+        s = make_setting(kind, k, l)
+        env = get_env(s)
+        public, packed = decompose(build_P(s, "P2"), k), env.decomposition()
+        assert public.h == packed.h
+        assert public.solve_coeffs == packed.solve_coeffs
+        assert public.integral_solve is packed.integral_solve is True
+        assert public.residual == packed.residual and packed.residual_zero
+        edge = transfer_residual(build_P(s, "P1"), packed.h, l, k)
+        assert edge == transfer_packed(*env.packed("P1"), packed.h, l, k, env.gp_zero)
+        assert edge.is_zero()
+

@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from anomcancel.algebra import AlgebraError, GradedPolynomial
+from anomcancel import modforms
+from anomcancel.algebra import AlgebraError, GradedPolynomial, QColumns
+from anomcancel.anomaly import divisibility_check
 from anomcancel.genus import build_generator_table
 from anomcancel.modforms import (GROUP_LOWER, GROUP_UPPER, basis_element, decompose,
                                  delta_eps, integrality_report, reconstruct,
-                                 transfer_residual)
+                                 transfer_residual, unit_lower_inverse)
 from anomcancel.qseries import PuiseuxSeries
 
 from helpers import modular_basis_oracle, residual_oracle
@@ -219,3 +221,51 @@ def test_transfer_residual_with_order_bound_off_a_multiple_of_8():
     res = transfer_residual(P1, h_bad, l, k)
     _assert_same_residual(res, residual_oracle(P1, h_bad, GROUP_LOWER, k, 2 ** l, order))
     assert not res.is_zero() and res.order_bound == 8 * order
+
+
+def _patch_diagonal(monkeypatch, k, order, r, factor):
+    """Replace upper row ``r`` of ``(k, order)`` in the memo by one whose diagonal entry is scaled."""
+    rows = modforms._basis_rows(GROUP_UPPER, k, order)
+    nums = list(rows[r].cols[0])
+    nums[r] *= factor
+    patched = rows[:r] + (QColumns(rows[r].den, rows[r].step, {0: nums}),) + rows[r + 1:]
+    monkeypatch.setitem(modforms._basis_cache, (GROUP_UPPER, k, order), patched)
+
+
+@pytest.mark.parametrize("factor", [3, -2])
+def test_non_unit_diagonal_is_rejected_not_divided(monkeypatch, factor):
+    """With an upper diagonal entry of 3 or -2, a series built from the patched rows would
+    solve exactly by dividing; the integer solve refuses it instead."""
+    k, order = 4, 6
+    _patch_diagonal(monkeypatch, k, order, 1, factor)
+    table = build_generator_table(3, 2, False, 6)
+    zero = GradedPolynomial.zero(table, 6)
+    nm1 = GradedPolynomial.generator("nM1", table, 6)
+    h = [nm1.scale(r + 1) for r in range(k // 2 + 1)]
+    P = reconstruct(h, GROUP_UPPER, k, order, zero)
+    minor = modforms.leading_minor(k, order)
+    assert minor[1][1] == factor * (-1) ** k
+    # dividing by the diagonal would recover h_1 exactly
+    assert (P.coefficient(4) - h[0].scale(minor[1][0])).scale(Fraction(1, minor[1][1])) == h[1]
+    with pytest.raises(AlgebraError, match="unit lower-triangular"):
+        decompose(P, k, order)
+
+
+def test_divisibility_audit_uses_the_same_integer_inverse(monkeypatch):
+    """The audit reads the same upper rows: a non-unit diagonal raises there too."""
+    assert divisibility_check("3.6", 1).solve_integral
+    _patch_diagonal(monkeypatch, 3, 3, 1, 2)
+    with pytest.raises(AlgebraError, match="unit lower-triangular"):
+        divisibility_check("3.6", 1)
+
+
+def test_unit_lower_inverse():
+    m = [[1, 0, 0], [24, -1, 0], [252, -48, 1]]
+    inv = unit_lower_inverse(m)
+    assert all(isinstance(c, int) for row in inv for c in row)
+    assert [[sum(inv[i][t] * m[t][j] for t in range(3)) for j in range(3)] for i in range(3)] == \
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    for bad in ([[2]], [[1, 0], [5, 3]], [[1, 1], [0, 1]]):
+        with pytest.raises(AlgebraError):
+            unit_lower_inverse(bad)
+

@@ -21,16 +21,7 @@ def test_lattice_multiplication():
     assert S({1: 1}) * S({1: 1}) == S({2: 1}, bound=81)
     # (2 q^{1/8})^4 (1+q) = 16 q^{1/2} + 16 q^{3/2}
     m = S({1: 2})
-    assert (m ** 4) * S({0: 1, 8: 1}) == PuiseuxSeries({4: Fraction(16), 12: Fraction(16)}, 83, Fraction(0))
-
-
-def test_pow():
-    assert S({0: 1, 8: 1}) ** 2 == S({0: 1, 8: 2, 16: 1})
-    assert S({4: 1}) ** 3 == PuiseuxSeries({12: 1}, 88, Fraction(0))
-    sq = S({0: -1, 4: -24}) ** 2
-    assert sq.coefficient(0) == 1
-    assert sq.coefficient(4) == Fraction(48)
-    assert sq.coefficient(8) == Fraction(576)
+    assert (m * m * m * m) * S({0: 1, 8: 1}) == PuiseuxSeries({4: Fraction(16), 12: Fraction(16)}, 83, Fraction(0))
 
 
 def test_coefficient_contract():
@@ -87,11 +78,6 @@ def test_truncation_metadata_under_mul():
     f = S({0: 1}, bound=16)
     g = S({4: 1}, bound=8)
     assert (f * g).order_bound == 8  # min(16 + 4, 8 + 0): the shorter operand wins
-
-
-def test_negative_power_is_rejected():
-    with pytest.raises(AlgebraError):
-        S({0: 1, 8: -1}) ** -1
 
 
 def _naive_product(a: PuiseuxSeries, b: PuiseuxSeries):

@@ -1,8 +1,12 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from anomcancel.theta import FACTOR_KINDS, jacobi_residual, theta_factor, theta_log, theta_null
+from anomcancel.theta import (FACTOR_KINDS, RootFactor, jacobi_residual, theta_factor, theta_log,
+                              theta_null)
 
 from helpers import (bivariate_inverse, bivariate_mul, product_factor, series_log,
                      theta_null_sum_form)
@@ -119,7 +123,7 @@ def test_null_integrality():
 
 
 
-LOG_GRID = [(2, 6), (3, 4), (4, 10), (6, 8), (12, 4), (14, 12)]
+LOG_GRID = [(2, 6), (3, 4), (4, 10), (6, 8), (12, 4), (14, 12), (24, 4), (32, 4)]
 
 
 @pytest.mark.parametrize("order,z_bound", LOG_GRID)
@@ -148,3 +152,44 @@ def test_theta_log_columns():
     assert a.coefficient(2, 16) == -12
     assert all(d % 2 == 0 and d >= 2 for d, _ in a.terms)
     assert q0_slice(theta_log("t2", 2, 4)) == [0] * 5
+
+
+def termwise_sum(a, b):
+    """``a + b`` on the ``Fraction`` views, cut to the smaller bounds."""
+    zb, qb = min(a.z_bound, b.z_bound), min(a.q_bound, b.q_bound)
+    out = {}
+    for f in (a, b):
+        for (d, k), c in f.terms.items():
+            if d <= zb and k <= qb:
+                out[(d, k)] = out.get((d, k), 0) + c
+    return {dk: c for dk, c in out.items() if c}
+
+
+@st.composite
+def logs(draw):
+    """A log-shaped factor on lattice step 4 or 8, with its own z- and q-bounds."""
+    step = draw(st.sampled_from([4, 8]))
+    position = st.tuples(st.sampled_from([2, 4, 6, 8]), st.integers(0, 8).map(lambda i: step * i))
+    coeff = st.one_of(st.fractions(min_value=-9, max_value=9, max_denominator=12),
+                      st.builds(Fraction, st.integers(-2 ** 80, 2 ** 80), st.integers(1, 10 ** 9)))
+    terms = draw(st.dictionaries(position, coeff, max_size=10))
+    return RootFactor(terms, draw(st.integers(2, 8)), draw(st.sampled_from([0, 8, 12, 16, 24, 32])))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(logs(), logs())
+def test_root_factor_addition_is_termwise(a, b):
+    """The integer-column sum equals the termwise ``Fraction`` sum, and every column is reduced."""
+    got = a + b
+    assert (got.z_bound, got.q_bound) == (min(a.z_bound, b.z_bound), min(a.q_bound, b.q_bound))
+    assert got.terms == termwise_sum(a, b)
+    for c in got.cols.values():
+        assert any(c.cols[0]) and gcd(c.den, *c.cols[0]) == 1
+
+
+@pytest.mark.parametrize("kinds", [("a", "t1"), ("a", "t2"), ("t1", "t2"), ("t2", "t3")])
+def test_theta_log_sums_are_termwise(kinds):
+    """Logs on steps 8 and 4, with unequal orders and z-bounds, add as their ``Fraction`` views."""
+    a, b = theta_log(kinds[0], 5, 8), theta_log(kinds[1], 3, 6)
+    assert (a + b).terms == termwise_sum(a, b)
+
