@@ -2,14 +2,16 @@
 
 A virtual bundle is represented by its character polynomial alone; the rank
 is the weight-0 part.  Adams operations scale the weight-w piece by ``m^w``,
-and the exterior/symmetric power series come from the standard exponential
-formulas, so everything extends to virtual arguments automatically:
+and the exterior/symmetric power series are the classical lambda-ring
+exponentials, so everything extends to virtual arguments automatically:
 
     lambda_t(E) = exp( sum_m (-1)^(m-1) psi^m(E) t^m / m )
     s_t(E)      = exp( sum_m          psi^m(E) t^m / m ) = 1/lambda_{-t}(E)
 
-Series of bundles (exterior strings, symmetric strings, and the tensor-string
-objects built from them) are Puiseux series with VirtualBundle coefficients.
+A tensor string ``tensor_n lambda_{t_n}(E)`` is therefore the exp of a
+divisor sum over Adams operations, and a theta object, a product of strings,
+is one exp of its strings' summed logs, run by the Euler recurrence on the
+q-lattice.  The results are Puiseux series with VirtualBundle coefficients.
 This module is the independent low-order oracle against the theta-product
 path: both must produce the same character forms coefficient by coefficient.
 """
@@ -21,9 +23,6 @@ from fractions import Fraction
 from .algebra import AlgebraError, GradedPolynomial, GeneratorTable
 from .genus import FAMILY_TM, FAMILY_V, RootFamily, additive_over_roots
 from .qseries import PuiseuxSeries
-
-THETA_KINDS = ("theta1", "theta2", "theta3", "theta_c", "theta_c_star")
-
 
 class VirtualBundle:
     """Formal difference of bundles, carried as (rank, Chern character)."""
@@ -94,17 +93,11 @@ class VirtualBundle:
         return VirtualBundle(GradedPolynomial(table, terms, self.ch.max_weight))
 
     def lambda_power(self, i: int) -> "VirtualBundle":
-        """Exterior power via the Newton-type recurrence over Adams operations."""
+        """Exterior power: the ``t^i`` coefficient of ``lambda_t(E)``, one exp of its Adams log."""
         if i < 0:
             raise AlgebraError("negative exterior power")
-        lam = [self.one_like()]
-        for n in range(1, i + 1):
-            acc = self.zero_like()
-            for j in range(1, n + 1):
-                term = self.adams(j) * lam[n - j]
-                acc = acc + (term if j % 2 == 1 else -term)
-            lam.append(acc.scale(Fraction(1, n)))
-        return lam[i]
+        log = {m: self.adams(m).scale(Fraction((-1) ** (m - 1), m)) for m in range(1, i + 1)}
+        return _exp(log, self.one_like(), i).coefficient(i)
 
     def to_text(self) -> str:
         return self.ch.to_text()
@@ -148,101 +141,74 @@ def line_pair_bundle(table: GeneratorTable, max_weight: int) -> VirtualBundle:
     return VirtualBundle(out)
 
 
-def _exp_bundle_series(X: PuiseuxSeries) -> PuiseuxSeries:
-    zero: VirtualBundle = X.zero
-    out = PuiseuxSeries.constant(zero.one_like(), X.order_bound, zero)
-    term = out
-    lead = X.leading_exponent()
-    if lead <= 0:
-        raise AlgebraError("exponential needs a series with positive leading exponent")
-    t = 0
-    while t * lead <= X.order_bound:
-        t += 1
-        term = (term * X).map_coefficients(lambda b: b.scale(Fraction(1, t)))
-        if term.is_zero():
-            break
-        out = out + term
-    return out
+# (on the line?, first step in lattice units, sign) of each object's exterior strings;
+# every object also carries the symmetric string of the reduced tangent.
+_EXTERIOR_STRINGS = {"theta1": [(False, 8, 1)], "theta2": [(False, 4, -1)], "theta3": [(False, 4, 1)],
+                     "theta_c": [(True, 8, 1), (True, 4, -1), (True, 4, 1)],
+                     "theta_c_star": [(True, 8, -1)]}
 
 
-def lambda_series(E: VirtualBundle, step_units: int, sign: int, order: int) -> PuiseuxSeries:
-    """``lambda_t(E)`` at ``t = sign * q^(step/8)`` as a bundle-valued series."""
-    if step_units <= 0:
-        raise AlgebraError("the exponent step must be positive")
-    bound = 8 * order
-    zero = E.zero_like()
-    terms = {}
-    m = 1
-    while m * step_units <= bound:
-        c = Fraction((-1) ** (m - 1) * sign ** m, m)
-        terms[m * step_units] = E.adams(m).scale(c)
-        m += 1
-    return _exp_bundle_series(PuiseuxSeries(terms, bound, zero))
+def _string_log(strings, bound: int) -> dict[int, VirtualBundle]:
+    """Summed log of the strings ``tensor_n lambda_{sign q^(a_n)}(E)`` through lattice ``bound``.
+
+    A string is ``(E, first, sign, exterior)`` with steps ``a_n = first + 8(n - 1)``
+    lattice units, and ``S`` in place of ``lambda`` when not exterior.  The
+    log's coefficient at lattice ``N`` is the divisor sum ``sum_{m a_n = N}
+    (-1)^(m-1) sign^m psi^m(E) / m``, without ``(-1)^(m-1)`` for ``S``.
+    """
+    log: dict[int, VirtualBundle] = {}
+    for E, first, sign, exterior in strings:
+        for m in range(1, bound // first + 1):
+            psi = E.adams(m).scale(Fraction(sign ** m * ((-1) ** (m - 1) if exterior else 1), m))
+            for a in range(first, bound // m + 1, 8):
+                log[m * a] = log[m * a] + psi if m * a in log else psi
+    return log
 
 
-def s_series(E: VirtualBundle, step_units: int, order: int) -> PuiseuxSeries:
-    """``S_t(E)`` at ``t = q^(step/8)``; inverse of ``lambda_{-t}(E)``."""
-    bound = 8 * order
-    zero = E.zero_like()
-    terms = {}
-    m = 1
-    while m * step_units <= bound:
-        terms[m * step_units] = E.adams(m).scale(Fraction(1, m))
-        m += 1
-    return _exp_bundle_series(PuiseuxSeries(terms, bound, zero))
-
-
-def sym_string(E: VirtualBundle, order: int) -> PuiseuxSeries:
-    """``tensor_{n>=1} S_{q^n}(E)``, truncated when steps leave the window."""
-    out = PuiseuxSeries.constant(E.one_like(), 8 * order, E.zero_like())
-    n = 1
-    while 8 * n <= 8 * order:
-        out = out * s_series(E, 8 * n, order)
-        n += 1
-    return out
+def _exp(log: dict[int, VirtualBundle], one: VirtualBundle, bound: int) -> PuiseuxSeries:
+    """``exp`` of a log with no constant term, by ``N F_N = sum_j j L_j F_(N-j)`` through ``bound``."""
+    slopes = [(j, log[j].scale(j)) for j in sorted(log)]
+    out = {0: one}
+    for n in range(1, bound + 1):
+        f = one.dot([(s, out[n - j]) for j, s in slopes if j <= n and n - j in out])
+        if f:
+            out[n] = f.scale(Fraction(1, n))
+    return PuiseuxSeries(out, bound, one.zero_like())
 
 
 def lambda_string(E: VirtualBundle, half: bool, sign: int, order: int) -> PuiseuxSeries:
-    """``tensor_{n>=1} lambda_{sign q^(n)}(E)`` (or steps ``n - 1/2`` when half)."""
-    out = PuiseuxSeries.constant(E.one_like(), 8 * order, E.zero_like())
-    n = 1
-    while True:
-        step = 8 * n - (4 if half else 0)
-        if step > 8 * order:
-            break
-        out = out * lambda_series(E, step, sign, order)
-        n += 1
-    return out
+    """``tensor_{n>=1} lambda_{sign q^(n)}(E)`` (or steps ``n - 1/2`` when half).
+
+    A trivial line gives ``prod (1 + q^n)``; the half string has no ``q`` term,
+    because ``lambda^2`` of a line vanishes:
+
+    >>> from anomcancel.genus import build_generator_table
+    >>> line = VirtualBundle.trivial(1, build_generator_table(1, 0, True, 2), 2)
+    >>> lambda_string(line, False, +1, 1).to_text()
+    '1 + q'
+    >>> lambda_string(line, True, +1, 1).to_text()
+    '1 + q^(1/2)'
+    """
+    return _exp(_string_log([(E, 4 if half else 8, sign, True)], 8 * order), E.one_like(), 8 * order)
 
 
 def theta_object(kind: str, tangent: VirtualBundle, line: VirtualBundle | None,
-                 order: int, *, reduced_line: bool = True) -> PuiseuxSeries:
-    """The five tensor-string objects as bundle-valued series.
+                 order: int) -> PuiseuxSeries:
+    """The five tensor-string objects as bundle-valued series, each one exp of its strings' logs.
 
-    ``tangent`` and ``line`` are the unreduced bundles; the tangent enters
-    every object reduced.  For ``theta_c`` the reduced and unreduced line
-    conventions give identical series (their trivial-factor corrections cancel
-    across the three strings); for ``theta_c_star`` they differ and the
-    reduced one is the convention matching the theta-quotient path.
+    ``tangent`` and ``line`` are the unreduced bundles; both enter reduced.
+    The unreduced line would give the same ``theta_c`` (the trivial-factor
+    corrections cancel across its three exterior strings) but another
+    ``theta_c_star``; the reduced one matches the theta-quotient path.
     """
-    t = tangent.reduced()
-    if kind == "theta1":
-        return sym_string(t, order) * lambda_string(t, False, +1, order)
-    if kind == "theta2":
-        return sym_string(t, order) * lambda_string(t, True, -1, order)
-    if kind == "theta3":
-        return sym_string(t, order) * lambda_string(t, True, +1, order)
-    if line is None:
+    if kind not in _EXTERIOR_STRINGS:
+        raise AlgebraError(f"unknown theta object {kind!r}")
+    if line is None and kind.startswith("theta_c"):
         raise AlgebraError(f"{kind} needs the line bundle")
-    ell = line.reduced() if reduced_line else line
-    if kind == "theta_c":
-        return (sym_string(t, order)
-                * lambda_string(ell, False, +1, order)
-                * lambda_string(ell, True, -1, order)
-                * lambda_string(ell, True, +1, order))
-    if kind == "theta_c_star":
-        return sym_string(t, order) * lambda_string(ell, False, -1, order)
-    raise AlgebraError(f"unknown theta object {kind!r}")
+    t = tangent.reduced()
+    strings = [(t, 8, 1, False)] + [(line.reduced() if on_line else t, first, sign, True)
+                                    for on_line, first, sign in _EXTERIOR_STRINGS[kind]]
+    return _exp(_string_log(strings, 8 * order), t.one_like(), 8 * order)
 
 
 def bundle_coefficient(series: PuiseuxSeries, k: int) -> VirtualBundle:

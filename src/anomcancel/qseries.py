@@ -71,10 +71,6 @@ class PuiseuxSeries:
     def constant(value, order_bound: int, zero) -> "PuiseuxSeries":
         return PuiseuxSeries({0: value}, order_bound, zero)
 
-    @staticmethod
-    def zero_series(order_bound: int, zero) -> "PuiseuxSeries":
-        return PuiseuxSeries({}, order_bound, zero)
-
     # -- inspection -----------------------------------------------------------
 
     def coefficient(self, k: int):
@@ -153,14 +149,6 @@ class PuiseuxSeries:
         """Multiply by ``q^(units/8)``."""
         return PuiseuxSeries({k + units: c for k, c in self.terms.items()},
                              self.order_bound + units, self.zero)
-
-    def sign_flip(self) -> "PuiseuxSeries":
-        """The involution ``q^(1/2) -> -q^(1/2)`` on half-integer series."""
-        if not self.support_on_lattice(4):
-            raise AlgebraError("sign flip needs all exponents to be multiples of 1/2")
-        return PuiseuxSeries(
-            {k: (c if (k // 4) % 2 == 0 else -c) for k, c in self.terms.items()},
-            self.order_bound, self.zero)
 
     def truncate(self, order_bound: int) -> "PuiseuxSeries":
         if order_bound > self.order_bound:

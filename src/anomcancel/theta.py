@@ -54,14 +54,16 @@ def _sseries(terms: dict[int, Fraction], bound: int) -> PuiseuxSeries:
     return PuiseuxSeries(terms, bound, Fraction(0))
 
 
-def _null_product(order: int, builders) -> PuiseuxSeries:
-    """``prod (1 + coeff * q^(offset/8))^power`` over the builders' binomials, through ``q^order``.
+def _null_product(order: int, step: int, builders) -> PuiseuxSeries:
+    """``prod (1 + coeff * q^(offset * step/8))^power`` over the builders' binomials.
 
-    Each binomial is one shift-and-add pass over the integer coefficients,
-    ``out += coeff * out.shift(offset)``, run from the top down so that it
-    reads only positions not yet updated in the pass.
+    The product runs through ``q^order`` on the native lattice of ``step``
+    units, so ``offset`` counts steps.  Each binomial is one shift-and-add
+    pass over the integer coefficients, ``out += coeff * out.shift(offset)``,
+    run from the top down so that it reads only positions not yet updated in
+    the pass.
     """
-    bound = Q_UNIT * order
+    bound = Q_UNIT * order // step
     out = [1] + [0] * bound
     for j in range(1, order + 2):
         for offset, coeff, power in builders(j):
@@ -71,7 +73,7 @@ def _null_product(order: int, builders) -> PuiseuxSeries:
                 for k in range(bound, offset - 1, -1):
                     if out[k - offset]:
                         out[k] += coeff * out[k - offset]
-    return _sseries({k: Fraction(c) for k, c in enumerate(out) if c}, bound)
+    return _sseries({step * k: Fraction(c) for k, c in enumerate(out) if c}, Q_UNIT * order)
 
 
 def theta_null(kind: str, order: int) -> PuiseuxSeries:
@@ -87,13 +89,13 @@ def theta_null(kind: str, order: int) -> PuiseuxSeries:
     if cached is not None:
         return cached
     if kind == "theta2":
-        out = _null_product(order, lambda j: [(Q_UNIT * j, -1, 1), (Q_UNIT * j - HALF_UNIT, -1, 2)])
+        out = _null_product(order, HALF_UNIT, lambda j: [(2 * j, -1, 1), (2 * j - 1, -1, 2)])
     elif kind == "theta3":
-        out = _null_product(order, lambda j: [(Q_UNIT * j, -1, 1), (Q_UNIT * j - HALF_UNIT, +1, 2)])
+        out = _null_product(order, HALF_UNIT, lambda j: [(2 * j, -1, 1), (2 * j - 1, +1, 2)])
     elif kind == "theta1":
-        out = _null_product(order, lambda j: [(Q_UNIT * j, -1, 1), (Q_UNIT * j, +1, 2)]).shift(1)
+        out = _null_product(order, Q_UNIT, lambda j: [(j, -1, 1), (j, +1, 2)]).shift(1)
     elif kind == "theta_prime":
-        out = _null_product(order, lambda j: [(Q_UNIT * j, -1, 3)]).shift(1)
+        out = _null_product(order, Q_UNIT, lambda j: [(j, -1, 3)]).shift(1)
     else:
         raise AlgebraError(f"unknown null kind {kind!r}")
     _null_cache[key] = out

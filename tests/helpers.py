@@ -11,7 +11,9 @@ closed-form divisor sums, exps are the plain ``sum S^t / t!``, products over
 many roots are summed over partitions in the monomial symmetric basis, and
 packed q-series products are convolved one position pair at a time in
 ``Fraction`` arithmetic, and the level-2 generators and basis rows are
-multiplied out from the lattice sums by plain dict convolution.
+multiplied out from the lattice sums by plain dict convolution; tensor
+strings of bundles are products of one exp-by-powers series per factor
+instead of one exp of a summed divisor-sum log.
 
 :func:`reference_P` is the one exception: it reassembles a P-series from the
 library's single-family products, which the oracles above pin, by the
@@ -488,6 +490,62 @@ def eval_factor_at_w(factor: RootFactor, table, max_weight: int, bound: int) -> 
         out[k] = out[k] + gp if k in out else gp
     return PuiseuxSeries({k: g for k, g in out.items() if g}, bound,
                          GradedPolynomial.zero(table, max_weight))
+
+
+# -- tensor-string product oracle --------------------------------------------------
+
+
+def _bundle_exp_by_powers(X: PuiseuxSeries) -> PuiseuxSeries:
+    """``sum X^t / t!`` for a bundle-valued series with positive leading exponent."""
+    out = term = PuiseuxSeries.constant(X.zero.one_like(), X.order_bound, X.zero)
+    for t in range(1, X.order_bound // X.leading_exponent() + 1):
+        term = (term * X).map_coefficients(lambda b: b.scale(Fraction(1, t)))
+        out = out + term
+    return out
+
+
+def _string_factor(E, step: int, sign, bound: int) -> PuiseuxSeries:
+    """``lambda_{sign q^(step/8)}(E)``, or ``S_{q^(step/8)}(E)`` when ``sign`` is None.
+
+    The exp by powers of ``sum_m (-1)^(m-1) sign^m psi^m(E) t^m / m`` (of
+    ``sum_m psi^m(E) t^m / m`` for ``S``).
+    """
+    terms = {}
+    for m in range(1, bound // step + 1):
+        c = Fraction(1, m) if sign is None else Fraction((-1) ** (m - 1) * sign ** m, m)
+        terms[m * step] = E.adams(m).scale(c)
+    return _bundle_exp_by_powers(PuiseuxSeries(terms, bound, E.zero_like()))
+
+
+def string_product_oracle(strings, order: int) -> PuiseuxSeries:
+    """A product of tensor strings through ``q^order``, one series product per factor.
+
+    A string ``(E, half, sign)`` is ``tensor_{n>=1} lambda_{sign q^(a_n)}(E)``
+    with ``a_n = n`` (``n - 1/2`` when half), or ``tensor_n S_{q^(a_n)}(E)``
+    when ``sign`` is None.  Each factor is its own exp by powers.
+    """
+    bound = 8 * order
+    zero = strings[0][0].zero_like()
+    out = PuiseuxSeries.constant(zero.one_like(), bound, zero)
+    for E, half, sign in strings:
+        for step in range(4 if half else 8, bound + 1, 8):
+            out = out * _string_factor(E, step, sign, bound)
+    return out
+
+
+def theta_strings(kind: str, tangent, line, *, reduced_line: bool = True) -> list:
+    """The strings of a theta object for :func:`string_product_oracle`.
+
+    The symmetric string of the reduced tangent, then the exterior strings of
+    the tangent (``theta1/2/3``) or of the line (``theta_c``, ``theta_c_star``),
+    the line reduced unless ``reduced_line`` is False.
+    """
+    t = tangent.reduced()
+    ell = line if line is None or not reduced_line else line.reduced()
+    exterior = {"theta1": [(t, False, 1)], "theta2": [(t, True, -1)], "theta3": [(t, True, 1)],
+                "theta_c": [(ell, False, 1), (ell, True, -1), (ell, True, 1)],
+                "theta_c_star": [(ell, False, -1)]}[kind]
+    return [(t, False, None)] + exterior
 
 
 # -- unfused P-series assembly ------------------------------------------------------

@@ -1,14 +1,22 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
+
+import pytest
 
 from anomcancel.algebra import GradedPolynomial
 from anomcancel.genus import build_generator_table
 from anomcancel.kvirt import (VirtualBundle, aux_bundle, bundle_coefficient,
-                              character_series, lambda_series, line_pair_bundle,
-                              s_series, sym_string, tangent_bundle, theta_object)
+                              character_series, lambda_string, line_pair_bundle,
+                              tangent_bundle, theta_object)
 from anomcancel.qseries import PuiseuxSeries
+from helpers import string_product_oracle, theta_strings
+
+KINDS = ("theta1", "theta2", "theta3", "theta_c", "theta_c_star")
+FLAVOURS = [(False, +1), (False, -1), (True, +1), (True, -1)]
 
 
+@lru_cache(maxsize=None)
 def setup_bundles(W=4):
     table = build_generator_table(2, 1, True, W)
     T = tangent_bundle(2, table, W)
@@ -67,35 +75,52 @@ def test_lambda_square_of_line_pair():
 def test_lambda_series_of_trivial_line():
     table, *_ = setup_bundles()
     c = VirtualBundle.trivial(1, table, 4)
-    lt = lambda_series(c, 8, +1, 3)
+    lt = lambda_string(c, True, +1, 3)
     assert bundle_coefficient(lt, 0) == c.one_like()
-    assert bundle_coefficient(lt, 8) == c
-    assert not bundle_coefficient(lt, 16)  # Lambda^2 of a line vanishes
-    st = s_series(c, 8, 3)
-    for j in range(4):
-        assert bundle_coefficient(st, 8 * j) == c.one_like()
+    assert bundle_coefficient(lt, 4) == c
+    assert not bundle_coefficient(lt, 8)  # Lambda^2 of a line vanishes
+    st = lambda_string(-c, False, -1, 3)  # S_t(c) = lambda_{-t}(-c): prod 1/(1 - q^n)
+    for j, partitions in enumerate((1, 1, 2, 3)):
+        assert bundle_coefficient(st, 8 * j) == c.one_like().scale(partitions)
 
 
 def test_s_lambda_inverse_relation():
+    # theta_c_star with line = tangent is S_{q^n}(E) * lambda_{-q^n}(E) on one E
     table, T, V, L = setup_bundles()
-    for E in (T.reduced(), V, L):
-        prod = s_series(E, 4, 2) * lambda_series(E, 4, -1, 2)
+    for E in (T, V, L):
+        prod = theta_object("theta_c_star", E, E, 2)
         assert (prod - one_series(E, prod.order_bound)).is_zero()
 
 
 def test_lambda_additivity():
     table, T, V, L = setup_bundles()
-    lhs = lambda_series(T + V, 4, +1, 2)
-    rhs = lambda_series(T, 4, +1, 2) * lambda_series(V, 4, +1, 2)
-    assert (lhs - rhs).is_zero()
+    for half, sign in FLAVOURS:
+        lhs = lambda_string(T + V, half, sign, 2)
+        assert lhs == lambda_string(T, half, sign, 2) * lambda_string(V, half, sign, 2), (half, sign)
 
 
 def test_first_order_coefficients():
     table, T, V, L = setup_bundles()
     E = T.reduced()
-    assert bundle_coefficient(s_series(E, 8, 2), 8) == E
-    assert bundle_coefficient(lambda_series(E, 4, -1, 2), 4) == -E
-    assert bundle_coefficient(sym_string(E, 2), 8).rank == 0
+    # a trivial line reduces to zero, so theta_c_star is the bare symmetric string
+    sym = theta_object("theta_c_star", T, VirtualBundle.trivial(2, table, 4), 2)
+    assert bundle_coefficient(sym, 8) == E
+    assert bundle_coefficient(lambda_string(E, True, -1, 2), 4) == -E
+    assert bundle_coefficient(sym, 8).rank == 0
+
+
+@pytest.mark.parametrize("W", [4, 6, 8])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_strings_match_product_oracle(W, order):
+    table, T, V, L = setup_bundles(W)
+    for kind in KINDS:
+        got = theta_object(kind, T, L, order)
+        assert got == string_product_oracle(theta_strings(kind, T, L), order), kind
+        assert got.order_bound == 8 * order
+    for E in (T.reduced(), V.reduced(), L, T + V):
+        for half, sign in FLAVOURS:
+            want = string_product_oracle([(E, half, sign)], order)
+            assert lambda_string(E, half, sign, order) == want, (half, sign)
 
 
 def test_theta_object_low_coefficients():
@@ -114,25 +139,24 @@ def test_theta_object_low_coefficients():
 def test_theta_line_objects():
     table, T, V, L = setup_bundles()
     E = T.reduced()
-    thc = theta_object("theta_c", T, L, 2, reduced_line=False)
+    thc = string_product_oracle(theta_strings("theta_c", T, L, reduced_line=False), 2)
     assert not bundle_coefficient(thc, 4)
     want = E + L + L.lambda_power(2).scale(2) - L * L
     assert bundle_coefficient(thc, 8) == want
-    thc_red = theta_object("theta_c", T, L, 2, reduced_line=True)
+    thc_red = theta_object("theta_c", T, L, 2)
     for k in range(0, 17):
         assert bundle_coefficient(thc, k) == bundle_coefficient(thc_red, k)
     star = theta_object("theta_c_star", T, L, 2)
     assert bundle_coefficient(star, 8) == E - L.reduced()
-    star_u = theta_object("theta_c_star", T, L, 2, reduced_line=False)
+    star_u = string_product_oracle(theta_strings("theta_c_star", T, L, reduced_line=False), 2)
     assert bundle_coefficient(star_u, 8) == E - L
 
 
 def test_string_truncation_sufficiency():
-    # one more string factor changes nothing below the order window
+    # the string factors beyond the order window change nothing below it
     table, T, V, L = setup_bundles()
-    E = T.reduced()
-    base = sym_string(E, 2)
-    more = base * s_series(E, 24, 2)  # the n=3 factor starts at q^3
+    base = theta_object("theta1", T, None, 2)
+    more = theta_object("theta1", T, None, 3).truncate(16)  # adds the n=3 factors
     assert (more - base).is_zero()
 
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anomcancel.algebra import AlgebraError
 from anomcancel.modforms import delta_eps
 from anomcancel.qseries import PuiseuxSeries, RingMismatchError, TruncationError
 
@@ -32,27 +31,6 @@ def test_coefficient_contract():
         f.coefficient(12)
     # the published q-coefficient of the first generator
     assert delta_eps("delta1", 4).coefficient(8) == Fraction(6)
-
-
-def test_sign_flip():
-    f = S({0: 1, 4: 1})
-    assert f.sign_flip() == S({0: 1, 4: -1})
-    g = S({0: 1, 8: 1})
-    assert g.sign_flip() == g
-    d2ish = S({0: Fraction(-1, 8), 4: -3})
-    assert d2ish.sign_flip() == S({0: Fraction(-1, 8), 4: 3})
-    with pytest.raises(AlgebraError):
-        S({1: 1}).sign_flip()
-
-
-def test_sign_flip_involution_and_homomorphism():
-    rng = random.Random(9)
-    for _ in range(10):
-        f = S({4 * k: rng.randint(-3, 3) for k in range(6)})
-        g = S({4 * k: rng.randint(-3, 3) for k in range(6)})
-        assert f.sign_flip().sign_flip() == f
-        assert (f * g).sign_flip() == f.sign_flip() * g.sign_flip()
-        assert (f + g).sign_flip() == f.sign_flip() + g.sign_flip()
 
 
 def test_mul_associative_commutative_randomized():
