@@ -34,8 +34,7 @@ def show_generators(order=6):
 def show_basis(order=5):
     print("# triangular weight-2k basis over the half-integer group, k = 2")
     for r in (0, 1):
-        el = basis_element(GROUP_UPPER, 2, r, order)
-        print(f"  r={r}: {el.series.to_text()}")
+        print(f"  r={r}: {basis_element(GROUP_UPPER, 2, r, order).to_text()}")
     print()
 
 

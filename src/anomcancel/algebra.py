@@ -570,36 +570,6 @@ class QColumns(NamedTuple):
         at = self.terms(table, cap)
         return {k: GradedPolynomial._with_form(table, at[k], cap, None) for k in sorted(at)}
 
-    @staticmethod
-    def from_polys(polys: Mapping[int, GradedPolynomial], step: int) -> "QColumns":
-        """The inverse of :meth:`polys`: ``{lattice: coefficient}`` on multiples of ``step``.
-
-        Every coefficient is brought over the least common denominator of
-        all terms, and each monomial is packed by its own table's
-        :class:`Packing` at its truncation weight, so all coefficients must
-        share one table and one truncation weight.
-
-        >>> from anomcancel.genus import build_generator_table
-        >>> t = build_generator_table(1, 0, True, 2)
-        >>> w = GradedPolynomial.generator("w", t, 2)
-        >>> c = QColumns.from_polys({0: w.scale(Fraction(1, 2)), 8: w + 1}, 4)
-        >>> c.den, sorted(c.cols.items())
-        (2, [(0, [0, 0, 2]), (2, [1, 0, 2])])
-        >>> {k: p.to_text() for k, p in c.polys(t, 2).items()}
-        {0: '1/2*w', 8: '1 + w'}
-        """
-        if any(k % step for k in polys):
-            raise AlgebraError(f"a position is off the lattice of step {step}")
-        den = lcm(*(c.denominator for p in polys.values() for c in p.terms.values()))
-        size = max(polys, default=0) // step + 1
-        cols: dict[int, list[int]] = {}
-        for k, p in polys.items():
-            i = k // step
-            key = p.table.packing(p.max_weight).key
-            for e, c in p.terms.items():
-                cols.setdefault(key(e), [0] * size)[i] = c.numerator * (den // c.denominator)
-        return QColumns(den, step, cols)
-
 
 def field_width(positions: int, products: Sequence[tuple[int, int, int, int]]) -> int:
     """Bits per field for a sum of packed products, one more than any output |numerator| needs.

@@ -46,7 +46,7 @@ from .genus import (FAMILY_TM, FAMILY_V, LINE, RootFamily, apply_constraint,
 from .genus import prod_over_roots  # not called here: kept as the alias the benchmark tracer wraps
 from .kvirt import (aux_bundle, character_series, lambda_string,
                     line_pair_bundle, tangent_bundle, theta_object)
-from .modforms import (Decomposition, decompose_packed, leading_minor, transfer_packed,
+from .modforms import (Decomposition, decompose, leading_minor, transfer_residual,
                        unit_lower_inverse)
 from .qseries import PuiseuxSeries, require_known
 from .theta import Q_UNIT, RootFactor, theta_log
@@ -234,10 +234,12 @@ class _Env:
         cached = self._p.get(which)
         if cached is not None:
             return cached
+        log = {"P1": "t1", "P2": "t2", "P3": "t3"}.get(which)
+        if log is None:
+            raise AlgebraError(f"unknown P-series {which!r}")
         s = self.setting
         bound, core = self.half.core
-        aux_bound, aux = self.half.exp([(self.half.log({"P1": "t1", "P2": "t2", "P3": "t3"}[which]),
-                                         self.v_sums)])
+        aux_bound, aux = self.half.exp([(self.half.log(log), self.v_sums)])
         bound = min(bound, aux_bound)
         unit = [(0, 2 ** s.l if which == "P1" else 1)]
         pairs = [(core[s.weight - 2 * n], f, 1, unit) for n, f in enumerate(aux)]
@@ -253,7 +255,7 @@ class _Env:
 
     def decomposition(self) -> Decomposition:
         if self._decomp is None:
-            self._decomp = decompose_packed(*self.packed("P2"), self.setting.k, self.gp_zero)
+            self._decomp = decompose(*self.packed("P2"), self.setting.k, self.gp_zero)
         return self._decomp
 
     # -- bundle path ----------------------------------------------------------
@@ -336,15 +338,17 @@ def get_env(setting: Setting) -> _Env:
 
 def build_P(setting: Setting, which: str) -> PuiseuxSeries:
     """Top-weight, constraint-applied P-series for the setting, as a series of polynomials."""
-    if which not in ("P1", "P2", "P3"):
-        raise AlgebraError(f"unknown P-series {which!r}")
     env = get_env(setting)
     bound, top = env.packed(which)
     return PuiseuxSeries(top.polys(env.table, setting.weight), bound, env.gp_zero)
 
 
-def decompose_setting(setting: Setting) -> Decomposition:
-    return get_env(setting).decomposition()
+def decompose_setting(setting: Setting, which: str = "P2") -> Decomposition:
+    """The basis decomposition of P2 (the verdict's, built once) or of P1/P3, from the packed series."""
+    env = get_env(setting)
+    if which == "P2":
+        return env.decomposition()
+    return decompose(*env.packed(which), setting.k, env.gp_zero)
 
 
 def cross_check_bundle_expansion(setting: Setting, exponent_units: int,
@@ -451,7 +455,7 @@ def _pipeline(report: VerificationReport, env: _Env) -> Decomposition:
     report.solve_integral = dec.integral_solve
     report.checks["decomposition_residual"] = Check(dec.residual)
     report.checks["transfer_residual"] = Check(
-        transfer_packed(*env.packed("P1"), dec.h, env.setting.l, env.setting.k, env.gp_zero))
+        transfer_residual(*env.packed("P1"), dec.h, env.setting.l, env.setting.k, env.gp_zero))
     return dec
 
 

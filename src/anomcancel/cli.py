@@ -70,6 +70,8 @@ def _cmd_verify(args) -> int:
     if args.theorem in anomaly.DIVISIBILITY_IDS:
         if args.k is not None and args.k != 2 * args.m + 1:
             raise AlgebraError(f"{args.theorem} fixes k = 2m+1 = {2 * args.m + 1}")
+        if args.qorder is not None:
+            raise AlgebraError(f"{args.theorem} is an audit and reads no series: --qorder does not apply")
         audit = anomaly.divisibility_check(args.theorem, args.m, args.l, args.v2h)
         obj = audit.to_json_obj()
         payload = json.dumps(obj, indent=2) if args.format == "json" else _render_audit_text(obj)
@@ -111,10 +113,10 @@ def _cmd_expand(args) -> int:
         obj["text"] = factor.to_text()
     elif name == "basis":
         group = GROUP_UPPER if args.group == "upper" else GROUP_LOWER
-        el = basis_element(group, args.k, args.r, order)
+        series = basis_element(group, args.k, args.r, order)
         obj.update({"group": group, "k": args.k, "r": args.r})
-        obj["series"] = el.series.to_json_obj()
-        obj["text"] = el.series.to_text()
+        obj["series"] = series.to_json_obj()
+        obj["text"] = series.to_text()
     elif name in ("P1", "P2", "P3"):
         setting = anomaly.make_setting(args.setting, args.k, args.l, args.qorder)
         order = setting.n_q
@@ -136,10 +138,7 @@ def _cmd_expand(args) -> int:
 
 def _cmd_decompose(args) -> int:
     setting = anomaly.make_setting(args.setting, args.k, args.l, args.qorder)
-    dec = anomaly.decompose_setting(setting) if args.which == "P2" else None
-    if dec is None:
-        from .modforms import decompose
-        dec = decompose(anomaly.build_P(setting, args.which), setting.k)
+    dec = anomaly.decompose_setting(setting, args.which)
     obj = {"schema": 1, "setting": setting.to_json_obj(), "which": args.which}
     obj.update(dec.to_json_obj())
     payload = json.dumps(obj, indent=2) if args.format == "json" else \

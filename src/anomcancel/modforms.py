@@ -27,11 +27,12 @@ order)`` are built together from shared powers of ``(8*delta)^2`` and
 polynomials.  The ``h_r`` themselves come from P2's integer numerators: the
 leading minor is unit lower-triangular with integer entries, so
 back-substitution needs no division, and it is checked against the minor's
-integer inverse (:func:`unit_lower_inverse`).  The verdict path hands in
-packed series (:func:`decompose_packed`, :func:`transfer_packed`); the
-public :func:`decompose` and :func:`transfer_residual` take a
-``PuiseuxSeries`` and pack it at that edge.  :func:`delta_eps` and
-:func:`basis_element` are ``Fraction`` views of the same integer columns.
+integer inverse (:func:`unit_lower_inverse`).  :func:`decompose` and
+:func:`transfer_residual` take the packed series the verdict path holds,
+with the lattice bound it is known through and the polynomial ring its
+monomials pack; nothing converts polynomials into that form.
+:func:`delta_eps` and :func:`basis_element` are ``Fraction`` views of the
+same integer columns.
 """
 
 from __future__ import annotations
@@ -156,15 +157,7 @@ def _basis_rows(group: str, k: int, order: int) -> tuple[QColumns, ...]:
     return rows
 
 
-@dataclass(frozen=True)
-class ModularBasisElement:
-    group: str
-    k: int
-    r: int
-    series: PuiseuxSeries
-
-
-def basis_element(group: str, k: int, r: int, order: int) -> ModularBasisElement:
+def basis_element(group: str, k: int, r: int, order: int) -> PuiseuxSeries:
     """``(8*delta)^(k-2r) * eps^r`` for the requested group.
 
     The exponent is ``k - 2r`` so every term has weight 2k (delta has weight
@@ -178,7 +171,7 @@ def basis_element(group: str, k: int, r: int, order: int) -> ModularBasisElement
     row = _basis_rows(group, k, order)[r]
     if group == GROUP_UPPER and HALF_UNIT * r > Q_UNIT * order:
         raise AlgebraError(f"upper basis element r={r} starts beyond q^{order}")
-    return ModularBasisElement(group, k, r, _view(row, order))
+    return _view(row, order)
 
 
 @dataclass(frozen=True)
@@ -189,7 +182,6 @@ class Decomposition:
     ``integral_solve`` always holds: a minor with no integer inverse raises.
     """
 
-    k: int
     h: list[GradedPolynomial]
     residual: PuiseuxSeries
     solve_coeffs: list[list[int]]
@@ -236,11 +228,11 @@ def unit_lower_inverse(m: list[list[int]]) -> list[list[int]]:
     return inv
 
 
-def _packed_sum(P: QColumns | None, h: list[GradedPolynomial], rows: tuple[QColumns, ...], scale: int,
+def _packed_sum(P: QColumns, h: list[GradedPolynomial], rows: tuple[QColumns, ...], scale: int,
                 bound: int, zero: GradedPolynomial) -> PuiseuxSeries:
     """``P + scale * sum_r h_r * rows_r`` through lattice ``bound``: one :func:`mul_sum`.
 
-    ``P`` (or None) is a packed series on the ring of ``zero``.  The output
+    ``P`` is a packed series on the ring of ``zero``.  The output
     step is the gcd of the rows' step and ``P``'s, so a term of ``P`` off
     the rows' lattice stays in the result.  Each ``h_r`` enters through its
     integer form as a single-position operand.
@@ -248,43 +240,39 @@ def _packed_sum(P: QColumns | None, h: list[GradedPolynomial], rows: tuple[QColu
     table, cap = zero.table, zero.max_weight
     if any(p.table != table or p.max_weight != cap for p in h):
         raise AlgebraError("basis coefficients live in another polynomial ring")
-    step = gcd(rows[0].step, P.step if P else 0)
+    step = gcd(rows[0].step, P.step)
     products = []
     for p, row in zip(h, rows):
         den, groups = p.int_form()
         products.append((QColumns(den, step, {key: [n] for _, items in groups for key, n in items}),
                          row, 1, [(0, scale)]))
-    if P is not None:
-        products.append((P, QColumns(1, step, {0: [1]}), 1, _UNIT))
+    products.append((P, QColumns(1, step, {0: [1]}), 1, _UNIT))
     out = mul_sum(products, step, bound // step + 1)
     return PuiseuxSeries(out.polys(table, cap), bound, zero)
 
 
-def _packed(P: PuiseuxSeries) -> QColumns:
-    """A polynomial-valued series in packed integer form: the public entry points' edge."""
-    return QColumns.from_polys(P.terms, gcd(Q_UNIT, *P.terms))
+def decompose(bound: int, P: QColumns, k: int, zero: GradedPolynomial,
+              order: int | None = None) -> Decomposition:
+    """Solve ``P = sum_r h_r (8*delta2)^(k-2r) eps2^r`` and report the residual.
 
+    ``P`` is a packed series known through lattice ``bound``, on the
+    half-integer lattice, whose monomials are packed for the ring of
+    ``zero``.  The ``h_r`` come out of the triangular system at ``q^0 ..
+    q^(r/2)`` by back-substitution on ``P``'s integer numerators: the
+    leading minor is unit lower-triangular with integer entries
+    (:func:`leading_minor`), so no step divides and every ``h_r`` keeps
+    ``P``'s denominator.  ``solve_coeffs`` is the minor's integer inverse,
+    recording each ``h_r`` as an integer combination of the input
+    coefficients, and the solve is checked against it.  The residual is then
+    checked against every further coefficient ``P`` carries.
 
-def decompose(P: PuiseuxSeries, k: int, order: int | None = None) -> Decomposition:
-    """Solve ``P = sum_r h_r (8*delta2)^(k-2r) eps2^r`` and report the residual (see :func:`decompose_packed`).
+    The upper row ``8*delta2`` itself, through ``q^2`` (lattice 16):
 
-    ``P`` has graded-polynomial coefficients on the half-integer lattice.
-    """
-    return decompose_packed(P.order_bound, _packed(P), k, P.zero, order)
-
-
-def decompose_packed(bound: int, P: QColumns, k: int, zero: GradedPolynomial,
-                     order: int | None = None) -> Decomposition:
-    """:func:`decompose` of a packed series known through lattice ``bound``, on the ring of ``zero``.
-
-    The ``h_r`` come out of the triangular system at ``q^0 .. q^(r/2)`` by
-    back-substitution on ``P``'s integer numerators: the leading minor is
-    unit lower-triangular with integer entries (:func:`leading_minor`), so
-    no step divides and every ``h_r`` keeps ``P``'s denominator.
-    ``solve_coeffs`` is the minor's integer inverse, recording each ``h_r``
-    as an integer combination of the input coefficients, and the solve is
-    checked against it.  The residual is then checked against every further
-    coefficient ``P`` carries.
+    >>> from anomcancel.genus import build_generator_table
+    >>> zero = GradedPolynomial.zero(build_generator_table(1, 0, True, 2), 2)
+    >>> dec = decompose(16, QColumns(1, HALF_UNIT, {0: [-1, -24, -24, -96, -24]}), 1, zero)
+    >>> [p.to_text() for p in dec.h], dec.residual_zero
+    (['1'], True)
     """
     if P.step % HALF_UNIT and any(n for nums in P.cols.values() for i, n in enumerate(nums)
                                   if i * P.step % HALF_UNIT):
@@ -316,28 +304,16 @@ def decompose_packed(bound: int, P: QColumns, k: int, zero: GradedPolynomial,
         for r in range(n_unknowns)]
     residual = _packed_sum(P, h_polys, _basis_rows(GROUP_UPPER, k, order), -1,
                            min(bound, Q_UNIT * order), zero)
-    return Decomposition(k, h_polys, residual, inv, True)
+    return Decomposition(h_polys, residual, inv, True)
 
 
-def reconstruct(h: list[GradedPolynomial], group: str, k: int, order: int,
-                zero: GradedPolynomial) -> PuiseuxSeries:
-    """``sum_r h_r * basis(group, k, r)`` as a polynomial-valued series."""
-    if len(h) > k // 2 + 1:
-        raise AlgebraError(f"{len(h)} coefficients for the {k // 2 + 1} basis elements of k={k}")
-    return _packed_sum(None, h, _basis_rows(group, k, order), 1, Q_UNIT * order, zero)
+def transfer_residual(bound: int, P1: QColumns, h: list[GradedPolynomial], l: int, k: int,
+                      zero: GradedPolynomial) -> PuiseuxSeries:
+    """Residual of ``P1 = 2^l sum_r h_r (8*delta1)^(k-2r) eps1^r`` through lattice ``bound``.
 
-
-def transfer_residual(P1: PuiseuxSeries, h: list[GradedPolynomial], l: int, k: int) -> PuiseuxSeries:
-    """Residual of ``P1 = 2^l sum_r h_r (8*delta1)^(k-2r) eps1^r`` (see :func:`transfer_packed`)."""
-    return transfer_packed(P1.order_bound, _packed(P1), h, l, k, P1.zero)
-
-
-def transfer_packed(bound: int, P1: QColumns, h: list[GradedPolynomial], l: int, k: int,
-                    zero: GradedPolynomial) -> PuiseuxSeries:
-    """:func:`transfer_residual` of a packed P1 known through lattice ``bound``, on the ring of ``zero``.
-
-    A zero residual is the q-expansion witness of the modular transfer from
-    the upper-group decomposition to the integer-exponent side.
+    ``P1`` is packed as in :func:`decompose`.  A zero residual is the
+    q-expansion witness of the modular transfer from the upper-group
+    decomposition to the integer-exponent side.
     """
     if len(h) != k // 2 + 1:
         raise AlgebraError("coefficient list length does not match k")

@@ -91,10 +91,6 @@ class PuiseuxSeries:
     def exponents(self) -> list[int]:
         return sorted(self.terms)
 
-    def support_on_lattice(self, step: int) -> bool:
-        """True when every stored exponent is a multiple of ``step`` eighths."""
-        return all(k % step == 0 for k in self.terms)
-
     def _check_ring(self, other: "PuiseuxSeries"):
         if type(self.zero) is not type(other.zero) or self.zero != other.zero:
             raise RingMismatchError(
@@ -149,12 +145,6 @@ class PuiseuxSeries:
         """Multiply by ``q^(units/8)``."""
         return PuiseuxSeries({k + units: c for k, c in self.terms.items()},
                              self.order_bound + units, self.zero)
-
-    def truncate(self, order_bound: int) -> "PuiseuxSeries":
-        if order_bound > self.order_bound:
-            raise AlgebraError("cannot extend a truncated series")
-        return PuiseuxSeries({k: c for k, c in self.terms.items() if k <= order_bound},
-                             order_bound, self.zero)
 
     def map_coefficients(self, fn: Callable, new_zero=None) -> "PuiseuxSeries":
         zero = self.zero if new_zero is None else new_zero

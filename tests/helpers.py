@@ -13,7 +13,9 @@ packed q-series products are convolved one position pair at a time in
 ``Fraction`` arithmetic, and the level-2 generators and basis rows are
 multiplied out from the lattice sums by plain dict convolution; tensor
 strings of bundles are products of one exp-by-powers series per factor
-instead of one exp of a summed divisor-sum log.
+instead of one exp of a summed divisor-sum log.  :func:`packed` writes a
+polynomial-valued series into the packed integer form by hand, from its
+dicts.
 
 :func:`reference_P` is the one exception: it reassembles a P-series from the
 library's single-family products, which the oracles above pin, by the
@@ -24,9 +26,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd, lcm
 
-from anomcancel.algebra import GradedPolynomial
+from anomcancel.algebra import GradedPolynomial, QColumns
 from anomcancel.genus import (FAMILY_TM, FAMILY_V, RootFamily, build_generator_table,
                               constraint_replacement, eval_at_var, prod_over_roots)
 from anomcancel.modforms import GROUP_UPPER
@@ -415,6 +417,30 @@ def residual_oracle(P: PuiseuxSeries, h, group: str, k: int, scale: int, order: 
             if pos <= bound:
                 out[pos] = out.get(pos, P.zero) - hr.scale(b * scale)
     return PuiseuxSeries({pos: c for pos, c in out.items() if c}, bound, P.zero)
+
+
+def packed(series: PuiseuxSeries) -> tuple[int, QColumns]:
+    """``(order_bound, columns)`` of a polynomial-valued series, in the packed integer form.
+
+    Positions go on the gcd of 8 and the stored exponents, numerators over
+    the lcm of all denominators.  A monomial's key gives generator ``i`` a
+    bit field of ``(cap // weight_i).bit_length()`` bits, first generator
+    lowest, at the truncation weight ``cap`` of the series' ring.
+    """
+    zero = series.zero
+    shifts, shift = [], 0
+    for g in zero.table.gens:
+        shifts.append(shift)
+        shift += (zero.max_weight // g.weight).bit_length()
+    step = gcd(8, *series.terms)
+    den = lcm(*(c.denominator for p in series.terms.values() for c in p.terms.values()))
+    size = max(series.terms, default=0) // step + 1
+    cols: dict[int, list[int]] = {}
+    for pos, p in series.terms.items():
+        for e, c in p.terms.items():
+            key = sum(x << s for x, s in zip(e, shifts))
+            cols.setdefault(key, [0] * size)[pos // step] = c.numerator * (den // c.denominator)
+    return series.order_bound, QColumns(den, step, cols)
 
 
 # -- log, exp and line-evaluation oracles -----------------------------------------

@@ -10,11 +10,10 @@ from anomcancel.anomaly import (build_P, cross_check_bundle_expansion,
                                 decompose_setting, divisibility_check, get_env,
                                 make_setting, structural_checks, verify_theorem)
 from anomcancel.genus import build_generator_table
-from anomcancel.modforms import (DELTA_EPS_KINDS, decompose, delta_eps, transfer_packed,
-                                 transfer_residual)
+from anomcancel.modforms import DELTA_EPS_KINDS, decompose, delta_eps, transfer_residual
 from anomcancel.theta import RootFactor, theta_factor, theta_log, theta_null
 
-from helpers import reference_P
+from helpers import packed, reference_P
 
 
 def gating_failures(report):
@@ -250,17 +249,45 @@ def test_sharing_the_tangent_half_cannot_change_a_verdict(kind, monkeypatch):
 @pytest.mark.parametrize("k", range(1, 7))
 @pytest.mark.parametrize("kind", ["spin4k", "spinc4k", "spinc4k2"])
 def test_public_and_packed_decompositions_agree(kind, k):
-    """``decompose(build_P(s, "P2"), k)`` enters through the series edge; the verdict path
-    decomposes the packed P2.  Both give the same h_r, solve, residual and transfer residual."""
+    """The ``build_P`` view of P2, packed again by hand, decomposes to exactly the verdict
+    path's decomposition; the same holds for the transfer residual of P1."""
     for l in (1, 2, 3):
         s = make_setting(kind, k, l)
         env = get_env(s)
-        public, packed = decompose(build_P(s, "P2"), k), env.decomposition()
-        assert public.h == packed.h
-        assert public.solve_coeffs == packed.solve_coeffs
-        assert public.integral_solve is packed.integral_solve is True
-        assert public.residual == packed.residual and packed.residual_zero
-        edge = transfer_residual(build_P(s, "P1"), packed.h, l, k)
-        assert edge == transfer_packed(*env.packed("P1"), packed.h, l, k, env.gp_zero)
+        public, verdict = decompose(*packed(build_P(s, "P2")), k, env.gp_zero), env.decomposition()
+        assert public.h == verdict.h
+        assert public.solve_coeffs == verdict.solve_coeffs
+        assert public.integral_solve is verdict.integral_solve is True
+        assert public.residual == verdict.residual and verdict.residual_zero
+        edge = transfer_residual(*packed(build_P(s, "P1")), verdict.h, l, k, env.gp_zero)
+        assert edge == transfer_residual(*env.packed("P1"), verdict.h, l, k, env.gp_zero)
         assert edge.is_zero()
+
+
+def test_unknown_p_series_is_rejected():
+    s = make_setting("spin4k", 1, 1)
+    for read in (build_P, decompose_setting):
+        with pytest.raises(AlgebraError, match="unknown P-series"):
+            read(s, "P4")
+
+
+def test_verdict_path_calls_the_public_modular_operations_once(monkeypatch):
+    """One cold verify decomposes P2 once and transfers once, through the public names
+    ``anomaly`` imports (the names a tracer wrapping them would see)."""
+    calls = {"decompose": 0, "transfer_residual": 0}
+
+    def counting(name):
+        real = getattr(anomaly, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(anomaly, "_env_cache", {})
+    monkeypatch.setattr(anomaly, "_tangent_cache", {})
+    for name in calls:
+        monkeypatch.setattr(anomaly, name, counting(name))
+    assert verify_theorem("4.6", k=2, l=2).status == "PASS"
+    assert calls == {"decompose": 1, "transfer_residual": 1}
 

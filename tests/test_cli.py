@@ -152,6 +152,8 @@ EXIT_CODE_TABLE = [
      lambda out, err, pools: "2m+1" in err),
     (["verify", "--theorem", "3.6", "--m", "0", "--l", "9"], 0,
      lambda out, err, pools: (json.loads(out)["k"], json.loads(out)["l"]) == (1, 9)),
+    (["verify", "--theorem", "3.6", "--m", "1", "--qorder", "2"], 2,
+     lambda out, err, pools: err.startswith("error:") and "--qorder" in err and out == ""),
 ]
 
 
@@ -318,3 +320,41 @@ def test_expand_basis_bytes_are_pinned(capsys, group, k, r, fmt):
                        "--r", str(r), "--order", "10", "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == BASIS_SHA256[(group, k, r, fmt)]
+
+
+# (exit code, sha256 of stdout) of `decompose --setting KIND --k K --l L --which WHICH
+# --format FORMAT`, recorded when P1 and P3 went through the polynomial view of the series
+DECOMPOSE_SHA256 = {
+    ("spin4k", 2, 2, "P1", "json"): (1, "104db6963fd186841669a2e3bfbf16651408a427dc8ac4e3563b4f3f91310521"),
+    ("spin4k", 2, 2, "P1", "text"): (1, "0cb193e23b4121f284342e3d5e22014793b4869aed4faad490a86cc0f8b47cfb"),
+    ("spin4k", 2, 2, "P2", "json"): (0, "b6327281cf7d448999911cd75d650c359fc000d91b0b58d5012ef1d073de0726"),
+    ("spin4k", 2, 2, "P2", "text"): (0, "fd392d91e23c5ccd580c56807ac1c0d8dffa7b3b91a9bfc5643688b67ccb0e0e"),
+    ("spin4k", 2, 2, "P3", "json"): (1, "c95aea97c75828471dc44859eb1b2214daa2dc026d72c1dc93f57b85c19530e4"),
+    ("spin4k", 2, 2, "P3", "text"): (1, "ec0385ee6d67cf6dabcb76b98ae0975429cb0afbf2ae1e5744a4187444168559"),
+    ("spinc4k", 2, 3, "P1", "json"): (1, "568faba85bc119f80945224a6da69a989d0b50bcaee1494d680c2878baa2ed95"),
+    ("spinc4k", 2, 3, "P1", "text"): (1, "f73c24d608b44f052457dcfb695e2ad9f2eb3d17f2db4d07f1d59313cd30ebde"),
+    ("spinc4k", 2, 3, "P2", "json"): (0, "8025d729a6c086793b07fbd7c62b6e526bcac741c1cd77bb2489bfdc9eac26a0"),
+    ("spinc4k", 2, 3, "P2", "text"): (0, "59b162d3d380e872da881b8ebe77b50502e3b4a3d1b913ee767cda2b138fd298"),
+    ("spinc4k", 2, 3, "P3", "json"): (1, "195bd50d6a2389c33cd92be7a710b28b28ee09c4bbf6962e5bce63a971eede09"),
+    ("spinc4k", 2, 3, "P3", "text"): (1, "f51a49c48d7073ae820e3cb6866c2459db21a2ddb4b188d3dc9ab53a1a82db91"),
+    ("spinc4k2", 2, 1, "P1", "json"): (1, "27caffd52ac5e1c8f7d545f5b6e1b95ca51947740411b25d2b36a76edb1e9ed9"),
+    ("spinc4k2", 2, 1, "P1", "text"): (1, "41523ce3ada3c1dd2bc6dea99fa529ab8f87ec7b70600fe05303675b5c13308c"),
+    ("spinc4k2", 2, 1, "P2", "json"): (0, "cd6785633be1cdba81b3a746096ab417b5cfa0a8315720a3f37fe5303e949909"),
+    ("spinc4k2", 2, 1, "P2", "text"): (0, "7f7bb048954aa5e4c68b1e9230685631710073550e6878c7efde557e7a111afe"),
+    ("spinc4k2", 2, 1, "P3", "json"): (1, "4bde03cb93a44bc67d3f2165c81ddb21cba5375eab3acc8173ecbbee3e360d6c"),
+    ("spinc4k2", 2, 1, "P3", "text"): (1, "d4f36d33690ce67ed3810a30ec537239fe0abf066e937290354e851dac2e1440"),
+    ("spin4k", 5, 3, "P1", "json"): (1, "45df32869bc6383fef33f6ef67e027575d0c1f8d9ebbcf7d950607094abfa8fc"),
+    ("spin4k", 5, 3, "P1", "text"): (1, "4896eafe93d0a8424d0d6a9868399657fc3d6ccad8ae17caab61fe5b8f840691"),
+    ("spin4k", 5, 3, "P2", "json"): (0, "e9f9341c14d658e241c02cd222394509808fb28fa037521b55023d71c735a3bb"),
+    ("spin4k", 5, 3, "P2", "text"): (0, "0e63dc333f886cd5c72aa356a0c8c6e7031b12d231991c2f67360e04a2f791e2"),
+    ("spin4k", 5, 3, "P3", "json"): (1, "d3368a27cfdd04bab33415c1e25093d6b78741f657f663ea340ac46bcf79317f"),
+    ("spin4k", 5, 3, "P3", "text"): (1, "ab770b2b90f0d11e1ed8060635b0053b1137069e8362496296aad4dcd89c9c42"),
+}
+
+
+@pytest.mark.parametrize("kind,k,l,which,fmt", sorted(DECOMPOSE_SHA256),
+                         ids=["-".join(map(str, key)) for key in sorted(DECOMPOSE_SHA256)])
+def test_decompose_bytes_are_pinned(capsys, kind, k, l, which, fmt):
+    code, out, _ = run(capsys, "decompose", "--setting", kind, "--k", str(k), "--l", str(l),
+                       "--which", which, "--format", fmt)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == DECOMPOSE_SHA256[(kind, k, l, which, fmt)]

@@ -156,8 +156,9 @@ def test_string_truncation_sufficiency():
     # the string factors beyond the order window change nothing below it
     table, T, V, L = setup_bundles()
     base = theta_object("theta1", T, None, 2)
-    more = theta_object("theta1", T, None, 3).truncate(16)  # adds the n=3 factors
+    more = theta_object("theta1", T, None, 3)  # adds the n=3 factors
     assert (more - base).is_zero()
+    assert {k: c for k, c in more.terms.items() if k <= 16} == base.terms
 
 
 def test_character_series():
