@@ -359,12 +359,14 @@ class GradedPolynomial:
         return all(self.table.monomial_weight(e) == weight for e in self.terms)
 
     def substitute(self, name: str, replacement: "GradedPolynomial") -> "GradedPolynomial":
-        """Replace one generator by a homogeneous polynomial of equal weight."""
+        """Replace one generator by a homogeneous polynomial of equal weight (``self`` if no term has it)."""
         _check_space(replacement, self.table, self.max_weight)
         i = self.table.index(name)
         w = self.table.gens[i].weight
         if not replacement.is_homogeneous(w):
             raise AlgebraError(f"replacement for {name} must be homogeneous of weight {w}")
+        if not any(exps[i] for exps in self.terms):
+            return self
         rests: dict[int, dict[tuple[int, ...], Fraction]] = {}
         for exps, coeff in self.terms.items():
             rests.setdefault(exps[i], {})[exps[:i] + (0,) + exps[i + 1:]] = coeff

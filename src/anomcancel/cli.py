@@ -67,19 +67,24 @@ def _render_audit_text(obj: dict) -> str:
 
 
 def _cmd_verify(args) -> int:
-    if args.theorem in anomaly.DIVISIBILITY_IDS:
-        if args.k is not None and args.k != 2 * args.m + 1:
-            raise AlgebraError(f"{args.theorem} fixes k = 2m+1 = {2 * args.m + 1}")
-        if args.qorder is not None:
-            raise AlgebraError(f"{args.theorem} is an audit and reads no series: --qorder does not apply")
-        audit = anomaly.divisibility_check(args.theorem, args.m, args.l, args.v2h)
+    is_audit = args.theorem in anomaly.DIVISIBILITY_IDS
+    given = [f"--{f}" for f in (("qorder", "basis", "timings") if is_audit else ("m", "v2h"))
+             if getattr(args, f) is not None]
+    if given:
+        kind = "is an audit and reads no series" if is_audit else "is a theorem, not a divisibility audit"
+        raise AlgebraError(f"{args.theorem} {kind}: {', '.join(given)} {'do' if given[1:] else 'does'} not apply")
+    if is_audit:
+        m = args.m or 0
+        if args.k is not None and args.k != 2 * m + 1:
+            raise AlgebraError(f"{args.theorem} fixes k = 2m+1 = {2 * m + 1}")
+        audit = anomaly.divisibility_check(args.theorem, m, args.l, 1 if args.v2h is None else args.v2h)
         obj = audit.to_json_obj()
         payload = json.dumps(obj, indent=2) if args.format == "json" else _render_audit_text(obj)
         _write(payload, args.output)
         return 0 if audit.outcome == "PASS" else 1
     report = anomaly.verify_theorem(args.theorem, k=args.k, l=1 if args.l is None else args.l,
                                     n_q=args.qorder)
-    obj = report.to_json_obj(basis=args.basis, include_timings=args.timings)
+    obj = report.to_json_obj(basis=args.basis or "standard", include_timings=bool(args.timings))
     payload = json.dumps(obj, indent=2) if args.format == "json" else _render_report_text(obj)
     _write(payload, args.output)
     return 0 if report.status in ("PASS", "PASS_WITH_VARIANT") else 1
@@ -170,14 +175,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, default=None,
                    help="auxiliary rank parameter (default 1; divisibility audits: 4m+2)")
     p.add_argument("--qorder", type=int, default=None)
-    p.add_argument("--m", type=int, default=0, help="divisibility audits: dimension index")
-    p.add_argument("--v2h", type=int, default=1,
-                   help="divisibility audits: assumed 2-adic valuation of the h_r")
-    p.add_argument("--basis", choices=("standard", "normalized"), default="standard")
+    p.add_argument("--m", type=int, help="divisibility audits: dimension index (default 0)")
+    p.add_argument("--v2h", type=int, help="divisibility audits: assumed 2-adic valuation of the h_r (default 1)")
+    p.add_argument("--basis", choices=("standard", "normalized"), help="theorems: h_r basis (default standard)")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--output", default=None)
-    p.add_argument("--timings", action="store_true",
-                   help="include elapsed seconds (breaks byte-stability)")
+    p.add_argument("--timings", action="store_true", default=None,
+                   help="theorems: include elapsed seconds (breaks byte-stability)")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("expand", help="print a series, factor or basis element")

@@ -1,11 +1,14 @@
 """Level-2 modular generators and the triangular weight-2k decomposition.
 
-The two pairs of generators are built from theta nulls:
+The two pairs of generators are theta-null fourth powers with divisor-sum
+expansions (K. Liu, *Modular invariance and characteristic numbers*, 1995):
 
-* ``delta1 = (theta2^4 + theta3^4)/8``, ``eps1 = theta2^4 theta3^4 / 16``
-  (integer-exponent expansions, lower congruence group);
-* ``delta2 = -(theta1^4 + theta3^4)/8``, ``eps2 = theta1^4 theta3^4 / 16``
-  (half-integer exponents, upper congruence group).
+* ``delta1 = (theta2^4 + theta3^4)/8 = 1/4 + 6 sum sigma_odd(n) q^n`` and
+  ``eps1 = theta2^4 theta3^4 / 16 = 1/16 + sum (sum_{d|n} (-1)^d d^3) q^n``
+  (lower congruence group);
+* ``delta2 = -(theta1^4 + theta3^4)/8 = -1/8 - 3 sum sigma_odd(n) q^(n/2)`` and
+  ``eps2 = theta1^4 theta3^4 / 16 = sum (sum_{d|n, n/d odd} d^3) q^(n/2)``
+  (upper congruence group), ``sigma_odd(n)`` summing the odd divisors of ``n``.
 
 A weight-2k form over the upper group decomposes as
 ``sum_r h_r (8*delta2)^(k-2r) eps2^r`` with ``0 <= r <= k//2``.  The basis is
@@ -17,13 +20,13 @@ the q-expansion witness that the input really lies in the span.
 
 Everything runs in the packed integer form of
 :class:`~anomcancel.algebra.QColumns`.  Each group's pair ``(8*delta, eps)``
-is built once per order from the nulls' integer coefficients, each fourth
-power as two squarings by :func:`~anomcancel.algebra.mul_sum`: the upper pair
-on step 4 (``q^(1/2)``), the lower pair on step 8 with ``16*eps1`` over the
-denominator 16.  The rows ``(8*delta)^(k-2r) eps^r`` of one ``(group, k,
-order)`` are built together from shared powers of ``(8*delta)^2`` and
-``eps``.  A residual ``P - s * sum_r h_r * row_r`` is one ``mul_sum``, each
-``h_r`` a single-position operand, and only its nonzero result turns into
+is built once per order by one divisor sieve (:func:`_divisor_sums`): the
+upper pair on step 4 (``q^(1/2)``), the lower pair on step 8 with
+``16*eps1`` over the denominator 16.  The rows ``(8*delta)^(k-2r) eps^r`` of
+one ``(group, k, order)`` are built together from shared powers of
+``(8*delta)^2`` and ``eps`` by :func:`~anomcancel.algebra.mul_sum`.  A
+residual ``P - s * sum_r h_r * row_r`` is one ``mul_sum``, each ``h_r`` a
+single-position operand, and only its nonzero result turns into
 polynomials.  The ``h_r`` themselves come from P2's integer numerators: the
 leading minor is unit lower-triangular with integer entries, so
 back-substitution needs no division, and it is checked against the minor's
@@ -43,7 +46,7 @@ from math import gcd
 
 from .algebra import AlgebraError, GradedPolynomial, QColumns, mul_sum
 from .qseries import PuiseuxSeries
-from .theta import HALF_UNIT, Q_UNIT, theta_null
+from .theta import HALF_UNIT, Q_UNIT
 
 GROUP_LOWER = "Gamma_0(2)"   # integer-exponent side  (delta1, eps1)
 GROUP_UPPER = "Gamma^0(2)"   # half-integer side      (delta2, eps2)
@@ -57,18 +60,23 @@ _gen_cache: dict[tuple, tuple[QColumns, QColumns]] = {}
 _basis_cache: dict[tuple, tuple[QColumns, ...]] = {}
 
 
-def _fourth_power(nums: list[int], step: int, count: int) -> list[int]:
-    """The first ``count`` positions of the fourth power of an integer series: two squarings."""
-    c = QColumns(1, step, {0: nums})
-    for _ in range(2):
-        c = mul_sum([(c, c, 1, _UNIT)], step, count)
-    return c.cols[0]
+def _divisor_sums(count: int) -> tuple[list[int], list[int], list[int]]:
+    """``sum_{d|n, d odd} d``, ``sum_{d|n, n/d odd} d^3`` and ``sum_{d|n} (-1)^d d^3`` for ``n < count``.
 
+    One sieve over the divisors; each list holds 0 at ``n = 0``.  The first
+    two give ``8*delta2`` and ``eps2`` at ``q^(n/2)``:
 
-def _on_step8(nums: list[int]) -> list[int]:
-    if any(nums[1::2]):
-        raise AlgebraError("a lower-group generator left the integer lattice")
-    return nums[::2]
+    >>> odd, eps2, _ = _divisor_sums(5)
+    >>> [-1] + [-24 * s for s in odd[1:]], eps2
+    ([-1, -24, -24, -96, -24], [0, 1, 8, 28, 64])
+    """
+    odd, cube_odd_cofactor, cube_signed = [0] * count, [0] * count, [0] * count
+    for d in range(1, count):
+        for j, n in enumerate(range(d, count, d), 1):     # n = j * d
+            odd[n] += d % 2 * d
+            cube_odd_cofactor[n] += j % 2 * d ** 3
+            cube_signed[n] += (-1) ** d * d ** 3
+    return odd, cube_odd_cofactor, cube_signed
 
 
 def _generators(group: str, order: int) -> tuple[QColumns, QColumns]:
@@ -77,28 +85,15 @@ def _generators(group: str, order: int) -> tuple[QColumns, QColumns]:
     pair = _gen_cache.get(key)
     if pair is not None:
         return pair
-    count = 2 * order + 1     # step-4 positions through q^order
-
-    def null(kind):
-        terms = theta_null(kind, order).terms
-        return [int(terms.get(HALF_UNIT * i, 0)) for i in range(count)]
-
-    t3 = _fourth_power(null("theta3"), HALF_UNIT, count)
+    if order < 1:
+        raise AlgebraError("order must be >= 1")
     if group == GROUP_UPPER:
-        # (2*theta1)^4 = q^(1/2) * u^4, with u = 2*theta1 / q^(1/8) on the integer lattice
-        terms = theta_null("theta1", order).terms
-        u4 = _fourth_power([2 * int(terms.get(Q_UNIT * i + 1, 0)) for i in range(order + 1)],
-                           Q_UNIT, order + 1)
-        t1 = [0] * count
-        t1[1::2] = u4[:order]
-        a, b = QColumns(1, HALF_UNIT, {0: t1}), QColumns(1, HALF_UNIT, {0: t3})
-        pair = (QColumns(1, HALF_UNIT, {0: [-x - y for x, y in zip(t1, t3)]}),
-                mul_sum([(a, b, 16, _UNIT)], HALF_UNIT, count))
+        odd, eps, _ = _divisor_sums(2 * order + 1)      # positions q^(n/2)
+        pair = QColumns(1, HALF_UNIT, {0: [-1] + [-24 * s for s in odd[1:]]}), QColumns(1, HALF_UNIT, {0: eps})
     elif group == GROUP_LOWER:
-        t2 = _fourth_power(null("theta2"), HALF_UNIT, count)
-        a, b = QColumns(1, HALF_UNIT, {0: t2}), QColumns(1, HALF_UNIT, {0: t3})
-        pair = (QColumns(1, Q_UNIT, {0: _on_step8([x + y for x, y in zip(t2, t3)])}),
-                QColumns(16, Q_UNIT, {0: _on_step8(mul_sum([(a, b, 1, _UNIT)], HALF_UNIT, count).cols[0])}))
+        odd, _, signed = _divisor_sums(order + 1)       # positions q^n
+        pair = (QColumns(1, Q_UNIT, {0: [2] + [48 * s for s in odd[1:]]}),
+                QColumns(16, Q_UNIT, {0: [1] + [16 * s for s in signed[1:]]}))
     else:
         raise AlgebraError(f"unknown group {group!r}")
     _gen_cache[key] = pair
@@ -125,9 +120,9 @@ def _basis_rows(group: str, k: int, order: int) -> tuple[QColumns, ...]:
     """The rows ``(8*delta)^(k-2r) * eps^r``, ``r = 0..k//2``, through ``q^order`` (built once).
 
     The rows share the powers of ``(8*delta)^2`` and of ``eps``: about k
-    products in all.  Upper rows are triangular: row ``r`` vanishes below
-    ``q^(r/2)`` and has the leading coefficient ``(-1)^k`` there, whenever
-    that position is within the order.
+    products in all, none by the unit.  Upper rows are triangular: row ``r``
+    vanishes below ``q^(r/2)`` and has the leading coefficient ``(-1)^k``
+    there, whenever that position is within the order.
     """
     key = (group, k, order)
     rows = _basis_cache.get(key)
@@ -135,12 +130,12 @@ def _basis_rows(group: str, k: int, order: int) -> tuple[QColumns, ...]:
         return rows
     d8, eps = _generators(group, order)
     step, count, n = d8.step, Q_UNIT * order // d8.step + 1, k // 2
+    one = QColumns(1, step, {0: [1] + [0] * (count - 1)})
 
     def mul(a, b):
-        return mul_sum([(a, b, 1, _UNIT)], step, count)
+        return b if a is one else a if b is one else mul_sum([(a, b, 1, _UNIT)], step, count)
 
-    one = QColumns(1, step, {0: [1]})
-    d2 = mul(d8, d8)
+    d2 = mul(d8, d8) if n else None           # (8*delta)^2, unused when k < 2
     d_pows = [d8 if k % 2 else one]           # (8*delta)^(k%2 + 2i)
     e_pows = [one]                            # eps^i
     for _ in range(n):
@@ -324,9 +319,10 @@ def transfer_residual(bound: int, P1: QColumns, h: list[GradedPolynomial], l: in
 def integrality_report(order: int) -> dict[str, bool]:
     """Whether the normalized generator streams are integral through ``q^order``.
 
-    Checks ``8*delta2``, ``eps2``, ``16*eps1`` and ``delta1 - 1/4``.
+    Checks ``8*delta2``, ``eps2``, ``16*eps1`` and ``delta1 - 1/4``.  The
+    divisor sums make them integral by construction; the tests compare the
+    generators with theta-null lattice sums.
     """
-    out = {}
     d1 = delta_eps("delta1", order)
     checks = {
         "8*delta2": delta_eps("delta2", order).scale(8),
@@ -334,6 +330,4 @@ def integrality_report(order: int) -> dict[str, bool]:
         "16*eps1": delta_eps("eps1", order).scale(16),
         "delta1-1/4": d1 - PuiseuxSeries.constant(Fraction(1, 4), d1.order_bound, Fraction(0)),
     }
-    for name, series in checks.items():
-        out[name] = all(c.denominator == 1 for c in series.terms.values())
-    return out
+    return {name: all(c.denominator == 1 for c in series.terms.values()) for name, series in checks.items()}

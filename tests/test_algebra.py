@@ -49,6 +49,23 @@ def test_substitute_examples():
         nm.substitute("nM1", w)  # weight 1 != 2
 
 
+def test_substitute_without_the_generator_returns_self_after_the_checks():
+    t = table4()
+    W = 4
+    nm = GradedPolynomial.generator("nM1", t, W)
+    w = GradedPolynomial.generator("w", t, W)
+    p = nm * w + w ** 3
+    assert p.substitute("nV1", w * w) is p
+    zero = GradedPolynomial.zero(t, W)
+    assert zero.substitute("nM1", nm) is zero
+    with pytest.raises(AlgebraError):
+        p.substitute("nV1", w)                                   # weight 1 != 2
+    with pytest.raises(AlgebraError):
+        p.substitute("nV1", GradedPolynomial.generator("nV1", t, W - 1))   # another truncation
+    with pytest.raises(AlgebraError):
+        p.substitute("nope", zero)
+
+
 def test_standard_basis_map_and_roundtrip():
     t = table4()
     n1 = GradedPolynomial.generator("nM1", t, 4)

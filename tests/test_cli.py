@@ -154,6 +154,24 @@ EXIT_CODE_TABLE = [
      lambda out, err, pools: (json.loads(out)["k"], json.loads(out)["l"]) == (1, 9)),
     (["verify", "--theorem", "3.6", "--m", "1", "--qorder", "2"], 2,
      lambda out, err, pools: err.startswith("error:") and "--qorder" in err and out == ""),
+    (["verify", "--theorem", "3.1", "--k", "1", "--m", "5", "--v2h", "7"], 2,
+     lambda out, err, pools: err.startswith("error:") and "--m, --v2h do not apply" in err and out == ""),
+    (["verify", "--theorem", "3.1", "--k", "1", "--m", "0"], 2,
+     lambda out, err, pools: "--m does not apply" in err and out == ""),
+    (["verify", "--theorem", "3.1", "--k", "1", "--v2h", "1"], 2,
+     lambda out, err, pools: "--v2h does not apply" in err and out == ""),
+    (["verify", "--theorem", "3.6", "--m", "1", "--basis", "normalized", "--timings"], 2,
+     lambda out, err, pools: "--basis, --timings do not apply" in err and out == ""),
+    (["verify", "--theorem", "3.6", "--m", "1", "--basis", "standard"], 2,
+     lambda out, err, pools: "--basis does not apply" in err and out == ""),
+    (["verify", "--theorem", "3.6", "--m", "1", "--timings"], 2,
+     lambda out, err, pools: "--timings does not apply" in err and out == ""),
+    (["verify", "--theorem", "3.6", "--m", "1", "--v2h", "2"], 0,
+     lambda out, err, pools: json.loads(out)["assumed_v2_h"] == 2),
+    (["verify", "--theorem", "3.6"], 0,
+     lambda out, err, pools: (json.loads(out)["m"], json.loads(out)["assumed_v2_h"]) == (0, 1)),
+    (["verify", "--theorem", "3.1", "--k", "1", "--basis", "normalized", "--timings"], 0,
+     lambda out, err, pools: {"elapsed_seconds", "h_normalized"} <= set(json.loads(out))),
 ]
 
 

@@ -169,6 +169,48 @@ def test_basis_matches_lattice_sum_oracle(group, order):
             assert basis_element(group, k, r, order) == modular_basis_oracle(group, k, r, order), (k, r)
 
 
+GENERATOR_ORACLE_ROWS = (("delta1", GROUP_LOWER, 1, 0, 8), ("eps1", GROUP_LOWER, 2, 1, 1),
+                         ("delta2", GROUP_UPPER, 1, 0, 8), ("eps2", GROUP_UPPER, 2, 1, 1))
+
+
+@pytest.mark.parametrize("which,group,k,r,den", GENERATOR_ORACLE_ROWS,
+                         ids=[row[0] for row in GENERATOR_ORACLE_ROWS])
+def test_divisor_sum_generators_match_lattice_sum_oracle_at_order_64(which, group, k, r, den):
+    """The closed-form generators equal the theta-null fourth powers through q^64."""
+    expected = modular_basis_oracle(group, k, r, 64).scale(Fraction(1, den))
+    assert delta_eps(which, 64) == expected
+
+
+def test_generators_use_no_series_product(monkeypatch):
+    """The generators come from divisor sums alone: no theta null and no mul_sum."""
+    calls = []
+    monkeypatch.setattr(modforms, "mul_sum", lambda *a: calls.append(a))
+    monkeypatch.setattr(modforms, "_gen_cache", {})
+    for group in (GROUP_UPPER, GROUP_LOWER):
+        modforms._generators(group, 16)
+    assert calls == []
+    assert not hasattr(modforms, "theta_null")
+
+
+def test_basis_rows_never_multiply_by_the_unit(monkeypatch):
+    """Every mul_sum of the rows has two non-unit operands: k < 2 needs none, k=2 only (8*delta)^2."""
+    real, operands = modforms.mul_sum, []
+
+    def spy(products, step, count):
+        operands.append([c for a, b, _, _ in products for c in (a, b)])
+        return real(products, step, count)
+
+    monkeypatch.setattr(modforms, "mul_sum", spy)
+    for group in (GROUP_UPPER, GROUP_LOWER):
+        for k in range(7):
+            monkeypatch.setattr(modforms, "_basis_cache", {})
+            del operands[:]
+            modforms._basis_rows(group, k, 6)
+            assert not any(c.cols == {0: [c.den] + [0] * (len(c.cols[0]) - 1)} for ops in operands for c in ops)
+            if k < 3:
+                assert len(operands) == (0, 0, 1)[k]
+
+
 def _residual_ring():
     table = build_generator_table(2, 1, True, 4)
     gen = {g.name: GradedPolynomial.generator(g.name, table, 4) for g in table.gens}
