@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from anomcancel import cross_check_bundle_expansion, make_setting
 from anomcancel.anomaly import get_env
-from anomcancel.kvirt import bundle_coefficient, theta_object
+from anomcancel.kvirt import theta_object
 
 
 def show_coefficient_bundles():
@@ -18,14 +18,14 @@ def show_coefficient_bundles():
     print("# coefficient bundles of the line-twisted tensor string (dim 4k)")
     series = theta_object("theta_c", env.tangent, env.line, 2)
     for units in (0, 4, 8):
-        b = bundle_coefficient(series, units)
-        print(f"  q^({Fraction(units, 8)}): rank {b.rank:>2}, ch = {b.ch.to_text()}")
+        ch = series.coefficient(units)
+        print(f"  q^({Fraction(units, 8)}): rank {int(ch.constant_term()):>2}, ch = {ch.to_text()}")
     print()
     star = theta_object("theta_c_star", env.tangent, env.line, 2)
     print("# and of the single-string variant (dim 4k+2, reduced line convention)")
     for units in (0, 4, 8):
-        b = bundle_coefficient(star, units)
-        print(f"  q^({Fraction(units, 8)}): rank {b.rank:>2}, ch = {b.ch.to_text()}")
+        ch = star.coefficient(units)
+        print(f"  q^({Fraction(units, 8)}): rank {int(ch.constant_term()):>2}, ch = {ch.to_text()}")
     print()
 
 

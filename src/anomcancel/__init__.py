@@ -14,7 +14,7 @@ from .anomaly import (Setting, VerificationReport, build_P,
 from .genus import (RootFamily, additive_over_roots, apply_constraint,
                     build_generator_table, classical_genus, eval_at_var,
                     prod_over_roots)
-from .kvirt import VirtualBundle, bundle_coefficient, theta_object
+from .kvirt import theta_object
 from .modforms import basis_element, decompose, delta_eps, transfer_residual
 from .qseries import PuiseuxSeries, TruncationError
 from .suite import run_suite, suite_cases

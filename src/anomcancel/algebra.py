@@ -97,9 +97,6 @@ class GeneratorTable:
         except KeyError:
             raise AlgebraError(f"unknown generator {name!r}") from None
 
-    def family(self, fam: str) -> tuple[Generator, ...]:
-        return tuple(g for g in self.gens if g.family == fam)
-
     def monomial_weight(self, exponents: tuple[int, ...]) -> int:
         w = self._weights.get(exponents)
         if w is None:

@@ -1,9 +1,9 @@
-"""Lambda-ring calculus on virtual bundles given by their Chern characters.
+"""Lambda-ring calculus on bundles given by their Chern characters.
 
-A virtual bundle is represented by its character polynomial alone; the rank
-is the weight-0 part.  Adams operations scale the weight-w piece by ``m^w``,
-and the exterior/symmetric power series are the classical lambda-ring
-exponentials, so everything extends to virtual arguments automatically:
+A bundle is its character polynomial: the rank is the constant term, and
+the Adams operation ``psi^m`` scales the weight-w part by ``m^w``.  The
+exterior/symmetric power series are the classical lambda-ring exponentials,
+so everything extends to virtual arguments automatically:
 
     lambda_t(E) = exp( sum_m (-1)^(m-1) psi^m(E) t^m / m )
     s_t(E)      = exp( sum_m          psi^m(E) t^m / m ) = 1/lambda_{-t}(E)
@@ -11,7 +11,7 @@ exponentials, so everything extends to virtual arguments automatically:
 A tensor string ``tensor_n lambda_{t_n}(E)`` is therefore the exp of a
 divisor sum over Adams operations, and a theta object, a product of strings,
 is one exp of its strings' summed logs, run by the Euler recurrence on the
-q-lattice.  The results are Puiseux series with VirtualBundle coefficients.
+q-lattice.  The results are Puiseux series with polynomial coefficients.
 This module is the independent low-order oracle against the theta-product
 path: both must produce the same character forms coefficient by coefficient.
 """
@@ -24,102 +24,48 @@ from .algebra import AlgebraError, GradedPolynomial, GeneratorTable
 from .genus import FAMILY_TM, FAMILY_V, RootFamily, additive_over_roots
 from .qseries import PuiseuxSeries
 
-class VirtualBundle:
-    """Formal difference of bundles, carried as (rank, Chern character)."""
 
-    __slots__ = ("ch",)
-
-    def __init__(self, ch: GradedPolynomial):
-        object.__setattr__(self, "ch", ch)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VirtualBundle is immutable")
-
-    @property
-    def rank(self) -> int:
-        c = self.ch.constant_term()
-        if c.denominator != 1:
-            raise AlgebraError(f"rank {c} is not an integer")
-        return int(c)
-
-    @staticmethod
-    def trivial(n: int, table: GeneratorTable, max_weight: int) -> "VirtualBundle":
-        return VirtualBundle(GradedPolynomial.scalar(n, table, max_weight))
-
-    def zero_like(self) -> "VirtualBundle":
-        return VirtualBundle(GradedPolynomial.zero(self.ch.table, self.ch.max_weight))
-
-    def one_like(self) -> "VirtualBundle":
-        return VirtualBundle(GradedPolynomial.one(self.ch.table, self.ch.max_weight))
-
-    def __add__(self, other: "VirtualBundle") -> "VirtualBundle":
-        return VirtualBundle(self.ch + other.ch)
-
-    def __sub__(self, other: "VirtualBundle") -> "VirtualBundle":
-        return VirtualBundle(self.ch - other.ch)
-
-    def __neg__(self) -> "VirtualBundle":
-        return VirtualBundle(-self.ch)
-
-    def __mul__(self, other: "VirtualBundle") -> "VirtualBundle":
-        """Tensor product: characters multiply."""
-        return VirtualBundle(self.ch * other.ch)
-
-    def dot(self, pairs) -> "VirtualBundle":
-        """``sum_i a_i * b_i`` over bundle pairs, through the characters' kernel."""
-        return VirtualBundle(self.ch.dot([(a.ch, b.ch) for a, b in pairs]))
-
-    def scale(self, value) -> "VirtualBundle":
-        return VirtualBundle(self.ch.scale(value))
-
-    def __bool__(self):
-        return bool(self.ch)
-
-    def __eq__(self, other):
-        if isinstance(other, VirtualBundle):
-            return self.ch == other.ch
-        return NotImplemented
-
-    def reduced(self) -> "VirtualBundle":
-        """``E - rank(E)``."""
-        return VirtualBundle(self.ch - self.ch.constant_term())
-
-    def adams(self, m: int) -> "VirtualBundle":
-        """Adams operation: multiply each Chern root by ``m``."""
-        if m < 1:
-            raise AlgebraError("Adams operations need m >= 1")
-        table = self.ch.table
-        terms = {e: c * m ** table.monomial_weight(e) for e, c in self.ch.terms.items()}
-        return VirtualBundle(GradedPolynomial(table, terms, self.ch.max_weight))
-
-    def lambda_power(self, i: int) -> "VirtualBundle":
-        """Exterior power: the ``t^i`` coefficient of ``lambda_t(E)``, one exp of its Adams log."""
-        if i < 0:
-            raise AlgebraError("negative exterior power")
-        log = {m: self.adams(m).scale(Fraction((-1) ** (m - 1), m)) for m in range(1, i + 1)}
-        return _exp(log, self.one_like(), i).coefficient(i)
-
-    def to_text(self) -> str:
-        return self.ch.to_text()
-
-    def to_json_obj(self):
-        return self.ch.to_json_obj()
-
-    def __repr__(self):
-        return f"VirtualBundle({self.ch.to_text()})"
+def reduced(E: GradedPolynomial) -> GradedPolynomial:
+    """``E - rank(E)``."""
+    return E - E.constant_term()
 
 
-def tangent_bundle(n_roots: int, table: GeneratorTable, max_weight: int) -> VirtualBundle:
+def adams(E: GradedPolynomial, m: int) -> GradedPolynomial:
+    """Adams operation ``psi^m``: multiply each Chern root by ``m``.
+
+    On the line pair ``2 cosh 2w`` it gives ``2 cosh 4w``:
+
+    >>> from anomcancel.genus import build_generator_table
+    >>> L = line_pair_bundle(build_generator_table(1, 0, True, 4), 4)
+    >>> L.to_text(), adams(L, 2).to_text()
+    ('2 + 4*w^2 + 4/3*w^4', '2 + 16*w^2 + 64/3*w^4')
+    """
+    if m < 1:
+        raise AlgebraError("Adams operations need m >= 1")
+    table = E.table
+    terms = {e: c * m ** table.monomial_weight(e) for e, c in E.terms.items()}
+    return GradedPolynomial(table, terms, E.max_weight)
+
+
+def lambda_power(E: GradedPolynomial, i: int) -> GradedPolynomial:
+    """Exterior power: the ``t^i`` coefficient of ``lambda_t(E)``, one exp of its Adams log."""
+    if i < 0:
+        raise AlgebraError("negative exterior power")
+    log = {m: adams(E, m).scale(Fraction((-1) ** (m - 1), m)) for m in range(1, i + 1)}
+    return _exp(log, E.one_like(), i).coefficient(i)
+
+
+def tangent_bundle(n_roots: int, table: GeneratorTable, max_weight: int) -> GradedPolynomial:
     """Complexified tangent bundle: ``sum_j (e^{2iz_j} + e^{-2iz_j})``."""
     return _cosine_bundle(RootFamily(FAMILY_TM, n_roots), table, max_weight)
 
 
-def aux_bundle(n_roots: int, table: GeneratorTable, max_weight: int) -> VirtualBundle:
+def aux_bundle(n_roots: int, table: GeneratorTable, max_weight: int) -> GradedPolynomial:
     """Complexified auxiliary bundle of rank ``2 * n_roots``."""
     return _cosine_bundle(RootFamily(FAMILY_V, n_roots), table, max_weight)
 
 
-def _cosine_bundle(fam: RootFamily, table: GeneratorTable, max_weight: int) -> VirtualBundle:
+def _cosine_bundle(fam: RootFamily, table: GeneratorTable, max_weight: int) -> GradedPolynomial:
     # e^{2iz} + e^{-2iz} = 2 cos 2z = sum 2(-4)^m z^{2m} / (2m)!
     coeffs = []
     fact = 1
@@ -127,10 +73,10 @@ def _cosine_bundle(fam: RootFamily, table: GeneratorTable, max_weight: int) -> V
         if m:
             fact *= (2 * m - 1) * (2 * m)
         coeffs.append(2 * Fraction((-4) ** m, fact))
-    return VirtualBundle(additive_over_roots(coeffs, fam, table, max_weight))
+    return additive_over_roots(coeffs, fam, table, max_weight)
 
 
-def line_pair_bundle(table: GeneratorTable, max_weight: int) -> VirtualBundle:
+def line_pair_bundle(table: GeneratorTable, max_weight: int) -> GradedPolynomial:
     """The complexified line ``L + conj(L)``: ``e^{2iu} + e^{-2iu} = 2 cosh 2w``, rank 2."""
     out = GradedPolynomial.scalar(2, table, max_weight)
     fact = 1
@@ -138,7 +84,7 @@ def line_pair_bundle(table: GeneratorTable, max_weight: int) -> VirtualBundle:
         fact *= (d - 1) * d
         out = out + GradedPolynomial.generator("w", table, max_weight, power=d).scale(
             2 * Fraction(2 ** d, fact))
-    return VirtualBundle(out)
+    return out
 
 
 # (on the line?, first step in lattice units, sign) of each object's exterior strings;
@@ -148,7 +94,7 @@ _EXTERIOR_STRINGS = {"theta1": [(False, 8, 1)], "theta2": [(False, 4, -1)], "the
                      "theta_c_star": [(True, 8, -1)]}
 
 
-def _string_log(strings, bound: int) -> dict[int, VirtualBundle]:
+def _string_log(strings, bound: int) -> dict[int, GradedPolynomial]:
     """Summed log of the strings ``tensor_n lambda_{sign q^(a_n)}(E)`` through lattice ``bound``.
 
     A string is ``(E, first, sign, exterior)`` with steps ``a_n = first + 8(n - 1)``
@@ -156,16 +102,16 @@ def _string_log(strings, bound: int) -> dict[int, VirtualBundle]:
     log's coefficient at lattice ``N`` is the divisor sum ``sum_{m a_n = N}
     (-1)^(m-1) sign^m psi^m(E) / m``, without ``(-1)^(m-1)`` for ``S``.
     """
-    log: dict[int, VirtualBundle] = {}
+    log: dict[int, GradedPolynomial] = {}
     for E, first, sign, exterior in strings:
         for m in range(1, bound // first + 1):
-            psi = E.adams(m).scale(Fraction(sign ** m * ((-1) ** (m - 1) if exterior else 1), m))
+            psi = adams(E, m).scale(Fraction(sign ** m * ((-1) ** (m - 1) if exterior else 1), m))
             for a in range(first, bound // m + 1, 8):
                 log[m * a] = log[m * a] + psi if m * a in log else psi
     return log
 
 
-def _exp(log: dict[int, VirtualBundle], one: VirtualBundle, bound: int) -> PuiseuxSeries:
+def _exp(log: dict[int, GradedPolynomial], one: GradedPolynomial, bound: int) -> PuiseuxSeries:
     """``exp`` of a log with no constant term, by ``N F_N = sum_j j L_j F_(N-j)`` through ``bound``."""
     slopes = [(j, log[j].scale(j)) for j in sorted(log)]
     out = {0: one}
@@ -173,17 +119,17 @@ def _exp(log: dict[int, VirtualBundle], one: VirtualBundle, bound: int) -> Puise
         f = one.dot([(s, out[n - j]) for j, s in slopes if j <= n and n - j in out])
         if f:
             out[n] = f.scale(Fraction(1, n))
-    return PuiseuxSeries(out, bound, one.zero_like())
+    return PuiseuxSeries(out, bound, GradedPolynomial.zero(one.table, one.max_weight))
 
 
-def lambda_string(E: VirtualBundle, half: bool, sign: int, order: int) -> PuiseuxSeries:
+def lambda_string(E: GradedPolynomial, half: bool, sign: int, order: int) -> PuiseuxSeries:
     """``tensor_{n>=1} lambda_{sign q^(n)}(E)`` (or steps ``n - 1/2`` when half).
 
     A trivial line gives ``prod (1 + q^n)``; the half string has no ``q`` term,
     because ``lambda^2`` of a line vanishes:
 
     >>> from anomcancel.genus import build_generator_table
-    >>> line = VirtualBundle.trivial(1, build_generator_table(1, 0, True, 2), 2)
+    >>> line = GradedPolynomial.one(build_generator_table(1, 0, True, 2), 2)
     >>> lambda_string(line, False, +1, 1).to_text()
     '1 + q'
     >>> lambda_string(line, True, +1, 1).to_text()
@@ -192,9 +138,9 @@ def lambda_string(E: VirtualBundle, half: bool, sign: int, order: int) -> Puiseu
     return _exp(_string_log([(E, 4 if half else 8, sign, True)], 8 * order), E.one_like(), 8 * order)
 
 
-def theta_object(kind: str, tangent: VirtualBundle, line: VirtualBundle | None,
+def theta_object(kind: str, tangent: GradedPolynomial, line: GradedPolynomial | None,
                  order: int) -> PuiseuxSeries:
-    """The five tensor-string objects as bundle-valued series, each one exp of its strings' logs.
+    """The five tensor-string objects as character-valued series, each one exp of its strings' logs.
 
     ``tangent`` and ``line`` are the unreduced bundles; both enter reduced.
     The unreduced line would give the same ``theta_c`` (the trivial-factor
@@ -205,18 +151,7 @@ def theta_object(kind: str, tangent: VirtualBundle, line: VirtualBundle | None,
         raise AlgebraError(f"unknown theta object {kind!r}")
     if line is None and kind.startswith("theta_c"):
         raise AlgebraError(f"{kind} needs the line bundle")
-    t = tangent.reduced()
-    strings = [(t, 8, 1, False)] + [(line.reduced() if on_line else t, first, sign, True)
+    t = reduced(tangent)
+    strings = [(t, 8, 1, False)] + [(reduced(line) if on_line else t, first, sign, True)
                                     for on_line, first, sign in _EXTERIOR_STRINGS[kind]]
     return _exp(_string_log(strings, 8 * order), t.one_like(), 8 * order)
-
-
-def bundle_coefficient(series: PuiseuxSeries, k: int) -> VirtualBundle:
-    """Coefficient bundle of ``q^(k/8)`` in a bundle-valued series."""
-    return series.coefficient(k)
-
-
-def character_series(series: PuiseuxSeries) -> PuiseuxSeries:
-    """Replace each bundle coefficient by its Chern character polynomial."""
-    zero: VirtualBundle = series.zero
-    return series.map_coefficients(lambda b: b.ch, new_zero=zero.ch)

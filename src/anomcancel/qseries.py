@@ -3,9 +3,9 @@
 Exponents are stored as integers ``k`` meaning ``q^(k/8)``.  A series knows
 its ``order_bound``: coefficients at lattice positions above the bound are
 *unknown*, not zero, and asking for one raises :class:`TruncationError`.
-Coefficients may be any exact ring element (``Fraction`` scalars, graded
-polynomials, virtual bundles); the series carries the ring's zero so the two
-rings never mix silently.
+Coefficients may be any exact ring element (``Fraction`` scalars or graded
+polynomials); the series carries the ring's zero so the two rings never mix
+silently.
 """
 
 from __future__ import annotations

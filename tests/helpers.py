@@ -13,7 +13,8 @@ packed q-series products are convolved one position pair at a time in
 ``Fraction`` arithmetic, and the level-2 generators and basis rows are
 multiplied out from the lattice sums by plain dict convolution; tensor
 strings of bundles are products of one exp-by-powers series per factor
-instead of one exp of a summed divisor-sum log.  :func:`packed` writes a
+instead of one exp of a summed divisor-sum log, with their own Adams
+operation and reduction read off the weight components.  :func:`packed` writes a
 polynomial-valued series into the packed integer form by hand, from its
 dicts.
 
@@ -519,10 +520,29 @@ def eval_factor_at_w(factor: RootFactor, table, max_weight: int, bound: int) -> 
 
 
 # -- tensor-string product oracle --------------------------------------------------
+# Bundles are their Chern characters; the oracle keeps its own Adams operation
+# and reduction, read off the weight components.
+
+
+def _psi(E: GradedPolynomial, m: int) -> GradedPolynomial:
+    """Adams operation: the weight-w component of ``E`` times ``m^w``."""
+    out = E.component(0)
+    for w in range(1, E.max_weight + 1):
+        out = out + E.component(w).scale(m ** w)
+    return out
+
+
+def _reduce(E: GradedPolynomial) -> GradedPolynomial:
+    """``E`` minus its rank, the weight-0 component."""
+    return E - E.component(0)
+
+
+def _zero(E: GradedPolynomial) -> GradedPolynomial:
+    return GradedPolynomial.zero(E.table, E.max_weight)
 
 
 def _bundle_exp_by_powers(X: PuiseuxSeries) -> PuiseuxSeries:
-    """``sum X^t / t!`` for a bundle-valued series with positive leading exponent."""
+    """``sum X^t / t!`` for a character-valued series with positive leading exponent."""
     out = term = PuiseuxSeries.constant(X.zero.one_like(), X.order_bound, X.zero)
     for t in range(1, X.order_bound // X.leading_exponent() + 1):
         term = (term * X).map_coefficients(lambda b: b.scale(Fraction(1, t)))
@@ -539,8 +559,8 @@ def _string_factor(E, step: int, sign, bound: int) -> PuiseuxSeries:
     terms = {}
     for m in range(1, bound // step + 1):
         c = Fraction(1, m) if sign is None else Fraction((-1) ** (m - 1) * sign ** m, m)
-        terms[m * step] = E.adams(m).scale(c)
-    return _bundle_exp_by_powers(PuiseuxSeries(terms, bound, E.zero_like()))
+        terms[m * step] = _psi(E, m).scale(c)
+    return _bundle_exp_by_powers(PuiseuxSeries(terms, bound, _zero(E)))
 
 
 def string_product_oracle(strings, order: int) -> PuiseuxSeries:
@@ -551,7 +571,7 @@ def string_product_oracle(strings, order: int) -> PuiseuxSeries:
     when ``sign`` is None.  Each factor is its own exp by powers.
     """
     bound = 8 * order
-    zero = strings[0][0].zero_like()
+    zero = _zero(strings[0][0])
     out = PuiseuxSeries.constant(zero.one_like(), bound, zero)
     for E, half, sign in strings:
         for step in range(4 if half else 8, bound + 1, 8):
@@ -566,8 +586,8 @@ def theta_strings(kind: str, tangent, line, *, reduced_line: bool = True) -> lis
     the tangent (``theta1/2/3``) or of the line (``theta_c``, ``theta_c_star``),
     the line reduced unless ``reduced_line`` is False.
     """
-    t = tangent.reduced()
-    ell = line if line is None or not reduced_line else line.reduced()
+    t = _reduce(tangent)
+    ell = line if line is None or not reduced_line else _reduce(line)
     exterior = {"theta1": [(t, False, 1)], "theta2": [(t, True, -1)], "theta3": [(t, True, 1)],
                 "theta_c": [(ell, False, 1), (ell, True, -1), (ell, True, 1)],
                 "theta_c_star": [(ell, False, -1)]}[kind]

@@ -1,0 +1,67 @@
+"""Import boundaries between the two computation routes, read with ``ast``.
+
+The lambda-ring route (``anomcancel.kvirt``) must not import the theta route
+(``theta``, ``modforms``) or the verifier built on both (``anomaly``), and the
+tensor-string oracle in ``tests/helpers.py`` must not import the lambda-ring
+route it checks.  Only direct imports are read: ``genus`` (root families,
+additive sums over roots) is shared ground.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = "anomcancel"
+KVIRT = ROOT / "src" / PACKAGE / "kvirt.py"
+HELPERS = ROOT / "tests" / "helpers.py"
+
+STRING_ORACLE = ("_psi", "_reduce", "_zero", "_bundle_exp_by_powers", "_string_factor",
+                 "string_product_oracle", "theta_strings")
+
+
+def import_sources(tree: ast.Module) -> dict[str, str]:
+    """``{bound name: absolute module}`` for every import in ``tree``, relative ones in the package."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                out[a.asname or a.name.split(".")[0]] = a.name
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level <= 1, "imports reach above the package"
+            base = ".".join(filter(None, [PACKAGE if node.level else "", node.module]))
+            for a in node.names:
+                # ``from . import theta`` binds a module; ``from .theta import x`` a name in it
+                out[a.asname or a.name] = f"{base}.{a.name}" if node.module is None else base
+    return out
+
+
+def test_import_sources_resolves_relative_and_absolute_forms():
+    tree = ast.parse("from . import theta\nfrom .modforms import decompose as d\n"
+                     "from anomcancel.kvirt import adams\nimport fractions")
+    assert import_sources(tree) == {"theta": "anomcancel.theta", "d": "anomcancel.modforms",
+                                    "adams": "anomcancel.kvirt", "fractions": "fractions"}
+
+
+@pytest.mark.parametrize("forbidden", ["theta", "modforms", "anomaly"])
+def test_kvirt_imports_nothing_from_the_theta_route(forbidden):
+    sources = import_sources(ast.parse(KVIRT.read_text())).values()
+    assert sources, "kvirt imports nothing at all: the parse found no imports"
+    assert not [m for m in sources if m == f"{PACKAGE}.{forbidden}"
+                or m.startswith(f"{PACKAGE}.{forbidden}.")]
+
+
+def test_helpers_import_nothing_from_kvirt():
+    sources = import_sources(ast.parse(HELPERS.read_text())).values()
+    assert not [m for m in sources if m.startswith(f"{PACKAGE}.kvirt")]
+
+
+def test_string_oracle_reads_only_algebra_and_series_from_the_library():
+    tree = ast.parse(HELPERS.read_text())
+    sources = import_sources(tree)
+    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    assert set(STRING_ORACLE) <= set(defs)
+    used = {sources[n.id] for name in STRING_ORACLE for n in ast.walk(defs[name])
+            if isinstance(n, ast.Name) and n.id in sources}
+    assert used <= {"fractions", f"{PACKAGE}.algebra", f"{PACKAGE}.qseries"}, used
