@@ -13,13 +13,15 @@ end.
 
 Polynomial-valued q-series on the hot path live in a transposed integer
 form, :class:`QColumns`: ``(den, step, {packed monomial: [numerator per
-position]})``.  :func:`mul_sum` multiplies them by Kronecker substitution:
-each monomial's numerators become one int with one bit field per position,
-so a pair of monomials costs one big-int multiply, and each output monomial
-is unpacked once by balanced residues.  The field width is one bit more than
-the bit length of a bound on every output |numerator| that
-:func:`field_width` computes from the operands alone, so no cache and no
-worker count can change it.
+position]}, bound)``, where ``bound`` is the last lattice position known
+(``None`` for an exact series).  :func:`mul_sum` multiplies them by
+Kronecker substitution and takes its step, bound and length from the
+operands: each monomial's numerators become one int with one bit field per
+position, so a pair of monomials costs one big-int multiply, and each
+output monomial is unpacked once by balanced residues.  The field width is
+one bit more than the bit length of a bound on every output |numerator|
+that :func:`field_width` computes from the operands alone, so no cache and
+no worker count can change it.
 """
 
 from __future__ import annotations
@@ -532,42 +534,35 @@ def dot(pairs: Sequence[tuple[GradedPolynomial, GradedPolynomial]], table: Gener
 
 
 class QColumns(NamedTuple):
-    """A polynomial-valued q-series in transposed integer form.
+    """A polynomial-valued q-series in transposed integer form, known through lattice ``bound``.
 
     ``cols[key][i] / den`` is the coefficient of the monomial packed as
     ``key`` (by the table's :class:`Packing` at the truncation weight) at
     lattice position ``i * step``; positions past the end of a list are
-    zero.  A monomial with no nonzero position is absent.
+    zero.  A monomial with no nonzero position is absent.  ``bound`` is the
+    last lattice position known; reading past it raises
+    :class:`~anomcancel.qseries.TruncationError`.  ``bound=None`` marks an
+    exact series, known everywhere: :data:`ONE`, or a single ``h_r``.
     """
 
     den: int
     step: int
     cols: dict[int, list[int]]
-
-    def terms(self, table: GeneratorTable, cap: int, into: dict | None = None) -> dict:
-        """``{lattice: {exponents: Fraction}}`` over the nonzero positions, added to ``into``."""
-        vector = table.packing(cap).vector
-        den, step = self.den, self.step
-        at = {} if into is None else into
-        for key, nums in self.cols.items():
-            e = vector(key)
-            for i, n in enumerate(nums):
-                if n:
-                    at.setdefault(i * step, {})[e] = Fraction(n, den)
-        return at
+    bound: int | None = None
 
     def coefficient(self, k: int, table: GeneratorTable, cap: int) -> GradedPolynomial:
         """The coefficient at lattice ``k`` as a polynomial on ``table`` (zero off the lattice)."""
+        if self.bound is not None and k > self.bound:
+            from .qseries import require_known
+            require_known(k, self.bound)
         i, off = divmod(k, self.step)
         vector = table.packing(cap).vector
         terms = {vector(key): Fraction(nums[i], self.den) for key, nums in self.cols.items()
-                 if not off and i < len(nums) and nums[i]}
+                 if not off and 0 <= i < len(nums) and nums[i]}
         return GradedPolynomial._with_form(table, terms, cap, None)
 
-    def polys(self, table: GeneratorTable, cap: int) -> dict[int, GradedPolynomial]:
-        """``{lattice: coefficient}`` over the nonzero positions, as polynomials on ``table``."""
-        at = self.terms(table, cap)
-        return {k: GradedPolynomial._with_form(table, at[k], cap, None) for k in sorted(at)}
+
+ONE = QColumns(1, 1, {0: [1]})     # the exact unit: one position, so its step never matters
 
 
 def field_width(positions: int, products: Sequence[tuple[int, int, int, int]]) -> int:
@@ -600,13 +595,16 @@ def _max_abs(c: QColumns) -> int:
     return max(map(abs, chain.from_iterable(c.cols.values())))
 
 
-def mul_sum(products, step: int, count: int) -> QColumns:
+def mul_sum(products) -> QColumns:
     """``sum (n/d) * x^t * a * b`` over ``(a, b, d, scatter)`` in ``products`` and ``(t, n)`` in ``scatter``.
 
-    ``a`` and ``b`` are :class:`QColumns` whose steps are multiples of
-    ``step``, ``d`` is a positive int, and each ``(t, n)`` pairs a packed
-    monomial key with an int.  The result holds the positions ``0, step,
-    .., (count - 1) * step`` over one reduced denominator.  Every product's
+    ``a`` and ``b`` are :class:`QColumns`, ``d`` is a positive int, and each
+    ``(t, n)`` pairs a packed monomial key with an int.  The result works
+    out its own lattice from the operands: its step is the gcd of the steps
+    of the operands with more than one position (a single position sits on
+    any step), its bound is the least bound of the truncated operands
+    (``None`` when all are exact), and it holds every position the products
+    reach, up to that bound, over one reduced denominator.  Every product's
     scalars are brought to integers over the lcm of all denominators, each
     operand's monomials are packed into one int with one field of
     :func:`field_width` bits per position (Kronecker substitution), so each
@@ -614,20 +612,32 @@ def mul_sum(products, step: int, count: int) -> QColumns:
     unpacked once, field by field, by balanced residues.  Keys add as ints,
     so every ``t + key(a) + key(b)`` must stay within the truncation weight.
 
-    >>> one = QColumns(1, 8, {0: [1, 1]})            # 1 + q
-    >>> mul_sum([(one, one, 2, [(0, 1)])], 8, 3)
-    QColumns(den=2, step=8, cols={0: [1, 2, 1]})
+    >>> p = QColumns(1, 8, {0: [1, 1]})            # 1 + q, exact
+    >>> mul_sum([(p, p, 2, [(0, 1)])])
+    QColumns(den=2, step=8, cols={0: [1, 2, 1]}, bound=None)
+    >>> mul_sum([(p, p._replace(bound=8), 1, [(0, 1)]), (ONE, ONE, 1, [(0, 1)])])
+    QColumns(den=1, step=8, cols={0: [2, 2]}, bound=8)
     """
-    live = [(a, b, a.den * b.den * d, scatter) for a, b, d, scatter in products if a.cols and b.cols]
+    step, bound, reach, live = 0, None, 0, []
+    for a, b, d, scatter in products:
+        na, nb = max(map(len, a.cols.values()), default=0), max(map(len, b.cols.values()), default=0)
+        for c, n in ((a, na), (b, nb)):
+            if n > 1:
+                step = gcd(step, c.step)
+            if c.bound is not None and (bound is None or c.bound < bound):
+                bound = c.bound
+        if na and nb:
+            reach = max(reach, (na - 1) * a.step + (nb - 1) * b.step)
+            live.append((a, b, a.den * b.den * d, scatter))
+    step = step or 1
+    count = (reach if bound is None else min(reach, bound)) // step + 1
     den = lcm(*(d for _, _, d, _ in live))
     jobs = [(a, b, [(t, n * (den // d)) for t, n in scatter if n]) for a, b, d, scatter in live]
     width = field_width(count, [(sum(abs(n) for _, n in ints), min(len(a.cols), len(b.cols)),
                                  _max_abs(a), _max_abs(b)) for a, b, ints in jobs])
 
     def pack(c: QColumns) -> list[tuple[int, int]]:
-        if c.step % step:
-            raise AlgebraError(f"lattice step {c.step} is not a multiple of {step}")
-        spread = c.step // step
+        spread = c.step // step or 1       # 0 only for a single position, where any spread will do
         top = (count - 1) // spread + 1
         return [(k, _pack(v[:top], width * spread)) for k, v in c.cols.items()]
 
@@ -657,4 +667,4 @@ def mul_sum(products, step: int, count: int) -> QColumns:
     if common > 1:
         den //= common
         cols = {k: [n // common for n in nums] for k, nums in cols.items()}
-    return QColumns(den, step, cols)
+    return QColumns(den, step, cols, bound)

@@ -25,11 +25,11 @@ depends only on (kind, k, n_q) and is memoized in ``_tangent_cache``, so a
 grid over l builds it once.  The rest (the auxiliary bundle, the P-series,
 the decomposition and the twists) is per setting, in ``_env_cache``.
 
-The P-series stay in packed integer form (``_Env.packed``): the
-decomposition, the transfer and the P3-vs-P2 sign-flip check read them as
-they are, and the identity checks read single coefficients
-(``_Env.coefficient``).  Only :func:`build_P` turns a whole P-series into
-polynomials.
+The P-series stay in packed integer form (``_Env.packed``), each carrying
+the lattice bound it is known through: the decomposition, the transfer and
+the P3-vs-P2 sign-flip check read them as they are, and the identity checks
+read single coefficients (``_Env.coefficient``), which raise past the bound.
+Only :func:`build_P` turns a whole P-series into polynomials.
 """
 
 from __future__ import annotations
@@ -37,9 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from math import gcd
 
-from .algebra import AlgebraError, GradedPolynomial, QColumns, mul_sum
+from .algebra import ONE, AlgebraError, GradedPolynomial, QColumns, mul_sum
 from .genus import (FAMILY_TM, FAMILY_V, LINE, RootFamily, apply_constraint,
                     build_generator_table, classical_genus, constrained_power_sums,
                     exp_by_weight)
@@ -48,8 +47,8 @@ from .kvirt import (aux_bundle, lambda_power, lambda_string, line_pair_bundle, r
                     tangent_bundle, theta_object)
 from .modforms import (Decomposition, decompose, leading_minor, transfer_residual,
                        unit_lower_inverse)
-from .qseries import PuiseuxSeries, require_known
-from .theta import Q_UNIT, RootFactor, theta_log
+from .qseries import HALF_UNIT, Q_UNIT, PuiseuxSeries
+from .theta import RootFactor, theta_log
 from .theta import theta_factor  # not called here: kept as the alias the benchmark tracer wraps
 
 SETTING_KINDS = ("spin4k", "spinc4k", "spinc4k2")
@@ -153,16 +152,16 @@ class _TangentHalf:
         self.line_sums = constrained_power_sums(LINE, s.kind, self.table, W) if s.spin_c else None
         self._kvirt: dict[int, PuiseuxSeries] = {}
 
-    def exp(self, logs) -> tuple[int, list[QColumns]]:
-        """``(bound, pieces)`` of an exp over the given power sums; piece n has weight 2n."""
+    def exp(self, logs) -> list[QColumns]:
+        """The weight pieces of an exp over the given power sums; piece n has weight 2n."""
         return exp_by_weight(logs, self.table, self.weight, self.n_q)
 
     def log(self, kind: str) -> RootFactor:
         return theta_log(kind, self.n_q, self.weight)
 
     @cached_property
-    def core(self) -> tuple[int, dict[int, QColumns]]:
-        """``(bound, {weight: part})``: the constrained P-series without the auxiliary factor.
+    def core(self) -> dict[int, QColumns]:
+        """``{weight: part}``: the constrained P-series without the auxiliary factor.
 
         The parts stay in packed integer form; only ``packed`` reads them.
         """
@@ -170,21 +169,15 @@ class _TangentHalf:
         if self.kind == "spin4k":
             # 2^n * sum_i prod_TM a*t_i: one exp of a summed log per i, summed as products with 1
             exps = [self.exp([(a + self.log(t), self.tm_sums)]) for t in ("t1", "t2", "t3")]
-            bound = exps[0][0]
-            step = gcd(*(f.step for _, pieces in exps for f in pieces))
-            one, unit = QColumns(1, step, {0: [1]}), [(0, 2 ** self.tm.n_roots)]
-            parts = zip(*(pieces for _, pieces in exps))
-            return bound, {2 * n: mul_sum([(f, one, 1, unit) for f in fs], step, bound // step + 1)
-                           for n, fs in enumerate(parts)}
+            unit = [(0, 2 ** self.tm.n_roots)]
+            return {2 * n: mul_sum([(f, ONE, 1, unit) for f in fs]) for n, fs in enumerate(zip(*exps))}
         if self.kind == "spinc4k":
             t123 = self.log("t1") + self.log("t2") + self.log("t3")
-            bound, pieces = self.exp([(a, self.tm_sums), (t123, self.line_sums)])
-            return bound, {2 * n: f for n, f in enumerate(pieces)}
+            return {2 * n: f for n, f in enumerate(self.exp([(a, self.tm_sums), (t123, self.line_sums)]))}
         # spinc4k2: the odd factor times sqrt(-1), i*d(u) = w*exp(log(d/z) at u), which is real
         w = self.table.packing(self.weight).key(tuple(int(g.name == "w") for g in self.table.gens))
-        bound, pieces = self.exp([(a, self.tm_sums), (self.log("d"), self.line_sums)])
-        return bound, {2 * n + 1: QColumns(f.den, f.step, {k + w: v for k, v in f.cols.items()})
-                       for n, f in enumerate(pieces)}
+        pieces = self.exp([(a, self.tm_sums), (self.log("d"), self.line_sums)])
+        return {2 * n + 1: f._replace(cols={k + w: v for k, v in f.cols.items()}) for n, f in enumerate(pieces)}
 
     def kvirt_tangent(self, order: int) -> PuiseuxSeries:
         """The tangent side of the lambda-ring P-series: the theta objects times the genera."""
@@ -221,19 +214,20 @@ class _Env:
         self.ch_delta_v = classical_genus("spinor_ch", self.v, self.table, W)
         self.aux = aux_bundle(s.l, self.table, W)
         self.v_sums = constrained_power_sums(self.v, s.kind, self.table, W)
-        self._p: dict[str, tuple[int, QColumns]] = {}
+        self._p: dict[str, QColumns] = {}
         self._decomp: Decomposition | None = None
         self._kvirt: dict[str, PuiseuxSeries] = {}
 
     # -- theta path ---------------------------------------------------------
 
-    def packed(self, which: str) -> tuple[int, QColumns]:
-        """``(bound, columns)``: the top-weight component of P1/P2/P3 with the constraint applied.
+    def packed(self, which: str) -> QColumns:
+        """The top-weight component of P1/P2/P3 with the constraint applied.
 
         The relation is already on the power sums, and the series is one
         :func:`~anomcancel.algebra.mul_sum` over the pairs (core at weight
         ``W - b``, auxiliary factor at weight ``b``), so every monomial pair
-        multiplied lands at weight ``W``.  It stays in packed integer form.
+        multiplied lands at weight ``W``.  It stays in packed integer form,
+        known through the lesser of the two exps' bounds.
         """
         cached = self._p.get(which)
         if cached is not None:
@@ -242,24 +236,18 @@ class _Env:
         if log is None:
             raise AlgebraError(f"unknown P-series {which!r}")
         s = self.setting
-        bound, core = self.half.core
-        aux_bound, aux = self.half.exp([(self.half.log(log), self.v_sums)])
-        bound = min(bound, aux_bound)
+        core, aux = self.half.core, self.half.exp([(self.half.log(log), self.v_sums)])
         unit = [(0, 2 ** s.l if which == "P1" else 1)]
-        pairs = [(core[s.weight - 2 * n], f, 1, unit) for n, f in enumerate(aux)]
-        step = gcd(*(c.step for pair in pairs for c in pair[:2]))
-        self._p[which] = out = (bound, mul_sum(pairs, step, bound // step + 1))
+        self._p[which] = out = mul_sum([(core[s.weight - 2 * n], f, 1, unit) for n, f in enumerate(aux)])
         return out
 
     def coefficient(self, which: str, k: int) -> GradedPolynomial:
         """One coefficient of P1/P2/P3, at lattice ``k``, read from the packed form."""
-        bound, top = self.packed(which)
-        require_known(k, bound)
-        return top.coefficient(k, self.table, self.setting.weight)
+        return self.packed(which).coefficient(k, self.table, self.setting.weight)
 
     def decomposition(self) -> Decomposition:
         if self._decomp is None:
-            self._decomp = decompose(*self.packed("P2"), self.setting.k, self.gp_zero)
+            self._decomp = decompose(self.packed("P2"), self.setting.k, self.gp_zero)
         return self._decomp
 
     # -- bundle path ----------------------------------------------------------
@@ -334,8 +322,7 @@ def get_env(setting: Setting) -> _Env:
 def build_P(setting: Setting, which: str) -> PuiseuxSeries:
     """Top-weight, constraint-applied P-series for the setting, as a series of polynomials."""
     env = get_env(setting)
-    bound, top = env.packed(which)
-    return PuiseuxSeries(top.polys(env.table, setting.weight), bound, env.gp_zero)
+    return PuiseuxSeries.from_packed(env.packed(which), zero=env.gp_zero)
 
 
 def decompose_setting(setting: Setting, which: str = "P2") -> Decomposition:
@@ -343,7 +330,7 @@ def decompose_setting(setting: Setting, which: str = "P2") -> Decomposition:
     env = get_env(setting)
     if which == "P2":
         return env.decomposition()
-    return decompose(*env.packed(which), setting.k, env.gp_zero)
+    return decompose(env.packed(which), setting.k, env.gp_zero)
 
 
 def cross_check_bundle_expansion(setting: Setting, exponent_units: int,
@@ -351,11 +338,12 @@ def cross_check_bundle_expansion(setting: Setting, exponent_units: int,
     """Theta-path coefficient minus the lambda-ring path, at one q-exponent.
 
     Both paths are reduced to the top-weight component under the setting's
-    constraint; the difference must vanish identically.
+    constraint; the difference must vanish identically.  The lambda-ring
+    series runs through the first whole power of q at or past the exponent.
     """
     env = get_env(setting)
     theta_side = env.coefficient(which, exponent_units)
-    kv = env.kvirt_series(which, order=max(1, exponent_units // Q_UNIT))
+    kv = env.kvirt_series(which, order=max(1, -(-exponent_units // Q_UNIT)))
     bundle_side = apply_constraint(
         kv.coefficient(exponent_units).component(setting.weight), setting.kind)
     return theta_side - bundle_side
@@ -372,8 +360,7 @@ class Check:
 
     @property
     def zero(self) -> bool:
-        v = self.value
-        return v.is_zero() if isinstance(v, PuiseuxSeries) else not bool(v)
+        return not self.value
 
 
 @dataclass
@@ -450,7 +437,7 @@ def _pipeline(report: VerificationReport, env: _Env) -> Decomposition:
     report.solve_integral = dec.integral_solve
     report.checks["decomposition_residual"] = Check(dec.residual)
     report.checks["transfer_residual"] = Check(
-        transfer_residual(*env.packed("P1"), dec.h, env.setting.l, env.setting.k, env.gp_zero))
+        transfer_residual(env.packed("P1"), dec.h, env.setting.l, env.setting.k, env.gp_zero))
     return dec
 
 
@@ -495,7 +482,7 @@ def _verify_constant_term(report: VerificationReport, env: _Env):
     rhs = env.rhs_constant(dec.h)
     report.checks["main_identity"] = Check(lhs - rhs)
     report.checks["p1_constant_term"] = Check(env.coefficient("P1", 0) - lhs)
-    report.checks["p1_half_coefficient"] = Check(env.coefficient("P1", 4))
+    report.checks["p1_half_coefficient"] = Check(env.coefficient("P1", HALF_UNIT))
     s = env.setting
     if s.kind == "spin4k":
         # explicit forms of the two leading coefficients
@@ -594,17 +581,14 @@ def structural_checks(setting: Setting) -> dict[str, Check]:
 
 def _sign_flip_residual(env: _Env) -> PuiseuxSeries:
     """P3 minus P2 under ``q^(1/2) -> -q^(1/2)``: one :func:`~anomcancel.algebra.mul_sum` over the packed series."""
-    (b2, p2), (b3, p3) = env.packed("P2"), env.packed("P3")
-    step, bound = gcd(p2.step, p3.step), min(b2, b3)
+    p2, p3 = env.packed("P2"), env.packed("P3")
     flipped = {}
     for key, nums in p2.cols.items():
-        if any(n and i * p2.step % 4 for i, n in enumerate(nums)):
+        if any(n and i * p2.step % HALF_UNIT for i, n in enumerate(nums)):
             raise AlgebraError("sign flip needs all exponents to be multiples of 1/2")
-        flipped[key] = [-n if i * p2.step // 4 % 2 else n for i, n in enumerate(nums)]
-    one = QColumns(1, step, {0: [1]})
-    out = mul_sum([(p3, one, 1, [(0, 1)]), (QColumns(p2.den, p2.step, flipped), one, 1, [(0, -1)])],
-                  step, bound // step + 1)
-    return PuiseuxSeries(out.polys(env.table, env.setting.weight), bound, env.gp_zero)
+        flipped[key] = [-n if i * p2.step // HALF_UNIT % 2 else n for i, n in enumerate(nums)]
+    out = mul_sum([(p3, ONE, 1, [(0, 1)]), (p2._replace(cols=flipped), ONE, 1, [(0, -1)])])
+    return PuiseuxSeries.from_packed(out, zero=env.gp_zero)
 
 
 # -- divisibility audits ------------------------------------------------------------

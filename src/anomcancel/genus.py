@@ -17,7 +17,8 @@ column and a monomial of ``F_(n-j)`` with fields as wide as
 :func:`~anomcancel.algebra.field_width` bounds, and only the callers that
 hand a series on (:func:`exp_over_roots`) turn it into ``Fraction``s.
 Logs on several families go into one exp (:func:`exp_by_weight`), which
-returns the result split by weight, so a caller that reads only the top
+returns the result split by weight, each piece carrying the lattice bound
+it is known through, so a caller that reads only the top
 weight of a product multiplies only the pairs of pieces whose weights add up
 to it.  A setting's first-class relation is a weight-preserving ring map, so
 it commutes with the exp: it is applied once to each family's power sums
@@ -39,12 +40,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Sequence
 
-from .algebra import (AlgebraError, Generator, GeneratorTable, GradedPolynomial, QColumns,
+from .algebra import (ONE, AlgebraError, Generator, GeneratorTable, GradedPolynomial, QColumns,
                       int_numerators, mul_sum)
-from .qseries import PuiseuxSeries
+from .qseries import Q_UNIT, PuiseuxSeries
 from .theta import RootFactor, log_cos_coeffs, log_sin_over_z
 
 FAMILY_TM = "TM"
@@ -131,72 +131,53 @@ def power_sums_gp(fam: RootFamily, m_max: int, table: GeneratorTable,
     return list(sums[:m_max + 1])
 
 
-def _log_columns(log: RootFactor, max_weight: int, order: int) -> tuple[int, dict[int, QColumns]]:
-    """``(bound, {m: column})``: the z^2m columns of a log, to be read through lattice ``bound``."""
-    if any(d % 2 or d == 0 for d in log.cols):
-        raise AlgebraError("a root-factor log must be even in z and vanish at z = 0")
-    if log.z_bound < 2 * (max_weight // 2):
-        raise AlgebraError(f"log known through z^{log.z_bound}, weight {max_weight} needs more")
-    return min(8 * order, log.q_bound), {d // 2: c for d, c in log.cols.items() if d <= max_weight}
-
-
-def _exp_weight_pieces(pieces: list[tuple[int, GradedPolynomial, QColumns]],
-                       bound: int, table: GeneratorTable, max_weight: int) -> list[QColumns]:
-    """The weight pieces ``F_0..F_(max_weight//2)`` of ``F = exp(S)``, ``S = sum_j p_j * c_j(q)``.
-
-    Each piece ``(j, p_j, c_j)`` pairs a polynomial homogeneous of weight
-    ``2j`` with a scalar integer column; several may share a ``j``.  The
-    Euler operator (weight/2) is a derivation, so the weight-2n piece of F
-    obeys ``n*F_n = sum_j j * p_j * c_j * F_(n-j)``.  Each ``F_n`` is one
-    :func:`~anomcancel.algebra.mul_sum`: per piece, the column ``c_j``
-    (cut at ``bound``) multiplies each monomial of ``F_(n-j)`` once, and the
-    product is scattered over the terms of ``p_j`` with integer scalars:
-    ``j`` times their numerators, over ``n`` times their denominator.  The
-    lattice step is the gcd of the bound and the columns' steps.
-    """
-    step = gcd(bound, *(c.step for _, _, c in pieces)) or 1
-    key = table.packing(max_weight).key
-    columns = []
-    for j, poly, c in pieces:
-        nums = c.cols[0][:bound // c.step + 1]
-        if any(nums):
-            d, terms = int_numerators(poly.terms)
-            columns.append((j, QColumns(c.den, c.step, {0: nums}), d,
-                            [(key(e), j * n) for e, n in terms.items()]))
-    f = [QColumns(1, step, {0: [1]})]
-    for n in range(1, max_weight // 2 + 1):
-        f.append(mul_sum([(c, f[n - j], n * d, terms) for j, c, d, terms in columns if j <= n],
-                         step, bound // step + 1))
-    return f
-
-
 def exp_by_weight(logs: Sequence[tuple[RootFactor, Sequence[GradedPolynomial]]], table: GeneratorTable,
-                  max_weight: int, order: int) -> tuple[int, list[QColumns]]:
-    """``(bound, F)``: ``F[n]`` is the weight-2n part of ``exp(sum_(log, s) sum_m s_m * [z^2m] log)``.
+                  max_weight: int, order: int) -> list[QColumns]:
+    """``F[n]``: the weight-2n part of ``F = exp(S)``, ``S = sum_(log, s) sum_m s_m * [z^2m] log``.
 
     Each entry pairs the log of an even per-root factor with the power sums
     ``s_0..s_(max_weight//2)`` of one root family, so one exp multiplies the
-    factors of several families.  ``F[n]`` is in packed integer form
-    (:class:`~anomcancel.algebra.QColumns`) through lattice ``bound``.
+    factors of several families.  ``s_m`` is homogeneous of weight ``2m``
+    and the Euler operator (weight/2) is a derivation, so ``n*F_n = sum_m m
+    * s_m * c_m * F_(n-m)`` over the logs' z^2m columns ``c_m``.  Each
+    ``F_n`` is one :func:`~anomcancel.algebra.mul_sum`: per column, ``c_m``
+    multiplies each monomial of ``F_(n-m)`` once, and the product is
+    scattered over the terms of ``s_m`` with integer scalars: ``m`` times
+    their numerators, over ``n`` times their denominator.  ``F[n]`` is in
+    packed integer form (:class:`~anomcancel.algebra.QColumns`), known
+    through ``q^order`` or the logs' least ``q_bound`` if that is less:
+    ``F[0]`` is the unit known through that bound, so every piece is (each
+    ``mul_sum`` cuts its operands there), and a piece with no product is
+    zero there.
     """
-    cols = [(_log_columns(log, max_weight, order), sums) for log, sums in logs]
-    bound = min(b for (b, _), _ in cols)
-    pieces = [(m, sums[m], col) for (_, columns), sums in cols for m, col in columns.items() if sums[m]]
-    for m, s, _ in pieces:
-        if not s.is_homogeneous(2 * m):
-            raise AlgebraError(f"power sum s_{m} must be homogeneous of weight {2 * m}")
-    return bound, _exp_weight_pieces(pieces, bound, table, max_weight)
+    bound = min(min(Q_UNIT * order, log.q_bound) for log, _ in logs)
+    key = table.packing(max_weight).key
+    columns = []
+    for log, sums in logs:
+        if any(d % 2 or d == 0 for d in log.cols):
+            raise AlgebraError("a root-factor log must be even in z and vanish at z = 0")
+        if log.z_bound < 2 * (max_weight // 2):
+            raise AlgebraError(f"log known through z^{log.z_bound}, weight {max_weight} needs more")
+        for d, c in log.cols.items():
+            m = d // 2
+            if d > max_weight or not sums[m]:
+                continue
+            if not sums[m].is_homogeneous(d):
+                raise AlgebraError(f"power sum s_{m} must be homogeneous of weight {d}")
+            den, terms = int_numerators(sums[m].terms)
+            columns.append((m, c, den, [(key(e), m * n) for e, n in terms.items()]))
+    f = [ONE._replace(bound=bound)]
+    for n in range(1, max_weight // 2 + 1):
+        products = [(c, f[n - m], n * den, terms) for m, c, den, terms in columns if m <= n]
+        f.append(mul_sum(products) if products else f[0]._replace(cols={}))
+    return f
 
 
 def exp_over_roots(logs: Sequence[tuple[RootFactor, Sequence[GradedPolynomial]]], table: GeneratorTable,
                    max_weight: int, order: int) -> PuiseuxSeries:
-    """:func:`exp_by_weight` as one series, the union of its disjoint weight pieces."""
-    bound, pieces = exp_by_weight(logs, table, max_weight, order)
-    total: dict[int, dict] = {}
-    for piece in pieces:   # disjoint monomials: each weight piece adds its own terms
-        piece.terms(table, max_weight, total)
-    return PuiseuxSeries({k: GradedPolynomial._with_form(table, t, max_weight, None) for k, t in sorted(total.items())},
-                         bound, GradedPolynomial.zero(table, max_weight))
+    """:func:`exp_by_weight` as one series, the sum of its disjoint weight pieces."""
+    return PuiseuxSeries.from_packed(*exp_by_weight(logs, table, max_weight, order),
+                                     zero=GradedPolynomial.zero(table, max_weight))
 
 
 def prod_over_roots(log: RootFactor, fam: RootFamily, table: GeneratorTable,

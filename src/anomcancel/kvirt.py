@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .algebra import AlgebraError, GradedPolynomial, GeneratorTable
 from .genus import FAMILY_TM, FAMILY_V, RootFamily, additive_over_roots
-from .qseries import PuiseuxSeries
+from .qseries import HALF_UNIT, Q_UNIT, PuiseuxSeries
 
 
 def reduced(E: GradedPolynomial) -> GradedPolynomial:
@@ -89,15 +89,16 @@ def line_pair_bundle(table: GeneratorTable, max_weight: int) -> GradedPolynomial
 
 # (on the line?, first step in lattice units, sign) of each object's exterior strings;
 # every object also carries the symmetric string of the reduced tangent.
-_EXTERIOR_STRINGS = {"theta1": [(False, 8, 1)], "theta2": [(False, 4, -1)], "theta3": [(False, 4, 1)],
-                     "theta_c": [(True, 8, 1), (True, 4, -1), (True, 4, 1)],
-                     "theta_c_star": [(True, 8, -1)]}
+_EXTERIOR_STRINGS = {"theta1": [(False, Q_UNIT, 1)], "theta2": [(False, HALF_UNIT, -1)],
+                     "theta3": [(False, HALF_UNIT, 1)],
+                     "theta_c": [(True, Q_UNIT, 1), (True, HALF_UNIT, -1), (True, HALF_UNIT, 1)],
+                     "theta_c_star": [(True, Q_UNIT, -1)]}
 
 
 def _string_log(strings, bound: int) -> dict[int, GradedPolynomial]:
     """Summed log of the strings ``tensor_n lambda_{sign q^(a_n)}(E)`` through lattice ``bound``.
 
-    A string is ``(E, first, sign, exterior)`` with steps ``a_n = first + 8(n - 1)``
+    A string is ``(E, first, sign, exterior)`` with steps ``a_n = first + Q_UNIT(n - 1)``
     lattice units, and ``S`` in place of ``lambda`` when not exterior.  The
     log's coefficient at lattice ``N`` is the divisor sum ``sum_{m a_n = N}
     (-1)^(m-1) sign^m psi^m(E) / m``, without ``(-1)^(m-1)`` for ``S``.
@@ -106,7 +107,7 @@ def _string_log(strings, bound: int) -> dict[int, GradedPolynomial]:
     for E, first, sign, exterior in strings:
         for m in range(1, bound // first + 1):
             psi = adams(E, m).scale(Fraction(sign ** m * ((-1) ** (m - 1) if exterior else 1), m))
-            for a in range(first, bound // m + 1, 8):
+            for a in range(first, bound // m + 1, Q_UNIT):
                 log[m * a] = log[m * a] + psi if m * a in log else psi
     return log
 
@@ -135,7 +136,8 @@ def lambda_string(E: GradedPolynomial, half: bool, sign: int, order: int) -> Pui
     >>> lambda_string(line, True, +1, 1).to_text()
     '1 + q^(1/2)'
     """
-    return _exp(_string_log([(E, 4 if half else 8, sign, True)], 8 * order), E.one_like(), 8 * order)
+    bound = Q_UNIT * order
+    return _exp(_string_log([(E, HALF_UNIT if half else Q_UNIT, sign, True)], bound), E.one_like(), bound)
 
 
 def theta_object(kind: str, tangent: GradedPolynomial, line: GradedPolynomial | None,
@@ -152,6 +154,6 @@ def theta_object(kind: str, tangent: GradedPolynomial, line: GradedPolynomial | 
     if line is None and kind.startswith("theta_c"):
         raise AlgebraError(f"{kind} needs the line bundle")
     t = reduced(tangent)
-    strings = [(t, 8, 1, False)] + [(reduced(line) if on_line else t, first, sign, True)
-                                    for on_line, first, sign in _EXTERIOR_STRINGS[kind]]
-    return _exp(_string_log(strings, 8 * order), t.one_like(), 8 * order)
+    strings = [(t, Q_UNIT, 1, False)] + [(reduced(line) if on_line else t, first, sign, True)
+                                         for on_line, first, sign in _EXTERIOR_STRINGS[kind]]
+    return _exp(_string_log(strings, Q_UNIT * order), t.one_like(), Q_UNIT * order)

@@ -32,21 +32,21 @@ leading minor is unit lower-triangular with integer entries, so
 back-substitution needs no division, and it is checked against the minor's
 integer inverse (:func:`unit_lower_inverse`).  :func:`decompose` and
 :func:`transfer_residual` take the packed series the verdict path holds,
-with the lattice bound it is known through and the polynomial ring its
-monomials pack; nothing converts polynomials into that form.
+which carries the lattice bound it is known through, and the polynomial
+ring its monomials pack; nothing converts polynomials into that form.  The
+generators and rows carry the bound ``q^order``, so each residual is known
+through the lesser of the series' bound and the basis order.
 :func:`delta_eps` and :func:`basis_element` are ``Fraction`` views of the
-same integer columns.
+same integer columns (:meth:`~anomcancel.qseries.PuiseuxSeries.from_packed`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
-from .algebra import AlgebraError, GradedPolynomial, QColumns, mul_sum
-from .qseries import PuiseuxSeries
-from .theta import HALF_UNIT, Q_UNIT
+from .algebra import ONE, AlgebraError, GradedPolynomial, QColumns, mul_sum
+from .qseries import HALF_UNIT, Q_UNIT, PuiseuxSeries
 
 GROUP_LOWER = "Gamma_0(2)"   # integer-exponent side  (delta1, eps1)
 GROUP_UPPER = "Gamma^0(2)"   # half-integer side      (delta2, eps2)
@@ -87,24 +87,19 @@ def _generators(group: str, order: int) -> tuple[QColumns, QColumns]:
         return pair
     if order < 1:
         raise AlgebraError("order must be >= 1")
+    bound = Q_UNIT * order
     if group == GROUP_UPPER:
         odd, eps, _ = _divisor_sums(2 * order + 1)      # positions q^(n/2)
-        pair = QColumns(1, HALF_UNIT, {0: [-1] + [-24 * s for s in odd[1:]]}), QColumns(1, HALF_UNIT, {0: eps})
+        pair = (QColumns(1, HALF_UNIT, {0: [-1] + [-24 * s for s in odd[1:]]}, bound),
+                QColumns(1, HALF_UNIT, {0: eps}, bound))
     elif group == GROUP_LOWER:
         odd, _, signed = _divisor_sums(order + 1)       # positions q^n
-        pair = (QColumns(1, Q_UNIT, {0: [2] + [48 * s for s in odd[1:]]}),
-                QColumns(16, Q_UNIT, {0: [1] + [16 * s for s in signed[1:]]}))
+        pair = (QColumns(1, Q_UNIT, {0: [2] + [48 * s for s in odd[1:]]}, bound),
+                QColumns(16, Q_UNIT, {0: [1] + [16 * s for s in signed[1:]]}, bound))
     else:
         raise AlgebraError(f"unknown group {group!r}")
     _gen_cache[key] = pair
     return pair
-
-
-def _view(c: QColumns, order: int, den: int = 1) -> PuiseuxSeries:
-    """A scalar column divided by ``den`` as a ``Fraction`` series through ``q^order``."""
-    d = c.den * den
-    return PuiseuxSeries({i * c.step: Fraction(n, d) for i, n in enumerate(c.cols.get(0, ())) if n},
-                         Q_UNIT * order, Fraction(0))
 
 
 def delta_eps(which: str, order: int) -> PuiseuxSeries:
@@ -113,7 +108,8 @@ def delta_eps(which: str, order: int) -> PuiseuxSeries:
     if group is None:
         raise AlgebraError(f"unknown generator {which!r}")
     d8, eps = _generators(group, order)
-    return _view(d8, order, 8) if which.startswith("delta") else _view(eps, order)
+    return PuiseuxSeries.from_packed(d8._replace(den=8 * d8.den) if which.startswith("delta") else eps,
+                                     zero=Fraction(0))
 
 
 def _basis_rows(group: str, k: int, order: int) -> tuple[QColumns, ...]:
@@ -129,11 +125,10 @@ def _basis_rows(group: str, k: int, order: int) -> tuple[QColumns, ...]:
     if rows is not None:
         return rows
     d8, eps = _generators(group, order)
-    step, count, n = d8.step, Q_UNIT * order // d8.step + 1, k // 2
-    one = QColumns(1, step, {0: [1] + [0] * (count - 1)})
+    n, one = k // 2, ONE._replace(bound=d8.bound)     # the k=0 row keeps the order's bound
 
     def mul(a, b):
-        return b if a is one else a if b is one else mul_sum([(a, b, 1, _UNIT)], step, count)
+        return b if a is one else a if b is one else mul_sum([(a, b, 1, _UNIT)])
 
     d2 = mul(d8, d8) if n else None           # (8*delta)^2, unused when k < 2
     d_pows = [d8 if k % 2 else one]           # (8*delta)^(k%2 + 2i)
@@ -143,10 +138,11 @@ def _basis_rows(group: str, k: int, order: int) -> tuple[QColumns, ...]:
         e_pows.append(mul(e_pows[-1], eps))
     rows = tuple(mul(d_pows[n - r], e_pows[r]) for r in range(n + 1))
     if group == GROUP_UPPER:
+        known = d8.bound // d8.step + 1       # positions through q^order
         for r, row in enumerate(rows):
             nums = row.cols.get(0, ())
-            lead = next((i for i, x in enumerate(nums) if x), count)
-            if lead != min(r, count) or (lead < count and nums[lead] != (-1) ** k * row.den):
+            lead = next((i for i, x in enumerate(nums) if x), known)
+            if lead != min(r, known) or (lead < known and nums[lead] != (-1) ** k * row.den):
                 raise AlgebraError("upper basis element lost triangularity")
     _basis_cache[key] = rows
     return rows
@@ -166,7 +162,7 @@ def basis_element(group: str, k: int, r: int, order: int) -> PuiseuxSeries:
     row = _basis_rows(group, k, order)[r]
     if group == GROUP_UPPER and HALF_UNIT * r > Q_UNIT * order:
         raise AlgebraError(f"upper basis element r={r} starts beyond q^{order}")
-    return _view(row, order)
+    return PuiseuxSeries.from_packed(row, zero=Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -224,33 +220,30 @@ def unit_lower_inverse(m: list[list[int]]) -> list[list[int]]:
 
 
 def _packed_sum(P: QColumns, h: list[GradedPolynomial], rows: tuple[QColumns, ...], scale: int,
-                bound: int, zero: GradedPolynomial) -> PuiseuxSeries:
-    """``P + scale * sum_r h_r * rows_r`` through lattice ``bound``: one :func:`mul_sum`.
+                zero: GradedPolynomial) -> PuiseuxSeries:
+    """``P + scale * sum_r h_r * rows_r`` as one :func:`mul_sum`, through the least bound of ``P`` and the rows.
 
-    ``P`` is a packed series on the ring of ``zero``.  The output
-    step is the gcd of the rows' step and ``P``'s, so a term of ``P`` off
-    the rows' lattice stays in the result.  Each ``h_r`` enters through its
-    integer form as a single-position operand.
+    ``P`` is a packed series on the ring of ``zero``.  Each ``h_r`` enters
+    through its integer form as an exact single-position operand, so the
+    output step is the gcd of the rows' step and ``P``'s, and a term of
+    ``P`` off the rows' lattice stays in the result.
     """
     table, cap = zero.table, zero.max_weight
     if any(p.table != table or p.max_weight != cap for p in h):
         raise AlgebraError("basis coefficients live in another polynomial ring")
-    step = gcd(rows[0].step, P.step)
     products = []
     for p, row in zip(h, rows):
         den, groups = p.int_form()
-        products.append((QColumns(den, step, {key: [n] for _, items in groups for key, n in items}),
+        products.append((QColumns(den, 1, {key: [n] for _, items in groups for key, n in items}),
                          row, 1, [(0, scale)]))
-    products.append((P, QColumns(1, step, {0: [1]}), 1, _UNIT))
-    out = mul_sum(products, step, bound // step + 1)
-    return PuiseuxSeries(out.polys(table, cap), bound, zero)
+    products.append((P, ONE, 1, _UNIT))
+    return PuiseuxSeries.from_packed(mul_sum(products), zero=zero)
 
 
-def decompose(bound: int, P: QColumns, k: int, zero: GradedPolynomial,
-              order: int | None = None) -> Decomposition:
+def decompose(P: QColumns, k: int, zero: GradedPolynomial, order: int | None = None) -> Decomposition:
     """Solve ``P = sum_r h_r (8*delta2)^(k-2r) eps2^r`` and report the residual.
 
-    ``P`` is a packed series known through lattice ``bound``, on the
+    ``P`` is a packed series known through lattice ``P.bound``, on the
     half-integer lattice, whose monomials are packed for the ring of
     ``zero``.  The ``h_r`` come out of the triangular system at ``q^0 ..
     q^(r/2)`` by back-substitution on ``P``'s integer numerators: the
@@ -259,13 +252,14 @@ def decompose(bound: int, P: QColumns, k: int, zero: GradedPolynomial,
     ``P``'s denominator.  ``solve_coeffs`` is the minor's integer inverse,
     recording each ``h_r`` as an integer combination of the input
     coefficients, and the solve is checked against it.  The residual is then
-    checked against every further coefficient ``P`` carries.
+    checked against every further coefficient ``P`` carries, through
+    ``q^order`` (by default the whole of ``P``).
 
     The upper row ``8*delta2`` itself, through ``q^2`` (lattice 16):
 
     >>> from anomcancel.genus import build_generator_table
     >>> zero = GradedPolynomial.zero(build_generator_table(1, 0, True, 2), 2)
-    >>> dec = decompose(16, QColumns(1, HALF_UNIT, {0: [-1, -24, -24, -96, -24]}), 1, zero)
+    >>> dec = decompose(QColumns(1, HALF_UNIT, {0: [-1, -24, -24, -96, -24]}, 16), 1, zero)
     >>> [p.to_text() for p in dec.h], dec.residual_zero
     (['1'], True)
     """
@@ -273,11 +267,11 @@ def decompose(bound: int, P: QColumns, k: int, zero: GradedPolynomial,
                                   if i * P.step % HALF_UNIT):
         raise AlgebraError("decomposition input must live on the half-integer lattice")
     n_unknowns = k // 2 + 1
-    if bound < Q_UNIT * n_unknowns:
+    if P.bound < Q_UNIT * n_unknowns:
         raise AlgebraError(
-            f"series order {bound} lattice units cannot determine {n_unknowns} coefficients")
+            f"series order {P.bound} lattice units cannot determine {n_unknowns} coefficients")
     if order is None:
-        order = bound // Q_UNIT
+        order = P.bound // Q_UNIT
     elif 2 * order < k // 2:
         raise AlgebraError(f"basis order {order} cannot hold the leading {n_unknowns} coefficients")
     minor = leading_minor(k, order)
@@ -297,23 +291,21 @@ def decompose(bound: int, P: QColumns, k: int, zero: GradedPolynomial,
     h_polys = [GradedPolynomial._with_form(
         table, {vector(key): Fraction(h[r], P.den) for key, h in solved.items() if h[r]}, cap, None)
         for r in range(n_unknowns)]
-    residual = _packed_sum(P, h_polys, _basis_rows(GROUP_UPPER, k, order), -1,
-                           min(bound, Q_UNIT * order), zero)
+    residual = _packed_sum(P, h_polys, _basis_rows(GROUP_UPPER, k, order), -1, zero)
     return Decomposition(h_polys, residual, inv, True)
 
 
-def transfer_residual(bound: int, P1: QColumns, h: list[GradedPolynomial], l: int, k: int,
+def transfer_residual(P1: QColumns, h: list[GradedPolynomial], l: int, k: int,
                       zero: GradedPolynomial) -> PuiseuxSeries:
-    """Residual of ``P1 = 2^l sum_r h_r (8*delta1)^(k-2r) eps1^r`` through lattice ``bound``.
+    """Residual of ``P1 = 2^l sum_r h_r (8*delta1)^(k-2r) eps1^r``, through the last whole power of q.
 
-    ``P1`` is packed as in :func:`decompose`.  A zero residual is the
+    ``P1`` is packed as in :func:`decompose`, and known through ``P1.bound``.  A zero residual is the
     q-expansion witness of the modular transfer from the upper-group
     decomposition to the integer-exponent side.
     """
     if len(h) != k // 2 + 1:
         raise AlgebraError("coefficient list length does not match k")
-    order = bound // Q_UNIT
-    return _packed_sum(P1, h, _basis_rows(GROUP_LOWER, k, order), -(2 ** l), Q_UNIT * order, zero)
+    return _packed_sum(P1, h, _basis_rows(GROUP_LOWER, k, P1.bound // Q_UNIT), -(2 ** l), zero)
 
 
 def integrality_report(order: int) -> dict[str, bool]:

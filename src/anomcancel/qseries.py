@@ -1,11 +1,14 @@
 """Truncated Puiseux series in ``q`` with exponents on the (1/8)-lattice.
 
-Exponents are stored as integers ``k`` meaning ``q^(k/8)``.  A series knows
-its ``order_bound``: coefficients at lattice positions above the bound are
-*unknown*, not zero, and asking for one raises :class:`TruncationError`.
+Exponents are stored as integers ``k`` meaning ``q^(k/8)``: :data:`Q_UNIT`
+lattice units make ``q^1`` and :data:`HALF_UNIT` make ``q^(1/2)``.  A series
+knows its ``order_bound``: coefficients at lattice positions above the bound
+are *unknown*, not zero, and asking for one raises :class:`TruncationError`.
 Coefficients may be any exact ring element (``Fraction`` scalars or graded
 polynomials); the series carries the ring's zero so the two rings never mix
-silently.
+silently.  The packed integer form of the hot path,
+:class:`~anomcancel.algebra.QColumns`, keeps the same contract through its
+``bound``, and :meth:`PuiseuxSeries.from_packed` is the one edge from it.
 """
 
 from __future__ import annotations
@@ -13,7 +16,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .algebra import AlgebraError, int_numerators
+from .algebra import AlgebraError, GradedPolynomial, QColumns, int_numerators
+
+Q_UNIT = 8       # lattice units in q^1
+HALF_UNIT = 4    # lattice units in q^(1/2)
 
 
 class TruncationError(ValueError):
@@ -28,7 +34,7 @@ def exponent_text(k: int) -> str:
     """Render lattice position ``k`` as a reduced power of q."""
     if k == 0:
         return "1"
-    f = Fraction(k, 8)
+    f = Fraction(k, Q_UNIT)
     if f == 1:
         return "q"
     return f"q^({f})"
@@ -38,8 +44,8 @@ def require_known(k: int, order_bound: int):
     """Raise :class:`TruncationError` when lattice ``k`` lies beyond ``order_bound``."""
     if k > order_bound:
         raise TruncationError(
-            f"coefficient at q^({Fraction(k, 8)}) is beyond the computed order "
-            f"q^({Fraction(order_bound, 8)})"
+            f"coefficient at q^({Fraction(k, Q_UNIT)}) is beyond the computed order "
+            f"q^({Fraction(order_bound, Q_UNIT)})"
         )
 
 
@@ -70,6 +76,29 @@ class PuiseuxSeries:
     @staticmethod
     def constant(value, order_bound: int, zero) -> "PuiseuxSeries":
         return PuiseuxSeries({0: value}, order_bound, zero)
+
+    @staticmethod
+    def from_packed(*parts: QColumns, zero) -> "PuiseuxSeries":
+        """Packed series with disjoint monomials, summed over the ring of ``zero`` through their least bound.
+
+        Over ``Fraction`` the one part's constant monomial (key 0) is read;
+        over a polynomial ring each monomial is unpacked by the ring's
+        packing, so the weight pieces of one exp make one series.
+        """
+        bound = min(c.bound for c in parts)
+        if isinstance(zero, Fraction):
+            (c,) = parts
+            return PuiseuxSeries({i * c.step: Fraction(n, c.den) for i, n in enumerate(c.cols.get(0, ())) if n},
+                                 bound, zero)
+        vector, at = zero.table.packing(zero.max_weight).vector, {}
+        for c in parts:
+            for key, nums in c.cols.items():
+                e = vector(key)
+                for i, n in enumerate(nums):
+                    if n:
+                        at.setdefault(i * c.step, {})[e] = Fraction(n, c.den)
+        return PuiseuxSeries({k: GradedPolynomial._with_form(zero.table, at[k], zero.max_weight, None)
+                              for k in sorted(at)}, bound, zero)
 
     # -- inspection -----------------------------------------------------------
 
@@ -185,7 +214,7 @@ class PuiseuxSeries:
         return out
 
     def __repr__(self):
-        return f"PuiseuxSeries({self.to_text()}, order<=q^({Fraction(self.order_bound, 8)}))"
+        return f"PuiseuxSeries({self.to_text()}, order<=q^({Fraction(self.order_bound, Q_UNIT)}))"
 
 
 def _scalar_convolution(a: Mapping[int, Fraction], b: Mapping[int, Fraction],

@@ -24,6 +24,7 @@ from fractions import Fraction
 
 from . import anomaly
 from .modforms import delta_eps, integrality_report
+from .qseries import HALF_UNIT, Q_UNIT
 from .theta import jacobi_residual
 
 THETA_LAYER_ORDER = 10
@@ -101,12 +102,12 @@ def _crosscheck_report(kind: str, k: int, l: int, n_q: int | None) -> dict:
     setting = anomaly.make_setting(kind, k, l, n_q)
     checks = {}
     for which in ("P1", "P2"):
-        for units in (0, 4, 8):
+        for units in (0, HALF_UNIT, Q_UNIT):
             res = anomaly.cross_check_bundle_expansion(setting, units, which)
             entry = {"zero": not bool(res), "gating": True}
             if res:
                 entry["value"] = res.to_text()
-            checks[f"{which}@q^({Fraction(units, 8)})"] = entry
+            checks[f"{which}@q^({Fraction(units, Q_UNIT)})"] = entry
     status = "PASS" if all(c["zero"] for c in checks.values()) else "FAIL"
     return {"schema": 1, "case": f"crosscheck {kind} k={k} l={l}",
             "setting": setting.to_json_obj(), "status": status, "checks": checks}

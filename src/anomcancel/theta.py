@@ -37,10 +37,7 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 
 from .algebra import AlgebraError, QColumns, _frac, int_numerators
-from .qseries import PuiseuxSeries
-
-Q_UNIT = 8       # lattice units in q^1
-HALF_UNIT = 4    # lattice units in q^(1/2)
+from .qseries import HALF_UNIT, Q_UNIT, PuiseuxSeries
 
 NULL_KINDS = ("theta1", "theta2", "theta3", "theta_prime")
 FACTOR_KINDS = ("a", "t1", "t2", "t3", "d")
@@ -120,8 +117,8 @@ class RootFactor:
 
     At rest it is integer columns: ``cols[d]`` is the ``z^d`` column as a
     scalar :class:`~anomcancel.algebra.QColumns` ``(den, step, {0:
-    numerators})``, numerator ``i`` standing at lattice ``i * step``; a
-    column with no nonzero entry is absent.  Logs (:func:`theta_log`) feed
+    numerators}, q_bound)``, numerator ``i`` standing at lattice ``i *
+    step``; a column with no nonzero entry is absent.  Logs (:func:`theta_log`) feed
     the exps of ``genus`` column by column; ``terms``, the ``{(z_degree,
     lattice): Fraction}`` view, is built on demand for rendering
     (``expand --object factor-*``) and for the tests.
@@ -143,7 +140,7 @@ class RootFactor:
             ints = [0] * (max(col) // step + 1)
             for k, n in nums.items():
                 ints[k // step] = n
-            cols[d] = QColumns(den, step, {0: ints})
+            cols[d] = QColumns(den, step, {0: ints}, q_bound)
         self._set(cols, z_bound, q_bound)
 
     def _set(self, cols: dict[int, QColumns], z_bound: int, q_bound: int):
@@ -209,7 +206,7 @@ class RootFactor:
                 m, spread = den // c.den, c.step // step
                 for i, n in enumerate(c.cols[0][:qb // c.step + 1]):
                     nums[i * spread] += m * n
-            cols[d] = QColumns(den, step, {0: nums})
+            cols[d] = QColumns(den, step, {0: nums}, qb)
         return RootFactor.from_columns(cols, zb, qb)
 
     def to_json_obj(self):
@@ -230,7 +227,7 @@ class RootFactor:
 def _reduced(c: QColumns) -> QColumns:
     """A scalar column over its least denominator."""
     common = gcd(c.den, *c.cols[0])
-    return c if common == 1 else QColumns(c.den // common, c.step, {0: [n // common for n in c.cols[0]]})
+    return c if common == 1 else c._replace(den=c.den // common, cols={0: [n // common for n in c.cols[0]]})
 
 
 # -- elementary z-series ------------------------------------------------------
@@ -314,7 +311,7 @@ def theta_log(kind: str, order: int, z_bound: int) -> RootFactor:
         f = scale.numerator * (den // scale.denominator)
         nums = [f * n for n in nums]
         nums[0] = c0.numerator * (den // c0.denominator)
-        cols[d] = QColumns(den, step, {0: nums})
+        cols[d] = QColumns(den, step, {0: nums}, q_bound)
         hits = [(i, m2, p * m2) for i, m2, p in hits]     # sign * m^(d+1) for the next column
     out = RootFactor.from_columns(cols, z_bound, q_bound)
     _log_cache[key] = out

@@ -420,8 +420,8 @@ def residual_oracle(P: PuiseuxSeries, h, group: str, k: int, scale: int, order: 
     return PuiseuxSeries({pos: c for pos, c in out.items() if c}, bound, P.zero)
 
 
-def packed(series: PuiseuxSeries) -> tuple[int, QColumns]:
-    """``(order_bound, columns)`` of a polynomial-valued series, in the packed integer form.
+def packed(series: PuiseuxSeries) -> QColumns:
+    """A polynomial-valued series in the packed integer form, carrying its order bound.
 
     Positions go on the gcd of 8 and the stored exponents, numerators over
     the lcm of all denominators.  A monomial's key gives generator ``i`` a
@@ -441,7 +441,7 @@ def packed(series: PuiseuxSeries) -> tuple[int, QColumns]:
         for e, c in p.terms.items():
             key = sum(x << s for x, s in zip(e, shifts))
             cols.setdefault(key, [0] * size)[pos // step] = c.numerator * (den // c.denominator)
-    return series.order_bound, QColumns(den, step, cols)
+    return QColumns(den, step, cols, series.order_bound)
 
 
 # -- log, exp and line-evaluation oracles -----------------------------------------

@@ -4,12 +4,12 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pytest
 
-from anomcancel.algebra import GradedPolynomial, QColumns, dot, field_width, mul_sum
+from anomcancel.algebra import ONE, GradedPolynomial, QColumns, dot, field_width, mul_sum
 from anomcancel.genus import build_generator_table, constraint_replacement
 from helpers import naive_mul_sum, weighted_poly_mul
 
@@ -232,12 +232,13 @@ wide_numerators = st.integers(-2 ** 256, 2 ** 256)
 
 @st.composite
 def packed_cases(draw):
-    """A step (4 or 8), up to 40 positions and up to three products of packed series.
+    """Up to three products of packed series on a step of 4 or 8 and up to 40 positions.
 
     Operand steps are the step or twice it, lists may stop short of the last
-    position or run past it, denominators go up to 10^6, and with some draws
-    a product is repeated with negated scalars, or everything is, so that its
-    pairs cancel to exactly zero.
+    position or run past it, denominators go up to 10^6, and each operand is
+    exact or known through a bound of its own.  With some draws a product is
+    repeated with negated scalars, or everything is, so that its pairs
+    cancel to exactly zero.
     """
     step = draw(st.sampled_from([4, 8]))
     count = draw(st.integers(1, 40))
@@ -246,7 +247,8 @@ def packed_cases(draw):
         own = draw(st.sampled_from([step, 2 * step]))
         cols = draw(st.dictionaries(st.integers(0, 3), st.lists(wide_numerators, min_size=1, max_size=count),
                                     max_size=3))
-        return QColumns(draw(st.integers(1, 10 ** 6)), own, cols)
+        bound = draw(st.none() | st.integers(0, 2 * count * step))
+        return QColumns(draw(st.integers(1, 10 ** 6)), own, cols, bound)
 
     def scatter():
         return draw(st.lists(st.tuples(st.integers(0, 3), st.integers(-2 ** 64, 2 ** 64)), max_size=3))
@@ -258,22 +260,40 @@ def packed_cases(draw):
         products.append((a, b, d, [(t, -n) for t, n in sc]))
     if draw(st.booleans()):
         products += [(a, b, d, [(t, -n) for t, n in sc]) for a, b, d, sc in products]
-    return step, count, products
+    return products
 
 
 def _as_terms(c: QColumns) -> dict[tuple[int, int], Fraction]:
     return {(k, i * c.step): Fraction(n, c.den) for k, nums in c.cols.items() for i, n in enumerate(nums) if n}
 
 
+_EXACT = QColumns(3, 8, {0: [1, 2], 1: [0, 5]})                      # exact, two positions on step 8
+_KNOWN = QColumns(5, 4, {0: [7, -1, 2, 0, 4, 9, 1], 2: [3]}, 16)     # known through lattice 16
+_H = QColumns(2, 1, {1: [-3]})                                       # an exact single-position h_r
+
+
 @settings(max_examples=150, deadline=None, database=None)
 @given(packed_cases())
-def test_packed_mul_sum_matches_naive_convolution(case):
+@example([(_EXACT, _KNOWN, 7, [(0, 1), (2, -3)])])
+@example([(_KNOWN, _H, 1, [(0, 5)]), (_EXACT, ONE, 2, [(1, 1)])])
+@example([(_EXACT, _H, 1, [(0, 1)]), (_EXACT, _EXACT, 3, [(0, -2)])])
+@example([(_H, ONE, 1, [(0, 1)]), (_KNOWN._replace(cols={0: [4]}, step=12), _H, 1, [(0, 1)])])
+def test_packed_mul_sum_matches_naive_convolution(products):
     """Packed products equal the Fraction convolution, over a reduced denominator, with no
-    all-zero monomial and one entry per position."""
-    step, count, products = case
-    got = mul_sum(products, step, count)
-    assert _as_terms(got) == naive_mul_sum(products, step, count)
-    assert got.step == step and all(len(nums) == count and any(nums) for nums in got.cols.values())
+    all-zero monomial and no entry past the bound.  The step is the gcd of the steps of the
+    operands with more than one position, and the bound the least bound of the truncated
+    operands, so an exact operand leaves it to the others."""
+    got = mul_sum(products)
+    operands = [c for a, b, _, _ in products for c in (a, b)]
+    spans = [c.step for c in operands if any(len(nums) > 1 for nums in c.cols.values())]
+    bound = min((c.bound for c in operands if c.bound is not None), default=None)
+    assert got.bound == bound
+    if spans:
+        assert got.step == gcd(*spans)
+    top = 2 * 40 * 16 if bound is None else bound     # past every position an exact product reaches
+    triples = [(a[:3], b[:3], d, sc) for a, b, d, sc in products]     # the oracle reads no bound
+    assert _as_terms(got) == naive_mul_sum(triples, got.step, top // got.step + 1)
+    assert all(any(nums) and (len(nums) - 1) * got.step <= top for nums in got.cols.values())
     assert gcd(got.den, *(n for nums in got.cols.values() for n in nums)) == 1
 
 
@@ -284,11 +304,12 @@ def test_packed_mul_sum_at_full_width(step, sign):
     two pairs reach, times both scalars, meets the width rule's bound exactly, so a field
     one bit narrower could not hold it."""
     count, top = 40, 2 ** 256 - 1
-    a = QColumns(1, step, {0: [sign * top] * count, 1: [sign * top] * count})
-    b = QColumns(1, step, {0: [top] * count, 1: [top] * count})
+    a = QColumns(1, step, {0: [sign * top] * count, 1: [sign * top] * count}, (count - 1) * step)
+    b = QColumns(1, step, {0: [top] * count, 1: [top] * count}, (count - 1) * step)
     products = [(a, b, 1, [(0, 1), (0, 2)])]
-    got = mul_sum(products, step, count)
+    got = mul_sum(products)
+    assert (got.step, got.bound, len(got.cols[1])) == (step, (count - 1) * step, count)
     bound = count * 3 * 2 * top * top
     assert got.cols[1][-1] == sign * bound
     assert field_width(count, [(3, 2, top, top)]) == bound.bit_length() + 1
-    assert _as_terms(got) == naive_mul_sum(products, step, count)
+    assert _as_terms(got) == naive_mul_sum([(a[:3], b[:3], 1, [(0, 1), (0, 2)])], step, count)

@@ -11,6 +11,7 @@ from anomcancel.anomaly import (build_P, cross_check_bundle_expansion,
                                 make_setting, structural_checks, verify_theorem)
 from anomcancel.genus import build_generator_table
 from anomcancel.modforms import DELTA_EPS_KINDS, decompose, delta_eps, transfer_residual
+from anomcancel.qseries import TruncationError
 from anomcancel.theta import RootFactor, theta_factor, theta_log, theta_null
 
 from helpers import packed, reference_P
@@ -108,11 +109,27 @@ def test_unreduced_line_variant_recorded():
 
 
 def test_cross_checks():
-    for kind, k, l in (("spin4k", 1, 1), ("spinc4k", 1, 1), ("spinc4k2", 1, 1)):
+    """At q^(3/2) and q^(5/2) the lambda-ring series must run to the next whole order."""
+    for kind, k, l in (("spin4k", 1, 1), ("spinc4k", 1, 1), ("spinc4k2", 1, 1), ("spin4k", 2, 1),
+                       ("spinc4k", 2, 1), ("spinc4k2", 2, 1)):
         s = make_setting(kind, k, l)
         for which in ("P1", "P2"):
-            for units in (0, 4, 8):
+            for units in (0, 4, 8, 12, 20):
                 assert not cross_check_bundle_expansion(s, units, which), (kind, which, units)
+
+
+def test_packed_read_past_the_bound_raises():
+    """The packed P-series carries the bound it is known through, and its own read enforces it."""
+    s = make_setting("spin4k", 2, 1)
+    env = get_env(s)
+    top = env.packed("P2")
+    assert top.bound == 8 * s.n_q == build_P(s, "P2").order_bound
+    assert top.coefficient(top.bound, env.table, s.weight) == build_P(s, "P2").coefficient(top.bound)
+    for past in (top.bound + 4, top.bound + 1):
+        with pytest.raises(TruncationError, match="beyond the computed order"):
+            top.coefficient(past, env.table, s.weight)
+        with pytest.raises(TruncationError):
+            env.coefficient("P2", past)
 
 
 def test_divisibility_outcomes():
@@ -254,13 +271,13 @@ def test_public_and_packed_decompositions_agree(kind, k):
     for l in (1, 2, 3):
         s = make_setting(kind, k, l)
         env = get_env(s)
-        public, verdict = decompose(*packed(build_P(s, "P2")), k, env.gp_zero), env.decomposition()
+        public, verdict = decompose(packed(build_P(s, "P2")), k, env.gp_zero), env.decomposition()
         assert public.h == verdict.h
         assert public.solve_coeffs == verdict.solve_coeffs
         assert public.integral_solve is verdict.integral_solve is True
         assert public.residual == verdict.residual and verdict.residual_zero
-        edge = transfer_residual(*packed(build_P(s, "P1")), verdict.h, l, k, env.gp_zero)
-        assert edge == transfer_residual(*env.packed("P1"), verdict.h, l, k, env.gp_zero)
+        edge = transfer_residual(packed(build_P(s, "P1")), verdict.h, l, k, env.gp_zero)
+        assert edge == transfer_residual(env.packed("P1"), verdict.h, l, k, env.gp_zero)
         assert edge.is_zero()
 
 

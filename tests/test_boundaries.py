@@ -3,8 +3,10 @@
 The lambda-ring route (``anomcancel.kvirt``) must not import the theta route
 (``theta``, ``modforms``) or the verifier built on both (``anomaly``), and the
 tensor-string oracle in ``tests/helpers.py`` must not import the lambda-ring
-route it checks.  Only direct imports are read: ``genus`` (root families,
-additive sums over roots) is shared ground.
+route it checks.  Only direct imports are read: ``algebra``, ``genus`` (root
+families, additive sums over roots) and ``qseries`` (the series type and its
+lattice units) are shared ground.  No oracle in ``tests/helpers.py`` may
+reach the fast packed kernel (``mul_sum`` and its ``field_width``) it checks.
 """
 
 import ast
@@ -17,6 +19,7 @@ PACKAGE = "anomcancel"
 KVIRT = ROOT / "src" / PACKAGE / "kvirt.py"
 HELPERS = ROOT / "tests" / "helpers.py"
 
+FAST_KERNEL = ("mul_sum", "field_width")
 STRING_ORACLE = ("_psi", "_reduce", "_zero", "_bundle_exp_by_powers", "_string_factor",
                  "string_product_oracle", "theta_strings")
 
@@ -50,6 +53,22 @@ def test_kvirt_imports_nothing_from_the_theta_route(forbidden):
     assert sources, "kvirt imports nothing at all: the parse found no imports"
     assert not [m for m in sources if m == f"{PACKAGE}.{forbidden}"
                 or m.startswith(f"{PACKAGE}.{forbidden}.")]
+
+
+def test_kvirt_imports_only_shared_ground():
+    sources = import_sources(ast.parse(KVIRT.read_text())).values()
+    package = {m for m in sources if m.startswith(f"{PACKAGE}.")}
+    assert package <= {f"{PACKAGE}.{m}" for m in ("algebra", "genus", "qseries")}, package
+
+
+@pytest.mark.parametrize("kernel", FAST_KERNEL)
+def test_helpers_never_name_the_fast_kernel(kernel):
+    """Neither an import nor an attribute read (``algebra.mul_sum``) brings the kernel into the oracles."""
+    tree = ast.parse(HELPERS.read_text())
+    names = {a.name for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    names |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert kernel not in names
 
 
 def test_helpers_import_nothing_from_kvirt():

@@ -6,7 +6,8 @@ import pytest
 from anomcancel.algebra import AlgebraError, GradedPolynomial
 from anomcancel.genus import (FAMILY_TM, FAMILY_W, LINE, RootFamily, additive_over_roots,
                               apply_constraint, build_generator_table, classical_genus,
-                              eval_at_var, power_sums_gp, prod_over_roots)
+                              eval_at_var, exp_by_weight, power_sums_gp, prod_over_roots)
+from anomcancel.qseries import TruncationError
 from anomcancel.theta import RootFactor, theta_log
 
 from helpers import (bivariate_mul, brute_force_prod, eval_factor_at_w, monomial_symmetric_prod,
@@ -40,6 +41,23 @@ def test_prod_rejects_bad_factors():
         prod_over_roots(short, fam, table, 4, 0)
     with pytest.raises(AlgebraError):
         eval_at_var(odd, build_generator_table(2, 1, True, 4), 4, 0)
+
+
+@pytest.mark.parametrize("kind,log_order,order,bound", [
+    ("t2", 0, 0, 0),      # a log with no column: every piece past F_0 has no product
+    ("a", 5, 3, 24),      # the log runs further than the exp
+    ("t1", 2, 4, 16),     # the log runs shorter than the exp
+])
+def test_exp_pieces_carry_the_exp_bound(kind, log_order, order, bound):
+    """Every weight piece of an exp is known through q^order or the log's bound, whichever is
+    less, even a piece with no product, and a packed read past that bound raises."""
+    table = build_generator_table(2, 0, False, 4)
+    sums = power_sums_gp(RootFamily(FAMILY_TM, 2), 2, table, 4)
+    pieces = exp_by_weight([(theta_log(kind, log_order, 4), sums)], table, 4, order)
+    assert [f.bound for f in pieces] == [bound] * 3
+    for f in pieces:
+        with pytest.raises(TruncationError):
+            f.coefficient(bound + 4, table, 4)
 
 
 def test_classical_genera():

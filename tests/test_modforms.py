@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from anomcancel import modforms
-from anomcancel.algebra import AlgebraError, GradedPolynomial, QColumns
+from anomcancel.algebra import AlgebraError, GradedPolynomial
 from anomcancel.anomaly import divisibility_check
 from anomcancel.genus import build_generator_table
 from anomcancel.modforms import (GROUP_LOWER, GROUP_UPPER, basis_element, decompose,
@@ -16,11 +16,11 @@ from helpers import modular_basis_oracle, packed, residual_oracle
 
 
 def _decompose(P, k, order=None):
-    return decompose(*packed(P), k, P.zero, order)
+    return decompose(packed(P), k, P.zero, order)
 
 
 def _transfer(P1, h, l, k):
-    return transfer_residual(*packed(P1), h, l, k, P1.zero)
+    return transfer_residual(packed(P1), h, l, k, P1.zero)
 
 
 def _span(h, group, k, order, zero):
@@ -196,9 +196,9 @@ def test_basis_rows_never_multiply_by_the_unit(monkeypatch):
     """Every mul_sum of the rows has two non-unit operands: k < 2 needs none, k=2 only (8*delta)^2."""
     real, operands = modforms.mul_sum, []
 
-    def spy(products, step, count):
+    def spy(products):
         operands.append([c for a, b, _, _ in products for c in (a, b)])
-        return real(products, step, count)
+        return real(products)
 
     monkeypatch.setattr(modforms, "mul_sum", spy)
     for group in (GROUP_UPPER, GROUP_LOWER):
@@ -283,7 +283,7 @@ def _patch_diagonal(monkeypatch, k, order, r, factor):
     rows = modforms._basis_rows(GROUP_UPPER, k, order)
     nums = list(rows[r].cols[0])
     nums[r] *= factor
-    patched = rows[:r] + (QColumns(rows[r].den, rows[r].step, {0: nums}),) + rows[r + 1:]
+    patched = rows[:r] + (rows[r]._replace(cols={0: nums}),) + rows[r + 1:]
     monkeypatch.setitem(modforms._basis_cache, (GROUP_UPPER, k, order), patched)
 
 

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anomcancel.algebra import ONE, GradedPolynomial, QColumns
+from anomcancel.genus import build_generator_table
 from anomcancel.modforms import delta_eps
 from anomcancel.qseries import PuiseuxSeries, RingMismatchError, TruncationError
 
@@ -31,6 +33,22 @@ def test_coefficient_contract():
         f.coefficient(12)
     # the published q-coefficient of the first generator
     assert delta_eps("delta1", 4).coefficient(8) == Fraction(6)
+
+
+def test_packed_series_edge_and_read():
+    """``from_packed`` keeps the packed bound; the packed read is zero off the lattice and
+    inside its lists' ends, and raises past the bound; an exact series reads zero anywhere."""
+    table = build_generator_table(1, 0, True, 2)
+    zero = GradedPolynomial.zero(table, 2)
+    w2 = table.packing(2).key((0, 2))
+    c = QColumns(6, 4, {0: [3, 0, -2], w2: [0, 4]}, 12)
+    f = PuiseuxSeries.from_packed(c, zero=zero)
+    assert f.order_bound == 12 and f.to_text() == "1/2 + 2/3*w^2*q^(1/2) + -1/3*q"
+    assert [c.coefficient(k, table, 2) for k in (-4, 2, 12)] == [zero] * 3
+    with pytest.raises(TruncationError):
+        c.coefficient(16, table, 2)
+    assert PuiseuxSeries.from_packed(c, zero=Fraction(0)) == S({0: Fraction(1, 2), 8: Fraction(-1, 3)}, bound=12)
+    assert ONE.coefficient(800, table, 2) == zero
 
 
 def test_mul_associative_commutative_randomized():
