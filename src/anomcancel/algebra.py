@@ -6,10 +6,10 @@ by total weight; they stand for characteristic forms written in normalized
 Pontryagin-type generators.  Every operation is exact: no floats anywhere.
 
 Coefficients are ``Fraction`` at rest, and every reader of ``.terms`` sees
-``Fraction``s.  Polynomial products go through :func:`dot`, which brings its
-operands to integer numerators over one common denominator, multiplies and
-adds plain ints, and builds one reduced ``Fraction`` per output term at the
-end.
+``Fraction``s.  Polynomial products go through :func:`dot`, which takes only
+its pairs: it rescales each pair's integer numerators to one common
+denominator, multiplies and adds plain ints, and builds one reduced
+``Fraction`` per output term at the end.
 
 Polynomial-valued q-series on the hot path live in a transposed integer
 form, :class:`QColumns`: ``(den, step, {packed monomial: [numerator per
@@ -196,8 +196,9 @@ class GradedPolynomial:
     table, which computes each exponent vector's weight once.  Stored
     coefficients are nonzero ``Fraction``s; anything but an int or a
     ``Fraction`` is rejected with ``TypeError``.  Inside ``dot`` the
-    coefficients are integer numerators over one common denominator; that
-    form is built on first use and kept on the (immutable) instance.
+    coefficients are integer numerators over their least common
+    denominator; that form is built on first use and kept on the
+    (immutable) instance.
     """
 
     __slots__ = ("table", "terms", "max_weight", "_ints")
@@ -293,9 +294,6 @@ class GradedPolynomial:
             other = GradedPolynomial.scalar(other, self.table, self.max_weight)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __neg__(self):
         return GradedPolynomial(self.table, {e: -c for e, c in self.terms.items()}, self.max_weight)
 
@@ -306,9 +304,9 @@ class GradedPolynomial:
 
     __rmul__ = __mul__
 
-    def dot(self, pairs, scalars=None) -> "GradedPolynomial":
-        """``sum_i s_i * a_i * b_i`` in this polynomial's ring (see :func:`dot`)."""
-        return dot(pairs, self.table, self.max_weight, scalars)
+    def dot(self, pairs) -> "GradedPolynomial":
+        """``sum_i a_i * b_i`` in this polynomial's ring (see :func:`dot`)."""
+        return dot(pairs, self.table, self.max_weight)
 
     def scale(self, value: ScalarLike) -> "GradedPolynomial":
         c = _frac(value)
@@ -459,57 +457,40 @@ def _check_space(p: GradedPolynomial, table: GeneratorTable, cap: int):
 
 
 def dot(pairs: Sequence[tuple[GradedPolynomial, GradedPolynomial]], table: GeneratorTable,
-        cap: int, scalars: Sequence[ScalarLike] | None = None) -> GradedPolynomial:
-    """``sum_i s_i * a_i * b_i`` for polynomial pairs ``(a_i, b_i)``, truncated at ``cap``.
+        cap: int) -> GradedPolynomial:
+    """``sum_i a_i * b_i`` for polynomial pairs ``(a_i, b_i)``, truncated at ``cap``.
 
-    ``s_i`` is ``scalars[i]`` (1 when ``scalars`` is None).  Every operand
-    must live on ``table`` with ``max_weight == cap``.  Each operand enters
-    through its integer form (:meth:`GradedPolynomial.int_form`); pair ``i``
-    has denominator ``d_i = den(a_i) * den(b_i) * den(s_i)``, and all pairs
-    are accumulated as plain ints over ``D = lcm(d_i)``, so each output
-    coefficient is one ``Fraction(n, D)``.  Both operands are grouped by
-    weight: a left group meets only the right groups that fit under
-    ``cap``, and none once nothing fits.  Pairs with the same right operand
-    (the same object) have their scaled left operands summed first and
-    multiply once.  Packed exponents add as ints (see :class:`Packing`), and
+    Every operand must live on ``table`` with ``max_weight == cap``.  Each
+    operand enters through its integer form
+    (:meth:`GradedPolynomial.int_form`); pair ``i`` has denominator
+    ``d_i = den(a_i) * den(b_i)``, its left numerators are rescaled by
+    ``D // d_i`` with ``D = lcm(d_i)``, and all pairs are accumulated as
+    plain ints over ``D``, so each output coefficient is one
+    ``Fraction(n, D)``.  Both operands are grouped by weight: a left group
+    meets only the right groups that fit under ``cap``, and none once
+    nothing fits.  Packed exponents add as ints (see :class:`Packing`), and
     the result keeps the integer form it was built from.
 
     >>> from anomcancel.genus import build_generator_table
     >>> t = build_generator_table(1, 0, True, 2)
     >>> w = GradedPolynomial.generator("w", t, 2)
-    >>> dot([(w, w), (w.one_like(), w)], t, 2, [Fraction(1, 2), 3]).to_text()
+    >>> dot([(w.scale(Fraction(1, 2)), w), (w.one_like().scale(3), w)], t, 2).to_text()
     '3*w + 1/2*w^2'
     """
-    by_right: dict[int, tuple] = {}     # id(b) -> (b, b's groups, [(d_i, num(s_i), a_i's groups)])
+    live = []
     den = 1
-    for i, (a, b) in enumerate(pairs):
+    for a, b in pairs:
         if a.table is not table or b.table is not table or a.max_weight != cap or b.max_weight != cap:
             _check_space(a, table, cap)
             _check_space(b, table, cap)
-        s = 1 if scalars is None else _frac(scalars[i])
         da, left = a._ints or a.int_form()
         db, right = b._ints or b.int_form()
-        if s and left and right:
-            d = da * db * s.denominator
-            den = lcm(den, d)
-            # the entry holds b, so no other operand can take over its id
-            by_right.setdefault(id(b), (b, right, []))[2].append((d, s.numerator, left))
+        if left and right:
+            den = lcm(den, da * db)
+            live.append((da * db, left, right))
     acc: dict[int, dict[int, int]] = {}
-    for _, right, lefts in by_right.values():
-        # bilinearity: the pairs that share a right operand are summed before they multiply
-        d, num, left = lefts[0]
-        if len(lefts) > 1 or d != den or num != 1:
-            merged: dict[int, dict[int, int]] = {}
-            for d, num, left in lefts:
-                m = den // d * num
-                for w, group in left:
-                    if w + right[0][0] > cap:
-                        break
-                    mw = merged.setdefault(w, {})
-                    get = mw.get
-                    for k, n in group:
-                        mw[k] = get(k, 0) + n * m
-            left = [(w, [item for item in mw.items() if item[1]]) for w, mw in merged.items()]
+    for d, left, right in live:
+        m = den // d
         for w1, group in left:
             for w2, g in right:
                 if w1 + w2 > cap:
@@ -517,6 +498,7 @@ def dot(pairs: Sequence[tuple[GradedPolynomial, GradedPolynomial]], table: Gener
                 out = acc.setdefault(w1 + w2, {})
                 get = out.get
                 for k1, n1 in group:
+                    n1 *= m
                     for k2, n2 in g:
                         out[k1 + k2] = get(k1 + k2, 0) + n1 * n2
     groups = [(w, [item for item in out.items() if item[1]]) for w, out in sorted(acc.items())]

@@ -39,7 +39,7 @@ from functools import cached_property
 from fractions import Fraction
 
 from .algebra import ONE, AlgebraError, GradedPolynomial, QColumns, mul_sum
-from .genus import (FAMILY_TM, FAMILY_V, LINE, RootFamily, apply_constraint,
+from .genus import (CONSTRAINT_KINDS, FAMILY_TM, FAMILY_V, LINE, RootFamily, apply_constraint,
                     build_generator_table, classical_genus, constrained_power_sums,
                     exp_by_weight)
 from .genus import prod_over_roots  # not called here: kept as the alias the benchmark tracer wraps
@@ -51,7 +51,6 @@ from .qseries import HALF_UNIT, Q_UNIT, PuiseuxSeries
 from .theta import RootFactor, theta_log
 from .theta import theta_factor  # not called here: kept as the alias the benchmark tracer wraps
 
-SETTING_KINDS = ("spin4k", "spinc4k", "spinc4k2")
 THEOREM_IDS = ("3.1", "3.2", "3.3", "3.4", "4.1", "4.2", "4.6", "4.8")
 DIVISIBILITY_IDS = ("3.6", "3.8", "4.4", "4.5", "4.9", "4.10")
 
@@ -83,7 +82,7 @@ class Setting:
     n_q: int
 
     def __post_init__(self):
-        if self.kind not in SETTING_KINDS:
+        if self.kind not in CONSTRAINT_KINDS:
             raise AlgebraError(f"unknown setting kind {self.kind!r}")
         if self.k < 1 or self.l < 1:
             raise AlgebraError("k and l must be >= 1")

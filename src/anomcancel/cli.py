@@ -15,6 +15,7 @@ from pathlib import Path
 
 from . import anomaly, suite
 from .algebra import AlgebraError
+from .genus import CONSTRAINT_KINDS
 from .modforms import DELTA_EPS_KINDS, GROUP_LOWER, GROUP_UPPER, basis_element, delta_eps
 from .theta import theta_factor, theta_null
 
@@ -193,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--l", type=int, default=1)
     p.add_argument("--r", type=int, default=0)
-    p.add_argument("--setting", choices=anomaly.SETTING_KINDS, default="spin4k")
+    p.add_argument("--setting", choices=CONSTRAINT_KINDS, default="spin4k")
     p.add_argument("--qorder", type=int, default=None, help="P-series q-order override")
     p.add_argument("--basis", choices=("standard", "normalized"), default="normalized")
     p.add_argument("--format", choices=("json", "text"), default="json")
@@ -201,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_expand)
 
     p = sub.add_parser("decompose", help="basis decomposition of a P-series")
-    p.add_argument("--setting", choices=anomaly.SETTING_KINDS, required=True)
+    p.add_argument("--setting", choices=CONSTRAINT_KINDS, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--which", choices=("P1", "P2", "P3"), default="P2")

@@ -51,7 +51,7 @@ FAMILY_TM = "TM"
 FAMILY_V = "V"
 FAMILY_W = "W"
 
-CONSTRAINT_KINDS = ("spin4k", "spinc4k", "spinc4k2")
+CONSTRAINT_KINDS = ("spin4k", "spinc4k", "spinc4k2")     # the setting kinds, one relation each
 
 _power_sums_cache: dict[tuple, tuple[GradedPolynomial, ...]] = {}
 
@@ -215,14 +215,11 @@ def eval_at_var(log: RootFactor, table: GeneratorTable, max_weight: int,
     return prod_over_roots(log, LINE, table, max_weight, order)
 
 
-GENUS_KINDS = ("ahat", "lhat", "spinor_ch", "exp_half_c")
-
-
 def classical_genus(kind: str, fam: RootFamily, table: GeneratorTable,
                     max_weight: int) -> GradedPolynomial:
     """Multiplicative genera and character forms used by the verifications.
 
-    ``ahat`` is ``prod z_j/sin z_j``; ``lhat`` is ``prod 2 z_j cot z_j``;
+    ``ahat`` is ``prod z_j/sin z_j``;
     ``spinor_ch`` is ``prod 2 cos z_j`` (spinor character, rank ``2^n``);
     ``exp_half_c`` is ``e^{iu} = e^{w}``, the half line-class exponential.
     """
@@ -239,9 +236,6 @@ def classical_genus(kind: str, fam: RootFamily, table: GeneratorTable,
     if kind == "ahat":
         coeffs = [-c for c in log_sin]
         unit = 1
-    elif kind == "lhat":
-        coeffs = [lc - c for lc, c in zip(log_cos_coeffs(zb), log_sin)]
-        unit = 2 ** fam.n_roots
     elif kind == "spinor_ch":
         coeffs = log_cos_coeffs(zb)
         unit = 2 ** fam.n_roots

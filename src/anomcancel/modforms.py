@@ -240,7 +240,7 @@ def _packed_sum(P: QColumns, h: list[GradedPolynomial], rows: tuple[QColumns, ..
     return PuiseuxSeries.from_packed(mul_sum(products), zero=zero)
 
 
-def decompose(P: QColumns, k: int, zero: GradedPolynomial, order: int | None = None) -> Decomposition:
+def decompose(P: QColumns, k: int, zero: GradedPolynomial) -> Decomposition:
     """Solve ``P = sum_r h_r (8*delta2)^(k-2r) eps2^r`` and report the residual.
 
     ``P`` is a packed series known through lattice ``P.bound``, on the
@@ -270,10 +270,7 @@ def decompose(P: QColumns, k: int, zero: GradedPolynomial, order: int | None = N
     if P.bound < Q_UNIT * n_unknowns:
         raise AlgebraError(
             f"series order {P.bound} lattice units cannot determine {n_unknowns} coefficients")
-    if order is None:
-        order = P.bound // Q_UNIT
-    elif 2 * order < k // 2:
-        raise AlgebraError(f"basis order {order} cannot hold the leading {n_unknowns} coefficients")
+    order = P.bound // Q_UNIT
     minor = leading_minor(k, order)
     inv = unit_lower_inverse(minor)
     at = [divmod(HALF_UNIT * j, P.step) for j in range(n_unknowns)]

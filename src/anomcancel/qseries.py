@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .algebra import AlgebraError, GradedPolynomial, QColumns, int_numerators
+from .algebra import AlgebraError, GradedPolynomial, QColumns
 
 Q_UNIT = 8       # lattice units in q^1
 HALF_UNIT = 4    # lattice units in q^(1/2)
@@ -149,16 +149,18 @@ class PuiseuxSeries:
         return PuiseuxSeries({k: -c for k, c in self.terms.items()}, self.order_bound, self.zero)
 
     def __mul__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
+        """Pairs grouped by output position, each position one ``dot`` over polynomials or one sum."""
         self._check_ring(other)
         bound = min(self.order_bound + other.leading_exponent(),
                     other.order_bound + self.leading_exponent())
-        if isinstance(self.zero, Fraction):
-            return PuiseuxSeries(_scalar_convolution(self.terms, other.terms, bound), bound, self.zero)
         pairs: dict[int, list] = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 if k1 + k2 <= bound:
                     pairs.setdefault(k1 + k2, []).append((c1, c2))
+        if isinstance(self.zero, Fraction):
+            return PuiseuxSeries({k: sum((a * b for a, b in p), self.zero) for k, p in pairs.items()},
+                                 bound, self.zero)
         return PuiseuxSeries({k: self.zero.dot(p) for k, p in pairs.items()}, bound, self.zero)
 
     def scale(self, value) -> "PuiseuxSeries":
@@ -216,25 +218,3 @@ class PuiseuxSeries:
     def __repr__(self):
         return f"PuiseuxSeries({self.to_text()}, order<=q^({Fraction(self.order_bound, Q_UNIT)}))"
 
-
-def _scalar_convolution(a: Mapping[int, Fraction], b: Mapping[int, Fraction],
-                        bound: int) -> dict[int, Fraction]:
-    """Product of two ``Fraction`` series through lattice ``bound``.
-
-    The same integer arithmetic as :func:`anomcancel.algebra.dot`: both
-    operands over their common denominators, plain-int products and sums,
-    one ``Fraction`` per output position.
-    """
-    da, na = int_numerators(a)
-    db, nb = int_numerators(b)
-    right = sorted(nb.items())
-    acc: dict[int, int] = {}
-    get = acc.get
-    for k1, n1 in na.items():
-        for k2, n2 in right:
-            k = k1 + k2
-            if k > bound:
-                break
-            acc[k] = get(k, 0) + n1 * n2
-    den = da * db
-    return {k: Fraction(n, den) for k, n in acc.items() if n}

@@ -39,10 +39,8 @@ from math import factorial, gcd, lcm
 from .algebra import AlgebraError, QColumns, _frac, int_numerators
 from .qseries import HALF_UNIT, Q_UNIT, PuiseuxSeries
 
-NULL_KINDS = ("theta1", "theta2", "theta3", "theta_prime")
 FACTOR_KINDS = ("a", "t1", "t2", "t3", "d")
 
-_null_cache: dict[tuple, PuiseuxSeries] = {}
 _log_cache: dict[tuple, "RootFactor"] = {}
 _log_sin_cache: dict[int, tuple[Fraction, ...]] = {}
 
@@ -81,22 +79,15 @@ def theta_null(kind: str, order: int) -> PuiseuxSeries:
     """
     if order < 1:
         raise AlgebraError("order must be >= 1")
-    key = (kind, order)
-    cached = _null_cache.get(key)
-    if cached is not None:
-        return cached
     if kind == "theta2":
-        out = _null_product(order, HALF_UNIT, lambda j: [(2 * j, -1, 1), (2 * j - 1, -1, 2)])
-    elif kind == "theta3":
-        out = _null_product(order, HALF_UNIT, lambda j: [(2 * j, -1, 1), (2 * j - 1, +1, 2)])
-    elif kind == "theta1":
-        out = _null_product(order, Q_UNIT, lambda j: [(j, -1, 1), (j, +1, 2)]).shift(1)
-    elif kind == "theta_prime":
-        out = _null_product(order, Q_UNIT, lambda j: [(j, -1, 3)]).shift(1)
-    else:
-        raise AlgebraError(f"unknown null kind {kind!r}")
-    _null_cache[key] = out
-    return out
+        return _null_product(order, HALF_UNIT, lambda j: [(2 * j, -1, 1), (2 * j - 1, -1, 2)])
+    if kind == "theta3":
+        return _null_product(order, HALF_UNIT, lambda j: [(2 * j, -1, 1), (2 * j - 1, +1, 2)])
+    if kind == "theta1":
+        return _null_product(order, Q_UNIT, lambda j: [(j, -1, 1), (j, +1, 2)]).shift(1)
+    if kind == "theta_prime":
+        return _null_product(order, Q_UNIT, lambda j: [(j, -1, 3)]).shift(1)
+    raise AlgebraError(f"unknown null kind {kind!r}")
 
 
 def jacobi_residual(order: int) -> PuiseuxSeries:

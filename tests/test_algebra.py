@@ -149,7 +149,7 @@ def test_dot_rescales_each_pair_to_the_common_denominator():
     n1 = GradedPolynomial.generator("nM1", t, 4)
     w = GradedPolynomial.generator("w", t, 4)
     half, third = n1.scale(Fraction(1, 2)), w.scale(Fraction(1, 3))
-    got = dot([(half, third), (w, w), (third, third)], t, 4, [Fraction(3, 5), 1, 7])
+    got = dot([(half.scale(Fraction(3, 5)), third), (w, w), (third.scale(7), third)], t, 4)
     assert got == half * third * Fraction(3, 5) + w * w + third * third * 7
     assert got.terms[(1, 0, 0, 0, 1)] == Fraction(1, 10)
     assert got.terms[(0, 0, 0, 0, 2)] == Fraction(16, 9)

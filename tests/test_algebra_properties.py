@@ -117,11 +117,12 @@ scalar_values = st.one_of(st.integers(-3, 3), st.fractions(min_value=-5, max_val
 
 @st.composite
 def dot_cases(draw):
-    """A cap, up to four pairs of term maps (possibly empty) and their scalars.
+    """A cap and up to four pairs of term maps (possibly empty).
 
-    With some draws every pair shares the first pair's right operand, and
-    with some a pair is repeated with the negated scalar, or with its left
-    operand negated, so that its products cancel exactly.
+    Each left operand is scaled by a drawn scalar, which may be 0.  With
+    some draws every pair shares the first pair's right operand, and with
+    some a pair is repeated with its left operand negated, so that its
+    products cancel exactly.
     """
     cap = draw(st.integers(0, 2 * W))
 
@@ -132,37 +133,34 @@ def dot_cases(draw):
             terms[draw(ABOVE[cap])] = draw(mixed_coeffs)
         return terms
 
-    pairs = [(operand(), operand()) for _ in range(draw(st.integers(0, 4)))]
+    def scaled(terms):
+        s = draw(scalar_values)
+        return {e: s * c for e, c in terms.items() if s}
+
+    pairs = [(scaled(operand()), operand()) for _ in range(draw(st.integers(0, 4)))]
     if pairs and draw(st.booleans()):
         pairs = [(a, pairs[0][1]) for a, _ in pairs]
-    scalars = [draw(scalar_values) for _ in pairs]
     if pairs and draw(st.booleans()):
-        i = draw(st.integers(0, len(pairs) - 1))
-        a, b = pairs[i]
-        if draw(st.booleans()):
-            pairs.append((a, b))
-            scalars.append(-scalars[i])
-        else:
-            pairs.append(({e: -c for e, c in a.items()}, b))
-            scalars.append(scalars[i])
-    return cap, pairs, scalars
+        a, b = pairs[draw(st.integers(0, len(pairs) - 1))]
+        pairs.append(({e: -c for e, c in a.items()}, b))
+    return cap, pairs
 
 
-def _oracle_dot(pairs, scalars, cap):
+def _oracle_dot(pairs, cap):
     out = {}
-    for (ta, tb), s in zip(pairs, scalars):
+    for ta, tb in pairs:
         ta = {e: c for e, c in ta.items() if _weight(e) <= cap}
         tb = {e: c for e, c in tb.items() if _weight(e) <= cap}
         for e, c in weighted_poly_mul(ta, tb, GEN_WEIGHTS, cap).items():
-            out[e] = out.get(e, Fraction(0)) + Fraction(s) * c
+            out[e] = out.get(e, Fraction(0)) + c
     return {e: c for e, c in out.items() if c}
 
 
 @settings(max_examples=150, deadline=None, database=None)
 @given(dot_cases())
 def test_dot_matches_oracle(case):
-    """``dot`` equals the sum of scaled all-pairs products, and stores no zero."""
-    cap, pairs, scalars = case
+    """``dot`` equals the sum of all-pairs products, and stores no zero."""
+    cap, pairs = case
     made = {}    # equal term maps become one object, so pairs share operands
 
     def poly(terms):
@@ -172,8 +170,8 @@ def test_dot_matches_oracle(case):
         return made[key]
 
     polys = [(poly(ta), poly(tb)) for ta, tb in pairs]
-    got = dot(polys, TABLE, cap, scalars)
-    want = _oracle_dot(pairs, scalars, cap)
+    got = dot(polys, TABLE, cap)
+    want = _oracle_dot(pairs, cap)
     assert got.terms == want
     assert all(type(c) is Fraction and c for c in got.terms.values())
     # the integer form the kernel hands on equals the one built from the stored terms
@@ -181,9 +179,9 @@ def test_dot_matches_oracle(case):
     if pairs:
         # ... and feeds a further product correctly, summed with another left operand
         a, b = polys[0]
-        again = dot([(got, b), (a, b)], TABLE, cap, [Fraction(1, 3), Fraction(2, 3)])
-        assert again.terms == _oracle_dot([(want, b.terms), (a.terms, b.terms)],
-                                          [Fraction(1, 3), Fraction(2, 3)], cap)
+        two_thirds = a.scale(Fraction(2, 3))
+        again = dot([(got, b), (two_thirds, b)], TABLE, cap)
+        assert again.terms == _oracle_dot([(want, b.terms), (two_thirds.terms, b.terms)], cap)
 
 
 @PROPERTY
@@ -191,8 +189,8 @@ def test_dot_matches_oracle(case):
 def test_dot_of_nothing_and_of_empty_operands(a):
     zero = GradedPolynomial.zero(TABLE, W)
     assert dot([], TABLE, W) == zero
-    assert dot([(a, zero), (zero, a)], TABLE, W, [1, Fraction(1, 2)]) == zero
-    assert dot([(a, a.one_like())], TABLE, W, [0]) == zero
+    assert dot([(a, zero), (zero, a)], TABLE, W) == zero
+    assert dot([(a.scale(0), a.one_like())], TABLE, W) == zero
 
 
 # -- substitute against a term-by-term oracle --------------------------------------

@@ -9,9 +9,10 @@ from anomcancel.algebra import AlgebraError
 from anomcancel.anomaly import (build_P, cross_check_bundle_expansion,
                                 decompose_setting, divisibility_check, get_env,
                                 make_setting, structural_checks, verify_theorem)
-from anomcancel.genus import build_generator_table
+from anomcancel.genus import apply_constraint, build_generator_table
 from anomcancel.modforms import DELTA_EPS_KINDS, decompose, delta_eps, transfer_residual
-from anomcancel.qseries import TruncationError
+from anomcancel.qseries import HALF_UNIT, Q_UNIT, TruncationError
+from anomcancel.suite import suite_cases
 from anomcancel.theta import RootFactor, theta_factor, theta_log, theta_null
 
 from helpers import packed, reference_P
@@ -108,14 +109,40 @@ def test_unreduced_line_variant_recorded():
     assert not c.zero  # differs by twice the constant-term side, by design
 
 
+def _full_order_mismatches(kind, k, l):
+    """The (which, lattice) positions through q^(n_q) where the two routes differ on P1 or P2."""
+    s = make_setting(kind, k, l)
+    env = get_env(s)
+    bad = []
+    for which in ("P1", "P2"):
+        kv = env.kvirt_series(which, order=s.n_q)
+        for units in range(0, Q_UNIT * s.n_q + 1, HALF_UNIT):
+            bundle_side = apply_constraint(kv.coefficient(units).component(s.weight), kind)
+            if env.coefficient(which, units) != bundle_side:
+                bad.append((which, units))
+    return bad
+
+
 def test_cross_checks():
-    """At q^(3/2) and q^(5/2) the lambda-ring series must run to the next whole order."""
+    """At q^(3/2) and q^(5/2) the lambda-ring series must run to the next whole order; over the
+    suite grid the two routes agree at every half-integer position the P-series carry."""
     for kind, k, l in (("spin4k", 1, 1), ("spinc4k", 1, 1), ("spinc4k2", 1, 1), ("spin4k", 2, 1),
                        ("spinc4k", 2, 1), ("spinc4k2", 2, 1)):
         s = make_setting(kind, k, l)
         for which in ("P1", "P2"):
             for units in (0, 4, 8, 12, 20):
                 assert not cross_check_bundle_expansion(s, units, which), (kind, which, units)
+    for case in suite_cases():
+        if case.kind == "crosscheck":
+            kind, k, l, _ = case.params
+            assert not _full_order_mismatches(kind, k, l), case.case_id
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("k", [4, 6, 8])
+@pytest.mark.parametrize("kind", ["spin4k", "spinc4k", "spinc4k2"])
+def test_cross_checks_at_every_order_beyond_the_grid(kind, k):
+    assert not _full_order_mismatches(kind, k, 1)
 
 
 def test_packed_read_past_the_bound_raises():

@@ -15,8 +15,8 @@ from anomcancel.qseries import PuiseuxSeries
 from helpers import modular_basis_oracle, packed, residual_oracle
 
 
-def _decompose(P, k, order=None):
-    return decompose(packed(P), k, P.zero, order)
+def _decompose(P, k):
+    return decompose(packed(P), k, P.zero)
 
 
 def _transfer(P1, h, l, k):
@@ -305,7 +305,7 @@ def test_non_unit_diagonal_is_rejected_not_divided(monkeypatch, factor):
     # dividing by the diagonal would recover h_1 exactly
     assert (P.coefficient(4) - h[0].scale(minor[1][0])).scale(Fraction(1, minor[1][1])) == h[1]
     with pytest.raises(AlgebraError, match="unit lower-triangular"):
-        _decompose(P, k, order)
+        _decompose(P, k)
 
 
 def test_divisibility_audit_uses_the_same_integer_inverse(monkeypatch):
