@@ -16,19 +16,25 @@ For each setting (spin dim-4k, spin^c dim-4k, spin^c dim-4k+2) the engine
 5. audits the 2-adic divisibility claims that follow from the 2-power
    prefactors of the h_r.
 
+Apart from the verdicts, :func:`cross_check_bundle_expansion` compares the two
+routes as whole series: one residual per P-series, the theta route minus the
+lambda-ring route, through the q-order asked for.
+
 All comparisons are exact equalities of graded polynomials; a report's status
 is PASS only when every gating residual is identically zero.
 
 A setting's work splits in two.  The tangent half (the table, the core of
 step 1, the tangent genera and the tangent side of the lambda-ring path)
 depends only on (kind, k, n_q) and is memoized in ``_tangent_cache``, so a
-grid over l builds it once.  The rest (the auxiliary bundle, the P-series,
-the decomposition and the twists) is per setting, in ``_env_cache``.
+grid over l builds it once; its lambda-ring series is memoized by order.  The
+rest (the auxiliary bundle, the P-series and the decomposition) is per
+setting, in ``_env_cache``.
 
 The P-series stay in packed integer form (``_Env.packed``), each carrying
 the lattice bound it is known through: the decomposition, the transfer and
 the P3-vs-P2 sign-flip check read them as they are, and the identity checks
-read single coefficients (``_Env.coefficient``), which raise past the bound.
+and the cross-check read coefficients (``_Env.coefficient``), which raise
+past the bound.
 Only :func:`build_P` turns a whole P-series into polynomials.
 """
 
@@ -215,7 +221,6 @@ class _Env:
         self.v_sums = constrained_power_sums(self.v, s.kind, self.table, W)
         self._p: dict[str, QColumns] = {}
         self._decomp: Decomposition | None = None
-        self._kvirt: dict[str, PuiseuxSeries] = {}
 
     # -- theta path ---------------------------------------------------------
 
@@ -248,23 +253,6 @@ class _Env:
         if self._decomp is None:
             self._decomp = decompose(self.packed("P2"), self.setting.k, self.gp_zero)
         return self._decomp
-
-    # -- bundle path ----------------------------------------------------------
-
-    def kvirt_series(self, which: str, order: int = 1) -> PuiseuxSeries:
-        """P-series rebuilt from lambda-ring strings (low order, unconstrained)."""
-        key = f"{which}@{order}"
-        cached = self._kvirt.get(key)
-        if cached is not None:
-            return cached
-        vt = reduced(self.aux)
-        if which == "P1":
-            twist = lambda_string(vt, False, +1, order).scale(self.ch_delta_v)
-        else:
-            twist = lambda_string(vt, True, -1 if which == "P2" else +1, order)
-        out = self.half.kvirt_tangent(order) * twist
-        self._kvirt[key] = out
-        return out
 
     # -- identity sides ---------------------------------------------------------
 
@@ -332,20 +320,27 @@ def decompose_setting(setting: Setting, which: str = "P2") -> Decomposition:
     return decompose(env.packed(which), setting.k, env.gp_zero)
 
 
-def cross_check_bundle_expansion(setting: Setting, exponent_units: int,
-                                 which: str = "P1") -> GradedPolynomial:
-    """Theta-path coefficient minus the lambda-ring path, at one q-exponent.
+def cross_check_bundle_expansion(setting: Setting, which: str, order: int) -> PuiseuxSeries:
+    """The theta-route P1/P2/P3 minus the lambda-ring one, known through ``q^order``.
 
-    Both paths are reduced to the top-weight component under the setting's
-    constraint; the difference must vanish identically.  The lambda-ring
-    series runs through the first whole power of q at or past the exponent.
+    The theta side is the packed P-series read at every position of its own
+    lattice, so an ``order`` past ``n_q`` raises
+    :class:`~anomcancel.qseries.TruncationError`.  The lambda-ring side is the
+    tangent half's series times the auxiliary twist, each coefficient reduced
+    to the top-weight component under the setting's constraint.  The two
+    routes agree exactly when the residual is zero.
     """
     env = get_env(setting)
-    theta_side = env.coefficient(which, exponent_units)
-    kv = env.kvirt_series(which, order=max(1, -(-exponent_units // Q_UNIT)))
-    bundle_side = apply_constraint(
-        kv.coefficient(exponent_units).component(setting.weight), setting.kind)
-    return theta_side - bundle_side
+    bound = Q_UNIT * order
+    theta = {u: env.coefficient(which, u) for u in range(0, bound + 1, env.packed(which).step)}
+    vt = reduced(env.aux)
+    if which == "P1":
+        twist = lambda_string(vt, False, +1, order).scale(env.ch_delta_v)
+    else:
+        twist = lambda_string(vt, True, -1 if which == "P2" else +1, order)
+    bundle = (env.half.kvirt_tangent(order) * twist).map_coefficients(
+        lambda p: apply_constraint(p.component(setting.weight), setting.kind))
+    return PuiseuxSeries(theta, bound, env.gp_zero) - bundle
 
 
 # -- reports ---------------------------------------------------------------------
@@ -360,6 +355,15 @@ class Check:
     @property
     def zero(self) -> bool:
         return not self.value
+
+    def to_json_obj(self):
+        """The report entry: the verdict, the gating flag, any note, and a nonzero value's text."""
+        entry = {"zero": self.zero, "gating": self.gating}
+        if self.note:
+            entry["note"] = self.note
+        if not self.zero:
+            entry["value"] = self.value.to_text()
+        return entry
 
 
 @dataclass
@@ -383,18 +387,6 @@ class VerificationReport:
         return "PASS_WITH_VARIANT" if self.variant_notes else "PASS"
 
     def to_json_obj(self, basis: str = "standard", include_timings: bool = False):
-        def render(p: GradedPolynomial):
-            return p.to_standard_basis().to_text() if basis == "standard" else p.to_text()
-
-        checks = {}
-        for name, c in sorted(self.checks.items()):
-            entry = {"zero": c.zero, "gating": c.gating}
-            if c.note:
-                entry["note"] = c.note
-            if not c.zero:
-                v = c.value
-                entry["value"] = v.to_text() if hasattr(v, "to_text") else str(v)
-            checks[name] = entry
         obj = {
             "schema": 1,
             "theorem": self.theorem,
@@ -402,7 +394,7 @@ class VerificationReport:
             "status": self.status,
             "h_normalized": [p.to_text() for p in self.h],
             "h_standard": [p.to_standard_basis().to_text() for p in self.h],
-            "checks": checks,
+            "checks": {name: c.to_json_obj() for name, c in sorted(self.checks.items())},
             "solve_coeffs": [[str(x) for x in row] for row in self.solve_coeffs],
             "solve_integral": self.solve_integral,
             "variant_notes": list(self.variant_notes),

@@ -207,13 +207,8 @@ class PuiseuxSeries:
         return " + ".join(parts)
 
     def to_json_obj(self):
-        out = []
-        for k in sorted(self.terms):
-            c = self.terms[k]
-            cj = c.to_json_obj() if hasattr(c, "to_json_obj") else (
-                c.to_text() if hasattr(c, "to_text") else str(c))
-            out.append([k, cj])
-        return out
+        return [[k, c.to_json_obj() if hasattr(c, "to_json_obj") else str(c)]
+                for k, c in sorted(self.terms.items())]
 
     def __repr__(self):
         return f"PuiseuxSeries({self.to_text()}, order<=q^({Fraction(self.order_bound, Q_UNIT)}))"

@@ -3,9 +3,11 @@
 The grid covers every identity at small sizes: the theta/modular layer, the
 spin settings (k = 1..3, l = 1..4), the two k-pinned corollaries, the spin^c
 settings in both dimension families, the bundle-path cross-checks, the
-structural relations, and the divisibility audits.  Case reports carry no
-timestamps or timings, so suite output is byte-identical across runs and
-across worker counts.
+structural relations, and the divisibility audits.  A cross-check row takes
+one theta-minus-lambda-ring residual per P through ``q^1`` and reads it at
+q^0, q^(1/2) and q^1; it and a structural row render their checks as a
+verify report does.  Case reports carry no timestamps or timings, so suite
+output is byte-identical across runs and across worker counts.
 
 With more than one worker the cases go out in shards: every theorem,
 cross-check and structural case of one (kind, k, n_q) family in one shard, so
@@ -98,32 +100,27 @@ def _theta_layer_report(order: int) -> dict:
     return {"schema": 1, "case": "theta-layer", "order": order, "status": status, "checks": checks}
 
 
-def _crosscheck_report(kind: str, k: int, l: int, n_q: int | None) -> dict:
-    setting = anomaly.make_setting(kind, k, l, n_q)
+def _crosscheck_report(case: SuiteCase) -> dict:
+    """One cross-check residual per P through ``q^1``, read at q^0, q^(1/2) and q^1."""
+    setting = anomaly.make_setting(*case.params)
     checks = {}
     for which in ("P1", "P2"):
+        residual = anomaly.cross_check_bundle_expansion(setting, which, 1)
         for units in (0, HALF_UNIT, Q_UNIT):
-            res = anomaly.cross_check_bundle_expansion(setting, units, which)
-            entry = {"zero": not bool(res), "gating": True}
-            if res:
-                entry["value"] = res.to_text()
-            checks[f"{which}@q^({Fraction(units, Q_UNIT)})"] = entry
-    status = "PASS" if all(c["zero"] for c in checks.values()) else "FAIL"
-    return {"schema": 1, "case": f"crosscheck {kind} k={k} l={l}",
-            "setting": setting.to_json_obj(), "status": status, "checks": checks}
+            checks[f"{which}@q^({Fraction(units, Q_UNIT)})"] = anomaly.Check(residual.coefficient(units))
+    return _setting_report(case, setting, checks)
 
 
-def _structural_report(kind: str, k: int, l: int, n_q: int | None) -> dict:
-    setting = anomaly.make_setting(kind, k, l, n_q)
-    checks = {}
-    for name, c in anomaly.structural_checks(setting).items():
-        entry = {"zero": c.zero, "gating": c.gating}
-        if not c.zero:
-            entry["value"] = c.value.to_text()
-        checks[name] = entry
-    status = "PASS" if all(c["zero"] for c in checks.values()) else "FAIL"
-    return {"schema": 1, "case": f"structural {kind} k={k} l={l}",
-            "setting": setting.to_json_obj(), "status": status, "checks": checks}
+def _structural_report(case: SuiteCase) -> dict:
+    setting = anomaly.make_setting(*case.params)
+    return _setting_report(case, setting, anomaly.structural_checks(setting))
+
+
+def _setting_report(case: SuiteCase, setting: anomaly.Setting, checks: dict[str, anomaly.Check]) -> dict:
+    """A setting row: its checks in the order given, each rendered as in a verify report."""
+    status = "FAIL" if any(c.gating and not c.zero for c in checks.values()) else "PASS"
+    return {"schema": 1, "case": case.case_id, "setting": setting.to_json_obj(), "status": status,
+            "checks": {name: c.to_json_obj() for name, c in checks.items()}}
 
 
 def run_case(case: SuiteCase) -> dict:
@@ -134,9 +131,9 @@ def run_case(case: SuiteCase) -> dict:
         report = anomaly.verify_theorem(tid, k=k, l=l, n_q=n_q).to_json_obj()
         report["case"] = case.case_id
     elif case.kind == "crosscheck":
-        report = _crosscheck_report(*case.params)
+        report = _crosscheck_report(case)
     elif case.kind == "structural":
-        report = _structural_report(*case.params)
+        report = _structural_report(case)
     elif case.kind == "divisibility":
         cor, m = case.params
         report = anomaly.divisibility_check(cor, m).to_json_obj()

@@ -83,8 +83,7 @@ def test_criterion_4_oracle_equivalence():
     for kind, k, l in grids:
         s = anomaly.make_setting(kind, k, l)
         for which in ("P1", "P2"):
-            for units in (0, 4, 8):
-                ok = ok and not anomaly.cross_check_bundle_expansion(s, units, which)
+            ok = ok and not anomaly.cross_check_bundle_expansion(s, which, 1)
     for n_roots in (1, 2, 3):
         table = build_generator_table(n_roots, 1, False, 6)
         fam = RootFamily(FAMILY_TM, n_roots)

@@ -9,10 +9,10 @@ from anomcancel.algebra import AlgebraError
 from anomcancel.anomaly import (build_P, cross_check_bundle_expansion,
                                 decompose_setting, divisibility_check, get_env,
                                 make_setting, structural_checks, verify_theorem)
-from anomcancel.genus import apply_constraint, build_generator_table
+from anomcancel.genus import build_generator_table
 from anomcancel.modforms import DELTA_EPS_KINDS, decompose, delta_eps, transfer_residual
 from anomcancel.qseries import HALF_UNIT, Q_UNIT, TruncationError
-from anomcancel.suite import suite_cases
+from anomcancel.suite import SuiteCase, run_case, suite_cases
 from anomcancel.theta import RootFactor, theta_factor, theta_log, theta_null
 
 from helpers import packed, reference_P
@@ -110,32 +110,47 @@ def test_unreduced_line_variant_recorded():
 
 
 def _full_order_mismatches(kind, k, l):
-    """The (which, lattice) positions through q^(n_q) where the two routes differ on P1 or P2."""
+    """The (which, lattice) positions through q^(n_q) where the two routes differ on P1, P2 or P3."""
     s = make_setting(kind, k, l)
-    env = get_env(s)
-    bad = []
-    for which in ("P1", "P2"):
-        kv = env.kvirt_series(which, order=s.n_q)
-        for units in range(0, Q_UNIT * s.n_q + 1, HALF_UNIT):
-            bundle_side = apply_constraint(kv.coefficient(units).component(s.weight), kind)
-            if env.coefficient(which, units) != bundle_side:
-                bad.append((which, units))
-    return bad
+    return [(which, units) for which in ("P1", "P2", "P3")
+            for units in cross_check_bundle_expansion(s, which, s.n_q).exponents()]
 
 
 def test_cross_checks():
-    """At q^(3/2) and q^(5/2) the lambda-ring series must run to the next whole order; over the
-    suite grid the two routes agree at every half-integer position the P-series carry."""
+    """Through q^3 the lambda-ring series runs past q^(3/2) and q^(5/2); over the suite grid
+    the two routes agree at every position the P-series carry, for P1, P2 and P3."""
     for kind, k, l in (("spin4k", 1, 1), ("spinc4k", 1, 1), ("spinc4k2", 1, 1), ("spin4k", 2, 1),
                        ("spinc4k", 2, 1), ("spinc4k2", 2, 1)):
         s = make_setting(kind, k, l)
         for which in ("P1", "P2"):
-            for units in (0, 4, 8, 12, 20):
-                assert not cross_check_bundle_expansion(s, units, which), (kind, which, units)
+            residual = cross_check_bundle_expansion(s, which, 3)
+            assert residual.order_bound == 3 * Q_UNIT
+            assert not residual, (kind, which, residual)
     for case in suite_cases():
         if case.kind == "crosscheck":
             kind, k, l, _ = case.params
             assert not _full_order_mismatches(kind, k, l), case.case_id
+
+
+def test_planted_twist_sign_shows_in_the_residual_and_fails_the_row(monkeypatch):
+    """A twist built with the wrong string sign must show at exactly the positions it
+    changes: for P2 every q^(n+1/2) and no q^n, for P1 every q^n past the constant.
+
+    At l = 1 the spin relation kills the one class of V, so the twist would be invisible."""
+    real = anomaly.lambda_string
+    monkeypatch.setattr(anomaly, "lambda_string",
+                        lambda E, half, sign, order: real(E, half, -sign, order))
+    monkeypatch.setattr(anomaly, "_env_cache", {})
+    monkeypatch.setattr(anomaly, "_tangent_cache", {})
+    s = make_setting("spin4k", 2, 2)
+    bound = Q_UNIT * s.n_q
+    p2 = cross_check_bundle_expansion(s, "P2", s.n_q)
+    assert p2.exponents() == list(range(HALF_UNIT, bound, Q_UNIT))
+    p1 = cross_check_bundle_expansion(s, "P1", s.n_q)
+    assert p1.exponents() == list(range(Q_UNIT, bound + 1, Q_UNIT))
+    row = run_case(SuiteCase("crosscheck spin4k k=2 l=2", "crosscheck", ("spin4k", 2, 2, None)))
+    assert row["status"] == "FAIL" and not row["ok"]
+    assert "value" in row["report"]["checks"]["P2@q^(1/2)"]
 
 
 @pytest.mark.slow
@@ -146,7 +161,8 @@ def test_cross_checks_at_every_order_beyond_the_grid(kind, k):
 
 
 def test_packed_read_past_the_bound_raises():
-    """The packed P-series carries the bound it is known through, and its own read enforces it."""
+    """The packed P-series carries the bound it is known through, and its own read enforces it,
+    also for a cross-check asked past it."""
     s = make_setting("spin4k", 2, 1)
     env = get_env(s)
     top = env.packed("P2")
@@ -157,6 +173,8 @@ def test_packed_read_past_the_bound_raises():
             top.coefficient(past, env.table, s.weight)
         with pytest.raises(TruncationError):
             env.coefficient("P2", past)
+    with pytest.raises(TruncationError):
+        cross_check_bundle_expansion(s, "P2", s.n_q + 1)
 
 
 def test_divisibility_outcomes():

@@ -225,6 +225,37 @@ def test_suite_json_hash_is_pinned(capsys):
     assert parallel == serial
 
 
+# (exit code, sha256 of stdout) of `verify --theorem ID [--k K] --l L --format FORMAT`, one
+# operation per identity; between them they carry notes, non-gating checks with values,
+# variant notes and the sorted check order
+VERIFY_SHA256 = {
+    ("3.1", 2, 2, "json"): (0, "27cee3a484c858f385e167bd0ed30d73bf60d9fe45a5bc3947ccf41de5b3ec03"),
+    ("3.1", 2, 2, "text"): (0, "d7e7eea3229b829d0695b757d618ef7e83a667fd77d378d1a0b3adb9bc472fe1"),
+    ("3.2", 2, 2, "json"): (0, "ba3cd548b06a79ad64a4147e59ae2e01b06a67398804f4c94c19fb6f65855bef"),
+    ("3.2", 2, 2, "text"): (0, "9a1db11c4fee600928ffc712268843076cec6d053b17e87501ce1fa4a2508a7d"),
+    ("3.3", None, 1, "json"): (0, "a17b39e85a138a77383a3aa9769a6738a2a887d92b8028969959ca53211390d3"),
+    ("3.3", None, 1, "text"): (0, "ef613916edfd31db2c199394da050fe318b0591afbed1dbfd1dab77ee8aad5e5"),
+    ("3.4", None, 1, "json"): (0, "58a2b88c039af954a179a38ffc861b8c7327bd22eafc11beb1cca547dd8d97dc"),
+    ("3.4", None, 1, "text"): (0, "606a6a965864c77907cea10ccb140e22de9a6d7ddeb35f52f72c678c7204beac"),
+    ("4.1", 1, 2, "json"): (0, "ddec5e9b10055358c00e1e9476b465b5f53fff1bcedb47575fed594c7a3c18be"),
+    ("4.1", 1, 2, "text"): (0, "ddbe9e1a12c38c183b2631d28b38aa63d9fe23ed29a11b43ef4668077f1c6f31"),
+    ("4.2", 2, 1, "json"): (0, "8607f9d2ab47b5f1f6487ed2063bc30134e3a6b8a802000dd83edb98169662fc"),
+    ("4.2", 2, 1, "text"): (0, "420e79a0f3497c282c2a894ea07a4c29d782afaa6e375132561dd0baa6d2473b"),
+    ("4.6", 1, 2, "json"): (0, "807210c16488805a4c417578d88a35fcfcfe1ad705c7b3c7bc6feb609416952c"),
+    ("4.6", 1, 2, "text"): (0, "84014d1b06e22a6e061d9f3010fa49363b606c746c8fcb4c6982580ea2289f91"),
+    ("4.8", 1, 1, "json"): (0, "e0f61d21ba2433b361a886f1afa1fb7b0506be813b3592fa3072e914436390cb"),
+    ("4.8", 1, 1, "text"): (0, "6de59fb2d36880907f3a50caef17e1e684a3e3a1e2b44486e7bbdca4e9a065b4"),
+}
+
+
+@pytest.mark.parametrize("theorem,k,l,fmt", list(VERIFY_SHA256),
+                         ids=["-".join(map(str, key)) for key in VERIFY_SHA256])
+def test_verify_bytes_are_pinned(capsys, theorem, k, l, fmt):
+    argv = ["verify", "--theorem", theorem, "--l", str(l), "--format", fmt]
+    code, out, _ = run(capsys, *argv, *(() if k is None else ("--k", str(k))))
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == VERIFY_SHA256[(theorem, k, l, fmt)]
+
+
 # sha256 of `expand --object factor-KIND --order ORDER --weight WEIGHT --format FORMAT`
 # stdout, recorded when the factors were still built as products of O(order) series
 FACTOR_SHA256 = {

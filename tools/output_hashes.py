@@ -1,0 +1,59 @@
+"""Print the sha256 of the outputs a refactor must leave byte-identical.
+
+Run it with the package to hash on ``PYTHONPATH``:
+
+    PYTHONPATH=src python3 tools/output_hashes.py
+
+It prints one JSON object: the sha256 of ``anomcancel suite --format json``
+at ``--parallel 1`` and ``--parallel 2``, and, for each basis, the sha256 of
+the concatenated ``verify --format json`` output of every operation that
+``benchmarks/workloads.all_verify_operations()`` lists, in that order.  Two
+checkouts produce the same object exactly when those outputs agree.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+
+import workloads  # noqa: E402
+
+from anomcancel.cli import main  # noqa: E402
+
+
+def _stdout_of(argv: list[str]) -> bytes:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    if code != 0:
+        raise SystemExit(f"anomcancel {' '.join(argv)} exited {code}")
+    return out.getvalue().encode()
+
+
+def _verify_argv(op: tuple, basis: str) -> list[str]:
+    theorem, k, l, n_q = op
+    argv = ["verify", "--theorem", theorem, "--k", str(k), "--l", str(l),
+            "--basis", basis, "--format", "json"]
+    return argv if n_q is None else argv + ["--qorder", str(n_q)]
+
+
+def output_hashes() -> dict[str, str]:
+    hashes = {f"suite --parallel {p}": hashlib.sha256(
+        _stdout_of(["suite", "--format", "json", "--parallel", str(p)])).hexdigest() for p in (1, 2)}
+    ops = workloads.all_verify_operations()
+    for basis in ("standard", "normalized"):
+        digest = hashlib.sha256()
+        for op in ops:
+            digest.update(_stdout_of(_verify_argv(op, basis)))
+        hashes[f"verify {len(ops)} operations --basis {basis}"] = digest.hexdigest()
+    return hashes
+
+
+if __name__ == "__main__":
+    print(json.dumps(output_hashes(), indent=2))
