@@ -14,14 +14,15 @@ denominator, multiplies and adds plain ints, and builds one reduced
 Polynomial-valued q-series on the hot path live in a transposed integer
 form, :class:`QColumns`: ``(den, step, {packed monomial: [numerator per
 position]}, bound)``, where ``bound`` is the last lattice position known
-(``None`` for an exact series).  :func:`mul_sum` multiplies them by
-Kronecker substitution and takes its step, bound and length from the
-operands: each monomial's numerators become one int with one bit field per
-position, so a pair of monomials costs one big-int multiply, and each
-output monomial is unpacked once by balanced residues.  The field width is
-one bit more than the bit length of a bound on every output |numerator|
-that :func:`field_width` computes from the operands alone, so no cache and
-no worker count can change it.
+(``None`` for an exact series).  A polynomial enters it only by
+:meth:`QColumns.of` and leaves it only by :meth:`QColumns.coefficient`.
+:func:`mul_sum` multiplies them by Kronecker substitution and takes its
+step, bound and length from the operands: each monomial's numerators
+become one int with one bit field per position, so a pair of monomials
+costs one big-int multiply, and each output monomial is unpacked once by
+balanced residues.  The field width is one bit more than the bit length of
+a bound on every output |numerator| that :func:`field_width` computes from
+the operands alone, so no cache and no worker count can change it.
 """
 
 from __future__ import annotations
@@ -531,6 +532,12 @@ class QColumns(NamedTuple):
     step: int
     cols: dict[int, list[int]]
     bound: int | None = None
+
+    @staticmethod
+    def of(p: GradedPolynomial) -> "QColumns":
+        """``p`` as an exact single-position series, from its integer form (:meth:`GradedPolynomial.int_form`)."""
+        den, groups = p.int_form()
+        return QColumns(den, 1, {key: [n] for _, items in groups for key, n in items})
 
     def coefficient(self, k: int, table: GeneratorTable, cap: int) -> GradedPolynomial:
         """The coefficient at lattice ``k`` as a polynomial on ``table`` (zero off the lattice)."""

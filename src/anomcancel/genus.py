@@ -42,8 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import (ONE, AlgebraError, Generator, GeneratorTable, GradedPolynomial, QColumns,
-                      int_numerators, mul_sum)
+from .algebra import ONE, AlgebraError, Generator, GeneratorTable, GradedPolynomial, QColumns, mul_sum
 from .qseries import Q_UNIT, PuiseuxSeries
 from .theta import RootFactor, log_cos_coeffs, log_sin_over_z
 
@@ -151,7 +150,6 @@ def exp_by_weight(logs: Sequence[tuple[RootFactor, Sequence[GradedPolynomial]]],
     zero there.
     """
     bound = min(min(Q_UNIT * order, log.q_bound) for log, _ in logs)
-    key = table.packing(max_weight).key
     columns = []
     for log, sums in logs:
         if any(d % 2 or d == 0 for d in log.cols):
@@ -164,8 +162,8 @@ def exp_by_weight(logs: Sequence[tuple[RootFactor, Sequence[GradedPolynomial]]],
                 continue
             if not sums[m].is_homogeneous(d):
                 raise AlgebraError(f"power sum s_{m} must be homogeneous of weight {d}")
-            den, terms = int_numerators(sums[m].terms)
-            columns.append((m, c, den, [(key(e), m * n) for e, n in terms.items()]))
+            den, groups = sums[m].int_form()
+            columns.append((m, c, den, [(key, m * n) for _, items in groups for key, n in items]))
     f = [ONE._replace(bound=bound)]
     for n in range(1, max_weight // 2 + 1):
         products = [(c, f[n - m], n * den, terms) for m, c, den, terms in columns if m <= n]
@@ -175,8 +173,9 @@ def exp_by_weight(logs: Sequence[tuple[RootFactor, Sequence[GradedPolynomial]]],
 
 def exp_over_roots(logs: Sequence[tuple[RootFactor, Sequence[GradedPolynomial]]], table: GeneratorTable,
                    max_weight: int, order: int) -> PuiseuxSeries:
-    """:func:`exp_by_weight` as one series, the sum of its disjoint weight pieces."""
-    return PuiseuxSeries.from_packed(*exp_by_weight(logs, table, max_weight, order),
+    """:func:`exp_by_weight` as one series, its weight pieces summed by one :func:`~anomcancel.algebra.mul_sum`."""
+    pieces = exp_by_weight(logs, table, max_weight, order)
+    return PuiseuxSeries.from_packed(mul_sum([(f, ONE, 1, [(0, 1)]) for f in pieces]),
                                      zero=GradedPolynomial.zero(table, max_weight))
 
 

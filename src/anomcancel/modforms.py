@@ -33,7 +33,8 @@ back-substitution needs no division, and it is checked against the minor's
 integer inverse (:func:`unit_lower_inverse`).  :func:`decompose` and
 :func:`transfer_residual` take the packed series the verdict path holds,
 which carries the lattice bound it is known through, and the polynomial
-ring its monomials pack; nothing converts polynomials into that form.  The
+ring its monomials pack; each ``h_r`` leaves it by ``QColumns.coefficient``
+and re-enters it by ``QColumns.of``.  The
 generators and rows carry the bound ``q^order``, so each residual is known
 through the lesser of the series' bound and the basis order.
 :func:`delta_eps` and :func:`basis_element` are ``Fraction`` views of the
@@ -233,9 +234,7 @@ def _packed_sum(P: QColumns, h: list[GradedPolynomial], rows: tuple[QColumns, ..
         raise AlgebraError("basis coefficients live in another polynomial ring")
     products = []
     for p, row in zip(h, rows):
-        den, groups = p.int_form()
-        products.append((QColumns(den, 1, {key: [n] for _, items in groups for key, n in items}),
-                         row, 1, [(0, scale)]))
+        products.append((QColumns.of(p), row, 1, [(0, scale)]))
     products.append((P, ONE, 1, _UNIT))
     return PuiseuxSeries.from_packed(mul_sum(products), zero=zero)
 
@@ -283,11 +282,8 @@ def decompose(P: QColumns, k: int, zero: GradedPolynomial) -> Decomposition:
             if h[r] != sum(inv[r][j] * c[j] for j in range(n_unknowns)):
                 raise AlgebraError("triangular solve and matrix inverse disagree")
         solved[key] = h
-    table, cap = zero.table, zero.max_weight
-    vector = table.packing(cap).vector
-    h_polys = [GradedPolynomial._with_form(
-        table, {vector(key): Fraction(h[r], P.den) for key, h in solved.items() if h[r]}, cap, None)
-        for r in range(n_unknowns)]
+    h_polys = [QColumns(P.den, 1, {key: [h[r]] for key, h in solved.items() if h[r]})
+               .coefficient(0, zero.table, zero.max_weight) for r in range(n_unknowns)]
     residual = _packed_sum(P, h_polys, _basis_rows(GROUP_UPPER, k, order), -1, zero)
     return Decomposition(h_polys, residual, inv, True)
 

@@ -8,7 +8,7 @@ Coefficients may be any exact ring element (``Fraction`` scalars or graded
 polynomials); the series carries the ring's zero so the two rings never mix
 silently.  The packed integer form of the hot path,
 :class:`~anomcancel.algebra.QColumns`, keeps the same contract through its
-``bound``, and :meth:`PuiseuxSeries.from_packed` is the one edge from it.
+``bound``; :meth:`PuiseuxSeries.from_packed` reads it by ``coefficient``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .algebra import AlgebraError, GradedPolynomial, QColumns
+from .algebra import AlgebraError, QColumns
 
 Q_UNIT = 8       # lattice units in q^1
 HALF_UNIT = 4    # lattice units in q^(1/2)
@@ -78,27 +78,18 @@ class PuiseuxSeries:
         return PuiseuxSeries({0: value}, order_bound, zero)
 
     @staticmethod
-    def from_packed(*parts: QColumns, zero) -> "PuiseuxSeries":
-        """Packed series with disjoint monomials, summed over the ring of ``zero`` through their least bound.
+    def from_packed(c: QColumns, zero) -> "PuiseuxSeries":
+        """A packed series over the ring of ``zero``, known through ``c.bound``.
 
-        Over ``Fraction`` the one part's constant monomial (key 0) is read;
-        over a polynomial ring each monomial is unpacked by the ring's
-        packing, so the weight pieces of one exp make one series.
+        Over ``Fraction`` the constant monomial (key 0) is read, over a
+        polynomial ring each position's :meth:`QColumns.coefficient`.
         """
-        bound = min(c.bound for c in parts)
         if isinstance(zero, Fraction):
-            (c,) = parts
             return PuiseuxSeries({i * c.step: Fraction(n, c.den) for i, n in enumerate(c.cols.get(0, ())) if n},
-                                 bound, zero)
-        vector, at = zero.table.packing(zero.max_weight).vector, {}
-        for c in parts:
-            for key, nums in c.cols.items():
-                e = vector(key)
-                for i, n in enumerate(nums):
-                    if n:
-                        at.setdefault(i * c.step, {})[e] = Fraction(n, c.den)
-        return PuiseuxSeries({k: GradedPolynomial._with_form(zero.table, at[k], zero.max_weight, None)
-                              for k in sorted(at)}, bound, zero)
+                                 c.bound, zero)
+        count = max(map(len, c.cols.values()), default=0)
+        return PuiseuxSeries({i * c.step: c.coefficient(i * c.step, zero.table, zero.max_weight)
+                              for i in range(count)}, c.bound, zero)
 
     # -- inspection -----------------------------------------------------------
 

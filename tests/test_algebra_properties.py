@@ -61,6 +61,14 @@ def straddling_operands(draw):
 
 
 @PROPERTY
+@given(polys)
+def test_packed_form_round_trips(p):
+    """``QColumns.of`` is the door into the packed form and ``coefficient`` the door out."""
+    c = QColumns.of(p)
+    assert c.bound is None and c.coefficient(0, TABLE, W) == p
+
+
+@PROPERTY
 @given(polys, polys)
 def test_commutative(a, b):
     assert a + b == b + a

@@ -132,6 +132,14 @@ def test_cross_checks():
             assert not _full_order_mismatches(kind, k, l), case.case_id
 
 
+def test_tangent_genus_is_the_lambda_ring_constant_term():
+    """The genus every identity side reads is the q^0 coefficient of the lambda-ring tangent series."""
+    for case in suite_cases():
+        if case.kind == "crosscheck":
+            half = get_env(make_setting(*case.params)).half
+            assert half.genus == half.kvirt_tangent(1).coefficient(0), case.case_id
+
+
 def test_planted_twist_sign_shows_in_the_residual_and_fails_the_row(monkeypatch):
     """A twist built with the wrong string sign must show at exactly the positions it
     changes: for P2 every q^(n+1/2) and no q^n, for P1 every q^n past the constant.

@@ -6,7 +6,9 @@ tensor-string oracle in ``tests/helpers.py`` must not import the lambda-ring
 route it checks.  Only direct imports are read: ``algebra``, ``genus`` (root
 families, additive sums over roots) and ``qseries`` (the series type and its
 lattice units) are shared ground.  No oracle in ``tests/helpers.py`` may
-reach the fast packed kernel (``mul_sum`` and its ``field_width``) it checks.
+reach the fast packed kernel (``mul_sum`` and its ``field_width``) it checks,
+and no library module but ``algebra`` names the monomial packing: the others
+go through ``QColumns.of`` and ``QColumns.coefficient``.
 """
 
 import ast
@@ -16,12 +18,21 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = "anomcancel"
-KVIRT = ROOT / "src" / PACKAGE / "kvirt.py"
+SOURCES = ROOT / "src" / PACKAGE
+KVIRT = SOURCES / "kvirt.py"
 HELPERS = ROOT / "tests" / "helpers.py"
 
 FAST_KERNEL = ("mul_sum", "field_width")
+PACKING = {"packing", "Packing", "_with_form"}
 STRING_ORACLE = ("_psi", "_reduce", "_zero", "_bundle_exp_by_powers", "_string_factor",
                  "string_product_oracle", "theta_strings")
+
+
+def names_in(tree: ast.Module) -> set[str]:
+    """Every imported name, attribute read (``algebra.mul_sum``) and bare name in ``tree``."""
+    names = {a.name for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    return names | {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
 
 
 def import_sources(tree: ast.Module) -> dict[str, str]:
@@ -64,11 +75,16 @@ def test_kvirt_imports_only_shared_ground():
 @pytest.mark.parametrize("kernel", FAST_KERNEL)
 def test_helpers_never_name_the_fast_kernel(kernel):
     """Neither an import nor an attribute read (``algebra.mul_sum``) brings the kernel into the oracles."""
-    tree = ast.parse(HELPERS.read_text())
-    names = {a.name for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
-    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
-    names |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    assert kernel not in names
+    assert kernel not in names_in(ast.parse(HELPERS.read_text()))
+
+
+def test_only_algebra_names_the_packing():
+    """Polynomials enter the packed form by ``QColumns.of`` and leave it by ``QColumns.coefficient``."""
+    modules = sorted(SOURCES.glob("*.py"))
+    assert len(modules) > 1 and SOURCES / "algebra.py" in modules
+    named = {p.name: sorted(names_in(ast.parse(p.read_text())) & PACKING)
+             for p in modules if p.name != "algebra.py"}
+    assert not {m: n for m, n in named.items() if n}
 
 
 def test_helpers_import_nothing_from_kvirt():

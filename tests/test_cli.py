@@ -371,6 +371,57 @@ def test_expand_basis_bytes_are_pinned(capsys, group, k, r, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == BASIS_SHA256[(group, k, r, fmt)]
 
 
+# sha256 of `expand --object WHICH --setting KIND --k K --l L --basis BASIS --format FORMAT`
+# stdout, recorded when `PuiseuxSeries.from_packed` still unpacked the monomials itself
+EXPAND_P_SHA256 = {
+    ("spin4k", 2, 2, "P1", "normalized", "json"): "f3441f943a727038122329341aec0560dfa9141f29fd256dcbb250d6ffb6a2d6",
+    ("spin4k", 2, 2, "P1", "normalized", "text"): "0791a551e05c223a8250958374a90355307be8e025650fb10bf1443a718868cb",
+    ("spin4k", 2, 2, "P1", "standard", "json"): "dd3bec58ad64b79947ae9e766e1c3bff315ad7ff8f71f1684a213b3fb2d43b3b",
+    ("spin4k", 2, 2, "P1", "standard", "text"): "246a341a90dd2464cab617b846dacd2f646b9095095d664b6b95223355991708",
+    ("spin4k", 2, 2, "P2", "normalized", "json"): "6b5bcda53b99b064222db37862a0aff8d39c317ea50bd4021af5362a46b76ae7",
+    ("spin4k", 2, 2, "P2", "normalized", "text"): "b3ed3ff835bea5f0372dccd9ac05d7b5b842c4976056559b9b17a54fc493a15b",
+    ("spin4k", 2, 2, "P2", "standard", "json"): "d87c8da4fc233e3247307c4d152b30246a38876abddd8fd8c9c16ff35e39e76d",
+    ("spin4k", 2, 2, "P2", "standard", "text"): "d345a8c2bde39f34b216c1073ab6ba269e0afd352a6c64835e40471155afca91",
+    ("spin4k", 2, 2, "P3", "normalized", "json"): "f830894c13a85170619fd2953f02b4bfde2c2c92e590f058b0575902653915f9",
+    ("spin4k", 2, 2, "P3", "normalized", "text"): "a14f11cde99df01f5096064233919c7f1647121dbc6783d0bb7573644a5c8dc1",
+    ("spin4k", 2, 2, "P3", "standard", "json"): "5ef0c1de1e4f0bce9450760de39694f4aa1c4fa4b7efd42e18632f6ae52859fe",
+    ("spin4k", 2, 2, "P3", "standard", "text"): "3f4cf6772f3a21734d5b61556e95855a933f60a6de2a436d3a82ce35b6701679",
+    ("spinc4k", 1, 2, "P1", "normalized", "json"): "b332d872087dc2ce1d84de48b6c80cb603e138c5b86dddaa4f16240ccd081099",
+    ("spinc4k", 1, 2, "P1", "normalized", "text"): "fae9b78777ac857655661311ee5511ff563f3bedd659f6604ee09c11c80a3e04",
+    ("spinc4k", 1, 2, "P1", "standard", "json"): "e1f8555309ef8b653b734e1226ee13fee6e1a536869943a2a6a1b1d596362755",
+    ("spinc4k", 1, 2, "P1", "standard", "text"): "72ac7ecc3a7ac844774da3cd284d72907e31b4aba8e1c0fdbed5fcf9522fa3bc",
+    ("spinc4k", 1, 2, "P2", "normalized", "json"): "92fd4e46aa86fe322279e5b43e4d591d5a9d57fb89c55937d32186a4af72a14b",
+    ("spinc4k", 1, 2, "P2", "normalized", "text"): "9d489f84a9f230c4414e1298a913b20bedbd3f5b09ae6bbfb8955dab82abcd77",
+    ("spinc4k", 1, 2, "P2", "standard", "json"): "5f3d18ad2b860ea127e9a9817959f6076cd90d01ea7253416bdc41c101adbd8c",
+    ("spinc4k", 1, 2, "P2", "standard", "text"): "7a9f31e69cc72d15ba829abdb528c8482fce9146eadfa8b3e2454ca04a7acb5f",
+    ("spinc4k", 1, 2, "P3", "normalized", "json"): "0cd502bf3e4c0fb01ea53458111c482d88b388598e74edced784fcc3d213d2f0",
+    ("spinc4k", 1, 2, "P3", "normalized", "text"): "4aa3d5e6501ae9452825c6a15a23ecff94f2b64b575367a1cdb7f7dd0541aea7",
+    ("spinc4k", 1, 2, "P3", "standard", "json"): "ef2398bbf20d353fe392ecf6e19f33b9b2a842ee2576c29900c7c656798aef53",
+    ("spinc4k", 1, 2, "P3", "standard", "text"): "b496101384b976f511e5ec276108de2a4325be498f87f20a98771abc36e147c4",
+    ("spinc4k2", 1, 1, "P1", "normalized", "json"): "857db5f3c236b5dc6ed1cc8607280af8820e920ab8f53027f8802de437a2baf2",
+    ("spinc4k2", 1, 1, "P1", "normalized", "text"): "2d6ec869182f4ccf212b9fcc5e26440b53edda0df68bdb32691dfb16b510a561",
+    ("spinc4k2", 1, 1, "P1", "standard", "json"): "4be7b5b2d4852cb7dd982975a3eefbc66990f752eb894e98ec3c0db0bdb33cfe",
+    ("spinc4k2", 1, 1, "P1", "standard", "text"): "e9de726d9d530697c4774e1a828c3ea3c3bc0d76e99214992ac2f163021d031c",
+    ("spinc4k2", 1, 1, "P2", "normalized", "json"): "dc9d65efa35684466f57628d5bed0780bb00402be6549fbecd879d69484e0091",
+    ("spinc4k2", 1, 1, "P2", "normalized", "text"): "404e4398819baa1160aa1878e68cf707e939ab4781c2cd7431ee97fe87c17cd0",
+    ("spinc4k2", 1, 1, "P2", "standard", "json"): "a6d0c088e98cb33b08cf96640ccaaf226856afa3eb88068fb9eda63f635b9744",
+    ("spinc4k2", 1, 1, "P2", "standard", "text"): "c7a11ea0abcc17f36fe3f9695f2dce1c9b6a161a61ed3c7ad7146ea7eab3ebf5",
+    ("spinc4k2", 1, 1, "P3", "normalized", "json"): "31f2149d603a84185d910592f6e3202521b054fba13ac6492f3002a7b623a15e",
+    ("spinc4k2", 1, 1, "P3", "normalized", "text"): "e069fbc449b30c306a271087b6a0fd08d7303b1f60d7c8a971156ec5ebb2bf20",
+    ("spinc4k2", 1, 1, "P3", "standard", "json"): "a6a3a50139df4e172768237125c851808b3bca0ac78a47ae74cabb42faf0b5b4",
+    ("spinc4k2", 1, 1, "P3", "standard", "text"): "fb2c24de75a754616d47ffbc0ecfd17f979bac6857523a2c6269ccafa954b14a",
+}
+
+
+@pytest.mark.parametrize("kind,k,l,which,basis,fmt", list(EXPAND_P_SHA256),
+                         ids=["-".join(map(str, key)) for key in EXPAND_P_SHA256])
+def test_expand_p_series_bytes_are_pinned(capsys, kind, k, l, which, basis, fmt):
+    code, out, _ = run(capsys, "expand", "--object", which, "--setting", kind, "--k", str(k), "--l", str(l),
+                       "--basis", basis, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EXPAND_P_SHA256[(kind, k, l, which, basis, fmt)]
+
+
 # (exit code, sha256 of stdout) of `decompose --setting KIND --k K --l L --which WHICH
 # --format FORMAT`, recorded when P1 and P3 went through the polynomial view of the series
 DECOMPOSE_SHA256 = {

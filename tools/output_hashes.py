@@ -8,7 +8,9 @@ It prints one JSON object: the sha256 of ``anomcancel suite --format json``
 at ``--parallel 1`` and ``--parallel 2``, and, for each basis, the sha256 of
 the concatenated ``verify --format json`` output of every operation that
 ``benchmarks/workloads.all_verify_operations()`` lists, in that order.  Two
-checkouts produce the same object exactly when those outputs agree.
+checkouts produce the same hashes exactly when those outputs agree.  The
+last entry, ``"src lines"``, is the line count of the hashed package's
+modules (``anomcancel/*.py``), as ``wc -l`` counts it.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 
 import workloads  # noqa: E402
 
+import anomcancel  # noqa: E402
 from anomcancel.cli import main  # noqa: E402
 
 
@@ -43,7 +46,7 @@ def _verify_argv(op: tuple, basis: str) -> list[str]:
     return argv if n_q is None else argv + ["--qorder", str(n_q)]
 
 
-def output_hashes() -> dict[str, str]:
+def output_hashes() -> dict[str, str | int]:
     hashes = {f"suite --parallel {p}": hashlib.sha256(
         _stdout_of(["suite", "--format", "json", "--parallel", str(p)])).hexdigest() for p in (1, 2)}
     ops = workloads.all_verify_operations()
@@ -52,6 +55,8 @@ def output_hashes() -> dict[str, str]:
         for op in ops:
             digest.update(_stdout_of(_verify_argv(op, basis)))
         hashes[f"verify {len(ops)} operations --basis {basis}"] = digest.hexdigest()
+    modules = Path(anomcancel.__file__).parent.glob("*.py")
+    hashes["src lines"] = sum(p.read_bytes().count(b"\n") for p in modules)
     return hashes
 
 
