@@ -351,13 +351,13 @@ class Check:
     def zero(self) -> bool:
         return not self.value
 
-    def to_json_obj(self):
-        """The report entry: the verdict, the gating flag, any note, and a nonzero value's text."""
+    def to_json_obj(self, basis: str = "standard"):
+        """The report entry: the verdict, the gating flag, any note, and a nonzero value's text in ``basis``."""
         entry = {"zero": self.zero, "gating": self.gating}
         if self.note:
             entry["note"] = self.note
         if not self.zero:
-            entry["value"] = self.value.to_text()
+            entry["value"] = (self.value.to_standard_basis() if basis == "standard" else self.value).to_text()
         return entry
 
 
@@ -389,7 +389,7 @@ class VerificationReport:
             "status": self.status,
             "h_normalized": [p.to_text() for p in self.h],
             "h_standard": [p.to_standard_basis().to_text() for p in self.h],
-            "checks": {name: c.to_json_obj() for name, c in sorted(self.checks.items())},
+            "checks": {name: c.to_json_obj(basis) for name, c in sorted(self.checks.items())},
             "solve_coeffs": [[str(x) for x in row] for row in self.solve_coeffs],
             "solve_integral": self.solve_integral,
             "variant_notes": list(self.variant_notes),

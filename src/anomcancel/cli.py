@@ -129,8 +129,7 @@ def _cmd_expand(args) -> int:
         obj["order"] = order
         series = anomaly.build_P(setting, name)
         if args.basis == "standard":
-            series = series.map_coefficients(lambda p: p.to_standard_basis(),
-                                             new_zero=series.zero.to_standard_basis())
+            series = series.to_standard_basis()
         obj["setting"] = setting.to_json_obj()
         obj["series"] = series.to_json_obj()
         obj["text"] = series.to_text()

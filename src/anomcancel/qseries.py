@@ -91,6 +91,10 @@ class PuiseuxSeries:
         return PuiseuxSeries({i * c.step: c.coefficient(i * c.step, zero.table, zero.max_weight)
                               for i in range(count)}, c.bound, zero)
 
+    def to_standard_basis(self) -> "PuiseuxSeries":
+        """Every polynomial coefficient rewritten in the standard generators."""
+        return self.map_coefficients(lambda p: p.to_standard_basis(), new_zero=self.zero.to_standard_basis())
+
     # -- inspection -----------------------------------------------------------
 
     def coefficient(self, k: int):

@@ -30,6 +30,16 @@ def test_verify_corollary_exit_zero(capsys):
     assert json.loads(out)["status"] == "PASS_WITH_VARIANT"
 
 
+@pytest.mark.parametrize("basis,shown,hidden", [(None, "pM", "nM"), ("normalized", "nM", "pM")])
+def test_check_values_render_in_the_report_basis(capsys, basis, shown, hidden):
+    """A nonzero check value is printed in the generators the h_r are printed in."""
+    code, out, _ = run(capsys, "verify", "--theorem", "3.3", "--l", "1",
+                       *(() if basis is None else ("--basis", basis)))
+    assert code == 0
+    value = json.loads(out)["checks"]["printed_identity_independent_v"]["value"]
+    assert shown in value and hidden not in value
+
+
 def test_verify_validation_exit_two(capsys):
     code, _, err = run(capsys, "verify", "--theorem", "3.1", "--k", "0")
     assert code == 2
@@ -210,7 +220,7 @@ def test_parallel_suite_shards_by_family(monkeypatch, recording_pool):
     assert sorted(c.case_id for task in tasks for c in task) == sorted(r["case"] for r in serial["cases"])
 
 
-SUITE_JSON_SHA256 = "c945fa7224b0dd17c89009de4d6e39c7f6c3e8a2d403819c7cb9fa85d8f56cd9"
+SUITE_JSON_SHA256 = "cb72f2f3ff8e932b3d6af52143e2e4be220e5bef4c3f2e454fa4f3cfba642b7c"
 
 
 def test_suite_json_hash_is_pinned(capsys):
@@ -233,18 +243,18 @@ VERIFY_SHA256 = {
     ("3.1", 2, 2, "text"): (0, "d7e7eea3229b829d0695b757d618ef7e83a667fd77d378d1a0b3adb9bc472fe1"),
     ("3.2", 2, 2, "json"): (0, "ba3cd548b06a79ad64a4147e59ae2e01b06a67398804f4c94c19fb6f65855bef"),
     ("3.2", 2, 2, "text"): (0, "9a1db11c4fee600928ffc712268843076cec6d053b17e87501ce1fa4a2508a7d"),
-    ("3.3", None, 1, "json"): (0, "a17b39e85a138a77383a3aa9769a6738a2a887d92b8028969959ca53211390d3"),
-    ("3.3", None, 1, "text"): (0, "ef613916edfd31db2c199394da050fe318b0591afbed1dbfd1dab77ee8aad5e5"),
-    ("3.4", None, 1, "json"): (0, "58a2b88c039af954a179a38ffc861b8c7327bd22eafc11beb1cca547dd8d97dc"),
-    ("3.4", None, 1, "text"): (0, "606a6a965864c77907cea10ccb140e22de9a6d7ddeb35f52f72c678c7204beac"),
+    ("3.3", None, 1, "json"): (0, "d0377b92d39883d9cf654f67049310744a992e374318f84964db65031d183f41"),
+    ("3.3", None, 1, "text"): (0, "4fc6878d341439c3eb0504a0f90909773032c17785dacdd40c5317b59df10dcf"),
+    ("3.4", None, 1, "json"): (0, "6bf98fced6e0d26215d879384f2e699ecec23aff0d10fd5b52b5ee903dd5d43d"),
+    ("3.4", None, 1, "text"): (0, "bb5506cdce287429e524c7195375d229269e3a59268114b6e8db32dd27c5335b"),
     ("4.1", 1, 2, "json"): (0, "ddec5e9b10055358c00e1e9476b465b5f53fff1bcedb47575fed594c7a3c18be"),
     ("4.1", 1, 2, "text"): (0, "ddbe9e1a12c38c183b2631d28b38aa63d9fe23ed29a11b43ef4668077f1c6f31"),
     ("4.2", 2, 1, "json"): (0, "8607f9d2ab47b5f1f6487ed2063bc30134e3a6b8a802000dd83edb98169662fc"),
     ("4.2", 2, 1, "text"): (0, "420e79a0f3497c282c2a894ea07a4c29d782afaa6e375132561dd0baa6d2473b"),
     ("4.6", 1, 2, "json"): (0, "807210c16488805a4c417578d88a35fcfcfe1ad705c7b3c7bc6feb609416952c"),
     ("4.6", 1, 2, "text"): (0, "84014d1b06e22a6e061d9f3010fa49363b606c746c8fcb4c6982580ea2289f91"),
-    ("4.8", 1, 1, "json"): (0, "e0f61d21ba2433b361a886f1afa1fb7b0506be813b3592fa3072e914436390cb"),
-    ("4.8", 1, 1, "text"): (0, "6de59fb2d36880907f3a50caef17e1e684a3e3a1e2b44486e7bbdca4e9a065b4"),
+    ("4.8", 1, 1, "json"): (0, "9de7bb89993361fc943ae43361a93484c3a5b73aaf93e752834a5a43fe9584af"),
+    ("4.8", 1, 1, "text"): (0, "6647ba91835387bb78b638e9170b5f4d14705f013446ccf74137e26097a25258"),
 }
 
 
