@@ -14,7 +14,8 @@ For each setting (spin dim-4k, spin^c dim-4k, spin^c dim-4k+2) the engine
    sides, built independently from the lambda-ring bundle path and from one
    tangent genus (``_TangentHalf.genus``) at the top weight (``_Env.top``);
 5. audits the 2-adic divisibility claims that follow from the 2-power
-   prefactors of the h_r.
+   prefactors of the h_r: each exponent is the valuation of a right-side
+   scalar of step 4's identities (:func:`rhs_coefficients`).
 
 Apart from the verdicts, :func:`cross_check_bundle_expansion` compares the two
 routes as whole series: one residual per P-series, the theta route minus the
@@ -49,16 +50,12 @@ from .genus import (CONSTRAINT_KINDS, FAMILY_TM, FAMILY_V, LINE, RootFamily, app
                     build_generator_table, classical_genus, constrained_power_sums,
                     exp_by_weight)
 from .genus import prod_over_roots  # not called here: kept as the alias the benchmark tracer wraps
-from .kvirt import (aux_bundle, lambda_power, lambda_string, line_pair_bundle, reduced,
-                    tangent_bundle, theta_object)
+from .kvirt import complexified_bundle, lambda_power, lambda_string, reduced, theta_object
 from .modforms import (Decomposition, decompose, leading_minor, transfer_residual,
                        unit_lower_inverse)
 from .qseries import HALF_UNIT, Q_UNIT, PuiseuxSeries
 from .theta import RootFactor, theta_log
 from .theta import theta_factor  # not called here: kept as the alias the benchmark tracer wraps
-
-THEOREM_IDS = ("3.1", "3.2", "3.3", "3.4", "4.1", "4.2", "4.6", "4.8")
-DIVISIBILITY_IDS = ("3.6", "3.8", "4.4", "4.5", "4.9", "4.10")
 
 # theorem id -> setting kind (corollaries 3.3/3.4 pin k as well)
 _THEOREM_KIND = {
@@ -76,6 +73,9 @@ _DIV_TABLE = {
     "4.9": ("spinc4k2", 5, False),
     "4.10": ("spinc4k2", 10, True),
 }
+
+THEOREM_IDS = tuple(_THEOREM_KIND)
+DIVISIBILITY_IDS = tuple(_DIV_TABLE)
 
 
 @dataclass(frozen=True)
@@ -100,15 +100,12 @@ class Setting:
 
     @property
     def weight(self) -> int:
+        """Top weight ``W``: the manifold has dimension ``2W`` and ``W`` tangent roots."""
         return 2 * self.k + (1 if self.kind == "spinc4k2" else 0)
 
     @property
     def dim(self) -> int:
         return 2 * self.weight
-
-    @property
-    def tm_roots(self) -> int:
-        return 2 * self.k + (1 if self.kind == "spinc4k2" else 0)
 
     @property
     def spin_c(self) -> bool:
@@ -121,6 +118,11 @@ class Setting:
 
 def make_setting(kind: str, k: int, l: int, n_q: int | None = None) -> Setting:
     return Setting(kind, k, l, (2 * k + 4) if n_q is None else n_q)
+
+
+def rhs_coefficients(k: int, l: int, q1: bool) -> list[Fraction]:
+    """The ``c_r`` of a right side ``sum_r c_r h_r``: ``2^(l+k)/64^r``, or ``-r 2^(l+k+6)/64^r`` at q^1."""
+    return [(-64 * r if q1 else 1) * Fraction(2 ** (l + k), 64 ** r) for r in range(k // 2 + 1)]
 
 
 _tangent_cache: dict[tuple[str, int, int], "_TangentHalf"] = {}
@@ -145,13 +147,13 @@ class _TangentHalf:
     def __init__(self, s: Setting):
         self.kind, self.k, self.n_q = s.kind, s.k, s.n_q
         self.weight = W = s.weight
-        self.table = build_generator_table(s.tm_roots, W // 2, s.spin_c, W)
-        self.tm = RootFamily(FAMILY_TM, s.tm_roots)
+        self.table = build_generator_table(W, W // 2, s.spin_c, W)
+        self.tm = RootFamily(FAMILY_TM, W)
         self.gp_zero = GradedPolynomial.zero(self.table, W)
         self.ahat = classical_genus("ahat", self.tm, self.table, W)
         self.ch_delta_m = classical_genus("spinor_ch", self.tm, self.table, W)
-        self.tangent = tangent_bundle(s.tm_roots, self.table, W)
-        self.line = line_pair_bundle(self.table, W) if s.spin_c else None
+        self.tangent = complexified_bundle(self.tm, self.table, W)
+        self.line = complexified_bundle(LINE, self.table, W) if s.spin_c else None
         self.genus = self.ahat * (classical_genus("exp_half_c", self.tm, self.table, W) if s.spin_c
                                   else self.ch_delta_m + 2 ** (2 * s.k + 1))
         self.tm_sums = constrained_power_sums(self.tm, s.kind, self.table, W)
@@ -160,7 +162,7 @@ class _TangentHalf:
 
     def exp(self, logs) -> list[QColumns]:
         """The weight pieces of an exp over the given power sums; piece n has weight 2n."""
-        return exp_by_weight(logs, self.table, self.weight, self.n_q)
+        return exp_by_weight(logs, self.weight, self.n_q)
 
     def log(self, kind: str) -> RootFactor:
         return theta_log(kind, self.n_q, self.weight)
@@ -217,7 +219,7 @@ class _Env:
         self.tangent, self.line = half.tangent, half.line
         self.v = RootFamily(FAMILY_V, s.l)
         self.ch_delta_v = classical_genus("spinor_ch", self.v, self.table, W)
-        self.aux = aux_bundle(s.l, self.table, W)
+        self.aux = complexified_bundle(self.v, self.table, W)
         self.v_sums = constrained_power_sums(self.v, s.kind, self.table, W)
         self._p: dict[str, QColumns] = {}
         self._decomp: Decomposition | None = None
@@ -278,20 +280,10 @@ class _Env:
         line_part = _line_q1(ll) if s.kind == "spinc4k" else -ll
         return self.top(self.genus * self.ch_delta_v * (tt + line_part + vv))
 
-    def rhs_constant(self, h: list[GradedPolynomial]) -> GradedPolynomial:
-        s = self.setting
-        out = self.gp_zero
-        for r, hr in enumerate(h):
-            out = out + hr.scale(Fraction(2 ** (s.l + s.k), 64 ** r))
-        return out
-
-    def rhs_q1(self, h: list[GradedPolynomial]) -> GradedPolynomial:
-        s = self.setting
-        out = self.gp_zero
-        for r, hr in enumerate(h):
-            if r:
-                out = out - hr.scale(r * Fraction(2 ** (s.l + s.k + 6), 64 ** r))
-        return out
+    def rhs(self, h: list[GradedPolynomial], q1: bool) -> GradedPolynomial:
+        """Right side of the constant-term (or ``q^1``) identity: ``sum_r c_r h_r``."""
+        c = rhs_coefficients(self.setting.k, self.setting.l, q1)
+        return sum((hr.scale(cr) for cr, hr in zip(c, h, strict=True) if cr), self.gp_zero)
 
 
 def get_env(setting: Setting) -> _Env:
@@ -465,7 +457,7 @@ def verify_theorem(theorem: str, k: int | None = None, l: int = 1,
 def _verify_constant_term(report: VerificationReport, env: _Env):
     dec = _pipeline(report, env)
     lhs = env.constant_term_lhs()
-    rhs = env.rhs_constant(dec.h)
+    rhs = env.rhs(dec.h, False)
     report.checks["main_identity"] = Check(lhs - rhs)
     report.checks["p1_constant_term"] = Check(env.coefficient("P1", 0) - lhs)
     report.checks["p1_half_coefficient"] = Check(env.coefficient("P1", HALF_UNIT))
@@ -481,7 +473,7 @@ def _verify_constant_term(report: VerificationReport, env: _Env):
 def _verify_q1(report: VerificationReport, env: _Env):
     dec = _pipeline(report, env)
     lhs = env.q1_lhs()
-    rhs = env.rhs_q1(dec.h)
+    rhs = env.rhs(dec.h, True)
     report.checks["main_identity"] = Check(lhs - rhs)
     # direct q^1 coefficient of P1 against the two bundle-built sides
     expected_q1 = lhs + env.constant_term_lhs().scale(24 * env.setting.k)
@@ -496,7 +488,7 @@ def _verify_q1(report: VerificationReport, env: _Env):
         s = env.setting
         unred = reduced(env.tangent) - env.line + reduced(env.aux) - 24 * s.k
         report.checks["unreduced_line_variant"] = Check(
-            env.top(env.genus * env.ch_delta_v * unred) - env.rhs_q1(dec.h), gating=False,
+            env.top(env.genus * env.ch_delta_v * unred) - env.rhs(dec.h, True), gating=False,
             note="q^1 combination with the unreduced line; differs from the exact "
                  "(reduced) form by twice the constant-term side")
 
@@ -538,7 +530,7 @@ def _verify_corollary(report: VerificationReport, env: _Env, theorem: str):
         note="literal reading with an independent auxiliary bundle; the exact "
              "coefficient carries ch(V_C), so a nonzero residual here is expected")
 
-    report.checks["constant_term_identity"] = Check(lhs_generic - env.rhs_constant(dec.h))
+    report.checks["constant_term_identity"] = Check(lhs_generic - env.rhs(dec.h, False))
     report.variant_notes.append(
         "printed form verified under the tangent-twist reading; independent-V residual recorded")
 
@@ -552,7 +544,7 @@ def structural_checks(setting: Setting) -> dict[str, Check]:
     out: dict[str, Check] = {"p3_equals_p2_sign_flipped": Check(_sign_flip_residual(env))}
     if setting.kind == "spin4k" and setting.k == 1:
         out["degenerate_lhs_vanishes"] = Check(env.constant_term_lhs())
-        out["degenerate_rhs_vanishes"] = Check(env.rhs_constant(env.decomposition().h))
+        out["degenerate_rhs_vanishes"] = Check(env.rhs(env.decomposition().h, False))
     return out
 
 
@@ -571,14 +563,12 @@ def _sign_flip_residual(env: _Env) -> PuiseuxSeries:
 # -- divisibility audits ------------------------------------------------------------
 
 
-def _v2(n: int) -> int:
-    if n == 0:
+def _v2(x: Fraction) -> int:
+    """The 2-adic valuation of a nonzero rational."""
+    if x == 0:
         raise AlgebraError("v2(0) is infinite")
-    v = 0
-    while n % 2 == 0:
-        n //= 2
-        v += 1
-    return v
+    num, den = x.numerator, x.denominator
+    return (num & -num).bit_length() - (den & -den).bit_length()
 
 
 @dataclass
@@ -611,10 +601,12 @@ def divisibility_check(corollary: str, m: int, l: int | None = None,
                        assumed_v2_h: int = 1) -> DivisibilityAudit:
     """2-adic audit of one divisibility claim.
 
-    With ``k = 2m + 1`` the identity writes the index as
-    ``sum_r 2^(l+k-6r) h_r`` (or ``-sum_r r 2^(l+k+6-6r) h_r`` for the q^1
-    flavored claims); assuming ``v2(h_r) >= assumed_v2_h`` the minimal term
-    valuation bounds the guaranteed power of two.  The audit compares that
+    With ``k = 2m + 1`` the identity writes the index as ``sum_r c_r h_r``,
+    with the scalars of :func:`rhs_coefficients`: the very ones the identity
+    checks verify (``_Env.rhs``), constant-term or ``q^1`` as the claim is
+    flavored.  Assuming ``v2(h_r) >= assumed_v2_h``, the least
+    ``v2(c_r) + assumed_v2_h`` over the nonzero ``c_r`` bounds the guaranteed
+    power of two.  The audit compares that
     bound against the claimed modulus at the weakest admissible rank
     ``l = 4m + 2`` and also re-confirms that the basis inversion is integral
     (so the h_r really are integer combinations of index data).
@@ -630,10 +622,7 @@ def divisibility_check(corollary: str, m: int, l: int | None = None,
     if l < 4 * m + 2:
         raise AlgebraError(f"corollary {corollary} requires l >= {4 * m + 2}")
 
-    if q1_flavor:
-        exps = [l + k + 6 - 6 * r + _v2(r) + assumed_v2_h for r in range(1, k // 2 + 1)]
-    else:
-        exps = [l + k - 6 * r + assumed_v2_h for r in range(0, k // 2 + 1)]
+    exps = [_v2(c) + assumed_v2_h for c in rhs_coefficients(k, l, q1_flavor) if c]
     implied = min(exps) if exps else None
 
     # the same integer inverse as the decomposition: it exists, with integer

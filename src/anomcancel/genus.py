@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from typing import Sequence
 
 from .algebra import ONE, AlgebraError, Generator, GeneratorTable, GradedPolynomial, QColumns, mul_sum
@@ -130,8 +131,8 @@ def power_sums_gp(fam: RootFamily, m_max: int, table: GeneratorTable,
     return list(sums[:m_max + 1])
 
 
-def exp_by_weight(logs: Sequence[tuple[RootFactor, Sequence[GradedPolynomial]]], table: GeneratorTable,
-                  max_weight: int, order: int) -> list[QColumns]:
+def exp_by_weight(logs: Sequence[tuple[RootFactor, Sequence[GradedPolynomial]]], max_weight: int,
+                  order: int) -> list[QColumns]:
     """``F[n]``: the weight-2n part of ``F = exp(S)``, ``S = sum_(log, s) sum_m s_m * [z^2m] log``.
 
     Each entry pairs the log of an even per-root factor with the power sums
@@ -174,7 +175,7 @@ def exp_by_weight(logs: Sequence[tuple[RootFactor, Sequence[GradedPolynomial]]],
 def exp_over_roots(logs: Sequence[tuple[RootFactor, Sequence[GradedPolynomial]]], table: GeneratorTable,
                    max_weight: int, order: int) -> PuiseuxSeries:
     """:func:`exp_by_weight` as one series, its weight pieces summed by one :func:`~anomcancel.algebra.mul_sum`."""
-    pieces = exp_by_weight(logs, table, max_weight, order)
+    pieces = exp_by_weight(logs, max_weight, order)
     return PuiseuxSeries.from_packed(mul_sum([(f, ONE, 1, [(0, 1)]) for f in pieces]),
                                      zero=GradedPolynomial.zero(table, max_weight))
 
@@ -223,13 +224,9 @@ def classical_genus(kind: str, fam: RootFamily, table: GeneratorTable,
     ``exp_half_c`` is ``e^{iu} = e^{w}``, the half line-class exponential.
     """
     if kind == "exp_half_c":
-        out = GradedPolynomial.one(table, max_weight)
-        fact = 1
-        for d in range(1, max_weight + 1):
-            fact *= d
-            out = out + GradedPolynomial.generator("w", table, max_weight, power=d).scale(
-                Fraction(1, fact))
-        return out
+        terms = (GradedPolynomial.generator("w", table, max_weight, power=d).scale(Fraction(1, factorial(d)))
+                 for d in range(1, max_weight + 1))
+        return sum(terms, GradedPolynomial.one(table, max_weight))
     zb = 2 * (max_weight // 2)
     log_sin = log_sin_over_z(zb)
     if kind == "ahat":

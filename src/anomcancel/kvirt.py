@@ -1,7 +1,9 @@
 """Lambda-ring calculus on bundles given by their Chern characters.
 
 A bundle is its character polynomial: the rank is the constant term, and
-the Adams operation ``psi^m`` scales the weight-w part by ``m^w``.  The
+the Adams operation ``psi^m`` scales the weight-w part by ``m^w``.  Every
+bundle the verifier uses (tangent, auxiliary, and the spin^c line pair) is
+the complexified bundle of a root family (:func:`complexified_bundle`).  The
 exterior/symmetric power series are the classical lambda-ring exponentials,
 so everything extends to virtual arguments automatically:
 
@@ -19,9 +21,10 @@ path: both must produce the same character forms coefficient by coefficient.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 from .algebra import AlgebraError, GradedPolynomial, GeneratorTable
-from .genus import FAMILY_TM, FAMILY_V, RootFamily, additive_over_roots
+from .genus import RootFamily, additive_over_roots
 from .qseries import HALF_UNIT, Q_UNIT, PuiseuxSeries
 
 
@@ -35,8 +38,8 @@ def adams(E: GradedPolynomial, m: int) -> GradedPolynomial:
 
     On the line pair ``2 cosh 2w`` it gives ``2 cosh 4w``:
 
-    >>> from anomcancel.genus import build_generator_table
-    >>> L = line_pair_bundle(build_generator_table(1, 0, True, 4), 4)
+    >>> from anomcancel.genus import LINE, build_generator_table
+    >>> L = complexified_bundle(LINE, build_generator_table(1, 0, True, 4), 4)
     >>> L.to_text(), adams(L, 2).to_text()
     ('2 + 4*w^2 + 4/3*w^4', '2 + 16*w^2 + 64/3*w^4')
     """
@@ -55,36 +58,14 @@ def lambda_power(E: GradedPolynomial, i: int) -> GradedPolynomial:
     return _exp(log, E.one_like(), i).coefficient(i)
 
 
-def tangent_bundle(n_roots: int, table: GeneratorTable, max_weight: int) -> GradedPolynomial:
-    """Complexified tangent bundle: ``sum_j (e^{2iz_j} + e^{-2iz_j})``."""
-    return _cosine_bundle(RootFamily(FAMILY_TM, n_roots), table, max_weight)
+def complexified_bundle(fam: RootFamily, table: GeneratorTable, max_weight: int) -> GradedPolynomial:
+    """``sum_j (e^{2iz_j} + e^{-2iz_j})``, each root's ``2 cos 2z`` being ``sum_m 2(-4)^m z^{2m} / (2m)!``.
 
-
-def aux_bundle(n_roots: int, table: GeneratorTable, max_weight: int) -> GradedPolynomial:
-    """Complexified auxiliary bundle of rank ``2 * n_roots``."""
-    return _cosine_bundle(RootFamily(FAMILY_V, n_roots), table, max_weight)
-
-
-def _cosine_bundle(fam: RootFamily, table: GeneratorTable, max_weight: int) -> GradedPolynomial:
-    # e^{2iz} + e^{-2iz} = 2 cos 2z = sum 2(-4)^m z^{2m} / (2m)!
-    coeffs = []
-    fact = 1
-    for m in range(0, max_weight // 2 + 1):
-        if m:
-            fact *= (2 * m - 1) * (2 * m)
-        coeffs.append(2 * Fraction((-4) ** m, fact))
+    Rank ``2n``.  On :data:`~anomcancel.genus.LINE`, whose squared root is
+    ``-w^2``, it is the line pair ``L + conj(L) = 2 cosh 2w``.
+    """
+    coeffs = [2 * Fraction((-4) ** m, factorial(2 * m)) for m in range(max_weight // 2 + 1)]
     return additive_over_roots(coeffs, fam, table, max_weight)
-
-
-def line_pair_bundle(table: GeneratorTable, max_weight: int) -> GradedPolynomial:
-    """The complexified line ``L + conj(L)``: ``e^{2iu} + e^{-2iu} = 2 cosh 2w``, rank 2."""
-    out = GradedPolynomial.scalar(2, table, max_weight)
-    fact = 1
-    for d in range(2, max_weight + 1, 2):
-        fact *= (d - 1) * d
-        out = out + GradedPolynomial.generator("w", table, max_weight, power=d).scale(
-            2 * Fraction(2 ** d, fact))
-    return out
 
 
 # (on the line?, first step in lattice units, sign) of each object's exterior strings;

@@ -266,10 +266,10 @@ def decompose(P: QColumns, k: int, zero: GradedPolynomial) -> Decomposition:
                                   if i * P.step % HALF_UNIT):
         raise AlgebraError("decomposition input must live on the half-integer lattice")
     n_unknowns = k // 2 + 1
-    if P.bound < Q_UNIT * n_unknowns:
+    order = _known_order(P)
+    if order < n_unknowns:
         raise AlgebraError(
             f"series order {P.bound} lattice units cannot determine {n_unknowns} coefficients")
-    order = P.bound // Q_UNIT
     minor = leading_minor(k, order)
     inv = unit_lower_inverse(minor)
     at = [divmod(HALF_UNIT * j, P.step) for j in range(n_unknowns)]
@@ -298,7 +298,14 @@ def transfer_residual(P1: QColumns, h: list[GradedPolynomial], l: int, k: int,
     """
     if len(h) != k // 2 + 1:
         raise AlgebraError("coefficient list length does not match k")
-    return _packed_sum(P1, h, _basis_rows(GROUP_LOWER, k, P1.bound // Q_UNIT), -(2 ** l), zero)
+    return _packed_sum(P1, h, _basis_rows(GROUP_LOWER, k, _known_order(P1)), -(2 ** l), zero)
+
+
+def _known_order(P: QColumns) -> int:
+    """The last whole power of q a residual against ``P`` is checked through."""
+    if P.bound is None:
+        raise AlgebraError("an exact series has no finite order to check a residual against")
+    return P.bound // Q_UNIT
 
 
 def integrality_report(order: int) -> dict[str, bool]:

@@ -610,7 +610,7 @@ def reference_P(setting, which: str) -> PuiseuxSeries:
     """
     s = setting
     W = s.weight
-    table = build_generator_table(s.tm_roots, W // 2, s.spin_c, W)
+    table = build_generator_table(W, W // 2, s.spin_c, W)
 
     def log(kind):
         return theta_log(kind, s.n_q, W)
@@ -618,10 +618,10 @@ def reference_P(setting, which: str) -> PuiseuxSeries:
     def over(kind, fam):
         return prod_over_roots(log(kind), fam, table, W, s.n_q)
 
-    tm = RootFamily(FAMILY_TM, s.tm_roots)
+    tm = RootFamily(FAMILY_TM, W)
     a = over("a", tm)
     if s.kind == "spin4k":
-        core = (a * (over("t1", tm) + over("t2", tm) + over("t3", tm))).scale(2 ** s.tm_roots)
+        core = (a * (over("t1", tm) + over("t2", tm) + over("t3", tm))).scale(2 ** W)
     elif s.kind == "spinc4k":
         at_line = [eval_at_var(log(t), table, W, s.n_q) for t in ("t1", "t2", "t3")]
         core = a * at_line[0] * at_line[1] * at_line[2]

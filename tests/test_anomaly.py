@@ -6,7 +6,7 @@ import pytest
 
 from anomcancel import anomaly
 from anomcancel.algebra import AlgebraError
-from anomcancel.anomaly import (build_P, cross_check_bundle_expansion,
+from anomcancel.anomaly import (DIVISIBILITY_IDS, build_P, cross_check_bundle_expansion,
                                 decompose_setting, divisibility_check, get_env,
                                 make_setting, structural_checks, verify_theorem)
 from anomcancel.genus import build_generator_table
@@ -30,7 +30,7 @@ def test_setting_validation():
     with pytest.raises(AlgebraError):
         make_setting("weird", 1, 1)
     s = make_setting("spinc4k2", 2, 1)
-    assert s.weight == 5 and s.dim == 10 and s.tm_roots == 5
+    assert s.weight == 5 and s.dim == 10
 
 
 def test_spin_theorems_pass():
@@ -205,6 +205,44 @@ def test_divisibility_respects_assumed_valuation():
     # with v2(h) = 2 the implied power for the gap case reaches 32
     a = divisibility_check("4.9", 0, assumed_v2_h=2)
     assert a.implied_exponent == 5 and a.outcome == "PASS"
+
+
+def _retyped_exponent(corollary, m, l, assumed_v2_h):
+    """The audit's exponent in closed form, ``k = 2m+1``: ``min_r (l+k-6r)``, or
+    ``min_(r>=1) (l+k+6-6r+v2(r))`` for the q^1 corollaries, plus the assumed valuation."""
+    k = 2 * m + 1
+    if anomaly._DIV_TABLE[corollary][2]:
+        exps = [l + k + 6 - 6 * r + (r & -r).bit_length() - 1 for r in range(1, k // 2 + 1)]
+    else:
+        exps = [l + k - 6 * r for r in range(k // 2 + 1)]
+    return min(exps) + assumed_v2_h if exps else None
+
+
+@pytest.mark.parametrize("corollary", DIVISIBILITY_IDS)
+def test_audit_exponents_are_the_valuations_of_the_verified_scalars(corollary):
+    for m in range(4):
+        for l in range(4 * m + 2, 4 * m + 6):
+            for assumed in (0, 1):
+                audit = divisibility_check(corollary, m, l=l, assumed_v2_h=assumed)
+                assert audit.implied_exponent == _retyped_exponent(corollary, m, l, assumed)
+
+
+def test_audit_and_identities_read_one_list_of_scalars(monkeypatch):
+    """Doubling the right-side scalars moves the audit's exponent and breaks the identity."""
+    assert divisibility_check("3.6", 1).implied_exponent == 4
+    assert verify_theorem("3.1", k=3, l=2).status == "PASS"
+    real = anomaly.rhs_coefficients
+    monkeypatch.setattr(anomaly, "rhs_coefficients", lambda k, l, q1: [2 * c for c in real(k, l, q1)])
+    assert divisibility_check("3.6", 1).implied_exponent == 5
+    report = verify_theorem("3.1", k=3, l=2)
+    assert not report.checks["main_identity"].zero and report.status == "FAIL"
+
+
+def test_v2_of_a_rational():
+    assert anomaly._v2(Fraction(-12, 5)) == 2
+    assert anomaly._v2(Fraction(3, 8)) == -3
+    with pytest.raises(AlgebraError):
+        anomaly._v2(Fraction(0))
 
 
 def test_report_json_deterministic():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -233,6 +234,25 @@ def test_suite_json_hash_is_pinned(capsys):
     code, parallel, _ = run(capsys, "suite", "--format", "json", "--parallel", "2")
     assert code == 0
     assert parallel == serial
+
+
+# sha256 of the concatenated `verify --format json` stdout of every operation the benchmark's
+# verify workloads can pick, per basis, as tools/output_hashes.py prints it
+VERIFY_OPERATIONS_SHA256 = {
+    "standard": "de96116cc1d47677666c50a5879f7af76641eaae3e7a705fbf40671b1dcab5d4",
+    "normalized": "d422e521b375f653ac62467a62e99af6258c881117f7c9c488416c6590ac449b",
+}
+
+
+@pytest.mark.parametrize("basis", list(VERIFY_OPERATIONS_SHA256))
+def test_benchmark_verify_operations_are_pinned(monkeypatch, basis):
+    """Refactor gate: the benchmark's verify operations print the recorded bytes, hashed by the tool."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
+    import output_hashes
+    digest = hashlib.sha256()
+    for op in output_hashes.workloads.all_verify_operations():
+        digest.update(output_hashes._stdout_of(output_hashes._verify_argv(op, basis)))
+    assert digest.hexdigest() == VERIFY_OPERATIONS_SHA256[basis]
 
 
 # (exit code, sha256 of stdout) of `verify --theorem ID [--k K] --l L --format FORMAT`, one

@@ -53,7 +53,7 @@ def test_exp_pieces_carry_the_exp_bound(kind, log_order, order, bound):
     less, even a piece with no product, and a packed read past that bound raises."""
     table = build_generator_table(2, 0, False, 4)
     sums = power_sums_gp(RootFamily(FAMILY_TM, 2), 2, table, 4)
-    pieces = exp_by_weight([(theta_log(kind, log_order, 4), sums)], table, 4, order)
+    pieces = exp_by_weight([(theta_log(kind, log_order, 4), sums)], 4, order)
     assert [f.bound for f in pieces] == [bound] * 3
     for f in pieces:
         with pytest.raises(TruncationError):

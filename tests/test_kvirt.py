@@ -4,9 +4,9 @@ from functools import lru_cache
 import pytest
 
 from anomcancel.algebra import GradedPolynomial
-from anomcancel.genus import build_generator_table
-from anomcancel.kvirt import (adams, aux_bundle, lambda_power, lambda_string, line_pair_bundle,
-                              reduced, tangent_bundle, theta_object)
+from anomcancel.genus import FAMILY_TM, FAMILY_V, LINE, RootFamily, build_generator_table
+from anomcancel.kvirt import (adams, complexified_bundle, lambda_power, lambda_string, reduced,
+                              theta_object)
 from anomcancel.qseries import PuiseuxSeries
 from helpers import string_product_oracle, theta_strings
 
@@ -17,9 +17,9 @@ FLAVOURS = [(False, +1), (False, -1), (True, +1), (True, -1)]
 @lru_cache(maxsize=None)
 def setup_bundles(W=4):
     table = build_generator_table(2, 1, True, W)
-    T = tangent_bundle(2, table, W)
-    V = aux_bundle(1, table, W)
-    L = line_pair_bundle(table, W)
+    T = complexified_bundle(RootFamily(FAMILY_TM, 2), table, W)
+    V = complexified_bundle(RootFamily(FAMILY_V, 1), table, W)
+    L = complexified_bundle(LINE, table, W)
     return table, T, V, L
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from anomcancel import modforms
-from anomcancel.algebra import AlgebraError, GradedPolynomial
+from anomcancel.algebra import AlgebraError, GradedPolynomial, QColumns
 from anomcancel.anomaly import divisibility_check
 from anomcancel.genus import build_generator_table
 from anomcancel.modforms import (GROUP_LOWER, GROUP_UPPER, basis_element, decompose,
@@ -120,6 +120,18 @@ def test_decompose_validates_input():
     short = _scalar_gp_series(PuiseuxSeries({0: Fraction(1)}, 8, Fraction(0)), table, 2)
     with pytest.raises(AlgebraError):
         _decompose(short, 2)  # cannot determine 2 coefficients from order 8
+
+
+@pytest.mark.parametrize("operation", ["decompose", "transfer_residual"])
+def test_an_exact_series_has_no_order_to_check_against(operation):
+    """A packed series with no bound has no finite order to check a residual against."""
+    zero = GradedPolynomial.zero(build_generator_table(1, 0, True, 2), 2)
+    exact = QColumns(1, 4, {0: [-1, -24]})
+    with pytest.raises(AlgebraError, match="no finite order"):
+        if operation == "decompose":
+            decompose(exact, 1, zero)
+        else:
+            transfer_residual(exact, [GradedPolynomial.one(zero.table, 2)], 1, 1, zero)
 
 
 def test_transfer_detects_perturbation():
