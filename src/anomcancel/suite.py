@@ -9,18 +9,18 @@ q^0, q^(1/2) and q^1; it and a structural row render their checks as a
 verify report does.  Case reports carry no timestamps or timings, so suite
 output is byte-identical across runs and across worker counts.
 
-With more than one worker the cases go out in shards: every theorem,
-cross-check and structural case of one (kind, k, n_q) family in one shard, so
-a worker builds the family's l-free tangent half once and reuses it for every
-l; the theta layer and each audit go alone.  The heaviest shards go first,
-and the results come back in grid order.
+With ``parallel=N``, N processes (the caller and N-1 it forks) pull shards,
+heaviest first, from one pipe: every theorem, cross-check and structural case
+of one (kind, k, n_q) family in one shard, so a process builds the family's
+l-free tangent half once and reuses it for every l; the theta layer and each
+audit go alone.  The results come back in grid order.  Where the platform
+cannot fork, the suite runs serially.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,6 +30,7 @@ from .qseries import HALF_UNIT, Q_UNIT
 from .theta import jacobi_residual
 
 THETA_LAYER_ORDER = 10
+_RECORD = 4     # bytes per shard number in the work pipe, which holds thousands of them
 
 # leading terms of the four generators, as printed coefficient tables
 _LEADING = {
@@ -166,28 +167,80 @@ def _shards(cases: list[SuiteCase]) -> list[list[int]]:
     return [idx for _, idx in ranked]
 
 
-def _run_shard(shard: list[SuiteCase]) -> list[dict]:
-    return [run_case(c) for c in shard]
+def _pull(queue: int, tasks: list[list[SuiteCase]]) -> list:
+    """``[number, results]`` for each task number read off the ``queue`` pipe until it is empty."""
+    done = []
+    while record := os.read(queue, _RECORD):
+        n = int.from_bytes(record, "little")
+        done.append([n, [run_case(c) for c in tasks[n]]])
+    return done
+
+
+def _run_forked(workers: int, tasks: list[list[SuiteCase]]) -> list:
+    """``[number, results]`` for every task, from this process and ``workers - 1`` forked ones.
+
+    A child sends its pairs as JSON on a pipe of its own once the work pipe is
+    empty, or, if it raised, its traceback, which is raised here as ``RuntimeError``.
+    No child outlives the call.
+    """
+    queue, fill = os.pipe()
+    os.write(fill, b"".join(n.to_bytes(_RECORD, "little") for n in range(len(tasks))))
+    os.close(fill)
+    children: dict[int, int] = {}      # pid -> read end of its result pipe, until reaped
+    try:
+        for _ in range(workers - 1):
+            reply, send = os.pipe()
+            pid = os.fork()
+            if pid == 0:                # the child never returns into the caller's stack
+                code = 1
+                try:
+                    try:
+                        text, code = json.dumps(_pull(queue, tasks)), 0
+                    except Exception:
+                        import traceback
+                        text = traceback.format_exc()
+                    with open(send, "w", encoding="utf-8") as out:
+                        out.write(text)
+                finally:
+                    os._exit(code)
+            os.close(send)
+            children[pid] = reply
+        done = _pull(queue, tasks)
+        for pid in list(children):
+            with open(children[pid], encoding="utf-8", closefd=False) as answer:
+                text = answer.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            os.close(children.pop(pid))
+            if status:
+                raise RuntimeError(f"suite worker exited with status {status}:\n{text}")
+            done += json.loads(text)
+        return done
+    finally:
+        os.close(queue)
+        for pid, reply in children.items():    # left only when something raised
+            import signal               # here, not at the top: it costs every cold import ~1 ms
+            os.close(reply)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def run_suite(n_q: int | None = None, parallel: int = 1) -> dict:
     """Run the whole grid; the result dict is deterministic and JSON-ready.
 
-    ``parallel`` asks for that many worker processes; at most one per CPU and
-    one per shard is started.
+    ``parallel`` asks for that many processes, this one included; at most one
+    per CPU and one per shard compute, and only this one where ``os.fork`` is
+    missing.  The result is byte-identical at every count.
     """
     if parallel < 1:
         raise ValueError(f"parallel must be >= 1, got {parallel}")
     cases = suite_cases(n_q)
     shards = _shards(cases)
     workers = min(parallel, os.cpu_count() or 1, len(shards))
-    if workers > 1:
+    if workers > 1 and hasattr(os, "fork"):
         results: list = [None] * len(cases)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = pool.map(_run_shard, [[cases[i] for i in idx] for idx in shards])
-            for idx, shard_results in zip(shards, done):
-                for i, r in zip(idx, shard_results):
-                    results[i] = r
+        for n, shard_results in _run_forked(workers, [[cases[i] for i in idx] for idx in shards]):
+            for i, r in zip(shards[n], shard_results):
+                results[i] = r
     else:
         results = [run_case(c) for c in cases]
     counts = {"PASS": 0, "PASS_WITH_VARIANT": 0, "GAP": 0, "FAIL": 0}

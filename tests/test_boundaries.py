@@ -9,9 +9,17 @@ lattice units) are shared ground.  No oracle in ``tests/helpers.py`` may
 reach the fast packed kernel (``mul_sum`` and its ``field_width``) it checks,
 and no library module but ``algebra`` names the monomial packing: the others
 go through ``QColumns.of`` and ``QColumns.coefficient``.
+
+One guard runs an import instead of reading one: ``import anomcancel`` loads
+no process-pool machinery, which would cost every ``verify`` more time than
+its computation.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -100,3 +108,14 @@ def test_string_oracle_reads_only_algebra_and_series_from_the_library():
     used = {sources[n.id] for name in STRING_ORACLE for n in ast.walk(defs[name])
             if isinstance(n, ast.Name) and n.id in sources}
     assert used <= {"fractions", f"{PACKAGE}.algebra", f"{PACKAGE}.qseries"}, used
+
+
+def test_import_loads_no_process_pool():
+    """A fresh interpreter imports the package and its CLI without ``concurrent`` or ``multiprocessing``."""
+    code = "import json, sys, anomcancel, anomcancel.cli; print(json.dumps([anomcancel.__file__, *sys.modules]))"
+    env = dict(os.environ, PYTHONPATH=str(SOURCES.parent))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True, timeout=60)
+    origin, *loaded = json.loads(done.stdout)
+    assert Path(origin).parent == SOURCES and "anomcancel.suite" in loaded
+    assert not [m for m in loaded if m.split(".")[0] in ("concurrent", "multiprocessing")]

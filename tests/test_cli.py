@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import select
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -103,116 +104,154 @@ def test_suite_qorder_guard(capsys):
 
 
 @pytest.fixture
-def recording_pool(monkeypatch):
-    """Every pool the suite opens: ``sizes`` holds each ``max_workers``, ``tasks`` what it mapped.
+def recording_runner(monkeypatch):
+    """Every process runner the suite starts: ``sizes`` holds each worker count, ``tasks`` its shards.
 
-    The pool is replaced by one that maps in-process, so no worker starts.
+    The runner is replaced by one that runs every shard in-process, so nothing is forked.
     """
     record = SimpleNamespace(sizes=[], tasks=[])
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            record.sizes.append(max_workers)
+    def run_in_process(workers, tasks):
+        record.sizes.append(workers)
+        record.tasks.extend(tasks)
+        return [[n, [suite.run_case(c) for c in task]] for n, task in enumerate(tasks)]
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            items = list(items)
-            record.tasks.extend(items)
-            return map(fn, items)
-
-    monkeypatch.setattr(suite, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(suite, "_run_forked", run_in_process)
     return record
 
 
 @pytest.fixture
-def pool_sizes(monkeypatch, recording_pool):
-    """``max_workers`` of every pool the suite opens; the grid is cut to three audits."""
+def three_audits(monkeypatch):
+    """The grid cut to its first three audits: three shards of one case each."""
     real_cases = suite.suite_cases
     monkeypatch.setattr(suite, "suite_cases",
                         lambda n_q=None: [c for c in real_cases(n_q) if c.kind == "divisibility"][:3])
-    return recording_pool.sizes
 
 
-# (argv, expected exit code, check on (stdout, stderr, pool sizes)); the suite
+@pytest.fixture
+def runner_sizes(three_audits, recording_runner):
+    """Worker count of every runner the suite starts, on the grid cut to three audits."""
+    return recording_runner.sizes
+
+
+# (argv, expected exit code, check on (stdout, stderr, runner sizes)); the suite
 # rows run three cases on a machine that reports four CPUs
 EXIT_CODE_TABLE = [
     (["decompose", "--setting", "spinc4k2", "--k", "1", "--l", "1", "--which", "P1"], 1,
-     lambda out, err, pools: json.loads(out)["residual_zero"] is False),
+     lambda out, err, runs: json.loads(out)["residual_zero"] is False),
     (["expand", "--object", "factor-a", "--weight", "-1"], 2,
-     lambda out, err, pools: "--weight" in err),
+     lambda out, err, runs: "--weight" in err),
     (["expand", "--object", "factor-d", "--weight", "0"], 2,
-     lambda out, err, pools: err.startswith("error:") and out == ""),
+     lambda out, err, runs: err.startswith("error:") and out == ""),
     (["expand", "--object", "delta1", "--order", "-1"], 2,
-     lambda out, err, pools: "--order" in err),
+     lambda out, err, runs: "--order" in err),
     (["expand", "--object", "P1", "--k", "1", "--l", "1", "--order", "99"], 0,
-     lambda out, err, pools: json.loads(out)["order"] == 6),
+     lambda out, err, runs: json.loads(out)["order"] == 6),
     (["verify", "--theorem", "3.1", "--k", "1", "--output", "/nonexistent/d/x.json"], 2,
-     lambda out, err, pools: err.startswith("error:") and "/nonexistent/d/x.json" in err),
+     lambda out, err, runs: err.startswith("error:") and "/nonexistent/d/x.json" in err),
     (["expand", "--object", "basis", "--k", "-1"], 2,
-     lambda out, err, pools: "k=-1" in err),
+     lambda out, err, runs: "k=-1" in err),
     (["suite", "--parallel", "0"], 2,
-     lambda out, err, pools: "parallel must be >= 1" in err and pools == []),
+     lambda out, err, runs: "parallel must be >= 1" in err and runs == []),
     (["suite", "--parallel", "1000"], 0,
-     lambda out, err, pools: pools == [3]),
+     lambda out, err, runs: runs == [3]),
     (["verify", "--theorem", "3.6", "--m", "0", "--k", "7", "--l", "9"], 2,
-     lambda out, err, pools: "2m+1" in err),
+     lambda out, err, runs: "2m+1" in err),
     (["verify", "--theorem", "3.6", "--m", "0", "--l", "9"], 0,
-     lambda out, err, pools: (json.loads(out)["k"], json.loads(out)["l"]) == (1, 9)),
+     lambda out, err, runs: (json.loads(out)["k"], json.loads(out)["l"]) == (1, 9)),
     (["verify", "--theorem", "3.6", "--m", "1", "--qorder", "2"], 2,
-     lambda out, err, pools: err.startswith("error:") and "--qorder" in err and out == ""),
+     lambda out, err, runs: err.startswith("error:") and "--qorder" in err and out == ""),
     (["verify", "--theorem", "3.1", "--k", "1", "--m", "5", "--v2h", "7"], 2,
-     lambda out, err, pools: err.startswith("error:") and "--m, --v2h do not apply" in err and out == ""),
+     lambda out, err, runs: err.startswith("error:") and "--m, --v2h do not apply" in err and out == ""),
     (["verify", "--theorem", "3.1", "--k", "1", "--m", "0"], 2,
-     lambda out, err, pools: "--m does not apply" in err and out == ""),
+     lambda out, err, runs: "--m does not apply" in err and out == ""),
     (["verify", "--theorem", "3.1", "--k", "1", "--v2h", "1"], 2,
-     lambda out, err, pools: "--v2h does not apply" in err and out == ""),
+     lambda out, err, runs: "--v2h does not apply" in err and out == ""),
     (["verify", "--theorem", "3.6", "--m", "1", "--basis", "normalized", "--timings"], 2,
-     lambda out, err, pools: "--basis, --timings do not apply" in err and out == ""),
+     lambda out, err, runs: "--basis, --timings do not apply" in err and out == ""),
     (["verify", "--theorem", "3.6", "--m", "1", "--basis", "standard"], 2,
-     lambda out, err, pools: "--basis does not apply" in err and out == ""),
+     lambda out, err, runs: "--basis does not apply" in err and out == ""),
     (["verify", "--theorem", "3.6", "--m", "1", "--timings"], 2,
-     lambda out, err, pools: "--timings does not apply" in err and out == ""),
+     lambda out, err, runs: "--timings does not apply" in err and out == ""),
     (["verify", "--theorem", "3.6", "--m", "1", "--v2h", "2"], 0,
-     lambda out, err, pools: json.loads(out)["assumed_v2_h"] == 2),
+     lambda out, err, runs: json.loads(out)["assumed_v2_h"] == 2),
     (["verify", "--theorem", "3.6"], 0,
-     lambda out, err, pools: (json.loads(out)["m"], json.loads(out)["assumed_v2_h"]) == (0, 1)),
+     lambda out, err, runs: (json.loads(out)["m"], json.loads(out)["assumed_v2_h"]) == (0, 1)),
     (["verify", "--theorem", "3.1", "--k", "1", "--basis", "normalized", "--timings"], 0,
-     lambda out, err, pools: {"elapsed_seconds", "h_normalized"} <= set(json.loads(out))),
+     lambda out, err, runs: {"elapsed_seconds", "h_normalized"} <= set(json.loads(out))),
 ]
 
 
 @pytest.mark.parametrize("argv,code,check", EXIT_CODE_TABLE,
                          ids=[" ".join(row[0]) for row in EXIT_CODE_TABLE])
-def test_exit_code_contract(capsys, monkeypatch, pool_sizes, argv, code, check):
-    """1 = FAIL or GAP, 2 = usage error; the pool never exceeds CPUs or cases."""
+def test_exit_code_contract(capsys, monkeypatch, runner_sizes, argv, code, check):
+    """1 = FAIL or GAP, 2 = usage error; the runner never exceeds CPUs or cases."""
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     got, out, err = run(capsys, *argv)
     assert got == code, err
-    assert check(out, err, pool_sizes)
+    assert check(out, err, runner_sizes)
 
 
-def test_suite_workers_clamped_to_cpus(monkeypatch, pool_sizes):
+def test_suite_workers_clamped_to_cpus(monkeypatch, runner_sizes):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert suite.run_suite(parallel=64)["all_ok"]
-    assert pool_sizes == [2]
+    assert runner_sizes == [2]
 
 
-def test_parallel_suite_shards_by_family(monkeypatch, recording_pool):
+def test_suite_runs_serially_where_fork_is_missing(monkeypatch, runner_sizes):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    serial = suite.run_suite()
+    monkeypatch.delattr(os, "fork")
+    assert suite.run_suite(parallel=2) == serial
+    assert runner_sizes == []
+
+
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_failed_shard_raises_and_leaves_no_child(monkeypatch, three_audits, failing):
+    """A fault planted in ``run_case`` reaches the caller, and no forked process outlives it.
+
+    The failing process raises on the first case it runs, so one case id fails; the
+    other process waits at its first case until then, so each side is sure to run a
+    shard.  A worker's fault comes back as ``RuntimeError`` carrying its traceback.
+    """
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    caller, real_run_case = os.getpid(), suite.run_case
+    raised_r, raised_w = os.pipe()
+
+    def planted(case):
+        if (os.getpid() == caller) == (failing == "caller"):
+            os.write(raised_w, b"!")
+            raise ValueError(f"planted fault in {case.case_id}")
+        select.select([raised_r], [], [], 30)
+        return real_run_case(case)
+
+    monkeypatch.setattr(suite, "run_case", planted)
+    try:
+        with pytest.raises(RuntimeError if failing == "worker" else ValueError,
+                           match="planted fault in divisibility"):
+            suite.run_suite(parallel=2)
+    finally:
+        os.close(raised_r)
+        os.close(raised_w)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    monkeypatch.setattr(suite, "run_case", real_run_case)
+    serial = suite.run_suite()
+    assert serial["all_ok"]
+    assert suite.run_suite(parallel=2) == serial
+
+
+def test_parallel_suite_shards_by_family(monkeypatch, recording_runner):
     """One task per (kind, k, n_q) family, one for the theta layer, one per audit;
     the sharded result equals the serial one."""
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     serial = suite.run_suite()
-    assert recording_pool.sizes == []
+    assert recording_runner.sizes == []
     family = {r["case"]: tuple(r["report"]["setting"][f] for f in ("kind", "k", "n_q"))
               for r in serial["cases"] if "setting" in r["report"]}
     assert suite.run_suite(parallel=2) == serial
-    assert recording_pool.sizes == [2]
-    tasks = recording_pool.tasks
+    assert recording_runner.sizes == [2]
+    tasks = recording_runner.tasks
     assert len(tasks) == 20
     families = [{family[c.case_id] for c in task if c.case_id in family} for task in tasks]
     assert all(len(f) <= 1 for f in families)                          # no task mixes families
