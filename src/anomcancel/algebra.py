@@ -405,10 +405,6 @@ class GradedPolynomial:
             terms[exps] = c
         return GradedPolynomial(normalized_table, terms, self.max_weight)
 
-    def is_real(self) -> bool:
-        """True when no coefficient has an imaginary part (always, for ``Fraction``)."""
-        return not any(c.imag for c in self.terms.values())
-
     def sorted_terms(self):
         """Terms in canonical order: by weight, then by exponent vector."""
         return sorted(self.terms.items(), key=lambda item: (self.table.monomial_weight(item[0]), item[0]))

@@ -21,22 +21,28 @@ Apart from the verdicts, :func:`cross_check_bundle_expansion` compares the two
 routes as whole series: one residual per P-series, the theta route minus the
 lambda-ring route, through the q-order asked for.
 
-All comparisons are exact equalities of graded polynomials; a report's status
-is PASS only when every gating residual is identically zero.
+All comparisons are exact; a status is PASS only when every gating residual
+is identically zero, and each gating check can fail
+(``tests/test_check_census.py``).  Given the paper's modularity,
+``transfer_residual`` through ``q^(k//2)``, the Sturm bound (1987) of weight
+2k on an index-3 group, is a proof; ``printed_identity_tangent_twist`` is an
+identity of characteristic classes, checked in full.  The code's consistency:
+``decomposition_residual`` past the solved positions,
+``p3_equals_p2_sign_flipped``, ``p1_half_coefficient``, ``tilde_vs_untilde``
+and the degenerate checks.  Route agreement: the crosscheck rows and the
+checks against sides built from genera and bundles (``main_identity``,
+``constant_term_identity``, ``p1_constant_term``, ``p1_q1_coefficient``,
+``h*_closed_form``).  The non-gating checks are informational.
 
-A setting's work splits in two.  The tangent half (the table, the core of
-step 1, the tangent genera and the tangent side of the lambda-ring path)
-depends only on (kind, k, n_q) and is memoized in ``_tangent_cache``, so a
-grid over l builds it once; its lambda-ring series is memoized by order.  The
-rest (the auxiliary bundle, the P-series and the decomposition) is per
-setting, in ``_env_cache``.
-
-The P-series stay in packed integer form (``_Env.packed``), each carrying
-the lattice bound it is known through: the decomposition, the transfer and
-the P3-vs-P2 sign-flip check read them as they are, and the identity checks
-and the cross-check read coefficients (``_Env.coefficient``), which raise
-past the bound.
-Only :func:`build_P` turns a whole P-series into polynomials.
+The tangent half of a setting (the table, the core of step 1, the tangent
+genera and the tangent side of the lambda-ring path) depends only on (kind,
+k, n_q) and is memoized in ``_tangent_cache``, so a grid over l builds it
+once, with its lambda-ring series by order; the rest is per setting, in
+``_env_cache``.  The P-series stay packed (``_Env.packed``), known through
+their lattice bound: the decomposition, the transfer and the sign-flip check
+read them as they are, the other checks read coefficients
+(``_Env.coefficient``), which raise past the bound, and only :func:`build_P`
+turns a whole P-series into polynomials.
 """
 
 from __future__ import annotations
@@ -360,7 +366,6 @@ class VerificationReport:
     checks: dict[str, Check] = field(default_factory=dict)
     h: list[GradedPolynomial] = field(default_factory=list)
     solve_coeffs: list[list[int]] = field(default_factory=list)
-    solve_integral: bool = True
     variant_notes: list[str] = field(default_factory=list)
     elapsed: float | None = None
 
@@ -369,8 +374,6 @@ class VerificationReport:
         for c in self.checks.values():
             if c.gating and not c.zero:
                 return "FAIL"
-        if not self.solve_integral:
-            return "FAIL"
         return "PASS_WITH_VARIANT" if self.variant_notes else "PASS"
 
     def to_json_obj(self, basis: str = "standard", include_timings: bool = False):
@@ -383,7 +386,6 @@ class VerificationReport:
             "h_standard": [p.to_standard_basis().to_text() for p in self.h],
             "checks": {name: c.to_json_obj(basis) for name, c in sorted(self.checks.items())},
             "solve_coeffs": [[str(x) for x in row] for row in self.solve_coeffs],
-            "solve_integral": self.solve_integral,
             "variant_notes": list(self.variant_notes),
         }
         if basis == "normalized":
@@ -393,26 +395,10 @@ class VerificationReport:
         return obj
 
 
-def _imag_part(p: GradedPolynomial) -> GradedPolynomial:
-    terms = {e: c.imag for e, c in p.terms.items() if c.imag}
-    return GradedPolynomial(p.table, terms, p.max_weight)
-
-
-def _reality_residual(env: _Env, polys: list[GradedPolynomial]) -> GradedPolynomial:
-    out = env.gp_zero
-    for p in polys:
-        std = p.to_standard_basis()
-        bad = _imag_part(std)
-        if bad:
-            out = out + bad.from_standard_basis(env.table)
-    return out
-
-
 def _pipeline(report: VerificationReport, env: _Env) -> Decomposition:
     dec = env.decomposition()
     report.h = dec.h
     report.solve_coeffs = dec.solve_coeffs
-    report.solve_integral = dec.integral_solve
     report.checks["decomposition_residual"] = Check(dec.residual)
     report.checks["transfer_residual"] = Check(
         transfer_residual(env.packed("P1"), dec.h, env.setting.l, env.setting.k, env.gp_zero))
@@ -446,10 +432,6 @@ def verify_theorem(theorem: str, k: int | None = None, l: int = 1,
         _verify_q1(report, env)
     else:
         _verify_corollary(report, env, theorem)
-
-    if env.setting.spin_c:
-        report.checks["reality_standard_basis"] = Check(
-            _reality_residual(env, report.h + [env.coefficient("P1", 0)]))
     report.elapsed = time.perf_counter() - t0
     return report
 
@@ -580,7 +562,6 @@ class DivisibilityAudit:
     assumed_v2_h: int
     claimed_exponent: int
     implied_exponent: int | None   # None: empty sum, divisible by everything
-    solve_integral: bool
     outcome: str                   # PASS or GAP
 
     def to_json_obj(self):
@@ -592,7 +573,6 @@ class DivisibilityAudit:
             "claimed_power_of_two": 2 ** self.claimed_exponent,
             "implied_power_of_two": None if self.implied_exponent is None else 2 ** self.implied_exponent,
             "empty_sum": self.implied_exponent is None,
-            "solve_integral": self.solve_integral,
             "outcome": self.outcome,
         }
 
@@ -608,8 +588,8 @@ def divisibility_check(corollary: str, m: int, l: int | None = None,
     ``v2(c_r) + assumed_v2_h`` over the nonzero ``c_r`` bounds the guaranteed
     power of two.  The audit compares that
     bound against the claimed modulus at the weakest admissible rank
-    ``l = 4m + 2`` and also re-confirms that the basis inversion is integral
-    (so the h_r really are integer combinations of index data).
+    ``l = 4m + 2``; like the decomposition, it also inverts the basis minor
+    in integers, so the h_r are integer combinations of index data.
     """
     if corollary not in DIVISIBILITY_IDS:
         raise AlgebraError(f"unknown divisibility corollary {corollary!r}")
@@ -630,5 +610,4 @@ def divisibility_check(corollary: str, m: int, l: int | None = None,
     unit_lower_inverse(leading_minor(k, k // 2 + 2))
 
     ok = implied is None or implied >= claimed
-    return DivisibilityAudit(corollary, m, k, l, assumed_v2_h, claimed, implied, True,
-                             "PASS" if ok else "GAP")
+    return DivisibilityAudit(corollary, m, k, l, assumed_v2_h, claimed, implied, "PASS" if ok else "GAP")

@@ -55,8 +55,6 @@ def _render_report_text(obj: dict) -> str:
     if obj.get("variant_notes"):
         for note in obj["variant_notes"]:
             lines.append(f"  variant: {note}")
-    if "solve_integral" in obj:
-        lines.append(f"  integral solve coefficients: {obj['solve_integral']}")
     return "\n".join(lines)
 
 
@@ -148,10 +146,9 @@ def _cmd_decompose(args) -> int:
     obj.update(dec.to_json_obj())
     payload = json.dumps(obj, indent=2) if args.format == "json" else \
         "\n".join([f"h[{r}] = {p.to_text()}" for r, p in enumerate(dec.h)]
-                  + [f"residual zero: {dec.residual_zero}",
-                     f"integral solve: {dec.integral_solve}"])
+                  + [f"residual zero: {dec.residual_zero}"])
     _write(payload, args.output)
-    return 0 if dec.residual_zero and dec.integral_solve else 1
+    return 0 if dec.residual_zero else 1
 
 
 def _cmd_suite(args) -> int:

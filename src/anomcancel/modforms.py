@@ -13,30 +13,25 @@ expansions (K. Liu, *Modular invariance and characteristic numbers*, 1995):
 A weight-2k form over the upper group decomposes as
 ``sum_r h_r (8*delta2)^(k-2r) eps2^r`` with ``0 <= r <= k//2``.  The basis is
 triangular: element ``r`` starts at ``q^(r/2)`` with unit leading coefficient,
-so the ``h_r`` are solved successively from the first coefficients and, since
-the basis expansions are integral, each ``h_r`` is an integer combination of
-the input coefficients.  The residual against the *full* available order is
-the q-expansion witness that the input really lies in the span.
+so the ``h_r`` are integer combinations of the first ``k//2 + 1``
+coefficients, the Sturm count of weight 2k on an index-3 group (Sturm 1987).
+For a modular input those decide the form, so the residual at the further
+orders tests that the input is modular; on the lower group a transfer
+residual that is zero through ``q^(k//2)`` proves the transfer.
 
 Everything runs in the packed integer form of
-:class:`~anomcancel.algebra.QColumns`.  Each group's pair ``(8*delta, eps)``
-is built once per order by one divisor sieve (:func:`_divisor_sums`): the
-upper pair on step 4 (``q^(1/2)``), the lower pair on step 8 with
-``16*eps1`` over the denominator 16.  The rows ``(8*delta)^(k-2r) eps^r`` of
-one ``(group, k, order)`` are built together from shared powers of
-``(8*delta)^2`` and ``eps`` by :func:`~anomcancel.algebra.mul_sum`.  A
-residual ``P - s * sum_r h_r * row_r`` is one ``mul_sum``, each ``h_r`` a
-single-position operand, and only its nonzero result turns into
-polynomials.  The ``h_r`` themselves come from P2's integer numerators: the
-leading minor is unit lower-triangular with integer entries, so
-back-substitution needs no division, and it is checked against the minor's
-integer inverse (:func:`unit_lower_inverse`).  :func:`decompose` and
-:func:`transfer_residual` take the packed series the verdict path holds,
-which carries the lattice bound it is known through, and the polynomial
-ring its monomials pack; each ``h_r`` leaves it by ``QColumns.coefficient``
-and re-enters it by ``QColumns.of``.  The
-generators and rows carry the bound ``q^order``, so each residual is known
-through the lesser of the series' bound and the basis order.
+:class:`~anomcancel.algebra.QColumns`.  One divisor sieve
+(:func:`_divisor_sums`) builds each group's pair ``(8*delta, eps)`` per
+order: the upper pair on step 4 (``q^(1/2)``), the lower on step 8 with
+``16*eps1`` over 16.  The rows of one ``(group, k, order)`` share the powers
+of ``(8*delta)^2`` and ``eps``, and a residual ``P - s * sum_r h_r * row_r``
+is one :func:`~anomcancel.algebra.mul_sum`.  The ``h_r`` come from P2's
+integer numerators by back-substitution, with no division, checked against
+the minor's integer inverse (:func:`unit_lower_inverse`).  :func:`decompose`
+and :func:`transfer_residual` take the packed series the verdict path holds,
+with its lattice bound; each ``h_r`` leaves the packed form by
+``QColumns.coefficient`` and re-enters by ``QColumns.of``.  Each residual is
+known through the lesser of the series' bound and the basis order.
 :func:`delta_eps` and :func:`basis_element` are ``Fraction`` views of the
 same integer columns (:meth:`~anomcancel.qseries.PuiseuxSeries.from_packed`).
 """
@@ -170,14 +165,13 @@ def basis_element(group: str, k: int, r: int, order: int) -> PuiseuxSeries:
 class Decomposition:
     """Result of expressing a series over the upper-group basis.
 
-    ``solve_coeffs`` is the integer inverse of the leading minor, so
-    ``integral_solve`` always holds: a minor with no integer inverse raises.
+    ``solve_coeffs`` is the integer inverse of the leading minor; a minor
+    with no integer inverse raises in :func:`unit_lower_inverse`.
     """
 
     h: list[GradedPolynomial]
     residual: PuiseuxSeries
     solve_coeffs: list[list[int]]
-    integral_solve: bool
 
     @property
     def residual_zero(self) -> bool:
@@ -188,7 +182,6 @@ class Decomposition:
             "h": [p.to_json_obj() for p in self.h],
             "residual_zero": self.residual_zero,
             "solve_coeffs": [[str(c) for c in row] for row in self.solve_coeffs],
-            "integral_solve": self.integral_solve,
         }
 
 
@@ -285,16 +278,16 @@ def decompose(P: QColumns, k: int, zero: GradedPolynomial) -> Decomposition:
     h_polys = [QColumns(P.den, 1, {key: [h[r]] for key, h in solved.items() if h[r]})
                .coefficient(0, zero.table, zero.max_weight) for r in range(n_unknowns)]
     residual = _packed_sum(P, h_polys, _basis_rows(GROUP_UPPER, k, order), -1, zero)
-    return Decomposition(h_polys, residual, inv, True)
+    return Decomposition(h_polys, residual, inv)
 
 
 def transfer_residual(P1: QColumns, h: list[GradedPolynomial], l: int, k: int,
                       zero: GradedPolynomial) -> PuiseuxSeries:
     """Residual of ``P1 = 2^l sum_r h_r (8*delta1)^(k-2r) eps1^r``, through the last whole power of q.
 
-    ``P1`` is packed as in :func:`decompose`, and known through ``P1.bound``.  A zero residual is the
-    q-expansion witness of the modular transfer from the upper-group
-    decomposition to the integer-exponent side.
+    ``P1`` is packed as in :func:`decompose`, and known through ``P1.bound``.  For a modular
+    ``P1``, a residual zero through ``q^(k//2)`` (the Sturm bound) proves the transfer from the
+    upper-group decomposition to the integer-exponent side; past it, it tests that P1 is modular.
     """
     if len(h) != k // 2 + 1:
         raise AlgebraError("coefficient list length does not match k")
@@ -306,20 +299,3 @@ def _known_order(P: QColumns) -> int:
     if P.bound is None:
         raise AlgebraError("an exact series has no finite order to check a residual against")
     return P.bound // Q_UNIT
-
-
-def integrality_report(order: int) -> dict[str, bool]:
-    """Whether the normalized generator streams are integral through ``q^order``.
-
-    Checks ``8*delta2``, ``eps2``, ``16*eps1`` and ``delta1 - 1/4``.  The
-    divisor sums make them integral by construction; the tests compare the
-    generators with theta-null lattice sums.
-    """
-    d1 = delta_eps("delta1", order)
-    checks = {
-        "8*delta2": delta_eps("delta2", order).scale(8),
-        "eps2": delta_eps("eps2", order),
-        "16*eps1": delta_eps("eps1", order).scale(16),
-        "delta1-1/4": d1 - PuiseuxSeries.constant(Fraction(1, 4), d1.order_bound, Fraction(0)),
-    }
-    return {name: all(c.denominator == 1 for c in series.terms.values()) for name, series in checks.items()}

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from anomcancel import anomaly, suite
 from anomcancel.genus import FAMILY_TM, RootFamily, build_generator_table, prod_over_roots
-from anomcancel.modforms import delta_eps, integrality_report
+from anomcancel.modforms import delta_eps, leading_minor, unit_lower_inverse
 from anomcancel.theta import jacobi_residual, theta_log
 
 from helpers import brute_force_prod, product_factor
@@ -38,7 +38,9 @@ def test_criterion_1_theta_layer():
     for name, vals in pins.items():
         series = delta_eps(name, 10)
         ok = ok and all(series.coefficient(k) == Fraction(c) for k, c in vals)
-    ok = ok and all(integrality_report(10).values())
+    for name, den in (("delta1", 4), ("eps1", 16), ("delta2", 8), ("eps2", 1)):
+        # integral past the constant term: 8*delta2, eps2, 16*eps1 and delta1 - 1/4
+        ok = ok and all(c.denominator == (den if u == 0 else 1) for u, c in delta_eps(name, 10).terms.items())
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 1.0
     announce(1, ok, f"theta/modform layer exact through q^10 in {elapsed:.2f}s (< 1s)")
@@ -51,7 +53,8 @@ def test_criterion_2_spin_theorems():
         t0 = time.perf_counter()
         for tid in ("3.1", "3.2"):
             r = anomaly.verify_theorem(tid, k=k, l=l)
-            ok = ok and r.status == "PASS" and r.solve_integral and not r.variant_notes
+            ok = ok and r.status == "PASS" and not r.variant_notes
+            ok = ok and all(type(c) is int for row in r.solve_coeffs for c in row)
             for name in ("decomposition_residual", "transfer_residual", "main_identity"):
                 ok = ok and r.checks[name].zero
             if tid == "3.1":
@@ -95,6 +98,10 @@ def test_criterion_4_oracle_equivalence():
                     "genus engine matches explicit-root brute force (<= 3 roots, weight <= 6)")
 
 
+def _rational_in_standard_basis(polys) -> bool:
+    return all(type(c) is Fraction for p in polys for c in p.to_standard_basis().terms.values())
+
+
 def test_criterion_5_spinc_theorems():
     worst = 0.0
     ok = True
@@ -102,20 +109,18 @@ def test_criterion_5_spinc_theorems():
         t0 = time.perf_counter()
         for tid in ("4.1", "4.2"):
             r = anomaly.verify_theorem(tid, k=k, l=l)
-            ok = ok and r.status == "PASS" and r.checks["reality_standard_basis"].zero
+            ok = ok and r.status == "PASS" and _rational_in_standard_basis(r.h)
         worst = max(worst, time.perf_counter() - t0)
     for k, l in SPINC4K2_GRID:
         t0 = time.perf_counter()
         for tid in ("4.6", "4.8"):
             r = anomaly.verify_theorem(tid, k=k, l=l)
-            ok = ok and r.status == "PASS" and r.checks["reality_standard_basis"].zero
-        s = anomaly.make_setting("spinc4k2", k, l)
-        p1 = anomaly.build_P(s, "P1")
-        for units in p1.exponents():
-            ok = ok and p1.coefficient(units).to_standard_basis().is_real()
+            ok = ok and r.status == "PASS" and _rational_in_standard_basis(r.h)
+        p1 = anomaly.build_P(anomaly.make_setting("spinc4k2", k, l), "P1")
+        ok = ok and _rational_in_standard_basis(p1.coefficient(units) for units in p1.exponents())
         worst = max(worst, time.perf_counter() - t0)
     ok = ok and worst < 60.0
-    announce(5, ok, f"spin^c identities exact on both grids, outputs real in the standard basis, "
+    announce(5, ok, f"spin^c identities exact on both grids, outputs rational in the standard basis, "
                     f"worst case {worst:.2f}s (< 60s)")
 
 
@@ -145,7 +150,8 @@ def test_criterion_7_divisibility_audits():
         ok = ok and anomaly.divisibility_check("4.10", m).outcome == "PASS"
         gap = anomaly.divisibility_check("4.9", m)
         ok = ok and gap.outcome == "GAP" and gap.implied_exponent == 4 and gap.claimed_exponent == 5
-        ok = ok and gap.solve_integral
+        inverse = unit_lower_inverse(leading_minor(gap.k, gap.k // 2 + 2))
+        ok = ok and all(type(c) is int for row in inverse for c in row)
     announce(7, ok, "divisibility audits confirm 16 / 2^9 / 2^10; the mod-32 claim is flagged "
                     "as implied 16 vs claimed 32 (expected gap)")
 

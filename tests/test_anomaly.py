@@ -37,7 +37,7 @@ def test_spin_theorems_pass():
     for tid in ("3.1", "3.2"):
         r = verify_theorem(tid, k=2, l=1)
         assert r.status == "PASS", gating_failures(r)
-        assert r.solve_integral
+        assert all(type(c) is int for row in r.solve_coeffs for c in row)
 
 
 def test_spin_constant_term_content():
@@ -91,7 +91,7 @@ def test_spinc_theorems_pass():
     for tid, k, l in (("4.1", 1, 2), ("4.2", 1, 2), ("4.6", 1, 1), ("4.8", 1, 1)):
         r = verify_theorem(tid, k=k, l=l)
         assert r.status == "PASS", (tid, gating_failures(r))
-        assert r.checks["reality_standard_basis"].zero
+        assert all(type(c) is Fraction for h in r.h for c in h.to_standard_basis().terms.values())
 
 
 def test_spinc4k2_outputs_real_in_standard_basis():
@@ -99,7 +99,7 @@ def test_spinc4k2_outputs_real_in_standard_basis():
     p1 = build_P(s, "P1")
     for k in p1.exponents():
         std = p1.coefficient(k).to_standard_basis()
-        assert std.is_real(), f"imaginary part at q-lattice {k}"
+        assert all(type(c) is Fraction for c in std.terms.values()), f"non-rational coefficient at q-lattice {k}"
 
 
 def test_unreduced_line_variant_recorded():
@@ -365,7 +365,7 @@ def test_public_and_packed_decompositions_agree(kind, k):
         public, verdict = decompose(packed(build_P(s, "P2")), k, env.gp_zero), env.decomposition()
         assert public.h == verdict.h
         assert public.solve_coeffs == verdict.solve_coeffs
-        assert public.integral_solve is verdict.integral_solve is True
+        assert all(type(c) is int for row in verdict.solve_coeffs for c in row)
         assert public.residual == verdict.residual and verdict.residual_zero
         edge = transfer_residual(packed(build_P(s, "P1")), verdict.h, l, k, env.gp_zero)
         assert edge == transfer_residual(env.packed("P1"), verdict.h, l, k, env.gp_zero)

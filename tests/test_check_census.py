@@ -1,0 +1,108 @@
+"""Census of the report checks: every gating check can fail.
+
+A small grid emits every check key the suite's reports carry.  Each planted
+fault (a monkeypatched stage of the verifier, with the setting caches
+emptied, as ``test_planted_twist_sign_shows_in_the_residual_and_fails_the_row``
+does) must turn some gating key nonzero, and between them the faults reach
+every gating key.  A gating key that no fault reaches holds by construction:
+it makes every report longer and guards nothing, so it is either retired or
+replaced by a check that can fail, and ``HOLD_BY_CONSTRUCTION`` stays empty.
+"""
+
+from anomcancel import anomaly, suite, theta
+from anomcancel.algebra import ONE, QColumns, mul_sum
+from anomcancel.qseries import HALF_UNIT, Q_UNIT
+from anomcancel.suite import SuiteCase, run_case
+
+# the non-gating keys: recorded readings of the printed forms, never part of a verdict
+INFORMATIONAL = {"printed_identity_independent_v", "unreduced_line_variant"}
+# gating keys that no planted fault turns nonzero
+HOLD_BY_CONSTRUCTION: set[str] = set()
+
+GRID = [SuiteCase("theta-layer", "theta", (suite.THETA_LAYER_ORDER,))] + [
+    SuiteCase(f"{tid} k={k} l=1", "theorem", (tid, k, 1, None))
+    for tid, k in (("3.1", 2), ("3.2", 2), ("3.3", 2), ("3.4", 3),
+                   ("4.1", 1), ("4.2", 1), ("4.6", 1), ("4.8", 1))
+] + [SuiteCase("crosscheck spin4k k=1 l=1", "crosscheck", ("spin4k", 1, 1, None)),
+     SuiteCase("structural spin4k k=1 l=1", "structural", ("spin4k", 1, 1, None))]
+
+
+def _plant_term(which: str, units: int):
+    """``_Env.packed`` with an extra constant term at lattice position ``units`` of P-series ``which``."""
+    real = anomaly._Env.packed
+
+    def packed(self, name):
+        if name == which and name not in self._p:
+            out = real(self, name)
+            extra = QColumns(out.den, units or 1, {0: [0, 1] if units else [1]})
+            self._p[name] = mul_sum([(out, ONE, 1, [(0, 1)]), (extra, ONE, 1, [(0, 1)])])
+        return real(self, name)
+    return anomaly._Env, "packed", packed
+
+
+def _plus_one(owner, attr):
+    real = getattr(owner, attr)
+    return owner, attr, lambda self: real(self) + 1
+
+
+def _doubled_top(attr: str):
+    """``_TangentHalf`` whose form ``attr`` has its top-weight component doubled."""
+    real = anomaly._TangentHalf.__init__
+
+    def init(self, s):
+        real(self, s)
+        form = getattr(self, attr)
+        setattr(self, attr, form + form.component(self.weight))
+    return anomaly._TangentHalf, "__init__", init
+
+
+def _faults():
+    lambda_power, theta_null, delta_eps = anomaly.lambda_power, theta.theta_null, suite.delta_eps
+    faults = {f"{which} + term at lattice {units}": _plant_term(which, units)
+              for which in ("P1", "P2") for units in (0, HALF_UNIT, Q_UNIT, 2 * Q_UNIT)}
+    faults.update({
+        "constant_term_lhs + 1": _plus_one(anomaly._Env, "constant_term_lhs"),
+        "q1_lhs + 1": _plus_one(anomaly._Env, "q1_lhs"),
+        "lambda^2(E) + E": (anomaly, "lambda_power", lambda E, n: lambda_power(E, n) + E),
+        "tangent genus with its top weight doubled": _doubled_top("genus"),
+        # the tangent-twist reading does not see the genus: with the first class zero only
+        # its constant and top-weight terms enter, and they cancel
+        "ch(Delta(M)) with its top weight doubled": _doubled_top("ch_delta_m"),
+        "theta'(0) doubled": (theta, "theta_null",
+                              lambda kind, order: theta_null(kind, order).scale(2 if kind == "theta_prime" else 1)),
+        "generators doubled": (suite, "delta_eps", lambda name, order: delta_eps(name, order).scale(2)),
+    })
+    return faults
+
+
+def _census() -> tuple[dict[str, bool], set[str]]:
+    """Each key the grid reports, with its gating flag, and the gating keys reported nonzero."""
+    gating, nonzero = {}, set()
+    for case in GRID:
+        for key, entry in run_case(case)["report"]["checks"].items():
+            gating[key] = entry["gating"]
+            if entry["gating"] and not entry["zero"]:
+                nonzero.add(key)
+    return gating, nonzero
+
+
+def test_the_grid_emits_every_key_of_the_suite():
+    emitted = {key for r in suite.run_suite()["cases"] for key in r["report"].get("checks", {})}
+    assert emitted == set(_census()[0])
+
+
+def test_every_gating_check_can_fail(monkeypatch):
+    gating, nonzero = _census()
+    assert not nonzero
+    assert {key for key, gates in gating.items() if not gates} == INFORMATIONAL
+    reached = set()
+    for name, (owner, attr, planted) in _faults().items():
+        with monkeypatch.context() as m:
+            m.setattr(owner, attr, planted)
+            m.setattr(anomaly, "_env_cache", {})
+            m.setattr(anomaly, "_tangent_cache", {})
+            _, hit = _census()
+        assert hit, f"the planted fault {name!r} shows in no check"
+        reached |= hit
+    assert HOLD_BY_CONSTRUCTION == set()
+    assert {key for key, gates in gating.items() if gates} - reached == HOLD_BY_CONSTRUCTION

@@ -92,7 +92,7 @@ def test_decompose_json(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["residual_zero"] is True
-    assert obj["integral_solve"] is True
+    assert set(obj) == {"schema", "setting", "which", "h", "residual_zero", "solve_coeffs"}
     assert len(obj["h"]) == 2
     assert all(all(row_c.lstrip("-").isdigit() for row_c in row) for row in obj["solve_coeffs"])
 
@@ -260,7 +260,7 @@ def test_parallel_suite_shards_by_family(monkeypatch, recording_runner):
     assert sorted(c.case_id for task in tasks for c in task) == sorted(r["case"] for r in serial["cases"])
 
 
-SUITE_JSON_SHA256 = "cb72f2f3ff8e932b3d6af52143e2e4be220e5bef4c3f2e454fa4f3cfba642b7c"
+SUITE_JSON_SHA256 = "014a990d07818510b2a3d8e4dc49b4337e8d11245bb7de70b670ff40d97409be"
 
 
 def test_suite_json_hash_is_pinned(capsys):
@@ -278,8 +278,8 @@ def test_suite_json_hash_is_pinned(capsys):
 # sha256 of the concatenated `verify --format json` stdout of every operation the benchmark's
 # verify workloads can pick, per basis, as tools/output_hashes.py prints it
 VERIFY_OPERATIONS_SHA256 = {
-    "standard": "de96116cc1d47677666c50a5879f7af76641eaae3e7a705fbf40671b1dcab5d4",
-    "normalized": "d422e521b375f653ac62467a62e99af6258c881117f7c9c488416c6590ac449b",
+    "standard": "5331a77fd2cbf1204ac1774508216df7b37a533995e0d38876ac5b4361a4db33",
+    "normalized": "4cc60c36be569265a7ccbbd955ca43cbd24fc7cff27ae24ea0a5cf3820f3c5ca",
 }
 
 
@@ -298,22 +298,22 @@ def test_benchmark_verify_operations_are_pinned(monkeypatch, basis):
 # operation per identity; between them they carry notes, non-gating checks with values,
 # variant notes and the sorted check order
 VERIFY_SHA256 = {
-    ("3.1", 2, 2, "json"): (0, "27cee3a484c858f385e167bd0ed30d73bf60d9fe45a5bc3947ccf41de5b3ec03"),
-    ("3.1", 2, 2, "text"): (0, "d7e7eea3229b829d0695b757d618ef7e83a667fd77d378d1a0b3adb9bc472fe1"),
-    ("3.2", 2, 2, "json"): (0, "ba3cd548b06a79ad64a4147e59ae2e01b06a67398804f4c94c19fb6f65855bef"),
-    ("3.2", 2, 2, "text"): (0, "9a1db11c4fee600928ffc712268843076cec6d053b17e87501ce1fa4a2508a7d"),
-    ("3.3", None, 1, "json"): (0, "d0377b92d39883d9cf654f67049310744a992e374318f84964db65031d183f41"),
-    ("3.3", None, 1, "text"): (0, "4fc6878d341439c3eb0504a0f90909773032c17785dacdd40c5317b59df10dcf"),
-    ("3.4", None, 1, "json"): (0, "6bf98fced6e0d26215d879384f2e699ecec23aff0d10fd5b52b5ee903dd5d43d"),
-    ("3.4", None, 1, "text"): (0, "bb5506cdce287429e524c7195375d229269e3a59268114b6e8db32dd27c5335b"),
-    ("4.1", 1, 2, "json"): (0, "ddec5e9b10055358c00e1e9476b465b5f53fff1bcedb47575fed594c7a3c18be"),
-    ("4.1", 1, 2, "text"): (0, "ddbe9e1a12c38c183b2631d28b38aa63d9fe23ed29a11b43ef4668077f1c6f31"),
-    ("4.2", 2, 1, "json"): (0, "8607f9d2ab47b5f1f6487ed2063bc30134e3a6b8a802000dd83edb98169662fc"),
-    ("4.2", 2, 1, "text"): (0, "420e79a0f3497c282c2a894ea07a4c29d782afaa6e375132561dd0baa6d2473b"),
-    ("4.6", 1, 2, "json"): (0, "807210c16488805a4c417578d88a35fcfcfe1ad705c7b3c7bc6feb609416952c"),
-    ("4.6", 1, 2, "text"): (0, "84014d1b06e22a6e061d9f3010fa49363b606c746c8fcb4c6982580ea2289f91"),
-    ("4.8", 1, 1, "json"): (0, "9de7bb89993361fc943ae43361a93484c3a5b73aaf93e752834a5a43fe9584af"),
-    ("4.8", 1, 1, "text"): (0, "6647ba91835387bb78b638e9170b5f4d14705f013446ccf74137e26097a25258"),
+    ("3.1", 2, 2, "json"): (0, "67440003fa3068ff678d5cb1607956c80eddb5f6318c86f17612226d7c75be5e"),
+    ("3.1", 2, 2, "text"): (0, "772aae5380dcb892c4343e8288d4bb8d1a69a8d1f10d84eecebcf2442d03ca89"),
+    ("3.2", 2, 2, "json"): (0, "ceeff52d8d1d6ee9401c53ec72811805055e1118231c4beac1b634134c1d1757"),
+    ("3.2", 2, 2, "text"): (0, "9617c4ee3cc8114843c6fdc8442eef27a9786c0fa51522ff11edde57bc1ba715"),
+    ("3.3", None, 1, "json"): (0, "e59c0640fc844bd5d82cf441640adb27e91af8ddd3af2283219674cb1f9c4b23"),
+    ("3.3", None, 1, "text"): (0, "850e8f3620eb05af7c5c335c0a3ce5fd07aadc4d51e6fb56a263535f57390f28"),
+    ("3.4", None, 1, "json"): (0, "9cb451b5678bba5bf376c60147c5a13cbccc4d14aaf347822e8bf6ab759ec75d"),
+    ("3.4", None, 1, "text"): (0, "fa53589924c6f2b5ade0b5c249b1d2a836ec86b4bd7eec7f682aabeab9f0cfca"),
+    ("4.1", 1, 2, "json"): (0, "8a84b59428e920720d9fa7b1106ae5ebe68664b638cdd2fa107d68264e4010ca"),
+    ("4.1", 1, 2, "text"): (0, "164021b1a455f26b30383da0ccfb2d6239221f2ee3d133c50f39e354bc36ac0c"),
+    ("4.2", 2, 1, "json"): (0, "481ea18bd98c91c7a12bdbfbdc0a1c9461e9aa1096a4ec572ae06b1efa21641d"),
+    ("4.2", 2, 1, "text"): (0, "054bb35c5c2b03107f0652aed4ef97ade384195bdd6f578907998ef6f14c5232"),
+    ("4.6", 1, 2, "json"): (0, "c9f824006fa03aff9207a28c615ea16c0f85c67249d535d29f0d44fbc706c112"),
+    ("4.6", 1, 2, "text"): (0, "def1e45bd09ddad2dd0dc2f15c15dc513e76a54a78f5678fccc35c39b0f8fe09"),
+    ("4.8", 1, 1, "json"): (0, "046c7acefb1906de548191888a1523e6300de20cb15aafffa95bda156be67938"),
+    ("4.8", 1, 1, "text"): (0, "5021414209932e9017a255713b7afc3f854c00958a648fc670a86a2952da1ddb"),
 }
 
 
@@ -492,32 +492,33 @@ def test_expand_p_series_bytes_are_pinned(capsys, kind, k, l, which, basis, fmt)
 
 
 # (exit code, sha256 of stdout) of `decompose --setting KIND --k K --l L --which WHICH
-# --format FORMAT`, recorded when P1 and P3 went through the polynomial view of the series
+# --format FORMAT`: the bytes recorded when P1 and P3 went through the polynomial view of
+# the series, less the retired `integral_solve` entry
 DECOMPOSE_SHA256 = {
-    ("spin4k", 2, 2, "P1", "json"): (1, "104db6963fd186841669a2e3bfbf16651408a427dc8ac4e3563b4f3f91310521"),
-    ("spin4k", 2, 2, "P1", "text"): (1, "0cb193e23b4121f284342e3d5e22014793b4869aed4faad490a86cc0f8b47cfb"),
-    ("spin4k", 2, 2, "P2", "json"): (0, "b6327281cf7d448999911cd75d650c359fc000d91b0b58d5012ef1d073de0726"),
-    ("spin4k", 2, 2, "P2", "text"): (0, "fd392d91e23c5ccd580c56807ac1c0d8dffa7b3b91a9bfc5643688b67ccb0e0e"),
-    ("spin4k", 2, 2, "P3", "json"): (1, "c95aea97c75828471dc44859eb1b2214daa2dc026d72c1dc93f57b85c19530e4"),
-    ("spin4k", 2, 2, "P3", "text"): (1, "ec0385ee6d67cf6dabcb76b98ae0975429cb0afbf2ae1e5744a4187444168559"),
-    ("spinc4k", 2, 3, "P1", "json"): (1, "568faba85bc119f80945224a6da69a989d0b50bcaee1494d680c2878baa2ed95"),
-    ("spinc4k", 2, 3, "P1", "text"): (1, "f73c24d608b44f052457dcfb695e2ad9f2eb3d17f2db4d07f1d59313cd30ebde"),
-    ("spinc4k", 2, 3, "P2", "json"): (0, "8025d729a6c086793b07fbd7c62b6e526bcac741c1cd77bb2489bfdc9eac26a0"),
-    ("spinc4k", 2, 3, "P2", "text"): (0, "59b162d3d380e872da881b8ebe77b50502e3b4a3d1b913ee767cda2b138fd298"),
-    ("spinc4k", 2, 3, "P3", "json"): (1, "195bd50d6a2389c33cd92be7a710b28b28ee09c4bbf6962e5bce63a971eede09"),
-    ("spinc4k", 2, 3, "P3", "text"): (1, "f51a49c48d7073ae820e3cb6866c2459db21a2ddb4b188d3dc9ab53a1a82db91"),
-    ("spinc4k2", 2, 1, "P1", "json"): (1, "27caffd52ac5e1c8f7d545f5b6e1b95ca51947740411b25d2b36a76edb1e9ed9"),
-    ("spinc4k2", 2, 1, "P1", "text"): (1, "41523ce3ada3c1dd2bc6dea99fa529ab8f87ec7b70600fe05303675b5c13308c"),
-    ("spinc4k2", 2, 1, "P2", "json"): (0, "cd6785633be1cdba81b3a746096ab417b5cfa0a8315720a3f37fe5303e949909"),
-    ("spinc4k2", 2, 1, "P2", "text"): (0, "7f7bb048954aa5e4c68b1e9230685631710073550e6878c7efde557e7a111afe"),
-    ("spinc4k2", 2, 1, "P3", "json"): (1, "4bde03cb93a44bc67d3f2165c81ddb21cba5375eab3acc8173ecbbee3e360d6c"),
-    ("spinc4k2", 2, 1, "P3", "text"): (1, "d4f36d33690ce67ed3810a30ec537239fe0abf066e937290354e851dac2e1440"),
-    ("spin4k", 5, 3, "P1", "json"): (1, "45df32869bc6383fef33f6ef67e027575d0c1f8d9ebbcf7d950607094abfa8fc"),
-    ("spin4k", 5, 3, "P1", "text"): (1, "4896eafe93d0a8424d0d6a9868399657fc3d6ccad8ae17caab61fe5b8f840691"),
-    ("spin4k", 5, 3, "P2", "json"): (0, "e9f9341c14d658e241c02cd222394509808fb28fa037521b55023d71c735a3bb"),
-    ("spin4k", 5, 3, "P2", "text"): (0, "0e63dc333f886cd5c72aa356a0c8c6e7031b12d231991c2f67360e04a2f791e2"),
-    ("spin4k", 5, 3, "P3", "json"): (1, "d3368a27cfdd04bab33415c1e25093d6b78741f657f663ea340ac46bcf79317f"),
-    ("spin4k", 5, 3, "P3", "text"): (1, "ab770b2b90f0d11e1ed8060635b0053b1137069e8362496296aad4dcd89c9c42"),
+    ("spin4k", 2, 2, "P1", "json"): (1, "6e5045d277904d1e123ce3f6caec686940e1f61d15febe50fa9bde5ba76fbcbf"),
+    ("spin4k", 2, 2, "P1", "text"): (1, "941c16862276904c92401a3d5e21ec1ee1a9f7c7816df316addee088a10b87d7"),
+    ("spin4k", 2, 2, "P2", "json"): (0, "6599bd5bd8e1c0e10112c20b36296e160701525358578e06f096dc18216b466b"),
+    ("spin4k", 2, 2, "P2", "text"): (0, "2fb1da0e751181844d4fe597f4402a0d2e118eeaf1c878ff580a930a66422cee"),
+    ("spin4k", 2, 2, "P3", "json"): (1, "ce5daf72e1be1dce98b7be328d17455a915e3bb594691aeefc6ca7da53d06e1d"),
+    ("spin4k", 2, 2, "P3", "text"): (1, "74260ce8ebd9b95ae4afdc07b415790c6e44cf8a4cd23f17dd0e85a963b206f1"),
+    ("spinc4k", 2, 3, "P1", "json"): (1, "913bfc32021da4c7d2ca7438fc0eb51469d2a713bb717c2f503a09b4c762714b"),
+    ("spinc4k", 2, 3, "P1", "text"): (1, "f7ebe1a5f396870d096e1d9285056609f24c4833cdac455a40c4b09c50b38578"),
+    ("spinc4k", 2, 3, "P2", "json"): (0, "990bece620c9738361b0652806fb66721791e8f1e81e0426065a94c71adf42ab"),
+    ("spinc4k", 2, 3, "P2", "text"): (0, "a9edff8cc483bdd7e609a36b4bef8d012998f0b2b48cafbdc1ecd29e4d6e062f"),
+    ("spinc4k", 2, 3, "P3", "json"): (1, "efbdefb2cfd484fe94cdcd4c605dbb3999b9c1b1913292674bd03cf874432417"),
+    ("spinc4k", 2, 3, "P3", "text"): (1, "e1090b948cf047400740708b536f397ddfdf1657f89eff912afcad4802779870"),
+    ("spinc4k2", 2, 1, "P1", "json"): (1, "1a1b0537ca7ea8dd3973e0585b3ed84624843abd42848c8321bebecc20a22771"),
+    ("spinc4k2", 2, 1, "P1", "text"): (1, "61d8af8885dac03e731db40e04f9571011cd828c65c5b2814a54f904649b5c9e"),
+    ("spinc4k2", 2, 1, "P2", "json"): (0, "02f2334235ff54211644b3450e2fd2ce679c37a732c1986763727cf5a6447c1a"),
+    ("spinc4k2", 2, 1, "P2", "text"): (0, "ada081c5bd9f121c0938630cc58aa674fc0cbdcf353a6a0ed79ddfca8fc11302"),
+    ("spinc4k2", 2, 1, "P3", "json"): (1, "622218b61618200bc1662ff1fbd7197441c91f2203123a77ec9ec6c7e7b5f69d"),
+    ("spinc4k2", 2, 1, "P3", "text"): (1, "10ce7084b22b1c71366cf82b74752e5c1c8a605586ed70d8e78765e4778673dd"),
+    ("spin4k", 5, 3, "P1", "json"): (1, "52843367d2d87c6945864fe888d8595f1ef299322e9473709798b7b9192726d3"),
+    ("spin4k", 5, 3, "P1", "text"): (1, "27ec88df9ef971788650e52bd20cd1f13101cd12b69eaec820bceeffca47e98d"),
+    ("spin4k", 5, 3, "P2", "json"): (0, "afb07b04944e621e1ddad2732be8ec2648894d327f9c8406e3b9ef307f3ca753"),
+    ("spin4k", 5, 3, "P2", "text"): (0, "4384599bc5c70376546ba935d8458e86f7bd87b61ca3ba7e2c9240ac8feab52f"),
+    ("spin4k", 5, 3, "P3", "json"): (1, "23d2535844a3fb7839beb7724f63af2339282945d104ea26d6495ff3c9f2d068"),
+    ("spin4k", 5, 3, "P3", "text"): (1, "ab6a68f66b64d4ff7c8e3aea4051232e883d5c84715ce0ba7ee38a79f63778b6"),
 }
 
 

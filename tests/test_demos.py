@@ -19,8 +19,8 @@ STDOUT_SHA256 = {
     "bundle_vs_theta_paths.py": "c82903136b31c0a21106ecd58b5da3c2327bb8863a53f2f53a2526d549337e6c",
     "divisibility_audits.py": "9d7c32b34ddea020e4abc8989f9515f815852962c5e8ccee4acb1d3fe64c0a78",
     "spin_verification_walkthrough.py": "2cbd0e2fa6214f3527f7a9df51c16f0c3fd348d9567b67aa3ad0471a8a658a45",
-    "spinc_line_bundle_walkthrough.py": "277765898b477d3bb5e3ba0aaf42e6825b6047fb2e37054d51b8279b0721a9eb",
-    "theta_and_modular_generators.py": "8f15e1e40255701ce39ec188882240a1a0f6ddc753c68e251d9b33e1ea336fbe",
+    "spinc_line_bundle_walkthrough.py": "1ff4d8e722ee74262311e813bf8855ac9dac40755eb3031ac60d1fc5a86365c3",
+    "theta_and_modular_generators.py": "c13c4d823b272881a602566987d3000709d1eb9d57414540171dde98f893a44f",
 }
 
 
