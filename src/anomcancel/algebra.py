@@ -39,6 +39,32 @@ class AlgebraError(ValueError):
     """Structural misuse: table mismatch, bad weights, a non-invertible input."""
 
 
+class Record:
+    """An immutable memo key over its ``__slots__``: compared, hashed, pickled and shown by value."""
+
+    __slots__ = ("_values",)
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_values", values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), self._values
+
+    def __eq__(self, other):
+        return self._values == other._values if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{n}={v!r}' for n, v in zip(self.__slots__, self._values))})"
+
+
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x

@@ -25,14 +25,20 @@ All comparisons are exact; a status is PASS only when every gating residual
 is identically zero, and each gating check can fail
 (``tests/test_check_census.py``).  Given the paper's modularity,
 ``transfer_residual`` through ``q^(k//2)``, the Sturm bound (1987) of weight
-2k on an index-3 group, is a proof; ``printed_identity_tangent_twist`` is an
-identity of characteristic classes, checked in full.  The code's consistency:
-``decomposition_residual`` past the solved positions,
+2k on an index-3 group, is a proof.  ``printed_identity_tangent_twist``
+compares ``ch(Delta(M))`` with ``ch(T_C M)`` at the top weight with
+``nM1 = 0`` and reads nothing else of the genus (:func:`_verify_corollary`).
+The code's consistency: ``decomposition_residual`` past the solved positions,
 ``p3_equals_p2_sign_flipped``, ``p1_half_coefficient``, ``tilde_vs_untilde``
 and the degenerate checks.  Route agreement: the crosscheck rows and the
 checks against sides built from genera and bundles (``main_identity``,
 ``constant_term_identity``, ``p1_constant_term``, ``p1_q1_coefficient``,
 ``h*_closed_form``).  The non-gating checks are informational.
+
+Stable range: at ``l >= W//2`` only P1's factor ``2^l`` depends on l.  The
+table carries ``nV1..nV_(W//2)`` at every l and Newton's identities do not
+involve l, so V's power sums through weight W are the same polynomials, and
+``ch(Delta(V)) = 2^l prod_i cosh(v_i/2)``.
 
 The tangent half of a setting (the table, the core of step 1, the tangent
 genera and the tangent side of the lambda-ring path) depends only on (kind,
@@ -47,11 +53,10 @@ turns a whole P-series into polynomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 
-from .algebra import ONE, AlgebraError, GradedPolynomial, QColumns, mul_sum
+from .algebra import ONE, AlgebraError, GradedPolynomial, QColumns, Record, mul_sum
 from .genus import (CONSTRAINT_KINDS, FAMILY_TM, FAMILY_V, LINE, RootFamily, apply_constraint,
                     build_generator_table, classical_genus, constrained_power_sums,
                     exp_by_weight)
@@ -84,25 +89,20 @@ THEOREM_IDS = tuple(_THEOREM_KIND)
 DIVISIBILITY_IDS = tuple(_DIV_TABLE)
 
 
-@dataclass(frozen=True)
-class Setting:
+class Setting(Record):
     """One verification instance: manifold family, sizes, series order."""
 
-    kind: str
-    k: int
-    l: int
-    n_q: int
+    __slots__ = ("kind", "k", "l", "n_q")
 
-    def __post_init__(self):
-        if self.kind not in CONSTRAINT_KINDS:
-            raise AlgebraError(f"unknown setting kind {self.kind!r}")
-        if self.k < 1 or self.l < 1:
+    def __init__(self, kind: str, k: int, l: int, n_q: int):
+        if kind not in CONSTRAINT_KINDS:
+            raise AlgebraError(f"unknown setting kind {kind!r}")
+        if k < 1 or l < 1:
             raise AlgebraError("k and l must be >= 1")
-        if self.n_q < self.k + 2:
-            raise AlgebraError(
-                f"q-order {self.n_q} is insufficient for k={self.k}: need at least "
-                f"{self.k + 2} so the residual is over-determined well beyond the "
-                f"{self.k // 2 + 1} solved coefficients")
+        if n_q < k + 2:
+            raise AlgebraError(f"q-order {n_q} is insufficient for k={k}: need at least {k + 2} so the "
+                               f"residual is over-determined well beyond the {k // 2 + 1} solved coefficients")
+        super().__init__(kind, k, l, n_q)
 
     @property
     def weight(self) -> int:
@@ -339,11 +339,9 @@ def cross_check_bundle_expansion(setting: Setting, which: str, order: int) -> Pu
 # -- reports ---------------------------------------------------------------------
 
 
-@dataclass
 class Check:
-    value: object            # GradedPolynomial or PuiseuxSeries
-    gating: bool = True
-    note: str = ""
+    def __init__(self, value, gating: bool = True, note: str = ""):
+        self.value, self.gating, self.note = value, gating, note     # value: GradedPolynomial or PuiseuxSeries
 
     @property
     def zero(self) -> bool:
@@ -359,15 +357,15 @@ class Check:
         return entry
 
 
-@dataclass
 class VerificationReport:
-    theorem: str
-    setting: Setting
-    checks: dict[str, Check] = field(default_factory=dict)
-    h: list[GradedPolynomial] = field(default_factory=list)
-    solve_coeffs: list[list[int]] = field(default_factory=list)
-    variant_notes: list[str] = field(default_factory=list)
-    elapsed: float | None = None
+    def __init__(self, theorem: str, setting: Setting, checks: dict[str, Check] | None = None,
+                 h: list[GradedPolynomial] | None = None, solve_coeffs: list[list[int]] | None = None,
+                 variant_notes: list[str] | None = None, elapsed: float | None = None):
+        self.theorem, self.setting, self.elapsed = theorem, setting, elapsed
+        self.checks = {} if checks is None else checks
+        self.h = [] if h is None else h
+        self.solve_coeffs = [] if solve_coeffs is None else solve_coeffs
+        self.variant_notes = [] if variant_notes is None else variant_notes
 
     @property
     def status(self) -> str:
@@ -484,6 +482,10 @@ def _verify_corollary(report: VerificationReport, env: _Env, theorem: str):
     trivial complement, rank parameter free), which also forces the first
     tangent class to vanish.  The verifier checks that reading exactly and
     records the residual of the literal independent-V reading alongside.
+    With ``nM1 = 0`` the genus's middle weights drop out of the top weight,
+    its top-weight part cancels between the sides and its constant term is a
+    common factor: the check compares ``ch(Delta(M))`` with ``ch(T_C M)`` at
+    the top weight and reads nothing else of the genus.
     """
     s = env.setting
     dec = _pipeline(report, env)
@@ -553,16 +555,12 @@ def _v2(x: Fraction) -> int:
     return (num & -num).bit_length() - (den & -den).bit_length()
 
 
-@dataclass
 class DivisibilityAudit:
-    corollary: str
-    m: int
-    k: int
-    l: int
-    assumed_v2_h: int
-    claimed_exponent: int
-    implied_exponent: int | None   # None: empty sum, divisible by everything
-    outcome: str                   # PASS or GAP
+    def __init__(self, corollary: str, m: int, k: int, l: int, assumed_v2_h: int,
+                 claimed_exponent: int, implied_exponent: int | None, outcome: str):
+        self.corollary, self.m, self.k, self.l, self.assumed_v2_h = corollary, m, k, l, assumed_v2_h
+        self.claimed_exponent, self.outcome = claimed_exponent, outcome     # outcome: PASS or GAP
+        self.implied_exponent = implied_exponent    # None: empty sum, divisible by everything
 
     def to_json_obj(self):
         return {

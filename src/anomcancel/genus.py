@@ -38,12 +38,11 @@ coefficients rational (see :func:`eval_at_var`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
-from .algebra import ONE, AlgebraError, Generator, GeneratorTable, GradedPolynomial, QColumns, mul_sum
+from .algebra import ONE, AlgebraError, Generator, GeneratorTable, GradedPolynomial, QColumns, Record, mul_sum
 from .qseries import Q_UNIT, PuiseuxSeries
 from .theta import RootFactor, log_cos_coeffs, log_sin_over_z
 
@@ -56,16 +55,15 @@ CONSTRAINT_KINDS = ("spin4k", "spinc4k", "spinc4k2")     # the setting kinds, on
 _power_sums_cache: dict[tuple, tuple[GradedPolynomial, ...]] = {}
 
 
-@dataclass(frozen=True)
-class RootFamily:
-    family: str
-    n_roots: int
+class RootFamily(Record):
+    __slots__ = ("family", "n_roots")
 
-    def __post_init__(self):
-        if self.n_roots < 1:
+    def __init__(self, family: str, n_roots: int):
+        if n_roots < 1:
             raise AlgebraError("a root family needs at least one root")
-        if self.family == FAMILY_W and self.n_roots != 1:
+        if family == FAMILY_W and n_roots != 1:
             raise AlgebraError("the spin^c line is a single root")
+        super().__init__(family, n_roots)
 
 
 LINE = RootFamily(FAMILY_W, 1)

@@ -38,7 +38,6 @@ same integer columns (:meth:`~anomcancel.qseries.PuiseuxSeries.from_packed`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import ONE, AlgebraError, GradedPolynomial, QColumns, mul_sum
@@ -161,7 +160,6 @@ def basis_element(group: str, k: int, r: int, order: int) -> PuiseuxSeries:
     return PuiseuxSeries.from_packed(row, zero=Fraction(0))
 
 
-@dataclass(frozen=True)
 class Decomposition:
     """Result of expressing a series over the upper-group basis.
 
@@ -169,9 +167,8 @@ class Decomposition:
     with no integer inverse raises in :func:`unit_lower_inverse`.
     """
 
-    h: list[GradedPolynomial]
-    residual: PuiseuxSeries
-    solve_coeffs: list[list[int]]
+    def __init__(self, h: list[GradedPolynomial], residual: PuiseuxSeries, solve_coeffs: list[list[int]]):
+        self.h, self.residual, self.solve_coeffs = h, residual, solve_coeffs
 
     @property
     def residual_zero(self) -> bool:

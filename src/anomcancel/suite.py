@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import anomaly
+from .algebra import Record
 from .modforms import delta_eps
 from .qseries import HALF_UNIT, Q_UNIT
 from .theta import jacobi_residual
@@ -42,12 +42,11 @@ _LEADING = {
 }
 
 
-@dataclass(frozen=True)
-class SuiteCase:
-    case_id: str
-    kind: str        # theta | theorem | crosscheck | structural | divisibility
-    params: tuple
-    expected: str = "PASS"
+class SuiteCase(Record):
+    __slots__ = ("case_id", "kind", "params", "expected")    # kind: theta|theorem|crosscheck|structural|divisibility
+
+    def __init__(self, case_id: str, kind: str, params: tuple, expected: str = "PASS"):
+        super().__init__(case_id, kind, params, expected)
 
 
 def _spin_grid():

@@ -9,7 +9,7 @@ from anomcancel.algebra import AlgebraError
 from anomcancel.anomaly import (DIVISIBILITY_IDS, build_P, cross_check_bundle_expansion,
                                 decompose_setting, divisibility_check, get_env,
                                 make_setting, structural_checks, verify_theorem)
-from anomcancel.genus import build_generator_table
+from anomcancel.genus import FAMILY_TM, FAMILY_V, FAMILY_W, RootFamily, build_generator_table
 from anomcancel.modforms import DELTA_EPS_KINDS, decompose, delta_eps, transfer_residual
 from anomcancel.qseries import HALF_UNIT, Q_UNIT, TruncationError
 from anomcancel.suite import SuiteCase, run_case, suite_cases
@@ -312,6 +312,46 @@ def test_pickle_roundtrip():
     assert back.standard_table == table.standard_table
 
 
+_CASE = ("3.1 k=2 l=1", "theorem", ("3.1", 2, 1, None))
+
+
+@pytest.mark.parametrize("cls, args, fields, other", [
+    (anomaly.Setting, ("spinc4k", 2, 3, 8), {"kind": "spinc4k", "k": 2, "l": 3, "n_q": 8}, {"l": 4}),
+    (RootFamily, (FAMILY_V, 3), {"family": FAMILY_V, "n_roots": 3}, {"family": FAMILY_TM}),
+    (SuiteCase, _CASE, dict(zip(("case_id", "kind", "params", "expected"), (*_CASE, "PASS"))),
+     {"expected": "GAP"}),
+], ids=["Setting", "RootFamily", "SuiteCase"])
+def test_memo_keys_are_immutable_values(cls, args, fields, other):
+    """Memo keys (``_env_cache``, ``_power_sums_cache``, the suite's cases) behave as values.
+
+    Positional and keyword construction agree (``SuiteCase`` defaults ``expected`` to PASS);
+    equality and hashing go by the field tuple, never by identity or against a bare tuple.
+    """
+    a, b = cls(*args), cls(**fields)
+    assert a is not b and a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+    assert a != cls(**{**fields, **other}) and a != tuple(fields.values())
+    assert repr(a) == f"{cls.__name__}({', '.join(f'{n}={v!r}' for n, v in fields.items())})"
+    back = pickle.loads(pickle.dumps(a))
+    assert type(back) is cls and back == a and hash(back) == hash(a)
+    for name in [*fields, "extra"]:
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+    assert a == b and [getattr(a, n) for n in fields] == list(fields.values())
+
+
+@pytest.mark.parametrize("make", [
+    lambda: anomaly.Setting("weird", 1, 1, 3),
+    lambda: anomaly.Setting("spin4k", 0, 1, 4),
+    lambda: anomaly.Setting("spin4k", 1, 0, 4),
+    lambda: anomaly.Setting("spin4k", 3, 1, 4),
+    lambda: RootFamily(FAMILY_TM, 0),
+    lambda: RootFamily(FAMILY_W, 2),
+])
+def test_memo_keys_reject_bad_input(make):
+    with pytest.raises(AlgebraError):
+        make()
+
+
 _KIND_THEOREMS = {"spin4k": ("3.1", "3.2"), "spinc4k": ("4.1", "4.2"), "spinc4k2": ("4.6", "4.8")}
 
 
@@ -352,6 +392,24 @@ def test_sharing_the_tangent_half_cannot_change_a_verdict(kind, monkeypatch):
     tangent_exps = [c for c in calls if any(sums is half.tm_sums for sums in c)]
     assert len(tangent_exps) == (3 if kind == "spin4k" else 1)
     assert len(calls) - len(tangent_exps) == 3 * 3     # P1/P2/P3's auxiliary exp at each l
+
+
+@pytest.mark.parametrize("kind", ["spin4k", "spinc4k", "spinc4k2"])
+def test_stable_range_in_l(kind):
+    """From l = W//2 on, one more unit of l doubles P1 and leaves P2, P3 and the h_r as they are.
+
+    The argument is in the ``anomaly`` docstring: V's power sums through weight W are the same
+    polynomials at every such l, and ``ch(Delta(V))`` carries the factor ``2^l``.
+    """
+    for k in range(1, 5):
+        W = make_setting(kind, k, 1).weight
+        lo, hi = (get_env(make_setting(kind, k, l)) for l in (W // 2, W // 2 + 1))
+        assert hi.packed("P2") == lo.packed("P2") and hi.packed("P3") == lo.packed("P3")
+        p1_lo, p1_hi = lo.packed("P1"), hi.packed("P1")
+        assert (p1_hi.step, p1_hi.bound) == (p1_lo.step, p1_lo.bound)
+        assert ({m: [Fraction(n, p1_hi.den) for n in col] for m, col in p1_hi.cols.items()}
+                == {m: [Fraction(2 * n, p1_lo.den) for n in col] for m, col in p1_lo.cols.items()})
+        assert hi.decomposition().h == lo.decomposition().h
 
 
 @pytest.mark.parametrize("k", range(1, 7))

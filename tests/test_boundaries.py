@@ -10,9 +10,10 @@ reach the fast packed kernel (``mul_sum`` and its ``field_width``) it checks,
 and no library module but ``algebra`` names the monomial packing: the others
 go through ``QColumns.of`` and ``QColumns.coefficient``.
 
-One guard runs an import instead of reading one: ``import anomcancel`` loads
+Two guards run an import instead of reading one: ``import anomcancel`` loads
 no process-pool machinery, which would cost every ``verify`` more time than
-its computation.
+its computation, and no ``dataclasses``, whose ``inspect`` and class
+processing cost more than the rest of the package does.
 """
 
 import ast
@@ -110,12 +111,23 @@ def test_string_oracle_reads_only_algebra_and_series_from_the_library():
     assert used <= {"fractions", f"{PACKAGE}.algebra", f"{PACKAGE}.qseries"}, used
 
 
-def test_import_loads_no_process_pool():
-    """A fresh interpreter imports the package and its CLI without ``concurrent`` or ``multiprocessing``."""
+@pytest.fixture(scope="module")
+def cold_import_modules() -> set[str]:
+    """The top-level names of every module a fresh ``import anomcancel, anomcancel.cli`` loads."""
     code = "import json, sys, anomcancel, anomcancel.cli; print(json.dumps([anomcancel.__file__, *sys.modules]))"
     env = dict(os.environ, PYTHONPATH=str(SOURCES.parent))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           check=True, timeout=60)
     origin, *loaded = json.loads(done.stdout)
     assert Path(origin).parent == SOURCES and "anomcancel.suite" in loaded
-    assert not [m for m in loaded if m.split(".")[0] in ("concurrent", "multiprocessing")]
+    return {m.split(".")[0] for m in loaded}
+
+
+def test_import_loads_no_process_pool(cold_import_modules):
+    """A fresh interpreter imports the package and its CLI without ``concurrent`` or ``multiprocessing``."""
+    assert not cold_import_modules & {"concurrent", "multiprocessing"}
+
+
+def test_import_loads_no_dataclasses(cold_import_modules):
+    """The records are plain classes: the import loads neither ``dataclasses`` nor the ``inspect`` it pulls in."""
+    assert not cold_import_modules & {"dataclasses", "inspect"}

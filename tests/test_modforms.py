@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 
 from anomcancel import modforms
 from anomcancel.algebra import AlgebraError, GradedPolynomial, QColumns
-from anomcancel.anomaly import divisibility_check
+from anomcancel.anomaly import divisibility_check, make_setting
 from anomcancel.genus import build_generator_table
 from anomcancel.modforms import (GROUP_LOWER, GROUP_UPPER, basis_element, decompose,
                                  delta_eps, transfer_residual,
@@ -342,3 +343,29 @@ def test_unit_lower_inverse():
         with pytest.raises(AlgebraError):
             unit_lower_inverse(bad)
 
+
+def _dim_m_gamma0_2(weight: int) -> int:
+    """``dim M_weight(Gamma_0(2))`` for even weight >= 2 (Diamond and Shurman, Theorem 3.5.1).
+
+    ``Gamma_0(2)`` has genus 0, two cusps, one elliptic point of period 2 and none of period 3.
+    """
+    g, e2, e3, cusps = 0, 1, 0, 2
+    return (weight - 1) * (g - 1) + weight // 4 * e2 + weight // 3 * e3 + weight // 2 * cusps
+
+
+def test_the_solve_reads_the_sturm_count():
+    """For k = 1..40 the decomposition solves ``dim M_2k(Gamma_0(2))`` positions, through the Sturm bound.
+
+    Sturm (1987): a weight-2k form on an index-3 subgroup vanishes when its expansion vanishes
+    through order ``2k * 3/12 = k/2``, counted for ``Gamma^0(2)`` in ``q^(1/2)``, where the solve
+    reads ``q^(j/2)`` for ``j = 0..floor(k/2)``.  Every depth a setting accepts clears the transfer's
+    bound ``k/2`` in ``q``.
+    """
+    for k in range(1, 41):
+        minor = modforms.leading_minor(k, k // 2 + 1)
+        sturm = Fraction(2 * k * 3, 12)
+        assert len(minor) == len(unit_lower_inverse(minor)) == _dim_m_gamma0_2(2 * k)
+        assert len(minor) - 1 == math.floor(sturm)
+        with pytest.raises(AlgebraError):
+            make_setting("spin4k", k, 1, n_q=k + 1)
+        assert make_setting("spin4k", k, 1, n_q=k + 2).n_q > sturm
