@@ -407,8 +407,8 @@ class GradedPolynomial:
 
         Each generator ``g`` satisfies ``g = std_factor * std_gen``; the result
         is expressed over a table of the standard names with the same weights.
-        The map is a graded ring isomorphism and ``from_standard_basis``
-        inverts it exactly.
+        The map is a graded ring isomorphism: it rescales each monomial by a
+        nonzero scalar.
         """
         std_table = self.table.standard_table
         terms: dict[tuple[int, ...], Fraction] = {}
@@ -419,17 +419,6 @@ class GradedPolynomial:
                     c = c * g.std_factor ** e
             terms[exps] = c
         return GradedPolynomial(std_table, terms, self.max_weight)
-
-    def from_standard_basis(self, normalized_table: GeneratorTable) -> "GradedPolynomial":
-        """Inverse of :meth:`to_standard_basis` (self must be in standard names)."""
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for exps, coeff in self.terms.items():
-            c = coeff
-            for e, g in zip(exps, normalized_table.gens):
-                if e:
-                    c = c / g.std_factor ** e
-            terms[exps] = c
-        return GradedPolynomial(normalized_table, terms, self.max_weight)
 
     def sorted_terms(self):
         """Terms in canonical order: by weight, then by exponent vector."""

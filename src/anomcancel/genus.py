@@ -23,7 +23,9 @@ weight of a product multiplies only the pairs of pieces whose weights add up
 to it.  A setting's first-class relation is a weight-preserving ring map, so
 it commutes with the exp: it is applied once to each family's power sums
 (:func:`constrained_power_sums`), never to a series.  Evaluation at the
-spin^c line root and the classical genera go through the same exp.
+spin^c line root and the classical genera go through the same exp; the
+genera read their logs as the q^0 slices of ``theta_log`` (``z/sin z`` of
+the Witten factor, ``cos z`` of ``t1``).
 Explicit-root expansion is kept out of the library and used only as a
 small-instance test oracle.
 
@@ -44,7 +46,7 @@ from typing import Sequence
 
 from .algebra import ONE, AlgebraError, Generator, GeneratorTable, GradedPolynomial, QColumns, Record, mul_sum
 from .qseries import Q_UNIT, PuiseuxSeries
-from .theta import RootFactor, log_cos_coeffs, log_sin_over_z
+from .theta import RootFactor, theta_log
 
 FAMILY_TM = "TM"
 FAMILY_V = "V"
@@ -225,17 +227,11 @@ def classical_genus(kind: str, fam: RootFamily, table: GeneratorTable,
         terms = (GradedPolynomial.generator("w", table, max_weight, power=d).scale(Fraction(1, factorial(d)))
                  for d in range(1, max_weight + 1))
         return sum(terms, GradedPolynomial.one(table, max_weight))
-    zb = 2 * (max_weight // 2)
-    log_sin = log_sin_over_z(zb)
-    if kind == "ahat":
-        coeffs = [-c for c in log_sin]
-        unit = 1
-    elif kind == "spinor_ch":
-        coeffs = log_cos_coeffs(zb)
-        unit = 2 ** fam.n_roots
-    else:
+    if kind not in ("ahat", "spinor_ch"):
         raise AlgebraError(f"unknown genus kind {kind!r}")
-    log = RootFactor.from_z_coeffs(coeffs, zb, 0)
+    # the q^0 slices of the Witten factor (z/sin z) and of t1 (cos z)
+    log = theta_log("a" if kind == "ahat" else "t1", 0, 2 * (max_weight // 2))
+    unit = 1 if kind == "ahat" else 2 ** fam.n_roots
     series = prod_over_roots(log, fam, table, max_weight, order=0)
     return series.coefficient(0).scale(unit)
 

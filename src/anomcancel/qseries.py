@@ -167,11 +167,6 @@ class PuiseuxSeries:
                 terms[k] = p
         return PuiseuxSeries(terms, self.order_bound, self.zero)
 
-    def shift(self, units: int) -> "PuiseuxSeries":
-        """Multiply by ``q^(units/8)``."""
-        return PuiseuxSeries({k + units: c for k, c in self.terms.items()},
-                             self.order_bound + units, self.zero)
-
     def map_coefficients(self, fn: Callable, new_zero=None) -> "PuiseuxSeries":
         zero = self.zero if new_zero is None else new_zero
         terms = {}

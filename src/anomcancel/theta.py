@@ -9,32 +9,33 @@ Everything is normalized so that only exact rational data appears:
   by 2, ``theta_prime`` means the derivative null divided by 2*pi.  These
   two carry the lattice offset ``q^(1/8)``.
 
-With those conventions the Jacobi product identity
-``theta' = pi * theta1 * theta2 * theta3`` at the origin reduces to an exact
-identity of integer q-series, which :func:`jacobi_residual` checks to any
-order.  The per-root factors are the building blocks of every verified
-product formula:
+The nulls (:func:`theta_null`) are Jacobi's lattice sums, and with those
+conventions his derivative identity ``theta' = pi * theta1 * theta2 *
+theta3`` at the origin reduces to an exact identity of integer q-series,
+which :func:`jacobi_residual` checks to any order.  The per-root factors
+are the building blocks of every verified product formula:
 
 * ``a``  -- ``z * theta'(0)/theta(z)``, the Witten-type factor, q0 slice ``z/sin z``
 * ``t1, t2, t3`` -- ``theta_i(z)/theta_i(0)``, q0 slices ``cos z, 1, 1``
 * ``d``  -- ``pi * theta(z)/theta'(0)``, odd in ``z``, q0 slice ``sin z``
 
 Each factor is known through its log in closed form (:func:`theta_log`): a
-Bernoulli constant from the q0 slice plus an Eisenstein-type divisor sum per
-``z^2j`` column, which ``genus`` turns into power sums and exps.  A log is
-held as integer columns, one per ``z^2j`` degree (see :class:`RootFactor`):
-the divisor sums are summed as ints with the column's scale folded into the
-numerators, logs add column by column in integers, and ``Fraction``s appear
-only in the on-demand ``terms`` view.  The factor
-itself (:func:`theta_factor`, printed by ``expand --object factor-*``) is
-that exp at a single root; nothing in the library multiplies out the
-``O(order)`` product form, which the tests keep as an independent oracle.
+Bernoulli constant from the q0 slice (:func:`log_sin_over_z`) plus an
+Eisenstein-type divisor sum per ``z^2j`` column, which ``genus`` turns into
+power sums and exps.  A log is held as integer columns, one per ``z^2j``
+degree (see :class:`RootFactor`): the divisor sums are summed as ints with
+the column's scale folded into the numerators, logs add column by column in
+integers, and ``Fraction``s appear only in the on-demand ``terms`` view.
+The factor itself (:func:`theta_factor`, printed by ``expand --object
+factor-*``) is that exp at a single root; nothing in the library multiplies
+out the ``O(order)`` product form, which the tests keep as an independent
+oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm
 
 from .algebra import AlgebraError, QColumns, _frac, int_numerators
 from .qseries import HALF_UNIT, Q_UNIT, PuiseuxSeries
@@ -49,45 +50,30 @@ def _sseries(terms: dict[int, Fraction], bound: int) -> PuiseuxSeries:
     return PuiseuxSeries(terms, bound, Fraction(0))
 
 
-def _null_product(order: int, step: int, builders) -> PuiseuxSeries:
-    """``prod (1 + coeff * q^(offset * step/8))^power`` over the builders' binomials.
-
-    The product runs through ``q^order`` on the native lattice of ``step``
-    units, so ``offset`` counts steps.  Each binomial is one shift-and-add
-    pass over the integer coefficients, ``out += coeff * out.shift(offset)``,
-    run from the top down so that it reads only positions not yet updated in
-    the pass.
-    """
-    bound = Q_UNIT * order // step
-    out = [1] + [0] * bound
-    for j in range(1, order + 2):
-        for offset, coeff, power in builders(j):
-            if offset > bound:
-                continue
-            for _ in range(power):
-                for k in range(bound, offset - 1, -1):
-                    if out[k - offset]:
-                        out[k] += coeff * out[k - offset]
-    return _sseries({step * k: Fraction(c) for k, c in enumerate(out) if c}, Q_UNIT * order)
-
-
 def theta_null(kind: str, order: int) -> PuiseuxSeries:
-    """Null-value expansion through ``q^order``.
+    """Null-value expansion through ``q^order``, from Jacobi's lattice sums.
 
-    ``theta1`` and ``theta_prime`` are returned in reduced form (constants 2
-    and 2*pi stripped) and start at ``q^(1/8)``.
+    ``theta3 = sum_n q^(n^2/2)`` and ``theta2 = sum_n (-1)^n q^(n^2/2)`` over
+    all integers ``n`` (the pair ``+-n`` meets at lattice ``4n^2``);
+    ``theta1 = q^(1/8) sum_(n>=0) q^(n(n+1)/2)`` and ``theta_prime =
+    q^(1/8) sum_(n>=0) (-1)^n (2n+1) q^(n(n+1)/2)`` are the reduced forms
+    (constants 2 and 2*pi stripped) and start at ``q^(1/8)``.
     """
     if order < 1:
         raise AlgebraError("order must be >= 1")
-    if kind == "theta2":
-        return _null_product(order, HALF_UNIT, lambda j: [(2 * j, -1, 1), (2 * j - 1, -1, 2)])
-    if kind == "theta3":
-        return _null_product(order, HALF_UNIT, lambda j: [(2 * j, -1, 1), (2 * j - 1, +1, 2)])
-    if kind == "theta1":
-        return _null_product(order, Q_UNIT, lambda j: [(j, -1, 1), (j, +1, 2)]).shift(1)
-    if kind == "theta_prime":
-        return _null_product(order, Q_UNIT, lambda j: [(j, -1, 3)]).shift(1)
-    raise AlgebraError(f"unknown null kind {kind!r}")
+    odd = kind in ("theta1", "theta_prime")
+    if not odd and kind not in ("theta2", "theta3"):
+        raise AlgebraError(f"unknown null kind {kind!r}")
+    bound = Q_UNIT * order + odd
+    terms = {}
+    for n in range(order + 1):      # n^2 <= 2*order and n(n+1) <= 2*order both need n <= order
+        if odd:
+            k, c = 1 + HALF_UNIT * n * (n + 1), 2 * n + 1 if kind == "theta_prime" else 1
+        else:
+            k, c = HALF_UNIT * n * n, 2 if n else 1
+        if k <= bound:
+            terms[k] = Fraction(c * (-1) ** n if kind in ("theta2", "theta_prime") else c)
+    return _sseries(terms, bound)
 
 
 def jacobi_residual(order: int) -> PuiseuxSeries:
@@ -161,10 +147,6 @@ class RootFactor:
     def coefficient(self, d: int, k: int) -> Fraction:
         return self.terms.get((d, k), Fraction(0))
 
-    @staticmethod
-    def from_z_coeffs(coeffs, z_bound: int, q_bound: int) -> "RootFactor":
-        return RootFactor({(d, 0): c for d, c in enumerate(coeffs)}, z_bound, q_bound)
-
     def __mul__(self, other: "RootFactor") -> "RootFactor":
         # no library caller: kept because the benchmark's tracer counts its term
         # pairs (theta.factor_mul) and its self-test fails when it is missing
@@ -224,39 +206,22 @@ def _reduced(c: QColumns) -> QColumns:
 # -- elementary z-series ------------------------------------------------------
 
 
-def sin_over_z_coeffs(z_bound: int) -> list[Fraction]:
-    out = [Fraction(0)] * (z_bound + 1)
-    for m in range(0, z_bound // 2 + 1):
-        fact = 1
-        for i in range(2, 2 * m + 2):
-            fact *= i
-        out[2 * m] = Fraction((-1) ** m, fact)
-    return out
-
-
-def log_z_coeffs(coeffs: list[Fraction]) -> list[Fraction]:
-    """``log`` of a z-series with constant term 1, from ``n*g_n = n*f_n - sum k*g_k*f_(n-k)``."""
-    if coeffs[0] != 1:
-        raise AlgebraError("z-series log needs constant term 1")
-    out = [Fraction(0)] * len(coeffs)
-    for n in range(1, len(coeffs)):
-        acc = n * coeffs[n] - sum(k * out[k] * coeffs[n - k] for k in range(1, n))
-        out[n] = acc / n
-    return out
-
-
 def log_sin_over_z(z_bound: int) -> tuple[Fraction, ...]:
-    """The z-coefficients of ``log(sin z/z)`` through ``z^z_bound``, memoized by ``z_bound``."""
+    """The z-coefficients of ``log(sin z/z)`` through ``z^z_bound``, memoized by ``z_bound``.
+
+    The ``z^2j`` coefficient is ``(-1)^j 2^(2j-1) B_2j / (j (2j)!)``, with the
+    Bernoulli numbers from ``sum_(i<=n) C(n+1, i) B_i = 0``.
+    """
     out = _log_sin_cache.get(z_bound)
     if out is None:
-        out = _log_sin_cache[z_bound] = tuple(log_z_coeffs(sin_over_z_coeffs(z_bound)))
+        b = [Fraction(1)]
+        for n in range(1, z_bound + 1):
+            b.append(-sum(comb(n + 1, i) * b[i] for i in range(n)) / (n + 1))
+        coeffs = [Fraction(0)] * (z_bound + 1)
+        for j in range(1, z_bound // 2 + 1):
+            coeffs[2 * j] = (-1) ** j * 2 ** (2 * j - 1) * b[2 * j] / (j * factorial(2 * j))
+        out = _log_sin_cache[z_bound] = tuple(coeffs)
     return out
-
-
-def log_cos_coeffs(z_bound: int) -> list[Fraction]:
-    """``log cos z = log(sin 2z/2z) - log(sin z/z)``: the z^2j coefficient is ``(4^j - 1)``
-    times that of ``log(sin z/z)``."""
-    return [(2 ** d - 1) * c for d, c in enumerate(log_sin_over_z(z_bound))]
 
 
 def theta_log(kind: str, order: int, z_bound: int) -> RootFactor:
@@ -283,7 +248,9 @@ def theta_log(kind: str, order: int, z_bound: int) -> RootFactor:
         raise AlgebraError(f"unknown factor kind {kind!r}")
     q_bound = Q_UNIT * order
     log_sin = log_sin_over_z(z_bound)
-    q0 = {"a": [-c for c in log_sin], "t1": log_cos_coeffs(z_bound), "d": log_sin}.get(kind)
+    # log cos z = log(sin 2z/2z) - log(sin z/z): (4^j - 1) times the z^2j coefficient of log(sin z/z)
+    log_cos = [(2 ** d - 1) * c for d, c in enumerate(log_sin)]
+    q0 = {"a": [-c for c in log_sin], "t1": log_cos, "d": log_sin}.get(kind)
     s = +1 if kind in ("t1", "t3") else -1
     outer = +1 if kind == "a" else -1
     shift = HALF_UNIT if kind in ("t2", "t3") else 0

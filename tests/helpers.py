@@ -1,9 +1,12 @@
 """Independent oracles used by the tests.
 
-Nothing here shares code paths with the library: theta nulls come from
-classical lattice sums instead of products, per-root factors are multiplied
-out from their ``O(order)`` bivariate product form (:func:`product_factor`)
-instead of exponentiating closed-form logs, root products are expanded in
+Nothing here shares code paths with the library: theta nulls are Jacobi's
+triple products multiplied out one binomial at a time by dict convolution
+(:func:`theta_null_product_form`) instead of the library's lattice sums,
+which :func:`theta_null_sum_form` writes out again for the level-2 oracle
+below; per-root factors are multiplied out from their ``O(order)``
+bivariate product form (:func:`product_factor`) instead of exponentiating
+closed-form logs, root products are expanded in
 explicit symbolic roots and rewritten into the elementary basis by leading-
 term elimination instead of the log/Newton/exp route, logs of product-built
 factors are taken by the power series ``sum (-1)^(m+1) u^m / m`` instead of
@@ -16,7 +19,9 @@ strings of bundles are products of one exp-by-powers series per factor
 instead of one exp of a summed divisor-sum log, with their own Adams
 operation and reduction read off the weight components.  :func:`packed` writes a
 polynomial-valued series into the packed integer form by hand, from its
-dicts.
+dicts.  :func:`cp1_characteristic_number` evaluates a standard-basis
+polynomial on a product of CP^1 with a sum of realified line bundles, for
+the divisibility witnesses.
 
 :func:`reference_P` is the one exception: it reassembles a P-series from the
 library's single-family products, which the oracles above pin, by the
@@ -57,6 +62,27 @@ def theta_null_sum_form(kind: str, order: int) -> PuiseuxSeries:
         terms[k] = terms.get(k, Fraction(0)) + c
         n += 1
     return PuiseuxSeries(terms, bound, Fraction(0))
+
+
+def theta_null_product_form(kind: str, order: int) -> PuiseuxSeries:
+    """Jacobi's triple products for the theta nulls (reduced forms), one binomial at a time.
+
+    ``theta3`` and ``theta2`` are ``prod_j (1 - q^j)(1 +- q^(j-1/2))^2``,
+    ``theta1`` is ``q^(1/8) prod_j (1 - q^j)(1 + q^j)^2`` and ``theta_prime``
+    is ``q^(1/8) prod_j (1 - q^j)^3``; each binomial ``1 + c*q^a`` is one dict
+    convolution, cut at the bound.
+    """
+    odd = kind in ("theta1", "theta_prime")
+    bound = 8 * order + (1 if odd else 0)
+    binomials = {"theta3": lambda j: [(8 * j, -1), (8 * j - 4, 1), (8 * j - 4, 1)],
+                 "theta2": lambda j: [(8 * j, -1), (8 * j - 4, -1), (8 * j - 4, -1)],
+                 "theta1": lambda j: [(8 * j, -1), (8 * j, 1), (8 * j, 1)],
+                 "theta_prime": lambda j: [(8 * j, -1)] * 3}[kind]
+    out = {1 if odd else 0: Fraction(1)}
+    for j in range(1, order + 1):
+        for a, c in binomials(j):
+            out = _series_mul(out, {0: Fraction(1), a: Fraction(c)}, bound)
+    return PuiseuxSeries(out, bound, Fraction(0))
 
 
 # -- product-built factor oracle -------------------------------------------------
@@ -633,3 +659,58 @@ def reference_P(setting, which: str) -> PuiseuxSeries:
         series = series.scale(2 ** s.l)
     name, repl = constraint_replacement(s.kind, table, W)
     return series.map_coefficients(lambda p: p.component(W).substitute(name, repl))
+
+
+# -- characteristic numbers on products of CP^1 ---------------------------------------
+
+
+def _class_mul(a: dict, b: dict) -> dict:
+    """Product of two classes on ``(CP^1)^r``, as ``{0/1 exponent vector: coeff}`` with ``x_i^2 = 0``."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            if not any(x and y for x, y in zip(e1, e2)):
+                e = tuple(x + y for x, y in zip(e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _class_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def cp1_characteristic_number(poly: GradedPolynomial, c, lines, *, top: bool = True):
+    """A standard-basis polynomial evaluated on ``M = (CP^1)^r``, with ``V`` a sum of realified lines.
+
+    ``c`` and each entry of ``lines`` are the coefficient vectors of a class
+    ``sum_i a_i x_i`` in ``H^2``, ``x_i`` the hyperplane class of the i-th
+    factor.  The ring map sends ``pM_i`` to 0 (``p(M) = prod (1 + x_i^2) =
+    1``), ``pV_i`` to ``e_i`` of the squares ``c1(L_j)^2`` (``p(V) = prod_j
+    (1 + c1(L_j)^2)``) and ``c`` to ``c``.  It returns the coefficient of
+    ``x_1 ... x_r``, the characteristic number, or with ``top=False`` the
+    whole class (a relation in degree 4 is checked that way).
+    """
+    r = len(c)
+
+    def linear(a):
+        return {tuple(int(i == j) for j in range(r)): Fraction(x) for i, x in enumerate(a) if x}
+
+    elementary = [{(0,) * r: Fraction(1)}]
+    for line in lines:
+        square = _class_mul(linear(line), linear(line))
+        elementary = [_class_add(e, _class_mul(prev, square)) for e, prev in
+                      zip(elementary + [{}], [{}] + elementary)]
+    values = {"c": linear(c)}
+    values.update({f"pV{i}": e for i, e in enumerate(elementary) if i})
+    out: dict = {}
+    for exps, coeff in poly.terms.items():
+        term = {(0,) * r: coeff}
+        for e, g in zip(exps, poly.table.gens):
+            assert g.name == g.std_name, "needs a polynomial in the standard basis"
+            for _ in range(e):
+                term = _class_mul(term, values.get(g.name, {}))      # pM_i and pV_(i > #lines) are 0
+        out = _class_add(out, term)
+    return out.get((1,) * r, Fraction(0)) if top else out

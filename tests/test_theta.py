@@ -1,15 +1,15 @@
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anomcancel.theta import (FACTOR_KINDS, RootFactor, jacobi_residual, theta_factor, theta_log,
-                              theta_null)
+from anomcancel.theta import (FACTOR_KINDS, RootFactor, jacobi_residual, log_sin_over_z, theta_factor,
+                              theta_log, theta_null)
 
 from helpers import (bivariate_inverse, bivariate_mul, product_factor, series_log,
-                     theta_null_sum_form)
+                     theta_null_product_form, theta_null_sum_form)
 
 
 def q0_slice(f):
@@ -19,8 +19,9 @@ def q0_slice(f):
 
 @pytest.mark.parametrize("kind", ["theta1", "theta2", "theta3", "theta_prime"])
 def test_nulls_match_lattice_sums(kind):
+    """The library's lattice sums equal Jacobi's triple products multiplied out."""
     got = theta_null(kind, 10)
-    want = theta_null_sum_form(kind, 10)
+    want = theta_null_product_form(kind, 10)
     assert got.terms == want.terms
 
 
@@ -28,8 +29,15 @@ def test_nulls_match_lattice_sums(kind):
 def test_nulls_match_lattice_sums_at_other_orders(order):
     for kind in ("theta1", "theta2", "theta3", "theta_prime"):
         got = theta_null(kind, order)
-        want = theta_null_sum_form(kind, order)
+        want = theta_null_product_form(kind, order)
         assert got.terms == want.terms and got.order_bound == want.order_bound
+        assert all(type(c) is Fraction for c in got.terms.values())
+
+
+def test_product_oracle_matches_sum_oracle():
+    """The two oracles agree: the triple products equal the lattice sums the level-2 oracle reads."""
+    for kind in ("theta1", "theta2", "theta3", "theta_prime"):
+        assert theta_null_product_form(kind, 12) == theta_null_sum_form(kind, 12)
 
 
 def test_null_leading_terms():
@@ -141,6 +149,14 @@ def test_theta_log_of_odd_factor_is_log_d_over_z(order, z_bound):
     d = product_factor("d", order, z_bound + 1)
     d_over_z = {(dd - 1, k): c for (dd, k), c in d.terms.items()}
     assert theta_log("d", order, z_bound).terms == series_log(d_over_z, z_bound, d.q_bound)
+
+
+def test_log_sin_over_z_matches_series_log():
+    """The Bernoulli form of ``log(sin z/z)`` equals the power-series log of ``sin z/z`` through z^40."""
+    sin_over_z = {(d, 0): Fraction((-1) ** (d // 2), factorial(d + 1)) for d in range(0, 41, 2)}
+    got = log_sin_over_z(40)
+    assert len(got) == 41 and all(type(c) is Fraction for c in got)
+    assert {(d, 0): c for d, c in enumerate(got) if c} == series_log(sin_over_z, 40, 0)
 
 
 def test_theta_log_columns():

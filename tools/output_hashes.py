@@ -7,7 +7,11 @@ Run it with the package to hash on ``PYTHONPATH``:
 It prints one JSON object: the sha256 of ``anomcancel suite --format json``
 at ``--parallel 1`` and ``--parallel 2``, and, for each basis, the sha256 of
 the concatenated ``verify --format json`` output of every operation that
-``benchmarks/workloads.all_verify_operations()`` lists, in that order.  Two
+``benchmarks/workloads.all_verify_operations()`` lists, in that order.
+``"expand theta layer"`` hashes ``expand --format json`` of every object but
+``P1``/``P2``/``P3``/``basis`` (the level-2 generators, the theta nulls and
+the per-root factors) at ``--order`` 1, 2, 5 and 12, the factors at
+``--weight`` 6 and 11: 72 outputs, by object, then order, then weight.  Two
 checkouts produce the same hashes exactly when those outputs agree.  The
 last entry, ``"src lines"``, is the line count of the hashed package's
 modules (``anomcancel/*.py``), as ``wc -l`` counts it.
@@ -27,7 +31,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 import workloads  # noqa: E402
 
 import anomcancel  # noqa: E402
-from anomcancel.cli import main  # noqa: E402
+from anomcancel.cli import EXPAND_OBJECTS, main  # noqa: E402
 
 
 def _stdout_of(argv: list[str]) -> bytes:
@@ -55,6 +59,15 @@ def output_hashes() -> dict[str, str | int]:
         for op in ops:
             digest.update(_stdout_of(_verify_argv(op, basis)))
         hashes[f"verify {len(ops)} operations --basis {basis}"] = digest.hexdigest()
+    digest = hashlib.sha256()
+    for obj in EXPAND_OBJECTS:
+        if obj in ("P1", "P2", "P3", "basis"):
+            continue
+        for order in (1, 2, 5, 12):
+            for weight in (6, 11) if obj.startswith("factor-") else (None,):
+                argv = ["expand", "--object", obj, "--order", str(order), "--format", "json"]
+                digest.update(_stdout_of(argv if weight is None else argv + ["--weight", str(weight)]))
+    hashes["expand theta layer"] = digest.hexdigest()
     modules = Path(anomcancel.__file__).parent.glob("*.py")
     hashes["src lines"] = sum(p.read_bytes().count(b"\n") for p in modules)
     return hashes
