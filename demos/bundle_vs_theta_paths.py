@@ -10,18 +10,23 @@ from fractions import Fraction
 
 from anomcancel import cross_check_bundle_expansion, make_setting
 from anomcancel.anomaly import get_env
-from anomcancel.kvirt import theta_object
+from anomcancel.genus import FAMILY_TM, LINE, RootFamily
+from anomcancel.kvirt import complexified_bundle, theta_object
 
 
 def show_coefficient_bundles():
+    # the bundles on the plain ring, before the setting's relation eliminates nM1
     env = get_env(make_setting("spinc4k", 1, 1))
+    W = env.setting.weight
+    tangent = complexified_bundle(RootFamily(FAMILY_TM, W), env.table, W)
+    line = complexified_bundle(LINE, env.table, W)
     print("# coefficient bundles of the line-twisted tensor string (dim 4k)")
-    series = theta_object("theta_c", env.tangent, env.line, 2)
+    series = theta_object("theta_c", tangent, line, 2)
     for units in (0, 4, 8):
         ch = series.coefficient(units)
         print(f"  q^({Fraction(units, 8)}): rank {int(ch.constant_term()):>2}, ch = {ch.to_text()}")
     print()
-    star = theta_object("theta_c_star", env.tangent, env.line, 2)
+    star = theta_object("theta_c_star", tangent, line, 2)
     print("# and of the single-string variant (dim 4k+2, reduced line convention)")
     for units in (0, 4, 8):
         ch = star.coefficient(units)

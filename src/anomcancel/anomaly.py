@@ -3,16 +3,19 @@
 For each setting (spin dim-4k, spin^c dim-4k, spin^c dim-4k+2) the engine
 
 1. assembles the three P-series from the closed-form logs of the normalized
-   theta factors: the setting's first-class relation acts on each root
-   family's power sums, the logs on the tangent roots and the line are
-   exponentiated together, and only the pairs of weights that add up to the
-   top weight are multiplied with the auxiliary factor;
+   theta factors: the setting's first-class relation acts on the tangent and
+   auxiliary families' elementary classes (``RootFamily.relation``), the logs
+   on the tangent roots and the line are exponentiated together, and only
+   the pairs of weights that add up to the top weight are multiplied with
+   the auxiliary factor;
 2. decomposes P2 over the triangular half-integer basis, solving the h_r and
    checking the residual against every computed order;
 3. checks the transfer identity ``P1 = 2^l sum h_r (8 delta1)^(k-2r) eps1^r``;
 4. compares the constant and q^1 coefficients of P1 with the identity's two
    sides, built independently from the lambda-ring bundle path and from one
-   tangent genus (``_TangentHalf.genus``) at the top weight (``_Env.top``);
+   tangent genus (``_TangentHalf.genus``) at the top weight (``_Env.top``).
+   Both routes build on the same families, so every form is already in the
+   relation's image and no output is substituted into;
 5. audits the 2-adic divisibility claims that follow from the 2-power
    prefactors of the h_r: each exponent is the valuation of a right-side
    scalar of step 4's identities (:func:`rhs_coefficients`).
@@ -55,11 +58,11 @@ from __future__ import annotations
 
 from functools import cached_property
 from fractions import Fraction
+from math import gcd
 
 from .algebra import ONE, AlgebraError, GradedPolynomial, QColumns, Record, mul_sum
-from .genus import (CONSTRAINT_KINDS, FAMILY_TM, FAMILY_V, LINE, RootFamily, apply_constraint,
-                    build_generator_table, classical_genus, constrained_power_sums,
-                    exp_by_weight)
+from .genus import (CONSTRAINT_KINDS, FAMILY_TM, FAMILY_V, LINE, RootFamily, build_generator_table,
+                    classical_genus, exp_by_weight, power_sums_gp)
 from .genus import prod_over_roots  # not called here: kept as the alias the benchmark tracer wraps
 from .kvirt import complexified_bundle, lambda_power, lambda_string, reduced, theta_object
 from .modforms import (Decomposition, decompose, leading_minor, transfer_residual,
@@ -140,6 +143,12 @@ def _line_q1(ll: GradedPolynomial) -> GradedPolynomial:
     return ll + lambda_power(ll, 2).scale(2) - ll * ll
 
 
+def _integer_part(f: QColumns) -> QColumns:
+    """The positions of ``f`` at integer powers of ``q``, on a lattice of whole units."""
+    r = Q_UNIT // gcd(Q_UNIT, f.step)
+    return f._replace(step=f.step * r, cols={key: nums[::r] for key, nums in f.cols.items() if any(nums[::r])})
+
+
 class _TangentHalf:
     """The part of a setting that does not depend on l, shared by every l of one (kind, k, n_q).
 
@@ -148,13 +157,15 @@ class _TangentHalf:
     path.  The table always carries ``nV1..nV_(W//2)``, the same at every l,
     so each l's auxiliary polynomials live on this table with no embedding:
     they never touch ``nV_i`` for i > l, and rendering skips zero exponents.
+    The tangent family carries the setting's relation, so the genera and
+    bundles built on it are already in the relation's image.
     """
 
     def __init__(self, s: Setting):
         self.kind, self.k, self.n_q = s.kind, s.k, s.n_q
         self.weight = W = s.weight
         self.table = build_generator_table(W, W // 2, s.spin_c, W)
-        self.tm = RootFamily(FAMILY_TM, W)
+        self.tm = RootFamily(FAMILY_TM, W, s.kind)
         self.gp_zero = GradedPolynomial.zero(self.table, W)
         self.ahat = classical_genus("ahat", self.tm, self.table, W)
         self.ch_delta_m = classical_genus("spinor_ch", self.tm, self.table, W)
@@ -162,8 +173,8 @@ class _TangentHalf:
         self.line = complexified_bundle(LINE, self.table, W) if s.spin_c else None
         self.genus = self.ahat * (classical_genus("exp_half_c", self.tm, self.table, W) if s.spin_c
                                   else self.ch_delta_m + 2 ** (2 * s.k + 1))
-        self.tm_sums = constrained_power_sums(self.tm, s.kind, self.table, W)
-        self.line_sums = constrained_power_sums(LINE, s.kind, self.table, W) if s.spin_c else None
+        self.tm_sums = power_sums_gp(self.tm, W // 2, self.table, W)
+        self.line_sums = power_sums_gp(LINE, W // 2, self.table, W) if s.spin_c else None
         self._kvirt: dict[int, PuiseuxSeries] = {}
 
     def exp(self, logs) -> list[QColumns]:
@@ -181,10 +192,12 @@ class _TangentHalf:
         """
         a = self.log("a")
         if self.kind == "spin4k":
-            # 2^n * sum_i prod_TM a*t_i: one exp of a summed log per i, summed as products with 1
-            exps = [self.exp([(a + self.log(t), self.tm_sums)]) for t in ("t1", "t2", "t3")]
-            unit = [(0, 2 ** self.tm.n_roots)]
-            return {2 * n: mul_sum([(f, ONE, 1, unit) for f in fs]) for n, fs in enumerate(zip(*exps))}
+            # 2^n * sum_i prod_TM a*t_i.  tau -> tau+1 fixes a and swaps t2 and t3, so exp(a+t3) is
+            # exp(a+t2) with its half-integer positions negated, and the two sum to twice its integer part
+            e1, e2 = (self.exp([(a + self.log(t), self.tm_sums)]) for t in ("t1", "t2"))
+            n = 2 ** self.tm.n_roots
+            return {2 * i: mul_sum([(f1, ONE, 1, [(0, n)]), (_integer_part(f2), ONE, 1, [(0, 2 * n)])])
+                    for i, (f1, f2) in enumerate(zip(e1, e2))}
         if self.kind == "spinc4k":
             t123 = self.log("t1") + self.log("t2") + self.log("t3")
             return {2 * n: f for n, f in enumerate(self.exp([(a, self.tm_sums), (t123, self.line_sums)]))}
@@ -223,19 +236,19 @@ class _Env:
         self.table, self.gp_zero = half.table, half.gp_zero
         self.ahat, self.ch_delta_m, self.genus = half.ahat, half.ch_delta_m, half.genus
         self.tangent, self.line = half.tangent, half.line
-        self.v = RootFamily(FAMILY_V, s.l)
+        self.v = RootFamily(FAMILY_V, s.l, s.kind)
         self.ch_delta_v = classical_genus("spinor_ch", self.v, self.table, W)
         self.aux = complexified_bundle(self.v, self.table, W)
-        self.v_sums = constrained_power_sums(self.v, s.kind, self.table, W)
+        self.v_sums = power_sums_gp(self.v, W // 2, self.table, W)
         self._p: dict[str, QColumns] = {}
         self._decomp: Decomposition | None = None
 
     # -- theta path ---------------------------------------------------------
 
     def packed(self, which: str) -> QColumns:
-        """The top-weight component of P1/P2/P3 with the constraint applied.
+        """The top-weight component of P1/P2/P3 under the setting's relation.
 
-        The relation is already on the power sums, and the series is one
+        The relation is already on the families' power sums, and the series is one
         :func:`~anomcancel.algebra.mul_sum` over the pairs (core at weight
         ``W - b``, auxiliary factor at weight ``b``), so every monomial pair
         multiplied lands at weight ``W``.  It stays in packed integer form,
@@ -265,8 +278,11 @@ class _Env:
     # -- identity sides ---------------------------------------------------------
 
     def top(self, form: GradedPolynomial) -> GradedPolynomial:
-        """The top-weight component of a form under the setting's relation."""
-        return apply_constraint(form.component(self.setting.weight), self.setting.kind)
+        """The top-weight component of a form built from this setting's families.
+
+        Their relation is already on every form they build, so none is applied here.
+        """
+        return form.component(self.setting.weight)
 
     def constant_term_lhs(self) -> GradedPolynomial:
         """Left side of the constant-term identity: the tangent genus times ``ch(Delta(V))``."""
@@ -301,7 +317,7 @@ def get_env(setting: Setting) -> _Env:
 
 
 def build_P(setting: Setting, which: str) -> PuiseuxSeries:
-    """Top-weight, constraint-applied P-series for the setting, as a series of polynomials."""
+    """Top-weight P-series for the setting, under its relation, as a series of polynomials."""
     env = get_env(setting)
     return PuiseuxSeries.from_packed(env.packed(which), zero=env.gp_zero)
 
@@ -320,8 +336,8 @@ def cross_check_bundle_expansion(setting: Setting, which: str, order: int) -> Pu
     The theta side is the packed P-series read at every position of its own
     lattice, so an ``order`` past ``n_q`` raises
     :class:`~anomcancel.qseries.TruncationError`.  The lambda-ring side is the
-    tangent half's series times the auxiliary twist, each coefficient reduced
-    to the top-weight component under the setting's constraint.  The two
+    tangent half's series times the auxiliary twist, each coefficient cut to
+    its top-weight component; the relation is already on both.  The two
     routes agree exactly when the residual is zero.
     """
     env = get_env(setting)

@@ -21,8 +21,11 @@ returns the result split by weight, each piece carrying the lattice bound
 it is known through, so a caller that reads only the top
 weight of a product multiplies only the pairs of pieces whose weights add up
 to it.  A setting's first-class relation is a weight-preserving ring map, so
-it commutes with the exp: it is applied once to each family's power sums
-(:func:`constrained_power_sums`), never to a series.  Evaluation at the
+it commutes with products, exps, weight components and Adams operations: a
+family carries it (``RootFamily.relation``) and it is applied once, to the
+family's elementary classes (:func:`elementary_gp`), so the power sums and
+every genus, bundle and series built from them are already in its image; it
+is never applied to an output.  Evaluation at the
 spin^c line root and the classical genera go through the same exp; the
 genera read their logs as the q^0 slices of ``theta_log`` (``z/sin z`` of
 the Witten factor, ``cos z`` of ``t1``).
@@ -58,14 +61,18 @@ _power_sums_cache: dict[tuple, tuple[GradedPolynomial, ...]] = {}
 
 
 class RootFamily(Record):
-    __slots__ = ("family", "n_roots")
+    """``n_roots`` formal roots of one family; ``relation``, a setting kind, holds on their classes."""
 
-    def __init__(self, family: str, n_roots: int):
+    __slots__ = ("family", "n_roots", "relation")
+
+    def __init__(self, family: str, n_roots: int, relation: str | None = None):
         if n_roots < 1:
             raise AlgebraError("a root family needs at least one root")
         if family == FAMILY_W and n_roots != 1:
             raise AlgebraError("the spin^c line is a single root")
-        super().__init__(family, n_roots)
+        if relation is not None and relation not in CONSTRAINT_KINDS:
+            raise AlgebraError(f"unknown constraint kind {relation!r}")
+        super().__init__(family, n_roots, relation)
 
 
 LINE = RootFamily(FAMILY_W, 1)
@@ -92,9 +99,9 @@ def build_generator_table(n_tm_roots: int, n_v_roots: int, include_w: bool,
 
 
 def elementary_gp(fam: RootFamily, i: int, table: GeneratorTable, max_weight: int) -> GradedPolynomial:
-    """``e_i`` of the family's squared roots as a table generator (or zero).
+    """``e_i`` of the family's squared roots as a table generator (or zero), under its relation.
 
-    The line's one squared root is ``u^2 = -w^2``.
+    The line's one squared root is ``u^2 = -w^2``, which no relation touches.
     """
     if i == 0:
         return GradedPolynomial.one(table, max_weight)
@@ -103,16 +110,17 @@ def elementary_gp(fam: RootFamily, i: int, table: GeneratorTable, max_weight: in
     if fam.family == FAMILY_W:
         return GradedPolynomial.generator("w", table, max_weight, power=2).scale(-1)
     prefix = {FAMILY_TM: "nM", FAMILY_V: "nV"}[fam.family]
-    return GradedPolynomial.generator(f"{prefix}{i}", table, max_weight)
+    e = GradedPolynomial.generator(f"{prefix}{i}", table, max_weight)
+    return e if fam.relation is None else apply_constraint(e, fam.relation)
 
 
 def power_sums_gp(fam: RootFamily, m_max: int, table: GeneratorTable,
                   max_weight: int) -> list[GradedPolynomial]:
     """Power sums ``s_0..s_m_max`` of squared roots in the elementary generators (Newton).
 
-    The sums through ``s_(max_weight//2)`` are built once per family, table
-    and weight; ``s_m`` has weight ``2m``, so the later ones vanish and are
-    left out.
+    The sums through ``s_(max_weight//2)`` are built once per family (with
+    its relation), table and weight; ``s_m`` has weight ``2m``, so the later
+    ones vanish and are left out.
     """
     key = (fam, table, max_weight)
     sums = _power_sums_cache.get(key)
@@ -260,14 +268,3 @@ def apply_constraint(poly: GradedPolynomial, kind: str) -> GradedPolynomial:
         raise AlgebraError(f"the relation applies to a polynomial, not a {type(poly).__name__}")
     name, repl = constraint_replacement(kind, poly.table, poly.max_weight)
     return poly.substitute(name, repl)
-
-
-def constrained_power_sums(fam: RootFamily, kind: str, table: GeneratorTable,
-                           max_weight: int) -> list[GradedPolynomial]:
-    """Power sums ``s_0..s_(max_weight//2)`` of the family with the setting's relation applied.
-
-    The relation is a weight-preserving ring map, so it commutes with the
-    exp, with products and with weight components: an exp over these sums is
-    the relation applied to the exp over the plain ones.
-    """
-    return [apply_constraint(s, kind) for s in power_sums_gp(fam, max_weight // 2, table, max_weight)]

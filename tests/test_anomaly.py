@@ -9,7 +9,9 @@ from anomcancel.algebra import AlgebraError
 from anomcancel.anomaly import (DIVISIBILITY_IDS, build_P, cross_check_bundle_expansion,
                                 decompose_setting, divisibility_check, get_env,
                                 make_setting, structural_checks, verify_theorem)
-from anomcancel.genus import FAMILY_TM, FAMILY_V, FAMILY_W, RootFamily, build_generator_table
+from anomcancel.genus import (FAMILY_TM, FAMILY_V, FAMILY_W, RootFamily, apply_constraint,
+                              build_generator_table, classical_genus)
+from anomcancel.kvirt import complexified_bundle, lambda_string, reduced, theta_object
 from anomcancel.modforms import DELTA_EPS_KINDS, decompose, delta_eps, transfer_residual
 from anomcancel.qseries import HALF_UNIT, Q_UNIT, TruncationError
 from anomcancel.suite import SuiteCase, run_case, suite_cases
@@ -317,7 +319,7 @@ _CASE = ("3.1 k=2 l=1", "theorem", ("3.1", 2, 1, None))
 
 @pytest.mark.parametrize("cls, args, fields, other", [
     (anomaly.Setting, ("spinc4k", 2, 3, 8), {"kind": "spinc4k", "k": 2, "l": 3, "n_q": 8}, {"l": 4}),
-    (RootFamily, (FAMILY_V, 3), {"family": FAMILY_V, "n_roots": 3}, {"family": FAMILY_TM}),
+    (RootFamily, (FAMILY_V, 3), {"family": FAMILY_V, "n_roots": 3, "relation": None}, {"family": FAMILY_TM}),
     (SuiteCase, _CASE, dict(zip(("case_id", "kind", "params", "expected"), (*_CASE, "PASS"))),
      {"expected": "GAP"}),
 ], ids=["Setting", "RootFamily", "SuiteCase"])
@@ -346,6 +348,7 @@ def test_memo_keys_are_immutable_values(cls, args, fields, other):
     lambda: anomaly.Setting("spin4k", 3, 1, 4),
     lambda: RootFamily(FAMILY_TM, 0),
     lambda: RootFamily(FAMILY_W, 2),
+    lambda: RootFamily(FAMILY_V, 1, "weird"),
 ])
 def test_memo_keys_reject_bad_input(make):
     with pytest.raises(AlgebraError):
@@ -366,7 +369,8 @@ def _verdicts_at(kind, k, l):
 def test_sharing_the_tangent_half_cannot_change_a_verdict(kind, monkeypatch):
     """l=3 built cold equals l=3 built after l=1 and l=2 filled the memo.
 
-    Settings that differ only in l share one tangent half, whose exps run once.
+    Settings that differ only in l share one tangent half, whose exps run once: two for
+    spin4k, whose t3 exp is the t2 exp's sign flip, and one for spin^c.
     """
     monkeypatch.setattr(anomaly, "_env_cache", {})
     monkeypatch.setattr(anomaly, "_tangent_cache", {})
@@ -390,8 +394,56 @@ def test_sharing_the_tangent_half_cannot_change_a_verdict(kind, monkeypatch):
     half = envs[0].half
     assert all(env.half is half for env in envs)
     tangent_exps = [c for c in calls if any(sums is half.tm_sums for sums in c)]
-    assert len(tangent_exps) == (3 if kind == "spin4k" else 1)
+    assert len(tangent_exps) == (2 if kind == "spin4k" else 1)
     assert len(calls) - len(tangent_exps) == 3 * 3     # P1/P2/P3's auxiliary exp at each l
+
+
+@pytest.mark.parametrize("kind", ["spin4k", "spinc4k", "spinc4k2"])
+def test_relation_on_the_roots_is_the_relation_on_every_output(kind):
+    """The genera, bundles and lambda-ring series built on the setting's families are the
+    relation applied termwise to the same builds on the plain families.
+
+    The verdict path never applies the relation to an output; here it does, as the oracle.
+    """
+    def phi(p):
+        return apply_constraint(p, kind)
+
+    for k, l in ((1, 1), (2, 2)):
+        env = get_env(make_setting(kind, k, l))
+        W, table = env.setting.weight, env.table
+        tm, v = RootFamily(FAMILY_TM, W), RootFamily(FAMILY_V, l)
+        assert env.half.tm == RootFamily(FAMILY_TM, W, kind) and env.v == RootFamily(FAMILY_V, l, kind)
+        assert env.ahat == phi(classical_genus("ahat", tm, table, W))
+        assert env.ch_delta_m == phi(classical_genus("spinor_ch", tm, table, W))
+        assert env.ch_delta_v == phi(classical_genus("spinor_ch", v, table, W))
+        tangent, aux = complexified_bundle(tm, table, W), complexified_bundle(v, table, W)
+        assert env.tangent == phi(tangent) and env.aux == phi(aux)
+        # the relation touches the tangent classes (spin^c) or the auxiliary ones (spin)
+        assert (env.aux != aux) if kind == "spin4k" else (env.tangent != tangent)
+        if kind == "spin4k":
+            name, line = "theta2", None
+        else:
+            name, line = ("theta_c" if kind == "spinc4k" else "theta_c_star"), env.line
+            assert line == phi(line)
+        assert theta_object(name, env.tangent, line, 2) == theta_object(name, tangent, line, 2).map_coefficients(phi)
+        assert (lambda_string(reduced(env.aux), True, -1, 2)
+                == lambda_string(reduced(aux), True, -1, 2).map_coefficients(phi))
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_t3_exp_is_the_t2_exp_sign_flipped(k):
+    """tau -> tau+1 fixes ``a`` and swaps t2 and t3, so over the tangent roots exp(a+t3) is exp(a+t2)
+    with its half-integer positions negated: the spin4k core reads exp(a+t3) off exp(a+t2)."""
+    half = get_env(make_setting("spin4k", k, 1)).half
+    a, W = half.log("a"), half.weight
+    e2, e3 = (half.exp([(a + half.log(t), half.tm_sums)]) for t in ("t2", "t3"))
+    assert len(e2) == len(e3) == k + 1
+    for f2, f3 in zip(e2, e3):
+        assert f2.bound == f3.bound
+        for u in range(0, f2.bound + 1, HALF_UNIT):
+            c2 = f2.coefficient(u, half.table, W)
+            assert f3.coefficient(u, half.table, W) == (-c2 if u % Q_UNIT else c2)
+    assert any(f.coefficient(HALF_UNIT, half.table, W) for f in e2)     # the flip is not vacuous
 
 
 @pytest.mark.parametrize("kind", ["spin4k", "spinc4k", "spinc4k2"])

@@ -96,6 +96,12 @@ def test_only_algebra_names_the_packing():
     assert not {m: n for m, n in named.items() if n}
 
 
+@pytest.mark.parametrize("module", ["anomaly", "kvirt"])
+def test_the_verdict_path_never_applies_the_relation_to_an_output(module):
+    """The setting's relation enters once, on the root families' elementary classes."""
+    assert "apply_constraint" not in names_in(ast.parse((SOURCES / f"{module}.py").read_text()))
+
+
 def test_helpers_import_nothing_from_kvirt():
     sources = import_sources(ast.parse(HELPERS.read_text())).values()
     assert not [m for m in sources if m.startswith(f"{PACKAGE}.kvirt")]

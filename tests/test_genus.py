@@ -182,7 +182,7 @@ def test_constraints():
     assert apply_constraint(nm1 * nm1, "spinc4k2") == (nv1 - w * w) ** 2
     series = prod_over_roots(theta_log("t2", 1, 4), RootFamily(FAMILY_TM, 2), table, 4, 1)
     with pytest.raises(AlgebraError):
-        apply_constraint(series, "spinc4k")   # a series takes the relation through its power sums
+        apply_constraint(series, "spinc4k")   # a series takes the relation through its root families
 
 
 def test_line_is_a_one_root_family():

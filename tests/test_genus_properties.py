@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anomcancel.genus import (CONSTRAINT_KINDS, FAMILY_TM, FAMILY_V, LINE, RootFamily,
-                              apply_constraint, build_generator_table, constrained_power_sums,
-                              eval_at_var, exp_over_roots, prod_over_roots)
+                              apply_constraint, build_generator_table, eval_at_var, exp_over_roots,
+                              power_sums_gp, prod_over_roots)
 from anomcancel.theta import RootFactor
 from helpers import naive_exp_over_roots
 
@@ -52,19 +52,24 @@ RELATION_TABLE = build_generator_table(3, 2, True, W)
 any_family = st.one_of(families, st.integers(1, 2).map(lambda n: RootFamily(FAMILY_V, n)), st.just(LINE))
 
 
+def constrained_power_sums(fam, kind):
+    """The family's power sums with the setting's relation on its elementary classes."""
+    return power_sums_gp(RootFamily(fam.family, fam.n_roots, kind), W // 2, RELATION_TABLE, W)
+
+
 @PROPERTY
 @given(logs, any_family, st.sampled_from(CONSTRAINT_KINDS))
 def test_relation_on_power_sums_is_relation_on_the_product(log, fam, kind):
     plain = prod_over_roots(log, fam, RELATION_TABLE, W, ORDER)
     expected = plain.map_coefficients(lambda p: apply_constraint(p, kind))
-    sums = constrained_power_sums(fam, kind, RELATION_TABLE, W)
+    sums = constrained_power_sums(fam, kind)
     assert exp_over_roots([(log, sums)], RELATION_TABLE, W, ORDER) == expected
 
 
 @PROPERTY
 @given(logs, logs, any_family, any_family)
 def test_one_exp_over_two_families_is_the_product(a, b, fam_a, fam_b):
-    sums = [constrained_power_sums(fam, "spinc4k", RELATION_TABLE, W) for fam in (fam_a, fam_b)]
+    sums = [constrained_power_sums(fam, "spinc4k") for fam in (fam_a, fam_b)]
     both = exp_over_roots([(a, sums[0]), (b, sums[1])], RELATION_TABLE, W, ORDER)
     assert both == (exp_over_roots([(a, sums[0])], RELATION_TABLE, W, ORDER)
                     * exp_over_roots([(b, sums[1])], RELATION_TABLE, W, ORDER))
