@@ -12,6 +12,7 @@ from anomcancel import cross_check_bundle_expansion, make_setting
 from anomcancel.anomaly import get_env
 from anomcancel.genus import FAMILY_TM, LINE, RootFamily
 from anomcancel.kvirt import complexified_bundle, theta_object
+from anomcancel.qseries import PuiseuxSeries
 
 
 def show_coefficient_bundles():
@@ -21,12 +22,12 @@ def show_coefficient_bundles():
     tangent = complexified_bundle(RootFamily(FAMILY_TM, W), env.table, W)
     line = complexified_bundle(LINE, env.table, W)
     print("# coefficient bundles of the line-twisted tensor string (dim 4k)")
-    series = theta_object("theta_c", tangent, line, 2)
+    series = PuiseuxSeries.from_pieces(theta_object("theta_c", tangent, line, 2), env.gp_zero)
     for units in (0, 4, 8):
         ch = series.coefficient(units)
         print(f"  q^({Fraction(units, 8)}): rank {int(ch.constant_term()):>2}, ch = {ch.to_text()}")
     print()
-    star = theta_object("theta_c_star", tangent, line, 2)
+    star = PuiseuxSeries.from_pieces(theta_object("theta_c_star", tangent, line, 2), env.gp_zero)
     print("# and of the single-string variant (dim 4k+2, reduced line convention)")
     for units in (0, 4, 8):
         ch = star.coefficient(units)

@@ -668,3 +668,19 @@ def mul_sum(products) -> QColumns:
         den //= common
         cols = {k: [n // common for n in nums] for k, nums in cols.items()}
     return QColumns(den, step, cols, bound)
+
+
+def exp_by_grade(columns, top: int, bound: int) -> list[QColumns]:
+    """``F[n]``, the grade-n part of ``exp(L)`` for ``n = 0..top``, known through lattice ``bound``.
+
+    Each ``(m, c, den, scatter)`` is a grade-m term of ``L``: the scalar
+    column ``c`` times ``sum (n/den) x^t`` over ``(t, n)`` in ``scatter``.  By
+    Euler, ``n*F_n = sum m * L_m * F_(n-m)``, one :func:`mul_sum` per piece;
+    ``F[0]`` is the unit known through ``bound``, so every piece is.
+    """
+    columns = [(m, c, den, [(t, m * n) for t, n in scatter]) for m, c, den, scatter in columns]
+    f = [ONE._replace(bound=bound)]
+    for n in range(1, top + 1):
+        products = [(c, f[n - m], n * den, scatter) for m, c, den, scatter in columns if m <= n]
+        f.append(mul_sum(products) if products else f[0]._replace(cols={}))
+    return f

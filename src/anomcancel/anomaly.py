@@ -21,8 +21,8 @@ For each setting (spin dim-4k, spin^c dim-4k, spin^c dim-4k+2) the engine
    scalar of step 4's identities (:func:`rhs_coefficients`).
 
 Apart from the verdicts, :func:`cross_check_bundle_expansion` compares the two
-routes as whole series: one residual per P-series, the theta route minus the
-lambda-ring route, through the q-order asked for.
+routes as whole series: one residual per P-series, the packed theta route
+minus the lambda-ring route's weight pieces, as one packed sum.
 
 All comparisons are exact; a status is PASS only when every gating residual
 is identically zero, and each gating check can fail
@@ -46,7 +46,7 @@ involve l, so V's power sums through weight W are the same polynomials, and
 The tangent half of a setting (the table, the core of step 1, the tangent
 genera and the tangent side of the lambda-ring path) depends only on (kind,
 k, n_q) and is memoized in ``_tangent_cache``, so a grid over l builds it
-once, with its lambda-ring series by order; the rest is per setting, in
+once, with its theta objects' pieces by order; the rest is per setting, in
 ``_env_cache``.  The P-series stay packed (``_Env.packed``), known through
 their lattice bound: the decomposition, the transfer and the sign-flip check
 read them as they are, the other checks read coefficients
@@ -67,7 +67,7 @@ from .genus import prod_over_roots  # not called here: kept as the alias the ben
 from .kvirt import complexified_bundle, lambda_power, lambda_string, reduced, theta_object
 from .modforms import (Decomposition, decompose, leading_minor, transfer_residual,
                        unit_lower_inverse)
-from .qseries import HALF_UNIT, Q_UNIT, PuiseuxSeries
+from .qseries import HALF_UNIT, Q_UNIT, PuiseuxSeries, require_known
 from .theta import RootFactor, theta_log
 from .theta import theta_factor  # not called here: kept as the alias the benchmark tracer wraps
 
@@ -175,7 +175,7 @@ class _TangentHalf:
                                   else self.ch_delta_m + 2 ** (2 * s.k + 1))
         self.tm_sums = power_sums_gp(self.tm, W // 2, self.table, W)
         self.line_sums = power_sums_gp(LINE, W // 2, self.table, W) if s.spin_c else None
-        self._kvirt: dict[int, PuiseuxSeries] = {}
+        self._kvirt: dict[int, list] = {}
 
     def exp(self, logs) -> list[QColumns]:
         """The weight pieces of an exp over the given power sums; piece n has weight 2n."""
@@ -206,21 +206,18 @@ class _TangentHalf:
         pieces = self.exp([(a, self.tm_sums), (self.log("d"), self.line_sums)])
         return {2 * n + 1: mul_sum([(f, w, 1, [(0, 1)])]) for n, f in enumerate(pieces)}
 
-    def kvirt_tangent(self, order: int) -> PuiseuxSeries:
-        """The tangent side of the lambda-ring P-series: the theta objects times the genera."""
-        cached = self._kvirt.get(order)
-        if cached is not None:
-            return cached
-        if self.kind == "spin4k":
-            th1, th2, th3 = (theta_object(t, self.tangent, None, order)
-                             for t in ("theta1", "theta2", "theta3"))
-            msum = th1.scale(self.ch_delta_m) + (th2 + th3).scale(2 ** (2 * self.k))
-            out = msum.scale(self.ahat)
-        else:
-            name = "theta_c" if self.kind == "spinc4k" else "theta_c_star"
-            out = theta_object(name, self.tangent, self.line, order).scale(self.genus)
-        self._kvirt[order] = out
-        return out
+    def kvirt_tangent(self, order: int) -> list[tuple[list[QColumns], GradedPolynomial]]:
+        """The lambda-ring tangent side: each theta object's weight pieces with the polynomial on it,
+        ``ahat ch(Delta(M))`` on theta1 and ``2^(2k) ahat`` on theta2 and theta3 (spin), the genus (spin^c)."""
+        if order not in self._kvirt:
+            if self.kind == "spin4k":
+                ahat_2k = self.ahat.scale(2 ** (2 * self.k))
+                polys = {"theta1": self.ahat * self.ch_delta_m, "theta2": ahat_2k, "theta3": ahat_2k}
+                self._kvirt[order] = [(theta_object(t, self.tangent, None, order), p) for t, p in polys.items()]
+            else:
+                name = "theta_c" if self.kind == "spinc4k" else "theta_c_star"
+                self._kvirt[order] = [(theta_object(name, self.tangent, self.line, order), self.genus)]
+        return self._kvirt[order]
 
 
 class _Env:
@@ -265,6 +262,13 @@ class _Env:
         unit = [(0, 2 ** s.l if which == "P1" else 1)]
         self._p[which] = out = mul_sum([(core[s.weight - 2 * n], f, 1, unit) for n, f in enumerate(aux)])
         return out
+
+    def twist(self, which: str, order: int) -> tuple[list[QColumns], GradedPolynomial]:
+        """The auxiliary twist of the lambda-ring P1/P2/P3: a string's weight pieces and the polynomial on them."""
+        vt = reduced(self.aux)
+        if which == "P1":
+            return lambda_string(vt, False, +1, order), self.ch_delta_v
+        return lambda_string(vt, True, -1 if which == "P2" else +1, order), self.gp_zero.one_like()
 
     def coefficient(self, which: str, k: int) -> GradedPolynomial:
         """One coefficient of P1/P2/P3, at lattice ``k``, read from the packed form."""
@@ -331,25 +335,21 @@ def decompose_setting(setting: Setting, which: str = "P2") -> Decomposition:
 
 
 def cross_check_bundle_expansion(setting: Setting, which: str, order: int) -> PuiseuxSeries:
-    """The theta-route P1/P2/P3 minus the lambda-ring one, known through ``q^order``.
+    """The theta-route P1/P2/P3 minus the lambda-ring one, known through ``q^order`` (past ``n_q`` it raises).
 
-    The theta side is the packed P-series read at every position of its own
-    lattice, so an ``order`` past ``n_q`` raises
-    :class:`~anomcancel.qseries.TruncationError`.  The lambda-ring side is the
-    tangent half's series times the auxiliary twist, each coefficient cut to
-    its top-weight component; the relation is already on both.  The two
-    routes agree exactly when the residual is zero.
+    One :func:`~anomcancel.algebra.mul_sum`: the packed P-series minus each pair of a theta-object piece and
+    a twist piece, scattered over the terms of the polynomial on them that bring the pair's weight to ``W``.
     """
     env = get_env(setting)
-    bound = Q_UNIT * order
-    theta = {u: env.coefficient(which, u) for u in range(0, bound + 1, env.packed(which).step)}
-    vt = reduced(env.aux)
-    if which == "P1":
-        twist = lambda_string(vt, False, +1, order).scale(env.ch_delta_v)
-    else:
-        twist = lambda_string(vt, True, -1 if which == "P2" else +1, order)
-    bundle = (env.half.kvirt_tangent(order) * twist).map_coefficients(env.top)
-    return PuiseuxSeries(theta, bound, env.gp_zero) - bundle
+    require_known(Q_UNIT * order, env.packed(which).bound)
+    twist, on_twist = env.twist(which, order)
+    products = [(env.packed(which), ONE, 1, [(0, 1)])]
+    for pieces, poly in env.half.kvirt_tangent(order):
+        den, groups = (poly * on_twist).int_form()
+        rest = {setting.weight - w: [(key, -n) for key, n in items] for w, items in groups}
+        products += [(f, g, den, rest[2 * (a + b)]) for a, f in enumerate(pieces)
+                     for b, g in enumerate(twist) if 2 * (a + b) in rest]
+    return PuiseuxSeries.from_packed(mul_sum(products), zero=env.gp_zero)
 
 
 # -- reports ---------------------------------------------------------------------

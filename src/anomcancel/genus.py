@@ -9,13 +9,11 @@ the ``z^{2m}`` column of the log multiplies the power sum ``s_m`` of the
 squared roots, power sums convert to the elementary generators
 ``n_i = e_i(z^2)`` by Newton's identities (with ``e_i = 0`` beyond the
 family's root count), and one exp, run weight piece by weight piece with the
-Euler recurrence ``n*F_n = sum_j j*S_j*F_(n-j)``, reassembles the product.
-The pieces ``F_n`` stay in the packed integer form of
-:class:`~anomcancel.algebra.QColumns`: each step of the recurrence is one
-:func:`~anomcancel.algebra.mul_sum`, a big-int multiply per pair of a log
-column and a monomial of ``F_(n-j)`` with fields as wide as
-:func:`~anomcancel.algebra.field_width` bounds, and only the callers that
-hand a series on (:func:`exp_over_roots`) turn it into ``Fraction``s.
+Euler recurrence ``n*F_n = sum_j j*S_j*F_(n-j)``, reassembles the product:
+:func:`~anomcancel.algebra.exp_by_grade`, which the lambda-ring strings of
+``kvirt`` run too.  The pieces ``F_n`` stay in the packed integer form of
+:class:`~anomcancel.algebra.QColumns`, and only the callers that hand a
+series on (:func:`exp_over_roots`) turn it into ``Fraction``s.
 Logs on several families go into one exp (:func:`exp_by_weight`), which
 returns the result split by weight, each piece carrying the lattice bound
 it is known through, so a caller that reads only the top
@@ -47,7 +45,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
-from .algebra import ONE, AlgebraError, Generator, GeneratorTable, GradedPolynomial, QColumns, Record, mul_sum
+from .algebra import AlgebraError, Generator, GeneratorTable, GradedPolynomial, QColumns, Record, exp_by_grade
 from .qseries import Q_UNIT, PuiseuxSeries
 from .theta import RootFactor, theta_log
 
@@ -145,18 +143,10 @@ def exp_by_weight(logs: Sequence[tuple[RootFactor, Sequence[GradedPolynomial]]],
 
     Each entry pairs the log of an even per-root factor with the power sums
     ``s_0..s_(max_weight//2)`` of one root family, so one exp multiplies the
-    factors of several families.  ``s_m`` is homogeneous of weight ``2m``
-    and the Euler operator (weight/2) is a derivation, so ``n*F_n = sum_m m
-    * s_m * c_m * F_(n-m)`` over the logs' z^2m columns ``c_m``.  Each
-    ``F_n`` is one :func:`~anomcancel.algebra.mul_sum`: per column, ``c_m``
-    multiplies each monomial of ``F_(n-m)`` once, and the product is
-    scattered over the terms of ``s_m`` with integer scalars: ``m`` times
-    their numerators, over ``n`` times their denominator.  ``F[n]`` is in
-    packed integer form (:class:`~anomcancel.algebra.QColumns`), known
-    through ``q^order`` or the logs' least ``q_bound`` if that is less:
-    ``F[0]`` is the unit known through that bound, so every piece is (each
-    ``mul_sum`` cuts its operands there), and a piece with no product is
-    zero there.
+    factors of several families.  Each z^2m column of a log, scattered over
+    the terms of ``s_m`` (weight ``2m``), is a grade-m term for
+    :func:`~anomcancel.algebra.exp_by_grade`.  The pieces are known through
+    ``q^order``, or the logs' least ``q_bound`` if that is less.
     """
     bound = min(min(Q_UNIT * order, log.q_bound) for log, _ in logs)
     columns = []
@@ -172,20 +162,15 @@ def exp_by_weight(logs: Sequence[tuple[RootFactor, Sequence[GradedPolynomial]]],
             if not sums[m].is_homogeneous(d):
                 raise AlgebraError(f"power sum s_{m} must be homogeneous of weight {d}")
             den, groups = sums[m].int_form()
-            columns.append((m, c, den, [(key, m * n) for _, items in groups for key, n in items]))
-    f = [ONE._replace(bound=bound)]
-    for n in range(1, max_weight // 2 + 1):
-        products = [(c, f[n - m], n * den, terms) for m, c, den, terms in columns if m <= n]
-        f.append(mul_sum(products) if products else f[0]._replace(cols={}))
-    return f
+            columns.append((m, c, den, [item for _, items in groups for item in items]))
+    return exp_by_grade(columns, max_weight // 2, bound)
 
 
 def exp_over_roots(logs: Sequence[tuple[RootFactor, Sequence[GradedPolynomial]]], table: GeneratorTable,
                    max_weight: int, order: int) -> PuiseuxSeries:
-    """:func:`exp_by_weight` as one series, its weight pieces summed by one :func:`~anomcancel.algebra.mul_sum`."""
-    pieces = exp_by_weight(logs, max_weight, order)
-    return PuiseuxSeries.from_packed(mul_sum([(f, ONE, 1, [(0, 1)]) for f in pieces]),
-                                     zero=GradedPolynomial.zero(table, max_weight))
+    """:func:`exp_by_weight` as one series (:meth:`~anomcancel.qseries.PuiseuxSeries.from_pieces`)."""
+    return PuiseuxSeries.from_pieces(exp_by_weight(logs, max_weight, order),
+                                     GradedPolynomial.zero(table, max_weight))
 
 
 def prod_over_roots(log: RootFactor, fam: RootFamily, table: GeneratorTable,

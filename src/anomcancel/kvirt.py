@@ -10,12 +10,12 @@ so everything extends to virtual arguments automatically:
     lambda_t(E) = exp( sum_m (-1)^(m-1) psi^m(E) t^m / m )
     s_t(E)      = exp( sum_m          psi^m(E) t^m / m ) = 1/lambda_{-t}(E)
 
-A tensor string ``tensor_n lambda_{t_n}(E)`` is therefore the exp of a
-divisor sum over Adams operations, and a theta object, a product of strings,
-is one exp of its strings' summed logs, run by the Euler recurrence on the
-q-lattice.  The results are Puiseux series with polynomial coefficients.
-This module is the independent low-order oracle against the theta-product
-path: both must produce the same character forms coefficient by coefficient.
+So the log of a tensor string ``tensor_n lambda_{sign q^(a_n)}(E)`` has
+weight-w part ``E_w`` times ``sum_(m a_n = N) eps_m sign^m m^(w-1) q^N``
+(``eps_m = (-1)^(m-1)``, 1 for S), a column for the theta route's exp
+:func:`~anomcancel.algebra.exp_by_grade`; ``E`` has rank 0.  A theta object
+is one exp of its strings' logs, as weight pieces (piece n at weight 2n):
+the independent oracle for the theta-product path.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .algebra import AlgebraError, GradedPolynomial, GeneratorTable
+from .algebra import AlgebraError, GradedPolynomial, GeneratorTable, QColumns, exp_by_grade
 from .genus import RootFamily, additive_over_roots
-from .qseries import HALF_UNIT, Q_UNIT, PuiseuxSeries
+from .qseries import HALF_UNIT, Q_UNIT
 
 
 def reduced(E: GradedPolynomial) -> GradedPolynomial:
@@ -51,11 +51,13 @@ def adams(E: GradedPolynomial, m: int) -> GradedPolynomial:
 
 
 def lambda_power(E: GradedPolynomial, i: int) -> GradedPolynomial:
-    """Exterior power: the ``t^i`` coefficient of ``lambda_t(E)``, one exp of its Adams log."""
+    """Exterior power ``lambda^i(E)``, by Newton: ``n lambda^n = sum_j (-1)^(j-1) psi^j(E) lambda^(n-j)``."""
     if i < 0:
         raise AlgebraError("negative exterior power")
-    log = {m: adams(E, m).scale(Fraction((-1) ** (m - 1), m)) for m in range(1, i + 1)}
-    return _exp(log, E.one_like(), i).coefficient(i)
+    lam = [E.one_like()]
+    for n in range(1, i + 1):
+        lam.append(E.dot([(adams(E, j).scale(Fraction((-1) ** (j - 1), n)), lam[n - j]) for j in range(1, n + 1)]))
+    return lam[i]
 
 
 def complexified_bundle(fam: RootFamily, table: GeneratorTable, max_weight: int) -> GradedPolynomial:
@@ -76,54 +78,44 @@ _EXTERIOR_STRINGS = {"theta1": [(False, Q_UNIT, 1)], "theta2": [(False, HALF_UNI
                      "theta_c_star": [(True, Q_UNIT, -1)]}
 
 
-def _string_log(strings, bound: int) -> dict[int, GradedPolynomial]:
-    """Summed log of the strings ``tensor_n lambda_{sign q^(a_n)}(E)`` through lattice ``bound``.
+def _adams_column(first: int, sign: int, exterior: bool, power: int, bound: int) -> list[int]:
+    """``sum_(m a_n = N) eps_m sign^m m^power`` at ``N = i * first`` for steps ``a_n = first + Q_UNIT (n - 1)``."""
+    col = [0] * (bound // first + 1)
+    for m in range(1, bound // first + 1):
+        c = ((-1) ** (m - 1) if exterior else 1) * sign ** m * m ** power
+        for a in range(first, bound // m + 1, Q_UNIT):
+            col[m * a // first] += c
+    return col
 
-    A string is ``(E, first, sign, exterior)`` with steps ``a_n = first + Q_UNIT(n - 1)``
-    lattice units, and ``S`` in place of ``lambda`` when not exterior.  The
-    log's coefficient at lattice ``N`` is the divisor sum ``sum_{m a_n = N}
-    (-1)^(m-1) sign^m psi^m(E) / m``, without ``(-1)^(m-1)`` for ``S``.
-    """
-    log: dict[int, GradedPolynomial] = {}
+
+def _exp_of_strings(strings, bound: int) -> list[QColumns]:
+    """The weight pieces of a product of strings ``(E, first, sign, exterior)``, through lattice ``bound``."""
+    columns = []
     for E, first, sign, exterior in strings:
-        for m in range(1, bound // first + 1):
-            psi = adams(E, m).scale(Fraction(sign ** m * ((-1) ** (m - 1) if exterior else 1), m))
-            for a in range(first, bound // m + 1, Q_UNIT):
-                log[m * a] = log[m * a] + psi if m * a in log else psi
-    return log
+        den, groups = E.int_form()
+        for w, items in groups:
+            if w == 0 or w % 2:
+                raise AlgebraError(f"a tensor string takes a rank-0 bundle of even weights, not weight {w}")
+            col = QColumns(1, first, {0: _adams_column(first, sign, exterior, w - 1, bound)}, bound)
+            columns.append((w // 2, col, den, items))
+    return exp_by_grade(columns, strings[0][0].max_weight // 2, bound)
 
 
-def _exp(log: dict[int, GradedPolynomial], one: GradedPolynomial, bound: int) -> PuiseuxSeries:
-    """``exp`` of a log with no constant term, by ``N F_N = sum_j j L_j F_(N-j)`` through ``bound``."""
-    slopes = [(j, log[j].scale(j)) for j in sorted(log)]
-    out = {0: one}
-    for n in range(1, bound + 1):
-        f = one.dot([(s, out[n - j]) for j, s in slopes if j <= n and n - j in out])
-        if f:
-            out[n] = f.scale(Fraction(1, n))
-    return PuiseuxSeries(out, bound, GradedPolynomial.zero(one.table, one.max_weight))
+def lambda_string(E: GradedPolynomial, half: bool, sign: int, order: int) -> list[QColumns]:
+    """``tensor_{n>=1} lambda_{sign q^(n)}(E)`` (or steps ``n - 1/2`` when half) for a rank-0 ``E``, by weight.
 
-
-def lambda_string(E: GradedPolynomial, half: bool, sign: int, order: int) -> PuiseuxSeries:
-    """``tensor_{n>=1} lambda_{sign q^(n)}(E)`` (or steps ``n - 1/2`` when half).
-
-    A trivial line gives ``prod (1 + q^n)``; the half string has no ``q`` term,
-    because ``lambda^2`` of a line vanishes:
-
-    >>> from anomcancel.genus import build_generator_table
-    >>> line = GradedPolynomial.one(build_generator_table(1, 0, True, 2), 2)
-    >>> lambda_string(line, False, +1, 1).to_text()
-    '1 + q'
-    >>> lambda_string(line, True, +1, 1).to_text()
-    '1 + q^(1/2)'
+    >>> from anomcancel.genus import LINE, build_generator_table
+    >>> table = build_generator_table(1, 0, True, 4)
+    >>> E = reduced(complexified_bundle(LINE, table, 4))      # 2 cosh 2w - 2, the q^1 coefficient
+    >>> [piece.coefficient(8, table, 4).to_text() for piece in lambda_string(E, False, +1, 1)]
+    ['0', '4*w^2', '4/3*w^4']
     """
-    bound = Q_UNIT * order
-    return _exp(_string_log([(E, HALF_UNIT if half else Q_UNIT, sign, True)], bound), E.one_like(), bound)
+    return _exp_of_strings([(E, HALF_UNIT if half else Q_UNIT, sign, True)], Q_UNIT * order)
 
 
 def theta_object(kind: str, tangent: GradedPolynomial, line: GradedPolynomial | None,
-                 order: int) -> PuiseuxSeries:
-    """The five tensor-string objects as character-valued series, each one exp of its strings' logs.
+                 order: int) -> list[QColumns]:
+    """The weight pieces of the five tensor-string objects, each one exp of its strings' logs.
 
     ``tangent`` and ``line`` are the unreduced bundles; both enter reduced.
     The unreduced line would give the same ``theta_c`` (the trivial-factor
@@ -137,4 +129,4 @@ def theta_object(kind: str, tangent: GradedPolynomial, line: GradedPolynomial | 
     t = reduced(tangent)
     strings = [(t, Q_UNIT, 1, False)] + [(reduced(line) if on_line else t, first, sign, True)
                                          for on_line, first, sign in _EXTERIOR_STRINGS[kind]]
-    return _exp(_string_log(strings, Q_UNIT * order), t.one_like(), Q_UNIT * order)
+    return _exp_of_strings(strings, Q_UNIT * order)

@@ -8,7 +8,8 @@ Coefficients may be any exact ring element (``Fraction`` scalars or graded
 polynomials); the series carries the ring's zero so the two rings never mix
 silently.  The packed integer form of the hot path,
 :class:`~anomcancel.algebra.QColumns`, keeps the same contract through its
-``bound``; :meth:`PuiseuxSeries.from_packed` reads it by ``coefficient``.
+``bound``; :meth:`PuiseuxSeries.from_packed` reads it by ``coefficient``,
+and :meth:`PuiseuxSeries.from_pieces` an exp's weight pieces.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .algebra import AlgebraError, QColumns
+from .algebra import ONE, AlgebraError, QColumns, mul_sum
 
 Q_UNIT = 8       # lattice units in q^1
 HALF_UNIT = 4    # lattice units in q^(1/2)
@@ -90,6 +91,11 @@ class PuiseuxSeries:
         count = max(map(len, c.cols.values()), default=0)
         return PuiseuxSeries({i * c.step: c.coefficient(i * c.step, zero.table, zero.max_weight)
                               for i in range(count)}, c.bound, zero)
+
+    @staticmethod
+    def from_pieces(pieces: list[QColumns], zero) -> "PuiseuxSeries":
+        """Packed weight pieces, as the exps return them, summed by one :func:`~anomcancel.algebra.mul_sum`."""
+        return PuiseuxSeries.from_packed(mul_sum([(f, ONE, 1, [(0, 1)]) for f in pieces]), zero)
 
     def to_standard_basis(self) -> "PuiseuxSeries":
         """Every polynomial coefficient rewritten in the standard generators."""

@@ -13,7 +13,7 @@ from anomcancel.genus import (FAMILY_TM, FAMILY_V, FAMILY_W, RootFamily, apply_c
                               build_generator_table, classical_genus)
 from anomcancel.kvirt import complexified_bundle, lambda_string, reduced, theta_object
 from anomcancel.modforms import DELTA_EPS_KINDS, decompose, delta_eps, transfer_residual
-from anomcancel.qseries import HALF_UNIT, Q_UNIT, TruncationError
+from anomcancel.qseries import HALF_UNIT, Q_UNIT, PuiseuxSeries, TruncationError
 from anomcancel.suite import SuiteCase, run_case, suite_cases
 from anomcancel.theta import RootFactor, theta_factor, theta_log, theta_null
 
@@ -139,7 +139,9 @@ def test_tangent_genus_is_the_lambda_ring_constant_term():
     for case in suite_cases():
         if case.kind == "crosscheck":
             half = get_env(make_setting(*case.params)).half
-            assert half.genus == half.kvirt_tangent(1).coefficient(0), case.case_id
+            constant = sum((PuiseuxSeries.from_pieces(pieces, half.gp_zero).coefficient(0) * poly
+                            for pieces, poly in half.kvirt_tangent(1)), half.gp_zero)
+            assert half.genus == constant, case.case_id
 
 
 def test_planted_twist_sign_shows_in_the_residual_and_fails_the_row(monkeypatch):
@@ -163,7 +165,6 @@ def test_planted_twist_sign_shows_in_the_residual_and_fails_the_row(monkeypatch)
     assert "value" in row["report"]["checks"]["P2@q^(1/2)"]
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("k", [4, 6, 8])
 @pytest.mark.parametrize("kind", ["spin4k", "spinc4k", "spinc4k2"])
 def test_cross_checks_at_every_order_beyond_the_grid(kind, k):
@@ -408,6 +409,9 @@ def test_relation_on_the_roots_is_the_relation_on_every_output(kind):
     def phi(p):
         return apply_constraint(p, kind)
 
+    def view(pieces):
+        return PuiseuxSeries.from_pieces(pieces, env.gp_zero)
+
     for k, l in ((1, 1), (2, 2)):
         env = get_env(make_setting(kind, k, l))
         W, table = env.setting.weight, env.table
@@ -425,9 +429,10 @@ def test_relation_on_the_roots_is_the_relation_on_every_output(kind):
         else:
             name, line = ("theta_c" if kind == "spinc4k" else "theta_c_star"), env.line
             assert line == phi(line)
-        assert theta_object(name, env.tangent, line, 2) == theta_object(name, tangent, line, 2).map_coefficients(phi)
-        assert (lambda_string(reduced(env.aux), True, -1, 2)
-                == lambda_string(reduced(aux), True, -1, 2).map_coefficients(phi))
+        assert (view(theta_object(name, env.tangent, line, 2))
+                == view(theta_object(name, tangent, line, 2)).map_coefficients(phi))
+        assert (view(lambda_string(reduced(env.aux), True, -1, 2))
+                == view(lambda_string(reduced(aux), True, -1, 2)).map_coefficients(phi))
 
 
 @pytest.mark.parametrize("k", range(1, 9))

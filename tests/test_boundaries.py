@@ -4,11 +4,12 @@ The lambda-ring route (``anomcancel.kvirt``) must not import the theta route
 (``theta``, ``modforms``) or the verifier built on both (``anomaly``), and the
 tensor-string oracle in ``tests/helpers.py`` must not import the lambda-ring
 route it checks.  Only direct imports are read: ``algebra``, ``genus`` (root
-families, additive sums over roots) and ``qseries`` (the series type and its
-lattice units) are shared ground.  No oracle in ``tests/helpers.py`` may
-reach the fast packed kernel (``mul_sum`` and its ``field_width``) it checks,
-and no library module but ``algebra`` names the monomial packing: the others
-go through ``QColumns.of`` and ``QColumns.coefficient``.
+families, additive sums over roots) and ``qseries`` (the lattice units) are
+shared ground, and the two routes share one exp, ``algebra.exp_by_grade``.
+No oracle in ``tests/helpers.py`` may reach the fast packed kernel
+(``mul_sum`` and its ``field_width``) it checks, and no library module but
+``algebra`` names the monomial packing: the others go through
+``QColumns.of`` and ``QColumns.coefficient``.
 
 Two guards run an import instead of reading one: ``import anomcancel`` loads
 no process-pool machinery, which would cost every ``verify`` more time than
@@ -100,6 +101,13 @@ def test_only_algebra_names_the_packing():
 def test_the_verdict_path_never_applies_the_relation_to_an_output(module):
     """The setting's relation enters once, on the root families' elementary classes."""
     assert "apply_constraint" not in names_in(ast.parse((SOURCES / f"{module}.py").read_text()))
+
+
+def test_one_exp_serves_both_routes():
+    """The lambda-ring strings run the theta route's exp on packed pieces, with no series type or exp of their own."""
+    kvirt, genus = (names_in(ast.parse((SOURCES / f"{m}.py").read_text())) for m in ("kvirt", "genus"))
+    assert not kvirt & {"PuiseuxSeries", "_exp"}
+    assert "exp_by_grade" in kvirt and "exp_by_grade" in genus
 
 
 def test_helpers_import_nothing_from_kvirt():

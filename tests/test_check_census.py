@@ -9,7 +9,7 @@ it makes every report longer and guards nothing, so it is either retired or
 replaced by a check that can fail, and ``HOLD_BY_CONSTRUCTION`` stays empty.
 """
 
-from anomcancel import anomaly, suite, theta
+from anomcancel import anomaly, kvirt, suite, theta
 from anomcancel.algebra import ONE, QColumns, mul_sum
 from anomcancel.qseries import HALF_UNIT, Q_UNIT
 from anomcancel.suite import SuiteCase, run_case
@@ -18,12 +18,16 @@ from anomcancel.suite import SuiteCase, run_case
 INFORMATIONAL = {"printed_identity_independent_v", "unreduced_line_variant"}
 # gating keys that no planted fault turns nonzero
 HOLD_BY_CONSTRUCTION: set[str] = set()
+# faults planted in the lambda-ring route, each of which must show in a crosscheck key
+LAMBDA_RING_FAULTS = {"string logs with m^w for m^(w-1)", "P1's twist without ch(Delta(V))"}
 
 GRID = [SuiteCase("theta-layer", "theta", (suite.THETA_LAYER_ORDER,))] + [
     SuiteCase(f"{tid} k={k} l=1", "theorem", (tid, k, 1, None))
     for tid, k in (("3.1", 2), ("3.2", 2), ("3.3", 2), ("3.4", 3),
                    ("4.1", 1), ("4.2", 1), ("4.6", 1), ("4.8", 1))
 ] + [SuiteCase("crosscheck spin4k k=1 l=1", "crosscheck", ("spin4k", 1, 1, None)),
+     # P1 vanishes at spin4k k=1, so a fault in P1's twist shows only on another row
+     SuiteCase("crosscheck spinc4k k=1 l=1", "crosscheck", ("spinc4k", 1, 1, None)),
      SuiteCase("structural spin4k k=1 l=1", "structural", ("spin4k", 1, 1, None))]
 
 
@@ -56,8 +60,19 @@ def _doubled_top(attr: str):
     return anomaly._TangentHalf, "__init__", init
 
 
+def _bare_p1_twist():
+    """``_Env.twist`` whose P1 twist leaves out the polynomial ``ch(Delta(V))``."""
+    real = anomaly._Env.twist
+
+    def twist(self, which, order):
+        pieces, poly = real(self, which, order)
+        return pieces, (self.gp_zero.one_like() if which == "P1" else poly)
+    return anomaly._Env, "twist", twist
+
+
 def _faults():
     lambda_power, theta_null, delta_eps = anomaly.lambda_power, theta.theta_null, suite.delta_eps
+    adams_column = kvirt._adams_column
     faults = {f"{which} + term at lattice {units}": _plant_term(which, units)
               for which in ("P1", "P2") for units in (0, HALF_UNIT, Q_UNIT, 2 * Q_UNIT)}
     faults.update({
@@ -71,6 +86,9 @@ def _faults():
         "theta'(0) doubled": (theta, "theta_null",
                               lambda kind, order: theta_null(kind, order).scale(2 if kind == "theta_prime" else 1)),
         "generators doubled": (suite, "delta_eps", lambda name, order: delta_eps(name, order).scale(2)),
+        "string logs with m^w for m^(w-1)": (kvirt, "_adams_column", lambda first, sign, exterior, power, bound:
+                                             adams_column(first, sign, exterior, power + 1, bound)),
+        "P1's twist without ch(Delta(V))": _bare_p1_twist(),
     })
     return faults
 
@@ -103,6 +121,8 @@ def test_every_gating_check_can_fail(monkeypatch):
             m.setattr(anomaly, "_tangent_cache", {})
             _, hit = _census()
         assert hit, f"the planted fault {name!r} shows in no check"
+        if name in LAMBDA_RING_FAULTS:
+            assert any("@q^" in key for key in hit), (name, hit)
         reached |= hit
-    assert HOLD_BY_CONSTRUCTION == set()
+    assert HOLD_BY_CONSTRUCTION == set() and LAMBDA_RING_FAULTS <= set(_faults())
     assert {key for key, gates in gating.items() if gates} - reached == HOLD_BY_CONSTRUCTION
