@@ -16,13 +16,15 @@ form, :class:`QColumns`: ``(den, step, {packed monomial: [numerator per
 position]}, bound)``, where ``bound`` is the last lattice position known
 (``None`` for an exact series).  A polynomial enters it only by
 :meth:`QColumns.of` and leaves it only by :meth:`QColumns.coefficient`.
-:func:`mul_sum` multiplies them by Kronecker substitution and takes its
-step, bound and length from the operands: each monomial's numerators
-become one int with one bit field per position, so a pair of monomials
-costs one big-int multiply, and each output monomial is unpacked once by
-balanced residues.  The field width is one bit more than the bit length of
-a bound on every output |numerator| that :func:`field_width` computes from
-the operands alone, so no cache and no worker count can change it.
+:func:`mul_sum` takes its step, bound and length from the operands.  It
+packs a product only when both operands span several positions (Kronecker
+substitution: a monomial's numerators become one int, one bit field per
+position, so a pair of monomials costs one big-int multiply, unpacked once
+by balanced residues).  A single-position side (``ONE``, an ``h_r``) just
+scales the other side's lists, which is cheaper than packing.  The field
+width is one bit more than the bit length of a bound on every packed output
+|numerator| that :func:`field_width` computes from the packed operands
+alone, so no cache and no worker count can change it.
 """
 
 from __future__ import annotations
@@ -566,16 +568,16 @@ ONE = QColumns(1, 1, {0: [1]})     # the exact unit: one position, so its step n
 
 
 def field_width(positions: int, products: Sequence[tuple[int, int, int, int]]) -> int:
-    """Bits per field for a sum of packed products, one more than any output |numerator| needs.
+    """Bits per field for a sum of packed products, one more than any of their output |numerators| needs.
 
     ``products`` holds one ``(scalar_l1, pairs, max_left, max_right)`` per
-    product: the L1 norm of its integer scalars, the most monomial pairs of
-    its operands that can land on one output monomial, and each operand's
-    largest |numerator|.  One output position sums at most ``positions``
-    index pairs of one monomial pair, so every output |numerator| is at most
-    ``positions * sum(scalar_l1 * pairs * max_left * max_right)``, and a
-    field one bit wider than that bound's bit length holds it as a balanced
-    residue.
+    packed product: the L1 norm of its integer scalars, the most monomial
+    pairs of its operands that can land on one output monomial, and each
+    operand's largest |numerator|.  One output position sums at most
+    ``positions`` index pairs of one monomial pair, so every packed output
+    |numerator| is at most ``positions * sum(scalar_l1 * pairs * max_left *
+    max_right)``; a field one bit wider than that bound's bit length holds it
+    as a balanced residue.  :func:`mul_sum` adds its direct products after unpacking.
     """
     return (positions * sum(s * p * a * b for s, p, a, b in products)).bit_length() + 1
 
@@ -595,51 +597,14 @@ def _max_abs(c: QColumns) -> int:
     return max(map(abs, chain.from_iterable(c.cols.values())))
 
 
-def mul_sum(products) -> QColumns:
-    """``sum (n/d) * x^t * a * b`` over ``(a, b, d, scatter)`` in ``products`` and ``(t, n)`` in ``scatter``.
-
-    ``a`` and ``b`` are :class:`QColumns`, ``d`` is a positive int, and each
-    ``(t, n)`` pairs a packed monomial key with an int.  The result works
-    out its own lattice from the operands: its step is the gcd of the steps
-    of the operands with more than one position (a single position sits on
-    any step), its bound is the least bound of the truncated operands
-    (``None`` when all are exact), and it holds every position the products
-    reach, up to that bound, over one reduced denominator.  Every product's
-    scalars are brought to integers over the lcm of all denominators, each
-    operand's monomials are packed into one int with one field of
-    :func:`field_width` bits per position (Kronecker substitution), so each
-    monomial pair costs one big-int multiply, and each output monomial is
-    unpacked once, field by field, by balanced residues.  Keys add as ints,
-    so every ``t + key(a) + key(b)`` must stay within the truncation weight.
-
-    >>> p = QColumns(1, 8, {0: [1, 1]})            # 1 + q, exact
-    >>> mul_sum([(p, p, 2, [(0, 1)])])
-    QColumns(den=2, step=8, cols={0: [1, 2, 1]}, bound=None)
-    >>> mul_sum([(p, p._replace(bound=8), 1, [(0, 1)]), (ONE, ONE, 1, [(0, 1)])])
-    QColumns(den=1, step=8, cols={0: [2, 2]}, bound=8)
-    """
-    step, bound, reach, live = 0, None, 0, []
-    for a, b, d, scatter in products:
-        na, nb = max(map(len, a.cols.values()), default=0), max(map(len, b.cols.values()), default=0)
-        for c, n in ((a, na), (b, nb)):
-            if n > 1:
-                step = gcd(step, c.step)
-            if c.bound is not None and (bound is None or c.bound < bound):
-                bound = c.bound
-        if na and nb:
-            reach = max(reach, (na - 1) * a.step + (nb - 1) * b.step)
-            live.append((a, b, a.den * b.den * d, scatter))
-    step = step or 1
-    count = (reach if bound is None else min(reach, bound)) // step + 1
-    den = lcm(*(d for _, _, d, _ in live))
-    jobs = [(a, b, [(t, n * (den // d)) for t, n in scatter if n]) for a, b, d, scatter in live]
+def _kronecker(jobs, step: int, count: int, rows: dict[int, list[int]]):
+    """Add each ``(a, b, [(t, n), ...])`` of ``jobs``, as :func:`mul_sum` reads it, into ``rows``, packed."""
     width = field_width(count, [(sum(abs(n) for _, n in ints), min(len(a.cols), len(b.cols)),
                                  _max_abs(a), _max_abs(b)) for a, b, ints in jobs])
 
     def pack(c: QColumns) -> list[tuple[int, int]]:
-        spread = c.step // step or 1       # 0 only for a single position, where any spread will do
-        top = (count - 1) // spread + 1
-        return [(k, _pack(v[:top], width * spread)) for k, v in c.cols.items()]
+        spread = c.step // step
+        return [(k, _pack(v[:(count - 1) // spread + 1], width * spread)) for k, v in c.cols.items()]
 
     acc: dict[int, int] = {}
     get = acc.get
@@ -657,12 +622,72 @@ def mul_sum(products) -> QColumns:
     low = (1 << (width * count)) - 1
     bias = low // mask * half
     shifts = range(0, width * count, width)
-    cols: dict[int, list[int]] = {}
     for k, x in acc.items():
         x = (x + bias) & low
         nums = [((x >> sh) & mask) - half for sh in shifts]
-        if any(nums):
-            cols[k] = nums
+        row = rows.get(k)
+        rows[k] = nums if row is None else [m + n for m, n in zip(row, nums)]
+
+
+def mul_sum(products) -> QColumns:
+    """``sum (n/d) * x^t * a * b`` over ``(a, b, d, scatter)`` in ``products`` and ``(t, n)`` in ``scatter``.
+
+    ``a`` and ``b`` are :class:`QColumns`, ``d`` is a positive int, and each
+    ``(t, n)`` pairs a packed monomial key with an int.  The result works
+    out its own lattice from the operands: its step is the gcd of the steps
+    of the operands with more than one position (a single position sits on
+    any step), its bound is the least bound of the truncated operands
+    (``None`` when all are exact), and it holds every position the products
+    reach, up to that bound, over one reduced denominator.  Every product's
+    scalars are brought to integers over the lcm of all denominators.  Only
+    a product whose operands both span several positions is packed
+    (:func:`_kronecker`).  Where one side is a single position (``ONE``, an
+    ``h_r``, a q^0 piece), packing costs more than the product: that side's
+    ints scale the other side's lists, added position by position.  Keys add
+    as ints, so every ``t + key(a) + key(b)`` must stay within the truncation weight.
+
+    >>> p = QColumns(1, 8, {0: [1, 1]})            # 1 + q, exact
+    >>> mul_sum([(p, p, 2, [(0, 1)])])
+    QColumns(den=2, step=8, cols={0: [1, 2, 1]}, bound=None)
+    >>> mul_sum([(p, p._replace(bound=8), 1, [(0, 1)]), (ONE, ONE, 1, [(0, 1)])])
+    QColumns(den=1, step=8, cols={0: [2, 2]}, bound=8)
+    """
+    step, bound, reach, live = 0, None, 0, []
+    for a, b, d, scatter in products:
+        na, nb = max(map(len, a.cols.values()), default=0), max(map(len, b.cols.values()), default=0)
+        for c, n in ((a, na), (b, nb)):
+            if n > 1:
+                step = gcd(step, c.step)
+            if c.bound is not None and (bound is None or c.bound < bound):
+                bound = c.bound
+        if na and nb:
+            reach = max(reach, (na - 1) * a.step + (nb - 1) * b.step)
+            live.append((a, b, na, nb, a.den * b.den * d, scatter))
+    step = step or 1
+    count = max(0, (reach if bound is None else min(reach, bound)) // step + 1)    # 0 below q^0
+    den = lcm(*(d for *_, d, _ in live))
+    jobs, rows = [], {}
+    for a, b, na, nb, d, scatter in live:
+        ints = [(t, n * (den // d)) for t, n in scatter if n]
+        if na > 1 and nb > 1:
+            jobs.append((a, b, ints))
+            continue
+        single, other = (a, b) if na == 1 else (b, a)     # other is spread onto the output lattice
+        spread = other.step // step or 1      # 0 only when other is a single position too
+        scaled = [(ks + t, v[0] * n) for ks, v in single.cols.items() for t, n in ints]
+        for ko, nums in other.cols.items():
+            nums = nums[:(count - 1) // spread + 1]
+            cut = slice(0, len(nums) * spread, spread)
+            for kt, m in scaled:
+                row = rows.get(kt + ko)
+                if row is None:
+                    row = rows[kt + ko] = [0] * count
+                    row[cut] = [m * y for y in nums]
+                else:
+                    row[cut] = [x + m * y for x, y in zip(row[cut], nums)]
+    if jobs:
+        _kronecker(jobs, step, count, rows)
+    cols = {k: nums for k, nums in rows.items() if any(nums)}
     common = gcd(den, *chain.from_iterable(cols.values()))
     if common > 1:
         den //= common

@@ -46,12 +46,12 @@ involve l, so V's power sums through weight W are the same polynomials, and
 The tangent half of a setting (the table, the core of step 1, the tangent
 genera and the tangent side of the lambda-ring path) depends only on (kind,
 k, n_q) and is memoized in ``_tangent_cache``, so a grid over l builds it
-once, with its theta objects' pieces by order; the rest is per setting, in
-``_env_cache``.  The P-series stay packed (``_Env.packed``), known through
-their lattice bound: the decomposition, the transfer and the sign-flip check
-read them as they are, the other checks read coefficients
-(``_Env.coefficient``), which raise past the bound, and only :func:`build_P`
-turns a whole P-series into polynomials.
+once, with its theta objects' pieces by order; the rest, the transfer
+residual among it, is per setting, in ``_env_cache``.  The P-series stay
+packed (``_Env.packed``), known through their lattice bound: the
+decomposition, the transfer and the sign-flip check read them as they are,
+the other checks read coefficients (``_Env.coefficient``), which raise past
+the bound, and only :func:`build_P` turns a whole P-series into polynomials.
 """
 
 from __future__ import annotations
@@ -239,6 +239,7 @@ class _Env:
         self.v_sums = power_sums_gp(self.v, W // 2, self.table, W)
         self._p: dict[str, QColumns] = {}
         self._decomp: Decomposition | None = None
+        self._transfer: GradedPolynomial | None = None
 
     # -- theta path ---------------------------------------------------------
 
@@ -278,6 +279,13 @@ class _Env:
         if self._decomp is None:
             self._decomp = decompose(self.packed("P2"), self.setting.k, self.gp_zero)
         return self._decomp
+
+    def transfer(self) -> GradedPolynomial:
+        """The transfer residual of P1 against the decomposition's ``h``, shared by every theorem row here."""
+        if self._transfer is None:
+            s = self.setting
+            self._transfer = transfer_residual(self.packed("P1"), self.decomposition().h, s.l, s.k, self.gp_zero)
+        return self._transfer
 
     # -- identity sides ---------------------------------------------------------
 
@@ -335,11 +343,13 @@ def decompose_setting(setting: Setting, which: str = "P2") -> Decomposition:
 
 
 def cross_check_bundle_expansion(setting: Setting, which: str, order: int) -> PuiseuxSeries:
-    """The theta-route P1/P2/P3 minus the lambda-ring one, known through ``q^order`` (past ``n_q`` it raises).
+    """The theta-route P1/P2/P3 minus the lambda-ring one, known through ``q^order``, from 0 to ``n_q``.
 
     One :func:`~anomcancel.algebra.mul_sum`: the packed P-series minus each pair of a theta-object piece and
     a twist piece, scattered over the terms of the polynomial on them that bring the pair's weight to ``W``.
     """
+    if order < 0:
+        raise AlgebraError(f"order {order} is below q^0: there is nothing to compare")
     env = get_env(setting)
     require_known(Q_UNIT * order, env.packed(which).bound)
     twist, on_twist = env.twist(which, order)
@@ -414,8 +424,7 @@ def _pipeline(report: VerificationReport, env: _Env) -> Decomposition:
     report.h = dec.h
     report.solve_coeffs = dec.solve_coeffs
     report.checks["decomposition_residual"] = Check(dec.residual)
-    report.checks["transfer_residual"] = Check(
-        transfer_residual(env.packed("P1"), dec.h, env.setting.l, env.setting.k, env.gp_zero))
+    report.checks["transfer_residual"] = Check(env.transfer())
     return dec
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import pytest
 
+from anomcancel import algebra
 from anomcancel.algebra import ONE, GradedPolynomial, QColumns, dot, field_width, mul_sum
 from anomcancel.genus import build_generator_table, constraint_replacement
 from helpers import naive_mul_sum, weighted_poly_mul
@@ -242,18 +243,24 @@ def packed_cases(draw):
 
     Operand steps are the step or twice it, lists may stop short of the last
     position or run past it, denominators go up to 10^6, and each operand is
-    exact or known through a bound of its own.  With some draws a product is
-    repeated with negated scalars, or everything is, so that its pairs
-    cancel to exactly zero.
+    exact or known through a bound of its own.  Two in five operands sit at
+    a single position: ``ONE`` with a bound, or monomials of any key with one
+    numerator each, so that packed and direct products meet in one sum.
+    With some draws a product is repeated with negated scalars, or everything
+    is, so that its pairs cancel to exactly zero.
     """
     step = draw(st.sampled_from([4, 8]))
     count = draw(st.integers(1, 40))
 
     def operand():
         own = draw(st.sampled_from([step, 2 * step]))
-        cols = draw(st.dictionaries(st.integers(0, 3), st.lists(wide_numerators, min_size=1, max_size=count),
-                                    max_size=3))
         bound = draw(st.none() | st.integers(0, 2 * count * step))
+        shape = draw(st.sampled_from(["spread", "spread", "spread", "single", "one"]))
+        if shape == "one":
+            return ONE._replace(bound=bound)
+        length = count if shape == "spread" else 1
+        cols = draw(st.dictionaries(st.integers(0, 3), st.lists(wide_numerators, min_size=1, max_size=length),
+                                    max_size=3))
         return QColumns(draw(st.integers(1, 10 ** 6)), own, cols, bound)
 
     def scatter():
@@ -276,14 +283,19 @@ def _as_terms(c: QColumns) -> dict[tuple[int, int], Fraction]:
 _EXACT = QColumns(3, 8, {0: [1, 2], 1: [0, 5]})                      # exact, two positions on step 8
 _KNOWN = QColumns(5, 4, {0: [7, -1, 2, 0, 4, 9, 1], 2: [3]}, 16)     # known through lattice 16
 _H = QColumns(2, 1, {1: [-3]})                                       # an exact single-position h_r
+_SQUARE = QColumns(9, 8, {0: [1, 4, 4], 1: [0, 10, 20], 2: [0, 0, 25]})   # _EXACT times itself
 
 
-@settings(max_examples=150, deadline=None, database=None)
+@settings(max_examples=400, deadline=None, database=None)
 @given(packed_cases())
 @example([(_EXACT, _KNOWN, 7, [(0, 1), (2, -3)])])
 @example([(_KNOWN, _H, 1, [(0, 5)]), (_EXACT, ONE, 2, [(1, 1)])])
 @example([(_EXACT, _H, 1, [(0, 1)]), (_EXACT, _EXACT, 3, [(0, -2)])])
 @example([(_H, ONE, 1, [(0, 1)]), (_KNOWN._replace(cols={0: [4]}, step=12), _H, 1, [(0, 1)])])
+# packed and direct products on the same output monomials: all cancel, key 1 cancels, none cancels
+@example([(_EXACT, _EXACT, 1, [(0, 1)]), (ONE, _SQUARE, 1, [(0, -1)])])
+@example([(_EXACT, _EXACT, 1, [(0, 1)]), (_SQUARE._replace(cols={1: [0, 10, 20]}), ONE, 1, [(0, -1)])])
+@example([(_EXACT, _KNOWN, 7, [(0, 1)]), (_H, _KNOWN, 3, [(0, 2)]), (_KNOWN, ONE._replace(bound=8), 1, [(2, -1)])])
 def test_packed_mul_sum_matches_naive_convolution(products):
     """Packed products equal the Fraction convolution, over a reduced denominator, with no
     all-zero monomial and no entry past the bound.  The step is the gcd of the steps of the
@@ -319,3 +331,29 @@ def test_packed_mul_sum_at_full_width(step, sign):
     assert got.cols[1][-1] == sign * bound
     assert field_width(count, [(3, 2, top, top)]) == bound.bit_length() + 1
     assert _as_terms(got) == naive_mul_sum([(a[:3], b[:3], 1, [(0, 1), (0, 2)])], step, count)
+
+
+def test_single_position_products_are_not_packed(monkeypatch):
+    """A call whose every product has a single-position side scales lists: it never packs and needs no width."""
+    products = [(_KNOWN, _H, 1, [(0, 5)]), (ONE, _EXACT, 2, [(1, 1)]), (_H, ONE._replace(bound=16), 3, [(2, -1)])]
+    want = naive_mul_sum([(a[:3], b[:3], d, sc) for a, b, d, sc in products], 4, 5)
+
+    def refuse(*args):
+        raise AssertionError("a single-position product was packed")
+    monkeypatch.setattr(algebra, "_pack", refuse)
+    monkeypatch.setattr(algebra, "field_width", refuse)
+    got = mul_sum(products)
+    assert (got.step, got.bound) == (4, 16) and _as_terms(got) == want
+
+
+def test_a_direct_product_cancels_a_packed_one():
+    """The packed square of ``_EXACT`` less the same square taken directly is exactly zero."""
+    got = mul_sum([(_EXACT, _EXACT, 1, [(0, 1)]), (ONE, _SQUARE, 1, [(0, -1)])])
+    assert got == QColumns(1, 8, {}, None)
+
+
+def test_a_bound_below_q0_leaves_no_position():
+    """A bound below lattice 0 gives an empty sum, packed or not."""
+    p = QColumns(1, 8, {0: [1, 1]}, -24)
+    for products in ([(p, p, 1, [(0, 1)])], [(p, ONE, 1, [(0, 1)])], [(p, p, 1, [(0, 1)]), (ONE, p, 2, [(1, 1)])]):
+        assert mul_sum(products) == QColumns(1, 8, {}, -24)

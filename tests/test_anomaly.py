@@ -514,3 +514,27 @@ def test_verdict_path_calls_the_public_modular_operations_once(monkeypatch):
     assert verify_theorem("4.6", k=2, l=2).status == "PASS"
     assert calls == {"decompose": 1, "transfer_residual": 1}
 
+
+def test_theorem_rows_at_one_setting_share_the_transfer_residual(monkeypatch):
+    """3.1 then 3.2 at one setting transfer once: both reports read the same residual."""
+    calls = []
+    real = anomaly.transfer_residual
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(anomaly, "_env_cache", {})
+    monkeypatch.setattr(anomaly, "_tangent_cache", {})
+    monkeypatch.setattr(anomaly, "transfer_residual", counting)
+    first, second = verify_theorem("3.1", k=2, l=2), verify_theorem("3.2", k=2, l=2)
+    assert first.status == second.status == "PASS" and len(calls) == 1
+    assert first.checks["transfer_residual"].value is second.checks["transfer_residual"].value
+
+
+def test_a_negative_order_cross_check_raises():
+    """Below q^0 the two routes have no coefficient to compare, so the read raises rather than reading zero."""
+    s = make_setting("spin4k", 2, 1)
+    for order in (-1, -3):
+        with pytest.raises(AlgebraError, match="below q"):
+            cross_check_bundle_expansion(s, "P1", order)

@@ -7,7 +7,7 @@ route it checks.  Only direct imports are read: ``algebra``, ``genus`` (root
 families, additive sums over roots) and ``qseries`` (the lattice units) are
 shared ground, and the two routes share one exp, ``algebra.exp_by_grade``.
 No oracle in ``tests/helpers.py`` may reach the fast packed kernel
-(``mul_sum`` and its ``field_width``) it checks, and no library module but
+(``mul_sum``, its ``field_width`` and ``_kronecker``) it checks, and no library module but
 ``algebra`` names the monomial packing: the others go through
 ``QColumns.of`` and ``QColumns.coefficient``.
 
@@ -32,7 +32,7 @@ SOURCES = ROOT / "src" / PACKAGE
 KVIRT = SOURCES / "kvirt.py"
 HELPERS = ROOT / "tests" / "helpers.py"
 
-FAST_KERNEL = ("mul_sum", "field_width")
+FAST_KERNEL = ("mul_sum", "field_width", "_kronecker")
 PACKING = {"packing", "Packing", "_with_form"}
 STRING_ORACLE = ("_psi", "_reduce", "_zero", "_bundle_exp_by_powers", "_string_factor",
                  "string_product_oracle", "theta_strings")

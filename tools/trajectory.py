@@ -1,0 +1,119 @@
+"""Time ``anomcancel verify`` at the scale points, each run in a fresh process, and write them as JSON.
+
+Run it from the root of a checkout (stdlib only)::
+
+    python3 tools/trajectory.py --out BENCH.json --tree parent=../parent --tree change=.
+
+Each ``--tree LABEL=DIR`` (one or more) names a checkout whose ``src`` is
+put on ``PYTHONPATH``.  Every scale point in ``POINTS`` runs ``RUNS`` times
+per tree, one round at a time, and the trees take turns going first from
+round to round, so a drift of the host's speed falls on all of them alike.  Each run records its wall time
+(spawn to exit), the peak resident memory of its process and the status the
+report gives.  The output holds the machine (CPU model and count, Python
+version), each tree's git sha and ``src/`` line count, every run, and per
+point and tree the median and the spread (max - min) of the wall times.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+POINTS = ("3.1 --k 12 --l 3", "3.1 --k 16 --l 3", "4.6 --k 12 --l 3", "3.1 --k 20 --l 1")
+RUNS = 3
+ENTRY = "import sys; from anomcancel.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def cpu_model() -> str:
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
+def describe(tree: Path) -> dict:
+    """The tree's git sha (``+dirty`` when ``src`` has uncommitted changes) and ``src/`` line count."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(tree), *args], capture_output=True, text=True).stdout.strip()
+    sha = git("rev-parse", "HEAD") or "unknown"
+    if git("status", "--porcelain", "--", "src"):
+        sha += "+dirty"
+    lines = sum(len(p.read_bytes().splitlines()) for p in sorted((tree / "src" / "anomcancel").glob("*.py")))
+    return {"git_sha": sha, "src_lines": lines}
+
+
+def run_once(tree: Path, point: str) -> dict:
+    """One ``verify`` in a fresh interpreter: wall seconds, peak RSS in MB, and the report's status."""
+    theorem, *options = point.split()
+    argv = ["verify", "--theorem", theorem, *options, "--format", "json"]
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    with tempfile.TemporaryFile() as out:
+        start = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-c", ENTRY, *argv], stdout=out, stderr=subprocess.DEVNULL,
+                                env=env, cwd=tree)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        try:
+            verdict = json.loads(out.read())["status"]
+        except (ValueError, KeyError):
+            verdict = f"exit {proc.returncode}"
+    return {"wall_s": round(wall, 4), "peak_rss_mb": round(usage.ru_maxrss / 1024, 1), "status": verdict}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--out", type=Path, required=True, help="JSON file to write")
+    ap.add_argument("--tree", action="append", required=True, metavar="LABEL=DIR",
+                    help="a checkout to time (repeatable)")
+    args = ap.parse_args(argv)
+    trees = {}
+    for spec in args.tree:
+        label, sep, path = spec.partition("=")
+        if not sep or not label or not (Path(path) / "src" / "anomcancel").is_dir():
+            ap.error(f"--tree {spec!r}: expected LABEL=DIR with DIR/src/anomcancel")
+        trees[label] = Path(path).resolve()
+    runs = {(p, t): [] for p in POINTS for t in trees}
+    labels = list(trees)
+    for r in range(RUNS):
+        order = labels[r % len(labels):] + labels[:r % len(labels)]
+        for point in POINTS:
+            for label in order:
+                run = run_once(trees[label], point)
+                runs[point, label].append(run)
+                print(f"round {r + 1}  {point:<18} {label:<8} {run['wall_s']:8.3f} s "
+                      f"{run['peak_rss_mb']:6.1f} MB  {run['status']}", file=sys.stderr)
+    result = {
+        "machine": {"cpu": cpu_model(), "cpus": os.cpu_count(), "python": platform.python_version()},
+        "trees": {label: describe(path) for label, path in trees.items()},
+        "points": [{
+            "verify": point, "tree": label,
+            "median_wall_s": round(statistics.median(x["wall_s"] for x in runs[point, label]), 4),
+            "spread_wall_s": round(max(x["wall_s"] for x in runs[point, label])
+                                   - min(x["wall_s"] for x in runs[point, label]), 4),
+            "median_peak_rss_mb": round(statistics.median(x["peak_rss_mb"] for x in runs[point, label]), 1),
+            "runs": runs[point, label],
+        } for point in POINTS for label in labels],
+    }
+    args.out.write_text(json.dumps(result, indent=2) + "\n")
+    for entry in result["points"]:
+        print(f"{entry['verify']:<18} {entry['tree']:<8} median {entry['median_wall_s']:.3f} s "
+              f"(spread {entry['spread_wall_s']:.3f})  {entry['median_peak_rss_mb']} MB  "
+              f"{sorted({x['status'] for x in entry['runs']})}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
