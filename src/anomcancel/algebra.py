@@ -1,15 +1,16 @@
 """Exact sparse graded-polynomial arithmetic over the rationals.
 
-Scalars are ``fractions.Fraction`` (ints are accepted and coerced).
-Polynomials live in a fixed table of weighted generators and are truncated
-by total weight; they stand for characteristic forms written in normalized
-Pontryagin-type generators.  Every operation is exact: no floats anywhere.
+Scalars are ints and ``fractions.Fraction``s.  Polynomials live in a fixed
+table of weighted generators and are truncated by total weight; they stand
+for characteristic forms written in normalized Pontryagin-type generators.
+Every operation is exact: no floats anywhere.
 
-Coefficients are ``Fraction`` at rest, and every reader of ``.terms`` sees
-``Fraction``s.  Polynomial products go through :func:`dot`, which takes only
-its pairs: it rescales each pair's integer numerators to one common
-denominator, multiplies and adds plain ints, and builds one reduced
-``Fraction`` per output term at the end.
+At rest a polynomial holds int numerators over one positive denominator,
+kept reduced, and every ring operation runs on those ints; ``Fraction``s are
+made only for the ``.terms`` view and for rendering.  Polynomial products go
+through :func:`dot`, which takes only its pairs: it rescales each pair's
+integer numerators to one common denominator, multiplies and adds plain
+ints, and reduces the result once.
 
 Polynomial-valued q-series on the hot path live in a transposed integer
 form, :class:`QColumns`: ``(den, step, {packed monomial: [numerator per
@@ -21,7 +22,8 @@ packs a product only when both operands span several positions (Kronecker
 substitution: a monomial's numerators become one int, one bit field per
 position, so a pair of monomials costs one big-int multiply, unpacked once
 by balanced residues).  A single-position side (``ONE``, an ``h_r``) just
-scales the other side's lists, which is cheaper than packing.  The field
+scales the other side's lists, which is cheaper than packing, and two such
+sides make one int per monomial at q^0.  The field
 width is one bit more than the bit length of a bound on every packed output
 |numerator| that :func:`field_width` computes from the packed operands
 alone, so no cache and no worker count can change it.
@@ -67,12 +69,15 @@ class Record:
         return f"{type(self).__name__}({', '.join(f'{n}={v!r}' for n, v in zip(self.__slots__, self._values))})"
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
+def _ratio(x) -> tuple[int, int]:
+    """``x`` as a reduced ``(numerator, denominator)``; only an int or a ``Fraction`` is accepted."""
+    if isinstance(x, (int, Fraction)):
+        return x.as_integer_ratio()
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+
+
+def _frac(x) -> Fraction:
+    return x if isinstance(x, Fraction) else Fraction(*_ratio(x))
 
 
 class Generator(NamedTuple):
@@ -222,67 +227,84 @@ class GradedPolynomial:
     so products agree with the exact product up to that weight.  Products
     go through :func:`dot`, which never visits a pair of terms whose weights
     add up to more than ``max_weight``.  Monomial weights come from the
-    table, which computes each exponent vector's weight once.  Stored
-    coefficients are nonzero ``Fraction``s; anything but an int or a
-    ``Fraction`` is rejected with ``TypeError``.  Inside ``dot`` the
-    coefficients are integer numerators over their least common
-    denominator; that form is built on first use and kept on the
-    (immutable) instance.
+    table, which computes each exponent vector's weight once.  At rest the
+    coefficients are ``nums``, exponent vector to nonzero int numerator, over
+    one positive ``den``, kept reduced (``gcd(den, *nums) == 1``), so equal
+    polynomials hold equal ints; ``terms`` is a ``Fraction`` view built on
+    each read.  The constructor takes int or ``Fraction`` coefficients and
+    rejects anything else with ``TypeError``.  :meth:`int_form` is built on
+    first use and kept on the (immutable) instance.
     """
 
-    __slots__ = ("table", "terms", "max_weight", "_ints")
+    __slots__ = ("table", "den", "nums", "max_weight", "_ints")
 
     def __init__(self, table: GeneratorTable, terms: Mapping[tuple[int, ...], ScalarLike], max_weight: int):
-        clean: dict[tuple[int, ...], Fraction] = {}
+        ratios: dict[tuple[int, ...], tuple[int, int]] = {}
         n = len(table)
         for exps, coeff in terms.items():
             if len(exps) != n:
                 raise AlgebraError("exponent vector length does not match table")
             if table.monomial_weight(exps) > max_weight:
                 continue
-            c = _frac(coeff)
-            if c:
-                clean[exps] = c
+            p, q = _ratio(coeff)
+            if p:
+                ratios[exps] = p, q
+        den = lcm(*(q for _, q in ratios.values()))     # over the lcm of reduced denominators: reduced
+        self._init(table, den, {e: p * (den // q) for e, (p, q) in ratios.items()}, max_weight, None)
+
+    def _init(self, table, den, nums, max_weight, form):
         object.__setattr__(self, "table", table)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "max_weight", max_weight)
-        object.__setattr__(self, "_ints", None)
+        object.__setattr__(self, "_ints", form)
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedPolynomial is immutable")
 
     @staticmethod
-    def _with_form(table: GeneratorTable, terms: dict[tuple[int, ...], Fraction], max_weight: int,
-                   form) -> "GradedPolynomial":
-        """A polynomial from checked terms (nonzero ``Fraction``s within the cap) and their int form."""
+    def _from_ints(table: GeneratorTable, den: int, nums: dict[tuple[int, ...], int], max_weight: int,
+                   groups=None) -> "GradedPolynomial":
+        """A polynomial from nonzero int numerators within the cap over ``den >= 1``, reduced here.
+
+        ``groups``, when given, holds the same numerators as :meth:`int_form` lists them.
+        """
+        if den != 1:
+            common = gcd(den, *nums.values())
+            if common > 1:
+                den //= common
+                nums = {e: n // common for e, n in nums.items()}
+                if groups is not None:
+                    groups = [(w, [(k, n // common) for k, n in items]) for w, items in groups]
         self = object.__new__(GradedPolynomial)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "max_weight", max_weight)
-        object.__setattr__(self, "_ints", form)
+        self._init(table, den, nums, max_weight, None if groups is None else (den, groups))
         return self
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
+        """``{exponent vector: coefficient}`` over the nonzero terms, as ``Fraction``s."""
+        den = self.den
+        return {e: Fraction(n, den) for e, n in self.nums.items()}
 
     def int_form(self) -> tuple[int, list[tuple[int, list[tuple[int, int]]]]]:
         """``(den, [(weight, [(key, numerator), ...]), ...])``, weights increasing.
 
-        ``den`` is the least common denominator of the coefficients, each
-        coefficient equals ``numerator / den``, and ``key`` is the exponent
+        The stored numerators grouped by weight; ``key`` is the exponent
         vector packed by ``table.packing(max_weight)``.
         """
         form = self._ints
         if form is None:
-            den, nums = int_numerators(self.terms)
             key = self.table.packing(self.max_weight).key
             weight = self.table.monomial_weight
             groups: dict[int, list] = {}
-            for e, n in nums.items():
+            for e, n in self.nums.items():
                 groups.setdefault(weight(e), []).append((key(e), n))
-            form = (den, sorted(groups.items()))
+            form = (self.den, sorted(groups.items()))
             object.__setattr__(self, "_ints", form)
         return form
 
     def __reduce__(self):
-        return GradedPolynomial, (self.table, self.terms, self.max_weight)
+        return GradedPolynomial._from_ints, (self.table, self.den, self.nums, self.max_weight)
 
     # -- constructors ------------------------------------------------------
 
@@ -306,25 +328,35 @@ class GradedPolynomial:
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int) -> "GradedPolynomial":
+        """``self + sign * other`` in one pass over ``other``, over the lcm of the two denominators."""
         if isinstance(other, (int, Fraction)):
             other = GradedPolynomial.scalar(other, self.table, self.max_weight)
         _check_space(other, self.table, self.max_weight)
-        terms = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = terms.get(exps)
-            terms[exps] = c if s is None else s + c
-        return GradedPolynomial(self.table, terms, self.max_weight)
+        da, db = self.den, other.den
+        den = da if da == db else lcm(da, db)
+        ma, mb = den // da, sign * (den // db)
+        nums = dict(self.nums) if ma == 1 else {e: n * ma for e, n in self.nums.items()}
+        get = nums.get
+        for e, n in other.nums.items():
+            s = get(e, 0) + n * mb
+            if s:
+                nums[e] = s
+            else:
+                del nums[e]
+        return GradedPolynomial._from_ints(self.table, den, nums, self.max_weight)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GradedPolynomial.scalar(other, self.table, self.max_weight)
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __neg__(self):
-        return GradedPolynomial(self.table, {e: -c for e, c in self.terms.items()}, self.max_weight)
+        return GradedPolynomial._from_ints(self.table, self.den, {e: -n for e, n in self.nums.items()},
+                                           self.max_weight)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -338,10 +370,17 @@ class GradedPolynomial:
         return dot(pairs, self.table, self.max_weight)
 
     def scale(self, value: ScalarLike) -> "GradedPolynomial":
-        c = _frac(value)
-        if not c:
+        p, q = _ratio(value)
+        if not p:
             return GradedPolynomial.zero(self.table, self.max_weight)
-        return GradedPolynomial(self.table, {e: v * c for e, v in self.terms.items()}, self.max_weight)
+        nums = self.nums if p == 1 else {e: n * p for e, n in self.nums.items()}
+        return GradedPolynomial._from_ints(self.table, self.den * q, nums, self.max_weight)
+
+    def scale_by_weight(self, m: int) -> "GradedPolynomial":
+        """Each weight-w term times ``m^w``: the ring map that multiplies a generator of weight w by ``m^w``."""
+        weight = self.table.monomial_weight
+        nums = {e: v for e, n in self.nums.items() if (v := n * m ** weight(e))}
+        return GradedPolynomial._from_ints(self.table, self.den, nums, self.max_weight)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -356,12 +395,12 @@ class GradedPolynomial:
         return out
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.nums)
 
     def __eq__(self, other):
         if isinstance(other, GradedPolynomial):
             return ((self.table is other.table or self.table == other.table)
-                    and self.max_weight == other.max_weight and self.terms == other.terms)
+                    and self.max_weight == other.max_weight and self.den == other.den and self.nums == other.nums)
         if isinstance(other, (int, Fraction)):
             return self == GradedPolynomial.scalar(other, self.table, self.max_weight)
         return NotImplemented
@@ -372,17 +411,18 @@ class GradedPolynomial:
         """Homogeneous part of total weight exactly ``weight``."""
         if weight < 0 or weight > self.max_weight:
             raise AlgebraError(f"weight {weight} outside [0, {self.max_weight}]")
-        terms = {e: c for e, c in self.terms.items() if self.table.monomial_weight(e) == weight}
-        return GradedPolynomial(self.table, terms, self.max_weight)
+        weight_of = self.table.monomial_weight
+        nums = {e: n for e, n in self.nums.items() if weight_of(e) == weight}
+        return GradedPolynomial._from_ints(self.table, self.den, nums, self.max_weight)
 
     def constant_term(self) -> Fraction:
-        return self.terms.get(_zero_exps(len(self.table)), Fraction(0))
+        return Fraction(self.nums.get(_zero_exps(len(self.table)), 0), self.den)
 
     def one_like(self) -> "GradedPolynomial":
         return GradedPolynomial.one(self.table, self.max_weight)
 
     def is_homogeneous(self, weight: int) -> bool:
-        return all(self.table.monomial_weight(e) == weight for e in self.terms)
+        return all(self.table.monomial_weight(e) == weight for e in self.nums)
 
     def substitute(self, name: str, replacement: "GradedPolynomial") -> "GradedPolynomial":
         """Replace one generator by a homogeneous polynomial of equal weight (``self`` if no term has it)."""
@@ -391,15 +431,15 @@ class GradedPolynomial:
         w = self.table.gens[i].weight
         if not replacement.is_homogeneous(w):
             raise AlgebraError(f"replacement for {name} must be homogeneous of weight {w}")
-        if not any(exps[i] for exps in self.terms):
+        if not any(exps[i] for exps in self.nums):
             return self
-        rests: dict[int, dict[tuple[int, ...], Fraction]] = {}
-        for exps, coeff in self.terms.items():
-            rests.setdefault(exps[i], {})[exps[:i] + (0,) + exps[i + 1:]] = coeff
+        rests: dict[int, dict[tuple[int, ...], int]] = {}
+        for exps, n in self.nums.items():
+            rests.setdefault(exps[i], {})[exps[:i] + (0,) + exps[i + 1:]] = n
         powers = [self.one_like()]
         for _ in range(max(rests, default=0)):
             powers.append(powers[-1] * replacement)
-        return self.dot([(GradedPolynomial(self.table, rest, self.max_weight), powers[e])
+        return self.dot([(GradedPolynomial._from_ints(self.table, self.den, rest, self.max_weight), powers[e])
                          for e, rest in rests.items()])
 
     # -- basis change and rendering -----------------------------------------
@@ -407,27 +447,32 @@ class GradedPolynomial:
     def to_standard_basis(self) -> "GradedPolynomial":
         """Rewrite in standard generators (Pontryagin classes, first Chern class).
 
-        Each generator ``g`` satisfies ``g = std_factor * std_gen``; the result
-        is expressed over a table of the standard names with the same weights.
-        The map is a graded ring isomorphism: it rescales each monomial by a
-        nonzero scalar.
+        Each generator ``g`` satisfies ``g = std_factor * std_gen``, with
+        ``std_factor = +-2^k``; the result is expressed over a table of the
+        standard names with the same weights.  The map is a graded ring
+        isomorphism: it rescales each monomial by a sign and a power of 2.
         """
-        std_table = self.table.standard_table
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for exps, coeff in self.terms.items():
-            c = coeff
-            for e, g in zip(exps, self.table.gens):
+        twos = [_signed_log2(g.std_factor) for g in self.table.gens]
+        shifted = []
+        for exps, n in self.nums.items():
+            s = 0
+            for e, (negative, k) in zip(exps, twos):
                 if e:
-                    c = c * g.std_factor ** e
-            terms[exps] = c
-        return GradedPolynomial(std_table, terms, self.max_weight)
+                    s += e * k
+                    if negative and e & 1:
+                        n = -n
+            shifted.append((exps, n, s))
+        low = min((s for _, _, s in shifted if s < 0), default=0)
+        nums = {exps: n << (s - low) for exps, n, s in shifted}
+        return GradedPolynomial._from_ints(self.table.standard_table, self.den << -low, nums, self.max_weight)
 
     def sorted_terms(self):
-        """Terms in canonical order: by weight, then by exponent vector."""
-        return sorted(self.terms.items(), key=lambda item: (self.table.monomial_weight(item[0]), item[0]))
+        """Terms in canonical order, by weight, then by exponent vector, as ``Fraction``s."""
+        weight, den = self.table.monomial_weight, self.den
+        return [(e, Fraction(self.nums[e], den)) for e in sorted(self.nums, key=lambda e: (weight(e), e))]
 
     def to_text(self) -> str:
-        if not self.terms:
+        if not self.nums:
             return "0"
         parts = []
         for exps, coeff in self.sorted_terms():
@@ -451,6 +496,14 @@ class GradedPolynomial:
 
     def __repr__(self):
         return f"GradedPolynomial({self.to_text()})"
+
+
+def _signed_log2(f: Fraction) -> tuple[bool, int]:
+    """``(f < 0, k)`` with ``|f| = 2^k``; any other factor raises :class:`AlgebraError`."""
+    p, q = f.numerator, f.denominator
+    if not p or abs(p) & (abs(p) - 1) or q & (q - 1):
+        raise AlgebraError(f"standard-basis factor {f} is not plus or minus a power of 2")
+    return p < 0, abs(p).bit_length() - q.bit_length()
 
 
 def int_numerators(terms: Mapping) -> tuple[int, dict]:
@@ -479,11 +532,12 @@ def dot(pairs: Sequence[tuple[GradedPolynomial, GradedPolynomial]], table: Gener
     (:meth:`GradedPolynomial.int_form`); pair ``i`` has denominator
     ``d_i = den(a_i) * den(b_i)``, its left numerators are rescaled by
     ``D // d_i`` with ``D = lcm(d_i)``, and all pairs are accumulated as
-    plain ints over ``D``, so each output coefficient is one
-    ``Fraction(n, D)``.  Both operands are grouped by weight: a left group
-    meets only the right groups that fit under ``cap``, and none once
-    nothing fits.  Packed exponents add as ints (see :class:`Packing`), and
-    the result keeps the integer form it was built from.
+    plain ints over ``D``; the sums, less their zeros, and ``D`` are reduced
+    once, by their gcd, into the result's numerators and denominator.  Both
+    operands are grouped by weight: a left group meets only the right groups
+    that fit under ``cap``, and none once nothing fits.  Packed exponents add
+    as ints (see :class:`Packing`), and the result keeps the integer form it
+    was built from.
 
     >>> from anomcancel.genus import build_generator_table
     >>> t = build_generator_table(1, 0, True, 2)
@@ -517,13 +571,9 @@ def dot(pairs: Sequence[tuple[GradedPolynomial, GradedPolynomial]], table: Gener
                         out[k1 + k2] = get(k1 + k2, 0) + n1 * n2
     groups = [(w, [item for item in out.items() if item[1]]) for w, out in sorted(acc.items())]
     groups = [(w, items) for w, items in groups if items]
-    common = gcd(den, *(n for _, items in groups for _, n in items))
-    if common > 1:
-        den //= common
-        groups = [(w, [(k, n // common) for k, n in items]) for w, items in groups]
     vector = table.packing(cap).vector
-    terms = {vector(k): Fraction(n, den) for _, items in groups for k, n in items}
-    return GradedPolynomial._with_form(table, terms, cap, (den, groups))
+    nums = {vector(k): n for _, items in groups for k, n in items}
+    return GradedPolynomial._from_ints(table, den, nums, cap, groups)
 
 
 # -- polynomial-valued q-series in packed integer form ------------------------
@@ -559,9 +609,8 @@ class QColumns(NamedTuple):
             require_known(k, self.bound)
         i, off = divmod(k, self.step)
         vector = table.packing(cap).vector
-        terms = {vector(key): Fraction(nums[i], self.den) for key, nums in self.cols.items()
-                 if not off and 0 <= i < len(nums) and nums[i]}
-        return GradedPolynomial._with_form(table, terms, cap, None)
+        nums = {vector(key): ns[i] for key, ns in self.cols.items() if not off and 0 <= i < len(ns) and ns[i]}
+        return GradedPolynomial._from_ints(table, self.den, nums, cap)
 
 
 ONE = QColumns(1, 1, {0: [1]})     # the exact unit: one position, so its step never matters
@@ -643,8 +692,10 @@ def mul_sum(products) -> QColumns:
     a product whose operands both span several positions is packed
     (:func:`_kronecker`).  Where one side is a single position (``ONE``, an
     ``h_r``, a q^0 piece), packing costs more than the product: that side's
-    ints scale the other side's lists, added position by position.  Keys add
-    as ints, so every ``t + key(a) + key(b)`` must stay within the truncation weight.
+    ints scale the other side's lists, added position by position; where
+    both sides are, the product lands at position 0 only, and is summed into
+    one int per monomial that joins the rows once.  Keys add as ints, so
+    every ``t + key(a) + key(b)`` must stay within the truncation weight.
 
     >>> p = QColumns(1, 8, {0: [1, 1]})            # 1 + q, exact
     >>> mul_sum([(p, p, 2, [(0, 1)])])
@@ -666,15 +717,22 @@ def mul_sum(products) -> QColumns:
     step = step or 1
     count = max(0, (reach if bound is None else min(reach, bound)) // step + 1)    # 0 below q^0
     den = lcm(*(d for *_, d, _ in live))
-    jobs, rows = [], {}
+    jobs, rows, at_zero = [], {}, {}
     for a, b, na, nb, d, scatter in live:
         ints = [(t, n * (den // d)) for t, n in scatter if n]
         if na > 1 and nb > 1:
             jobs.append((a, b, ints))
             continue
         single, other = (a, b) if na == 1 else (b, a)     # other is spread onto the output lattice
-        spread = other.step // step or 1      # 0 only when other is a single position too
         scaled = [(ks + t, v[0] * n) for ks, v in single.cols.items() for t, n in ints]
+        if na == nb == 1:           # both single: the product lands at position 0 only
+            get = at_zero.get
+            for ko, nums in other.cols.items():
+                y = nums[0]
+                for kt, m in scaled:
+                    at_zero[kt + ko] = get(kt + ko, 0) + m * y
+            continue
+        spread = other.step // step
         for ko, nums in other.cols.items():
             nums = nums[:(count - 1) // spread + 1]
             cut = slice(0, len(nums) * spread, spread)
@@ -685,6 +743,13 @@ def mul_sum(products) -> QColumns:
                     row[cut] = [m * y for y in nums]
                 else:
                     row[cut] = [x + m * y for x, y in zip(row[cut], nums)]
+    if count:
+        for k, x in at_zero.items():
+            row = rows.get(k)
+            if row is not None:
+                row[0] += x
+            elif x:
+                rows[k] = [x] + [0] * (count - 1)
     if jobs:
         _kronecker(jobs, step, count, rows)
     cols = {k: nums for k, nums in rows.items() if any(nums)}

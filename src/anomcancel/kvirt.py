@@ -30,7 +30,7 @@ from .qseries import HALF_UNIT, Q_UNIT
 
 def reduced(E: GradedPolynomial) -> GradedPolynomial:
     """``E - rank(E)``."""
-    return E - E.constant_term()
+    return E - E.component(0)
 
 
 def adams(E: GradedPolynomial, m: int) -> GradedPolynomial:
@@ -45,9 +45,7 @@ def adams(E: GradedPolynomial, m: int) -> GradedPolynomial:
     """
     if m < 1:
         raise AlgebraError("Adams operations need m >= 1")
-    table = E.table
-    terms = {e: c * m ** table.monomial_weight(e) for e, c in E.terms.items()}
-    return GradedPolynomial(table, terms, E.max_weight)
+    return E.scale_by_weight(m)
 
 
 def lambda_power(E: GradedPolynomial, i: int) -> GradedPolynomial:

@@ -194,6 +194,26 @@ def weighted_poly_mul(a_terms, b_terms, gen_weights, cap):
     return out
 
 
+# -- term-map oracles for one polynomial operation ------------------------------------
+# Coefficient by coefficient in ``Fraction``s, with no integer numerators and no
+# shared denominator: the library keeps both.
+
+
+def naive_combination(parts) -> dict:
+    """``sum s * terms`` over ``(s, terms)`` in ``parts``: add, subtract, negate and scale."""
+    out: dict = {}
+    for s, terms in parts:
+        for e, c in terms.items():
+            out[e] = out.get(e, Fraction(0)) + s * c
+    return {e: c for e, c in out.items() if c}
+
+
+def naive_rescale(terms, factor) -> dict:
+    """Each coefficient times ``factor(exponent vector)``: a component, a basis change, an Adams operation."""
+    out = {e: c * factor(e) for e, c in terms.items()}
+    return {e: c for e, c in out.items() if c}
+
+
 def _conjugate_partition(lam: tuple[int, ...]) -> list[int]:
     return [sum(1 for part in lam if part >= i) for i in range(1, (lam[0] if lam else 0) + 1)]
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from anomcancel.algebra import AlgebraError, GradedPolynomial, dot
+from anomcancel.algebra import AlgebraError, Generator, GeneratorTable, GradedPolynomial, dot
 from anomcancel.genus import build_generator_table
 
 
@@ -125,6 +125,19 @@ def test_float_coefficients_rejected():
         GradedPolynomial(t, {n1.sorted_terms()[0][0]: 0.5}, 4)
     with pytest.raises(TypeError):
         n1.scale(0.5)
+
+
+def test_standard_basis_needs_power_of_two_factors():
+    """The basis change shifts numerators, so a generator factor that is not +-2^k is refused."""
+    x = GeneratorTable([Generator("x", 2, "M", "p", Fraction(-1, 4)), Generator("w", 1, "W", "c", Fraction(2))])
+    px = GradedPolynomial.generator("x", x, 4)
+    assert (px * px).scale(Fraction(5, 3)).to_standard_basis().terms == {(2, 0): Fraction(5, 48)}
+    mixed = px + px.one_like() + GradedPolynomial.generator("w", x, 4)    # shifts of -2, 0 and +1
+    assert mixed.scale(Fraction(1, 6)).to_standard_basis().terms == {
+        (0, 0): Fraction(1, 6), (1, 0): Fraction(-1, 24), (0, 1): Fraction(1, 3)}
+    y = GeneratorTable([Generator("y", 2, "M", "q", Fraction(3))])
+    with pytest.raises(AlgebraError):
+        GradedPolynomial.generator("y", y, 4).to_standard_basis()
 
 
 def test_table_and_cap_mismatch_rejected():

@@ -1,4 +1,4 @@
-"""Property tests for the ring laws of ``GradedPolynomial`` over ``Fraction``."""
+"""Property tests for the ring laws of ``GradedPolynomial`` over ``Fraction``, and for its canonical int form."""
 
 from fractions import Fraction
 from itertools import product
@@ -12,7 +12,8 @@ import pytest
 from anomcancel import algebra
 from anomcancel.algebra import ONE, GradedPolynomial, QColumns, dot, field_width, mul_sum
 from anomcancel.genus import build_generator_table, constraint_replacement
-from helpers import naive_mul_sum, weighted_poly_mul
+from anomcancel.kvirt import adams
+from helpers import naive_combination, naive_mul_sum, naive_rescale, weighted_poly_mul
 
 W = 4
 # nM1, nM2 (tangent), nV1, nV2 (auxiliary) and the weight-1 line generator w
@@ -61,12 +62,43 @@ def straddling_operands(draw):
     return cap, operands[0], operands[1]
 
 
+def assert_canonical(p: GradedPolynomial):
+    """``den >= 1``, int numerators, none zero, ``gcd(den, *nums) == 1``, every monomial within the cap."""
+    assert type(p.den) is int and p.den >= 1
+    assert all(type(n) is int and n for n in p.nums.values())
+    assert gcd(p.den, *p.nums.values()) == 1
+    assert all(p.table.monomial_weight(e) <= p.max_weight for e in p.nums)
+
+
 @PROPERTY
-@given(polys)
-def test_packed_form_round_trips(p):
+@given(term_maps)
+def test_packed_form_round_trips(terms):
     """``QColumns.of`` is the door into the packed form and ``coefficient`` the door out."""
+    p = GradedPolynomial(TABLE, terms, W)
     c = QColumns.of(p)
-    assert c.bound is None and c.coefficient(0, TABLE, W) == p
+    back = c.coefficient(0, TABLE, W)
+    assert c.bound is None and back == p
+    assert_canonical(back)
+    assert back.terms == naive_combination([(1, terms)])
+    assert c.coefficient(8, TABLE, W) == GradedPolynomial.zero(TABLE, W)
+
+
+@PROPERTY
+@given(term_maps, term_maps, st.integers(0, W), st.integers(1, 4),
+       st.fractions(min_value=-5, max_value=5, max_denominator=12))
+def test_ring_operations_stay_canonical_and_match_the_term_oracle(ta, tb, weight, m, s):
+    """Each operation's result is reduced over one positive denominator and reads as the ``Fraction`` oracle."""
+    a, b = GradedPolynomial(TABLE, ta, W), GradedPolynomial(TABLE, tb, W)
+    cases = [(a + b, naive_combination([(1, ta), (1, tb)])),
+             (a - b, naive_combination([(1, ta), (-1, tb)])),
+             (a - a, {}),
+             (-a, naive_combination([(-1, ta)])),
+             (a.component(weight), naive_rescale(ta, lambda e: 1 if _weight(e) == weight else 0)),
+             (adams(a, m), naive_rescale(ta, lambda e: m ** _weight(e)))]
+    cases += [(a.scale(c), naive_combination([(c, ta)])) for c in (0, 1, -1, s, a.den)]
+    for got, want in cases:
+        assert_canonical(got)
+        assert got.terms == want
 
 
 @PROPERTY
@@ -108,12 +140,22 @@ def test_product_matches_oracle(case):
     assert got.terms == weighted_poly_mul(ta, tb, GEN_WEIGHTS, cap)
 
 
+def _standard_factor(e):
+    out = Fraction(1)
+    for x, g in zip(e, TABLE.gens):
+        out *= g.std_factor ** x
+    return out
+
+
 @PROPERTY
-@given(polys, polys)
-def test_standard_basis_roundtrip(a, b):
+@given(term_maps, polys)
+def test_standard_basis_roundtrip(terms, b):
+    a = GradedPolynomial(TABLE, terms, W)
     std = a.to_standard_basis()
     assert std.terms.keys() == a.terms.keys()      # each monomial rescaled by a nonzero scalar
     assert all(type(c) is Fraction for c in std.terms.values())
+    assert_canonical(std)
+    assert std.terms == naive_rescale(terms, _standard_factor)
     assert (a * b).to_standard_basis() == std * b.to_standard_basis()
 
 
@@ -183,6 +225,7 @@ def test_dot_matches_oracle(case):
     want = _oracle_dot(pairs, cap)
     assert got.terms == want
     assert all(type(c) is Fraction and c for c in got.terms.values())
+    assert_canonical(got)
     # the integer form the kernel hands on equals the one built from the stored terms
     assert got.int_form() == GradedPolynomial(TABLE, got.terms, cap).int_form()
     if pairs:
@@ -230,6 +273,7 @@ def test_substitute_matches_oracle(kind, terms):
     got = p.substitute(name, repl)
     assert got.terms == _oracle_substitute(p.terms, TABLE.index(name), repl.terms, W)
     assert all(got.terms.values())
+    assert_canonical(got)
 
 
 # -- the packed multiply-and-sum against a position-by-position convolution ---------
@@ -296,6 +340,8 @@ _SQUARE = QColumns(9, 8, {0: [1, 4, 4], 1: [0, 10, 20], 2: [0, 0, 25]})   # _EXA
 @example([(_EXACT, _EXACT, 1, [(0, 1)]), (ONE, _SQUARE, 1, [(0, -1)])])
 @example([(_EXACT, _EXACT, 1, [(0, 1)]), (_SQUARE._replace(cols={1: [0, 10, 20]}), ONE, 1, [(0, -1)])])
 @example([(_EXACT, _KNOWN, 7, [(0, 1)]), (_H, _KNOWN, 3, [(0, 2)]), (_KNOWN, ONE._replace(bound=8), 1, [(2, -1)])])
+# a single x single product meets a packed and a spread one on key 0, and cancels their sum at q^0
+@example([(_EXACT, _EXACT, 1, [(0, 1)]), (ONE, _EXACT, 2, [(0, -1)]), (ONE, ONE._replace(bound=16), 18, [(0, 1)])])
 def test_packed_mul_sum_matches_naive_convolution(products):
     """Packed products equal the Fraction convolution, over a reduced denominator, with no
     all-zero monomial and no entry past the bound.  The step is the gcd of the steps of the

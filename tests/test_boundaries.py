@@ -8,8 +8,10 @@ families, additive sums over roots) and ``qseries`` (the lattice units) are
 shared ground, and the two routes share one exp, ``algebra.exp_by_grade``.
 No oracle in ``tests/helpers.py`` may reach the fast packed kernel
 (``mul_sum``, its ``field_width`` and ``_kronecker``) it checks, and no library module but
-``algebra`` names the monomial packing: the others go through
-``QColumns.of`` and ``QColumns.coefficient``.
+``algebra`` names the monomial packing or builds a polynomial from raw int
+numerators: the others go through ``QColumns.of`` and
+``QColumns.coefficient``, and through the public constructor and the ring
+operations.
 
 Two guards run an import instead of reading one: ``import anomcancel`` loads
 no process-pool machinery, which would cost every ``verify`` more time than
@@ -33,7 +35,7 @@ KVIRT = SOURCES / "kvirt.py"
 HELPERS = ROOT / "tests" / "helpers.py"
 
 FAST_KERNEL = ("mul_sum", "field_width", "_kronecker")
-PACKING = {"packing", "Packing", "_with_form"}
+PACKING = {"packing", "Packing", "_from_ints"}
 STRING_ORACLE = ("_psi", "_reduce", "_zero", "_bundle_exp_by_powers", "_string_factor",
                  "string_product_oracle", "theta_strings")
 
@@ -89,7 +91,8 @@ def test_helpers_never_name_the_fast_kernel(kernel):
 
 
 def test_only_algebra_names_the_packing():
-    """Polynomials enter the packed form by ``QColumns.of`` and leave it by ``QColumns.coefficient``."""
+    """Polynomials enter the packed form by ``QColumns.of`` and leave it by ``QColumns.coefficient``;
+    only ``algebra`` builds one from raw ints."""
     modules = sorted(SOURCES.glob("*.py"))
     assert len(modules) > 1 and SOURCES / "algebra.py" in modules
     named = {p.name: sorted(names_in(ast.parse(p.read_text())) & PACKING)

@@ -27,7 +27,8 @@ import tempfile
 import time
 from pathlib import Path
 
-POINTS = ("3.1 --k 12 --l 3", "3.1 --k 16 --l 3", "4.6 --k 12 --l 3", "3.1 --k 20 --l 1")
+POINTS = ("3.1 --k 12 --l 3", "3.1 --k 16 --l 3", "4.6 --k 12 --l 3", "3.1 --k 20 --l 1",
+          "3.1 --k 16 --l 3 --qorder 18", "3.1 --k 20 --l 1 --qorder 22")
 RUNS = 3
 ENTRY = "import sys; from anomcancel.cli import main; sys.exit(main(sys.argv[1:]))"
 
