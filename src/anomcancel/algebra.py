@@ -103,7 +103,7 @@ class GeneratorTable:
     so the memo is exact.
     """
 
-    __slots__ = ("gens", "_index", "_weights", "_standard", "_packings")
+    __slots__ = ("gens", "_hash", "_index", "_weights", "_standard", "_packings")
 
     def __init__(self, gens: Sequence[Generator]):
         names = [g.name for g in gens]
@@ -113,6 +113,7 @@ class GeneratorTable:
             if g.weight <= 0:
                 raise AlgebraError(f"generator {g.name} must have positive weight")
         object.__setattr__(self, "gens", tuple(gens))
+        object.__setattr__(self, "_hash", hash(self.gens))     # memo keys hash it often
         object.__setattr__(self, "_index", {g.name: i for i, g in enumerate(gens)})
         object.__setattr__(self, "_weights", {})
         object.__setattr__(self, "_standard", None)
@@ -164,7 +165,7 @@ class GeneratorTable:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.gens)
+        return self._hash
 
     def __repr__(self):
         return f"GeneratorTable({[g.name for g in self.gens]})"
@@ -524,8 +525,8 @@ def _check_space(p: GradedPolynomial, table: GeneratorTable, cap: int):
 
 
 def dot(pairs: Sequence[tuple[GradedPolynomial, GradedPolynomial]], table: GeneratorTable,
-        cap: int) -> GradedPolynomial:
-    """``sum_i a_i * b_i`` for polynomial pairs ``(a_i, b_i)``, truncated at ``cap``.
+        cap: int, floor: int = 0) -> GradedPolynomial:
+    """``sum_i a_i * b_i`` for polynomial pairs ``(a_i, b_i)``, its weights ``floor..cap`` only.
 
     Every operand must live on ``table`` with ``max_weight == cap``.  Each
     operand enters through its integer form
@@ -535,7 +536,8 @@ def dot(pairs: Sequence[tuple[GradedPolynomial, GradedPolynomial]], table: Gener
     plain ints over ``D``; the sums, less their zeros, and ``D`` are reduced
     once, by their gcd, into the result's numerators and denominator.  Both
     operands are grouped by weight: a left group meets only the right groups
-    that fit under ``cap``, and none once nothing fits.  Packed exponents add
+    that land in ``floor..cap``, and none once nothing fits, so ``floor=cap``
+    multiplies only the pairs of the top weight.  Packed exponents add
     as ints (see :class:`Packing`), and the result keeps the integer form it
     was built from.
 
@@ -563,6 +565,8 @@ def dot(pairs: Sequence[tuple[GradedPolynomial, GradedPolynomial]], table: Gener
             for w2, g in right:
                 if w1 + w2 > cap:
                     break
+                if w1 + w2 < floor:
+                    continue
                 out = acc.setdefault(w1 + w2, {})
                 get = out.get
                 for k1, n1 in group:

@@ -47,7 +47,9 @@ The tangent half of a setting (the table, the core of step 1, the tangent
 genera and the tangent side of the lambda-ring path) depends only on (kind,
 k, n_q) and is memoized in ``_tangent_cache``, so a grid over l builds it
 once, with its theta objects' pieces by order; the rest, the transfer
-residual among it, is per setting, in ``_env_cache``.  The P-series stay
+residual among it, is per setting, in ``_env_cache``.  Their genera, bundles
+and constant-term side are built on first read (``cached_property``), so a
+verify builds only what its checks read.  The P-series stay
 packed (``_Env.packed``), known through their lattice bound: the
 decomposition, the transfer and the sign-flip check read them as they are,
 the other checks read coefficients (``_Env.coefficient``), which raise past
@@ -60,7 +62,7 @@ from functools import cached_property
 from fractions import Fraction
 from math import gcd
 
-from .algebra import ONE, AlgebraError, GradedPolynomial, QColumns, Record, mul_sum
+from .algebra import ONE, AlgebraError, GradedPolynomial, QColumns, Record, dot, mul_sum
 from .genus import (CONSTRAINT_KINDS, FAMILY_TM, FAMILY_V, LINE, RootFamily, build_generator_table,
                     classical_genus, exp_by_weight, power_sums_gp)
 from .genus import prod_over_roots  # not called here: kept as the alias the benchmark tracer wraps
@@ -153,29 +155,36 @@ class _TangentHalf:
     """The part of a setting that does not depend on l, shared by every l of one (kind, k, n_q).
 
     It holds the generator table, the tangent and line power sums, the core,
-    the tangent genera and bundles, and the tangent side of the lambda-ring
-    path.  The table always carries ``nV1..nV_(W//2)``, the same at every l,
-    so each l's auxiliary polynomials live on this table with no embedding:
+    the tangent genera and bundles (each built on first read), and the
+    tangent side of the lambda-ring path.  The table always carries
+    ``nV1..nV_(W//2)``, the same at every l, so each l's auxiliary
+    polynomials live on this table with no embedding:
     they never touch ``nV_i`` for i > l, and rendering skips zero exponents.
     The tangent family carries the setting's relation, so the genera and
     bundles built on it are already in the relation's image.
     """
 
     def __init__(self, s: Setting):
-        self.kind, self.k, self.n_q = s.kind, s.k, s.n_q
+        self.kind, self.k, self.n_q, self.spin_c = s.kind, s.k, s.n_q, s.spin_c
         self.weight = W = s.weight
         self.table = build_generator_table(W, W // 2, s.spin_c, W)
         self.tm = RootFamily(FAMILY_TM, W, s.kind)
         self.gp_zero = GradedPolynomial.zero(self.table, W)
-        self.ahat = classical_genus("ahat", self.tm, self.table, W)
-        self.ch_delta_m = classical_genus("spinor_ch", self.tm, self.table, W)
-        self.tangent = complexified_bundle(self.tm, self.table, W)
-        self.line = complexified_bundle(LINE, self.table, W) if s.spin_c else None
-        self.genus = self.ahat * (classical_genus("exp_half_c", self.tm, self.table, W) if s.spin_c
-                                  else self.ch_delta_m + 2 ** (2 * s.k + 1))
         self.tm_sums = power_sums_gp(self.tm, W // 2, self.table, W)
         self.line_sums = power_sums_gp(LINE, W // 2, self.table, W) if s.spin_c else None
         self._kvirt: dict[int, list] = {}
+
+    # a spin^c setting never reads ch(Delta(M)), and a constant-term verify of 4.1 or 4.6 no bundle
+    ahat = cached_property(lambda self: classical_genus("ahat", self.tm, self.table, self.weight))
+    ch_delta_m = cached_property(lambda self: classical_genus("spinor_ch", self.tm, self.table, self.weight))
+    tangent = cached_property(lambda self: complexified_bundle(self.tm, self.table, self.weight))
+    line = cached_property(lambda self: complexified_bundle(LINE, self.table, self.weight) if self.spin_c else None)
+
+    @cached_property
+    def genus(self) -> GradedPolynomial:
+        """``ahat e^(c/2)`` (spin^c) or ``ahat (ch(Delta(M)) + 2^(2k+1))`` (spin)."""
+        return self.ahat * (classical_genus("exp_half_c", self.tm, self.table, self.weight) if self.spin_c
+                            else self.ch_delta_m + 2 ** (2 * self.k + 1))
 
     def exp(self, logs) -> list[QColumns]:
         """The weight pieces of an exp over the given power sums; piece n has weight 2n."""
@@ -231,15 +240,20 @@ class _Env:
             _tangent_cache[key] = _TangentHalf(s)
         self.half = half = _tangent_cache[key]
         self.table, self.gp_zero = half.table, half.gp_zero
-        self.ahat, self.ch_delta_m, self.genus = half.ahat, half.ch_delta_m, half.genus
-        self.tangent, self.line = half.tangent, half.line
         self.v = RootFamily(FAMILY_V, s.l, s.kind)
-        self.ch_delta_v = classical_genus("spinor_ch", self.v, self.table, W)
-        self.aux = complexified_bundle(self.v, self.table, W)
         self.v_sums = power_sums_gp(self.v, W // 2, self.table, W)
         self._p: dict[str, QColumns] = {}
         self._decomp: Decomposition | None = None
         self._transfer: GradedPolynomial | None = None
+
+    # the l-free forms are read from the tangent half; these, like them, are built on first read
+    ahat = property(lambda self: self.half.ahat)
+    ch_delta_m = property(lambda self: self.half.ch_delta_m)
+    genus = property(lambda self: self.half.genus)
+    tangent = property(lambda self: self.half.tangent)
+    line = property(lambda self: self.half.line)
+    ch_delta_v = cached_property(lambda self: classical_genus("spinor_ch", self.v, self.table, self.setting.weight))
+    aux = cached_property(lambda self: complexified_bundle(self.v, self.table, self.setting.weight))
 
     # -- theta path ---------------------------------------------------------
 
@@ -289,16 +303,20 @@ class _Env:
 
     # -- identity sides ---------------------------------------------------------
 
-    def top(self, form: GradedPolynomial) -> GradedPolynomial:
-        """The top-weight component of a form built from this setting's families.
+    def top(self, a: GradedPolynomial, b: GradedPolynomial | None = None) -> GradedPolynomial:
+        """The top-weight component of ``a * b`` (of ``a``), for forms built from this setting's families.
 
-        Their relation is already on every form they build, so none is applied here.
+        Only the pairs of terms whose weights add up to ``W`` are multiplied
+        (:func:`~anomcancel.algebra.dot`).  The relation is already on every
+        form the families build, so none is applied here.
         """
-        return form.component(self.setting.weight)
+        W = self.setting.weight
+        return a.component(W) if b is None else dot([(a, b)], self.table, W, floor=W)
 
+    @cached_property
     def constant_term_lhs(self) -> GradedPolynomial:
-        """Left side of the constant-term identity: the tangent genus times ``ch(Delta(V))``."""
-        return self.top(self.genus * self.ch_delta_v)
+        """Left side of the constant-term identity: the tangent genus times ``ch(Delta(V))``, built once."""
+        return self.top(self.genus, self.ch_delta_v)
 
     def q1_lhs(self) -> GradedPolynomial:
         """Left side of the q^1 identity (the printed bundle combination)."""
@@ -308,11 +326,11 @@ class _Env:
         if s.kind == "spin4k":
             comb1 = tt.scale(2) + vv
             comb2 = tt + lambda_power(tt, 2) + vv
-            return self.top(self.ahat * self.ch_delta_v
-                            * (self.ch_delta_m * comb1 + comb2.scale(2 ** (2 * s.k + 1))))
+            return self.top(self.ahat * self.ch_delta_v,
+                            self.ch_delta_m * comb1 + comb2.scale(2 ** (2 * s.k + 1)))
         ll = reduced(self.line)
         line_part = _line_q1(ll) if s.kind == "spinc4k" else -ll
-        return self.top(self.genus * self.ch_delta_v * (tt + line_part + vv))
+        return self.top(self.genus, self.ch_delta_v * (tt + line_part + vv))
 
     def rhs(self, h: list[GradedPolynomial], q1: bool) -> GradedPolynomial:
         """Right side of the constant-term (or ``q^1``) identity: ``sum_r c_r h_r``."""
@@ -461,7 +479,7 @@ def verify_theorem(theorem: str, k: int | None = None, l: int = 1,
 
 def _verify_constant_term(report: VerificationReport, env: _Env):
     dec = _pipeline(report, env)
-    lhs = env.constant_term_lhs()
+    lhs = env.constant_term_lhs
     rhs = env.rhs(dec.h, False)
     report.checks["main_identity"] = Check(lhs - rhs)
     report.checks["p1_constant_term"] = Check(env.coefficient("P1", 0) - lhs)
@@ -471,7 +489,7 @@ def _verify_constant_term(report: VerificationReport, env: _Env):
         # explicit forms of the two leading coefficients
         report.checks["h0_closed_form"] = Check(dec.h[0] - env.top(env.genus).scale((-1) ** s.k))
         if len(dec.h) > 1:
-            h1 = env.top(env.genus * (reduced(env.aux) + 24 * s.k)).scale((-1) ** (s.k + 1))
+            h1 = env.top(env.genus, reduced(env.aux) + 24 * s.k).scale((-1) ** (s.k + 1))
             report.checks["h1_closed_form"] = Check(dec.h[1] - h1)
 
 
@@ -481,7 +499,7 @@ def _verify_q1(report: VerificationReport, env: _Env):
     rhs = env.rhs(dec.h, True)
     report.checks["main_identity"] = Check(lhs - rhs)
     # direct q^1 coefficient of P1 against the two bundle-built sides
-    expected_q1 = lhs + env.constant_term_lhs().scale(24 * env.setting.k)
+    expected_q1 = lhs + env.constant_term_lhs.scale(24 * env.setting.k)
     report.checks["p1_q1_coefficient"] = Check(env.coefficient("P1", Q_UNIT) - expected_q1)
     if env.setting.kind == "spinc4k":
         # the reduced and unreduced line combinations must agree exactly:
@@ -493,7 +511,7 @@ def _verify_q1(report: VerificationReport, env: _Env):
         s = env.setting
         unred = reduced(env.tangent) - env.line + reduced(env.aux) - 24 * s.k
         report.checks["unreduced_line_variant"] = Check(
-            env.top(env.genus * env.ch_delta_v * unred) - env.rhs(dec.h, True), gating=False,
+            env.top(env.genus, env.ch_delta_v * unred) - env.rhs(dec.h, True), gating=False,
             note="q^1 combination with the unreduced line; differs from the exact "
                  "(reduced) form by twice the constant-term side")
 
@@ -520,20 +538,20 @@ def _verify_corollary(report: VerificationReport, env: _Env, theorem: str):
     def kill_nm1(p: GradedPolynomial) -> GradedPolynomial:
         return p.substitute("nM1", zero_nm1)
 
-    x_top = kill_nm1(env.genus.component(W))
-    xt_top = kill_nm1((env.genus * env.tangent).component(W))
+    g_top, gt_top = env.top(env.genus), env.top(env.genus, env.tangent)
+    x_top, xt_top = kill_nm1(g_top), kill_nm1(gt_top)
     if theorem == "3.3":
         coef_main, coef_t = Fraction(3 * 2 ** s.l, 2), Fraction(-(2 ** s.l), 16)
     else:
         coef_main, coef_t = Fraction(-(2 ** s.l), 2), Fraction(2 ** s.l, 8)
     rhs_tangent = x_top.scale(coef_main) + xt_top.scale(coef_t)
-    lhs_tangent = kill_nm1((env.genus * env.ch_delta_m).component(W)).scale(Fraction(2 ** s.l, 2 ** (2 * s.k)))
+    lhs_tangent = kill_nm1(env.top(env.genus, env.ch_delta_m)).scale(Fraction(2 ** s.l, 2 ** (2 * s.k)))
     report.checks["printed_identity_tangent_twist"] = Check(
         lhs_tangent - rhs_tangent,
         note="auxiliary characters specialized to the tangent bundle, first class zero")
 
-    lhs_generic = env.constant_term_lhs()
-    rhs_generic = env.top(env.genus).scale(coef_main) + env.top(env.genus * env.tangent).scale(coef_t)
+    lhs_generic = env.constant_term_lhs
+    rhs_generic = g_top.scale(coef_main) + gt_top.scale(coef_t)
     report.checks["printed_identity_independent_v"] = Check(
         lhs_generic - rhs_generic, gating=False,
         note="literal reading with an independent auxiliary bundle; the exact "
@@ -552,7 +570,7 @@ def structural_checks(setting: Setting) -> dict[str, Check]:
     env = get_env(setting)
     out: dict[str, Check] = {"p3_equals_p2_sign_flipped": Check(_sign_flip_residual(env))}
     if setting.kind == "spin4k" and setting.k == 1:
-        out["degenerate_lhs_vanishes"] = Check(env.constant_term_lhs())
+        out["degenerate_lhs_vanishes"] = Check(env.constant_term_lhs)
         out["degenerate_rhs_vanishes"] = Check(env.rhs(env.decomposition().h, False))
     return out
 

@@ -7,7 +7,8 @@ as they are.  ``prod_j f(z_j)``
 over a family of formal roots is then assembled by the log/Newton/exp route:
 the ``z^{2m}`` column of the log multiplies the power sum ``s_m`` of the
 squared roots, power sums convert to the elementary generators
-``n_i = e_i(z^2)`` by Newton's identities (with ``e_i = 0`` beyond the
+``n_i = e_i(z^2)`` by Newton's identities (one
+:func:`~anomcancel.algebra.dot` per sum, with ``e_i = 0`` beyond the
 family's root count), and one exp, run weight piece by weight piece with the
 Euler recurrence ``n*F_n = sum_j j*S_j*F_(n-j)``, reassembles the product:
 :func:`~anomcancel.algebra.exp_by_grade`, which the lambda-ring strings of
@@ -20,8 +21,9 @@ it is known through, so a caller that reads only the top
 weight of a product multiplies only the pairs of pieces whose weights add up
 to it.  A setting's first-class relation is a weight-preserving ring map, so
 it commutes with products, exps, weight components and Adams operations: a
-family carries it (``RootFamily.relation``) and it is applied once, to the
-family's elementary classes (:func:`elementary_gp`), so the power sums and
+family carries it (``RootFamily.relation``) and it is applied once per
+family, to ``e_1``, the one weight-2 class and so the only elementary class it
+can touch (:func:`elementary_gp`), so the power sums and
 every genus, bundle and series built from them are already in its image; it
 is never applied to an output.  Evaluation at the
 spin^c line root and the classical genera go through the same exp; the
@@ -45,7 +47,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
-from .algebra import AlgebraError, Generator, GeneratorTable, GradedPolynomial, QColumns, Record, exp_by_grade
+from .algebra import AlgebraError, Generator, GeneratorTable, GradedPolynomial, QColumns, Record, dot, exp_by_grade
 from .qseries import Q_UNIT, PuiseuxSeries
 from .theta import RootFactor, theta_log
 
@@ -99,7 +101,8 @@ def build_generator_table(n_tm_roots: int, n_v_roots: int, include_w: bool,
 def elementary_gp(fam: RootFamily, i: int, table: GeneratorTable, max_weight: int) -> GradedPolynomial:
     """``e_i`` of the family's squared roots as a table generator (or zero), under its relation.
 
-    The line's one squared root is ``u^2 = -w^2``, which no relation touches.
+    A relation replaces a weight-2 class, so it can touch ``e_1`` only; the
+    line's one squared root ``u^2 = -w^2`` it never touches.
     """
     if i == 0:
         return GradedPolynomial.one(table, max_weight)
@@ -109,7 +112,7 @@ def elementary_gp(fam: RootFamily, i: int, table: GeneratorTable, max_weight: in
         return GradedPolynomial.generator("w", table, max_weight, power=2).scale(-1)
     prefix = {FAMILY_TM: "nM", FAMILY_V: "nV"}[fam.family]
     e = GradedPolynomial.generator(f"{prefix}{i}", table, max_weight)
-    return e if fam.relation is None else apply_constraint(e, fam.relation)
+    return e if fam.relation is None or i > 1 else apply_constraint(e, fam.relation)
 
 
 def power_sums_gp(fam: RootFamily, m_max: int, table: GeneratorTable,
@@ -117,22 +120,20 @@ def power_sums_gp(fam: RootFamily, m_max: int, table: GeneratorTable,
     """Power sums ``s_0..s_m_max`` of squared roots in the elementary generators (Newton).
 
     The sums through ``s_(max_weight//2)`` are built once per family (with
-    its relation), table and weight; ``s_m`` has weight ``2m``, so the later
-    ones vanish and are left out.
+    its relation, put on ``e_1`` once), table and weight, each by one
+    :func:`~anomcancel.algebra.dot`: ``s_i = sum_(j<i) (-1)^(j-1) e_j s_(i-j)
+    + (-1)^(i-1) i e_i``.  ``s_m`` has weight ``2m``, so the later ones vanish
+    and are left out.
     """
     key = (fam, table, max_weight)
     sums = _power_sums_cache.get(key)
     if sums is None:
-        m_top = max_weight // 2
-        e = [elementary_gp(fam, i, table, max_weight) for i in range(m_top + 1)]
+        e = [elementary_gp(fam, i, table, max_weight) for i in range(max_weight // 2 + 1)]
+        signed = [p if j % 2 else -p for j, p in enumerate(e)]      # (-1)^(j-1) e_j
         s: list[GradedPolynomial] = [GradedPolynomial.scalar(fam.n_roots, table, max_weight)]
-        for i in range(1, m_top + 1):
-            acc = GradedPolynomial.zero(table, max_weight)
-            for j in range(1, i):
-                term = e[j] * s[i - j]
-                acc = acc + (term if j % 2 == 1 else -term)
-            lead = e[i].scale(i)
-            s.append(acc + (lead if i % 2 == 1 else -lead))
+        for i in range(1, len(e)):
+            s.append(dot([(signed[j], s[i - j]) for j in range(1, i)] + [(signed[i].scale(i), e[0])],
+                         table, max_weight))
         sums = _power_sums_cache[key] = tuple(s)
     return list(sums[:m_max + 1])
 

@@ -19,8 +19,8 @@ are the building blocks of every verified product formula:
 * ``t1, t2, t3`` -- ``theta_i(z)/theta_i(0)``, q0 slices ``cos z, 1, 1``
 * ``d``  -- ``pi * theta(z)/theta'(0)``, odd in ``z``, q0 slice ``sin z``
 
-Each factor is known through its log in closed form (:func:`theta_log`): a
-Bernoulli constant from the q0 slice (:func:`log_sin_over_z`) plus an
+Each factor is known through its log in closed form (:func:`theta_log`): the
+q0 slice's constant, an integer tangent number over a factorial, plus an
 Eisenstein-type divisor sum per ``z^2j`` column, which ``genus`` turns into
 power sums and exps.  A log is held as integer columns, one per ``z^2j``
 degree (see :class:`RootFactor`): the divisor sums are summed as ints with
@@ -35,7 +35,7 @@ oracle.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import factorial, gcd, lcm
 
 from .algebra import AlgebraError, QColumns, _frac, int_numerators
 from .qseries import HALF_UNIT, Q_UNIT, PuiseuxSeries
@@ -43,7 +43,6 @@ from .qseries import HALF_UNIT, Q_UNIT, PuiseuxSeries
 FACTOR_KINDS = ("a", "t1", "t2", "t3", "d")
 
 _log_cache: dict[tuple, "RootFactor"] = {}
-_log_sin_cache: dict[int, tuple[Fraction, ...]] = {}
 
 
 def _sseries(terms: dict[int, Fraction], bound: int) -> PuiseuxSeries:
@@ -206,22 +205,18 @@ def _reduced(c: QColumns) -> QColumns:
 # -- elementary z-series ------------------------------------------------------
 
 
-def log_sin_over_z(z_bound: int) -> tuple[Fraction, ...]:
-    """The z-coefficients of ``log(sin z/z)`` through ``z^z_bound``, memoized by ``z_bound``.
+def _tangent_numbers(n: int) -> list[int]:
+    """The tangent numbers ``T_1, T_3, ..., T_(2n-1)``: ``tan z = sum_j T_(2j-1) z^(2j-1) / (2j-1)!``.
 
-    The ``z^2j`` coefficient is ``(-1)^j 2^(2j-1) B_2j / (j (2j)!)``, with the
-    Bernoulli numbers from ``sum_(i<=n) C(n+1, i) B_i = 0``.
+    By Knuth and Buckholtz's integer triangle (Math. Comp. 21, 1967):
+    >>> _tangent_numbers(5)
+    [1, 2, 16, 272, 7936]
     """
-    out = _log_sin_cache.get(z_bound)
-    if out is None:
-        b = [Fraction(1)]
-        for n in range(1, z_bound + 1):
-            b.append(-sum(comb(n + 1, i) * b[i] for i in range(n)) / (n + 1))
-        coeffs = [Fraction(0)] * (z_bound + 1)
-        for j in range(1, z_bound // 2 + 1):
-            coeffs[2 * j] = (-1) ** j * 2 ** (2 * j - 1) * b[2 * j] / (j * factorial(2 * j))
-        out = _log_sin_cache[z_bound] = tuple(coeffs)
-    return out
+    t = [factorial(j) for j in range(n)]
+    for k in range(1, n):
+        for j in range(k, n):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t
 
 
 def theta_log(kind: str, order: int, z_bound: int) -> RootFactor:
@@ -233,11 +228,13 @@ def theta_log(kind: str, order: int, z_bound: int) -> RootFactor:
     (inverted for ``a``), with ``a_n = n`` or ``n - 1/2``, and
     ``log`` of one such quotient is ``-sum_m (-s)^m (2cos 2mz - 2) q^(m a_n) / m``.
     Since ``2cos 2mz - 2 = sum_j 2(-4)^j m^2j z^2j / (2j)!``, the z^2j column
-    is the Bernoulli constant of the q^0 slice plus the Eisenstein-type divisor
-    sum ``2(-4)^j/(2j)! * sum_{m a_n = N} sign(m) m^(2j-1)`` at ``q^N``.
-    Each column is built as integers: the divisor sums on the lattice of the
-    ``a_n`` (step 4 for ``t2``/``t3``, 8 otherwise), times the numerator of
-    the scale, over the common denominator of the scale and the constant.
+    is the q^0 slice's constant (``-T_(2j-1)/(2j)!`` for ``log cos z``, that
+    over ``4^j - 1`` for ``log(sin z/z)``, with the tangent numbers ``T``) plus
+    the divisor sum ``2(-4)^j/(2j)! * sum_{m a_n = N} sign(m) m^(2j-1)`` at
+    ``q^N``.  Each column is built as integers over ``(2j)!`` (times ``4^j - 1``
+    for ``a`` and ``d``): the tangent number at q^0, and the divisor sums on the
+    lattice of the ``a_n`` (step 4 for ``t2``/``t3``, 8 otherwise) times the
+    scale's numerator; no ``Fraction`` is made.
     Memoized by ``(kind, order, z_bound)``.
     """
     key = (kind, order, z_bound)
@@ -247,10 +244,10 @@ def theta_log(kind: str, order: int, z_bound: int) -> RootFactor:
     if kind not in FACTOR_KINDS:
         raise AlgebraError(f"unknown factor kind {kind!r}")
     q_bound = Q_UNIT * order
-    log_sin = log_sin_over_z(z_bound)
-    # log cos z = log(sin 2z/2z) - log(sin z/z): (4^j - 1) times the z^2j coefficient of log(sin z/z)
-    log_cos = [(2 ** d - 1) * c for d, c in enumerate(log_sin)]
-    q0 = {"a": [-c for c in log_sin], "t1": log_cos, "d": log_sin}.get(kind)
+    # q^0: [z^2j] log cos z = -T_(2j-1)/(2j)!, and log cos z = log(sin 2z/2z) - log(sin z/z), so
+    # [z^2j] log(sin z/z) is that over 4^j - 1; the slice of a is z/sin z, of d sin z, of t1 cos z
+    tangent = _tangent_numbers(z_bound // 2)
+    q0_sign = {"a": 1, "t1": -1, "d": -1}.get(kind, 0)
     s = +1 if kind in ("t1", "t3") else -1
     outer = +1 if kind == "a" else -1
     shift = HALF_UNIT if kind in ("t2", "t3") else 0
@@ -260,16 +257,15 @@ def theta_log(kind: str, order: int, z_bound: int) -> RootFactor:
             for n in range(1, order + 1) for m in range(1, q_bound // (Q_UNIT * n - shift) + 1)]
     cols = {}
     for d in range(2, z_bound + 1, 2):
-        scale = Fraction(2 * (-4) ** (d // 2), factorial(d))
-        c0 = q0[d] if q0 else Fraction(0)
-        den = lcm(scale.denominator, c0.denominator)
+        j = d // 2
+        over = 4 ** j - 1 if kind in ("a", "d") else 1
         nums = [0] * (q_bound // step + 1)
         for i, _, p in hits:
             nums[i] += p
-        f = scale.numerator * (den // scale.denominator)
+        f = 2 * (-4) ** j * over
         nums = [f * n for n in nums]
-        nums[0] = c0.numerator * (den // c0.denominator)
-        cols[d] = QColumns(den, step, {0: nums}, q_bound)
+        nums[0] = q0_sign * tangent[j - 1]
+        cols[d] = QColumns(factorial(d) * over, step, {0: nums}, q_bound)
         hits = [(i, m2, p * m2) for i, m2, p in hits]     # sign * m^(d+1) for the next column
     out = RootFactor.from_columns(cols, z_bound, q_bound)
     _log_cache[key] = out

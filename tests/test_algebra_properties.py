@@ -228,6 +228,10 @@ def test_dot_matches_oracle(case):
     assert_canonical(got)
     # the integer form the kernel hands on equals the one built from the stored terms
     assert got.int_form() == GradedPolynomial(TABLE, got.terms, cap).int_form()
+    # with floor = cap only the pairs of the top weight are multiplied: the oracle's weight-cap part
+    top = dot(polys, TABLE, cap, floor=cap)
+    assert top.terms == {e: c for e, c in want.items() if TABLE.monomial_weight(e) == cap}
+    assert_canonical(top)
     if pairs:
         # ... and feeds a further product correctly, summed with another left operand
         a, b = polys[0]

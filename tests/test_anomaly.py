@@ -312,6 +312,8 @@ def test_pickle_roundtrip():
             assert back == obj
     back = pickle.loads(pickle.dumps(table))
     assert back.monomial_weight((1, 0, 1, 0, 1)) == 5
+    # the hash is computed once, at construction: equal tables, rebuilt or unpickled, are one memo key
+    assert hash(back) == hash(table) == hash(build_generator_table(2, 2, True, 4)) and {table: 1}[back] == 1
     assert back.standard_table == table.standard_table
 
 
@@ -397,6 +399,26 @@ def test_sharing_the_tangent_half_cannot_change_a_verdict(kind, monkeypatch):
     tangent_exps = [c for c in calls if any(sums is half.tm_sums for sums in c)]
     assert len(tangent_exps) == (2 if kind == "spin4k" else 1)
     assert len(calls) - len(tangent_exps) == 3 * 3     # P1/P2/P3's auxiliary exp at each l
+
+
+@pytest.mark.parametrize("theorem", ["3.1", "4.1", "4.2", "4.6", "4.8"])
+def test_a_cold_verify_builds_only_the_genera_and_bundles_it_reads(theorem, monkeypatch):
+    """Genera and bundles are built on first read.
+
+    No spin^c verify reads ``ch(Delta(M))``, and the constant-term verifies of 4.1 and 4.6 read no
+    bundle, so none of those is in the tangent half's or the setting's ``vars()`` after them.
+    """
+    monkeypatch.setattr(anomaly, "_env_cache", {})
+    monkeypatch.setattr(anomaly, "_tangent_cache", {})
+    report = verify_theorem(theorem, k=2, l=2)
+    assert report.status == "PASS"
+    env = get_env(report.setting)
+    built = vars(env.half).keys() | vars(env).keys()
+    assert ("ch_delta_m" in built) == (theorem == "3.1")
+    bundles = {"tangent", "line", "aux"} & built
+    assert bundles == ({"aux"} if theorem == "3.1" else set() if theorem in ("4.1", "4.6") else
+                       {"tangent", "line", "aux"})
+    assert {"ahat", "genus", "ch_delta_v", "constant_term_lhs"} <= built
 
 
 @pytest.mark.parametrize("kind", ["spin4k", "spinc4k", "spinc4k2"])

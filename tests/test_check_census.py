@@ -9,6 +9,8 @@ it makes every report longer and guards nothing, so it is either retired or
 replaced by a check that can fail, and ``HOLD_BY_CONSTRUCTION`` stays empty.
 """
 
+from functools import cached_property
+
 from anomcancel import anomaly, kvirt, suite, theta
 from anomcancel.algebra import ONE, QColumns, mul_sum
 from anomcancel.qseries import HALF_UNIT, Q_UNIT
@@ -45,7 +47,10 @@ def _plant_term(which: str, units: int):
 
 
 def _plus_one(owner, attr):
-    real = getattr(owner, attr)
+    """``attr``, a method or a form built on first read, plus one."""
+    real = vars(owner)[attr]
+    if isinstance(real, cached_property):
+        return owner, attr, property(lambda self: real.func(self) + 1)
     return owner, attr, lambda self: real(self) + 1
 
 

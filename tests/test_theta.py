@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anomcancel.theta import (FACTOR_KINDS, RootFactor, jacobi_residual, log_sin_over_z, theta_factor,
+from anomcancel.theta import (FACTOR_KINDS, RootFactor, jacobi_residual, theta_factor,
                               theta_log, theta_null)
 
 from helpers import (bivariate_inverse, bivariate_mul, product_factor, series_log,
@@ -152,11 +152,16 @@ def test_theta_log_of_odd_factor_is_log_d_over_z(order, z_bound):
 
 
 def test_log_sin_over_z_matches_series_log():
-    """The Bernoulli form of ``log(sin z/z)`` equals the power-series log of ``sin z/z`` through z^40."""
+    """The q^0 columns of ``theta_log``, from the tangent numbers, are the power-series logs of the
+    q^0 slices through z^40: ``log(sin z/z)`` for ``d``, its negative for ``a``, ``log cos z`` for ``t1``."""
     sin_over_z = {(d, 0): Fraction((-1) ** (d // 2), factorial(d + 1)) for d in range(0, 41, 2)}
-    got = log_sin_over_z(40)
-    assert len(got) == 41 and all(type(c) is Fraction for c in got)
-    assert {(d, 0): c for d, c in enumerate(got) if c} == series_log(sin_over_z, 40, 0)
+    cos = {(d, 0): Fraction((-1) ** (d // 2), factorial(d)) for d in range(0, 41, 2)}
+    log_sin, log_cos = series_log(sin_over_z, 40, 0), series_log(cos, 40, 0)
+    assert len(log_sin) == len(log_cos) == 20
+    for kind, want in (("a", {t: -c for t, c in log_sin.items()}), ("d", log_sin), ("t1", log_cos)):
+        for order in (0, 2):
+            got = theta_log(kind, order, 40)
+            assert {(d, 0): c for (d, k), c in got.terms.items() if k == 0} == want
 
 
 def test_theta_log_columns():
