@@ -76,10 +76,6 @@ def _ratio(x) -> tuple[int, int]:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(*_ratio(x))
-
-
 class Generator(NamedTuple):
     """A weighted generator.
 
@@ -505,16 +501,6 @@ def _signed_log2(f: Fraction) -> tuple[bool, int]:
     if not p or abs(p) & (abs(p) - 1) or q & (q - 1):
         raise AlgebraError(f"standard-basis factor {f} is not plus or minus a power of 2")
     return p < 0, abs(p).bit_length() - q.bit_length()
-
-
-def int_numerators(terms: Mapping) -> tuple[int, dict]:
-    """``(den, {key: numerator})``: ``Fraction`` values over their least common denominator.
-
-    >>> int_numerators({0: Fraction(1, 2), 3: Fraction(-2, 3)})
-    (6, {0: 3, 3: -4})
-    """
-    den = lcm(*(c.denominator for c in terms.values()))
-    return den, {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
 
 
 def _check_space(p: GradedPolynomial, table: GeneratorTable, cap: int):

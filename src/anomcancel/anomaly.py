@@ -31,7 +31,8 @@ is identically zero, and each gating check can fail
 2k on an index-3 group, is a proof.  ``printed_identity_tangent_twist``
 compares ``ch(Delta(M))`` with ``ch(T_C M)`` at the top weight with
 ``nM1 = 0`` and reads nothing else of the genus (:func:`_verify_corollary`).
-The code's consistency: ``decomposition_residual`` past the solved positions,
+The code's consistency: ``decomposition_residual`` (at the solved positions
+it checks the solve, past them that P2 is modular),
 ``p3_equals_p2_sign_flipped``, ``p1_half_coefficient``, ``tilde_vs_untilde``
 and the degenerate checks.  Route agreement: the crosscheck rows and the
 checks against sides built from genera and bundles (``main_identity``,
@@ -243,8 +244,6 @@ class _Env:
         self.v = RootFamily(FAMILY_V, s.l, s.kind)
         self.v_sums = power_sums_gp(self.v, W // 2, self.table, W)
         self._p: dict[str, QColumns] = {}
-        self._decomp: Decomposition | None = None
-        self._transfer: GradedPolynomial | None = None
 
     # the l-free forms are read from the tangent half; these, like them, are built on first read
     ahat = property(lambda self: self.half.ahat)
@@ -289,17 +288,16 @@ class _Env:
         """One coefficient of P1/P2/P3, at lattice ``k``, read from the packed form."""
         return self.packed(which).coefficient(k, self.table, self.setting.weight)
 
+    @cached_property
     def decomposition(self) -> Decomposition:
-        if self._decomp is None:
-            self._decomp = decompose(self.packed("P2"), self.setting.k, self.gp_zero)
-        return self._decomp
+        """The decomposition of P2, built once."""
+        return decompose(self.packed("P2"), self.setting.k, self.gp_zero)
 
-    def transfer(self) -> GradedPolynomial:
+    @cached_property
+    def transfer(self) -> PuiseuxSeries:
         """The transfer residual of P1 against the decomposition's ``h``, shared by every theorem row here."""
-        if self._transfer is None:
-            s = self.setting
-            self._transfer = transfer_residual(self.packed("P1"), self.decomposition().h, s.l, s.k, self.gp_zero)
-        return self._transfer
+        s = self.setting
+        return transfer_residual(self.packed("P1"), self.decomposition.h, s.l, s.k, self.gp_zero)
 
     # -- identity sides ---------------------------------------------------------
 
@@ -356,7 +354,7 @@ def decompose_setting(setting: Setting, which: str = "P2") -> Decomposition:
     """The basis decomposition of P2 (the verdict's, built once) or of P1/P3, from the packed series."""
     env = get_env(setting)
     if which == "P2":
-        return env.decomposition()
+        return env.decomposition
     return decompose(env.packed(which), setting.k, env.gp_zero)
 
 
@@ -402,14 +400,12 @@ class Check:
 
 
 class VerificationReport:
-    def __init__(self, theorem: str, setting: Setting, checks: dict[str, Check] | None = None,
-                 h: list[GradedPolynomial] | None = None, solve_coeffs: list[list[int]] | None = None,
-                 variant_notes: list[str] | None = None, elapsed: float | None = None):
-        self.theorem, self.setting, self.elapsed = theorem, setting, elapsed
-        self.checks = {} if checks is None else checks
-        self.h = [] if h is None else h
-        self.solve_coeffs = [] if solve_coeffs is None else solve_coeffs
-        self.variant_notes = [] if variant_notes is None else variant_notes
+    def __init__(self, theorem: str, setting: Setting):
+        self.theorem, self.setting, self.elapsed = theorem, setting, None
+        self.checks: dict[str, Check] = {}
+        self.h: list[GradedPolynomial] = []
+        self.solve_coeffs: list[list[int]] = []
+        self.variant_notes: list[str] = []
 
     @property
     def status(self) -> str:
@@ -438,11 +434,11 @@ class VerificationReport:
 
 
 def _pipeline(report: VerificationReport, env: _Env) -> Decomposition:
-    dec = env.decomposition()
+    dec = env.decomposition
     report.h = dec.h
     report.solve_coeffs = dec.solve_coeffs
     report.checks["decomposition_residual"] = Check(dec.residual)
-    report.checks["transfer_residual"] = Check(env.transfer())
+    report.checks["transfer_residual"] = Check(env.transfer)
     return dec
 
 
@@ -571,7 +567,7 @@ def structural_checks(setting: Setting) -> dict[str, Check]:
     out: dict[str, Check] = {"p3_equals_p2_sign_flipped": Check(_sign_flip_residual(env))}
     if setting.kind == "spin4k" and setting.k == 1:
         out["degenerate_lhs_vanishes"] = Check(env.constant_term_lhs)
-        out["degenerate_rhs_vanishes"] = Check(env.rhs(env.decomposition().h, False))
+        out["degenerate_rhs_vanishes"] = Check(env.rhs(env.decomposition.h, False))
     return out
 
 

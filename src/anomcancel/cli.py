@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Callable
 
 from . import anomaly, suite
 from .algebra import AlgebraError
@@ -27,12 +28,14 @@ EXPAND_OBJECTS = (
 )
 
 
-def _write(payload: str, output: str | None):
-    if output:
+def _emit(args, obj: dict, render: Callable[[dict], str]):
+    """``obj`` as indented JSON, or as ``render(obj)`` under ``--format text``, to ``--output`` or stdout."""
+    payload = json.dumps(obj, indent=2) if args.format == "json" else render(obj)
+    if args.output:
         try:
-            Path(output).write_text(payload + "\n")
+            Path(args.output).write_text(payload + "\n")
         except OSError as e:
-            raise ValueError(f"cannot write --output {output}: {e.strerror}") from None
+            raise ValueError(f"cannot write --output {args.output}: {e.strerror}") from None
     else:
         print(payload)
 
@@ -77,15 +80,12 @@ def _cmd_verify(args) -> int:
         if args.k is not None and args.k != 2 * m + 1:
             raise AlgebraError(f"{args.theorem} fixes k = 2m+1 = {2 * m + 1}")
         audit = anomaly.divisibility_check(args.theorem, m, args.l, 1 if args.v2h is None else args.v2h)
-        obj = audit.to_json_obj()
-        payload = json.dumps(obj, indent=2) if args.format == "json" else _render_audit_text(obj)
-        _write(payload, args.output)
+        _emit(args, audit.to_json_obj(), _render_audit_text)
         return 0 if audit.outcome == "PASS" else 1
     report = anomaly.verify_theorem(args.theorem, k=args.k, l=1 if args.l is None else args.l,
                                     n_q=args.qorder)
-    obj = report.to_json_obj(basis=args.basis or "standard", include_timings=bool(args.timings))
-    payload = json.dumps(obj, indent=2) if args.format == "json" else _render_report_text(obj)
-    _write(payload, args.output)
+    _emit(args, report.to_json_obj(basis=args.basis or "standard", include_timings=bool(args.timings)),
+          _render_report_text)
     return 0 if report.status in ("PASS", "PASS_WITH_VARIANT") else 1
 
 
@@ -99,28 +99,20 @@ def _non_negative_int(text: str) -> int:
 def _cmd_expand(args) -> int:
     order = args.order
     obj: dict = {"schema": 1, "object": args.object, "order": order}
-    name = args.object
+    name, key = args.object, "series"
     if name in DELTA_EPS_KINDS:
         series = delta_eps(name, order)
-        obj["series"] = series.to_json_obj()
-        obj["text"] = series.to_text()
     elif name.endswith("-null"):
         kind = {"theta1-null": "theta1", "theta2-null": "theta2",
                 "theta3-null": "theta3", "theta-prime-null": "theta_prime"}[name]
         series = theta_null(kind, order)
-        obj["series"] = series.to_json_obj()
-        obj["text"] = series.to_text()
     elif name.startswith("factor-"):
-        factor = theta_factor(name.removeprefix("factor-"), order, args.weight)
+        series, key = theta_factor(name.removeprefix("factor-"), order, args.weight), "factor"
         obj["z_weight_bound"] = args.weight
-        obj["factor"] = factor.to_json_obj()
-        obj["text"] = factor.to_text()
     elif name == "basis":
         group = GROUP_UPPER if args.group == "upper" else GROUP_LOWER
         series = basis_element(group, args.k, args.r, order)
         obj.update({"group": group, "k": args.k, "r": args.r})
-        obj["series"] = series.to_json_obj()
-        obj["text"] = series.to_text()
     elif name in ("P1", "P2", "P3"):
         setting = anomaly.make_setting(args.setting, args.k, args.l, args.qorder)
         order = setting.n_q
@@ -129,13 +121,10 @@ def _cmd_expand(args) -> int:
         if args.basis == "standard":
             series = series.to_standard_basis()
         obj["setting"] = setting.to_json_obj()
-        obj["series"] = series.to_json_obj()
-        obj["text"] = series.to_text()
     else:
         raise AlgebraError(f"unknown object {name!r}")
-    payload = json.dumps(obj, indent=2) if args.format == "json" else \
-        f"{name} (order {order}):\n{obj['text']}"
-    _write(payload, args.output)
+    obj[key], obj["text"] = series.to_json_obj(), series.to_text()
+    _emit(args, obj, lambda o: f"{name} (order {order}):\n{o['text']}")
     return 0
 
 
@@ -144,17 +133,14 @@ def _cmd_decompose(args) -> int:
     dec = anomaly.decompose_setting(setting, args.which)
     obj = {"schema": 1, "setting": setting.to_json_obj(), "which": args.which}
     obj.update(dec.to_json_obj())
-    payload = json.dumps(obj, indent=2) if args.format == "json" else \
-        "\n".join([f"h[{r}] = {p.to_text()}" for r, p in enumerate(dec.h)]
-                  + [f"residual zero: {dec.residual_zero}"])
-    _write(payload, args.output)
+    _emit(args, obj, lambda _: "\n".join([f"h[{r}] = {p.to_text()}" for r, p in enumerate(dec.h)]
+                                         + [f"residual zero: {dec.residual_zero}"]))
     return 0 if dec.residual_zero else 1
 
 
 def _cmd_suite(args) -> int:
     result = suite.run_suite(n_q=args.qorder, parallel=args.parallel)
-    payload = suite.suite_json(result) if args.format == "json" else suite.render_suite_text(result)
-    _write(payload, args.output)
+    _emit(args, result, suite.render_suite_text)
     return 0 if result["all_ok"] else 1
 
 

@@ -14,7 +14,7 @@ Euler recurrence ``n*F_n = sum_j j*S_j*F_(n-j)``, reassembles the product:
 :func:`~anomcancel.algebra.exp_by_grade`, which the lambda-ring strings of
 ``kvirt`` run too.  The pieces ``F_n`` stay in the packed integer form of
 :class:`~anomcancel.algebra.QColumns`, and only the callers that hand a
-series on (:func:`exp_over_roots`) turn it into ``Fraction``s.
+series on (:func:`prod_over_roots`) turn it into ``Fraction``s.
 Logs on several families go into one exp (:func:`exp_by_weight`), which
 returns the result split by weight, each piece carrying the lattice bound
 it is known through, so a caller that reads only the top
@@ -167,13 +167,6 @@ def exp_by_weight(logs: Sequence[tuple[RootFactor, Sequence[GradedPolynomial]]],
     return exp_by_grade(columns, max_weight // 2, bound)
 
 
-def exp_over_roots(logs: Sequence[tuple[RootFactor, Sequence[GradedPolynomial]]], table: GeneratorTable,
-                   max_weight: int, order: int) -> PuiseuxSeries:
-    """:func:`exp_by_weight` as one series (:meth:`~anomcancel.qseries.PuiseuxSeries.from_pieces`)."""
-    return PuiseuxSeries.from_pieces(exp_by_weight(logs, max_weight, order),
-                                     GradedPolynomial.zero(table, max_weight))
-
-
 def prod_over_roots(log: RootFactor, fam: RootFamily, table: GeneratorTable,
                     max_weight: int, order: int) -> PuiseuxSeries:
     """``prod_{j=1..n} f(z_j) = exp(sum_m s_m * [z^2m] log f)`` in the family's generators.
@@ -183,7 +176,8 @@ def prod_over_roots(log: RootFactor, fam: RootFamily, table: GeneratorTable,
     constants (such as a per-root 2) are the caller's responsibility.
     """
     sums = power_sums_gp(fam, max_weight // 2, table, max_weight)
-    return exp_over_roots([(log, sums)], table, max_weight, order)
+    return PuiseuxSeries.from_pieces(exp_by_weight([(log, sums)], max_weight, order),
+                                     GradedPolynomial.zero(table, max_weight))
 
 
 def additive_over_roots(z2_coeffs, fam: RootFamily, table: GeneratorTable,

@@ -25,9 +25,10 @@ Everything runs in the packed integer form of
 order: the upper pair on step 4 (``q^(1/2)``), the lower on step 8 with
 ``16*eps1`` over 16.  The rows of one ``(group, k, order)`` share the powers
 of ``(8*delta)^2`` and ``eps``, and a residual ``P - s * sum_r h_r * row_r``
-is one :func:`~anomcancel.algebra.mul_sum`.  The ``h_r`` come from P2's
-integer numerators by back-substitution, with no division, checked against
-the minor's integer inverse (:func:`unit_lower_inverse`).  :func:`decompose`
+is one :func:`~anomcancel.algebra.mul_sum`.  The ``h_r`` are the leading
+minor's integer inverse (:func:`unit_lower_inverse`) applied to P2's first
+``k//2 + 1`` integer numerators, with no division; the residual, zero at the
+solved positions too, is what checks that solve.  :func:`decompose`
 and :func:`transfer_residual` take the packed series the verdict path holds,
 with its lattice bound; each ``h_r`` leaves the packed form by
 ``QColumns.coefficient`` and re-enters by ``QColumns.of``.  Each residual is
@@ -234,15 +235,15 @@ def decompose(P: QColumns, k: int, zero: GradedPolynomial) -> Decomposition:
 
     ``P`` is a packed series known through lattice ``P.bound``, on the
     half-integer lattice, whose monomials are packed for the ring of
-    ``zero``.  The ``h_r`` come out of the triangular system at ``q^0 ..
-    q^(r/2)`` by back-substitution on ``P``'s integer numerators: the
-    leading minor is unit lower-triangular with integer entries
-    (:func:`leading_minor`), so no step divides and every ``h_r`` keeps
-    ``P``'s denominator.  ``solve_coeffs`` is the minor's integer inverse,
-    recording each ``h_r`` as an integer combination of the input
-    coefficients, and the solve is checked against it.  The residual is then
-    checked against every further coefficient ``P`` carries, through
-    ``q^order`` (by default the whole of ``P``).
+    ``zero``.  The leading minor, the rows at ``q^(j/2)`` for ``j = 0..k//2``,
+    is unit lower-triangular with integer entries (:func:`leading_minor`), so its
+    inverse is integral (:func:`unit_lower_inverse`), and the ``h_r`` are
+    that inverse applied to ``P``'s integer numerators at those positions:
+    no step divides, and every ``h_r`` keeps ``P``'s denominator.  The
+    inverse is reported as ``solve_coeffs``, each ``h_r`` an integer
+    combination of the input coefficients.  The residual ``P - sum_r h_r
+    row_r`` is checked at every position ``P`` carries, the solved ones
+    included, so it also checks the solve.
 
     The upper row ``8*delta2`` itself, through ``q^2`` (lattice 16):
 
@@ -260,18 +261,12 @@ def decompose(P: QColumns, k: int, zero: GradedPolynomial) -> Decomposition:
     if order < n_unknowns:
         raise AlgebraError(
             f"series order {P.bound} lattice units cannot determine {n_unknowns} coefficients")
-    minor = leading_minor(k, order)
-    inv = unit_lower_inverse(minor)
+    inv = unit_lower_inverse(leading_minor(k, order))
     at = [divmod(HALF_UNIT * j, P.step) for j in range(n_unknowns)]
     solved: dict[int, list[int]] = {}
     for key, nums in P.cols.items():
         c = [nums[i] if not off and i < len(nums) else 0 for i, off in at]   # P at q^(j/2)
-        h: list[int] = []
-        for r in range(n_unknowns):
-            h.append(minor[r][r] * (c[r] - sum(minor[r][s] * h[s] for s in range(r))))
-            if h[r] != sum(inv[r][j] * c[j] for j in range(n_unknowns)):
-                raise AlgebraError("triangular solve and matrix inverse disagree")
-        solved[key] = h
+        solved[key] = [sum(x * y for x, y in zip(row, c)) for row in inv]
     h_polys = [QColumns(P.den, 1, {key: [h[r]] for key, h in solved.items() if h[r]})
                .coefficient(0, zero.table, zero.max_weight) for r in range(n_unknowns)]
     residual = _packed_sum(P, h_polys, _basis_rows(GROUP_UPPER, k, order), -1, zero)

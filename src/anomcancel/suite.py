@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
+from itertools import product
 
 from . import anomaly
 from .algebra import Record
@@ -49,21 +50,9 @@ class SuiteCase(Record):
         super().__init__(case_id, kind, params, expected)
 
 
-def _spin_grid():
-    return [(k, l) for k in (1, 2, 3) for l in (1, 2, 3, 4)]
-
-
-def _spinc4k_grid():
-    return [(k, l) for k in (1, 2) for l in (1, 2, 3)]
-
-
-def _spinc4k2_grid():
-    return [(k, l) for k in (1, 2) for l in (1, 2)]
-
-
 def suite_cases(n_q: int | None = None) -> list[SuiteCase]:
     cases: list[SuiteCase] = [SuiteCase("theta-layer", "theta", (THETA_LAYER_ORDER,))]
-    for k, l in _spin_grid():
+    for k, l in product((1, 2, 3), (1, 2, 3, 4)):
         for tid in ("3.1", "3.2"):
             cases.append(SuiteCase(f"{tid} k={k} l={l}", "theorem", (tid, k, l, n_q)))
         cases.append(SuiteCase(f"crosscheck spin4k k={k} l={l}", "crosscheck", ("spin4k", k, l, n_q)))
@@ -71,12 +60,12 @@ def suite_cases(n_q: int | None = None) -> list[SuiteCase]:
     for l in (1, 2, 3, 4):
         cases.append(SuiteCase(f"3.3 l={l}", "theorem", ("3.3", 2, l, n_q)))
         cases.append(SuiteCase(f"3.4 l={l}", "theorem", ("3.4", 3, l, n_q)))
-    for k, l in _spinc4k_grid():
+    for k, l in product((1, 2), (1, 2, 3)):
         for tid in ("4.1", "4.2"):
             cases.append(SuiteCase(f"{tid} k={k} l={l}", "theorem", (tid, k, l, n_q)))
         cases.append(SuiteCase(f"crosscheck spinc4k k={k} l={l}", "crosscheck", ("spinc4k", k, l, n_q)))
         cases.append(SuiteCase(f"structural spinc4k k={k} l={l}", "structural", ("spinc4k", k, l, n_q)))
-    for k, l in _spinc4k2_grid():
+    for k, l in product((1, 2), (1, 2)):
         for tid in ("4.6", "4.8"):
             cases.append(SuiteCase(f"{tid} k={k} l={l}", "theorem", (tid, k, l, n_q)))
         cases.append(SuiteCase(f"crosscheck spinc4k2 k={k} l={l}", "crosscheck", ("spinc4k2", k, l, n_q)))

@@ -37,7 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
-from .algebra import AlgebraError, QColumns, _frac, int_numerators
+from .algebra import AlgebraError, QColumns, ScalarLike, _ratio
 from .qseries import HALF_UNIT, Q_UNIT, PuiseuxSeries
 
 FACTOR_KINDS = ("a", "t1", "t2", "t3", "d")
@@ -102,20 +102,20 @@ class RootFactor:
 
     __slots__ = ("cols", "z_bound", "q_bound")
 
-    def __init__(self, terms: dict[tuple[int, int], Fraction], z_bound: int, q_bound: int):
-        by_degree: dict[int, dict[int, Fraction]] = {}
+    def __init__(self, terms: dict[tuple[int, int], ScalarLike], z_bound: int, q_bound: int):
+        by_degree: dict[int, dict[int, tuple[int, int]]] = {}
         for (d, k), c in terms.items():
             if d <= z_bound and k <= q_bound:
-                c = _frac(c)
-                if c:
-                    by_degree.setdefault(d, {})[k] = c
+                p, q = _ratio(c)
+                if p:
+                    by_degree.setdefault(d, {})[k] = p, q
         cols = {}
         for d, col in by_degree.items():
-            den, nums = int_numerators(col)
+            den = lcm(*(q for _, q in col.values()))     # over the lcm of reduced denominators: reduced
             step = gcd(q_bound, *col) or 1
             ints = [0] * (max(col) // step + 1)
-            for k, n in nums.items():
-                ints[k // step] = n
+            for k, (p, q) in col.items():
+                ints[k // step] = p * (den // q)
             cols[d] = QColumns(den, step, {0: ints}, q_bound)
         self._set(cols, z_bound, q_bound)
 
@@ -276,23 +276,23 @@ def theta_factor(kind: str, order: int, z_bound: int) -> RootFactor:
     """A per-root factor through ``q^order`` and ``z^z_bound``: the exp of :func:`theta_log` at one root.
 
     Over the one-root tangent family the only generator ``nM1 = e_1(z^2)`` is
-    ``z^2`` itself, so the ``nM1^m`` coefficient of
-    :func:`~anomcancel.genus.prod_over_roots` at lattice ``k`` is the
-    factor's ``(2m, k)`` term.  The odd factor is ``d = z * exp(log(d/z))``:
-    its log is taken through ``z^(z_bound-1)`` and every degree moves up by one.
+    ``z^2`` itself, so the weight-2m piece of :func:`~anomcancel.genus.exp_by_weight`
+    is ``nM1^m`` times the factor's ``z^2m`` column, which is read off it.  The odd
+    factor is ``d = z * exp(log(d/z))``: its log is taken through ``z^(z_bound-1)``
+    and every degree moves up by one.
 
     >>> a = theta_factor("a", 3, 4)
     >>> [str(a.coefficient(d, 0)) for d in range(5)]
     ['1', '0', '1/6', '0', '7/360']
     """
-    from .genus import FAMILY_TM, RootFamily, build_generator_table, prod_over_roots
+    from .genus import FAMILY_TM, RootFamily, build_generator_table, exp_by_weight, power_sums_gp
 
     shift = 1 if kind == "d" else 0
     zb = z_bound - shift
     if zb < 0:
         raise AlgebraError(f"factor {kind} needs a z-degree bound >= {shift}")
-    table = build_generator_table(1, 0, False, zb)
-    series = prod_over_roots(theta_log(kind, order, zb), RootFamily(FAMILY_TM, 1), table, zb, order)
-    # each exponent vector is (m,), or () when z_bound < 2 leaves the table empty
-    terms = {(2 * sum(e) + shift, k): c for k, poly in series.terms.items() for e, c in poly.terms.items()}
-    return RootFactor(terms, z_bound, Q_UNIT * order)
+    sums = power_sums_gp(RootFamily(FAMILY_TM, 1), zb // 2, build_generator_table(1, 0, False, zb), zb)
+    pieces = exp_by_weight([(theta_log(kind, order, zb), sums)], zb, order)
+    # piece m holds the one monomial nM1^m, or nothing
+    cols = {2 * m + shift: f._replace(cols={0: nums}) for m, f in enumerate(pieces) for nums in f.cols.values()}
+    return RootFactor.from_columns(cols, z_bound, Q_UNIT * order)

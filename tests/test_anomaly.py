@@ -488,7 +488,7 @@ def test_stable_range_in_l(kind):
         assert (p1_hi.step, p1_hi.bound) == (p1_lo.step, p1_lo.bound)
         assert ({m: [Fraction(n, p1_hi.den) for n in col] for m, col in p1_hi.cols.items()}
                 == {m: [Fraction(2 * n, p1_lo.den) for n in col] for m, col in p1_lo.cols.items()})
-        assert hi.decomposition().h == lo.decomposition().h
+        assert hi.decomposition.h == lo.decomposition.h
 
 
 @pytest.mark.parametrize("k", range(1, 7))
@@ -499,7 +499,7 @@ def test_public_and_packed_decompositions_agree(kind, k):
     for l in (1, 2, 3):
         s = make_setting(kind, k, l)
         env = get_env(s)
-        public, verdict = decompose(packed(build_P(s, "P2")), k, env.gp_zero), env.decomposition()
+        public, verdict = decompose(packed(build_P(s, "P2")), k, env.gp_zero), env.decomposition
         assert public.h == verdict.h
         assert public.solve_coeffs == verdict.solve_coeffs
         assert all(type(c) is int for row in verdict.solve_coeffs for c in row)

@@ -11,7 +11,7 @@ replaced by a check that can fail, and ``HOLD_BY_CONSTRUCTION`` stays empty.
 
 from functools import cached_property
 
-from anomcancel import anomaly, kvirt, suite, theta
+from anomcancel import anomaly, kvirt, modforms, suite, theta
 from anomcancel.algebra import ONE, QColumns, mul_sum
 from anomcancel.qseries import HALF_UNIT, Q_UNIT
 from anomcancel.suite import SuiteCase, run_case
@@ -22,6 +22,8 @@ INFORMATIONAL = {"printed_identity_independent_v", "unreduced_line_variant"}
 HOLD_BY_CONSTRUCTION: set[str] = set()
 # faults planted in the lambda-ring route, each of which must show in a crosscheck key
 LAMBDA_RING_FAULTS = {"string logs with m^w for m^(w-1)", "P1's twist without ch(Delta(V))"}
+# faults that must show in the key named
+NAMED_FAULTS = {"the solve's inverse one off below the diagonal": "decomposition_residual"}
 
 GRID = [SuiteCase("theta-layer", "theta", (suite.THETA_LAYER_ORDER,))] + [
     SuiteCase(f"{tid} k={k} l=1", "theorem", (tid, k, 1, None))
@@ -75,6 +77,18 @@ def _bare_p1_twist():
     return anomaly._Env, "twist", twist
 
 
+def _off_inverse():
+    """``modforms.unit_lower_inverse`` with 1 added below the diagonal, so still unit lower-triangular."""
+    real = modforms.unit_lower_inverse
+
+    def inverse(m):
+        inv = real(m)
+        if len(inv) > 1:        # a 1x1 minor (k < 2) has no entry below the diagonal
+            inv[-1][0] += 1
+        return inv
+    return modforms, "unit_lower_inverse", inverse
+
+
 def _faults():
     lambda_power, theta_null, delta_eps = anomaly.lambda_power, theta.theta_null, suite.delta_eps
     adams_column = kvirt._adams_column
@@ -94,6 +108,7 @@ def _faults():
         "string logs with m^w for m^(w-1)": (kvirt, "_adams_column", lambda first, sign, exterior, power, bound:
                                              adams_column(first, sign, exterior, power + 1, bound)),
         "P1's twist without ch(Delta(V))": _bare_p1_twist(),
+        "the solve's inverse one off below the diagonal": _off_inverse(),
     })
     return faults
 
@@ -128,6 +143,8 @@ def test_every_gating_check_can_fail(monkeypatch):
         assert hit, f"the planted fault {name!r} shows in no check"
         if name in LAMBDA_RING_FAULTS:
             assert any("@q^" in key for key in hit), (name, hit)
+        if name in NAMED_FAULTS:
+            assert NAMED_FAULTS[name] in hit, (name, hit)
         reached |= hit
-    assert HOLD_BY_CONSTRUCTION == set() and LAMBDA_RING_FAULTS <= set(_faults())
+    assert HOLD_BY_CONSTRUCTION == set() and LAMBDA_RING_FAULTS | set(NAMED_FAULTS) <= set(_faults())
     assert {key for key, gates in gating.items() if gates} - reached == HOLD_BY_CONSTRUCTION
