@@ -59,8 +59,9 @@ _basis_cache: dict[tuple, tuple[QColumns, ...]] = {}
 def _divisor_sums(count: int) -> tuple[list[int], list[int], list[int]]:
     """``sum_{d|n, d odd} d``, ``sum_{d|n, n/d odd} d^3`` and ``sum_{d|n} (-1)^d d^3`` for ``n < count``.
 
-    One sieve over the divisors; each list holds 0 at ``n = 0``.  The first
-    two give ``8*delta2`` and ``eps2`` at ``q^(n/2)``:
+    One sieve: each divisor ``d`` takes its cube, sign and parity once and adds them along its
+    multiples (every second one for the odd cofactors).  Each list holds 0 at ``n = 0`` and is a
+    prefix of the list for a larger count.  The first two give ``8*delta2`` and ``eps2`` at ``q^(n/2)``:
 
     >>> odd, eps2, _ = _divisor_sums(5)
     >>> [-1] + [-24 * s for s in odd[1:]], eps2
@@ -68,34 +69,35 @@ def _divisor_sums(count: int) -> tuple[list[int], list[int], list[int]]:
     """
     odd, cube_odd_cofactor, cube_signed = [0] * count, [0] * count, [0] * count
     for d in range(1, count):
-        for j, n in enumerate(range(d, count, d), 1):     # n = j * d
-            odd[n] += d % 2 * d
-            cube_odd_cofactor[n] += j % 2 * d ** 3
-            cube_signed[n] += (-1) ** d * d ** 3
+        cube = d ** 3
+        d_odd, signed = (d, -cube) if d % 2 else (0, cube)
+        for n in range(d, count, d):
+            odd[n] += d_odd
+            cube_signed[n] += signed
+        for n in range(d, count, 2 * d):        # n = j * d, j odd
+            cube_odd_cofactor[n] += cube
     return odd, cube_odd_cofactor, cube_signed
 
 
 def _generators(group: str, order: int) -> tuple[QColumns, QColumns]:
-    """``(8*delta, eps)`` of one group through ``q^order`` (built once per order)."""
+    """``(8*delta, eps)`` of one group through ``q^order``: one sieve per order builds both groups'
+    pairs, the upper at ``q^(n/2)`` through ``n = 2*order``, the lower from the prefix at ``q^n``."""
     key = (group, order)
     pair = _gen_cache.get(key)
     if pair is not None:
         return pair
     if order < 1:
         raise AlgebraError("order must be >= 1")
-    bound = Q_UNIT * order
-    if group == GROUP_UPPER:
-        odd, eps, _ = _divisor_sums(2 * order + 1)      # positions q^(n/2)
-        pair = (QColumns(1, HALF_UNIT, {0: [-1] + [-24 * s for s in odd[1:]]}, bound),
-                QColumns(1, HALF_UNIT, {0: eps}, bound))
-    elif group == GROUP_LOWER:
-        odd, _, signed = _divisor_sums(order + 1)       # positions q^n
-        pair = (QColumns(1, Q_UNIT, {0: [2] + [48 * s for s in odd[1:]]}, bound),
-                QColumns(16, Q_UNIT, {0: [1] + [16 * s for s in signed[1:]]}, bound))
-    else:
+    if group not in (GROUP_LOWER, GROUP_UPPER):
         raise AlgebraError(f"unknown group {group!r}")
-    _gen_cache[key] = pair
-    return pair
+    bound = Q_UNIT * order
+    odd, eps, signed = _divisor_sums(2 * order + 1)
+    _gen_cache[(GROUP_UPPER, order)] = (QColumns(1, HALF_UNIT, {0: [-1] + [-24 * s for s in odd[1:]]}, bound),
+                                        QColumns(1, HALF_UNIT, {0: eps}, bound))
+    _gen_cache[(GROUP_LOWER, order)] = (
+        QColumns(1, Q_UNIT, {0: [2] + [48 * s for s in odd[1:order + 1]]}, bound),
+        QColumns(16, Q_UNIT, {0: [1] + [16 * s for s in signed[1:order + 1]]}, bound))
+    return _gen_cache[key]
 
 
 def delta_eps(which: str, order: int) -> PuiseuxSeries:

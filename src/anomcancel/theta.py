@@ -22,10 +22,13 @@ are the building blocks of every verified product formula:
 Each factor is known through its log in closed form (:func:`theta_log`): the
 q0 slice's constant, an integer tangent number over a factorial, plus an
 Eisenstein-type divisor sum per ``z^2j`` column, which ``genus`` turns into
-power sums and exps.  A log is held as integer columns, one per ``z^2j``
-degree (see :class:`RootFactor`): the divisor sums are summed as ints with
-the column's scale folded into the numerators, logs add column by column in
-integers, and ``Fraction``s appear only in the on-demand ``terms`` view.
+power sums and exps.  The divisor sums are read, with each kind's signs,
+off two memoized pairs of tables of ``m^(2j-1)`` split by the parity of
+``m``: on the integer lattice for ``a``, ``t1``, ``d``, on the half lattice
+for ``t2``, ``t3``.  A log is held as integer columns, one per ``z^2j``
+degree (see :class:`RootFactor`), the column's scale folded into the
+numerators: logs add column by column in integers, and ``Fraction``s appear
+only in the on-demand ``terms`` view.
 The factor itself (:func:`theta_factor`, printed by ``expand --object
 factor-*``) is that exp at a single root; nothing in the library multiplies
 out the ``O(order)`` product form, which the tests keep as an independent
@@ -43,6 +46,7 @@ from .qseries import HALF_UNIT, Q_UNIT, PuiseuxSeries
 FACTOR_KINDS = ("a", "t1", "t2", "t3", "d")
 
 _log_cache: dict[tuple, "RootFactor"] = {}
+_table_cache: dict[tuple, tuple[list[list[int]], list[list[int]]]] = {}
 
 
 def _sseries(terms: dict[int, Fraction], bound: int) -> PuiseuxSeries:
@@ -219,6 +223,35 @@ def _tangent_numbers(n: int) -> list[int]:
     return t
 
 
+# kind: (on the half lattice, parity sign, outer sign, over 4^j - 1, q^0 sign)
+_LOG_KINDS = {"a": (False, 1, 1, True, 1), "t1": (False, -1, -1, False, -1), "t2": (True, 1, -1, False, 0),
+              "t3": (True, -1, -1, False, 0), "d": (False, 1, -1, True, -1)}
+
+
+def _divisor_powers(half: bool, order: int, n_cols: int) -> tuple[list[list[int]], list[list[int]]]:
+    """``(E, O)``: ``E[j-1][N]`` sums ``m^(2j-1)`` over the even ``m`` with ``m a_n = N``, ``O`` over the odd.
+
+    ``a_n = n`` on the integer lattice (``N`` counts q), ``n - 1/2`` on the half lattice (``N``
+    counts ``q^(1/2)``), through ``q^order`` and for ``j = 1..n_cols``; each ``m``'s power steps
+    by ``m^2`` from column to column.  Memoized: every kind on one lattice reads the same pair.
+
+    >>> _divisor_powers(False, 4, 2)
+    ([[0, 0, 2, 0, 6], [0, 0, 8, 0, 72]], [[0, 1, 1, 4, 1], [0, 1, 1, 28, 1]])
+    """
+    tables = _table_cache.get((half, order, n_cols))
+    if tables is None:
+        size = (2 if half else 1) * order + 1
+        tables = tuple([[0] * size for _ in range(n_cols)] for _ in range(2))
+        for m in range(1, size):
+            power, m2, hits = m, m * m, range(m, size, 2 * m if half else m)
+            for row in tables[m % 2]:
+                for i in hits:
+                    row[i] += power
+                power *= m2
+        _table_cache[half, order, n_cols] = tables
+    return tables
+
+
 def theta_log(kind: str, order: int, z_bound: int) -> RootFactor:
     """Closed-form log of a per-root factor through ``q^order`` and ``z^z_bound``.
 
@@ -230,44 +263,33 @@ def theta_log(kind: str, order: int, z_bound: int) -> RootFactor:
     Since ``2cos 2mz - 2 = sum_j 2(-4)^j m^2j z^2j / (2j)!``, the z^2j column
     is the q^0 slice's constant (``-T_(2j-1)/(2j)!`` for ``log cos z``, that
     over ``4^j - 1`` for ``log(sin z/z)``, with the tangent numbers ``T``) plus
-    the divisor sum ``2(-4)^j/(2j)! * sum_{m a_n = N} sign(m) m^(2j-1)`` at
-    ``q^N``.  Each column is built as integers over ``(2j)!`` (times ``4^j - 1``
-    for ``a`` and ``d``): the tangent number at q^0, and the divisor sums on the
-    lattice of the ``a_n`` (step 4 for ``t2``/``t3``, 8 otherwise) times the
-    scale's numerator; no ``Fraction`` is made.
+    ``outer * 2(-4)^j/(2j)! * (E_j + parity * O_j)`` at ``q^N``, with ``E_j``, ``O_j``
+    summing ``m^(2j-1)`` over the even and the odd ``m`` with ``m a_n = N`` (:func:`_divisor_powers`,
+    shared by the kinds on one lattice).  The parity sign ``-s`` is ``+`` for ``a``, ``t2``, ``d``
+    and ``-`` for ``t1``, ``t3``; the outer sign is ``+`` for ``a`` only.  Each column is built as
+    integers over ``(2j)!`` (times ``4^j - 1`` for ``a`` and ``d``): the tangent number at q^0,
+    and the scaled table entries on the lattice of the ``a_n`` (step 4 for ``t2``/``t3``, 8
+    otherwise); no ``Fraction`` is made.
     Memoized by ``(kind, order, z_bound)``.
     """
     key = (kind, order, z_bound)
     cached = _log_cache.get(key)
     if cached is not None:
         return cached
-    if kind not in FACTOR_KINDS:
+    if kind not in _LOG_KINDS:
         raise AlgebraError(f"unknown factor kind {kind!r}")
-    q_bound = Q_UNIT * order
+    half, parity, outer, over_j, q0_sign = _LOG_KINDS[kind]
     # q^0: [z^2j] log cos z = -T_(2j-1)/(2j)!, and log cos z = log(sin 2z/2z) - log(sin z/z), so
     # [z^2j] log(sin z/z) is that over 4^j - 1; the slice of a is z/sin z, of d sin z, of t1 cos z
     tangent = _tangent_numbers(z_bound // 2)
-    q0_sign = {"a": 1, "t1": -1, "d": -1}.get(kind, 0)
-    s = +1 if kind in ("t1", "t3") else -1
-    outer = +1 if kind == "a" else -1
-    shift = HALF_UNIT if kind in ("t2", "t3") else 0
-    step = HALF_UNIT if shift else Q_UNIT
-    # one (index, m^2, sign * m) per term q^(m a_n) of the divisor sums
-    hits = [(m * (Q_UNIT * n - shift) // step, m * m, outer * (-s) ** m * m)
-            for n in range(1, order + 1) for m in range(1, q_bound // (Q_UNIT * n - shift) + 1)]
     cols = {}
-    for d in range(2, z_bound + 1, 2):
-        j = d // 2
-        over = 4 ** j - 1 if kind in ("a", "d") else 1
-        nums = [0] * (q_bound // step + 1)
-        for i, _, p in hits:
-            nums[i] += p
-        f = 2 * (-4) ** j * over
-        nums = [f * n for n in nums]
+    for j, (even, odd) in enumerate(zip(*_divisor_powers(half, order, z_bound // 2)), 1):
+        over = 4 ** j - 1 if over_j else 1
+        f = outer * 2 * (-4) ** j * over
+        nums = [f * (e + parity * o) for e, o in zip(even, odd)]
         nums[0] = q0_sign * tangent[j - 1]
-        cols[d] = QColumns(factorial(d) * over, step, {0: nums}, q_bound)
-        hits = [(i, m2, p * m2) for i, m2, p in hits]     # sign * m^(d+1) for the next column
-    out = RootFactor.from_columns(cols, z_bound, q_bound)
+        cols[2 * j] = QColumns(factorial(2 * j) * over, HALF_UNIT if half else Q_UNIT, {0: nums}, Q_UNIT * order)
+    out = RootFactor.from_columns(cols, z_bound, Q_UNIT * order)
     _log_cache[key] = out
     return out
 

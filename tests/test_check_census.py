@@ -20,15 +20,19 @@ from anomcancel.suite import SuiteCase, run_case
 INFORMATIONAL = {"printed_identity_independent_v", "unreduced_line_variant"}
 # gating keys that no planted fault turns nonzero
 HOLD_BY_CONSTRUCTION: set[str] = set()
-# faults planted in the lambda-ring route, each of which must show in a crosscheck key
-LAMBDA_RING_FAULTS = {"string logs with m^w for m^(w-1)", "P1's twist without ch(Delta(V))"}
-# faults that must show in the key named
-NAMED_FAULTS = {"the solve's inverse one off below the diagonal": "decomposition_residual"}
+# faults each of which must show in a crosscheck key: two planted in the lambda-ring route, and one
+# in the divisor-power table every theta log reads, which the lambda-ring route must catch
+ROUTE_FAULTS = {"string logs with m^w for m^(w-1)", "P1's twist without ch(Delta(V))", "O_1 at q^1 plus one"}
+# faults that must show in the key named, on every row named
+NAMED_FAULTS = {"the solve's inverse one off below the diagonal":
+                ("decomposition_residual", ("3.1 k=2 l=1", "4.1 k=2 l=1", "4.6 k=2 l=1"))}
 
 GRID = [SuiteCase("theta-layer", "theta", (suite.THETA_LAYER_ORDER,))] + [
     SuiteCase(f"{tid} k={k} l=1", "theorem", (tid, k, 1, None))
     for tid, k in (("3.1", 2), ("3.2", 2), ("3.3", 2), ("3.4", 3),
-                   ("4.1", 1), ("4.2", 1), ("4.6", 1), ("4.8", 1))
+                   ("4.1", 1), ("4.2", 1), ("4.6", 1), ("4.8", 1),
+                   # spin^c rows at k=2, where the solve's minor is 2x2 and a fault in its inverse can show
+                   ("4.1", 2), ("4.6", 2))
 ] + [SuiteCase("crosscheck spin4k k=1 l=1", "crosscheck", ("spin4k", 1, 1, None)),
      # P1 vanishes at spin4k k=1, so a fault in P1's twist shows only on another row
      SuiteCase("crosscheck spinc4k k=1 l=1", "crosscheck", ("spinc4k", 1, 1, None)),
@@ -89,6 +93,18 @@ def _off_inverse():
     return modforms, "unit_lower_inverse", inverse
 
 
+def _bumped_table():
+    """``theta._divisor_powers`` with one added to ``O_1`` at ``q^1`` on the integer lattice."""
+    real = theta._divisor_powers
+
+    def powers(half, order, n_cols):
+        even, odd = real(half, order, n_cols)
+        if half or order < 1 or not n_cols:
+            return even, odd
+        return even, [[row[0], row[1] + 1, *row[2:]] if j == 0 else row for j, row in enumerate(odd)]
+    return theta, "_divisor_powers", powers
+
+
 def _faults():
     lambda_power, theta_null, delta_eps = anomaly.lambda_power, theta.theta_null, suite.delta_eps
     adams_column = kvirt._adams_column
@@ -109,18 +125,19 @@ def _faults():
                                              adams_column(first, sign, exterior, power + 1, bound)),
         "P1's twist without ch(Delta(V))": _bare_p1_twist(),
         "the solve's inverse one off below the diagonal": _off_inverse(),
+        "O_1 at q^1 plus one": _bumped_table(),
     })
     return faults
 
 
-def _census() -> tuple[dict[str, bool], set[str]]:
-    """Each key the grid reports, with its gating flag, and the gating keys reported nonzero."""
-    gating, nonzero = {}, set()
+def _census() -> tuple[dict[str, bool], dict[str, set[str]]]:
+    """Each key the grid reports, with its gating flag, and per row the gating keys reported nonzero."""
+    gating, nonzero = {}, {}
     for case in GRID:
         for key, entry in run_case(case)["report"]["checks"].items():
             gating[key] = entry["gating"]
             if entry["gating"] and not entry["zero"]:
-                nonzero.add(key)
+                nonzero.setdefault(case.case_id, set()).add(key)
     return gating, nonzero
 
 
@@ -139,12 +156,16 @@ def test_every_gating_check_can_fail(monkeypatch):
             m.setattr(owner, attr, planted)
             m.setattr(anomaly, "_env_cache", {})
             m.setattr(anomaly, "_tangent_cache", {})
-            _, hit = _census()
+            m.setattr(theta, "_log_cache", {})
+            m.setattr(theta, "_table_cache", {})
+            _, by_row = _census()
+        hit = set().union(*by_row.values())
         assert hit, f"the planted fault {name!r} shows in no check"
-        if name in LAMBDA_RING_FAULTS:
+        if name in ROUTE_FAULTS:
             assert any("@q^" in key for key in hit), (name, hit)
         if name in NAMED_FAULTS:
-            assert NAMED_FAULTS[name] in hit, (name, hit)
+            key, rows = NAMED_FAULTS[name]
+            assert all(key in by_row.get(row, ()) for row in rows), (name, by_row)
         reached |= hit
-    assert HOLD_BY_CONSTRUCTION == set() and LAMBDA_RING_FAULTS | set(NAMED_FAULTS) <= set(_faults())
+    assert HOLD_BY_CONSTRUCTION == set() and ROUTE_FAULTS | set(NAMED_FAULTS) <= set(_faults())
     assert {key for key, gates in gating.items() if gates} - reached == HOLD_BY_CONSTRUCTION

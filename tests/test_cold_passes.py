@@ -40,6 +40,7 @@ def test_only_cache_named_module_dicts_grow():
     assert "anomcancel.anomaly._env_cache" in grew
     assert "anomcancel.anomaly._tangent_cache" in grew
     assert "anomcancel.theta._log_cache" in grew
+    assert "anomcancel.theta._table_cache" in grew
     assert "anomcancel.genus._power_sums_cache" in grew
     assert "anomcancel.modforms._gen_cache" in grew
     assert "anomcancel.modforms._basis_cache" in grew

@@ -209,6 +209,27 @@ def test_generators_use_no_series_product(monkeypatch):
     assert not hasattr(modforms, "theta_null")
 
 
+def test_divisor_sums_are_prefixes_and_match_brute_force():
+    """Each list is its divisor sum at every ``n``, and a smaller count's lists are prefixes."""
+    full = modforms._divisor_sums(130)
+    for n in range(130):
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        assert [sums[n] for sums in full] == [sum(d for d in divisors if d % 2),
+                                              sum(d ** 3 for d in divisors if n // d % 2),
+                                              sum((-1) ** d * d ** 3 for d in divisors)]
+    for count in range(130):
+        assert modforms._divisor_sums(count) == tuple(sums[:count] for sums in full)
+
+
+def test_one_sieve_per_order_builds_both_groups(monkeypatch):
+    real, counts = modforms._divisor_sums, []
+    monkeypatch.setattr(modforms, "_divisor_sums", lambda count: counts.append(count) or real(count))
+    monkeypatch.setattr(modforms, "_gen_cache", {})
+    for group in (GROUP_LOWER, GROUP_UPPER, GROUP_LOWER):
+        modforms._generators(group, 16)
+    assert counts == [33]
+
+
 def test_basis_rows_never_multiply_by_the_unit(monkeypatch):
     """Every mul_sum of the rows has two non-unit operands: k < 2 needs none, k=2 only (8*delta)^2."""
     real, operands = modforms.mul_sum, []

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anomcancel import theta
 from anomcancel.theta import (FACTOR_KINDS, RootFactor, jacobi_residual, theta_factor,
                               theta_log, theta_null)
 
@@ -162,6 +163,20 @@ def test_log_sin_over_z_matches_series_log():
         for order in (0, 2):
             got = theta_log(kind, order, 40)
             assert {(d, 0): c for (d, k), c in got.terms.items() if k == 0} == want
+
+
+@pytest.mark.parametrize("half", [False, True])
+def test_divisor_power_tables_by_enumeration(half):
+    """``E_j``/``O_j`` at ``q^N`` sum ``m^(2j-1)`` over the pairs ``m a_n = N`` with ``m`` even/odd."""
+    order, n_cols = 12, 3
+    size = (2 if half else 1) * order + 1
+    want = [[[0] * size for _ in range(n_cols)] for _ in range(2)]
+    for m in range(1, size):
+        for a in range(1, size, 2 if half else 1):       # a_n in units of the lattice step
+            for j in range(n_cols):
+                if m * a < size:
+                    want[m % 2][j][m * a] += m ** (2 * j + 1)
+    assert list(theta._divisor_powers(half, order, n_cols)) == want
 
 
 def test_theta_log_columns():
