@@ -43,7 +43,10 @@ from math import factorial, gcd, lcm
 from .algebra import AlgebraError, QColumns, ScalarLike, _ratio
 from .qseries import HALF_UNIT, Q_UNIT, PuiseuxSeries
 
-FACTOR_KINDS = ("a", "t1", "t2", "t3", "d")
+# kind: (on the half lattice, parity sign, outer sign, over 4^j - 1, q^0 sign)
+_LOG_KINDS = {"a": (False, 1, 1, True, 1), "t1": (False, -1, -1, False, -1), "t2": (True, 1, -1, False, 0),
+              "t3": (True, -1, -1, False, 0), "d": (False, 1, -1, True, -1)}
+FACTOR_KINDS = tuple(_LOG_KINDS)
 
 _log_cache: dict[tuple, "RootFactor"] = {}
 _table_cache: dict[tuple, tuple[list[list[int]], list[list[int]]]] = {}
@@ -223,11 +226,6 @@ def _tangent_numbers(n: int) -> list[int]:
     return t
 
 
-# kind: (on the half lattice, parity sign, outer sign, over 4^j - 1, q^0 sign)
-_LOG_KINDS = {"a": (False, 1, 1, True, 1), "t1": (False, -1, -1, False, -1), "t2": (True, 1, -1, False, 0),
-              "t3": (True, -1, -1, False, 0), "d": (False, 1, -1, True, -1)}
-
-
 def _divisor_powers(half: bool, order: int, n_cols: int) -> tuple[list[list[int]], list[list[int]]]:
     """``(E, O)``: ``E[j-1][N]`` sums ``m^(2j-1)`` over the even ``m`` with ``m a_n = N``, ``O`` over the odd.
 
@@ -276,7 +274,7 @@ def theta_log(kind: str, order: int, z_bound: int) -> RootFactor:
     cached = _log_cache.get(key)
     if cached is not None:
         return cached
-    if kind not in _LOG_KINDS:
+    if kind not in FACTOR_KINDS:
         raise AlgebraError(f"unknown factor kind {kind!r}")
     half, parity, outer, over_j, q0_sign = _LOG_KINDS[kind]
     # q^0: [z^2j] log cos z = -T_(2j-1)/(2j)!, and log cos z = log(sin 2z/2z) - log(sin z/z), so
