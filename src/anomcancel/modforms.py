@@ -20,10 +20,10 @@ orders tests that the input is modular; on the lower group a transfer
 residual that is zero through ``q^(k//2)`` proves the transfer.
 
 Everything runs in the packed integer form of
-:class:`~anomcancel.algebra.QColumns`.  One divisor sieve
-(:func:`_divisor_sums`) builds each group's pair ``(8*delta, eps)`` per
-order: the upper pair on step 4 (``q^(1/2)``), the lower on step 8 with
-``16*eps1`` over 16.  The rows of one ``(group, k, order)`` share the powers
+:class:`~anomcancel.algebra.QColumns`.  One divisor sieve per order
+(:func:`_divisor_sums`) builds both groups' pairs ``(8*delta, eps)``: the
+upper pair on step 4 (``q^(1/2)``), the lower, from a prefix, on step 8
+with ``16*eps1`` over 16.  The rows of one ``(group, k, order)`` share the powers
 of ``(8*delta)^2`` and ``eps``, and a residual ``P - s * sum_r h_r * row_r``
 is one :func:`~anomcancel.algebra.mul_sum`.  The ``h_r`` are the leading
 minor's integer inverse (:func:`unit_lower_inverse`) applied to P2's first
