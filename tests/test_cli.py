@@ -213,9 +213,11 @@ def test_failed_shard_raises_and_leaves_no_child(monkeypatch, three_audits, fail
     The failing process raises on the first case it runs, so one case id fails; the
     other process waits at its first case until then, so each side is sure to run a
     shard.  A worker's fault comes back as ``RuntimeError`` carrying its traceback.
+    The caller gets back the affinity mask it had before the call.
     """
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     caller, real_run_case = os.getpid(), suite.run_case
+    mask = os.sched_getaffinity(0)
     raised_r, raised_w = os.pipe()
 
     def planted(case):
@@ -233,6 +235,7 @@ def test_failed_shard_raises_and_leaves_no_child(monkeypatch, three_audits, fail
     finally:
         os.close(raised_r)
         os.close(raised_w)
+    assert os.sched_getaffinity(0) == mask
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     monkeypatch.setattr(suite, "run_case", real_run_case)
@@ -241,9 +244,49 @@ def test_failed_shard_raises_and_leaves_no_child(monkeypatch, three_audits, fail
     assert suite.run_suite(parallel=2) == serial
 
 
+@pytest.mark.parametrize("caller_cpus", ["all", "one"])
+def test_pool_processes_run_pinned_to_their_own_cpus(monkeypatch, three_audits, caller_cpus):
+    """Real forks: each process of a two-process pool runs with a one-CPU mask, the two
+    masks differ when the caller may use two CPUs or more and are equal when it may use
+    one, and the caller's mask after the call is the one it had before.
+
+    Each process waits at its first case until the other has taken one, so both run a shard.
+    """
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    caller, real_run_case = os.getpid(), suite.run_case
+    started = {"caller": os.pipe(), "worker": os.pipe()}     # written once each side has a case
+
+    def recording(case):
+        me, other = ("caller", "worker") if os.getpid() == caller else ("worker", "caller")
+        os.write(started[me][1], b"!")
+        select.select([started[other][0]], [], [], 30)
+        return dict(real_run_case(case), pid=os.getpid(), mask=sorted(os.sched_getaffinity(0)))
+
+    monkeypatch.setattr(suite, "run_case", recording)
+    original = os.sched_getaffinity(0)
+    try:
+        if caller_cpus == "one":
+            os.sched_setaffinity(0, {min(original)})
+        before = os.sched_getaffinity(0)
+        result = suite.run_suite(parallel=2)
+        after = os.sched_getaffinity(0)
+    finally:
+        os.sched_setaffinity(0, original)
+        for fds in started.values():
+            for fd in fds:
+                os.close(fd)
+    assert result["all_ok"]
+    masks = {r["pid"]: set(r["mask"]) for r in result["cases"]}
+    assert len(masks) == 2 and caller in masks
+    assert all(len(m) == 1 and m <= before for m in masks.values())
+    caller_mask, worker_mask = masks.pop(caller), masks.popitem()[1]
+    assert (caller_mask != worker_mask) == (len(before) >= 2)
+    assert after == before
+
+
 def test_parallel_suite_shards_by_family(monkeypatch, recording_runner):
-    """One task per (kind, k, n_q) family, one for the theta layer, one per audit;
-    the sharded result equals the serial one."""
+    """One task per (kind, k, n_q) family, heaviest first, then one for the theta layer and
+    one per audit; the sharded result equals the serial one."""
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     serial = suite.run_suite()
     assert recording_runner.sizes == []
@@ -257,6 +300,10 @@ def test_parallel_suite_shards_by_family(monkeypatch, recording_runner):
     assert all(len(f) <= 1 for f in families)                          # no task mixes families
     assert sum(map(len, families)) == len(set().union(*families)) == 7  # no family is split
     assert all(len(task) == 1 for task, f in zip(tasks, families) if not f)
+    # the order of their cold in-process times
+    assert [f.pop() for f in families[:7]] == [("spin4k", 3, 10), ("spin4k", 2, 8), ("spinc4k", 2, 8),
+                                               ("spinc4k2", 2, 8), ("spin4k", 1, 6), ("spinc4k", 1, 6),
+                                               ("spinc4k2", 1, 6)]
     assert sorted(c.case_id for task in tasks for c in task) == sorted(r["case"] for r in serial["cases"])
 
 

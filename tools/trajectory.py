@@ -1,17 +1,21 @@
-"""Time ``anomcancel verify`` at the scale points, each run in a fresh process, and write them as JSON.
+"""Time ``anomcancel`` at the scale points, each run in a fresh process, and write them as JSON.
 
 Run it from the root of a checkout (stdlib only)::
 
     python3 tools/trajectory.py --out BENCH.json --tree parent=../parent --tree change=.
 
 Each ``--tree LABEL=DIR`` (one or more) names a checkout whose ``src`` is
-put on ``PYTHONPATH``.  Every scale point in ``POINTS`` runs ``RUNS`` times
-per tree, one round at a time, and the trees take turns going first from
-round to round, so a drift of the host's speed falls on all of them alike.  Each run records its wall time
-(spawn to exit), the peak resident memory of its process and the status the
-report gives.  The output holds the machine (CPU model and count, Python
-version), each tree's git sha and ``src/`` line count, every run, and per
-point and tree the median and the spread (max - min) of the wall times.
+put on ``PYTHONPATH``.  A point in ``POINTS`` is one CLI command line:
+``verify`` at growing sizes, and the whole ``suite``, serial and with a
+two-process pool.  Every point runs ``RUNS`` times per tree, one round at a
+time, and the trees take turns going first from round to round, so a drift of
+the host's speed falls on all of them alike.  Each run records its wall time
+(spawn to exit), the peak resident memory of its largest process (a suite's
+pool workers included) and the status its JSON gives: a verify report's
+``status``, or ``ALL_OK`` / ``NOT_ALL_OK`` from a suite's ``all_ok``.  The
+output holds the machine (CPU model and count, Python version), each tree's
+git sha and ``src/`` line count, every run, and per point and tree the median
+and the spread (max - min) of the wall times.
 """
 
 from __future__ import annotations
@@ -27,8 +31,9 @@ import tempfile
 import time
 from pathlib import Path
 
-POINTS = ("3.1 --k 12 --l 3", "3.1 --k 16 --l 3", "4.6 --k 12 --l 3", "3.1 --k 20 --l 1",
-          "3.1 --k 16 --l 3 --qorder 18", "3.1 --k 20 --l 1 --qorder 22")
+POINTS = tuple(f"verify --theorem {p}" for p in (
+    "3.1 --k 12 --l 3", "3.1 --k 16 --l 3", "4.6 --k 12 --l 3", "3.1 --k 20 --l 1",
+    "3.1 --k 16 --l 3 --qorder 18", "3.1 --k 20 --l 1 --qorder 22")) + ("suite", "suite --parallel 2")
 RUNS = 3
 ENTRY = "import sys; from anomcancel.cli import main; sys.exit(main(sys.argv[1:]))"
 
@@ -54,10 +59,16 @@ def describe(tree: Path) -> dict:
     return {"git_sha": sha, "src_lines": lines}
 
 
+def status_of(report: dict) -> str:
+    """A verify report's status, or a suite's ``all_ok`` as ``ALL_OK`` / ``NOT_ALL_OK``."""
+    if "all_ok" in report:
+        return "ALL_OK" if report["all_ok"] else "NOT_ALL_OK"
+    return report["status"]
+
+
 def run_once(tree: Path, point: str) -> dict:
-    """One ``verify`` in a fresh interpreter: wall seconds, peak RSS in MB, and the report's status."""
-    theorem, *options = point.split()
-    argv = ["verify", "--theorem", theorem, *options, "--format", "json"]
+    """One command in a fresh interpreter: wall seconds, peak RSS in MB, and the status its JSON gives."""
+    argv = [*point.split(), "--format", "json"]
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     with tempfile.TemporaryFile() as out:
         start = time.perf_counter()
@@ -68,7 +79,7 @@ def run_once(tree: Path, point: str) -> dict:
         proc.returncode = os.waitstatus_to_exitcode(status)
         out.seek(0)
         try:
-            verdict = json.loads(out.read())["status"]
+            verdict = status_of(json.loads(out.read()))
         except (ValueError, KeyError):
             verdict = f"exit {proc.returncode}"
     return {"wall_s": round(wall, 4), "peak_rss_mb": round(usage.ru_maxrss / 1024, 1), "status": verdict}
@@ -94,13 +105,13 @@ def main(argv=None) -> int:
             for label in order:
                 run = run_once(trees[label], point)
                 runs[point, label].append(run)
-                print(f"round {r + 1}  {point:<18} {label:<8} {run['wall_s']:8.3f} s "
+                print(f"round {r + 1}  {point:<45} {label:<8} {run['wall_s']:8.3f} s "
                       f"{run['peak_rss_mb']:6.1f} MB  {run['status']}", file=sys.stderr)
     result = {
         "machine": {"cpu": cpu_model(), "cpus": os.cpu_count(), "python": platform.python_version()},
         "trees": {label: describe(path) for label, path in trees.items()},
         "points": [{
-            "verify": point, "tree": label,
+            "point": point, "tree": label,
             "median_wall_s": round(statistics.median(x["wall_s"] for x in runs[point, label]), 4),
             "spread_wall_s": round(max(x["wall_s"] for x in runs[point, label])
                                    - min(x["wall_s"] for x in runs[point, label]), 4),
@@ -110,7 +121,7 @@ def main(argv=None) -> int:
     }
     args.out.write_text(json.dumps(result, indent=2) + "\n")
     for entry in result["points"]:
-        print(f"{entry['verify']:<18} {entry['tree']:<8} median {entry['median_wall_s']:.3f} s "
+        print(f"{entry['point']:<45} {entry['tree']:<8} median {entry['median_wall_s']:.3f} s "
               f"(spread {entry['spread_wall_s']:.3f})  {entry['median_peak_rss_mb']} MB  "
               f"{sorted({x['status'] for x in entry['runs']})}")
     return 0
