@@ -212,7 +212,7 @@ def _run_forked(workers: int, tasks: list[list[SuiteCase]]) -> list:
                     os._exit(code)
             os.close(send)
             children[pid] = reply
-            if pin:                     # from here: born on this CPU, the child would wait for it to move
+            if pin:                     # from here: a self-pinning child first waits for this CPU
                 pin(pid, {cpus[i % len(cpus)]})
         done = _pull(queue, tasks)
         for pid in list(children):
