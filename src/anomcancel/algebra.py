@@ -7,7 +7,8 @@ Every operation is exact: no floats anywhere.
 
 At rest a polynomial holds int numerators over one positive denominator,
 kept reduced, and every ring operation runs on those ints; ``Fraction``s are
-made only for the ``.terms`` view and for rendering.  Polynomial products go
+made only for the ``.terms`` view.  The text and JSON renderings write each
+coefficient from its numerator over ``den``.  Polynomial products go
 through :func:`dot`, which takes only its pairs: it rescales each pair's
 integer numerators to one common denominator, multiplies and adds plain
 ints, and reduces the result once.
@@ -99,7 +100,7 @@ class GeneratorTable:
     so the memo is exact.
     """
 
-    __slots__ = ("gens", "_hash", "_index", "_weights", "_standard", "_packings")
+    __slots__ = ("gens", "_hash", "_index", "_weights", "_standard", "_twos", "_packings")
 
     def __init__(self, gens: Sequence[Generator]):
         names = [g.name for g in gens]
@@ -113,6 +114,7 @@ class GeneratorTable:
         object.__setattr__(self, "_index", {g.name: i for i, g in enumerate(gens)})
         object.__setattr__(self, "_weights", {})
         object.__setattr__(self, "_standard", None)
+        object.__setattr__(self, "_twos", None)
         object.__setattr__(self, "_packings", {})
 
     def __setattr__(self, name, value):
@@ -154,6 +156,17 @@ class GeneratorTable:
             ))
             object.__setattr__(self, "_standard", std)
         return std
+
+    @property
+    def standard_twos(self) -> tuple[tuple[bool, int], ...]:
+        """Per generator, ``(std_factor < 0, k)`` with ``|std_factor| = 2^k`` (built once); other factors raise."""
+        if self._twos is None:
+            pqs = [g.std_factor.as_integer_ratio() for g in self.gens]
+            for p, q in pqs:
+                if not p or abs(p) & (abs(p) - 1) or q & (q - 1):
+                    raise AlgebraError(f"standard-basis factor {Fraction(p, q)} is not plus or minus a power of 2")
+            object.__setattr__(self, "_twos", tuple((p < 0, abs(p).bit_length() - q.bit_length()) for p, q in pqs))
+        return self._twos
 
     def __eq__(self, other):
         if isinstance(other, GeneratorTable):
@@ -449,7 +462,7 @@ class GradedPolynomial:
         standard names with the same weights.  The map is a graded ring
         isomorphism: it rescales each monomial by a sign and a power of 2.
         """
-        twos = [_signed_log2(g.std_factor) for g in self.table.gens]
+        twos = self.table.standard_twos
         shifted = []
         for exps, n in self.nums.items():
             s = 0
@@ -463,44 +476,26 @@ class GradedPolynomial:
         nums = {exps: n << (s - low) for exps, n, s in shifted}
         return GradedPolynomial._from_ints(self.table.standard_table, self.den << -low, nums, self.max_weight)
 
-    def sorted_terms(self):
-        """Terms in canonical order, by weight, then by exponent vector, as ``Fraction``s."""
-        weight, den = self.table.monomial_weight, self.den
-        return [(e, Fraction(self.nums[e], den)) for e in sorted(self.nums, key=lambda e: (weight(e), e))]
+    def _coefficient_texts(self):
+        """``(exponent vector, str(Fraction(n, den)))`` by weight, then exponent vector, written from the ints."""
+        weight, den, nums = self.table.monomial_weight, self.den, self.nums
+        for e in sorted(nums, key=lambda e: (weight(e), e)):
+            g = gcd(nums[e], den)
+            yield e, str(nums[e] // g) if g == den else f"{nums[e] // g}/{den // g}"
 
     def to_text(self) -> str:
-        if not self.nums:
-            return "0"
         parts = []
-        for exps, coeff in self.sorted_terms():
-            mono = "*".join(
-                g.name if e == 1 else f"{g.name}^{e}"
-                for e, g in zip(exps, self.table.gens)
-                if e
-            )
-            ct = str(coeff)
-            if not mono:
-                parts.append(ct)
-            elif ct == "1":
-                parts.append(mono)
-            else:
-                parts.append(f"{ct}*{mono}")
-        return " + ".join(parts)
+        for exps, ct in self._coefficient_texts():
+            mono = "*".join(g.name if e == 1 else f"{g.name}^{e}" for e, g in zip(exps, self.table.gens) if e)
+            parts.append(mono if ct == "1" and mono else f"{ct}*{mono}" if mono else ct)
+        return " + ".join(parts) or "0"
 
     def to_json_obj(self):
-        return [{"mono": {g.name: e for e, g in zip(exps, self.table.gens) if e}, "re": str(coeff)}
-                for exps, coeff in self.sorted_terms()]
+        return [{"mono": {g.name: e for e, g in zip(exps, self.table.gens) if e}, "re": ct}
+                for exps, ct in self._coefficient_texts()]
 
     def __repr__(self):
         return f"GradedPolynomial({self.to_text()})"
-
-
-def _signed_log2(f: Fraction) -> tuple[bool, int]:
-    """``(f < 0, k)`` with ``|f| = 2^k``; any other factor raises :class:`AlgebraError`."""
-    p, q = f.numerator, f.denominator
-    if not p or abs(p) & (abs(p) - 1) or q & (q - 1):
-        raise AlgebraError(f"standard-basis factor {f} is not plus or minus a power of 2")
-    return p < 0, abs(p).bit_length() - q.bit_length()
 
 
 def _check_space(p: GradedPolynomial, table: GeneratorTable, cap: int):

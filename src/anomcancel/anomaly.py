@@ -277,12 +277,13 @@ class _Env:
         self._p[which] = out = mul_sum([(core[s.weight - 2 * n], f, 1, unit) for n, f in enumerate(aux)])
         return out
 
-    def twist(self, which: str, order: int) -> tuple[list[QColumns], GradedPolynomial]:
-        """The auxiliary twist of the lambda-ring P1/P2/P3: a string's weight pieces and the polynomial on them."""
+    def twist(self, which: str, order: int) -> tuple[list[QColumns], GradedPolynomial | None]:
+        """The lambda-ring P1/P2/P3's auxiliary twist: a string's weight pieces, and ``ch(Delta(V))`` on P1's
+        (``None``, for 1, on P2's and P3's)."""
         vt = reduced(self.aux)
         if which == "P1":
             return lambda_string(vt, False, +1, order), self.ch_delta_v
-        return lambda_string(vt, True, -1 if which == "P2" else +1, order), self.gp_zero.one_like()
+        return lambda_string(vt, True, -1 if which == "P2" else +1, order), None
 
     def coefficient(self, which: str, k: int) -> GradedPolynomial:
         """One coefficient of P1/P2/P3, at lattice ``k``, read from the packed form."""
@@ -371,7 +372,7 @@ def cross_check_bundle_expansion(setting: Setting, which: str, order: int) -> Pu
     twist, on_twist = env.twist(which, order)
     products = [(env.packed(which), ONE, 1, [(0, 1)])]
     for pieces, poly in env.half.kvirt_tangent(order):
-        den, groups = (poly * on_twist).int_form()
+        den, groups = (poly if on_twist is None else poly * on_twist).int_form()
         rest = {setting.weight - w: [(key, -n) for key, n in items] for w, items in groups}
         products += [(f, g, den, rest[2 * (a + b)]) for a, f in enumerate(pieces)
                      for b, g in enumerate(twist) if 2 * (a + b) in rest]

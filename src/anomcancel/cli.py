@@ -9,7 +9,6 @@ cannot diverge.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import Callable
@@ -29,8 +28,9 @@ EXPAND_OBJECTS = (
 
 
 def _emit(args, obj: dict, render: Callable[[dict], str]):
-    """``obj`` as indented JSON, or as ``render(obj)`` under ``--format text``, to ``--output`` or stdout."""
-    payload = json.dumps(obj, indent=2) if args.format == "json" else render(obj)
+    """``obj`` as indented JSON (:func:`~anomcancel.suite.suite_json`, the bytes of ``json.dumps(obj, indent=2)``),
+    or as ``render(obj)`` under ``--format text``, to ``--output`` or stdout."""
+    payload = suite.suite_json(obj) if args.format == "json" else render(obj)
     if args.output:
         try:
             Path(args.output).write_text(payload + "\n")

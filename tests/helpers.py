@@ -19,7 +19,8 @@ strings of bundles are products of one exp-by-powers series per factor
 instead of one exp of a summed divisor-sum log, with their own Adams
 operation and reduction read off the weight components.  :func:`packed` writes a
 polynomial-valued series into the packed integer form by hand, from its
-dicts.  :func:`cp1_characteristic_number` evaluates a standard-basis
+dicts.  :func:`polynomial_text` prints a polynomial from its ``Fraction``
+terms, one ``str(Fraction)`` per coefficient.  :func:`cp1_characteristic_number` evaluates a standard-basis
 polynomial on a product of CP^1 with a sum of realified line bundles, for
 the divisibility witnesses.
 
@@ -197,6 +198,24 @@ def weighted_poly_mul(a_terms, b_terms, gen_weights, cap):
 # -- term-map oracles for one polynomial operation ------------------------------------
 # Coefficient by coefficient in ``Fraction``s, with no integer numerators and no
 # shared denominator: the library keeps both.
+
+
+def polynomial_text(terms: dict[tuple[int, ...], Fraction], names, weights) -> str:
+    """A polynomial's text from its ``Fraction`` terms, the way the reports print it.
+
+    Terms run by total weight, then by exponent vector, joined by ``" + "``;
+    each is ``str(Fraction)`` times its monomial (``name^e`` joined by
+    ``*``), with a coefficient of 1 left out; no term at all prints ``0``.
+    """
+    def weight(e):
+        return sum(x * w for x, w in zip(e, weights))
+
+    parts = []
+    for e in sorted((e for e, c in terms.items() if c), key=lambda e: (weight(e), e)):
+        mono = "*".join(n if x == 1 else f"{n}^{x}" for x, n in zip(e, names) if x)
+        c = str(Fraction(terms[e]))
+        parts.append(c if not mono else mono if c == "1" else f"{c}*{mono}")
+    return " + ".join(parts) if parts else "0"
 
 
 def naive_combination(parts) -> dict:

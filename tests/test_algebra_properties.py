@@ -13,7 +13,7 @@ from anomcancel import algebra
 from anomcancel.algebra import ONE, GradedPolynomial, QColumns, dot, field_width, mul_sum
 from anomcancel.genus import build_generator_table, constraint_replacement
 from anomcancel.kvirt import adams
-from helpers import naive_combination, naive_mul_sum, naive_rescale, weighted_poly_mul
+from helpers import naive_combination, naive_mul_sum, naive_rescale, polynomial_text, weighted_poly_mul
 
 W = 4
 # nM1, nM2 (tangent), nV1, nV2 (auxiliary) and the weight-1 line generator w
@@ -157,6 +157,25 @@ def test_standard_basis_roundtrip(terms, b):
     assert_canonical(std)
     assert std.terms == naive_rescale(terms, _standard_factor)
     assert (a * b).to_standard_basis() == std * b.to_standard_basis()
+
+
+# integer, unit and negative coefficients next to fractions
+text_coeffs = st.one_of(st.sampled_from([1, -1, 2, -3]), coeffs)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.dictionaries(st.sampled_from(MONOMIALS), text_coeffs, max_size=6))
+@example({})
+@example({(0,) * len(TABLE): 1, (1, 0, 0, 0, 0): -1, (0, 0, 0, 0, 1): Fraction(-7, 4)})
+def test_text_matches_the_fraction_renderer(terms):
+    """``to_text`` and the JSON ``re`` entries print each coefficient as ``str(Fraction)``, in both bases."""
+    a = GradedPolynomial(TABLE, terms, W)
+    names = [g.name for g in TABLE.gens]
+    assert a.to_text() == polynomial_text(terms, names, GEN_WEIGHTS)
+    std = naive_rescale(terms, _standard_factor)
+    assert a.to_standard_basis().to_text() == polynomial_text(std, [g.std_name for g in TABLE.gens], GEN_WEIGHTS)
+    order = sorted((e for e, c in terms.items() if c), key=lambda e: (_weight(e), e))
+    assert [t["re"] for t in a.to_json_obj()] == [str(Fraction(terms[e])) for e in order]
 
 
 # -- the dot kernel against the all-pairs oracle ----------------------------------

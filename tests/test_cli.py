@@ -2,12 +2,13 @@ import hashlib
 import json
 import os
 import select
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from anomcancel import suite
+from anomcancel import anomaly, suite
 from anomcancel.cli import main
 
 
@@ -320,6 +321,25 @@ def test_suite_json_hash_is_pinned(capsys):
     code, parallel, _ = run(capsys, "suite", "--format", "json", "--parallel", "2")
     assert code == 0
     assert parallel == serial
+
+
+def test_json_writer_matches_the_standard_library():
+    """``suite_json`` writes ``json.dumps(obj, indent=2)``'s text on every shape, and refuses what ``json`` cannot
+    spell the same way."""
+    shapes = {"empty": {}, "nested": {"a": {}, "b": [], "c": [[], {}, [{}], {"d": [1]}]},
+              "text": 'quote " backslash \\ newline \n control \x01\x1f tab \t non-ASCII \u00e9 \u2211 \U0001d53d',
+              "": "an empty key", "ints": [0, 1, -7, 10 ** 59 + 1, -(10 ** 59)],
+              "constants": [True, False, None], "floats": [0.125, -1e-300, 1e300, float("inf"), float("nan")],
+              "tuple": (1, ("x", [])), "unicode key \u00e9": -3}
+    assert suite.suite_json(shapes) == json.dumps(shapes, indent=2)
+    for scalar in ("x", 0, -2.5, None, True, [], {}):
+        assert suite.suite_json(scalar) == json.dumps(scalar, indent=2)
+    report = anomaly.verify_theorem("3.1", k=1, l=1).to_json_obj(include_timings=True)
+    assert type(report["elapsed_seconds"]) is float
+    assert suite.suite_json(report) == json.dumps(report, indent=2)
+    for bad in ({"x": Fraction(1, 2)}, [Fraction(3)], {1: "x"}, {None: 1}, {"s": {1, 2}}):
+        with pytest.raises(TypeError):
+            suite.suite_json(bad)
 
 
 # sha256 of the concatenated `verify --format json` stdout of every operation the benchmark's

@@ -12,8 +12,10 @@ the concatenated ``verify --format json`` output of every operation that
 ``P1``/``P2``/``P3``/``basis`` (the level-2 generators, the theta nulls and
 the per-root factors) at ``--order`` 1, 2, 5 and 12, the factors at
 ``--weight`` 6 and 11: 72 outputs, by object, then order, then weight.  Two
-checkouts produce the same hashes exactly when those outputs agree.  The
-last entry, ``"src lines"``, is the line count of the hashed package's
+checkouts produce the same hashes exactly when those outputs agree.  Each
+hashed output must also equal ``json.dumps(json.loads(out), indent=2)`` plus a
+newline, so the package's JSON writer is checked against the standard
+library on every output hashed; a difference exits nonzero.  The last entry, ``"src lines"``, is the line count of the hashed package's
 modules (``anomcancel/*.py``), as ``wc -l`` counts it.
 """
 
@@ -35,12 +37,16 @@ from anomcancel.cli import EXPAND_OBJECTS, main  # noqa: E402
 
 
 def _stdout_of(argv: list[str]) -> bytes:
+    """The stdout of one ``--format json`` command, checked against ``json.dumps(..., indent=2)``."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
     if code != 0:
         raise SystemExit(f"anomcancel {' '.join(argv)} exited {code}")
-    return out.getvalue().encode()
+    text = out.getvalue()
+    if text != json.dumps(json.loads(text), indent=2) + "\n":
+        raise SystemExit(f"anomcancel {' '.join(argv)}: output differs from json.dumps(indent=2)")
+    return text.encode()
 
 
 def _verify_argv(op: tuple, basis: str) -> list[str]:
