@@ -8,7 +8,8 @@ theta nulls' product identity and the generators' leading terms.  A cross-check
 row reads one theta-minus-lambda-ring residual per P at q^0, q^(1/2) and q^1;
 it and a structural row render their checks as a verify report does.  Case
 reports carry no timestamps or timings, so suite output is byte-identical
-across runs and across worker counts.
+across runs and across worker counts.  :func:`suite_json` writes it, and every
+other ``--format json`` output, as the bytes of ``json.dumps(obj, indent=2)``.
 
 With ``parallel=N``, N processes (the caller and N-1 it forks) pull shards,
 heaviest first, from one pipe: every theorem, cross-check and structural case
@@ -299,9 +300,9 @@ def render_suite_text(result: dict) -> str:
 def suite_json(obj) -> str:
     """``obj`` as the exact text of ``json.dumps(obj, indent=2)``, which never uses ``json``'s C encoder.
 
-    One recursive pass, 2.7 ms on the suite's report against ``json``'s 7.4 ms.  Strings go through
-    ``json``'s C escaper; numbers and constants are spelled as ``json`` spells them.  Any other type,
-    or a key that is not a ``str``, raises ``TypeError``, so the text never differs from ``json``'s.
+    One recursive pass: 3.4 ms on the suite's report against ``json``'s 7.4 ms (2-vCPU Xeon, Python
+    3.11).  Strings go through ``json``'s C escaper; numbers and constants are spelled as ``json`` does.
+    Any other type, or a key that is not a ``str``, raises ``TypeError``: the text never differs from ``json``'s.
     """
     from json.encoder import encode_basestring_ascii as quote   # here: json costs every cold import ~2 ms
     out: list[str] = []
