@@ -15,8 +15,9 @@ the per-root factors) at ``--order`` 1, 2, 5 and 12, the factors at
 checkouts produce the same hashes exactly when those outputs agree.  Each
 hashed output must also equal ``json.dumps(json.loads(out), indent=2)`` plus a
 newline, so the package's JSON writer is checked against the standard
-library on every output hashed; a difference exits nonzero.  The last entry, ``"src lines"``, is the line count of the hashed package's
-modules (``anomcancel/*.py``), as ``wc -l`` counts it.
+library on every output hashed; a difference exits nonzero.  The last entry,
+``"src lines"``, is the line count of the hashed package's modules
+(``anomcancel/*.py``), as ``wc -l`` counts it.
 """
 
 from __future__ import annotations
