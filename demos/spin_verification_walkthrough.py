@@ -20,7 +20,7 @@ def walkthrough():
     p2 = build_P(setting, "P2")
     print("\nP2 leading coefficients (top-weight forms, first Pontryagin class of the "
           "auxiliary bundle set to zero):")
-    for units in p2.exponents()[:3]:
+    for units in sorted(p2.terms)[:3]:
         poly = p2.coefficient(units).to_standard_basis()
         print(f"  q-lattice {units:>2} (q^{units}/8): {poly.to_text()}")
 

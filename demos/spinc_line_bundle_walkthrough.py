@@ -18,7 +18,7 @@ def run(kind, tids, k, l):
     p1 = build_P(setting, "P1")
     print("P1 constant coefficient, normalized:", p1.coefficient(0).to_text())
     print("                      standard basis:", p1.coefficient(0).to_standard_basis().to_text())
-    for units in p1.exponents():
+    for units in sorted(p1.terms):
         std = p1.coefficient(units).to_standard_basis()
         assert all(type(c) is Fraction for c in std.terms.values()), "standard-basis coefficients must be rational"
     for tid in tids:

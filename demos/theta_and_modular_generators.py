@@ -19,7 +19,7 @@ def show_nulls(order=6):
 def show_jacobi(order=10):
     res = jacobi_residual(order)
     print(f"# product identity for the derivative null, residual through q^{order}:")
-    print("   ", res.to_text(), "(zero =", res.is_zero(), ")")
+    print("   ", res.to_text(), "(zero =", not res, ")")
     print()
 
 

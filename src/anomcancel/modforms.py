@@ -32,9 +32,10 @@ solved positions too, is what checks that solve.  :func:`decompose`
 and :func:`transfer_residual` take the packed series the verdict path holds,
 with its lattice bound; each ``h_r`` leaves the packed form by
 ``QColumns.coefficient`` and re-enters by ``QColumns.of``.  Each residual is
-known through the lesser of the series' bound and the basis order.
-:func:`delta_eps` and :func:`basis_element` are ``Fraction`` views of the
-same integer columns (:meth:`~anomcancel.qseries.PuiseuxSeries.from_packed`).
+known through the lesser of the series' bound and the basis order.  The
+residuals, :func:`delta_eps` and :func:`basis_element` leave the integer
+columns as read-only views (:meth:`~anomcancel.qseries.PuiseuxSeries.from_packed`),
+and a residual is zero when its view stores no term (``not residual``).
 """
 
 from __future__ import annotations
@@ -175,7 +176,7 @@ class Decomposition:
 
     @property
     def residual_zero(self) -> bool:
-        return self.residual.is_zero()
+        return not self.residual
 
     def to_json_obj(self):
         return {

@@ -4,18 +4,20 @@ Exponents are stored as integers ``k`` meaning ``q^(k/8)``: :data:`Q_UNIT`
 lattice units make ``q^1`` and :data:`HALF_UNIT` make ``q^(1/2)``.  A series
 knows its ``order_bound``: coefficients at lattice positions above the bound
 are *unknown*, not zero, and asking for one raises :class:`TruncationError`.
-Coefficients may be any exact ring element (``Fraction`` scalars or graded
-polynomials); the series carries the ring's zero so the two rings never mix
-silently.  The packed integer form of the hot path,
-:class:`~anomcancel.algebra.QColumns`, keeps the same contract through its
-``bound``; :meth:`PuiseuxSeries.from_packed` reads it by ``coefficient``,
-and :meth:`PuiseuxSeries.from_pieces` an exp's weight pieces.
+Every series is computed in the packed integer form of the hot path,
+:class:`~anomcancel.algebra.QColumns`, which keeps the same contract through
+its ``bound``.  :class:`PuiseuxSeries` is the read-only view the library
+hands out, over ``Fraction`` scalars or graded polynomials (``zero`` is the
+ring's zero): :meth:`PuiseuxSeries.from_packed` reads a ``QColumns`` and
+:meth:`PuiseuxSeries.from_pieces` an exp's weight pieces.  Only ``Fraction``
+series multiply and subtract, for :func:`~anomcancel.theta.jacobi_residual`;
+a polynomial-valued series is read through its ``terms``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .algebra import ONE, AlgebraError, QColumns, mul_sum
 
@@ -25,10 +27,6 @@ HALF_UNIT = 4    # lattice units in q^(1/2)
 
 class TruncationError(ValueError):
     """A coefficient beyond the stored order was requested."""
-
-
-class RingMismatchError(ValueError):
-    """Operands live over different coefficient rings."""
 
 
 def exponent_text(k: int) -> str:
@@ -51,7 +49,7 @@ def require_known(k: int, order_bound: int):
 
 
 class PuiseuxSeries:
-    """Sparse truncated series ``sum c_k q^(k/8)`` with ``k <= order_bound``."""
+    """Sparse truncated series ``sum c_k q^(k/8)`` with ``k <= order_bound``, read-only."""
 
     __slots__ = ("terms", "order_bound", "zero")
 
@@ -75,10 +73,6 @@ class PuiseuxSeries:
     # -- constructors --------------------------------------------------------
 
     @staticmethod
-    def constant(value, order_bound: int, zero) -> "PuiseuxSeries":
-        return PuiseuxSeries({0: value}, order_bound, zero)
-
-    @staticmethod
     def from_packed(c: QColumns, zero) -> "PuiseuxSeries":
         """A packed series over the ring of ``zero``, known through ``c.bound``.
 
@@ -99,7 +93,8 @@ class PuiseuxSeries:
 
     def to_standard_basis(self) -> "PuiseuxSeries":
         """Every polynomial coefficient rewritten in the standard generators."""
-        return self.map_coefficients(lambda p: p.to_standard_basis(), new_zero=self.zero.to_standard_basis())
+        return PuiseuxSeries({k: p.to_standard_basis() for k, p in self.terms.items()},
+                             self.order_bound, self.zero.to_standard_basis())
 
     # -- inspection -----------------------------------------------------------
 
@@ -108,79 +103,33 @@ class PuiseuxSeries:
         require_known(k, self.order_bound)
         return self.terms.get(k, self.zero)
 
-    def leading_exponent(self) -> int:
-        """Lattice position of the first nonzero term (bound+1 when none stored)."""
-        return min(self.terms) if self.terms else self.order_bound + 1
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 
-    def exponents(self) -> list[int]:
-        return sorted(self.terms)
+    # -- Fraction arithmetic -----------------------------------------------------
 
-    def _check_ring(self, other: "PuiseuxSeries"):
-        if type(self.zero) is not type(other.zero) or self.zero != other.zero:
-            raise RingMismatchError(
-                f"coefficient rings differ: {type(self.zero).__name__} vs {type(other.zero).__name__}"
-            )
-
-    # -- ring operations -------------------------------------------------------
-
-    def __add__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
-        self._check_ring(other)
-        bound = min(self.order_bound, other.order_bound)
-        terms = {k: c for k, c in self.terms.items() if k <= bound}
-        for k, c in other.terms.items():
-            if k > bound:
-                continue
-            s = terms.get(k, self.zero) + c
-            if s:
-                terms[k] = s
-            else:
-                terms.pop(k, None)
-        return PuiseuxSeries(terms, bound, self.zero)
+    def _scalar_with(self, other: "PuiseuxSeries"):
+        if not (isinstance(self.zero, Fraction) and isinstance(other.zero, Fraction)):
+            raise AlgebraError("series arithmetic takes Fraction series only; read a polynomial series' terms")
 
     def __sub__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
-        return self + (-other)
-
-    def __neg__(self) -> "PuiseuxSeries":
-        return PuiseuxSeries({k: -c for k, c in self.terms.items()}, self.order_bound, self.zero)
+        """Termwise difference, known through the lower of the two bounds."""
+        self._scalar_with(other)
+        bound = min(self.order_bound, other.order_bound)
+        return PuiseuxSeries({k: self.coefficient(k) - other.coefficient(k)
+                              for k in {*self.terms, *other.terms} if k <= bound}, bound, self.zero)
 
     def __mul__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
-        """Pairs grouped by output position, each position one ``dot`` over polynomials or one sum."""
-        self._check_ring(other)
-        bound = min(self.order_bound + other.leading_exponent(),
-                    other.order_bound + self.leading_exponent())
-        pairs: dict[int, list] = {}
+        """All-pairs product, known through each bound plus the other operand's first stored position."""
+        self._scalar_with(other)
+        bound = min(self.order_bound + min(other.terms, default=other.order_bound + 1),
+                    other.order_bound + min(self.terms, default=self.order_bound + 1))
+        terms: dict[int, Fraction] = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 if k1 + k2 <= bound:
-                    pairs.setdefault(k1 + k2, []).append((c1, c2))
-        if isinstance(self.zero, Fraction):
-            return PuiseuxSeries({k: sum((a * b for a, b in p), self.zero) for k, p in pairs.items()},
-                                 bound, self.zero)
-        return PuiseuxSeries({k: self.zero.dot(p) for k, p in pairs.items()}, bound, self.zero)
-
-    def scale(self, value) -> "PuiseuxSeries":
-        """Multiply every coefficient by a fixed ring element."""
-        terms = {}
-        for k, c in self.terms.items():
-            p = c * value
-            if p:
-                terms[k] = p
-        return PuiseuxSeries(terms, self.order_bound, self.zero)
-
-    def map_coefficients(self, fn: Callable, new_zero=None) -> "PuiseuxSeries":
-        zero = self.zero if new_zero is None else new_zero
-        terms = {}
-        for k, c in self.terms.items():
-            v = fn(c)
-            if v:
-                terms[k] = v
-        return PuiseuxSeries(terms, self.order_bound, zero)
+                    terms[k1 + k2] = terms.get(k1 + k2, self.zero) + c1 * c2
+        return PuiseuxSeries(terms, bound, self.zero)
 
     def __eq__(self, other):
         if isinstance(other, PuiseuxSeries):

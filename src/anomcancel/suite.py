@@ -83,7 +83,7 @@ def suite_cases(n_q: int | None = None) -> list[SuiteCase]:
 
 def _theta_layer_report(order: int) -> dict:
     checks = {}
-    checks["jacobi_identity"] = {"zero": jacobi_residual(order).is_zero(), "gating": True}
+    checks["jacobi_identity"] = {"zero": not jacobi_residual(order), "gating": True}
     for name, pins in _LEADING.items():
         series = delta_eps(name, order)
         ok = all(series.coefficient(k) == c for k, c in pins)
@@ -237,20 +237,26 @@ def _run_forked(workers: int, tasks: list[list[SuiteCase]]) -> list:
             pin(0, mask)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask's size where the OS keeps one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def run_suite(n_q: int | None = None, parallel: int = 1) -> dict:
     """Run the whole grid; the result dict is deterministic and JSON-ready.
 
     ``parallel`` asks for that many processes, this one included; at most one
-    per CPU and one per shard compute, and only this one where ``os.fork`` is
-    missing.  With more than one, each runs pinned to its own CPU of this
-    process's affinity mask, which is restored before the call returns or
-    raises (``_run_forked``).  The result is byte-identical at every count.
+    per CPU this process may run on (:func:`_usable_cpus`) and one per shard
+    compute, and only this one where ``os.fork`` is missing.  With more than
+    one, each runs pinned to its own CPU of this process's affinity mask,
+    which is restored before the call returns or raises (``_run_forked``).
+    The result is byte-identical at every count.
     """
     if parallel < 1:
         raise ValueError(f"parallel must be >= 1, got {parallel}")
     cases = suite_cases(n_q)
     shards = _shards(cases)
-    workers = min(parallel, os.cpu_count() or 1, len(shards))
+    workers = min(parallel, _usable_cpus(), len(shards))
     if workers > 1 and hasattr(os, "fork"):
         results: list = [None] * len(cases)
         for n, shard_results in _run_forked(workers, [[cases[i] for i in idx] for idx in shards]):

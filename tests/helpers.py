@@ -17,16 +17,28 @@ packed q-series products are convolved one position pair at a time in
 multiplied out from the lattice sums by plain dict convolution; tensor
 strings of bundles are products of one exp-by-powers series per factor
 instead of one exp of a summed divisor-sum log, with their own Adams
-operation and reduction read off the weight components.  :func:`packed` writes a
-polynomial-valued series into the packed integer form by hand, from its
-dicts.  :func:`polynomial_text` prints a polynomial from its ``Fraction``
-terms, one ``str(Fraction)`` per coefficient.  :func:`cp1_characteristic_number` evaluates a standard-basis
-polynomial on a product of CP^1 with a sum of realified line bundles, for
-the divisibility witnesses.
+operation and reduction read off the weight components.
+
+Polynomial-valued series are the oracles' own :class:`TermSeries`:
+``{lattice: {exponent vector: Fraction}}`` with a bound, multiplied pair by
+pair through :func:`weighted_poly_mul` and added through
+:func:`naive_combination`.  The library's ``PuiseuxSeries`` is a read-only
+view, so the tests read its ``.terms`` (:meth:`TermSeries.of`) and compare
+term maps.  No oracle but :func:`reference_P` runs either integer kernel,
+``algebra.dot`` or ``algebra.mul_sum``; ``tests/test_boundaries.py`` runs
+the string oracle and the naive exp with both switched off.
+:func:`packed` writes a polynomial-valued series into the packed integer
+form by hand, from its dicts.  :func:`polynomial_text` prints a polynomial
+from its ``Fraction`` terms, one ``str(Fraction)`` per coefficient.
+:func:`cp1_characteristic_number` evaluates a standard-basis polynomial on
+a product of CP^1 with a sum of realified line bundles, for the
+divisibility witnesses.
 
 :func:`reference_P` is the one exception: it reassembles a P-series from the
 library's single-family products, which the oracles above pin, by the
-unfused route the library no longer takes.
+unfused route the library no longer takes.  Those products come from
+``mul_sum`` by design, and the relation is substituted into each
+coefficient by ``GradedPolynomial.substitute``, which runs ``dot``.
 """
 
 from __future__ import annotations
@@ -34,6 +46,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
+from operator import add
 
 from anomcancel.algebra import GradedPolynomial, QColumns
 from anomcancel.genus import (FAMILY_TM, FAMILY_V, RootFamily, build_generator_table,
@@ -174,25 +187,31 @@ def _elementary_explicit(i: int, n: int) -> dict[tuple[int, ...], Fraction]:
     return out
 
 
+def _weighed(terms, gen_weights) -> list:
+    """``(exponent vector, coefficient, weight)`` per term, the weight read from ``gen_weights``."""
+    return [(e, c, sum(x * g for x, g in zip(e, gen_weights))) for e, c in terms.items()]
+
+
+def _add_products(a, b, cap: int, out: dict):
+    """Add the product of every pair of weighed terms of ``a`` and ``b`` with weight <= cap into ``out``."""
+    for e1, c1, w1 in a:
+        room = cap - w1
+        for e2, c2, w2 in b:
+            if w2 <= room:
+                e = tuple(map(add, e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+
+
 def weighted_poly_mul(a_terms, b_terms, gen_weights, cap):
     """Product of two exponent-vector term maps, keeping monomials of weight <= cap.
 
-    Visits every pair and weighs each product monomial from ``gen_weights``
-    (one weight per exponent position), so it shares no pruning with the
-    library's graded multiply.
+    Visits every pair; a product monomial's weight is the sum of its
+    factors' weights, each read from ``gen_weights`` (one weight per exponent
+    position), so it shares no pruning with the library's graded multiply.
     """
-    out = {}
-    for e1, c1 in a_terms.items():
-        for e2, c2 in b_terms.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            if sum(x * g for x, g in zip(e, gen_weights)) > cap:
-                continue
-            s = out.get(e, Fraction(0)) + c1 * c2
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-    return out
+    out: dict = {}
+    _add_products(_weighed(a_terms, gen_weights), _weighed(b_terms, gen_weights), cap, out)
+    return {e: c for e, c in out.items() if c}
 
 
 # -- term-map oracles for one polynomial operation ------------------------------------
@@ -238,36 +257,36 @@ def _conjugate_partition(lam: tuple[int, ...]) -> list[int]:
 
 
 def symmetric_to_elementary(poly: dict[tuple[int, ...], Fraction], n: int,
-                            prefix: str, table, max_weight: int) -> GradedPolynomial:
-    """Rewrite a symmetric polynomial in Z_1..Z_n into the e-generators."""
+                            prefix: str, table, max_weight: int) -> dict[tuple[int, ...], Fraction]:
+    """Rewrite a symmetric polynomial in Z_1..Z_n into the e-generators, as a term map.
+
+    Monomials above ``max_weight`` are dropped.
+    """
     work = {e: c for e, c in poly.items() if c}
-    out = GradedPolynomial.zero(table, max_weight)
+    out: dict[tuple[int, ...], Fraction] = {}
     while work:
         lead = max(work, key=lambda e: tuple(sorted(e, reverse=True)))
         lam = tuple(sorted(lead, reverse=True))
         lam = tuple(x for x in lam if x)
         coeff = work[lead]
-        if not lam:
-            out = out + GradedPolynomial.scalar(coeff, table, max_weight)
-            work.pop(lead)
-            continue
-        gp_term = GradedPolynomial.scalar(coeff, table, max_weight)
+        exps = [0] * len(table.gens)
         explicit = {(0,) * n: Fraction(1)}
         for part in _conjugate_partition(lam):
-            gp_term = gp_term * GradedPolynomial.generator(f"{prefix}{part}", table, max_weight)
+            exps[table.index(f"{prefix}{part}")] += 1
             explicit = weighted_poly_mul(explicit, _elementary_explicit(part, n), (1,) * n, sum(lam))
-        out = out + gp_term
+        if sum(x * g.weight for x, g in zip(exps, table.gens)) <= max_weight:
+            out[tuple(exps)] = out.get(tuple(exps), 0) + coeff
         for e, c in explicit.items():
             s = work.get(e, Fraction(0)) - coeff * c
             if s:
                 work[e] = s
             else:
                 work.pop(e, None)
-    return out
+    return {e: c for e, c in out.items() if c}
 
 
 def brute_force_prod(factor: RootFactor, n_roots: int, prefix: str, table,
-                     max_weight: int, order: int) -> PuiseuxSeries:
+                     max_weight: int, order: int) -> TermSeries:
     """``prod_j factor(z_j)`` via explicit roots, as a polynomial-valued series."""
     cap = max_weight // 2
     bound = min(8 * order, factor.q_bound)
@@ -296,13 +315,86 @@ def brute_force_prod(factor: RootFactor, n_roots: int, prefix: str, table,
                     else:
                         bucket.pop(e, None)
         series = nxt
-    zero = GradedPolynomial.zero(table, max_weight)
-    terms = {}
-    for k, poly in series.items():
-        gp = symmetric_to_elementary(poly, n_roots, prefix, table, max_weight)
-        if gp:
-            terms[k] = gp
-    return PuiseuxSeries(terms, bound, zero)
+    return TermSeries({k: symmetric_to_elementary(poly, n_roots, prefix, table, max_weight)
+                       for k, poly in series.items()}, bound, table, max_weight)
+
+
+# -- the oracles' polynomial-valued series ---------------------------------------
+
+
+class TermSeries:
+    """An oracle series ``{lattice: {exponent vector: Fraction}}``, known through ``bound``.
+
+    Each coefficient is a plain term map over the generators of ``table``,
+    cut at weight ``cap``; no coefficient is an empty map.  Sums and scalings
+    go through :func:`naive_combination`, products pair by pair as in
+    :func:`weighted_poly_mul`, so no series or polynomial arithmetic of the
+    library runs.  :meth:`of` reads a library series as term maps, which is
+    how the tests compare library outputs with the oracles.
+    """
+
+    __slots__ = ("terms", "bound", "table", "cap")
+
+    def __init__(self, terms, bound: int, table, cap: int):
+        assert all(k <= bound for k in terms), "a term beyond the bound"
+        self.terms = {k: dict(t) for k, t in terms.items() if t}
+        self.bound, self.table, self.cap = bound, table, cap
+
+    @staticmethod
+    def of(series) -> "TermSeries":
+        """A polynomial-valued library series, each coefficient read through its ``.terms``."""
+        zero = series.zero
+        return TermSeries({k: p.terms for k, p in series.terms.items()}, series.order_bound,
+                          zero.table, zero.max_weight)
+
+    def like(self, terms, bound=None) -> "TermSeries":
+        """A series over the same ring, known through ``bound`` (this one's when None)."""
+        return TermSeries(terms, self.bound if bound is None else bound, self.table, self.cap)
+
+    def one(self) -> "TermSeries":
+        """The constant series 1 over the same ring, known through the same bound."""
+        return self.like({0: {(0,) * len(self.table.gens): Fraction(1)}})
+
+    def __eq__(self, other):
+        return isinstance(other, TermSeries) and (self.terms, self.bound) == (other.terms, other.bound)
+
+    def __repr__(self):
+        return f"TermSeries({self.terms!r}, bound={self.bound})"
+
+    def __add__(self, other: "TermSeries") -> "TermSeries":
+        """Termwise sum, known through the lower of the two bounds."""
+        bound = min(self.bound, other.bound)
+        keys = {k for k in (*self.terms, *other.terms) if k <= bound}
+        return self.like({k: naive_combination([(1, self.terms.get(k, {})), (1, other.terms.get(k, {}))])
+                          for k in keys}, bound)
+
+    def scale(self, c) -> "TermSeries":
+        """Every coefficient times a scalar, or times a polynomial given as a term map."""
+        if isinstance(c, dict):
+            weights = [g.weight for g in self.table.gens]
+            return self.like({k: weighted_poly_mul(t, c, weights, self.cap) for k, t in self.terms.items()})
+        return self.like({k: naive_combination([(c, t)]) for k, t in self.terms.items()})
+
+    def map(self, fn) -> "TermSeries":
+        """Every coefficient's term map through ``fn``."""
+        return self.like({k: fn(t) for k, t in self.terms.items()})
+
+    def __mul__(self, other: "TermSeries") -> "TermSeries":
+        """All-pairs product, known through each bound plus the other operand's first stored position.
+
+        Coefficient pairs multiply as in :func:`weighted_poly_mul`, each term weighed once.
+        """
+        bound = min(self.bound + min(other.terms, default=other.bound + 1),
+                    other.bound + min(self.terms, default=self.bound + 1))
+        weights = [g.weight for g in self.table.gens]
+        b = {k: _weighed(t, weights) for k, t in other.terms.items()}
+        out: dict[int, dict] = {}
+        for k1, t in self.terms.items():
+            a = _weighed(t, weights)
+            for k2, bt in b.items():
+                if k1 + k2 <= bound:
+                    _add_products(a, bt, self.cap, out.setdefault(k1 + k2, {}))
+        return self.like({k: {e: c for e, c in t.items() if c} for k, t in out.items()}, bound)
 
 
 # -- monomial-symmetric product oracle ---------------------------------------------
@@ -357,7 +449,7 @@ def _invert(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
 
 
 def monomial_symmetric_prod(factor: RootFactor, n_roots: int, prefix: str, table,
-                            max_weight: int, order: int) -> PuiseuxSeries:
+                            max_weight: int, order: int) -> TermSeries:
     """``prod_j f(z_j) = sum_lambda (prod_i f_(lambda_i)) m_lambda``, rewritten into the e-generators.
 
     ``f_m`` is the q-series in front of ``z^2m`` of an even factor with
@@ -394,9 +486,7 @@ def monomial_symmetric_prod(factor: RootFactor, n_roots: int, prefix: str, table
                 for k, v in series.items():
                     bucket = out.setdefault(k, {})
                     bucket[tuple(exps)] = bucket.get(tuple(exps), Fraction(0)) + c * v
-    zero = GradedPolynomial.zero(table, max_weight)
-    terms = {k: GradedPolynomial(table, t, max_weight) for k, t in out.items()}
-    return PuiseuxSeries({k: g for k, g in terms.items() if g}, bound, zero)
+    return TermSeries({k: {e: c for e, c in t.items() if c} for k, t in out.items()}, bound, table, max_weight)
 
 
 # -- packed q-series product oracle -------------------------------------------------
@@ -474,18 +564,21 @@ def modular_basis_oracle(group: str, k: int, r: int, order: int) -> PuiseuxSerie
     return PuiseuxSeries({pos: c for pos, c in terms.items() if c}, 8 * order, Fraction(0))
 
 
-def residual_oracle(P: PuiseuxSeries, h, group: str, k: int, scale: int, order: int) -> PuiseuxSeries:
-    """``P - scale * sum_r h_r * basis_r`` through ``min(P.order_bound, 8*order)``, position by position."""
-    bound = min(P.order_bound, 8 * order)
-    out = {pos: c for pos, c in P.terms.items() if pos <= bound}
+def residual_oracle(P: TermSeries, h, group: str, k: int, scale: int, order: int) -> TermSeries:
+    """``P - scale * sum_r h_r * basis_r`` through ``min(P.bound, 8*order)``, position by position.
+
+    Each ``h_r`` is read through its ``Fraction`` terms.
+    """
+    bound = min(P.bound, 8 * order)
+    parts = {pos: [(1, t)] for pos, t in P.terms.items() if pos <= bound}
     for r, hr in enumerate(h):
         for pos, b in modular_basis_oracle(group, k, r, order).terms.items():
             if pos <= bound:
-                out[pos] = out.get(pos, P.zero) - hr.scale(b * scale)
-    return PuiseuxSeries({pos: c for pos, c in out.items() if c}, bound, P.zero)
+                parts.setdefault(pos, []).append((-b * scale, hr.terms))
+    return P.like({pos: naive_combination(p) for pos, p in parts.items()}, bound)
 
 
-def packed(series: PuiseuxSeries) -> QColumns:
+def packed(series: TermSeries) -> QColumns:
     """A polynomial-valued series in the packed integer form, carrying its order bound.
 
     Positions go on the gcd of 8 and the stored exponents, numerators over
@@ -493,20 +586,19 @@ def packed(series: PuiseuxSeries) -> QColumns:
     bit field of ``(cap // weight_i).bit_length()`` bits, first generator
     lowest, at the truncation weight ``cap`` of the series' ring.
     """
-    zero = series.zero
     shifts, shift = [], 0
-    for g in zero.table.gens:
+    for g in series.table.gens:
         shifts.append(shift)
-        shift += (zero.max_weight // g.weight).bit_length()
+        shift += (series.cap // g.weight).bit_length()
     step = gcd(8, *series.terms)
-    den = lcm(*(c.denominator for p in series.terms.values() for c in p.terms.values()))
+    den = lcm(*(c.denominator for t in series.terms.values() for c in t.values()))
     size = max(series.terms, default=0) // step + 1
     cols: dict[int, list[int]] = {}
-    for pos, p in series.terms.items():
-        for e, c in p.terms.items():
+    for pos, t in series.terms.items():
+        for e, c in t.items():
             key = sum(x << s for x, s in zip(e, shifts))
             cols.setdefault(key, [0] * size)[pos // step] = c.numerator * (den // c.denominator)
-    return QColumns(den, step, cols, series.order_bound)
+    return QColumns(den, step, cols, series.bound)
 
 
 # -- log, exp and line-evaluation oracles -----------------------------------------
@@ -542,46 +634,40 @@ def _series_mul(a: dict, b: dict, bound: int) -> dict:
 
 
 def naive_exp_over_roots(log_terms: dict[tuple[int, int], Fraction], n_roots: int, prefix: str,
-                         table, max_weight: int, bound: int) -> PuiseuxSeries:
+                         table, max_weight: int, bound: int) -> TermSeries:
     """``exp(sum_m s_m * [z^2m] log)`` as ``sum S^t / t!``.
 
     The power sums ``s_m`` of the squared roots are rewritten into the
     e-generators from explicit roots (``symmetric_to_elementary``).
     """
-    one = GradedPolynomial.one(table, max_weight)
-    S: dict[int, GradedPolynomial] = {}
+    parts: dict[int, list] = {}
     for (d, k), c in log_terms.items():
         assert d % 2 == 0 and d > 0, "needs an even log without z^0 terms"
         if k > bound or d > max_weight:
             continue
         explicit = {tuple(d // 2 if i == j else 0 for i in range(n_roots)): Fraction(1)
                     for j in range(n_roots)}
-        s_m = symmetric_to_elementary(explicit, n_roots, prefix, table, max_weight)
-        S[k] = S[k] + s_m.scale(c) if k in S else s_m.scale(c)
-    out = {0: one}
-    term = {0: one}
+        parts.setdefault(k, []).append((c, symmetric_to_elementary(explicit, n_roots, prefix, table, max_weight)))
+    S = TermSeries({k: naive_combination(p) for k, p in parts.items()}, bound, table, max_weight)
+    out = term = S.one()
     for t in range(1, max_weight // 2 + 1):
-        term = {k: g.scale(Fraction(1, t)) for k, g in _series_mul(term, S, bound).items()}
-        for k, g in term.items():
-            out[k] = out[k] + g if k in out else g
-    return PuiseuxSeries({k: g for k, g in out.items() if g}, bound,
-                         GradedPolynomial.zero(table, max_weight))
+        term = (term * S).scale(Fraction(1, t))
+        out = out + term
+    return out
 
 
-def eval_factor_at_w(factor: RootFactor, table, max_weight: int, bound: int) -> PuiseuxSeries:
+def eval_factor_at_w(factor: RootFactor, table, max_weight: int, bound: int) -> TermSeries:
     """A product-built factor at ``z = -i*w``, read as ``z^d -> (-1)^(d//2) w^d``.
 
     For an odd factor this is ``i*f(-i*w)``, its real form.
     """
-    out: dict[int, GradedPolynomial] = {}
+    at = table.index("w")
+    out: dict[int, dict] = {}
     for (d, k), c in factor.terms.items():
-        if k > bound or d > max_weight:
-            continue
-        gp = GradedPolynomial.generator("w", table, max_weight, power=d).scale(
-            -c if (d // 2) % 2 else c)
-        out[k] = out[k] + gp if k in out else gp
-    return PuiseuxSeries({k: g for k, g in out.items() if g}, bound,
-                         GradedPolynomial.zero(table, max_weight))
+        if k <= bound and d <= max_weight:
+            e = tuple(d if i == at else 0 for i in range(len(table.gens)))
+            out.setdefault(k, {})[e] = -c if (d // 2) % 2 else c
+    return TermSeries(out, bound, table, max_weight)
 
 
 # -- tensor-string product oracle --------------------------------------------------
@@ -589,12 +675,10 @@ def eval_factor_at_w(factor: RootFactor, table, max_weight: int, bound: int) -> 
 # and reduction, read off the weight components.
 
 
-def _psi(E: GradedPolynomial, m: int) -> GradedPolynomial:
-    """Adams operation: the weight-w component of ``E`` times ``m^w``."""
-    out = E.component(0)
-    for w in range(1, E.max_weight + 1):
-        out = out + E.component(w).scale(m ** w)
-    return out
+def _psi(E: GradedPolynomial, m: int) -> dict:
+    """Adams operation as a term map: each weight-w term of ``E`` times ``m^w``."""
+    weights = [g.weight for g in E.table.gens]
+    return naive_rescale(E.terms, lambda e: m ** sum(x * g for x, g in zip(e, weights)))
 
 
 def _reduce(E: GradedPolynomial) -> GradedPolynomial:
@@ -602,20 +686,16 @@ def _reduce(E: GradedPolynomial) -> GradedPolynomial:
     return E - E.component(0)
 
 
-def _zero(E: GradedPolynomial) -> GradedPolynomial:
-    return GradedPolynomial.zero(E.table, E.max_weight)
-
-
-def _bundle_exp_by_powers(X: PuiseuxSeries) -> PuiseuxSeries:
+def _bundle_exp_by_powers(X: TermSeries) -> TermSeries:
     """``sum X^t / t!`` for a character-valued series with positive leading exponent."""
-    out = term = PuiseuxSeries.constant(X.zero.one_like(), X.order_bound, X.zero)
-    for t in range(1, X.order_bound // X.leading_exponent() + 1):
-        term = (term * X).map_coefficients(lambda b: b.scale(Fraction(1, t)))
+    out = term = X.one()
+    for t in range(1, X.bound // min(X.terms, default=X.bound + 1) + 1):
+        term = (term * X).scale(Fraction(1, t))
         out = out + term
     return out
 
 
-def _string_factor(E, step: int, sign, bound: int) -> PuiseuxSeries:
+def _string_factor(E, step: int, sign, bound: int) -> TermSeries:
     """``lambda_{sign q^(step/8)}(E)``, or ``S_{q^(step/8)}(E)`` when ``sign`` is None.
 
     The exp by powers of ``sum_m (-1)^(m-1) sign^m psi^m(E) t^m / m`` (of
@@ -624,11 +704,11 @@ def _string_factor(E, step: int, sign, bound: int) -> PuiseuxSeries:
     terms = {}
     for m in range(1, bound // step + 1):
         c = Fraction(1, m) if sign is None else Fraction((-1) ** (m - 1) * sign ** m, m)
-        terms[m * step] = _psi(E, m).scale(c)
-    return _bundle_exp_by_powers(PuiseuxSeries(terms, bound, _zero(E)))
+        terms[m * step] = naive_combination([(c, _psi(E, m))])
+    return _bundle_exp_by_powers(TermSeries(terms, bound, E.table, E.max_weight))
 
 
-def string_product_oracle(strings, order: int) -> PuiseuxSeries:
+def string_product_oracle(strings, order: int) -> TermSeries:
     """A product of tensor strings through ``q^order``, one series product per factor.
 
     A string ``(E, half, sign)`` is ``tensor_{n>=1} lambda_{sign q^(a_n)}(E)``
@@ -636,8 +716,8 @@ def string_product_oracle(strings, order: int) -> PuiseuxSeries:
     when ``sign`` is None.  Each factor is its own exp by powers.
     """
     bound = 8 * order
-    zero = _zero(strings[0][0])
-    out = PuiseuxSeries.constant(zero.one_like(), bound, zero)
+    E = strings[0][0]
+    out = TermSeries({}, bound, E.table, E.max_weight).one()
     for E, half, sign in strings:
         for step in range(4 if half else 8, bound + 1, 8):
             out = out * _string_factor(E, step, sign, bound)
@@ -662,7 +742,7 @@ def theta_strings(kind: str, tangent, line, *, reduced_line: bool = True) -> lis
 # -- unfused P-series assembly ------------------------------------------------------
 
 
-def reference_P(setting, which: str) -> PuiseuxSeries:
+def reference_P(setting, which: str) -> TermSeries:
     """P1/P2/P3 of a setting by the unfused route.
 
     Each factor is its own full-weight product over its family's roots; the
@@ -681,23 +761,24 @@ def reference_P(setting, which: str) -> PuiseuxSeries:
         return theta_log(kind, s.n_q, W)
 
     def over(kind, fam):
-        return prod_over_roots(log(kind), fam, table, W, s.n_q)
+        return TermSeries.of(prod_over_roots(log(kind), fam, table, W, s.n_q))
+
+    def at_line(kind):
+        return TermSeries.of(eval_at_var(log(kind), table, W, s.n_q))
 
     tm = RootFamily(FAMILY_TM, W)
     a = over("a", tm)
     if s.kind == "spin4k":
         core = (a * (over("t1", tm) + over("t2", tm) + over("t3", tm))).scale(2 ** W)
     elif s.kind == "spinc4k":
-        at_line = [eval_at_var(log(t), table, W, s.n_q) for t in ("t1", "t2", "t3")]
-        core = a * at_line[0] * at_line[1] * at_line[2]
+        core = a * at_line("t1") * at_line("t2") * at_line("t3")
     else:
-        w = GradedPolynomial.generator("w", table, W)
-        core = a * eval_at_var(log("d"), table, W, s.n_q).scale(w)
+        core = a * at_line("d").scale(GradedPolynomial.generator("w", table, W).terms)
     series = core * over({"P1": "t1", "P2": "t2", "P3": "t3"}[which], RootFamily(FAMILY_V, s.l))
     if which == "P1":
         series = series.scale(2 ** s.l)
     name, repl = constraint_replacement(s.kind, table, W)
-    return series.map_coefficients(lambda p: p.component(W).substitute(name, repl))
+    return series.map(lambda t: GradedPolynomial(table, t, W).component(W).substitute(name, repl).terms)
 
 
 # -- characteristic numbers on products of CP^1 ---------------------------------------

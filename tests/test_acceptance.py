@@ -14,7 +14,7 @@ from anomcancel.genus import FAMILY_TM, RootFamily, build_generator_table, prod_
 from anomcancel.modforms import delta_eps, leading_minor, unit_lower_inverse
 from anomcancel.theta import jacobi_residual, theta_log
 
-from helpers import brute_force_prod, product_factor
+from helpers import TermSeries, brute_force_prod, product_factor
 
 SPIN_GRID = [(k, l) for k in (1, 2, 3) for l in (1, 2, 3, 4)]
 SPINC4K_GRID = [(k, l) for k in (1, 2) for l in (1, 2, 3)]
@@ -28,7 +28,7 @@ def announce(n, ok, desc):
 
 def test_criterion_1_theta_layer():
     t0 = time.perf_counter()
-    ok = jacobi_residual(10).is_zero()
+    ok = not jacobi_residual(10)
     pins = {
         "delta1": [(0, Fraction(1, 4)), (8, 6)],
         "eps1": [(0, Fraction(1, 16)), (8, -1)],
@@ -93,7 +93,7 @@ def test_criterion_4_oracle_equivalence():
         for kind in ("a", "t2"):
             engine = prod_over_roots(theta_log(kind, 2, 6), fam, table, 6, 2)
             oracle = brute_force_prod(product_factor(kind, 2, 6), n_roots, "nM", table, 6, 2)
-            ok = ok and (engine - oracle).is_zero()
+            ok = ok and TermSeries.of(engine) == oracle
     announce(4, ok, "theta path and bundle path agree at q^0, q^(1/2), q^1 on the whole grid; "
                     "genus engine matches explicit-root brute force (<= 3 roots, weight <= 6)")
 
@@ -117,7 +117,7 @@ def test_criterion_5_spinc_theorems():
             r = anomaly.verify_theorem(tid, k=k, l=l)
             ok = ok and r.status == "PASS" and _rational_in_standard_basis(r.h)
         p1 = anomaly.build_P(anomaly.make_setting("spinc4k2", k, l), "P1")
-        ok = ok and _rational_in_standard_basis(p1.coefficient(units) for units in p1.exponents())
+        ok = ok and _rational_in_standard_basis(p1.terms.values())
         worst = max(worst, time.perf_counter() - t0)
     ok = ok and worst < 60.0
     announce(5, ok, f"spin^c identities exact on both grids, outputs rational in the standard basis, "

@@ -11,12 +11,15 @@ No oracle in ``tests/helpers.py`` may reach the fast packed kernel
 ``algebra`` names the monomial packing or builds a polynomial from raw int
 numerators: the others go through ``QColumns.of`` and
 ``QColumns.coefficient``, and through the public constructor and the ring
-operations.
+operations.  The string oracle reads nothing of the library but ``algebra``:
+its series is the oracles' own ``TermSeries``.
 
-Two guards run an import instead of reading one: ``import anomcancel`` loads
+Three guards run code instead of reading it.  ``import anomcancel`` loads
 no process-pool machinery, which would cost every ``verify`` more time than
 its computation, and no ``dataclasses``, whose ``inspect`` and class
-processing cost more than the rest of the package does.
+processing cost more than the rest of the package does.  And the string
+oracle and the naive exp run with both integer kernels, ``dot`` and
+``mul_sum``, switched off wherever they are looked up.
 """
 
 import ast
@@ -24,9 +27,16 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+import helpers
+from anomcancel import algebra
+from anomcancel.genus import FAMILY_TM, LINE, RootFamily, build_generator_table
+from anomcancel.kvirt import complexified_bundle
+from anomcancel.theta import RootFactor
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = "anomcancel"
@@ -36,7 +46,8 @@ HELPERS = ROOT / "tests" / "helpers.py"
 
 FAST_KERNEL = ("mul_sum", "field_width", "_kronecker")
 PACKING = {"packing", "Packing", "_from_ints"}
-STRING_ORACLE = ("_psi", "_reduce", "_zero", "_bundle_exp_by_powers", "_string_factor",
+STRING_ORACLE = ("TermSeries", "_weighed", "_add_products", "weighted_poly_mul", "naive_combination",
+                 "naive_rescale", "_psi", "_reduce", "_bundle_exp_by_powers", "_string_factor",
                  "string_product_oracle", "theta_strings")
 
 
@@ -121,11 +132,35 @@ def test_helpers_import_nothing_from_kvirt():
 def test_string_oracle_reads_only_algebra_and_series_from_the_library():
     tree = ast.parse(HELPERS.read_text())
     sources = import_sources(tree)
-    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    defs = {n.name: n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
     assert set(STRING_ORACLE) <= set(defs)
     used = {sources[n.id] for name in STRING_ORACLE for n in ast.walk(defs[name])
             if isinstance(n, ast.Name) and n.id in sources}
-    assert used <= {"fractions", f"{PACKAGE}.algebra", f"{PACKAGE}.qseries"}, used
+    assert used <= {"fractions", "operator", f"{PACKAGE}.algebra"}, used
+
+
+def test_oracles_run_with_the_integer_kernels_switched_off(monkeypatch):
+    """The string oracle and the naive exp multiply their own term maps: with ``dot`` and
+    ``mul_sum`` raising under every name the package and the helpers bind them to, both still run."""
+    table = build_generator_table(2, 1, True, 4)
+    tangent = complexified_bundle(RootFamily(FAMILY_TM, 2), table, 4)
+    line = complexified_bundle(LINE, table, 4)
+    log = RootFactor({(2, 0): Fraction(1, 6), (2, 8): Fraction(-2), (4, 0): Fraction(1, 180)}, 4, 8)
+
+    def switched_off(*args, **kwargs):
+        raise AssertionError("an oracle ran a library kernel")
+
+    kernels = (algebra.dot, algebra.mul_sum)
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == PACKAGE] + [helpers]
+    bound = [(m, attr) for m in modules for attr, value in vars(m).items() if any(value is k for k in kernels)]
+    assert (algebra, "dot") in bound and (algebra, "mul_sum") in bound
+    for module, attr in bound:
+        monkeypatch.setattr(module, attr, switched_off)
+    with pytest.raises(AssertionError, match="library kernel"):
+        tangent * line
+    for kind in ("theta2", "theta_c"):
+        assert helpers.string_product_oracle(helpers.theta_strings(kind, tangent, line), 1).terms
+    assert helpers.naive_exp_over_roots(log.terms, 2, "nM", table, 4, 8).terms
 
 
 @pytest.fixture(scope="module")

@@ -13,7 +13,7 @@ from functools import cached_property
 
 from anomcancel import anomaly, kvirt, modforms, suite, theta
 from anomcancel.algebra import ONE, QColumns, mul_sum
-from anomcancel.qseries import HALF_UNIT, Q_UNIT
+from anomcancel.qseries import HALF_UNIT, Q_UNIT, PuiseuxSeries
 from anomcancel.suite import SuiteCase, run_case
 
 # the non-gating keys: recorded readings of the printed forms, never part of a verdict
@@ -105,6 +105,11 @@ def _bumped_table():
     return theta, "_divisor_powers", powers
 
 
+def _doubled(series):
+    """A ``Fraction`` series with every coefficient doubled, rebuilt from its terms."""
+    return PuiseuxSeries({u: 2 * c for u, c in series.terms.items()}, series.order_bound, series.zero)
+
+
 def _faults():
     lambda_power, theta_null, delta_eps = anomaly.lambda_power, theta.theta_null, suite.delta_eps
     adams_column = kvirt._adams_column
@@ -118,9 +123,9 @@ def _faults():
         # the tangent-twist reading does not see the genus: with the first class zero only
         # its constant and top-weight terms enter, and they cancel
         "ch(Delta(M)) with its top weight doubled": _doubled_top("ch_delta_m"),
-        "theta'(0) doubled": (theta, "theta_null",
-                              lambda kind, order: theta_null(kind, order).scale(2 if kind == "theta_prime" else 1)),
-        "generators doubled": (suite, "delta_eps", lambda name, order: delta_eps(name, order).scale(2)),
+        "theta'(0) doubled": (theta, "theta_null", lambda kind, order: _doubled(theta_null(kind, order))
+                              if kind == "theta_prime" else theta_null(kind, order)),
+        "generators doubled": (suite, "delta_eps", lambda name, order: _doubled(delta_eps(name, order))),
         "string logs with m^w for m^(w-1)": (kvirt, "_adams_column", lambda first, sign, exterior, power, bound:
                                              adams_column(first, sign, exterior, power + 1, bound)),
         "P1's twist without ch(Delta(V))": _bare_p1_twist(),

@@ -187,20 +187,30 @@ EXIT_CODE_TABLE = [
                          ids=[" ".join(row[0]) for row in EXIT_CODE_TABLE])
 def test_exit_code_contract(capsys, monkeypatch, runner_sizes, argv, code, check):
     """1 = FAIL or GAP, 2 = usage error; the runner never exceeds CPUs or cases."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(suite, "_usable_cpus", lambda: 4)
     got, out, err = run(capsys, *argv)
     assert got == code, err
     assert check(out, err, runner_sizes)
 
 
 def test_suite_workers_clamped_to_cpus(monkeypatch, runner_sizes):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(suite, "_usable_cpus", lambda: 2)
     assert suite.run_suite(parallel=64)["all_ok"]
     assert runner_sizes == [2]
 
 
+def test_one_usable_cpu_runs_the_suite_serially(monkeypatch, recording_runner):
+    """Under a one-CPU affinity mask ``parallel=2`` forks nothing, since the worker would share the
+    caller's CPU, and the JSON is byte-identical to the serial run's."""
+    serial = suite.suite_json(suite.run_suite())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert suite._usable_cpus() == 1
+    assert suite.suite_json(suite.run_suite(parallel=2)) == serial
+    assert recording_runner.sizes == []
+
+
 def test_suite_runs_serially_where_fork_is_missing(monkeypatch, runner_sizes):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(suite, "_usable_cpus", lambda: 2)
     serial = suite.run_suite()
     monkeypatch.delattr(os, "fork")
     assert suite.run_suite(parallel=2) == serial
@@ -216,7 +226,7 @@ def test_failed_shard_raises_and_leaves_no_child(monkeypatch, three_audits, fail
     shard.  A worker's fault comes back as ``RuntimeError`` carrying its traceback.
     The caller gets back the affinity mask it had before the call.
     """
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(suite, "_usable_cpus", lambda: 2)
     caller, real_run_case = os.getpid(), suite.run_case
     mask = os.sched_getaffinity(0)
     raised_r, raised_w = os.pipe()
@@ -251,9 +261,11 @@ def test_pool_processes_run_pinned_to_their_own_cpus(monkeypatch, three_audits, 
     masks differ when the caller may use two CPUs or more and are equal when it may use
     one, and the caller's mask after the call is the one it had before.
 
-    Each process waits at its first case until the other has taken one, so both run a shard.
+    The suite is told of two usable CPUs, so it forks under a one-CPU mask too, and the
+    pinning's wrap-around is exercised.  Each process waits at its first case until the
+    other has taken one, so both run a shard.
     """
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(suite, "_usable_cpus", lambda: 2)
     caller, real_run_case = os.getpid(), suite.run_case
     started = {"caller": os.pipe(), "worker": os.pipe()}     # written once each side has a case
 
@@ -288,7 +300,7 @@ def test_pool_processes_run_pinned_to_their_own_cpus(monkeypatch, three_audits, 
 def test_parallel_suite_shards_by_family(monkeypatch, recording_runner):
     """One task per (kind, k, n_q) family, heaviest first, then one for the theta layer and
     one per audit; the sharded result equals the serial one."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(suite, "_usable_cpus", lambda: 2)
     serial = suite.run_suite()
     assert recording_runner.sizes == []
     family = {r["case"]: tuple(r["report"]["setting"][f] for f in ("kind", "k", "n_q"))

@@ -11,7 +11,7 @@ from anomcancel.genus import (CONSTRAINT_KINDS, FAMILY_TM, FAMILY_V, LINE, RootF
                               power_sums_gp, prod_over_roots)
 from anomcancel.qseries import PuiseuxSeries
 from anomcancel.theta import RootFactor
-from helpers import naive_exp_over_roots
+from helpers import TermSeries, naive_exp_over_roots
 
 W = 6
 ORDER = 2
@@ -32,22 +32,26 @@ PROPERTY = settings(max_examples=40, deadline=None, database=None)
 @PROPERTY
 @given(logs, logs, families)
 def test_exp_turns_sums_of_logs_into_products(a, b, fam):
-    assert prod_over_roots(a + b, fam, TABLE, W, ORDER) == (
-        prod_over_roots(a, fam, TABLE, W, ORDER) * prod_over_roots(b, fam, TABLE, W, ORDER))
+    def prod(log):
+        return TermSeries.of(prod_over_roots(log, fam, TABLE, W, ORDER))
+
+    assert prod(a + b) == prod(a) * prod(b)
 
 
 @PROPERTY
 @given(logs, families)
 def test_recurrence_matches_naive_exp(log, fam):
     got = prod_over_roots(log, fam, TABLE, W, ORDER)
-    assert got == naive_exp_over_roots(log.terms, fam.n_roots, "nM", TABLE, W, BOUND)
+    assert TermSeries.of(got) == naive_exp_over_roots(log.terms, fam.n_roots, "nM", TABLE, W, BOUND)
 
 
 @PROPERTY
 @given(logs, logs)
 def test_line_evaluation_turns_sums_of_logs_into_products(a, b):
-    assert eval_at_var(a + b, TABLE, W, ORDER) == (
-        eval_at_var(a, TABLE, W, ORDER) * eval_at_var(b, TABLE, W, ORDER))
+    def at_line(log):
+        return TermSeries.of(eval_at_var(log, TABLE, W, ORDER))
+
+    assert at_line(a + b) == at_line(a) * at_line(b)
 
 
 RELATION_TABLE = build_generator_table(3, 2, True, W)
@@ -55,8 +59,9 @@ any_family = st.one_of(families, st.integers(1, 2).map(lambda n: RootFamily(FAMI
 
 
 def one_exp(logs):
-    """The one exp over ``logs`` as a series on ``RELATION_TABLE``."""
-    return PuiseuxSeries.from_pieces(exp_by_weight(logs, W, ORDER), GradedPolynomial.zero(RELATION_TABLE, W))
+    """The one exp over ``logs`` as an oracle series on ``RELATION_TABLE``."""
+    return TermSeries.of(PuiseuxSeries.from_pieces(exp_by_weight(logs, W, ORDER),
+                                                   GradedPolynomial.zero(RELATION_TABLE, W)))
 
 
 def constrained_power_sums(fam, kind):
@@ -68,7 +73,8 @@ def constrained_power_sums(fam, kind):
 @given(logs, any_family, st.sampled_from(CONSTRAINT_KINDS))
 def test_relation_on_power_sums_is_relation_on_the_product(log, fam, kind):
     plain = prod_over_roots(log, fam, RELATION_TABLE, W, ORDER)
-    expected = plain.map_coefficients(lambda p: apply_constraint(p, kind))
+    expected = TermSeries({k: apply_constraint(p, kind).terms for k, p in plain.terms.items()},
+                          plain.order_bound, RELATION_TABLE, W)
     sums = constrained_power_sums(fam, kind)
     assert one_exp([(log, sums)]) == expected
 

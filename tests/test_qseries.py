@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anomcancel.algebra import ONE, GradedPolynomial, QColumns
+from anomcancel.algebra import ONE, AlgebraError, GradedPolynomial, QColumns
 from anomcancel.genus import build_generator_table
 from anomcancel.modforms import delta_eps
-from anomcancel.qseries import PuiseuxSeries, RingMismatchError, TruncationError
+from anomcancel.qseries import PuiseuxSeries, TruncationError
 
 
 def S(terms, bound=80):
@@ -18,7 +18,9 @@ def S(terms, bound=80):
 def test_lattice_multiplication():
     t = S({4: 1})          # q^{1/2}
     one = S({0: 1})
-    assert (one + t) * (one - t) == S({0: 1, 8: -1})
+    assert S({0: 1, 4: 1}) * (one - t) == S({0: 1, 8: -1})
+    assert (one - S({0: 1, 4: 2}, bound=40)).terms == {4: -2} and (one - t).order_bound == 80
+    assert (S({0: 1, 60: 1}) - S({0: 1}, bound=40)) == S({}, bound=40)   # the lower bound wins
     assert S({1: 1}) * S({1: 1}) == S({2: 1}, bound=81)
     # (2 q^{1/8})^4 (1+q) = 16 q^{1/2} + 16 q^{3/2}
     m = S({1: 2})
@@ -61,13 +63,29 @@ def test_mul_associative_commutative_randomized():
         assert a * b == b * a
 
 
-def test_ring_mismatch_rejected():
-    from anomcancel.algebra import GradedPolynomial
-    from anomcancel.genus import build_generator_table
+def _polynomial_series():
     t = build_generator_table(2, 1, False, 4)
-    gp_series = PuiseuxSeries.constant(GradedPolynomial.one(t, 4), 8, GradedPolynomial.zero(t, 4))
-    with pytest.raises(RingMismatchError):
-        gp_series + S({0: 1})
+    return PuiseuxSeries({0: GradedPolynomial.one(t, 4)}, 8, GradedPolynomial.zero(t, 4))
+
+
+def test_ring_mismatch_rejected():
+    gp_series = _polynomial_series()
+    for op in (lambda a, b: a - b, lambda a, b: a * b):
+        for a, b in ((gp_series, S({0: 1})), (S({0: 1}), gp_series)):
+            with pytest.raises(AlgebraError, match="Fraction series only"):
+                op(a, b)
+
+
+def test_polynomial_series_have_no_arithmetic():
+    """A polynomial-valued series is a view: its product and difference raise, and its terms are read."""
+    gp_series = _polynomial_series()
+    with pytest.raises(AlgebraError, match="read a polynomial series' terms"):
+        gp_series * gp_series
+    with pytest.raises(AlgebraError, match="read a polynomial series' terms"):
+        gp_series - gp_series
+    for gone in ("__add__", "__neg__", "scale", "constant", "map_coefficients", "exponents",
+                 "leading_exponent", "is_zero"):
+        assert not hasattr(PuiseuxSeries, gone), gone
 
 
 def test_truncation_metadata_under_mul():
@@ -78,7 +96,8 @@ def test_truncation_metadata_under_mul():
 
 def _naive_product(a: PuiseuxSeries, b: PuiseuxSeries):
     """All-pairs ``Fraction`` convolution and the leading-exponent bound rule."""
-    bound = min(a.order_bound + b.leading_exponent(), b.order_bound + a.leading_exponent())
+    bound = min(a.order_bound + min(b.terms, default=b.order_bound + 1),
+                b.order_bound + min(a.terms, default=a.order_bound + 1))
     out = {}
     for k1, c1 in a.terms.items():
         for k2, c2 in b.terms.items():
@@ -101,16 +120,23 @@ def scalar_series(draw):
     return PuiseuxSeries(terms, bound, Fraction(0))
 
 
+def _plus_shifted(a: PuiseuxSeries, s: Fraction) -> PuiseuxSeries:
+    """``a + s * q^(1/2) * a``, the shifted terms cut back to ``a``'s own order bound."""
+    terms = dict(a.terms)
+    for k, c in a.terms.items():
+        if k + 4 <= a.order_bound:
+            terms[k + 4] = terms.get(k + 4, 0) + s * c
+    return PuiseuxSeries(terms, a.order_bound, Fraction(0))
+
+
 @settings(max_examples=150, deadline=None, database=None)
 @given(scalar_series(), scalar_series(), st.booleans())
 def test_scalar_product_matches_naive_convolution(a, b, cancel):
     if cancel:
         # (a + x*a/3) * (b - x*b/3) with x = q^(1/2): the cross terms cancel exactly;
         # the shifted terms are cut back to the series' own order bound
-        b = b + PuiseuxSeries({k + 4: c for k, c in b.terms.items() if k + 4 <= b.order_bound},
-                              b.order_bound, Fraction(0)).scale(Fraction(-1, 3))
-        a = a + PuiseuxSeries({k + 4: c for k, c in a.terms.items() if k + 4 <= a.order_bound},
-                              a.order_bound, Fraction(0)).scale(Fraction(1, 3))
+        b = _plus_shifted(b, Fraction(-1, 3))
+        a = _plus_shifted(a, Fraction(1, 3))
     want, bound = _naive_product(a, b)
     got = a * b
     assert got.order_bound == bound
@@ -121,7 +147,7 @@ def test_scalar_product_matches_naive_convolution(a, b, cancel):
 def test_scalar_product_cancels_to_zero():
     one = S({0: 1}, bound=40)
     h = S({4: Fraction(1, 2)}, bound=40)
-    assert ((one + h) * (one - h)).terms == {0: Fraction(1), 8: Fraction(-1, 4)}
+    assert (S({0: 1, 4: Fraction(1, 2)}, bound=40) * (one - h)).terms == {0: Fraction(1), 8: Fraction(-1, 4)}
     lead = S({1: Fraction(3, 8), 9: Fraction(-5, 6)}, bound=33)
-    assert (lead * lead.scale(0)).is_zero()
-    assert (lead * lead.scale(0)).order_bound == 33 + 1   # the empty operand's lead is 34
+    assert not lead * S({}, bound=33)
+    assert (lead * S({}, bound=33)).order_bound == 33 + 1   # the empty operand's lead is 34

@@ -11,8 +11,14 @@ the concatenated ``verify --format json`` output of every operation that
 ``"expand theta layer"`` hashes ``expand --format json`` of every object but
 ``P1``/``P2``/``P3``/``basis`` (the level-2 generators, the theta nulls and
 the per-root factors) at ``--order`` 1, 2, 5 and 12, the factors at
-``--weight`` 6 and 11: 72 outputs, by object, then order, then weight.  Two
-checkouts produce the same hashes exactly when those outputs agree.  Each
+``--weight`` 6 and 11: 72 outputs, by object, then order, then weight.
+``"expand series"`` hashes the series views of the P-series and the basis
+rows, 52 outputs in this order: ``expand --object P1|P2|P3 --setting
+spin4k|spinc4k|spinc4k2 --k 1|2 --l 1 --basis normalized|standard``, by
+object, then setting, then k, then basis; then ``expand --object basis
+--group upper|lower --k 1..4 --r 0..k//2 --order 10``, by group, then k,
+then r.  Two checkouts produce the same hashes exactly when those outputs
+agree.  Each
 hashed output must also equal ``json.dumps(json.loads(out), indent=2)`` plus a
 newline, so the package's JSON writer is checked against the standard
 library on every output hashed; a difference exits nonzero.  The last entry,
@@ -75,6 +81,19 @@ def output_hashes() -> dict[str, str | int]:
                 argv = ["expand", "--object", obj, "--order", str(order), "--format", "json"]
                 digest.update(_stdout_of(argv if weight is None else argv + ["--weight", str(weight)]))
     hashes["expand theta layer"] = digest.hexdigest()
+    digest = hashlib.sha256()
+    for obj in ("P1", "P2", "P3"):
+        for setting in ("spin4k", "spinc4k", "spinc4k2"):
+            for k in (1, 2):
+                for basis in ("normalized", "standard"):
+                    digest.update(_stdout_of(["expand", "--object", obj, "--setting", setting, "--k", str(k),
+                                              "--l", "1", "--basis", basis, "--format", "json"]))
+    for group in ("upper", "lower"):
+        for k in range(1, 5):
+            for r in range(k // 2 + 1):
+                digest.update(_stdout_of(["expand", "--object", "basis", "--group", group, "--k", str(k),
+                                          "--r", str(r), "--order", "10", "--format", "json"]))
+    hashes["expand series"] = digest.hexdigest()
     modules = Path(anomcancel.__file__).parent.glob("*.py")
     hashes["src lines"] = sum(p.read_bytes().count(b"\n") for p in modules)
     return hashes
