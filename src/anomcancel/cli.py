@@ -211,11 +211,11 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except AlgebraError as e:
+    except ValueError as e:        # AlgebraError is one
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except OverflowError as e:
+        print(f"error: input too large: {e}", file=sys.stderr)
         return 2
 
 

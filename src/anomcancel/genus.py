@@ -211,10 +211,10 @@ def classical_genus(kind: str, fam: RootFamily, table: GeneratorTable,
     ``spinor_ch`` is ``prod 2 cos z_j`` (spinor character, rank ``2^n``);
     ``exp_half_c`` is ``e^{iu} = e^{w}``, the half line-class exponential.
     """
-    if kind == "exp_half_c":
-        terms = (GradedPolynomial.generator("w", table, max_weight, power=d).scale(Fraction(1, factorial(d)))
-                 for d in range(1, max_weight + 1))
-        return sum(terms, GradedPolynomial.one(table, max_weight))
+    if kind == "exp_half_c":        # sum_d w^d / d!
+        w = table.index("w")
+        return GradedPolynomial(table, {tuple(d * (j == w) for j in range(len(table))): Fraction(1, factorial(d))
+                                        for d in range(max_weight + 1)}, max_weight)
     if kind not in ("ahat", "spinor_ch"):
         raise AlgebraError(f"unknown genus kind {kind!r}")
     # the q^0 slices of the Witten factor (z/sin z) and of t1 (cos z)

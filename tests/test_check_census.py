@@ -25,7 +25,8 @@ HOLD_BY_CONSTRUCTION: set[str] = set()
 ROUTE_FAULTS = {"string logs with m^w for m^(w-1)", "P1's twist without ch(Delta(V))", "O_1 at q^1 plus one"}
 # faults that must show in the key named, on every row named
 NAMED_FAULTS = {"the solve's inverse one off below the diagonal":
-                ("decomposition_residual", ("3.1 k=2 l=1", "4.1 k=2 l=1", "4.6 k=2 l=1"))}
+                ("decomposition_residual", ("3.1 k=2 l=1", "4.1 k=2 l=1", "4.6 k=2 l=1")),
+                "theta'(0) doubled": ("jacobi_identity", ("theta-layer",))}
 
 GRID = [SuiteCase("theta-layer", "theta", (suite.THETA_LAYER_ORDER,))] + [
     SuiteCase(f"{tid} k={k} l=1", "theorem", (tid, k, 1, None))
@@ -110,8 +111,13 @@ def _doubled(series):
     return PuiseuxSeries({u: 2 * c for u, c in series.terms.items()}, series.order_bound, series.zero)
 
 
+def _doubled_column(c):
+    """A packed theta null (:func:`theta._null`) with every coefficient doubled."""
+    return c._replace(cols={0: [2 * n for n in c.cols[0]]})
+
+
 def _faults():
-    lambda_power, theta_null, delta_eps = anomaly.lambda_power, theta.theta_null, suite.delta_eps
+    lambda_power, null, delta_eps = anomaly.lambda_power, theta._null, suite.delta_eps
     adams_column = kvirt._adams_column
     faults = {f"{which} + term at lattice {units}": _plant_term(which, units)
               for which in ("P1", "P2") for units in (0, HALF_UNIT, Q_UNIT, 2 * Q_UNIT)}
@@ -123,8 +129,8 @@ def _faults():
         # the tangent-twist reading does not see the genus: with the first class zero only
         # its constant and top-weight terms enter, and they cancel
         "ch(Delta(M)) with its top weight doubled": _doubled_top("ch_delta_m"),
-        "theta'(0) doubled": (theta, "theta_null", lambda kind, order: _doubled(theta_null(kind, order))
-                              if kind == "theta_prime" else theta_null(kind, order)),
+        "theta'(0) doubled": (theta, "_null", lambda kind, order, bound: _doubled_column(null(kind, order, bound))
+                              if kind == "theta_prime" else null(kind, order, bound)),
         "generators doubled": (suite, "delta_eps", lambda name, order: _doubled(delta_eps(name, order))),
         "string logs with m^w for m^(w-1)": (kvirt, "_adams_column", lambda first, sign, exterior, power, bound:
                                              adams_column(first, sign, exterior, power + 1, bound)),

@@ -146,6 +146,10 @@ EXIT_CODE_TABLE = [
      lambda out, err, runs: err.startswith("error:") and out == ""),
     (["expand", "--object", "delta1", "--order", "-1"], 2,
      lambda out, err, runs: "--order" in err),
+    (["expand", "--object", "delta1", "--order", "100000000000000000000"], 2,
+     lambda out, err, runs: err.startswith("error: input too large") and out == ""),
+    (["expand", "--object", "P2", "--setting", "spinc4k2", "--k", "1", "--l", "1", "--qorder", str(10 ** 21)], 2,
+     lambda out, err, runs: err.startswith("error: input too large") and out == ""),
     (["expand", "--object", "P1", "--k", "1", "--l", "1", "--order", "99"], 0,
      lambda out, err, runs: json.loads(out)["order"] == 6),
     (["verify", "--theorem", "3.1", "--k", "1", "--output", "/nonexistent/d/x.json"], 2,

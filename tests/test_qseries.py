@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anomcancel.algebra import ONE, AlgebraError, GradedPolynomial, QColumns
+from anomcancel.algebra import ONE, AlgebraError, GradedPolynomial, QColumns, mul_sum
 from anomcancel.genus import build_generator_table
 from anomcancel.modforms import delta_eps
 from anomcancel.qseries import PuiseuxSeries, TruncationError
@@ -15,12 +15,25 @@ def S(terms, bound=80):
     return PuiseuxSeries({k: Fraction(v) for k, v in terms.items()}, bound, Fraction(0))
 
 
+def P(terms, bound=80):
+    """A packed ``Fraction`` series on step 1: one integer column over denominator 1."""
+    nums = [0] * (max(terms, default=0) + 1)
+    for k, v in terms.items():
+        nums[k] = v
+    return QColumns(1, 1, {0: nums}, bound)
+
+
+def difference(a, b):
+    """``a - b`` as the library takes a difference: one ``mul_sum``, read as a view."""
+    return PuiseuxSeries.from_packed(mul_sum([(a, ONE, 1, [(0, 1)]), (b, ONE, 1, [(0, -1)])]), Fraction(0))
+
+
 def test_lattice_multiplication():
-    t = S({4: 1})          # q^{1/2}
-    one = S({0: 1})
-    assert S({0: 1, 4: 1}) * (one - t) == S({0: 1, 8: -1})
-    assert (one - S({0: 1, 4: 2}, bound=40)).terms == {4: -2} and (one - t).order_bound == 80
-    assert (S({0: 1, 60: 1}) - S({0: 1}, bound=40)) == S({}, bound=40)   # the lower bound wins
+    t = P({4: 1})          # q^{1/2}
+    one = P({0: 1})
+    assert S({0: 1, 4: 1}) * S({0: 1, 4: -1}) == S({0: 1, 8: -1})
+    assert difference(one, P({0: 1, 4: 2}, bound=40)).terms == {4: -2} and difference(one, t).order_bound == 80
+    assert difference(P({0: 1, 60: 1}), P({0: 1}, bound=40)) == S({}, bound=40)   # the lower bound wins
     assert S({1: 1}) * S({1: 1}) == S({2: 1}, bound=81)
     # (2 q^{1/8})^4 (1+q) = 16 q^{1/2} + 16 q^{3/2}
     m = S({1: 2})
@@ -70,20 +83,21 @@ def _polynomial_series():
 
 def test_ring_mismatch_rejected():
     gp_series = _polynomial_series()
-    for op in (lambda a, b: a - b, lambda a, b: a * b):
-        for a, b in ((gp_series, S({0: 1})), (S({0: 1}), gp_series)):
-            with pytest.raises(AlgebraError, match="Fraction series only"):
-                op(a, b)
+    for a, b in ((gp_series, S({0: 1})), (S({0: 1}), gp_series)):
+        with pytest.raises(AlgebraError, match="Fraction series only"):
+            a * b
+        with pytest.raises(TypeError):
+            a - b
 
 
 def test_polynomial_series_have_no_arithmetic():
-    """A polynomial-valued series is a view: its product and difference raise, and its terms are read."""
+    """A polynomial-valued series is a view: its product raises, it has no difference, and its terms are read."""
     gp_series = _polynomial_series()
     with pytest.raises(AlgebraError, match="read a polynomial series' terms"):
         gp_series * gp_series
-    with pytest.raises(AlgebraError, match="read a polynomial series' terms"):
+    with pytest.raises(TypeError):
         gp_series - gp_series
-    for gone in ("__add__", "__neg__", "scale", "constant", "map_coefficients", "exponents",
+    for gone in ("__add__", "__sub__", "__neg__", "scale", "constant", "map_coefficients", "exponents",
                  "leading_exponent", "is_zero"):
         assert not hasattr(PuiseuxSeries, gone), gone
 
@@ -145,9 +159,8 @@ def test_scalar_product_matches_naive_convolution(a, b, cancel):
 
 
 def test_scalar_product_cancels_to_zero():
-    one = S({0: 1}, bound=40)
-    h = S({4: Fraction(1, 2)}, bound=40)
-    assert (S({0: 1, 4: Fraction(1, 2)}, bound=40) * (one - h)).terms == {0: Fraction(1), 8: Fraction(-1, 4)}
+    one_minus_h = S({0: 1, 4: Fraction(-1, 2)}, bound=40)
+    assert (S({0: 1, 4: Fraction(1, 2)}, bound=40) * one_minus_h).terms == {0: Fraction(1), 8: Fraction(-1, 4)}
     lead = S({1: Fraction(3, 8), 9: Fraction(-5, 6)}, bound=33)
     assert not lead * S({}, bound=33)
     assert (lead * S({}, bound=33)).order_bound == 33 + 1   # the empty operand's lead is 34

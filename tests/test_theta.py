@@ -57,16 +57,59 @@ def test_jacobi_identity():
     assert not jacobi_residual(1)
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_jacobi_residual_reaches_an_eighth_past_the_order(n):
+    """The residual is zero through ``q^(n+1/8)``, and the packed nulls it reads through that
+    position hold the lattice sums of one order more, cut there: no term of the even nulls is missed."""
+    r = jacobi_residual(n)
+    assert not r and r.order_bound == 8 * n + 1
+    for kind in ("theta1", "theta2", "theta3", "theta_prime"):
+        got = PuiseuxSeries.from_packed(theta._null(kind, n, 8 * n + 1), Fraction(0))
+        assert got.terms == {k: c for k, c in theta_null_product_form(kind, n + 1).terms.items() if k <= 8 * n + 1}
+
+
+@pytest.mark.parametrize("n", [1, 4, 12])
+def test_jacobi_residual_sees_its_last_position(monkeypatch, n):
+    """A term planted at lattice ``8n + 1`` of the packed ``theta_prime`` is the whole residual."""
+    real = theta._null
+
+    def planted(kind, order, bound):
+        c = real(kind, order, bound)
+        if kind != "theta_prime":
+            return c
+        nums = list(c.cols[0])
+        nums[(8 * order + 1) // c.step] += 1
+        return c._replace(cols={0: nums})
+
+    monkeypatch.setattr(theta, "_null", planted)
+    assert jacobi_residual(n).terms == {8 * n + 1: Fraction(1)}
+
+
 def test_jacobi_checker_detects_perturbation(monkeypatch):
     """theta1 replaced by 1 (the triple product loses a factor) or halved: the residual is nonzero."""
-    real = theta.theta_null
-    for perturb in (lambda s: {0: Fraction(1)}, lambda s: {u: c / 2 for u, c in s.terms.items()}):
-        def perturbed(kind, order):
-            s = real(kind, order)
-            return PuiseuxSeries(perturb(s), s.order_bound, s.zero) if kind == "theta1" else s
+    real = theta._null
+    for perturb in (lambda c: c._replace(cols={0: [1]}), lambda c: c._replace(den=2 * c.den)):
+        def perturbed(kind, order, bound):
+            c = real(kind, order, bound)
+            return perturb(c) if kind == "theta1" else c
 
-        monkeypatch.setattr(theta, "theta_null", perturbed)
+        monkeypatch.setattr(theta, "_null", perturbed)
         assert jacobi_residual(6)
+
+
+@pytest.mark.parametrize("x,y", [(("a", 5, 8), ("d", 3, 6)), (("a", 0, 6), ("t1", 4, 10)),
+                                 (("t1", 6, 4), ("t2", 3, 8)), (("d", 2, 10), ("t3", 5, 6)),
+                                 (("t2", 4, 6), ("t3", 2, 10))])
+def test_factor_product_matches_oracle(x, y):
+    """Logs with unequal orders and z-bounds, on either lattice, multiply as their ``Fraction`` views,
+    and every column of the product is reduced."""
+    a, b = theta_log(*x), theta_log(*y)
+    got = a * b
+    zb, qb = min(a.z_bound, b.z_bound), min(a.q_bound, b.q_bound)
+    assert (got.z_bound, got.q_bound) == (zb, qb)
+    assert got.terms == bivariate_mul(a.terms, b.terms, zb, qb)
+    for c in got.cols.values():
+        assert any(c.cols[0]) and gcd(c.den, *c.cols[0]) == 1
 
 
 def test_factor_q0_slices():
