@@ -5,13 +5,16 @@ table of weighted generators and are truncated by total weight; they stand
 for characteristic forms written in normalized Pontryagin-type generators.
 Every operation is exact: no floats anywhere.
 
-At rest a polynomial holds int numerators over one positive denominator,
-kept reduced, and every ring operation runs on those ints; ``Fraction``s are
-made only for the ``.terms`` view.  The text and JSON renderings write each
-coefficient from its numerator over ``den``.  Polynomial products go
-through :func:`dot`, which takes only its pairs: it rescales each pair's
-integer numerators to one common denominator, multiplies and adds plain
-ints, and reduces the result once.
+A monomial is one int: its exponent vector packed by :class:`Packing`,
+with its weight in the top field.  At rest a polynomial holds int
+numerators, keyed by packed monomial, over one positive denominator, kept
+reduced, and every ring operation runs on those ints; exponent vectors and
+``Fraction``s are made only at the public edge (the constructor, the
+``.terms`` view, the renderings and the standard basis).  The text and JSON
+renderings write each coefficient from its numerator over ``den``.
+Polynomial products go through :func:`dot`, which takes only its pairs: it
+rescales each pair's integer numerators to one common denominator,
+multiplies and adds plain ints, and reduces the result once.
 
 Polynomial-valued q-series on the hot path live in a transposed integer
 form, :class:`QColumns`: ``(den, step, {packed monomial: [numerator per
@@ -93,14 +96,9 @@ class Generator(NamedTuple):
 
 
 class GeneratorTable:
-    """Ordered, immutable list of generators; positions index exponent vectors.
+    """Ordered, immutable list of generators; positions index exponent vectors."""
 
-    The table owns monomial weights: each distinct exponent vector's weight is
-    computed once and memoized on the instance.  The generators never change,
-    so the memo is exact.
-    """
-
-    __slots__ = ("gens", "_hash", "_index", "_weights", "_standard", "_twos", "_packings")
+    __slots__ = ("gens", "_hash", "_index", "_standard", "_twos", "_packings")
 
     def __init__(self, gens: Sequence[Generator]):
         names = [g.name for g in gens]
@@ -112,7 +110,6 @@ class GeneratorTable:
         object.__setattr__(self, "gens", tuple(gens))
         object.__setattr__(self, "_hash", hash(self.gens))     # memo keys hash it often
         object.__setattr__(self, "_index", {g.name: i for i, g in enumerate(gens)})
-        object.__setattr__(self, "_weights", {})
         object.__setattr__(self, "_standard", None)
         object.__setattr__(self, "_twos", None)
         object.__setattr__(self, "_packings", {})
@@ -133,11 +130,7 @@ class GeneratorTable:
             raise AlgebraError(f"unknown generator {name!r}") from None
 
     def monomial_weight(self, exponents: tuple[int, ...]) -> int:
-        w = self._weights.get(exponents)
-        if w is None:
-            w = sum(e * g.weight for e, g in zip(exponents, self.gens))
-            self._weights[exponents] = w
-        return w
+        return sum(e * g.weight for e, g in zip(exponents, self.gens))
 
     def packing(self, cap: int) -> "Packing":
         """The exponent packing for polynomials truncated at ``cap`` (built once per cap)."""
@@ -181,22 +174,25 @@ class GeneratorTable:
 
 
 class Packing:
-    """Exponent vectors of weight <= ``cap`` packed into one int, one bit field per generator.
+    """Monomials of weight <= ``cap`` packed into one int: one bit field per generator, and the weight on top.
 
-    Generator ``i`` gets a field wide enough for ``cap // weight_i``.  Two
-    vectors whose weights add up to at most ``cap`` add field by field with
-    no carry, so their packed keys add as plain ints.  Both directions are
-    memoized; the generators and the cap never change, so the memos are exact.
+    Generator ``i`` gets a field wide enough for ``cap // weight_i``, and the
+    monomial's weight sits in one field above them all, at bit ``top``:
+    ``key(e) = sum(e_i * units[i])`` with ``units[i] = 2^shift_i + weight_i *
+    2^top``.  So ``key >> top`` is the weight, the key of 1 is 0, and two
+    monomials whose weights add up to at most ``cap`` add field by field with
+    no carry: their keys add as plain ints.  :meth:`vector` is memoized; the
+    generators and the cap never change, so the memo is exact.
 
     >>> from anomcancel.genus import build_generator_table
     >>> p = build_generator_table(2, 0, True, 4).packing(4)
     >>> p.key((1, 0, 2)) + p.key((0, 1, 0)) == p.key((1, 1, 2))
     True
-    >>> p.vector(p.key((0, 1, 0)))
-    (0, 1, 0)
+    >>> p.vector(p.key((0, 1, 0))), p.key((0, 1, 0)) >> p.top, p.key((1, 0, 2)) >> p.top, p.key((0, 0, 0))
+    ((0, 1, 0), 4, 4, 0)
     """
 
-    __slots__ = ("fields", "keys", "vectors")
+    __slots__ = ("fields", "units", "top", "vectors")
 
     def __init__(self, gens: Sequence[Generator], cap: int):
         fields = []
@@ -206,28 +202,18 @@ class Packing:
             fields.append((shift, (1 << bits) - 1))
             shift += bits
         self.fields = tuple(fields)
-        self.keys: dict[tuple[int, ...], int] = {}
+        self.units = tuple((1 << s) + (g.weight << shift) for (s, _), g in zip(fields, gens))
+        self.top = shift
         self.vectors: dict[int, tuple[int, ...]] = {}
 
     def key(self, exponents: tuple[int, ...]) -> int:
-        k = self.keys.get(exponents)
-        if k is None:
-            k = sum(e << shift for e, (shift, _) in zip(exponents, self.fields))
-            self.keys[exponents] = k
-            self.vectors[k] = exponents
-        return k
+        return sum(e * u for e, u in zip(exponents, self.units))
 
     def vector(self, key: int) -> tuple[int, ...]:
         v = self.vectors.get(key)
         if v is None:
-            v = tuple((key >> shift) & mask for shift, mask in self.fields)
-            self.vectors[key] = v
-            self.keys[v] = key
+            v = self.vectors[key] = tuple((key >> shift) & mask for shift, mask in self.fields)
         return v
-
-
-def _zero_exps(n: int) -> tuple[int, ...]:
-    return (0,) * n
 
 
 class GradedPolynomial:
@@ -236,82 +222,67 @@ class GradedPolynomial:
     Terms of weight above ``max_weight`` are discarded on every operation,
     so products agree with the exact product up to that weight.  Products
     go through :func:`dot`, which never visits a pair of terms whose weights
-    add up to more than ``max_weight``.  Monomial weights come from the
-    table, which computes each exponent vector's weight once.  At rest the
-    coefficients are ``nums``, exponent vector to nonzero int numerator, over
-    one positive ``den``, kept reduced (``gcd(den, *nums) == 1``), so equal
-    polynomials hold equal ints; ``terms`` is a ``Fraction`` view built on
-    each read.  The constructor takes int or ``Fraction`` coefficients and
-    rejects anything else with ``TypeError``.  :meth:`int_form` is built on
-    first use and kept on the (immutable) instance.
+    add up to more than ``max_weight``.  At rest the coefficients are
+    ``nums``, packed monomial (``table.packing(max_weight)``, which carries
+    the weight) to nonzero int numerator, over one positive ``den``, kept
+    reduced (``gcd(den, *nums) == 1``), so equal polynomials hold equal ints;
+    ``terms`` is the ``{exponent vector: Fraction}`` view, built on each
+    read.  The constructor takes int or ``Fraction`` coefficients and rejects
+    anything else with ``TypeError``.
     """
 
-    __slots__ = ("table", "den", "nums", "max_weight", "_ints")
+    __slots__ = ("table", "den", "nums", "max_weight")
 
     def __init__(self, table: GeneratorTable, terms: Mapping[tuple[int, ...], ScalarLike], max_weight: int):
-        ratios: dict[tuple[int, ...], tuple[int, int]] = {}
+        ratios: dict[int, tuple[int, int]] = {}
         n = len(table)
+        packing = table.packing(max_weight)
         for exps, coeff in terms.items():
             if len(exps) != n:
                 raise AlgebraError("exponent vector length does not match table")
-            if table.monomial_weight(exps) > max_weight:
+            key = packing.key(exps)
+            if key >> packing.top > max_weight:
                 continue
             p, q = _ratio(coeff)
             if p:
-                ratios[exps] = p, q
+                ratios[key] = p, q
         den = lcm(*(q for _, q in ratios.values()))     # over the lcm of reduced denominators: reduced
-        self._init(table, den, {e: p * (den // q) for e, (p, q) in ratios.items()}, max_weight, None)
+        self._init(table, den, {k: p * (den // q) for k, (p, q) in ratios.items()}, max_weight)
 
-    def _init(self, table, den, nums, max_weight, form):
+    def _init(self, table, den, nums, max_weight):
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "max_weight", max_weight)
-        object.__setattr__(self, "_ints", form)
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedPolynomial is immutable")
 
     @staticmethod
-    def _from_ints(table: GeneratorTable, den: int, nums: dict[tuple[int, ...], int], max_weight: int,
-                   groups=None) -> "GradedPolynomial":
-        """A polynomial from nonzero int numerators within the cap over ``den >= 1``, reduced here.
-
-        ``groups``, when given, holds the same numerators as :meth:`int_form` lists them.
-        """
+    def _from_ints(table: GeneratorTable, den: int, nums: dict[int, int], max_weight: int) -> "GradedPolynomial":
+        """A polynomial from nonzero int numerators, keyed by packed monomial within the cap, over ``den >= 1``."""
         if den != 1:
             common = gcd(den, *nums.values())
             if common > 1:
                 den //= common
-                nums = {e: n // common for e, n in nums.items()}
-                if groups is not None:
-                    groups = [(w, [(k, n // common) for k, n in items]) for w, items in groups]
+                nums = {k: n // common for k, n in nums.items()}
         self = object.__new__(GradedPolynomial)
-        self._init(table, den, nums, max_weight, None if groups is None else (den, groups))
+        self._init(table, den, nums, max_weight)
         return self
 
     @property
     def terms(self) -> dict[tuple[int, ...], Fraction]:
         """``{exponent vector: coefficient}`` over the nonzero terms, as ``Fraction``s."""
-        den = self.den
-        return {e: Fraction(n, den) for e, n in self.nums.items()}
+        den, vector = self.den, self.table.packing(self.max_weight).vector
+        return {vector(k): Fraction(n, den) for k, n in self.nums.items()}
 
     def int_form(self) -> tuple[int, list[tuple[int, list[tuple[int, int]]]]]:
-        """``(den, [(weight, [(key, numerator), ...]), ...])``, weights increasing.
-
-        The stored numerators grouped by weight; ``key`` is the exponent
-        vector packed by ``table.packing(max_weight)``.
-        """
-        form = self._ints
-        if form is None:
-            key = self.table.packing(self.max_weight).key
-            weight = self.table.monomial_weight
-            groups: dict[int, list] = {}
-            for e, n in self.nums.items():
-                groups.setdefault(weight(e), []).append((key(e), n))
-            form = (self.den, sorted(groups.items()))
-            object.__setattr__(self, "_ints", form)
-        return form
+        """``(den, [(weight, [(key, numerator), ...]), ...])``, weights increasing: ``nums`` grouped by weight."""
+        top = self.table.packing(self.max_weight).top
+        groups: dict[int, list] = {}
+        for k, n in self.nums.items():
+            groups.setdefault(k >> top, []).append((k, n))
+        return self.den, sorted(groups.items())
 
     def __reduce__(self):
         return GradedPolynomial._from_ints, (self.table, self.den, self.nums, self.max_weight)
@@ -324,7 +295,7 @@ class GradedPolynomial:
 
     @staticmethod
     def scalar(value: ScalarLike, table: GeneratorTable, max_weight: int) -> "GradedPolynomial":
-        return GradedPolynomial(table, {_zero_exps(len(table)): value}, max_weight)
+        return GradedPolynomial(table, {(0,) * len(table): value}, max_weight)
 
     @staticmethod
     def one(table: GeneratorTable, max_weight: int) -> "GradedPolynomial":
@@ -346,14 +317,14 @@ class GradedPolynomial:
         da, db = self.den, other.den
         den = da if da == db else lcm(da, db)
         ma, mb = den // da, sign * (den // db)
-        nums = dict(self.nums) if ma == 1 else {e: n * ma for e, n in self.nums.items()}
+        nums = dict(self.nums) if ma == 1 else {k: n * ma for k, n in self.nums.items()}
         get = nums.get
-        for e, n in other.nums.items():
-            s = get(e, 0) + n * mb
+        for k, n in other.nums.items():
+            s = get(k, 0) + n * mb
             if s:
-                nums[e] = s
+                nums[k] = s
             else:
-                del nums[e]
+                del nums[k]
         return GradedPolynomial._from_ints(self.table, den, nums, self.max_weight)
 
     def __add__(self, other):
@@ -365,7 +336,7 @@ class GradedPolynomial:
         return self._plus(other, -1)
 
     def __neg__(self):
-        return GradedPolynomial._from_ints(self.table, self.den, {e: -n for e, n in self.nums.items()},
+        return GradedPolynomial._from_ints(self.table, self.den, {k: -n for k, n in self.nums.items()},
                                            self.max_weight)
 
     def __mul__(self, other):
@@ -383,13 +354,13 @@ class GradedPolynomial:
         p, q = _ratio(value)
         if not p:
             return GradedPolynomial.zero(self.table, self.max_weight)
-        nums = self.nums if p == 1 else {e: n * p for e, n in self.nums.items()}
+        nums = self.nums if p == 1 else {k: n * p for k, n in self.nums.items()}
         return GradedPolynomial._from_ints(self.table, self.den * q, nums, self.max_weight)
 
     def scale_by_weight(self, m: int) -> "GradedPolynomial":
         """Each weight-w term times ``m^w``: the ring map that multiplies a generator of weight w by ``m^w``."""
-        weight = self.table.monomial_weight
-        nums = {e: v for e, n in self.nums.items() if (v := n * m ** weight(e))}
+        top = self.table.packing(self.max_weight).top
+        nums = {k: v for k, n in self.nums.items() if (v := n * m ** (k >> top))}
         return GradedPolynomial._from_ints(self.table, self.den, nums, self.max_weight)
 
     def __pow__(self, n: int):
@@ -421,18 +392,19 @@ class GradedPolynomial:
         """Homogeneous part of total weight exactly ``weight``."""
         if weight < 0 or weight > self.max_weight:
             raise AlgebraError(f"weight {weight} outside [0, {self.max_weight}]")
-        weight_of = self.table.monomial_weight
-        nums = {e: n for e, n in self.nums.items() if weight_of(e) == weight}
+        top = self.table.packing(self.max_weight).top
+        nums = {k: n for k, n in self.nums.items() if k >> top == weight}
         return GradedPolynomial._from_ints(self.table, self.den, nums, self.max_weight)
 
     def constant_term(self) -> Fraction:
-        return Fraction(self.nums.get(_zero_exps(len(self.table)), 0), self.den)
+        return Fraction(self.nums.get(0, 0), self.den)
 
     def one_like(self) -> "GradedPolynomial":
         return GradedPolynomial.one(self.table, self.max_weight)
 
     def is_homogeneous(self, weight: int) -> bool:
-        return all(self.table.monomial_weight(e) == weight for e in self.nums)
+        top = self.table.packing(self.max_weight).top
+        return all(k >> top == weight for k in self.nums)
 
     def substitute(self, name: str, replacement: "GradedPolynomial") -> "GradedPolynomial":
         """Replace one generator by a homogeneous polynomial of equal weight (``self`` if no term has it)."""
@@ -441,11 +413,14 @@ class GradedPolynomial:
         w = self.table.gens[i].weight
         if not replacement.is_homogeneous(w):
             raise AlgebraError(f"replacement for {name} must be homogeneous of weight {w}")
-        if not any(exps[i] for exps in self.nums):
+        packing = self.table.packing(self.max_weight)
+        (shift, mask), unit = packing.fields[i], packing.units[i]
+        rests: dict[int, dict[int, int]] = {}
+        for k, n in self.nums.items():
+            e = (k >> shift) & mask
+            rests.setdefault(e, {})[k - e * unit] = n     # the weight field drops with the power
+        if not any(rests):
             return self
-        rests: dict[int, dict[tuple[int, ...], int]] = {}
-        for exps, n in self.nums.items():
-            rests.setdefault(exps[i], {})[exps[:i] + (0,) + exps[i + 1:]] = n
         powers = [self.one_like()]
         for _ in range(max(rests, default=0)):
             powers.append(powers[-1] * replacement)
@@ -462,26 +437,26 @@ class GradedPolynomial:
         standard names with the same weights.  The map is a graded ring
         isomorphism: it rescales each monomial by a sign and a power of 2.
         """
-        twos = self.table.standard_twos
+        twos, vector = self.table.standard_twos, self.table.packing(self.max_weight).vector
         shifted = []
-        for exps, n in self.nums.items():
+        for key, n in self.nums.items():
             s = 0
-            for e, (negative, k) in zip(exps, twos):
+            for e, (negative, k) in zip(vector(key), twos):
                 if e:
                     s += e * k
                     if negative and e & 1:
                         n = -n
-            shifted.append((exps, n, s))
+            shifted.append((key, n, s))
         low = min((s for _, _, s in shifted if s < 0), default=0)
-        nums = {exps: n << (s - low) for exps, n, s in shifted}
+        nums = {key: n << (s - low) for key, n, s in shifted}     # same weights, so the same packing
         return GradedPolynomial._from_ints(self.table.standard_table, self.den << -low, nums, self.max_weight)
 
     def _coefficient_texts(self):
         """``(exponent vector, str(Fraction(n, den)))`` by weight, then exponent vector, written from the ints."""
-        weight, den, nums = self.table.monomial_weight, self.den, self.nums
-        for e in sorted(nums, key=lambda e: (weight(e), e)):
-            g = gcd(nums[e], den)
-            yield e, str(nums[e] // g) if g == den else f"{nums[e] // g}/{den // g}"
+        packing, den = self.table.packing(self.max_weight), self.den
+        for k, n in sorted(self.nums.items(), key=lambda kn: (kn[0] >> packing.top, packing.vector(kn[0]))):
+            g = gcd(n, den)
+            yield packing.vector(k), str(n // g) if g == den else f"{n // g}/{den // g}"
 
     def to_text(self) -> str:
         parts = []
@@ -518,9 +493,8 @@ def dot(pairs: Sequence[tuple[GradedPolynomial, GradedPolynomial]], table: Gener
     once, by their gcd, into the result's numerators and denominator.  Both
     operands are grouped by weight: a left group meets only the right groups
     that land in ``floor..cap``, and none once nothing fits, so ``floor=cap``
-    multiplies only the pairs of the top weight.  Packed exponents add
-    as ints (see :class:`Packing`), and the result keeps the integer form it
-    was built from.
+    multiplies only the pairs of the top weight.  Packed monomials add as
+    ints (see :class:`Packing`), so the sums are already the result's keys.
 
     >>> from anomcancel.genus import build_generator_table
     >>> t = build_generator_table(1, 0, True, 2)
@@ -534,12 +508,11 @@ def dot(pairs: Sequence[tuple[GradedPolynomial, GradedPolynomial]], table: Gener
         if a.table is not table or b.table is not table or a.max_weight != cap or b.max_weight != cap:
             _check_space(a, table, cap)
             _check_space(b, table, cap)
-        da, left = a._ints or a.int_form()
-        db, right = b._ints or b.int_form()
-        if left and right:
-            den = lcm(den, da * db)
-            live.append((da * db, left, right))
-    acc: dict[int, dict[int, int]] = {}
+        if a.nums and b.nums:
+            den = lcm(den, a.den * b.den)
+            live.append((a.den * b.den, a.int_form()[1], b.int_form()[1]))
+    acc: dict[int, int] = {}
+    get = acc.get
     for d, left, right in live:
         m = den // d
         for w1, group in left:
@@ -548,17 +521,11 @@ def dot(pairs: Sequence[tuple[GradedPolynomial, GradedPolynomial]], table: Gener
                     break
                 if w1 + w2 < floor:
                     continue
-                out = acc.setdefault(w1 + w2, {})
-                get = out.get
                 for k1, n1 in group:
                     n1 *= m
                     for k2, n2 in g:
-                        out[k1 + k2] = get(k1 + k2, 0) + n1 * n2
-    groups = [(w, [item for item in out.items() if item[1]]) for w, out in sorted(acc.items())]
-    groups = [(w, items) for w, items in groups if items]
-    vector = table.packing(cap).vector
-    nums = {vector(k): n for _, items in groups for k, n in items}
-    return GradedPolynomial._from_ints(table, den, nums, cap, groups)
+                        acc[k1 + k2] = get(k1 + k2, 0) + n1 * n2
+    return GradedPolynomial._from_ints(table, den, {k: n for k, n in acc.items() if n}, cap)
 
 
 # -- polynomial-valued q-series in packed integer form ------------------------
@@ -583,9 +550,8 @@ class QColumns(NamedTuple):
 
     @staticmethod
     def of(p: GradedPolynomial) -> "QColumns":
-        """``p`` as an exact single-position series, from its integer form (:meth:`GradedPolynomial.int_form`)."""
-        den, groups = p.int_form()
-        return QColumns(den, 1, {key: [n] for _, items in groups for key, n in items})
+        """``p`` as an exact single-position series: its stored numerators, keys and denominator as they are."""
+        return QColumns(p.den, 1, {key: [n] for key, n in p.nums.items()})
 
     def coefficient(self, k: int, table: GeneratorTable, cap: int) -> GradedPolynomial:
         """The coefficient at lattice ``k`` as a polynomial on ``table`` (zero off the lattice)."""
@@ -593,8 +559,7 @@ class QColumns(NamedTuple):
             from .qseries import require_known
             require_known(k, self.bound)
         i, off = divmod(k, self.step)
-        vector = table.packing(cap).vector
-        nums = {vector(key): ns[i] for key, ns in self.cols.items() if not off and 0 <= i < len(ns) and ns[i]}
+        nums = {key: ns[i] for key, ns in self.cols.items() if not off and 0 <= i < len(ns) and ns[i]}
         return GradedPolynomial._from_ints(table, self.den, nums, cap)
 
 

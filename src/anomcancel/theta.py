@@ -41,7 +41,7 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 
 from .algebra import ONE, AlgebraError, QColumns, ScalarLike, _ratio, mul_sum
-from .qseries import HALF_UNIT, Q_UNIT, PuiseuxSeries
+from .qseries import HALF_UNIT, Q_UNIT, PuiseuxSeries, TruncationError, require_known
 
 # kind: (on the half lattice, parity sign, outer sign, over 4^j - 1, q^0 sign)
 _LOG_KINDS = {"a": (False, 1, 1, True, 1), "t1": (False, -1, -1, False, -1), "t2": (True, 1, -1, False, 0),
@@ -154,7 +154,14 @@ class RootFactor:
                 for d, c in self.cols.items() for i, n in enumerate(c.cols[0]) if n}
 
     def coefficient(self, d: int, k: int) -> Fraction:
-        return self.terms.get((d, k), Fraction(0))
+        """The coefficient of ``z^d`` at lattice ``k``, read off one column; past either bound it is not known."""
+        if d > self.z_bound:
+            raise TruncationError(f"coefficient at z^{d} is beyond the computed order z^{self.z_bound}")
+        require_known(k, self.q_bound)
+        c = self.cols.get(d)
+        if c is None or k % c.step or not 0 <= k // c.step < len(c.cols[0]):
+            return Fraction(0)     # an absent column, off the lattice, below q^0 or past the stored list
+        return Fraction(c.cols[0][k // c.step], c.den)
 
     def __mul__(self, other: "RootFactor") -> "RootFactor":
         # one mul_sum over column pairs keyed by z-degree.  No library caller: kept because the benchmark's

@@ -584,19 +584,22 @@ def packed(series: TermSeries) -> QColumns:
     Positions go on the gcd of 8 and the stored exponents, numerators over
     the lcm of all denominators.  A monomial's key gives generator ``i`` a
     bit field of ``(cap // weight_i).bit_length()`` bits, first generator
-    lowest, at the truncation weight ``cap`` of the series' ring.
+    lowest, at the truncation weight ``cap`` of the series' ring, and puts
+    the monomial's weight, from the generator weights, in one field above
+    them all.
     """
     shifts, shift = [], 0
     for g in series.table.gens:
         shifts.append(shift)
         shift += (series.cap // g.weight).bit_length()
+    weights = [g.weight for g in series.table.gens]
     step = gcd(8, *series.terms)
     den = lcm(*(c.denominator for t in series.terms.values() for c in t.values()))
     size = max(series.terms, default=0) // step + 1
     cols: dict[int, list[int]] = {}
     for pos, t in series.terms.items():
         for e, c in t.items():
-            key = sum(x << s for x, s in zip(e, shifts))
+            key = sum(x << s for x, s in zip(e, shifts)) + (sum(x * w for x, w in zip(e, weights)) << shift)
             cols.setdefault(key, [0] * size)[pos // step] = c.numerator * (den // c.denominator)
     return QColumns(den, step, cols, series.bound)
 

@@ -122,7 +122,7 @@ def test_float_coefficients_rejected():
     with pytest.raises(TypeError):
         GradedPolynomial.scalar(0.5, t, 4)
     with pytest.raises(TypeError):
-        GradedPolynomial(t, {next(iter(n1.nums)): 0.5}, 4)
+        GradedPolynomial(t, {next(iter(n1.terms)): 0.5}, 4)
     with pytest.raises(TypeError):
         n1.scale(0.5)
 

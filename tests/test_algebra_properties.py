@@ -67,7 +67,7 @@ def assert_canonical(p: GradedPolynomial):
     assert type(p.den) is int and p.den >= 1
     assert all(type(n) is int and n for n in p.nums.values())
     assert gcd(p.den, *p.nums.values()) == 1
-    assert all(p.table.monomial_weight(e) <= p.max_weight for e in p.nums)
+    assert all(p.table.monomial_weight(e) <= p.max_weight for e in p.terms)
 
 
 @PROPERTY
@@ -297,6 +297,48 @@ def test_substitute_matches_oracle(kind, terms):
     assert got.terms == _oracle_substitute(p.terms, TABLE.index(name), repl.terms, W)
     assert all(got.terms.values())
     assert_canonical(got)
+
+
+@st.composite
+def substitutions(draw):
+    """A generator, a homogeneous replacement of its weight, and a polynomial with that generator squared."""
+    name = draw(st.sampled_from(["nM1", "nV1", "w"]))
+    i = TABLE.index(name)
+    same_weight = [e for e in MONOMIALS if _weight(e) == TABLE.gens[i].weight]
+    repl = draw(st.dictionaries(st.sampled_from(same_weight), mixed_coeffs, min_size=1, max_size=3))
+    terms = draw(st.dictionaries(st.sampled_from(MONOMIALS), mixed_coeffs, max_size=6))
+    terms[tuple(2 if j == i else 0 for j in range(len(TABLE)))] = draw(mixed_coeffs)
+    return name, repl, terms
+
+
+@PROPERTY
+@given(substitutions())
+def test_substitute_drops_the_weight_field_with_the_power(case):
+    """Each key's top field is its vector's weight after a substitution, and the result is the oracle's."""
+    name, repl, terms = case
+    got = GradedPolynomial(TABLE, terms, W).substitute(name, GradedPolynomial(TABLE, repl, W))
+    packing = TABLE.packing(W)
+    assert all(k >> packing.top == TABLE.monomial_weight(packing.vector(k)) for k in got.nums)
+    assert got.terms == _oracle_substitute(terms, TABLE.index(name), repl, W)
+    assert_canonical(got)
+
+
+# -- the packed monomial key -------------------------------------------------------
+
+
+@PROPERTY
+@given(st.integers(0, 2 * W).flatmap(lambda cap: st.tuples(st.just(cap), AT_MOST[cap], AT_MOST[cap])))
+def test_packed_key_holds_the_vector_and_its_weight(case):
+    """A key reads back as its vector, its top field is the weight, 1 packs to 0, and keys add
+    as their vectors do whenever the two weights add up to at most the cap."""
+    cap, a, b = case
+    packing = TABLE.packing(cap)
+    for e in (a, b):
+        assert packing.vector(packing.key(e)) == e
+        assert packing.key(e) >> packing.top == TABLE.monomial_weight(e)
+    assert packing.key((0,) * len(TABLE)) == 0
+    if _weight(a) + _weight(b) <= cap:
+        assert packing.key(a) + packing.key(b) == packing.key(tuple(x + y for x, y in zip(a, b)))
 
 
 # -- the packed multiply-and-sum against a position-by-position convolution ---------

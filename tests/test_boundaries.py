@@ -8,11 +8,11 @@ families, additive sums over roots) and ``qseries`` (the lattice units) are
 shared ground, and the two routes share one exp, ``algebra.exp_by_grade``.
 No oracle in ``tests/helpers.py`` may reach the fast packed kernel
 (``mul_sum``, its ``field_width`` and ``_kronecker``) it checks, and no library module but
-``algebra`` names the monomial packing or builds a polynomial from raw int
-numerators: the others go through ``QColumns.of`` and
-``QColumns.coefficient``, and through the public constructor and the ring
-operations.  The string oracle reads nothing of the library but ``algebra``:
-its series is the oracles' own ``TermSeries``.
+``algebra`` names the monomial packing, builds a polynomial from raw int
+numerators or reads a polynomial's packed ``nums``: the others go through
+``QColumns.of`` and ``QColumns.coefficient``, and through the public
+constructor and the ring operations.  The string oracle reads nothing of the
+library but ``algebra``: its series is the oracles' own ``TermSeries``.
 
 Three guards run code instead of reading it.  ``import anomcancel`` loads
 no process-pool machinery, which would cost every ``verify`` more time than
@@ -109,6 +109,17 @@ def test_only_algebra_names_the_packing():
     named = {p.name: sorted(names_in(ast.parse(p.read_text())) & PACKING)
              for p in modules if p.name != "algebra.py"}
     assert not {m: n for m, n in named.items() if n}
+
+
+def test_only_algebra_reads_the_stored_numerators():
+    """``GradedPolynomial.nums`` is keyed by packed monomial, a format kept inside ``algebra``: the
+    others read ``.terms``, ``int_form`` and the packed series.  Local variables named ``nums`` are
+    no attribute read, so they pass."""
+    modules = sorted(SOURCES.glob("*.py"))
+    assert len(modules) > 1 and SOURCES / "algebra.py" in modules
+    readers = [p.name for p in modules if p.name != "algebra.py" and any(
+        isinstance(n, ast.Attribute) and n.attr == "nums" for n in ast.walk(ast.parse(p.read_text())))]
+    assert not readers
 
 
 @pytest.mark.parametrize("module", ["anomaly", "kvirt"])

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anomcancel import theta
-from anomcancel.qseries import PuiseuxSeries
+from anomcancel.qseries import PuiseuxSeries, TruncationError
 from anomcancel.theta import (FACTOR_KINDS, RootFactor, jacobi_residual, theta_factor,
                               theta_log, theta_null)
 
@@ -129,6 +129,19 @@ def test_factor_parity_and_unit():
         assert {k: c for (d, k), c in f.terms.items() if d == 0} == {0: 1}
     d = theta_factor("d", 4, 5)
     assert d.terms and all(dd % 2 == 1 for dd, _ in d.terms)
+
+
+def test_coefficient_past_either_bound_is_unknown():
+    """Past ``z_bound`` or ``q_bound`` a coefficient is unknown and raises; known zeros read 0."""
+    a = theta_factor("a", 3, 4)
+    assert (a.z_bound, a.q_bound) == (4, 24)
+    for d, k in ((6, 0), (0, 100), (5, 8), (2, 25)):
+        with pytest.raises(TruncationError):
+            a.coefficient(d, k)
+    # odd z-degree, off the lattice, below q^0
+    assert [a.coefficient(d, k) for d, k in ((1, 0), (3, 8), (2, 3), (2, -8), (-2, 0))] == [0] * 5
+    assert all(a.coefficient(d, k) == c for (d, k), c in a.terms.items())
+    assert a.coefficient(4, 24) == a.terms[4, 24] and a.coefficient(0, 24) == 0
 
 
 def test_a_times_reduced_theta_is_z():

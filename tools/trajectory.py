@@ -17,8 +17,10 @@ tree's ``src`` is byte-compiled first, so no run pays for compiling it, even
 under ``PYTHONDONTWRITEBYTECODE`` (which would leave a fresh clone compiling
 every run, about 40 ms of a 0.2 s suite).  The output holds the machine (CPU
 model and count, Python version), each tree's git sha and ``src/`` line
-count, every run, and per point and tree the median and the spread
-(max - min) of the wall times.
+count, every run, and per point and tree the median, the quartiles
+(``statistics.quantiles(n=4)``) and the spread (max - min) of the wall
+times.  Five runs let a change be read against the interquartile distance,
+which one slow run does not stretch the way it stretches the spread.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from pathlib import Path
 POINTS = tuple(f"verify --theorem {p}" for p in (
     "3.1 --k 12 --l 3", "3.1 --k 16 --l 3", "4.6 --k 12 --l 3", "3.1 --k 20 --l 1",
     "3.1 --k 16 --l 3 --qorder 18", "3.1 --k 20 --l 1 --qorder 22")) + ("suite", "suite --parallel 2")
-RUNS = 3
+RUNS = 5
 ENTRY = "import sys; from anomcancel.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
@@ -112,22 +114,27 @@ def main(argv=None) -> int:
                 runs[point, label].append(run)
                 print(f"round {r + 1}  {point:<45} {label:<8} {run['wall_s']:8.3f} s "
                       f"{run['peak_rss_mb']:6.1f} MB  {run['status']}", file=sys.stderr)
+    def walls(point, label):
+        return [x["wall_s"] for x in runs[point, label]]
+
     result = {
         "machine": {"cpu": cpu_model(), "cpus": os.cpu_count(), "python": platform.python_version()},
         "trees": {label: describe(path) for label, path in trees.items()},
         "points": [{
             "point": point, "tree": label,
-            "median_wall_s": round(statistics.median(x["wall_s"] for x in runs[point, label]), 4),
-            "spread_wall_s": round(max(x["wall_s"] for x in runs[point, label])
-                                   - min(x["wall_s"] for x in runs[point, label]), 4),
+            "median_wall_s": round(statistics.median(walls(point, label)), 4),
+            "quartiles_wall_s": [round(q, 4) for q in statistics.quantiles(walls(point, label), n=4)],
+            "spread_wall_s": round(max(walls(point, label)) - min(walls(point, label)), 4),
             "median_peak_rss_mb": round(statistics.median(x["peak_rss_mb"] for x in runs[point, label]), 1),
             "runs": runs[point, label],
         } for point in POINTS for label in labels],
     }
     args.out.write_text(json.dumps(result, indent=2) + "\n")
     for entry in result["points"]:
+        q1, _, q3 = entry["quartiles_wall_s"]
         print(f"{entry['point']:<45} {entry['tree']:<8} median {entry['median_wall_s']:.3f} s "
-              f"(spread {entry['spread_wall_s']:.3f})  {entry['median_peak_rss_mb']} MB  "
+              f"(quartiles {q1:.3f}-{q3:.3f}, spread {entry['spread_wall_s']:.3f})  "
+              f"{entry['median_peak_rss_mb']} MB  "
               f"{sorted({x['status'] for x in entry['runs']})}")
     return 0
 
