@@ -19,8 +19,8 @@ def show_coefficient_bundles():
     # the bundles on the plain ring, before the setting's relation eliminates nM1
     env = get_env(make_setting("spinc4k", 1, 1))
     W = env.setting.weight
-    tangent = complexified_bundle(RootFamily(FAMILY_TM, W), env.table, W)
-    line = complexified_bundle(LINE, env.table, W)
+    tangent = complexified_bundle(RootFamily(FAMILY_TM, W), env.table)
+    line = complexified_bundle(LINE, env.table)
     print("# coefficient bundles of the line-twisted tensor string (dim 4k)")
     series = PuiseuxSeries.from_pieces(theta_object("theta_c", tangent, line, 2), env.gp_zero)
     for units in (0, 4, 8):

@@ -1,20 +1,22 @@
 """Exact sparse graded-polynomial arithmetic over the rationals.
 
-Scalars are ints and ``fractions.Fraction``s.  Polynomials live in a fixed
-table of weighted generators and are truncated by total weight; they stand
-for characteristic forms written in normalized Pontryagin-type generators.
-Every operation is exact: no floats anywhere.
+Scalars are ints and ``fractions.Fraction``s.  A ring is a
+:class:`GeneratorTable`: weighted generators and the total weight ``cap``
+that every polynomial on it is truncated at, fixed once per table, so no
+operation takes a cap of its own.  Polynomials stand for characteristic
+forms written in normalized Pontryagin-type generators.  Every operation is
+exact: no floats anywhere.
 
-A monomial is one int: its exponent vector packed by :class:`Packing`,
-with its weight in the top field.  At rest a polynomial holds int
-numerators, keyed by packed monomial, over one positive denominator, kept
-reduced, and every ring operation runs on those ints; exponent vectors and
-``Fraction``s are made only at the public edge (the constructor, the
-``.terms`` view, the renderings and the standard basis).  The text and JSON
-renderings write each coefficient from its numerator over ``den``.
-Polynomial products go through :func:`dot`, which takes only its pairs: it
-rescales each pair's integer numerators to one common denominator,
-multiplies and adds plain ints, and reduces the result once.
+A monomial is one int: its exponent vector packed by the table's one
+:class:`Packing` (``table.packing``), with its weight in the top field.  At
+rest a polynomial holds int numerators, keyed by packed monomial, over one
+positive denominator, kept reduced, and every ring operation runs on those
+ints; exponent vectors and ``Fraction``s are made only at the public edge
+(the constructor, the ``.terms`` view, the renderings and the standard
+basis).  The text and JSON renderings write each coefficient from its
+numerator over ``den``.  Polynomial products go through :func:`dot`, which
+takes its pairs and their table: it rescales each pair's numerators to one
+common denominator, multiplies and adds plain ints, and reduces once.
 
 Polynomial-valued q-series on the hot path live in a transposed integer
 form, :class:`QColumns`: ``(den, step, {packed monomial: [numerator per
@@ -96,11 +98,12 @@ class Generator(NamedTuple):
 
 
 class GeneratorTable:
-    """Ordered, immutable list of generators; positions index exponent vectors."""
+    """A ring of forms: ordered, immutable generators, whose positions index exponent vectors, and the
+    total weight ``cap`` that every polynomial on it is truncated at; ``packing`` is its one :class:`Packing`."""
 
-    __slots__ = ("gens", "_hash", "_index", "_standard", "_twos", "_packings")
+    __slots__ = ("gens", "cap", "packing", "_hash", "_index", "_standard", "_twos")
 
-    def __init__(self, gens: Sequence[Generator]):
+    def __init__(self, gens: Sequence[Generator], cap: int):
         names = [g.name for g in gens]
         if len(set(names)) != len(names):
             raise AlgebraError("generator names must be unique")
@@ -108,17 +111,18 @@ class GeneratorTable:
             if g.weight <= 0:
                 raise AlgebraError(f"generator {g.name} must have positive weight")
         object.__setattr__(self, "gens", tuple(gens))
-        object.__setattr__(self, "_hash", hash(self.gens))     # memo keys hash it often
+        object.__setattr__(self, "cap", cap)
+        object.__setattr__(self, "packing", Packing(self.gens, cap))
+        object.__setattr__(self, "_hash", hash((self.gens, cap)))     # memo keys hash it often
         object.__setattr__(self, "_index", {g.name: i for i, g in enumerate(gens)})
         object.__setattr__(self, "_standard", None)
         object.__setattr__(self, "_twos", None)
-        object.__setattr__(self, "_packings", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("GeneratorTable is immutable")
 
     def __reduce__(self):
-        return GeneratorTable, (self.gens,)
+        return GeneratorTable, (self.gens, self.cap)
 
     def __len__(self):
         return len(self.gens)
@@ -129,16 +133,6 @@ class GeneratorTable:
         except KeyError:
             raise AlgebraError(f"unknown generator {name!r}") from None
 
-    def monomial_weight(self, exponents: tuple[int, ...]) -> int:
-        return sum(e * g.weight for e, g in zip(exponents, self.gens))
-
-    def packing(self, cap: int) -> "Packing":
-        """The exponent packing for polynomials truncated at ``cap`` (built once per cap)."""
-        p = self._packings.get(cap)
-        if p is None:
-            p = self._packings[cap] = Packing(self.gens, cap)
-        return p
-
     @property
     def standard_table(self) -> "GeneratorTable":
         """Companion table whose generators carry the standard names (built once)."""
@@ -146,7 +140,7 @@ class GeneratorTable:
         if std is None:
             std = GeneratorTable(tuple(
                 Generator(g.std_name, g.weight, g.family, g.std_name, Fraction(1)) for g in self.gens
-            ))
+            ), self.cap)
             object.__setattr__(self, "_standard", std)
         return std
 
@@ -163,14 +157,14 @@ class GeneratorTable:
 
     def __eq__(self, other):
         if isinstance(other, GeneratorTable):
-            return self.gens == other.gens
+            return self.gens == other.gens and self.cap == other.cap
         return NotImplemented
 
     def __hash__(self):
         return self._hash
 
     def __repr__(self):
-        return f"GeneratorTable({[g.name for g in self.gens]})"
+        return f"GeneratorTable({[g.name for g in self.gens]}, cap={self.cap})"
 
 
 class Packing:
@@ -185,7 +179,7 @@ class Packing:
     generators and the cap never change, so the memo is exact.
 
     >>> from anomcancel.genus import build_generator_table
-    >>> p = build_generator_table(2, 0, True, 4).packing(4)
+    >>> p = build_generator_table(2, 0, True, 4).packing
     >>> p.key((1, 0, 2)) + p.key((0, 1, 0)) == p.key((1, 1, 2))
     True
     >>> p.vector(p.key((0, 1, 0))), p.key((0, 1, 0)) >> p.top, p.key((1, 0, 2)) >> p.top, p.key((0, 0, 0))
@@ -217,13 +211,13 @@ class Packing:
 
 
 class GradedPolynomial:
-    """Sparse polynomial in weighted generators, truncated by total weight.
+    """Sparse polynomial in weighted generators, truncated at its table's weight ``table.cap``.
 
-    Terms of weight above ``max_weight`` are discarded on every operation,
+    Terms of weight above the cap are discarded on every operation,
     so products agree with the exact product up to that weight.  Products
     go through :func:`dot`, which never visits a pair of terms whose weights
-    add up to more than ``max_weight``.  At rest the coefficients are
-    ``nums``, packed monomial (``table.packing(max_weight)``, which carries
+    add up to more than the cap.  At rest the coefficients are
+    ``nums``, packed monomial (``table.packing``, which carries
     the weight) to nonzero int numerator, over one positive ``den``, kept
     reduced (``gcd(den, *nums) == 1``), so equal polynomials hold equal ints;
     ``terms`` is the ``{exponent vector: Fraction}`` view, built on each
@@ -231,35 +225,34 @@ class GradedPolynomial:
     anything else with ``TypeError``.
     """
 
-    __slots__ = ("table", "den", "nums", "max_weight")
+    __slots__ = ("table", "den", "nums")
 
-    def __init__(self, table: GeneratorTable, terms: Mapping[tuple[int, ...], ScalarLike], max_weight: int):
+    def __init__(self, table: GeneratorTable, terms: Mapping[tuple[int, ...], ScalarLike]):
         ratios: dict[int, tuple[int, int]] = {}
         n = len(table)
-        packing = table.packing(max_weight)
+        packing = table.packing
         for exps, coeff in terms.items():
             if len(exps) != n:
                 raise AlgebraError("exponent vector length does not match table")
             key = packing.key(exps)
-            if key >> packing.top > max_weight:
+            if key >> packing.top > table.cap:
                 continue
             p, q = _ratio(coeff)
             if p:
                 ratios[key] = p, q
         den = lcm(*(q for _, q in ratios.values()))     # over the lcm of reduced denominators: reduced
-        self._init(table, den, {k: p * (den // q) for k, (p, q) in ratios.items()}, max_weight)
+        self._init(table, den, {k: p * (den // q) for k, (p, q) in ratios.items()})
 
-    def _init(self, table, den, nums, max_weight):
+    def _init(self, table, den, nums):
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "max_weight", max_weight)
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedPolynomial is immutable")
 
     @staticmethod
-    def _from_ints(table: GeneratorTable, den: int, nums: dict[int, int], max_weight: int) -> "GradedPolynomial":
+    def _from_ints(table: GeneratorTable, den: int, nums: dict[int, int]) -> "GradedPolynomial":
         """A polynomial from nonzero int numerators, keyed by packed monomial within the cap, over ``den >= 1``."""
         if den != 1:
             common = gcd(den, *nums.values())
@@ -267,53 +260,53 @@ class GradedPolynomial:
                 den //= common
                 nums = {k: n // common for k, n in nums.items()}
         self = object.__new__(GradedPolynomial)
-        self._init(table, den, nums, max_weight)
+        self._init(table, den, nums)
         return self
 
     @property
     def terms(self) -> dict[tuple[int, ...], Fraction]:
         """``{exponent vector: coefficient}`` over the nonzero terms, as ``Fraction``s."""
-        den, vector = self.den, self.table.packing(self.max_weight).vector
+        den, vector = self.den, self.table.packing.vector
         return {vector(k): Fraction(n, den) for k, n in self.nums.items()}
 
     def int_form(self) -> tuple[int, list[tuple[int, list[tuple[int, int]]]]]:
         """``(den, [(weight, [(key, numerator), ...]), ...])``, weights increasing: ``nums`` grouped by weight."""
-        top = self.table.packing(self.max_weight).top
+        top = self.table.packing.top
         groups: dict[int, list] = {}
         for k, n in self.nums.items():
             groups.setdefault(k >> top, []).append((k, n))
         return self.den, sorted(groups.items())
 
     def __reduce__(self):
-        return GradedPolynomial._from_ints, (self.table, self.den, self.nums, self.max_weight)
+        return GradedPolynomial._from_ints, (self.table, self.den, self.nums)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero(table: GeneratorTable, max_weight: int) -> "GradedPolynomial":
-        return GradedPolynomial(table, {}, max_weight)
+    def zero(table: GeneratorTable) -> "GradedPolynomial":
+        return GradedPolynomial(table, {})
 
     @staticmethod
-    def scalar(value: ScalarLike, table: GeneratorTable, max_weight: int) -> "GradedPolynomial":
-        return GradedPolynomial(table, {(0,) * len(table): value}, max_weight)
+    def scalar(value: ScalarLike, table: GeneratorTable) -> "GradedPolynomial":
+        return GradedPolynomial(table, {(0,) * len(table): value})
 
     @staticmethod
-    def one(table: GeneratorTable, max_weight: int) -> "GradedPolynomial":
-        return GradedPolynomial.scalar(1, table, max_weight)
+    def one(table: GeneratorTable) -> "GradedPolynomial":
+        return GradedPolynomial.scalar(1, table)
 
     @staticmethod
-    def generator(name: str, table: GeneratorTable, max_weight: int, power: int = 1) -> "GradedPolynomial":
+    def generator(name: str, table: GeneratorTable, power: int = 1) -> "GradedPolynomial":
         i = table.index(name)
         exps = tuple(power if j == i else 0 for j in range(len(table)))
-        return GradedPolynomial(table, {exps: 1}, max_weight)
+        return GradedPolynomial(table, {exps: 1})
 
     # -- ring operations ---------------------------------------------------
 
     def _plus(self, other, sign: int) -> "GradedPolynomial":
         """``self + sign * other`` in one pass over ``other``, over the lcm of the two denominators."""
         if isinstance(other, (int, Fraction)):
-            other = GradedPolynomial.scalar(other, self.table, self.max_weight)
-        _check_space(other, self.table, self.max_weight)
+            other = GradedPolynomial.scalar(other, self.table)
+        _check_space(other, self.table)
         da, db = self.den, other.den
         den = da if da == db else lcm(da, db)
         ma, mb = den // da, sign * (den // db)
@@ -325,7 +318,7 @@ class GradedPolynomial:
                 nums[k] = s
             else:
                 del nums[k]
-        return GradedPolynomial._from_ints(self.table, den, nums, self.max_weight)
+        return GradedPolynomial._from_ints(self.table, den, nums)
 
     def __add__(self, other):
         return self._plus(other, 1)
@@ -336,37 +329,32 @@ class GradedPolynomial:
         return self._plus(other, -1)
 
     def __neg__(self):
-        return GradedPolynomial._from_ints(self.table, self.den, {k: -n for k, n in self.nums.items()},
-                                           self.max_weight)
+        return GradedPolynomial._from_ints(self.table, self.den, {k: -n for k, n in self.nums.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        return dot([(self, other)], self.table, self.max_weight)
+        return dot([(self, other)], self.table)
 
     __rmul__ = __mul__
-
-    def dot(self, pairs) -> "GradedPolynomial":
-        """``sum_i a_i * b_i`` in this polynomial's ring (see :func:`dot`)."""
-        return dot(pairs, self.table, self.max_weight)
 
     def scale(self, value: ScalarLike) -> "GradedPolynomial":
         p, q = _ratio(value)
         if not p:
-            return GradedPolynomial.zero(self.table, self.max_weight)
+            return GradedPolynomial.zero(self.table)
         nums = self.nums if p == 1 else {k: n * p for k, n in self.nums.items()}
-        return GradedPolynomial._from_ints(self.table, self.den * q, nums, self.max_weight)
+        return GradedPolynomial._from_ints(self.table, self.den * q, nums)
 
     def scale_by_weight(self, m: int) -> "GradedPolynomial":
         """Each weight-w term times ``m^w``: the ring map that multiplies a generator of weight w by ``m^w``."""
-        top = self.table.packing(self.max_weight).top
+        top = self.table.packing.top
         nums = {k: v for k, n in self.nums.items() if (v := n * m ** (k >> top))}
-        return GradedPolynomial._from_ints(self.table, self.den, nums, self.max_weight)
+        return GradedPolynomial._from_ints(self.table, self.den, nums)
 
     def __pow__(self, n: int):
         if n < 0:
             raise AlgebraError("negative polynomial powers are not supported")
-        out = GradedPolynomial.one(self.table, self.max_weight)
+        out = GradedPolynomial.one(self.table)
         base = self
         while n:
             if n & 1:
@@ -381,39 +369,39 @@ class GradedPolynomial:
     def __eq__(self, other):
         if isinstance(other, GradedPolynomial):
             return ((self.table is other.table or self.table == other.table)
-                    and self.max_weight == other.max_weight and self.den == other.den and self.nums == other.nums)
+                    and self.den == other.den and self.nums == other.nums)
         if isinstance(other, (int, Fraction)):
-            return self == GradedPolynomial.scalar(other, self.table, self.max_weight)
+            return self == GradedPolynomial.scalar(other, self.table)
         return NotImplemented
 
     # -- structure ---------------------------------------------------------
 
     def component(self, weight: int) -> "GradedPolynomial":
         """Homogeneous part of total weight exactly ``weight``."""
-        if weight < 0 or weight > self.max_weight:
-            raise AlgebraError(f"weight {weight} outside [0, {self.max_weight}]")
-        top = self.table.packing(self.max_weight).top
+        if weight < 0 or weight > self.table.cap:
+            raise AlgebraError(f"weight {weight} outside [0, {self.table.cap}]")
+        top = self.table.packing.top
         nums = {k: n for k, n in self.nums.items() if k >> top == weight}
-        return GradedPolynomial._from_ints(self.table, self.den, nums, self.max_weight)
+        return GradedPolynomial._from_ints(self.table, self.den, nums)
 
     def constant_term(self) -> Fraction:
         return Fraction(self.nums.get(0, 0), self.den)
 
     def one_like(self) -> "GradedPolynomial":
-        return GradedPolynomial.one(self.table, self.max_weight)
+        return GradedPolynomial.one(self.table)
 
     def is_homogeneous(self, weight: int) -> bool:
-        top = self.table.packing(self.max_weight).top
+        top = self.table.packing.top
         return all(k >> top == weight for k in self.nums)
 
     def substitute(self, name: str, replacement: "GradedPolynomial") -> "GradedPolynomial":
         """Replace one generator by a homogeneous polynomial of equal weight (``self`` if no term has it)."""
-        _check_space(replacement, self.table, self.max_weight)
+        _check_space(replacement, self.table)
         i = self.table.index(name)
         w = self.table.gens[i].weight
         if not replacement.is_homogeneous(w):
             raise AlgebraError(f"replacement for {name} must be homogeneous of weight {w}")
-        packing = self.table.packing(self.max_weight)
+        packing = self.table.packing
         (shift, mask), unit = packing.fields[i], packing.units[i]
         rests: dict[int, dict[int, int]] = {}
         for k, n in self.nums.items():
@@ -424,8 +412,8 @@ class GradedPolynomial:
         powers = [self.one_like()]
         for _ in range(max(rests, default=0)):
             powers.append(powers[-1] * replacement)
-        return self.dot([(GradedPolynomial._from_ints(self.table, self.den, rest, self.max_weight), powers[e])
-                         for e, rest in rests.items()])
+        return dot([(GradedPolynomial._from_ints(self.table, self.den, rest), powers[e])
+                    for e, rest in rests.items()], self.table)
 
     # -- basis change and rendering -----------------------------------------
 
@@ -437,7 +425,7 @@ class GradedPolynomial:
         standard names with the same weights.  The map is a graded ring
         isomorphism: it rescales each monomial by a sign and a power of 2.
         """
-        twos, vector = self.table.standard_twos, self.table.packing(self.max_weight).vector
+        twos, vector = self.table.standard_twos, self.table.packing.vector
         shifted = []
         for key, n in self.nums.items():
             s = 0
@@ -449,11 +437,11 @@ class GradedPolynomial:
             shifted.append((key, n, s))
         low = min((s for _, _, s in shifted if s < 0), default=0)
         nums = {key: n << (s - low) for key, n, s in shifted}     # same weights, so the same packing
-        return GradedPolynomial._from_ints(self.table.standard_table, self.den << -low, nums, self.max_weight)
+        return GradedPolynomial._from_ints(self.table.standard_table, self.den << -low, nums)
 
     def _coefficient_texts(self):
         """``(exponent vector, str(Fraction(n, den)))`` by weight, then exponent vector, written from the ints."""
-        packing, den = self.table.packing(self.max_weight), self.den
+        packing, den = self.table.packing, self.den
         for k, n in sorted(self.nums.items(), key=lambda kn: (kn[0] >> packing.top, packing.vector(kn[0]))):
             g = gcd(n, den)
             yield packing.vector(k), str(n // g) if g == den else f"{n // g}/{den // g}"
@@ -473,19 +461,17 @@ class GradedPolynomial:
         return f"GradedPolynomial({self.to_text()})"
 
 
-def _check_space(p: GradedPolynomial, table: GeneratorTable, cap: int):
+def _check_space(p: GradedPolynomial, table: GeneratorTable):
     if p.table is not table and p.table != table:
         raise AlgebraError("generator table mismatch")
-    if p.max_weight != cap:
-        raise AlgebraError("truncation weight mismatch")
 
 
 def dot(pairs: Sequence[tuple[GradedPolynomial, GradedPolynomial]], table: GeneratorTable,
-        cap: int, floor: int = 0) -> GradedPolynomial:
-    """``sum_i a_i * b_i`` for polynomial pairs ``(a_i, b_i)``, its weights ``floor..cap`` only.
+        floor: int = 0) -> GradedPolynomial:
+    """``sum_i a_i * b_i`` for polynomial pairs ``(a_i, b_i)``, its weights ``floor..table.cap`` only.
 
-    Every operand must live on ``table`` with ``max_weight == cap``.  Each
-    operand enters through its integer form
+    Every operand must live on ``table``, so it is truncated at ``cap =
+    table.cap``.  Each operand enters through its integer form
     (:meth:`GradedPolynomial.int_form`); pair ``i`` has denominator
     ``d_i = den(a_i) * den(b_i)``, its left numerators are rescaled by
     ``D // d_i`` with ``D = lcm(d_i)``, and all pairs are accumulated as
@@ -498,16 +484,16 @@ def dot(pairs: Sequence[tuple[GradedPolynomial, GradedPolynomial]], table: Gener
 
     >>> from anomcancel.genus import build_generator_table
     >>> t = build_generator_table(1, 0, True, 2)
-    >>> w = GradedPolynomial.generator("w", t, 2)
-    >>> dot([(w.scale(Fraction(1, 2)), w), (w.one_like().scale(3), w)], t, 2).to_text()
+    >>> w = GradedPolynomial.generator("w", t)
+    >>> dot([(w.scale(Fraction(1, 2)), w), (w.one_like().scale(3), w)], t).to_text()
     '3*w + 1/2*w^2'
     """
     live = []
-    den = 1
+    den, cap = 1, table.cap
     for a, b in pairs:
-        if a.table is not table or b.table is not table or a.max_weight != cap or b.max_weight != cap:
-            _check_space(a, table, cap)
-            _check_space(b, table, cap)
+        if a.table is not table or b.table is not table:
+            _check_space(a, table)
+            _check_space(b, table)
         if a.nums and b.nums:
             den = lcm(den, a.den * b.den)
             live.append((a.den * b.den, a.int_form()[1], b.int_form()[1]))
@@ -525,7 +511,7 @@ def dot(pairs: Sequence[tuple[GradedPolynomial, GradedPolynomial]], table: Gener
                     n1 *= m
                     for k2, n2 in g:
                         acc[k1 + k2] = get(k1 + k2, 0) + n1 * n2
-    return GradedPolynomial._from_ints(table, den, {k: n for k, n in acc.items() if n}, cap)
+    return GradedPolynomial._from_ints(table, den, {k: n for k, n in acc.items() if n})
 
 
 # -- polynomial-valued q-series in packed integer form ------------------------
@@ -535,7 +521,7 @@ class QColumns(NamedTuple):
     """A polynomial-valued q-series in transposed integer form, known through lattice ``bound``.
 
     ``cols[key][i] / den`` is the coefficient of the monomial packed as
-    ``key`` (by the table's :class:`Packing` at the truncation weight) at
+    ``key`` (by its table's :class:`Packing`) at
     lattice position ``i * step``; positions past the end of a list are
     zero.  A monomial with no nonzero position is absent.  ``bound`` is the
     last lattice position known; reading past it raises
@@ -553,14 +539,14 @@ class QColumns(NamedTuple):
         """``p`` as an exact single-position series: its stored numerators, keys and denominator as they are."""
         return QColumns(p.den, 1, {key: [n] for key, n in p.nums.items()})
 
-    def coefficient(self, k: int, table: GeneratorTable, cap: int) -> GradedPolynomial:
+    def coefficient(self, k: int, table: GeneratorTable) -> GradedPolynomial:
         """The coefficient at lattice ``k`` as a polynomial on ``table`` (zero off the lattice)."""
         if self.bound is not None and k > self.bound:
             from .qseries import require_known
             require_known(k, self.bound)
         i, off = divmod(k, self.step)
         nums = {key: ns[i] for key, ns in self.cols.items() if not off and 0 <= i < len(ns) and ns[i]}
-        return GradedPolynomial._from_ints(table, self.den, nums, cap)
+        return GradedPolynomial._from_ints(table, self.den, nums)
 
 
 ONE = QColumns(1, 1, {0: [1]})     # the exact unit: one position, so its step never matters

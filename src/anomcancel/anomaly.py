@@ -170,26 +170,26 @@ class _TangentHalf:
         self.weight = W = s.weight
         self.table = build_generator_table(W, W // 2, s.spin_c, W)
         self.tm = RootFamily(FAMILY_TM, W, s.kind)
-        self.gp_zero = GradedPolynomial.zero(self.table, W)
-        self.tm_sums = power_sums_gp(self.tm, W // 2, self.table, W)
-        self.line_sums = power_sums_gp(LINE, W // 2, self.table, W) if s.spin_c else None
+        self.gp_zero = GradedPolynomial.zero(self.table)
+        self.tm_sums = power_sums_gp(self.tm, self.table)
+        self.line_sums = power_sums_gp(LINE, self.table) if s.spin_c else None
         self._kvirt: dict[int, list] = {}
 
     # a spin^c setting never reads ch(Delta(M)), and a constant-term verify of 4.1 or 4.6 no bundle
-    ahat = cached_property(lambda self: classical_genus("ahat", self.tm, self.table, self.weight))
-    ch_delta_m = cached_property(lambda self: classical_genus("spinor_ch", self.tm, self.table, self.weight))
-    tangent = cached_property(lambda self: complexified_bundle(self.tm, self.table, self.weight))
-    line = cached_property(lambda self: complexified_bundle(LINE, self.table, self.weight) if self.spin_c else None)
+    ahat = cached_property(lambda self: classical_genus("ahat", self.tm, self.table))
+    ch_delta_m = cached_property(lambda self: classical_genus("spinor_ch", self.tm, self.table))
+    tangent = cached_property(lambda self: complexified_bundle(self.tm, self.table))
+    line = cached_property(lambda self: complexified_bundle(LINE, self.table) if self.spin_c else None)
 
     @cached_property
     def genus(self) -> GradedPolynomial:
         """``ahat e^(c/2)`` (spin^c) or ``ahat (ch(Delta(M)) + 2^(2k+1))`` (spin)."""
-        return self.ahat * (classical_genus("exp_half_c", self.tm, self.table, self.weight) if self.spin_c
+        return self.ahat * (classical_genus("exp_half_c", self.tm, self.table) if self.spin_c
                             else self.ch_delta_m + 2 ** (2 * self.k + 1))
 
     def exp(self, logs) -> list[QColumns]:
         """The weight pieces of an exp over the given power sums; piece n has weight 2n."""
-        return exp_by_weight(logs, self.weight, self.n_q)
+        return exp_by_weight(logs, self.n_q)
 
     def log(self, kind: str) -> RootFactor:
         return theta_log(kind, self.n_q, self.weight)
@@ -212,7 +212,7 @@ class _TangentHalf:
             t123 = self.log("t1") + self.log("t2") + self.log("t3")
             return {2 * n: f for n, f in enumerate(self.exp([(a, self.tm_sums), (t123, self.line_sums)]))}
         # spinc4k2: the odd factor times sqrt(-1), i*d(u) = w*exp(log(d/z) at u), which is real
-        w = QColumns.of(GradedPolynomial.generator("w", self.table, self.weight))
+        w = QColumns.of(GradedPolynomial.generator("w", self.table))
         pieces = self.exp([(a, self.tm_sums), (self.log("d"), self.line_sums)])
         return {2 * n + 1: mul_sum([(f, w, 1, [(0, 1)])]) for n, f in enumerate(pieces)}
 
@@ -235,14 +235,13 @@ class _Env:
 
     def __init__(self, s: Setting):
         self.setting = s
-        W = s.weight
         key = (s.kind, s.k, s.n_q)
         if key not in _tangent_cache:
             _tangent_cache[key] = _TangentHalf(s)
         self.half = half = _tangent_cache[key]
         self.table, self.gp_zero = half.table, half.gp_zero
         self.v = RootFamily(FAMILY_V, s.l, s.kind)
-        self.v_sums = power_sums_gp(self.v, W // 2, self.table, W)
+        self.v_sums = power_sums_gp(self.v, self.table)
         self._p: dict[str, QColumns] = {}
 
     # the l-free forms are read from the tangent half; these, like them, are built on first read
@@ -251,8 +250,8 @@ class _Env:
     genus = property(lambda self: self.half.genus)
     tangent = property(lambda self: self.half.tangent)
     line = property(lambda self: self.half.line)
-    ch_delta_v = cached_property(lambda self: classical_genus("spinor_ch", self.v, self.table, self.setting.weight))
-    aux = cached_property(lambda self: complexified_bundle(self.v, self.table, self.setting.weight))
+    ch_delta_v = cached_property(lambda self: classical_genus("spinor_ch", self.v, self.table))
+    aux = cached_property(lambda self: complexified_bundle(self.v, self.table))
 
     # -- theta path ---------------------------------------------------------
 
@@ -287,7 +286,7 @@ class _Env:
 
     def coefficient(self, which: str, k: int) -> GradedPolynomial:
         """One coefficient of P1/P2/P3, at lattice ``k``, read from the packed form."""
-        return self.packed(which).coefficient(k, self.table, self.setting.weight)
+        return self.packed(which).coefficient(k, self.table)
 
     @cached_property
     def decomposition(self) -> Decomposition:
@@ -310,7 +309,7 @@ class _Env:
         form the families build, so none is applied here.
         """
         W = self.setting.weight
-        return a.component(W) if b is None else dot([(a, b)], self.table, W, floor=W)
+        return a.component(W) if b is None else dot([(a, b)], self.table, floor=W)
 
     @cached_property
     def constant_term_lhs(self) -> GradedPolynomial:
@@ -529,11 +528,9 @@ def _verify_corollary(report: VerificationReport, env: _Env, theorem: str):
     """
     s = env.setting
     dec = _pipeline(report, env)
-    W = s.weight
-    zero_nm1 = GradedPolynomial.zero(env.table, W)
 
     def kill_nm1(p: GradedPolynomial) -> GradedPolynomial:
-        return p.substitute("nM1", zero_nm1)
+        return p.substitute("nM1", env.gp_zero)
 
     g_top, gt_top = env.top(env.genus), env.top(env.genus, env.tangent)
     x_top, xt_top = kill_nm1(g_top), kill_nm1(gt_top)

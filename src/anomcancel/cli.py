@@ -1,9 +1,10 @@
 """Command-line front end: verify, expand, decompose, suite.
 
 Exit codes: 0 for PASS (variants included), 1 for FAIL or a flagged GAP,
-2 for usage or parameter errors.  All machine output is JSON with a schema
-tag; the text renderer works from the same JSON object so the two formats
-cannot diverge.
+2 for usage or parameter errors, an input too large among them (an
+``OverflowError`` or a ``MemoryError``).  All machine output is JSON with
+a schema tag; the text renderer works from the same JSON object so the two
+formats cannot diverge.
 """
 
 from __future__ import annotations
@@ -214,8 +215,8 @@ def main(argv=None) -> int:
     except ValueError as e:        # AlgebraError is one
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except OverflowError as e:
-        print(f"error: input too large: {e}", file=sys.stderr)
+    except (OverflowError, MemoryError) as e:
+        print(f"error: input too large: {e}" if str(e) else "error: input too large", file=sys.stderr)
         return 2
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .algebra import AlgebraError, GradedPolynomial, GeneratorTable, QColumns, exp_by_grade
+from .algebra import AlgebraError, GradedPolynomial, GeneratorTable, QColumns, dot, exp_by_grade
 from .genus import RootFamily, additive_over_roots
 from .qseries import HALF_UNIT, Q_UNIT
 
@@ -39,7 +39,7 @@ def adams(E: GradedPolynomial, m: int) -> GradedPolynomial:
     On the line pair ``2 cosh 2w`` it gives ``2 cosh 4w``:
 
     >>> from anomcancel.genus import LINE, build_generator_table
-    >>> L = complexified_bundle(LINE, build_generator_table(1, 0, True, 4), 4)
+    >>> L = complexified_bundle(LINE, build_generator_table(1, 0, True, 4))
     >>> L.to_text(), adams(L, 2).to_text()
     ('2 + 4*w^2 + 4/3*w^4', '2 + 16*w^2 + 64/3*w^4')
     """
@@ -54,18 +54,19 @@ def lambda_power(E: GradedPolynomial, i: int) -> GradedPolynomial:
         raise AlgebraError("negative exterior power")
     lam = [E.one_like()]
     for n in range(1, i + 1):
-        lam.append(E.dot([(adams(E, j).scale(Fraction((-1) ** (j - 1), n)), lam[n - j]) for j in range(1, n + 1)]))
+        lam.append(dot([(adams(E, j).scale(Fraction((-1) ** (j - 1), n)), lam[n - j]) for j in range(1, n + 1)],
+                       E.table))
     return lam[i]
 
 
-def complexified_bundle(fam: RootFamily, table: GeneratorTable, max_weight: int) -> GradedPolynomial:
+def complexified_bundle(fam: RootFamily, table: GeneratorTable) -> GradedPolynomial:
     """``sum_j (e^{2iz_j} + e^{-2iz_j})``, each root's ``2 cos 2z`` being ``sum_m 2(-4)^m z^{2m} / (2m)!``.
 
     Rank ``2n``.  On :data:`~anomcancel.genus.LINE`, whose squared root is
     ``-w^2``, it is the line pair ``L + conj(L) = 2 cosh 2w``.
     """
-    coeffs = [2 * Fraction((-4) ** m, factorial(2 * m)) for m in range(max_weight // 2 + 1)]
-    return additive_over_roots(coeffs, fam, table, max_weight)
+    coeffs = [2 * Fraction((-4) ** m, factorial(2 * m)) for m in range(table.cap // 2 + 1)]
+    return additive_over_roots(coeffs, fam, table)
 
 
 # (on the line?, first step in lattice units, sign) of each object's exterior strings;
@@ -96,7 +97,7 @@ def _exp_of_strings(strings, bound: int) -> list[QColumns]:
                 raise AlgebraError(f"a tensor string takes a rank-0 bundle of even weights, not weight {w}")
             col = QColumns(1, first, {0: _adams_column(first, sign, exterior, w - 1, bound)}, bound)
             columns.append((w // 2, col, den, items))
-    return exp_by_grade(columns, strings[0][0].max_weight // 2, bound)
+    return exp_by_grade(columns, strings[0][0].table.cap // 2, bound)
 
 
 def lambda_string(E: GradedPolynomial, half: bool, sign: int, order: int) -> list[QColumns]:
@@ -104,8 +105,8 @@ def lambda_string(E: GradedPolynomial, half: bool, sign: int, order: int) -> lis
 
     >>> from anomcancel.genus import LINE, build_generator_table
     >>> table = build_generator_table(1, 0, True, 4)
-    >>> E = reduced(complexified_bundle(LINE, table, 4))      # 2 cosh 2w - 2, the q^1 coefficient
-    >>> [piece.coefficient(8, table, 4).to_text() for piece in lambda_string(E, False, +1, 1)]
+    >>> E = reduced(complexified_bundle(LINE, table))      # 2 cosh 2w - 2, the q^1 coefficient
+    >>> [piece.coefficient(8, table).to_text() for piece in lambda_string(E, False, +1, 1)]
     ['0', '4*w^2', '4/3*w^4']
     """
     return _exp_of_strings([(E, HALF_UNIT if half else Q_UNIT, sign, True)], Q_UNIT * order)

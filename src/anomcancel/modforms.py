@@ -223,13 +223,9 @@ def _packed_sum(P: QColumns, h: list[GradedPolynomial], rows: tuple[QColumns, ..
     output step is the gcd of the rows' step and ``P``'s, and a term of
     ``P`` off the rows' lattice stays in the result.
     """
-    table, cap = zero.table, zero.max_weight
-    if any(p.table != table or p.max_weight != cap for p in h):
+    if any(p.table != zero.table for p in h):
         raise AlgebraError("basis coefficients live in another polynomial ring")
-    products = []
-    for p, row in zip(h, rows):
-        products.append((QColumns.of(p), row, 1, [(0, scale)]))
-    products.append((P, ONE, 1, _UNIT))
+    products = [(QColumns.of(p), row, 1, [(0, scale)]) for p, row in zip(h, rows)] + [(P, ONE, 1, _UNIT)]
     return PuiseuxSeries.from_packed(mul_sum(products), zero=zero)
 
 
@@ -251,7 +247,7 @@ def decompose(P: QColumns, k: int, zero: GradedPolynomial) -> Decomposition:
     The upper row ``8*delta2`` itself, through ``q^2`` (lattice 16):
 
     >>> from anomcancel.genus import build_generator_table
-    >>> zero = GradedPolynomial.zero(build_generator_table(1, 0, True, 2), 2)
+    >>> zero = GradedPolynomial.zero(build_generator_table(1, 0, True, 2))
     >>> dec = decompose(QColumns(1, HALF_UNIT, {0: [-1, -24, -24, -96, -24]}, 16), 1, zero)
     >>> [p.to_text() for p in dec.h], dec.residual_zero
     (['1'], True)
@@ -271,7 +267,7 @@ def decompose(P: QColumns, k: int, zero: GradedPolynomial) -> Decomposition:
         c = [nums[i] if not off and i < len(nums) else 0 for i, off in at]   # P at q^(j/2)
         solved[key] = [sum(x * y for x, y in zip(row, c)) for row in inv]
     h_polys = [QColumns(P.den, 1, {key: [h[r]] for key, h in solved.items() if h[r]})
-               .coefficient(0, zero.table, zero.max_weight) for r in range(n_unknowns)]
+               .coefficient(0, zero.table) for r in range(n_unknowns)]
     residual = _packed_sum(P, h_polys, _basis_rows(GROUP_UPPER, k, order), -1, zero)
     return Decomposition(h_polys, residual, inv)
 

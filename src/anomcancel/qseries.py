@@ -83,7 +83,7 @@ class PuiseuxSeries:
             return PuiseuxSeries({i * c.step: Fraction(n, c.den) for i, n in enumerate(c.cols.get(0, ())) if n},
                                  c.bound, zero)
         count = max(map(len, c.cols.values()), default=0)
-        return PuiseuxSeries({i * c.step: c.coefficient(i * c.step, zero.table, zero.max_weight)
+        return PuiseuxSeries({i * c.step: c.coefficient(i * c.step, zero.table)
                               for i in range(count)}, c.bound, zero)
 
     @staticmethod

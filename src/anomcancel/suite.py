@@ -142,19 +142,21 @@ def run_case(case: SuiteCase) -> dict:
 def _shards(cases: list[SuiteCase]) -> list[list[int]]:
     """Case positions grouped by (kind, k, n_q) family, heaviest first.
 
-    A family weighs its case count times its setting's weight; ties keep grid
-    order.  That ranks the seven families as their cold in-process times do
-    (3.1 k=3 18.5 ms, 3.1 k=2 13.0, 4.1 k=2 11.5, 4.6 k=2 7.5, 3.1 k=1 6.2,
-    4.1 k=1 5.9, 4.6 k=1 3.9).  Corollaries 3.3 and 3.4 carry their pinned k,
-    so they join that spin family; the theta layer and each audit are shards
-    of their own, last.
+    Each theorem, cross-check and structural case's :class:`~anomcancel.anomaly.Setting`
+    is built here, in grid order and before anything forks, so a bad order raises
+    in the caller as in a serial run.  A family weighs its case count times its
+    setting's weight; ties keep grid order.  That ranks the seven families as
+    their cold in-process times do (3.1 k=3 18.5 ms, 3.1 k=2 13.0, 4.1 k=2
+    11.5, 4.6 k=2 7.5, 3.1 k=1 6.2, 4.1 k=1 5.9, 4.6 k=1 3.9).  Corollaries
+    3.3 and 3.4 carry their pinned k, so they join that spin family; the theta
+    layer and each audit are shards of their own, last.
     """
     groups: dict[object, tuple[int, list[int]]] = {}
     for i, case in enumerate(cases):
         if case.kind in ("theorem", "crosscheck", "structural"):
-            first, k, _, n_q = case.params      # first: a theorem id or a setting kind
-            kind = anomaly._THEOREM_KIND.get(first, first)
-            key, weight = (kind, k, n_q), 2 * k + (kind == "spinc4k2")   # the setting's weight
+            first, k, l, n_q = case.params      # first: a theorem id or a setting kind
+            s = anomaly.make_setting(anomaly._THEOREM_KIND.get(first, first), k, l, n_q)
+            key, weight = (s.kind, s.k, s.n_q), s.weight
         else:
             key, weight = case.case_id, 0
         groups.setdefault(key, (weight, []))[1].append(i)

@@ -307,8 +307,8 @@ def theta_factor(kind: str, order: int, z_bound: int) -> RootFactor:
     zb = z_bound - shift
     if zb < 0:
         raise AlgebraError(f"factor {kind} needs a z-degree bound >= {shift}")
-    sums = power_sums_gp(RootFamily(FAMILY_TM, 1), zb // 2, build_generator_table(1, 0, False, zb), zb)
-    pieces = exp_by_weight([(theta_log(kind, order, zb), sums)], zb, order)
+    sums = power_sums_gp(RootFamily(FAMILY_TM, 1), build_generator_table(1, 0, False, zb))
+    pieces = exp_by_weight([(theta_log(kind, order, zb), sums)], order)
     # piece m holds the one monomial nM1^m, or nothing
     cols = {2 * m + shift: f._replace(cols={0: nums}) for m, f in enumerate(pieces) for nums in f.cols.values()}
     return RootFactor.from_columns(cols, z_bound, Q_UNIT * order)

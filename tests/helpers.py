@@ -345,7 +345,7 @@ class TermSeries:
         """A polynomial-valued library series, each coefficient read through its ``.terms``."""
         zero = series.zero
         return TermSeries({k: p.terms for k, p in series.terms.items()}, series.order_bound,
-                          zero.table, zero.max_weight)
+                          zero.table, zero.table.cap)
 
     def like(self, terms, bound=None) -> "TermSeries":
         """A series over the same ring, known through ``bound`` (this one's when None)."""
@@ -708,7 +708,7 @@ def _string_factor(E, step: int, sign, bound: int) -> TermSeries:
     for m in range(1, bound // step + 1):
         c = Fraction(1, m) if sign is None else Fraction((-1) ** (m - 1) * sign ** m, m)
         terms[m * step] = naive_combination([(c, _psi(E, m))])
-    return _bundle_exp_by_powers(TermSeries(terms, bound, E.table, E.max_weight))
+    return _bundle_exp_by_powers(TermSeries(terms, bound, E.table, E.table.cap))
 
 
 def string_product_oracle(strings, order: int) -> TermSeries:
@@ -720,7 +720,7 @@ def string_product_oracle(strings, order: int) -> TermSeries:
     """
     bound = 8 * order
     E = strings[0][0]
-    out = TermSeries({}, bound, E.table, E.max_weight).one()
+    out = TermSeries({}, bound, E.table, E.table.cap).one()
     for E, half, sign in strings:
         for step in range(4 if half else 8, bound + 1, 8):
             out = out * _string_factor(E, step, sign, bound)
@@ -764,10 +764,10 @@ def reference_P(setting, which: str) -> TermSeries:
         return theta_log(kind, s.n_q, W)
 
     def over(kind, fam):
-        return TermSeries.of(prod_over_roots(log(kind), fam, table, W, s.n_q))
+        return TermSeries.of(prod_over_roots(log(kind), fam, table, s.n_q))
 
     def at_line(kind):
-        return TermSeries.of(eval_at_var(log(kind), table, W, s.n_q))
+        return TermSeries.of(eval_at_var(log(kind), table, s.n_q))
 
     tm = RootFamily(FAMILY_TM, W)
     a = over("a", tm)
@@ -776,12 +776,12 @@ def reference_P(setting, which: str) -> TermSeries:
     elif s.kind == "spinc4k":
         core = a * at_line("t1") * at_line("t2") * at_line("t3")
     else:
-        core = a * at_line("d").scale(GradedPolynomial.generator("w", table, W).terms)
+        core = a * at_line("d").scale(GradedPolynomial.generator("w", table).terms)
     series = core * over({"P1": "t1", "P2": "t2", "P3": "t3"}[which], RootFamily(FAMILY_V, s.l))
     if which == "P1":
         series = series.scale(2 ** s.l)
-    name, repl = constraint_replacement(s.kind, table, W)
-    return series.map(lambda t: GradedPolynomial(table, t, W).component(W).substitute(name, repl).terms)
+    name, repl = constraint_replacement(s.kind, table)
+    return series.map(lambda t: GradedPolynomial(table, t).component(W).substitute(name, repl).terms)
 
 
 # -- characteristic numbers on products of CP^1 ---------------------------------------

@@ -91,7 +91,7 @@ def test_criterion_4_oracle_equivalence():
         table = build_generator_table(n_roots, 1, False, 6)
         fam = RootFamily(FAMILY_TM, n_roots)
         for kind in ("a", "t2"):
-            engine = prod_over_roots(theta_log(kind, 2, 6), fam, table, 6, 2)
+            engine = prod_over_roots(theta_log(kind, 2, 6), fam, table, 2)
             oracle = brute_force_prod(product_factor(kind, 2, 6), n_roots, "nM", table, 6, 2)
             ok = ok and TermSeries.of(engine) == oracle
     announce(4, ok, "theta path and bundle path agree at q^0, q^(1/2), q^1 on the whole grid; "

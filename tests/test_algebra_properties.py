@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import pytest
 
 from anomcancel import algebra
-from anomcancel.algebra import ONE, GradedPolynomial, QColumns, dot, field_width, mul_sum
+from anomcancel.algebra import ONE, GeneratorTable, GradedPolynomial, QColumns, dot, field_width, mul_sum
 from anomcancel.genus import build_generator_table, constraint_replacement
 from anomcancel.kvirt import adams
 from helpers import naive_combination, naive_mul_sum, naive_rescale, polynomial_text, weighted_poly_mul
@@ -18,16 +18,7 @@ from helpers import naive_combination, naive_mul_sum, naive_rescale, polynomial_
 W = 4
 # nM1, nM2 (tangent), nV1, nV2 (auxiliary) and the weight-1 line generator w
 TABLE = build_generator_table(2, 2, True, W)
-MONOMIALS = [e for e in product(range(W + 1), repeat=len(TABLE))
-             if TABLE.monomial_weight(e) <= W]
-
-coeffs = st.fractions(min_value=-8, max_value=8, max_denominator=6)
-term_maps = st.dictionaries(st.sampled_from(MONOMIALS), coeffs, max_size=6)
-polys = term_maps.map(lambda terms: GradedPolynomial(TABLE, terms, W))
-
-PROPERTY = settings(max_examples=60, deadline=None, database=None)
-
-# product oracle: generator weights read off the table, monomials up to weight 2W + 1
+# generator weights read off the table: the tests' own weight sum, not the packing under test
 GEN_WEIGHTS = tuple(g.weight for g in TABLE.gens)
 
 
@@ -35,6 +26,15 @@ def _weight(e):
     return sum(x * g for x, g in zip(e, GEN_WEIGHTS))
 
 
+MONOMIALS = [e for e in product(range(W + 1), repeat=len(TABLE)) if _weight(e) <= W]
+
+coeffs = st.fractions(min_value=-8, max_value=8, max_denominator=6)
+term_maps = st.dictionaries(st.sampled_from(MONOMIALS), coeffs, max_size=6)
+polys = term_maps.map(lambda terms: GradedPolynomial(TABLE, terms))
+
+PROPERTY = settings(max_examples=60, deadline=None, database=None)
+
+# product oracle: monomials up to weight 2W + 1
 POOL = [e for e in product(range(2 * W + 2), repeat=len(TABLE)) if _weight(e) <= 2 * W + 1]
 AT_MOST = {c: st.sampled_from([e for e in POOL if _weight(e) <= c]) for c in range(2 * W + 1)}
 ABOVE = {c: st.sampled_from([e for e in POOL if _weight(e) > c]) for c in range(2 * W + 1)}
@@ -67,20 +67,20 @@ def assert_canonical(p: GradedPolynomial):
     assert type(p.den) is int and p.den >= 1
     assert all(type(n) is int and n for n in p.nums.values())
     assert gcd(p.den, *p.nums.values()) == 1
-    assert all(p.table.monomial_weight(e) <= p.max_weight for e in p.terms)
+    assert all(_weight(e) <= p.table.cap for e in p.terms)
 
 
 @PROPERTY
 @given(term_maps)
 def test_packed_form_round_trips(terms):
     """``QColumns.of`` is the door into the packed form and ``coefficient`` the door out."""
-    p = GradedPolynomial(TABLE, terms, W)
+    p = GradedPolynomial(TABLE, terms)
     c = QColumns.of(p)
-    back = c.coefficient(0, TABLE, W)
+    back = c.coefficient(0, TABLE)
     assert c.bound is None and back == p
     assert_canonical(back)
     assert back.terms == naive_combination([(1, terms)])
-    assert c.coefficient(8, TABLE, W) == GradedPolynomial.zero(TABLE, W)
+    assert c.coefficient(8, TABLE) == GradedPolynomial.zero(TABLE)
 
 
 @PROPERTY
@@ -88,7 +88,7 @@ def test_packed_form_round_trips(terms):
        st.fractions(min_value=-5, max_value=5, max_denominator=12))
 def test_ring_operations_stay_canonical_and_match_the_term_oracle(ta, tb, weight, m, s):
     """Each operation's result is reduced over one positive denominator and reads as the ``Fraction`` oracle."""
-    a, b = GradedPolynomial(TABLE, ta, W), GradedPolynomial(TABLE, tb, W)
+    a, b = GradedPolynomial(TABLE, ta), GradedPolynomial(TABLE, tb)
     cases = [(a + b, naive_combination([(1, ta), (1, tb)])),
              (a - b, naive_combination([(1, ta), (-1, tb)])),
              (a - a, {}),
@@ -126,9 +126,10 @@ def test_distributive(a, b, c):
 @given(term_maps, term_maps)
 def test_truncation_by_weight(ta, tb):
     """The product truncated at W is the exact product with weights above W cut."""
-    exact = GradedPolynomial(TABLE, ta, 2 * W) * GradedPolynomial(TABLE, tb, 2 * W)
-    cut = GradedPolynomial(TABLE, ta, W) * GradedPolynomial(TABLE, tb, W)
-    assert cut.terms == {e: c for e, c in exact.terms.items() if TABLE.monomial_weight(e) <= W}
+    wide = GeneratorTable(TABLE.gens, 2 * W)
+    exact = GradedPolynomial(wide, ta) * GradedPolynomial(wide, tb)
+    cut = GradedPolynomial(TABLE, ta) * GradedPolynomial(TABLE, tb)
+    assert cut.terms == {e: c for e, c in exact.terms.items() if _weight(e) <= W}
 
 
 @settings(max_examples=120, deadline=None, database=None)
@@ -136,7 +137,8 @@ def test_truncation_by_weight(ta, tb):
 def test_product_matches_oracle(case):
     """``a*b`` equals the all-pairs oracle: no pair that fits under the cap is dropped."""
     cap, ta, tb = case
-    got = GradedPolynomial(TABLE, ta, cap) * GradedPolynomial(TABLE, tb, cap)
+    table = GeneratorTable(TABLE.gens, cap)
+    got = GradedPolynomial(table, ta) * GradedPolynomial(table, tb)
     assert got.terms == weighted_poly_mul(ta, tb, GEN_WEIGHTS, cap)
 
 
@@ -150,7 +152,7 @@ def _standard_factor(e):
 @PROPERTY
 @given(term_maps, polys)
 def test_standard_basis_roundtrip(terms, b):
-    a = GradedPolynomial(TABLE, terms, W)
+    a = GradedPolynomial(TABLE, terms)
     std = a.to_standard_basis()
     assert std.terms.keys() == a.terms.keys()      # each monomial rescaled by a nonzero scalar
     assert all(type(c) is Fraction for c in std.terms.values())
@@ -169,7 +171,7 @@ text_coeffs = st.one_of(st.sampled_from([1, -1, 2, -3]), coeffs)
 @example({(0,) * len(TABLE): 1, (1, 0, 0, 0, 0): -1, (0, 0, 0, 0, 1): Fraction(-7, 4)})
 def test_text_matches_the_fraction_renderer(terms):
     """``to_text`` and the JSON ``re`` entries print each coefficient as ``str(Fraction)``, in both bases."""
-    a = GradedPolynomial(TABLE, terms, W)
+    a = GradedPolynomial(TABLE, terms)
     names = [g.name for g in TABLE.gens]
     assert a.to_text() == polynomial_text(terms, names, GEN_WEIGHTS)
     std = naive_rescale(terms, _standard_factor)
@@ -231,41 +233,42 @@ def _oracle_dot(pairs, cap):
 def test_dot_matches_oracle(case):
     """``dot`` equals the sum of all-pairs products, and stores no zero."""
     cap, pairs = case
+    table = GeneratorTable(TABLE.gens, cap)
     made = {}    # equal term maps become one object, so pairs share operands
 
     def poly(terms):
         key = frozenset(terms.items())
         if key not in made:
-            made[key] = GradedPolynomial(TABLE, terms, cap)
+            made[key] = GradedPolynomial(table, terms)
         return made[key]
 
     polys = [(poly(ta), poly(tb)) for ta, tb in pairs]
-    got = dot(polys, TABLE, cap)
+    got = dot(polys, table)
     want = _oracle_dot(pairs, cap)
     assert got.terms == want
     assert all(type(c) is Fraction and c for c in got.terms.values())
     assert_canonical(got)
     # the integer form the kernel hands on equals the one built from the stored terms
-    assert got.int_form() == GradedPolynomial(TABLE, got.terms, cap).int_form()
+    assert got.int_form() == GradedPolynomial(table, got.terms).int_form()
     # with floor = cap only the pairs of the top weight are multiplied: the oracle's weight-cap part
-    top = dot(polys, TABLE, cap, floor=cap)
-    assert top.terms == {e: c for e, c in want.items() if TABLE.monomial_weight(e) == cap}
+    top = dot(polys, table, floor=cap)
+    assert top.terms == {e: c for e, c in want.items() if _weight(e) == cap}
     assert_canonical(top)
     if pairs:
         # ... and feeds a further product correctly, summed with another left operand
         a, b = polys[0]
         two_thirds = a.scale(Fraction(2, 3))
-        again = dot([(got, b), (two_thirds, b)], TABLE, cap)
+        again = dot([(got, b), (two_thirds, b)], table)
         assert again.terms == _oracle_dot([(want, b.terms), (two_thirds.terms, b.terms)], cap)
 
 
 @PROPERTY
 @given(polys)
 def test_dot_of_nothing_and_of_empty_operands(a):
-    zero = GradedPolynomial.zero(TABLE, W)
-    assert dot([], TABLE, W) == zero
-    assert dot([(a, zero), (zero, a)], TABLE, W) == zero
-    assert dot([(a.scale(0), a.one_like())], TABLE, W) == zero
+    zero = GradedPolynomial.zero(TABLE)
+    assert dot([], TABLE) == zero
+    assert dot([(a, zero), (zero, a)], TABLE) == zero
+    assert dot([(a.scale(0), a.one_like())], TABLE) == zero
 
 
 # -- substitute against a term-by-term oracle --------------------------------------
@@ -291,8 +294,8 @@ def _oracle_substitute(terms, i, repl, cap):
 @given(st.sampled_from(["spinc4k", "spinc4k2"]), st.dictionaries(st.sampled_from(MONOMIALS),
                                                                mixed_coeffs, max_size=8))
 def test_substitute_matches_oracle(kind, terms):
-    p = GradedPolynomial(TABLE, terms, W)
-    name, repl = constraint_replacement(kind, TABLE, W)
+    p = GradedPolynomial(TABLE, terms)
+    name, repl = constraint_replacement(kind, TABLE)
     got = p.substitute(name, repl)
     assert got.terms == _oracle_substitute(p.terms, TABLE.index(name), repl.terms, W)
     assert all(got.terms.values())
@@ -316,9 +319,9 @@ def substitutions(draw):
 def test_substitute_drops_the_weight_field_with_the_power(case):
     """Each key's top field is its vector's weight after a substitution, and the result is the oracle's."""
     name, repl, terms = case
-    got = GradedPolynomial(TABLE, terms, W).substitute(name, GradedPolynomial(TABLE, repl, W))
-    packing = TABLE.packing(W)
-    assert all(k >> packing.top == TABLE.monomial_weight(packing.vector(k)) for k in got.nums)
+    got = GradedPolynomial(TABLE, terms).substitute(name, GradedPolynomial(TABLE, repl))
+    packing = TABLE.packing
+    assert all(k >> packing.top == _weight(packing.vector(k)) for k in got.nums)
     assert got.terms == _oracle_substitute(terms, TABLE.index(name), repl, W)
     assert_canonical(got)
 
@@ -332,10 +335,10 @@ def test_packed_key_holds_the_vector_and_its_weight(case):
     """A key reads back as its vector, its top field is the weight, 1 packs to 0, and keys add
     as their vectors do whenever the two weights add up to at most the cap."""
     cap, a, b = case
-    packing = TABLE.packing(cap)
+    packing = GeneratorTable(TABLE.gens, cap).packing
     for e in (a, b):
         assert packing.vector(packing.key(e)) == e
-        assert packing.key(e) >> packing.top == TABLE.monomial_weight(e)
+        assert packing.key(e) >> packing.top == _weight(e)
     assert packing.key((0,) * len(TABLE)) == 0
     if _weight(a) + _weight(b) <= cap:
         assert packing.key(a) + packing.key(b) == packing.key(tuple(x + y for x, y in zip(a, b)))

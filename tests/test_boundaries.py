@@ -154,8 +154,8 @@ def test_oracles_run_with_the_integer_kernels_switched_off(monkeypatch):
     """The string oracle and the naive exp multiply their own term maps: with ``dot`` and
     ``mul_sum`` raising under every name the package and the helpers bind them to, both still run."""
     table = build_generator_table(2, 1, True, 4)
-    tangent = complexified_bundle(RootFamily(FAMILY_TM, 2), table, 4)
-    line = complexified_bundle(LINE, table, 4)
+    tangent = complexified_bundle(RootFamily(FAMILY_TM, 2), table)
+    line = complexified_bundle(LINE, table)
     log = RootFactor({(2, 0): Fraction(1, 6), (2, 8): Fraction(-2), (4, 0): Fraction(1, 180)}, 4, 8)
 
     def switched_off(*args, **kwargs):

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from anomcancel import anomaly, suite
+from anomcancel.algebra import AlgebraError
 from anomcancel.cli import main
 
 
@@ -104,6 +105,22 @@ def test_suite_qorder_guard(capsys):
     assert "insufficient" in err
 
 
+def test_parallel_suite_rejects_a_short_qorder_before_forking(monkeypatch):
+    """Every setting of the grid is built in the caller, before a fork: a too-small order raises the
+    serial run's ``AlgebraError``, never a worker's ``RuntimeError``."""
+    with pytest.raises(AlgebraError) as serial:
+        suite.run_suite(n_q=4)
+    monkeypatch.setattr(suite, "_usable_cpus", lambda: 2)
+
+    def no_fork():
+        raise AssertionError("the suite forked before checking its settings")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    with pytest.raises(AlgebraError) as parallel:
+        suite.run_suite(n_q=4, parallel=2)
+    assert str(parallel.value) == str(serial.value) and "q-order 4 is insufficient for k=3" in str(serial.value)
+
+
 @pytest.fixture
 def recording_runner(monkeypatch):
     """Every process runner the suite starts: ``sizes`` holds each worker count, ``tasks`` its shards.
@@ -150,6 +167,15 @@ EXIT_CODE_TABLE = [
      lambda out, err, runs: err.startswith("error: input too large") and out == ""),
     (["expand", "--object", "P2", "--setting", "spinc4k2", "--k", "1", "--l", "1", "--qorder", str(10 ** 21)], 2,
      lambda out, err, runs: err.startswith("error: input too large") and out == ""),
+    # each asks for a list of over 800 TB, beyond a 47-bit address space: a MemoryError, with nothing allocated
+    (["expand", "--object", "delta1", "--order", str(10 ** 14)], 2,
+     lambda out, err, runs: err == "error: input too large\n" and out == ""),
+    (["expand", "--object", "theta3-null", "--order", str(10 ** 14)], 2,
+     lambda out, err, runs: err == "error: input too large\n" and out == ""),
+    (["expand", "--object", "factor-t2", "--order", str(10 ** 14)], 2,
+     lambda out, err, runs: err == "error: input too large\n" and out == ""),
+    (["expand", "--object", "P2", "--k", "1", "--qorder", str(10 ** 14)], 2,
+     lambda out, err, runs: err == "error: input too large\n" and out == ""),
     (["expand", "--object", "P1", "--k", "1", "--l", "1", "--order", "99"], 0,
      lambda out, err, runs: json.loads(out)["order"] == 6),
     (["verify", "--theorem", "3.1", "--k", "1", "--output", "/nonexistent/d/x.json"], 2,

@@ -33,7 +33,7 @@ PROPERTY = settings(max_examples=40, deadline=None, database=None)
 @given(logs, logs, families)
 def test_exp_turns_sums_of_logs_into_products(a, b, fam):
     def prod(log):
-        return TermSeries.of(prod_over_roots(log, fam, TABLE, W, ORDER))
+        return TermSeries.of(prod_over_roots(log, fam, TABLE, ORDER))
 
     assert prod(a + b) == prod(a) * prod(b)
 
@@ -41,7 +41,7 @@ def test_exp_turns_sums_of_logs_into_products(a, b, fam):
 @PROPERTY
 @given(logs, families)
 def test_recurrence_matches_naive_exp(log, fam):
-    got = prod_over_roots(log, fam, TABLE, W, ORDER)
+    got = prod_over_roots(log, fam, TABLE, ORDER)
     assert TermSeries.of(got) == naive_exp_over_roots(log.terms, fam.n_roots, "nM", TABLE, W, BOUND)
 
 
@@ -49,7 +49,7 @@ def test_recurrence_matches_naive_exp(log, fam):
 @given(logs, logs)
 def test_line_evaluation_turns_sums_of_logs_into_products(a, b):
     def at_line(log):
-        return TermSeries.of(eval_at_var(log, TABLE, W, ORDER))
+        return TermSeries.of(eval_at_var(log, TABLE, ORDER))
 
     assert at_line(a + b) == at_line(a) * at_line(b)
 
@@ -60,19 +60,19 @@ any_family = st.one_of(families, st.integers(1, 2).map(lambda n: RootFamily(FAMI
 
 def one_exp(logs):
     """The one exp over ``logs`` as an oracle series on ``RELATION_TABLE``."""
-    return TermSeries.of(PuiseuxSeries.from_pieces(exp_by_weight(logs, W, ORDER),
-                                                   GradedPolynomial.zero(RELATION_TABLE, W)))
+    return TermSeries.of(PuiseuxSeries.from_pieces(exp_by_weight(logs, ORDER),
+                                                   GradedPolynomial.zero(RELATION_TABLE)))
 
 
 def constrained_power_sums(fam, kind):
     """The family's power sums with the setting's relation on its elementary classes."""
-    return power_sums_gp(RootFamily(fam.family, fam.n_roots, kind), W // 2, RELATION_TABLE, W)
+    return power_sums_gp(RootFamily(fam.family, fam.n_roots, kind), RELATION_TABLE)
 
 
 @PROPERTY
 @given(logs, any_family, st.sampled_from(CONSTRAINT_KINDS))
 def test_relation_on_power_sums_is_relation_on_the_product(log, fam, kind):
-    plain = prod_over_roots(log, fam, RELATION_TABLE, W, ORDER)
+    plain = prod_over_roots(log, fam, RELATION_TABLE, ORDER)
     expected = TermSeries({k: apply_constraint(p, kind).terms for k, p in plain.terms.items()},
                           plain.order_bound, RELATION_TABLE, W)
     sums = constrained_power_sums(fam, kind)

@@ -17,15 +17,15 @@ FLAVOURS = [(False, +1), (False, -1), (True, +1), (True, -1)]
 @lru_cache(maxsize=None)
 def setup_bundles(W=4):
     table = build_generator_table(2, 1, True, W)
-    T = complexified_bundle(RootFamily(FAMILY_TM, 2), table, W)
-    V = complexified_bundle(RootFamily(FAMILY_V, 1), table, W)
-    L = complexified_bundle(LINE, table, W)
+    T = complexified_bundle(RootFamily(FAMILY_TM, 2), table)
+    V = complexified_bundle(RootFamily(FAMILY_V, 1), table)
+    L = complexified_bundle(LINE, table)
     return table, T, V, L
 
 
 def series(pieces, E):
     """The weight pieces as one series over ``E``'s ring, by the one view."""
-    return PuiseuxSeries.from_pieces(pieces, GradedPolynomial.zero(E.table, E.max_weight))
+    return PuiseuxSeries.from_pieces(pieces, GradedPolynomial.zero(E.table))
 
 
 def theta_series(kind, T, L, order):
@@ -40,7 +40,7 @@ def test_ranks_and_reduction():
     table, T, V, L = setup_bundles()
     assert T.constant_term() == 4 and V.constant_term() == 2 and L.constant_term() == 2
     assert reduced(T).constant_term() == 0
-    assert T - GradedPolynomial.scalar(4, table, 4) == reduced(T)
+    assert T - GradedPolynomial.scalar(4, table) == reduced(T)
 
 
 def test_adams():
@@ -49,8 +49,8 @@ def test_adams():
     assert adams(adams(T, 2), 3) == adams(T, 6)
     assert adams(T, 2).constant_term() == T.constant_term()
     # doubling the roots of the line pair: e^{4iu} + e^{-4iu} = 2 cosh 4w
-    w = GradedPolynomial.generator("w", table, 4)
-    want = GradedPolynomial.scalar(2, table, 4) + (w * w).scale(16) + (w ** 4).scale(Fraction(64, 3))
+    w = GradedPolynomial.generator("w", table)
+    want = GradedPolynomial.scalar(2, table) + (w * w).scale(16) + (w ** 4).scale(Fraction(64, 3))
     assert adams(L, 2) == want
 
 
@@ -58,7 +58,7 @@ def test_lambda_square_of_line_pair():
     table, T, V, L = setup_bundles()
     lam2 = lambda_power(L, 2)
     assert lam2.constant_term() == 1
-    assert lam2 == GradedPolynomial.one(table, 4)
+    assert lam2 == GradedPolynomial.one(table)
 
 
 @pytest.mark.parametrize("name", ["T", "V", "L", "T-4", "V-2", "L-2", "T+V"])
@@ -80,7 +80,7 @@ def test_lambda_powers_in_closed_form(name):
 def test_strings_take_rank_zero_bundles(name):
     """A ranked bundle's log has a weight-0 part, which would need an exp in q alone."""
     table, T, V, L = setup_bundles()
-    E = {"T": T, "L": L, "T+V": T + V, "1": GradedPolynomial.one(table, 4)}[name]
+    E = {"T": T, "L": L, "T+V": T + V, "1": GradedPolynomial.one(table)}[name]
     for half, sign in FLAVOURS:
         with pytest.raises(AlgebraError, match="rank-0"):
             lambda_string(E, half, sign, 2)
@@ -107,7 +107,7 @@ def test_first_order_coefficients():
     table, T, V, L = setup_bundles()
     E = reduced(T)
     # a trivial line reduces to zero, so theta_c_star is the bare symmetric string
-    sym = theta_series("theta_c_star", T, GradedPolynomial.scalar(2, table, 4), 2)
+    sym = theta_series("theta_c_star", T, GradedPolynomial.scalar(2, table), 2)
     assert sym.coefficient(8) == E
     assert string_series(E, True, -1, 2).coefficient(4) == -E
     assert sym.coefficient(8).constant_term() == 0

@@ -12,21 +12,22 @@ from anomcancel.modforms import (GROUP_LOWER, GROUP_UPPER, basis_element, decomp
                                  delta_eps, transfer_residual,
                                  unit_lower_inverse)
 from anomcancel.qseries import PuiseuxSeries
+from anomcancel.theta import theta_null
 
 from helpers import TermSeries, modular_basis_oracle, naive_combination, packed, residual_oracle
 
 
 def _decompose(P, k):
-    return decompose(packed(P), k, GradedPolynomial.zero(P.table, P.cap))
+    return decompose(packed(P), k, GradedPolynomial.zero(P.table))
 
 
 def _transfer(P1, h, l, k):
-    return transfer_residual(packed(P1), h, l, k, GradedPolynomial.zero(P1.table, P1.cap))
+    return transfer_residual(packed(P1), h, l, k, GradedPolynomial.zero(P1.table))
 
 
 def _span(h, group, k, order, zero):
     """``sum_r h_r * basis_r`` through ``q^order``, from the lattice-sum oracle."""
-    return residual_oracle(TermSeries({}, 8 * order, zero.table, zero.max_weight), h, group, k, -1, order)
+    return residual_oracle(TermSeries({}, 8 * order, zero.table, zero.table.cap), h, group, k, -1, order)
 
 
 def _over(series, den):
@@ -97,24 +98,24 @@ def test_decompose_trivial_cases():
     table = build_generator_table(2, 1, False, 2)
     p = _scalar_gp_series(basis_element(GROUP_UPPER, 1, 0, 6), table, 2)
     dec = _decompose(p, 1)
-    assert dec.h[0] == GradedPolynomial.one(table, 2)
+    assert dec.h[0] == GradedPolynomial.one(table)
     assert dec.residual_zero
     p2 = _scalar_gp_series(delta_eps("eps2", 6), table, 2)
     dec2 = _decompose(p2, 2)
-    assert dec2.h[0] == GradedPolynomial.zero(table, 2)
-    assert dec2.h[1] == GradedPolynomial.one(table, 2)
+    assert dec2.h[0] == GradedPolynomial.zero(table)
+    assert dec2.h[1] == GradedPolynomial.one(table)
     assert dec2.residual_zero
 
 
 def test_decompose_reconstruct_roundtrip():
     table = build_generator_table(3, 2, False, 6)
     rng = random.Random(17)
-    zero = GradedPolynomial.zero(table, 6)
+    zero = GradedPolynomial.zero(table)
     for k in (2, 3, 4):
         h = []
         for r in range(k // 2 + 1):
-            gp = GradedPolynomial.scalar(rng.randint(-9, 9), table, 6)
-            gp = gp + GradedPolynomial.generator("nM1", table, 6).scale(rng.randint(-4, 4))
+            gp = GradedPolynomial.scalar(rng.randint(-9, 9), table)
+            gp = gp + GradedPolynomial.generator("nM1", table).scale(rng.randint(-4, 4))
             h.append(gp)
         P = _span(h, GROUP_UPPER, k, 7, zero)
         dec = _decompose(P, k)
@@ -125,7 +126,7 @@ def test_decompose_reconstruct_roundtrip():
 
 def test_decompose_validates_input():
     table = build_generator_table(2, 1, False, 2)
-    bad = TermSeries({1: GradedPolynomial.one(table, 2).terms}, 80, table, 2)
+    bad = TermSeries({1: GradedPolynomial.one(table).terms}, 80, table, 2)
     with pytest.raises(AlgebraError):
         _decompose(bad, 1)
     short = _scalar_gp_series(PuiseuxSeries({0: Fraction(1)}, 8, Fraction(0)), table, 2)
@@ -136,22 +137,22 @@ def test_decompose_validates_input():
 @pytest.mark.parametrize("operation", ["decompose", "transfer_residual"])
 def test_an_exact_series_has_no_order_to_check_against(operation):
     """A packed series with no bound has no finite order to check a residual against."""
-    zero = GradedPolynomial.zero(build_generator_table(1, 0, True, 2), 2)
+    zero = GradedPolynomial.zero(build_generator_table(1, 0, True, 2))
     exact = QColumns(1, 4, {0: [-1, -24]})
     with pytest.raises(AlgebraError, match="no finite order"):
         if operation == "decompose":
             decompose(exact, 1, zero)
         else:
-            transfer_residual(exact, [GradedPolynomial.one(zero.table, 2)], 1, 1, zero)
+            transfer_residual(exact, [GradedPolynomial.one(zero.table)], 1, 1, zero)
 
 
 def test_transfer_detects_perturbation():
     table = build_generator_table(2, 1, False, 2)
-    h = [GradedPolynomial.one(table, 2)]
-    zero = GradedPolynomial.zero(table, 2)
+    h = [GradedPolynomial.one(table)]
+    zero = GradedPolynomial.zero(table)
     p1 = _span(h, GROUP_LOWER, 1, 6, zero).scale(Fraction(4))  # 2^l with l = 2
     assert not _transfer(p1, h, 2, 1)
-    h_bad = [GradedPolynomial.one(table, 2) + GradedPolynomial.one(table, 2)]
+    h_bad = [GradedPolynomial.one(table) + GradedPolynomial.one(table)]
     res = _transfer(p1, h_bad, 2, 1)
     assert res
     # leading mismatch is the constant term of -2^l (8 delta1)^k
@@ -161,11 +162,11 @@ def test_transfer_detects_perturbation():
 def test_decompose_flags_non_modular_input():
     # a series that solves the triangular system but fails at higher orders
     table = build_generator_table(2, 1, False, 2)
-    zero = GradedPolynomial.zero(table, 2)
-    good = _span([GradedPolynomial.one(table, 2)], GROUP_UPPER, 1, 6, zero)
-    junk = TermSeries({24: GradedPolynomial.generator("nM1", table, 2).terms}, 48, table, 2)
+    zero = GradedPolynomial.zero(table)
+    good = _span([GradedPolynomial.one(table)], GROUP_UPPER, 1, 6, zero)
+    junk = TermSeries({24: GradedPolynomial.generator("nM1", table).terms}, 48, table, 2)
     dec = _decompose(good + junk, 1)
-    assert dec.h[0] == GradedPolynomial.one(table, 2)  # solve still works
+    assert dec.h[0] == GradedPolynomial.one(table)  # solve still works
     assert not dec.residual_zero                        # but the witness fails
 
 
@@ -255,7 +256,7 @@ def test_basis_rows_never_multiply_by_the_unit(monkeypatch):
 
 def _residual_ring():
     table = build_generator_table(2, 1, True, 4)
-    gen = {g.name: GradedPolynomial.generator(g.name, table, 4) for g in table.gens}
+    gen = {g.name: GradedPolynomial.generator(g.name, table) for g in table.gens}
     h = [gen["nM1"] * gen["nV1"] + gen["w"].scale(Fraction(-3, 5)) + 2,
          gen["nM2"].scale(Fraction(1, 6)) - gen["w"] ** 4 + Fraction(7, 3)]
     return table, gen, h
@@ -335,8 +336,8 @@ def test_non_unit_diagonal_is_rejected_not_divided(monkeypatch, factor):
     k, order = 4, 6
     _patch_diagonal(monkeypatch, k, order, 1, factor)
     table = build_generator_table(3, 2, False, 6)
-    zero = GradedPolynomial.zero(table, 6)
-    nm1 = GradedPolynomial.generator("nM1", table, 6)
+    zero = GradedPolynomial.zero(table)
+    nm1 = GradedPolynomial.generator("nM1", table)
     h = [nm1.scale(r + 1) for r in range(k // 2 + 1)]
     P = _span(h, GROUP_UPPER, k, order, zero)
     # the patched row 1 differs from the true one only at its diagonal entry, at q^(1/2)
@@ -394,3 +395,37 @@ def test_the_solve_reads_the_sturm_count():
         with pytest.raises(AlgebraError):
             make_setting("spin4k", k, 1, n_q=k + 1)
         assert make_setting("spin4k", k, 1, n_q=k + 2).n_q > sturm
+
+
+def _upper_row_packed(k: int, order: int) -> QColumns:
+    """Upper basis row ``r = 0`` of weight 2k through ``q^order``, packed by hand from its scalar view."""
+    row = basis_element(GROUP_UPPER, k, 0, max(order, 1))
+    nums = [row.coefficient(4 * j) for j in range(2 * order + 1)]
+    assert all(c.denominator == 1 for c in nums)
+    return QColumns(1, 4, {0: [int(c) for c in nums]}, 8 * order)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_decompose_needs_exactly_the_sturm_count_of_known_orders(k):
+    """``k//2 + 1`` known powers of q determine the ``h_r``; one fewer is refused."""
+    zero = GradedPolynomial.zero(build_generator_table(1, 0, True, 2))
+    n = k // 2 + 1
+    dec = decompose(_upper_row_packed(k, n), k, zero)
+    assert dec.residual_zero and [p.constant_term() for p in dec.h] == [1] + [0] * (n - 1)
+    with pytest.raises(AlgebraError, match="cannot determine"):
+        decompose(_upper_row_packed(k, n - 1), k, zero)
+
+
+def test_decompose_reads_a_short_column_as_zeros():
+    """A column that stops before the solved positions is zero there, as a padded one is."""
+    zero = GradedPolynomial.zero(build_generator_table(1, 0, True, 2))
+    short, padded = (decompose(QColumns(1, 4, {0: nums}, 24), 2, zero) for nums in ([1], [1] + [0] * 6))
+    assert [p.constant_term() for p in short.h] == [p.constant_term() for p in padded.h] == [1, -48]
+    assert short.residual == padded.residual and not short.residual_zero
+
+
+def test_scalar_views_read_a_known_zero_as_zero():
+    """A position the packed column does not store, but knows, reads as 0, not as some other scalar."""
+    assert basis_element(GROUP_UPPER, 2, 1, 4).coefficient(0) == 0
+    assert delta_eps("eps2", 3).coefficient(0) == 0
+    assert theta_null("theta3", 3).coefficient(8) == 0 and theta_null("theta3", 3).coefficient(4) == 2

@@ -34,8 +34,8 @@ def test_divisibility_witness(theorem, k, l, c, lines, h0, lhs):
     # admissible: c = w2(M) = 0 (w2(CP^1) = 2x) and w2(V) = sum_j c1(L_j) = 0, mod 2
     assert all(a % 2 == 0 for a in c)
     assert all(sum(col) % 2 == 0 for col in zip(*lines))
-    name, repl = constraint_replacement(s.kind, env.table, s.weight)
-    relation = GradedPolynomial.generator(name, env.table, s.weight) - repl
+    name, repl = constraint_replacement(s.kind, env.table)
+    relation = GradedPolynomial.generator(name, env.table) - repl
     assert cp1_characteristic_number(relation.to_standard_basis(), c, lines, top=False) == {}
 
     def number(poly):
@@ -55,7 +55,7 @@ def test_evaluator_is_a_ring_map():
     c, lines = (2, 2, 2, 2), [(1, 1, 0, 0), (0, 0, 1, 1)]
 
     def gen(name, power=1):
-        return GradedPolynomial.generator(name, table, 4, power=power).to_standard_basis()
+        return GradedPolynomial.generator(name, table, power=power).to_standard_basis()
 
     assert gen("nM1") and cp1_characteristic_number(gen("nM1"), c, lines, top=False) == {}
     # p1(V) = -4 nV1 and p2(V) = 16 nV2 (standard factors)

@@ -17,8 +17,11 @@ rows, 52 outputs in this order: ``expand --object P1|P2|P3 --setting
 spin4k|spinc4k|spinc4k2 --k 1|2 --l 1 --basis normalized|standard``, by
 object, then setting, then k, then basis; then ``expand --object basis
 --group upper|lower --k 1..4 --r 0..k//2 --order 10``, by group, then k,
-then r.  Two checkouts produce the same hashes exactly when those outputs
-agree.  Each
+then r.  ``"decompose"`` hashes ``decompose --setting
+spin4k|spinc4k|spinc4k2 --k 1|2|3 --l 1|2 --which P1|P2|P3 --format json``,
+54 outputs, by setting, then k, then l, then which; exit code 1 (a nonzero
+residual) is a result there, not an error.  Two checkouts produce the same
+hashes exactly when those outputs agree.  Each
 hashed output must also equal ``json.dumps(json.loads(out), indent=2)`` plus a
 newline, so the package's JSON writer is checked against the standard
 library on every output hashed; a difference exits nonzero.  The last entry,
@@ -43,12 +46,13 @@ import anomcancel  # noqa: E402
 from anomcancel.cli import EXPAND_OBJECTS, main  # noqa: E402
 
 
-def _stdout_of(argv: list[str]) -> bytes:
-    """The stdout of one ``--format json`` command, checked against ``json.dumps(..., indent=2)``."""
+def _stdout_of(argv: list[str], codes: tuple[int, ...] = (0,)) -> bytes:
+    """The stdout of one ``--format json`` command that exits with one of ``codes``, checked against
+    ``json.dumps(..., indent=2)``."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
-    if code != 0:
+    if code not in codes:
         raise SystemExit(f"anomcancel {' '.join(argv)} exited {code}")
     text = out.getvalue()
     if text != json.dumps(json.loads(text), indent=2) + "\n":
@@ -94,6 +98,14 @@ def output_hashes() -> dict[str, str | int]:
                 digest.update(_stdout_of(["expand", "--object", "basis", "--group", group, "--k", str(k),
                                           "--r", str(r), "--order", "10", "--format", "json"]))
     hashes["expand series"] = digest.hexdigest()
+    digest = hashlib.sha256()
+    for setting in ("spin4k", "spinc4k", "spinc4k2"):
+        for k in (1, 2, 3):
+            for l in (1, 2):
+                for which in ("P1", "P2", "P3"):
+                    digest.update(_stdout_of(["decompose", "--setting", setting, "--k", str(k), "--l", str(l),
+                                              "--which", which, "--format", "json"], codes=(0, 1)))
+    hashes["decompose"] = digest.hexdigest()
     modules = Path(anomcancel.__file__).parent.glob("*.py")
     hashes["src lines"] = sum(p.read_bytes().count(b"\n") for p in modules)
     return hashes
