@@ -22,12 +22,12 @@ def show_coefficient_bundles():
     tangent = complexified_bundle(RootFamily(FAMILY_TM, W), env.table)
     line = complexified_bundle(LINE, env.table)
     print("# coefficient bundles of the line-twisted tensor string (dim 4k)")
-    series = PuiseuxSeries.from_pieces(theta_object("theta_c", tangent, line, 2), env.gp_zero)
+    series = PuiseuxSeries.from_pieces(theta_object("theta_c", tangent, line, 2))
     for units in (0, 4, 8):
         ch = series.coefficient(units)
         print(f"  q^({Fraction(units, 8)}): rank {int(ch.constant_term()):>2}, ch = {ch.to_text()}")
     print()
-    star = PuiseuxSeries.from_pieces(theta_object("theta_c_star", tangent, line, 2), env.gp_zero)
+    star = PuiseuxSeries.from_pieces(theta_object("theta_c_star", tangent, line, 2))
     print("# and of the single-string variant (dim 4k+2, reduced line convention)")
     for units in (0, 4, 8):
         ch = star.coefficient(units)

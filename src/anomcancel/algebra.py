@@ -20,10 +20,10 @@ common denominator, multiplies and adds plain ints, and reduces once.
 
 Polynomial-valued q-series on the hot path live in a transposed integer
 form, :class:`QColumns`: ``(den, step, {packed monomial: [numerator per
-position]}, bound)``, where ``bound`` is the last lattice position known
-(``None`` for an exact series).  A polynomial enters it only by
-:meth:`QColumns.of` and leaves it only by :meth:`QColumns.coefficient`.
-:func:`mul_sum` takes its step, bound and length from the operands.  It
+position]}, bound, table)``, known through lattice ``bound`` (``None``:
+exact) on the ring ``table`` (``None``: scalar).  A polynomial enters it only
+by :meth:`QColumns.of` and leaves it only by :meth:`QColumns.coefficient`.
+:func:`mul_sum` takes its step, bound, length and ring from the operands.  It
 packs a product only when both operands span several positions (Kronecker
 substitution: a monomial's numerators become one int, one bit field per
 position, so a pair of monomials costs one big-int multiply, unpacked once
@@ -306,6 +306,8 @@ class GradedPolynomial:
         """``self + sign * other`` in one pass over ``other``, over the lcm of the two denominators."""
         if isinstance(other, (int, Fraction)):
             other = GradedPolynomial.scalar(other, self.table)
+        elif not isinstance(other, GradedPolynomial):
+            return NotImplemented
         _check_space(other, self.table)
         da, db = self.den, other.den
         den = da if da == db else lcm(da, db)
@@ -334,7 +336,7 @@ class GradedPolynomial:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        return dot([(self, other)], self.table)
+        return dot([(self, other)], self.table) if isinstance(other, GradedPolynomial) else NotImplemented
 
     __rmul__ = __mul__
 
@@ -461,7 +463,7 @@ class GradedPolynomial:
         return f"GradedPolynomial({self.to_text()})"
 
 
-def _check_space(p: GradedPolynomial, table: GeneratorTable):
+def _check_space(p: GradedPolynomial | QColumns, table: GeneratorTable):
     if p.table is not table and p.table != table:
         raise AlgebraError("generator table mismatch")
 
@@ -518,35 +520,38 @@ def dot(pairs: Sequence[tuple[GradedPolynomial, GradedPolynomial]], table: Gener
 
 
 class QColumns(NamedTuple):
-    """A polynomial-valued q-series in transposed integer form, known through lattice ``bound``.
+    """A polynomial-valued q-series in transposed integer form, known through lattice ``bound``, on ``table``.
 
     ``cols[key][i] / den`` is the coefficient of the monomial packed as
-    ``key`` (by its table's :class:`Packing`) at
-    lattice position ``i * step``; positions past the end of a list are
-    zero.  A monomial with no nonzero position is absent.  ``bound`` is the
-    last lattice position known; reading past it raises
-    :class:`~anomcancel.qseries.TruncationError`.  ``bound=None`` marks an
-    exact series, known everywhere: :data:`ONE`, or a single ``h_r``.
+    ``key`` by ``table.packing`` at lattice position ``i * step``; positions
+    past the end of a list are zero, and a monomial with no nonzero position
+    is absent.  ``bound`` is the last lattice position known; reading past
+    it raises :class:`~anomcancel.qseries.TruncationError`.  ``bound=None``
+    marks an exact series (:data:`ONE`, a single ``h_r``), ``table=None`` a
+    scalar one, which holds only key 0: the unit monomial of every table.
     """
 
     den: int
     step: int
     cols: dict[int, list[int]]
     bound: int | None = None
+    table: GeneratorTable | None = None
 
     @staticmethod
     def of(p: GradedPolynomial) -> "QColumns":
-        """``p`` as an exact single-position series: its stored numerators, keys and denominator as they are."""
-        return QColumns(p.den, 1, {key: [n] for key, n in p.nums.items()})
+        """``p`` as an exact single-position series on its table: its numerators, keys and denominator as they are."""
+        return QColumns(p.den, 1, {key: [n] for key, n in p.nums.items()}, None, p.table)
 
-    def coefficient(self, k: int, table: GeneratorTable) -> GradedPolynomial:
+    def coefficient(self, k: int) -> GradedPolynomial:
         """The coefficient at lattice ``k`` as a polynomial on ``table`` (zero off the lattice)."""
+        if self.table is None:
+            raise AlgebraError("a scalar series has no polynomial coefficient")
         if self.bound is not None and k > self.bound:
             from .qseries import require_known
             require_known(k, self.bound)
         i, off = divmod(k, self.step)
         nums = {key: ns[i] for key, ns in self.cols.items() if not off and 0 <= i < len(ns) and ns[i]}
-        return GradedPolynomial._from_ints(table, self.den, nums)
+        return GradedPolynomial._from_ints(self.table, self.den, nums)
 
 
 ONE = QColumns(1, 1, {0: [1]})     # the exact unit: one position, so its step never matters
@@ -619,12 +624,13 @@ def mul_sum(products) -> QColumns:
 
     ``a`` and ``b`` are :class:`QColumns`, ``d`` is a positive int, and each
     ``(t, n)`` pairs a packed monomial key with an int.  The result works
-    out its own lattice from the operands: its step is the gcd of the steps
-    of the operands with more than one position (a single position sits on
-    any step), its bound is the least bound of the truncated operands
-    (``None`` when all are exact), and it holds every position the products
-    reach, up to that bound, over one reduced denominator.  Every product's
-    scalars are brought to integers over the lcm of all denominators.  Only
+    out its own lattice and ring from the operands: its step is the gcd of
+    the steps of the operands with more than one position (a single position
+    sits on any step), its bound the least bound of the truncated operands
+    (``None`` when all are exact), its table the one its tabled operands
+    share (two tables raise), and it holds every position the products reach,
+    up to that bound, over one reduced denominator.  Every product's scalars
+    are brought to integers over the lcm of all denominators.  Only
     a product whose operands both span several positions is packed
     (:func:`_kronecker`).  Where one side is a single position (``ONE``, an
     ``h_r``, a q^0 piece), packing costs more than the product: that side's
@@ -635,11 +641,11 @@ def mul_sum(products) -> QColumns:
 
     >>> p = QColumns(1, 8, {0: [1, 1]})            # 1 + q, exact
     >>> mul_sum([(p, p, 2, [(0, 1)])])
-    QColumns(den=2, step=8, cols={0: [1, 2, 1]}, bound=None)
+    QColumns(den=2, step=8, cols={0: [1, 2, 1]}, bound=None, table=None)
     >>> mul_sum([(p, p._replace(bound=8), 1, [(0, 1)]), (ONE, ONE, 1, [(0, 1)])])
-    QColumns(den=1, step=8, cols={0: [2, 2]}, bound=8)
+    QColumns(den=1, step=8, cols={0: [2, 2]}, bound=8, table=None)
     """
-    step, bound, reach, live = 0, None, 0, []
+    step, bound, table, reach, live = 0, None, None, 0, []
     for a, b, d, scatter in products:
         na, nb = max(map(len, a.cols.values()), default=0), max(map(len, b.cols.values()), default=0)
         for c, n in ((a, na), (b, nb)):
@@ -647,6 +653,10 @@ def mul_sum(products) -> QColumns:
                 step = gcd(step, c.step)
             if c.bound is not None and (bound is None or c.bound < bound):
                 bound = c.bound
+            if c.table is not table and c.table is not None:
+                if table is not None:
+                    _check_space(c, table)
+                table = c.table
         if na and nb:
             reach = max(reach, (na - 1) * a.step + (nb - 1) * b.step)
             live.append((a, b, na, nb, a.den * b.den * d, scatter))
@@ -693,20 +703,20 @@ def mul_sum(products) -> QColumns:
     if common > 1:
         den //= common
         cols = {k: [n // common for n in nums] for k, nums in cols.items()}
-    return QColumns(den, step, cols, bound)
+    return QColumns(den, step, cols, bound, table)
 
 
-def exp_by_grade(columns, top: int, bound: int) -> list[QColumns]:
-    """``F[n]``, the grade-n part of ``exp(L)`` for ``n = 0..top``, known through lattice ``bound``.
+def exp_by_grade(columns, table: GeneratorTable, bound: int) -> list[QColumns]:
+    """``F[n]``, the grade-n part of ``exp(L)`` for ``n = 0..table.cap // 2``, known through lattice ``bound``.
 
     Each ``(m, c, den, scatter)`` is a grade-m term of ``L``: the scalar
-    column ``c`` times ``sum (n/den) x^t`` over ``(t, n)`` in ``scatter``.  By
-    Euler, ``n*F_n = sum m * L_m * F_(n-m)``, one :func:`mul_sum` per piece;
-    ``F[0]`` is the unit known through ``bound``, so every piece is.
+    column ``c`` times ``sum (n/den) x^t`` over ``(t, n)`` in ``scatter``, keys
+    on ``table``.  By Euler, ``n*F_n = sum m * L_m * F_(n-m)``, one :func:`mul_sum`
+    per piece; ``F[0]`` is the unit on ``table`` known through ``bound``, so every piece is.
     """
     columns = [(m, c, den, [(t, m * n) for t, n in scatter]) for m, c, den, scatter in columns]
-    f = [ONE._replace(bound=bound)]
-    for n in range(1, top + 1):
+    f = [ONE._replace(bound=bound, table=table)]
+    for n in range(1, table.cap // 2 + 1):
         products = [(c, f[n - m], n * den, scatter) for m, c, den, scatter in columns if m <= n]
         f.append(mul_sum(products) if products else f[0]._replace(cols={}))
     return f

@@ -170,7 +170,6 @@ class _TangentHalf:
         self.weight = W = s.weight
         self.table = build_generator_table(W, W // 2, s.spin_c, W)
         self.tm = RootFamily(FAMILY_TM, W, s.kind)
-        self.gp_zero = GradedPolynomial.zero(self.table)
         self.tm_sums = power_sums_gp(self.tm, self.table)
         self.line_sums = power_sums_gp(LINE, self.table) if s.spin_c else None
         self._kvirt: dict[int, list] = {}
@@ -239,7 +238,7 @@ class _Env:
         if key not in _tangent_cache:
             _tangent_cache[key] = _TangentHalf(s)
         self.half = half = _tangent_cache[key]
-        self.table, self.gp_zero = half.table, half.gp_zero
+        self.table = half.table
         self.v = RootFamily(FAMILY_V, s.l, s.kind)
         self.v_sums = power_sums_gp(self.v, self.table)
         self._p: dict[str, QColumns] = {}
@@ -286,18 +285,18 @@ class _Env:
 
     def coefficient(self, which: str, k: int) -> GradedPolynomial:
         """One coefficient of P1/P2/P3, at lattice ``k``, read from the packed form."""
-        return self.packed(which).coefficient(k, self.table)
+        return self.packed(which).coefficient(k)
 
     @cached_property
     def decomposition(self) -> Decomposition:
         """The decomposition of P2, built once."""
-        return decompose(self.packed("P2"), self.setting.k, self.gp_zero)
+        return decompose(self.packed("P2"), self.setting.k)
 
     @cached_property
     def transfer(self) -> PuiseuxSeries:
         """The transfer residual of P1 against the decomposition's ``h``, shared by every theorem row here."""
         s = self.setting
-        return transfer_residual(self.packed("P1"), self.decomposition.h, s.l, s.k, self.gp_zero)
+        return transfer_residual(self.packed("P1"), self.decomposition.h, s.l, s.k)
 
     # -- identity sides ---------------------------------------------------------
 
@@ -333,7 +332,7 @@ class _Env:
     def rhs(self, h: list[GradedPolynomial], q1: bool) -> GradedPolynomial:
         """Right side of the constant-term (or ``q^1``) identity: ``sum_r c_r h_r``."""
         c = rhs_coefficients(self.setting.k, self.setting.l, q1)
-        return sum((hr.scale(cr) for cr, hr in zip(c, h, strict=True) if cr), self.gp_zero)
+        return sum((hr.scale(cr) for cr, hr in zip(c, h, strict=True) if cr), GradedPolynomial.zero(self.table))
 
 
 def get_env(setting: Setting) -> _Env:
@@ -346,8 +345,7 @@ def get_env(setting: Setting) -> _Env:
 
 def build_P(setting: Setting, which: str) -> PuiseuxSeries:
     """Top-weight P-series for the setting, under its relation, as a series of polynomials."""
-    env = get_env(setting)
-    return PuiseuxSeries.from_packed(env.packed(which), zero=env.gp_zero)
+    return PuiseuxSeries.from_packed(get_env(setting).packed(which))
 
 
 def decompose_setting(setting: Setting, which: str = "P2") -> Decomposition:
@@ -355,7 +353,7 @@ def decompose_setting(setting: Setting, which: str = "P2") -> Decomposition:
     env = get_env(setting)
     if which == "P2":
         return env.decomposition
-    return decompose(env.packed(which), setting.k, env.gp_zero)
+    return decompose(env.packed(which), setting.k)
 
 
 def cross_check_bundle_expansion(setting: Setting, which: str, order: int) -> PuiseuxSeries:
@@ -375,7 +373,7 @@ def cross_check_bundle_expansion(setting: Setting, which: str, order: int) -> Pu
         rest = {setting.weight - w: [(key, -n) for key, n in items] for w, items in groups}
         products += [(f, g, den, rest[2 * (a + b)]) for a, f in enumerate(pieces)
                      for b, g in enumerate(twist) if 2 * (a + b) in rest]
-    return PuiseuxSeries.from_packed(mul_sum(products), zero=env.gp_zero)
+    return PuiseuxSeries.from_packed(mul_sum(products))
 
 
 # -- reports ---------------------------------------------------------------------
@@ -530,7 +528,7 @@ def _verify_corollary(report: VerificationReport, env: _Env, theorem: str):
     dec = _pipeline(report, env)
 
     def kill_nm1(p: GradedPolynomial) -> GradedPolynomial:
-        return p.substitute("nM1", env.gp_zero)
+        return p.substitute("nM1", GradedPolynomial.zero(env.table))
 
     g_top, gt_top = env.top(env.genus), env.top(env.genus, env.tangent)
     x_top, xt_top = kill_nm1(g_top), kill_nm1(gt_top)
@@ -578,7 +576,7 @@ def _sign_flip_residual(env: _Env) -> PuiseuxSeries:
             raise AlgebraError("sign flip needs all exponents to be multiples of 1/2")
         flipped[key] = [-n if i * p2.step // HALF_UNIT % 2 else n for i, n in enumerate(nums)]
     out = mul_sum([(p3, ONE, 1, [(0, 1)]), (p2._replace(cols=flipped), ONE, 1, [(0, -1)])])
-    return PuiseuxSeries.from_packed(out, zero=env.gp_zero)
+    return PuiseuxSeries.from_packed(out)
 
 
 # -- divisibility audits ------------------------------------------------------------

@@ -169,7 +169,7 @@ def exp_by_weight(logs: Sequence[tuple[RootFactor, Sequence[GradedPolynomial]]],
                 raise AlgebraError(f"power sum s_{m} must be homogeneous of weight {d}")
             den, groups = sums[m].int_form()
             columns.append((m, c, den, [item for _, items in groups for item in items]))
-    return exp_by_grade(columns, cap // 2, bound)
+    return exp_by_grade(columns, table, bound)
 
 
 def prod_over_roots(log: RootFactor, fam: RootFamily, table: GeneratorTable, order: int) -> PuiseuxSeries:
@@ -179,8 +179,7 @@ def prod_over_roots(log: RootFactor, fam: RootFamily, table: GeneratorTable, ord
     :func:`anomcancel.theta.theta_log`): even in z, with no z^0 terms.  Unit
     constants (such as a per-root 2) are the caller's responsibility.
     """
-    return PuiseuxSeries.from_pieces(exp_by_weight([(log, power_sums_gp(fam, table))], order),
-                                     GradedPolynomial.zero(table))
+    return PuiseuxSeries.from_pieces(exp_by_weight([(log, power_sums_gp(fam, table))], order))
 
 
 def additive_over_roots(z2_coeffs, fam: RootFamily, table: GeneratorTable) -> GradedPolynomial:

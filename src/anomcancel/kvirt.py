@@ -97,7 +97,7 @@ def _exp_of_strings(strings, bound: int) -> list[QColumns]:
                 raise AlgebraError(f"a tensor string takes a rank-0 bundle of even weights, not weight {w}")
             col = QColumns(1, first, {0: _adams_column(first, sign, exterior, w - 1, bound)}, bound)
             columns.append((w // 2, col, den, items))
-    return exp_by_grade(columns, strings[0][0].table.cap // 2, bound)
+    return exp_by_grade(columns, strings[0][0].table, bound)
 
 
 def lambda_string(E: GradedPolynomial, half: bool, sign: int, order: int) -> list[QColumns]:
@@ -106,7 +106,7 @@ def lambda_string(E: GradedPolynomial, half: bool, sign: int, order: int) -> lis
     >>> from anomcancel.genus import LINE, build_generator_table
     >>> table = build_generator_table(1, 0, True, 4)
     >>> E = reduced(complexified_bundle(LINE, table))      # 2 cosh 2w - 2, the q^1 coefficient
-    >>> [piece.coefficient(8, table).to_text() for piece in lambda_string(E, False, +1, 1)]
+    >>> [piece.coefficient(8).to_text() for piece in lambda_string(E, False, +1, 1)]
     ['0', '4*w^2', '4/3*w^4']
     """
     return _exp_of_strings([(E, HALF_UNIT if half else Q_UNIT, sign, True)], Q_UNIT * order)

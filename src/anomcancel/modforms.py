@@ -30,17 +30,16 @@ minor's integer inverse (:func:`unit_lower_inverse`) applied to P2's first
 ``k//2 + 1`` integer numerators, with no division; the residual, zero at the
 solved positions too, is what checks that solve.  :func:`decompose`
 and :func:`transfer_residual` take the packed series the verdict path holds,
-with its lattice bound; each ``h_r`` leaves the packed form by
-``QColumns.coefficient`` and re-enters by ``QColumns.of``.  Each residual is
-known through the lesser of the series' bound and the basis order.  The
+with its lattice bound and its ring; each ``h_r`` leaves the packed form on
+that ring by ``QColumns.coefficient`` and re-enters by ``QColumns.of``, where
+``mul_sum`` checks its ring.  Each residual is known through the lesser of
+the series' bound and the basis order.  The
 residuals, :func:`delta_eps` and :func:`basis_element` leave the integer
 columns as read-only views (:meth:`~anomcancel.qseries.PuiseuxSeries.from_packed`),
 and a residual is zero when its view stores no term (``not residual``).
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .algebra import ONE, AlgebraError, GradedPolynomial, QColumns, mul_sum
 from .qseries import HALF_UNIT, Q_UNIT, PuiseuxSeries
@@ -107,8 +106,7 @@ def delta_eps(which: str, order: int) -> PuiseuxSeries:
     if group is None:
         raise AlgebraError(f"unknown generator {which!r}")
     d8, eps = _generators(group, order)
-    return PuiseuxSeries.from_packed(d8._replace(den=8 * d8.den) if which.startswith("delta") else eps,
-                                     zero=Fraction(0))
+    return PuiseuxSeries.from_packed(d8._replace(den=8 * d8.den) if which.startswith("delta") else eps)
 
 
 def _basis_rows(group: str, k: int, order: int) -> tuple[QColumns, ...]:
@@ -161,7 +159,7 @@ def basis_element(group: str, k: int, r: int, order: int) -> PuiseuxSeries:
     row = _basis_rows(group, k, order)[r]
     if group == GROUP_UPPER and HALF_UNIT * r > Q_UNIT * order:
         raise AlgebraError(f"upper basis element r={r} starts beyond q^{order}")
-    return PuiseuxSeries.from_packed(row, zero=Fraction(0))
+    return PuiseuxSeries.from_packed(row)
 
 
 class Decomposition:
@@ -214,27 +212,24 @@ def unit_lower_inverse(m: list[list[int]]) -> list[list[int]]:
     return inv
 
 
-def _packed_sum(P: QColumns, h: list[GradedPolynomial], rows: tuple[QColumns, ...], scale: int,
-                zero: GradedPolynomial) -> PuiseuxSeries:
+def _packed_sum(P: QColumns, h: list[GradedPolynomial], rows: tuple[QColumns, ...], scale: int) -> PuiseuxSeries:
     """``P + scale * sum_r h_r * rows_r`` as one :func:`mul_sum`, through the least bound of ``P`` and the rows.
 
-    ``P`` is a packed series on the ring of ``zero``.  Each ``h_r`` enters
-    through its integer form as an exact single-position operand, so the
+    Each ``h_r`` enters through its integer form as an exact single-position
+    operand on its ring, which :func:`mul_sum` checks against ``P``'s; the
     output step is the gcd of the rows' step and ``P``'s, and a term of
     ``P`` off the rows' lattice stays in the result.
     """
-    if any(p.table != zero.table for p in h):
-        raise AlgebraError("basis coefficients live in another polynomial ring")
     products = [(QColumns.of(p), row, 1, [(0, scale)]) for p, row in zip(h, rows)] + [(P, ONE, 1, _UNIT)]
-    return PuiseuxSeries.from_packed(mul_sum(products), zero=zero)
+    return PuiseuxSeries.from_packed(mul_sum(products))
 
 
-def decompose(P: QColumns, k: int, zero: GradedPolynomial) -> Decomposition:
+def decompose(P: QColumns, k: int) -> Decomposition:
     """Solve ``P = sum_r h_r (8*delta2)^(k-2r) eps2^r`` and report the residual.
 
     ``P`` is a packed series known through lattice ``P.bound``, on the
-    half-integer lattice, whose monomials are packed for the ring of
-    ``zero``.  The leading minor, the rows at ``q^(j/2)`` for ``j = 0..k//2``,
+    half-integer lattice and the ring ``P.table``, which every ``h_r`` is
+    on.  The leading minor, the rows at ``q^(j/2)`` for ``j = 0..k//2``,
     is unit lower-triangular with integer entries (:func:`leading_minor`), so its
     inverse is integral (:func:`unit_lower_inverse`), and the ``h_r`` are
     that inverse applied to ``P``'s integer numerators at those positions:
@@ -247,8 +242,8 @@ def decompose(P: QColumns, k: int, zero: GradedPolynomial) -> Decomposition:
     The upper row ``8*delta2`` itself, through ``q^2`` (lattice 16):
 
     >>> from anomcancel.genus import build_generator_table
-    >>> zero = GradedPolynomial.zero(build_generator_table(1, 0, True, 2))
-    >>> dec = decompose(QColumns(1, HALF_UNIT, {0: [-1, -24, -24, -96, -24]}, 16), 1, zero)
+    >>> table = build_generator_table(1, 0, True, 2)
+    >>> dec = decompose(QColumns(1, HALF_UNIT, {0: [-1, -24, -24, -96, -24]}, 16, table), 1)
     >>> [p.to_text() for p in dec.h], dec.residual_zero
     (['1'], True)
     """
@@ -266,23 +261,22 @@ def decompose(P: QColumns, k: int, zero: GradedPolynomial) -> Decomposition:
     for key, nums in P.cols.items():
         c = [nums[i] if not off and i < len(nums) else 0 for i, off in at]   # P at q^(j/2)
         solved[key] = [sum(x * y for x, y in zip(row, c)) for row in inv]
-    h_polys = [QColumns(P.den, 1, {key: [h[r]] for key, h in solved.items() if h[r]})
-               .coefficient(0, zero.table) for r in range(n_unknowns)]
-    residual = _packed_sum(P, h_polys, _basis_rows(GROUP_UPPER, k, order), -1, zero)
+    h_polys = [QColumns(P.den, 1, {key: [h[r]] for key, h in solved.items() if h[r]}, None, P.table)
+               .coefficient(0) for r in range(n_unknowns)]
+    residual = _packed_sum(P, h_polys, _basis_rows(GROUP_UPPER, k, order), -1)
     return Decomposition(h_polys, residual, inv)
 
 
-def transfer_residual(P1: QColumns, h: list[GradedPolynomial], l: int, k: int,
-                      zero: GradedPolynomial) -> PuiseuxSeries:
+def transfer_residual(P1: QColumns, h: list[GradedPolynomial], l: int, k: int) -> PuiseuxSeries:
     """Residual of ``P1 = 2^l sum_r h_r (8*delta1)^(k-2r) eps1^r``, through the last whole power of q.
 
-    ``P1`` is packed as in :func:`decompose`, and known through ``P1.bound``.  For a modular
-    ``P1``, a residual zero through ``q^(k//2)`` (the Sturm bound) proves the transfer from the
-    upper-group decomposition to the integer-exponent side; past it, it tests that P1 is modular.
+    ``P1`` is packed as in :func:`decompose`, known through ``P1.bound``, each ``h_r`` on its ring.
+    For a modular ``P1``, a residual zero through ``q^(k//2)`` (the Sturm bound) proves the transfer
+    from the upper-group decomposition to the integer-exponent side; past it, it tests that P1 is modular.
     """
     if len(h) != k // 2 + 1:
         raise AlgebraError("coefficient list length does not match k")
-    return _packed_sum(P1, h, _basis_rows(GROUP_LOWER, k, _known_order(P1)), -(2 ** l), zero)
+    return _packed_sum(P1, h, _basis_rows(GROUP_LOWER, k, _known_order(P1)), -(2 ** l))
 
 
 def _known_order(P: QColumns) -> int:

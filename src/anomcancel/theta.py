@@ -78,8 +78,7 @@ def theta_null(kind: str, order: int) -> PuiseuxSeries:
     q^(1/8) sum_(n>=0) (-1)^n (2n+1) q^(n(n+1)/2)`` are the reduced forms
     (constants 2 and 2*pi stripped) and start at ``q^(1/8)``.
     """
-    return PuiseuxSeries.from_packed(_null(kind, order, Q_UNIT * order + (kind in ("theta1", "theta_prime"))),
-                                     Fraction(0))
+    return PuiseuxSeries.from_packed(_null(kind, order, Q_UNIT * order + (kind in ("theta1", "theta_prime"))))
 
 
 def jacobi_residual(order: int) -> PuiseuxSeries:
@@ -95,7 +94,7 @@ def jacobi_residual(order: int) -> PuiseuxSeries:
     bound = Q_UNIT * order + 1
     t1, t2, t3, tp = (_null(kind, order, bound) for kind in ("theta1", "theta2", "theta3", "theta_prime"))
     even = mul_sum([(t2, t3, 1, [(0, 1)])])
-    return PuiseuxSeries.from_packed(mul_sum([(tp, ONE, 1, [(0, 1)]), (t1, even, 1, [(0, -1)])]), Fraction(0))
+    return PuiseuxSeries.from_packed(mul_sum([(tp, ONE, 1, [(0, 1)]), (t1, even, 1, [(0, -1)])]))
 
 
 class RootFactor:
@@ -195,7 +194,7 @@ class RootFactor:
         return {"z_bound": self.z_bound, "q_bound": self.q_bound, "terms": rows}
 
     def to_text(self) -> str:
-        return "\n".join(f"z^{d}: " + PuiseuxSeries.from_packed(c, Fraction(0)).to_text()
+        return "\n".join(f"z^{d}: " + PuiseuxSeries.from_packed(c).to_text()
                          for d, c in sorted(self.cols.items())) or "0"
 
 
@@ -270,6 +269,8 @@ def theta_log(kind: str, order: int, z_bound: int) -> RootFactor:
     cached = _log_cache.get(key)
     if cached is not None:
         return cached
+    if order < 0:
+        raise AlgebraError("order must be >= 0")
     if kind not in FACTOR_KINDS:
         raise AlgebraError(f"unknown factor kind {kind!r}")
     half, parity, outer, over_j, q0_sign = _LOG_KINDS[kind]
@@ -293,7 +294,7 @@ def theta_factor(kind: str, order: int, z_bound: int) -> RootFactor:
 
     Over the one-root tangent family the only generator ``nM1 = e_1(z^2)`` is
     ``z^2`` itself, so the weight-2m piece of :func:`~anomcancel.genus.exp_by_weight`
-    is ``nM1^m`` times the factor's ``z^2m`` column, which is read off it.  The odd
+    is ``nM1^m`` times the factor's ``z^2m`` column, read off it as a scalar one.  The odd
     factor is ``d = z * exp(log(d/z))``: its log is taken through ``z^(z_bound-1)``
     and every degree moves up by one.
 
@@ -310,5 +311,5 @@ def theta_factor(kind: str, order: int, z_bound: int) -> RootFactor:
     sums = power_sums_gp(RootFamily(FAMILY_TM, 1), build_generator_table(1, 0, False, zb))
     pieces = exp_by_weight([(theta_log(kind, order, zb), sums)], order)
     # piece m holds the one monomial nM1^m, or nothing
-    cols = {2 * m + shift: f._replace(cols={0: nums}) for m, f in enumerate(pieces) for nums in f.cols.values()}
+    cols = {2 * m + shift: f._replace(cols={0: n}, table=None) for m, f in enumerate(pieces) for n in f.cols.values()}
     return RootFactor.from_columns(cols, z_bound, Q_UNIT * order)

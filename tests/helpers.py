@@ -75,7 +75,7 @@ def theta_null_sum_form(kind: str, order: int) -> PuiseuxSeries:
             c = (-1) ** n * (2 * n + 1) if kind == "theta_prime" else 1
         terms[k] = terms.get(k, Fraction(0)) + c
         n += 1
-    return PuiseuxSeries(terms, bound, Fraction(0))
+    return PuiseuxSeries(terms, bound)
 
 
 def theta_null_product_form(kind: str, order: int) -> PuiseuxSeries:
@@ -96,7 +96,7 @@ def theta_null_product_form(kind: str, order: int) -> PuiseuxSeries:
     for j in range(1, order + 1):
         for a, c in binomials(j):
             out = _series_mul(out, {0: Fraction(1), a: Fraction(c)}, bound)
-    return PuiseuxSeries(out, bound, Fraction(0))
+    return PuiseuxSeries(out, bound)
 
 
 # -- product-built factor oracle -------------------------------------------------
@@ -343,9 +343,8 @@ class TermSeries:
     @staticmethod
     def of(series) -> "TermSeries":
         """A polynomial-valued library series, each coefficient read through its ``.terms``."""
-        zero = series.zero
         return TermSeries({k: p.terms for k, p in series.terms.items()}, series.order_bound,
-                          zero.table, zero.table.cap)
+                          series.table, series.table.cap)
 
     def like(self, terms, bound=None) -> "TermSeries":
         """A series over the same ring, known through ``bound`` (this one's when None)."""
@@ -561,7 +560,7 @@ def modular_basis_oracle(group: str, k: int, r: int, order: int) -> PuiseuxSerie
     d = dict(_level2_oracle_power(group, 0, k - 2 * r, order))
     e = dict(_level2_oracle_power(group, 1, r, order))
     terms = _series_mul(d, e, 8 * order)
-    return PuiseuxSeries({pos: c for pos, c in terms.items() if c}, 8 * order, Fraction(0))
+    return PuiseuxSeries({pos: c for pos, c in terms.items() if c}, 8 * order)
 
 
 def residual_oracle(P: TermSeries, h, group: str, k: int, scale: int, order: int) -> TermSeries:
@@ -579,7 +578,7 @@ def residual_oracle(P: TermSeries, h, group: str, k: int, scale: int, order: int
 
 
 def packed(series: TermSeries) -> QColumns:
-    """A polynomial-valued series in the packed integer form, carrying its order bound.
+    """A polynomial-valued series in the packed integer form, carrying its order bound and ring.
 
     Positions go on the gcd of 8 and the stored exponents, numerators over
     the lcm of all denominators.  A monomial's key gives generator ``i`` a
@@ -601,7 +600,7 @@ def packed(series: TermSeries) -> QColumns:
         for e, c in t.items():
             key = sum(x << s for x, s in zip(e, shifts)) + (sum(x * w for x, w in zip(e, weights)) << shift)
             cols.setdefault(key, [0] * size)[pos // step] = c.numerator * (den // c.denominator)
-    return QColumns(den, step, cols, series.bound)
+    return QColumns(den, step, cols, series.bound, series.table)
 
 
 # -- log, exp and line-evaluation oracles -----------------------------------------

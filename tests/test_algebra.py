@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from anomcancel.algebra import AlgebraError, Generator, GeneratorTable, GradedPolynomial, dot
+from anomcancel.algebra import ONE, AlgebraError, Generator, GeneratorTable, GradedPolynomial, QColumns, dot, mul_sum
 from anomcancel.genus import build_generator_table
 
 
@@ -126,6 +126,16 @@ def test_float_coefficients_rejected():
         n1.scale(0.5)
 
 
+@pytest.mark.parametrize("value", [0.5, "x", None])
+def test_non_ring_operand_is_a_type_error(value):
+    """Arithmetic with anything but an int, a ``Fraction`` or a polynomial is left to Python: ``TypeError``."""
+    n1 = GradedPolynomial.generator("nM1", table4())
+    for op in (lambda: n1 + value, lambda: value + n1, lambda: n1 - value, lambda: value - n1,
+               lambda: n1 * value, lambda: value * n1):
+        with pytest.raises(TypeError):
+            op()
+
+
 def test_standard_basis_needs_power_of_two_factors():
     """The basis change shifts numerators, so a generator factor that is not +-2^k is refused."""
     x = GeneratorTable([Generator("x", 2, "M", "p", Fraction(-1, 4)), Generator("w", 1, "W", "c", Fraction(2))], 4)
@@ -152,9 +162,19 @@ def test_table_and_cap_mismatch_rejected():
             dot([(a, a), (a, b)], t)
         with pytest.raises(AlgebraError, match="generator table mismatch"):
             dot([(b, a)], t)
-    # an equal table that is a different object is the same ring
+        with pytest.raises(AlgebraError, match="generator table mismatch"):
+            mul_sum([(QColumns.of(a), ONE, 1, [(0, 1)]), (ONE, QColumns.of(b), 1, [(0, 1)])])
+    # packed keys of two rings may coincide: w on one table and nV1 on another multiply to key 530,
+    # which reads as nM1^2*nV1^2 on the first and as w on the second
+    w = QColumns.of(GradedPolynomial.generator("w", build_generator_table(1, 0, True, 2)))
+    nv1 = QColumns.of(GradedPolynomial.generator("nV1", build_generator_table(2, 1, True, 4)))
+    with pytest.raises(AlgebraError, match="generator table mismatch"):
+        mul_sum([(w, nv1, 1, [(0, 1)])])
+    # an equal table that is a different object is the same ring, and a scalar operand fits any ring
     twin = GradedPolynomial.generator("nM1", build_generator_table(4, 2, True, 4))
     assert twin.table is not t and a * twin == a * a and dot([(twin, a)], t) == a * a
+    packed = mul_sum([(QColumns.of(twin), QColumns.of(a), 1, [(0, 1)]), (ONE, ONE, 1, [(0, 1)])])
+    assert packed.table == t and packed.coefficient(0) == a * a + 1
 
 
 def test_dot_rescales_each_pair_to_the_common_denominator():

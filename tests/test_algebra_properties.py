@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import pytest
 
 from anomcancel import algebra
-from anomcancel.algebra import ONE, GeneratorTable, GradedPolynomial, QColumns, dot, field_width, mul_sum
+from anomcancel.algebra import ONE, GeneratorTable, GradedPolynomial, QColumns, dot, exp_by_grade, field_width, mul_sum
 from anomcancel.genus import build_generator_table, constraint_replacement
 from anomcancel.kvirt import adams
 from helpers import naive_combination, naive_mul_sum, naive_rescale, polynomial_text, weighted_poly_mul
@@ -76,11 +76,12 @@ def test_packed_form_round_trips(terms):
     """``QColumns.of`` is the door into the packed form and ``coefficient`` the door out."""
     p = GradedPolynomial(TABLE, terms)
     c = QColumns.of(p)
-    back = c.coefficient(0, TABLE)
-    assert c.bound is None and back == p
+    back = c.coefficient(0)
+    assert c.bound is None and c.table is TABLE and back == p
+    assert mul_sum([(c, ONE, 1, [(0, 1)])]) == c      # a product of single positions stays one position
     assert_canonical(back)
     assert back.terms == naive_combination([(1, terms)])
-    assert c.coefficient(8, TABLE) == GradedPolynomial.zero(TABLE)
+    assert c.coefficient(8) == GradedPolynomial.zero(TABLE)
 
 
 @PROPERTY
@@ -458,6 +459,17 @@ def test_single_position_products_are_not_packed(monkeypatch):
     monkeypatch.setattr(algebra, "field_width", refuse)
     got = mul_sum(products)
     assert (got.step, got.bound) == (4, 16) and _as_terms(got) == want
+
+
+def test_exp_by_grade_pieces_are_powers_over_factorials():
+    """``exp(c * nM1)`` by grade is ``c^n nM1^n / n!`` for ``n = 0..cap // 2``, every piece on the table."""
+    table = build_generator_table(2, 0, False, 4)
+    c = QColumns(1, 8, {0: [1, 1]}, 16)                    # 1 + q, known through q^2
+    pieces = exp_by_grade([(1, c, 1, [(table.packing.key((1, 0)), 1)])], table, 16)
+    nm1 = GradedPolynomial.generator("nM1", table)
+    want = [[1, 0, 0], [nm1, nm1, 0], [nm1 * nm1 * Fraction(1, 2), nm1 * nm1, nm1 * nm1 * Fraction(1, 2)]]
+    assert [[f.coefficient(8 * i) for i in range(3)] for f in pieces] == want
+    assert all(f.table == table and f.bound == 16 for f in pieces)
 
 
 def test_a_direct_product_cancels_a_packed_one():

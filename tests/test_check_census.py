@@ -12,7 +12,7 @@ replaced by a check that can fail, and ``HOLD_BY_CONSTRUCTION`` stays empty.
 from functools import cached_property
 
 from anomcancel import anomaly, kvirt, modforms, suite, theta
-from anomcancel.algebra import ONE, QColumns, mul_sum
+from anomcancel.algebra import ONE, GradedPolynomial, QColumns, mul_sum
 from anomcancel.qseries import HALF_UNIT, Q_UNIT, PuiseuxSeries
 from anomcancel.suite import SuiteCase, run_case
 
@@ -78,7 +78,7 @@ def _bare_p1_twist():
 
     def twist(self, which, order):
         pieces, poly = real(self, which, order)
-        return pieces, (self.gp_zero.one_like() if which == "P1" else poly)
+        return pieces, (GradedPolynomial.one(self.table) if which == "P1" else poly)
     return anomaly._Env, "twist", twist
 
 
@@ -108,7 +108,7 @@ def _bumped_table():
 
 def _doubled(series):
     """A ``Fraction`` series with every coefficient doubled, rebuilt from its terms."""
-    return PuiseuxSeries({u: 2 * c for u, c in series.terms.items()}, series.order_bound, series.zero)
+    return PuiseuxSeries({u: 2 * c for u, c in series.terms.items()}, series.order_bound, series.table)
 
 
 def _doubled_column(c):

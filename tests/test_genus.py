@@ -55,9 +55,10 @@ def test_exp_pieces_carry_the_exp_bound(kind, log_order, order, bound):
     sums = power_sums_gp(RootFamily(FAMILY_TM, 2), table)
     pieces = exp_by_weight([(theta_log(kind, log_order, 4), sums)], order)
     assert [f.bound for f in pieces] == [bound] * 3
+    assert all(f.table == table for f in pieces)
     for f in pieces:
         with pytest.raises(TruncationError):
-            f.coefficient(bound + 4, table)
+            f.coefficient(bound + 4)
 
 
 def test_classical_genera():

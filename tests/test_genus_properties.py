@@ -5,7 +5,6 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anomcancel.algebra import GradedPolynomial
 from anomcancel.genus import (CONSTRAINT_KINDS, FAMILY_TM, FAMILY_V, LINE, RootFamily,
                               apply_constraint, build_generator_table, eval_at_var, exp_by_weight,
                               power_sums_gp, prod_over_roots)
@@ -60,8 +59,7 @@ any_family = st.one_of(families, st.integers(1, 2).map(lambda n: RootFamily(FAMI
 
 def one_exp(logs):
     """The one exp over ``logs`` as an oracle series on ``RELATION_TABLE``."""
-    return TermSeries.of(PuiseuxSeries.from_pieces(exp_by_weight(logs, ORDER),
-                                                   GradedPolynomial.zero(RELATION_TABLE)))
+    return TermSeries.of(PuiseuxSeries.from_pieces(exp_by_weight(logs, ORDER)))
 
 
 def constrained_power_sums(fam, kind):

@@ -25,7 +25,7 @@ def setup_bundles(W=4):
 
 def series(pieces, E):
     """The weight pieces as one series over ``E``'s ring, by the one view."""
-    return PuiseuxSeries.from_pieces(pieces, GradedPolynomial.zero(E.table))
+    return PuiseuxSeries.from_pieces(pieces)
 
 
 def theta_series(kind, T, L, order):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from anomcancel import modforms
-from anomcancel.algebra import AlgebraError, GradedPolynomial, QColumns
+from anomcancel.algebra import ONE, AlgebraError, GradedPolynomial, QColumns
 from anomcancel.anomaly import divisibility_check, make_setting
 from anomcancel.genus import build_generator_table
 from anomcancel.modforms import (GROUP_LOWER, GROUP_UPPER, basis_element, decompose,
@@ -18,11 +18,11 @@ from helpers import TermSeries, modular_basis_oracle, naive_combination, packed,
 
 
 def _decompose(P, k):
-    return decompose(packed(P), k, GradedPolynomial.zero(P.table))
+    return decompose(packed(P), k)
 
 
 def _transfer(P1, h, l, k):
-    return transfer_residual(packed(P1), h, l, k, GradedPolynomial.zero(P1.table))
+    return transfer_residual(packed(P1), h, l, k)
 
 
 def _span(h, group, k, order, zero):
@@ -32,7 +32,7 @@ def _span(h, group, k, order, zero):
 
 def _over(series, den):
     """A ``Fraction`` series with every coefficient divided by ``den``, rebuilt from its terms."""
-    return PuiseuxSeries({u: c / den for u, c in series.terms.items()}, series.order_bound, Fraction(0))
+    return PuiseuxSeries({u: c / den for u, c in series.terms.items()}, series.order_bound)
 
 
 def test_generator_leading_terms():
@@ -129,7 +129,7 @@ def test_decompose_validates_input():
     bad = TermSeries({1: GradedPolynomial.one(table).terms}, 80, table, 2)
     with pytest.raises(AlgebraError):
         _decompose(bad, 1)
-    short = _scalar_gp_series(PuiseuxSeries({0: Fraction(1)}, 8, Fraction(0)), table, 2)
+    short = _scalar_gp_series(PuiseuxSeries({0: Fraction(1)}, 8), table, 2)
     with pytest.raises(AlgebraError):
         _decompose(short, 2)  # cannot determine 2 coefficients from order 8
 
@@ -137,13 +137,13 @@ def test_decompose_validates_input():
 @pytest.mark.parametrize("operation", ["decompose", "transfer_residual"])
 def test_an_exact_series_has_no_order_to_check_against(operation):
     """A packed series with no bound has no finite order to check a residual against."""
-    zero = GradedPolynomial.zero(build_generator_table(1, 0, True, 2))
-    exact = QColumns(1, 4, {0: [-1, -24]})
+    table = build_generator_table(1, 0, True, 2)
+    exact = QColumns(1, 4, {0: [-1, -24]}, None, table)
     with pytest.raises(AlgebraError, match="no finite order"):
         if operation == "decompose":
-            decompose(exact, 1, zero)
+            decompose(exact, 1)
         else:
-            transfer_residual(exact, [GradedPolynomial.one(zero.table)], 1, 1, zero)
+            transfer_residual(exact, [GradedPolynomial.one(table)], 1, 1)
 
 
 def test_transfer_detects_perturbation():
@@ -397,29 +397,41 @@ def test_the_solve_reads_the_sturm_count():
         assert make_setting("spin4k", k, 1, n_q=k + 2).n_q > sturm
 
 
+_TABLE = build_generator_table(1, 0, True, 2)
+
+
 def _upper_row_packed(k: int, order: int) -> QColumns:
     """Upper basis row ``r = 0`` of weight 2k through ``q^order``, packed by hand from its scalar view."""
     row = basis_element(GROUP_UPPER, k, 0, max(order, 1))
     nums = [row.coefficient(4 * j) for j in range(2 * order + 1)]
     assert all(c.denominator == 1 for c in nums)
-    return QColumns(1, 4, {0: [int(c) for c in nums]}, 8 * order)
+    return QColumns(1, 4, {0: [int(c) for c in nums]}, 8 * order, _TABLE)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_decompose_needs_exactly_the_sturm_count_of_known_orders(k):
     """``k//2 + 1`` known powers of q determine the ``h_r``; one fewer is refused."""
-    zero = GradedPolynomial.zero(build_generator_table(1, 0, True, 2))
     n = k // 2 + 1
-    dec = decompose(_upper_row_packed(k, n), k, zero)
+    dec = decompose(_upper_row_packed(k, n), k)
     assert dec.residual_zero and [p.constant_term() for p in dec.h] == [1] + [0] * (n - 1)
     with pytest.raises(AlgebraError, match="cannot determine"):
-        decompose(_upper_row_packed(k, n - 1), k, zero)
+        decompose(_upper_row_packed(k, n - 1), k)
+
+
+def test_coefficients_on_another_ring_are_refused():
+    """The ``h_r`` live on the packed series' ring; an ``h_r`` on another ring is a table mismatch."""
+    dec = decompose(_upper_row_packed(1, 2), 1)
+    assert [p.table for p in dec.h] == [_TABLE]
+    other = build_generator_table(2, 1, True, 4)
+    with pytest.raises(AlgebraError, match="generator table mismatch"):
+        transfer_residual(QColumns(1, 8, {0: [2, 48, 48]}, 16, other), dec.h, 1, 1)
+    with pytest.raises(AlgebraError, match="generator table mismatch"):     # decompose's residual sum
+        modforms._packed_sum(_upper_row_packed(1, 2)._replace(table=other), dec.h, (ONE,), -1)
 
 
 def test_decompose_reads_a_short_column_as_zeros():
     """A column that stops before the solved positions is zero there, as a padded one is."""
-    zero = GradedPolynomial.zero(build_generator_table(1, 0, True, 2))
-    short, padded = (decompose(QColumns(1, 4, {0: nums}, 24), 2, zero) for nums in ([1], [1] + [0] * 6))
+    short, padded = (decompose(QColumns(1, 4, {0: nums}, 24, _TABLE), 2) for nums in ([1], [1] + [0] * 6))
     assert [p.constant_term() for p in short.h] == [p.constant_term() for p in padded.h] == [1, -48]
     assert short.residual == padded.residual and not short.residual_zero
 

@@ -12,7 +12,7 @@ from anomcancel.qseries import PuiseuxSeries, TruncationError
 
 
 def S(terms, bound=80):
-    return PuiseuxSeries({k: Fraction(v) for k, v in terms.items()}, bound, Fraction(0))
+    return PuiseuxSeries({k: Fraction(v) for k, v in terms.items()}, bound)
 
 
 def P(terms, bound=80):
@@ -25,7 +25,7 @@ def P(terms, bound=80):
 
 def difference(a, b):
     """``a - b`` as the library takes a difference: one ``mul_sum``, read as a view."""
-    return PuiseuxSeries.from_packed(mul_sum([(a, ONE, 1, [(0, 1)]), (b, ONE, 1, [(0, -1)])]), Fraction(0))
+    return PuiseuxSeries.from_packed(mul_sum([(a, ONE, 1, [(0, 1)]), (b, ONE, 1, [(0, -1)])]))
 
 
 def test_lattice_multiplication():
@@ -37,7 +37,7 @@ def test_lattice_multiplication():
     assert S({1: 1}) * S({1: 1}) == S({2: 1}, bound=81)
     # (2 q^{1/8})^4 (1+q) = 16 q^{1/2} + 16 q^{3/2}
     m = S({1: 2})
-    assert (m * m * m * m) * S({0: 1, 8: 1}) == PuiseuxSeries({4: Fraction(16), 12: Fraction(16)}, 83, Fraction(0))
+    assert (m * m * m * m) * S({0: 1, 8: 1}) == PuiseuxSeries({4: Fraction(16), 12: Fraction(16)}, 83)
 
 
 def test_coefficient_contract():
@@ -51,19 +51,32 @@ def test_coefficient_contract():
 
 
 def test_packed_series_edge_and_read():
-    """``from_packed`` keeps the packed bound; the packed read is zero off the lattice and
-    inside its lists' ends, and raises past the bound; an exact series reads zero anywhere."""
+    """``from_packed`` keeps the packed bound and ring; the packed read is zero off the lattice and
+    inside its lists' ends, and raises past the bound; an exact series reads zero anywhere; a scalar
+    series has no polynomial coefficient."""
     table = build_generator_table(1, 0, True, 2)
     zero = GradedPolynomial.zero(table)
     w2 = table.packing.key((0, 2))
-    c = QColumns(6, 4, {0: [3, 0, -2], w2: [0, 4]}, 12)
-    f = PuiseuxSeries.from_packed(c, zero=zero)
-    assert f.order_bound == 12 and f.to_text() == "1/2 + 2/3*w^2*q^(1/2) + -1/3*q"
-    assert [c.coefficient(k, table) for k in (-4, 2, 12)] == [zero] * 3
+    c = QColumns(6, 4, {0: [3, 0, -2], w2: [0, 4]}, 12, table)
+    f = PuiseuxSeries.from_packed(c)
+    assert f.order_bound == 12 and f.table is table and f.to_text() == "1/2 + 2/3*w^2*q^(1/2) + -1/3*q"
+    assert [c.coefficient(k) for k in (-4, 2, 12)] == [zero] * 3
     with pytest.raises(TruncationError):
-        c.coefficient(16, table)
-    assert PuiseuxSeries.from_packed(c, zero=Fraction(0)) == S({0: Fraction(1, 2), 8: Fraction(-1, 3)}, bound=12)
-    assert ONE.coefficient(800, table) == zero
+        c.coefficient(16)
+    scalar = c._replace(cols={0: c.cols[0]}, table=None)
+    assert PuiseuxSeries.from_packed(scalar) == S({0: Fraction(1, 2), 8: Fraction(-1, 3)}, bound=12)
+    assert PuiseuxSeries.from_pieces([c, c._replace(bound=None)]) == PuiseuxSeries.from_packed(c._replace(den=3))
+    assert ONE._replace(table=table).coefficient(800) == zero
+    with pytest.raises(AlgebraError, match="scalar series"):
+        scalar.coefficient(0)
+
+
+def test_equality_reads_the_ring():
+    """Two views with the same terms and bound are equal only over the same ring."""
+    table = build_generator_table(1, 0, True, 2)
+    scalar, poly = (PuiseuxSeries.from_packed(QColumns(1, 8, {}, 8, t)) for t in (None, table))
+    assert scalar != poly and poly == PuiseuxSeries({}, 8, build_generator_table(1, 0, True, 2))
+    assert scalar.coefficient(8) == 0 and poly.coefficient(8) == GradedPolynomial.zero(table)
 
 
 def test_mul_associative_commutative_randomized():
@@ -78,7 +91,7 @@ def test_mul_associative_commutative_randomized():
 
 def _polynomial_series():
     t = build_generator_table(2, 1, False, 4)
-    return PuiseuxSeries({0: GradedPolynomial.one(t)}, 8, GradedPolynomial.zero(t))
+    return PuiseuxSeries({0: GradedPolynomial.one(t)}, 8, t)
 
 
 def test_ring_mismatch_rejected():
@@ -131,7 +144,7 @@ def scalar_series(draw):
     bound = start + draw(st.integers(0, 40))
     positions = st.integers(0, (bound - start) // step).map(lambda i: start + i * step)
     terms = draw(st.dictionaries(positions, scalar_coeffs, max_size=8))
-    return PuiseuxSeries(terms, bound, Fraction(0))
+    return PuiseuxSeries(terms, bound)
 
 
 def _plus_shifted(a: PuiseuxSeries, s: Fraction) -> PuiseuxSeries:
@@ -140,7 +153,7 @@ def _plus_shifted(a: PuiseuxSeries, s: Fraction) -> PuiseuxSeries:
     for k, c in a.terms.items():
         if k + 4 <= a.order_bound:
             terms[k + 4] = terms.get(k + 4, 0) + s * c
-    return PuiseuxSeries(terms, a.order_bound, Fraction(0))
+    return PuiseuxSeries(terms, a.order_bound)
 
 
 @settings(max_examples=150, deadline=None, database=None)

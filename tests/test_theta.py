@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anomcancel import theta
+from anomcancel.algebra import AlgebraError
 from anomcancel.qseries import PuiseuxSeries, TruncationError
 from anomcancel.theta import (FACTOR_KINDS, RootFactor, jacobi_residual, theta_factor,
                               theta_log, theta_null)
@@ -64,7 +65,7 @@ def test_jacobi_residual_reaches_an_eighth_past_the_order(n):
     r = jacobi_residual(n)
     assert not r and r.order_bound == 8 * n + 1
     for kind in ("theta1", "theta2", "theta3", "theta_prime"):
-        got = PuiseuxSeries.from_packed(theta._null(kind, n, 8 * n + 1), Fraction(0))
+        got = PuiseuxSeries.from_packed(theta._null(kind, n, 8 * n + 1))
         assert got.terms == {k: c for k, c in theta_null_product_form(kind, n + 1).terms.items() if k <= 8 * n + 1}
 
 
@@ -181,6 +182,15 @@ def test_theta_factor_matches_product_oracle(kind, order, z_bound):
     """The one-root exp of the closed-form log equals the product-built factor."""
     got, want = theta_factor(kind, order, z_bound), product_factor(kind, order, z_bound)
     assert (got.terms, got.z_bound, got.q_bound) == (want.terms, want.z_bound, want.q_bound)
+    assert all(c.table is None for c in got.cols.values())     # scalar columns: the one-root ring is gone
+
+
+@pytest.mark.parametrize("build", [theta_log, theta_factor])
+def test_negative_order_is_refused(build):
+    """Order 0, the q^0 slice the classical genera read, is a series; a negative order is an error."""
+    assert build("a", 0, 4).terms
+    with pytest.raises(AlgebraError, match="order must be >= 0"):
+        build("a", -1, 4)
 
 
 def test_null_integrality():
