@@ -155,7 +155,7 @@ def exp_by_weight(logs: Sequence[tuple[RootFactor, Sequence[GradedPolynomial]]],
     cap, bound = table.cap, min(min(Q_UNIT * order, log.q_bound) for log, _ in logs)
     columns = []
     for log, sums in logs:
-        if sums[0].table != table:
+        if sums[0].table is not table:
             raise AlgebraError("power sums from different generator tables go into one exp")
         if any(d % 2 or d == 0 for d in log.cols):
             raise AlgebraError("a root-factor log must be even in z and vanish at z = 0")

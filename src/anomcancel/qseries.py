@@ -122,7 +122,7 @@ class PuiseuxSeries:
 
     def __eq__(self, other):
         if isinstance(other, PuiseuxSeries):
-            return (self.terms, self.order_bound, self.table) == (other.terms, other.order_bound, other.table)
+            return self.table is other.table and (self.terms, self.order_bound) == (other.terms, other.order_bound)
         return NotImplemented
 
     # -- rendering --------------------------------------------------------------

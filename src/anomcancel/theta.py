@@ -137,7 +137,7 @@ class RootFactor:
     def from_columns(cols: dict[int, QColumns], z_bound: int, q_bound: int) -> "RootFactor":
         """A factor from its integer columns; all-zero columns are dropped, the rest reduced."""
         self = object.__new__(RootFactor)
-        self._set({d: _reduced(c) for d, c in sorted(cols.items()) if any(c.cols[0])}, z_bound, q_bound)
+        self._set({d: _reduced(c) for d, c in sorted(cols.items()) if any(c.cols.get(0, ()))}, z_bound, q_bound)
         return self
 
     def __setattr__(self, name, value):

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -144,6 +146,11 @@ def test_standard_basis_needs_power_of_two_factors():
     mixed = px + px.one_like() + GradedPolynomial.generator("w", x)    # shifts of -2, 0 and +1
     assert mixed.scale(Fraction(1, 6)).to_standard_basis().terms == {
         (0, 0): Fraction(1, 6), (1, 0): Fraction(-1, 24), (0, 1): Fraction(1, 3)}
+    # two rings with the same standard names and weights have one standard table
+    x2 = GeneratorTable([Generator("x2", 2, "M", "p", Fraction(4)), Generator("w", 1, "W", "c", Fraction(1, 2))], 4)
+    assert x2 is not x and x2.standard_table is x.standard_table
+    px2 = GradedPolynomial.generator("x2", x2)
+    assert (px * px).to_standard_basis() == (px2 * px2).scale(Fraction(1, 256)).to_standard_basis()
     y = GeneratorTable([Generator("y", 2, "M", "q", Fraction(3))], 4)
     with pytest.raises(AlgebraError):
         GradedPolynomial.generator("y", y).to_standard_basis()
@@ -170,11 +177,23 @@ def test_table_and_cap_mismatch_rejected():
     nv1 = QColumns.of(GradedPolynomial.generator("nV1", build_generator_table(2, 1, True, 4)))
     with pytest.raises(AlgebraError, match="generator table mismatch"):
         mul_sum([(w, nv1, 1, [(0, 1)])])
-    # an equal table that is a different object is the same ring, and a scalar operand fits any ring
+    # an equal table, rebuilt, is the same object and so the same ring, and a scalar operand fits any ring
     twin = GradedPolynomial.generator("nM1", build_generator_table(4, 2, True, 4))
-    assert twin.table is not t and a * twin == a * a and dot([(twin, a)], t) == a * a
+    assert GeneratorTable(t.gens, t.cap) is t and GeneratorTable(list(t.gens), t.cap) is t
+    assert twin.table is t and a * twin == a * a and dot([(twin, a)], t) == a * a
     packed = mul_sum([(QColumns.of(twin), QColumns.of(a), 1, [(0, 1)]), (ONE, ONE, 1, [(0, 1)])])
-    assert packed.table == t and packed.coefficient(0) == a * a + 1
+    assert packed.table is t and packed.coefficient(0) == a * a + 1
+
+
+def test_a_table_nothing_refers_to_is_freed():
+    """Tables are kept one per ring only while something refers to them: the registry holds them weakly."""
+    gens = (Generator("z", 3, "M", "p", Fraction(1)), Generator("y", 1, "W", "c", Fraction(2)))
+    t = GeneratorTable(gens, 7)
+    ref = weakref.ref(t)
+    assert GeneratorTable(list(gens), 7) is t and GeneratorTable(gens, 6) is not t
+    del t
+    gc.collect()
+    assert ref() is None
 
 
 def test_dot_rescales_each_pair_to_the_common_denominator():

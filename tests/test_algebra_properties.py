@@ -321,8 +321,7 @@ def test_substitute_drops_the_weight_field_with_the_power(case):
     """Each key's top field is its vector's weight after a substitution, and the result is the oracle's."""
     name, repl, terms = case
     got = GradedPolynomial(TABLE, terms).substitute(name, GradedPolynomial(TABLE, repl))
-    packing = TABLE.packing
-    assert all(k >> packing.top == _weight(packing.vector(k)) for k in got.nums)
+    assert all(k >> TABLE.top == _weight(TABLE.vector(k)) for k in got.nums)
     assert got.terms == _oracle_substitute(terms, TABLE.index(name), repl, W)
     assert_canonical(got)
 
@@ -336,13 +335,13 @@ def test_packed_key_holds_the_vector_and_its_weight(case):
     """A key reads back as its vector, its top field is the weight, 1 packs to 0, and keys add
     as their vectors do whenever the two weights add up to at most the cap."""
     cap, a, b = case
-    packing = GeneratorTable(TABLE.gens, cap).packing
+    table = GeneratorTable(TABLE.gens, cap)
     for e in (a, b):
-        assert packing.vector(packing.key(e)) == e
-        assert packing.key(e) >> packing.top == _weight(e)
-    assert packing.key((0,) * len(TABLE)) == 0
+        assert table.vector(table.key(e)) == e
+        assert table.key(e) >> table.top == _weight(e)
+    assert table.key((0,) * len(TABLE)) == 0
     if _weight(a) + _weight(b) <= cap:
-        assert packing.key(a) + packing.key(b) == packing.key(tuple(x + y for x, y in zip(a, b)))
+        assert table.key(a) + table.key(b) == table.key(tuple(x + y for x, y in zip(a, b)))
 
 
 # -- the packed multiply-and-sum against a position-by-position convolution ---------
@@ -465,11 +464,11 @@ def test_exp_by_grade_pieces_are_powers_over_factorials():
     """``exp(c * nM1)`` by grade is ``c^n nM1^n / n!`` for ``n = 0..cap // 2``, every piece on the table."""
     table = build_generator_table(2, 0, False, 4)
     c = QColumns(1, 8, {0: [1, 1]}, 16)                    # 1 + q, known through q^2
-    pieces = exp_by_grade([(1, c, 1, [(table.packing.key((1, 0)), 1)])], table, 16)
+    pieces = exp_by_grade([(1, c, 1, [(table.key((1, 0)), 1)])], table, 16)
     nm1 = GradedPolynomial.generator("nM1", table)
     want = [[1, 0, 0], [nm1, nm1, 0], [nm1 * nm1 * Fraction(1, 2), nm1 * nm1, nm1 * nm1 * Fraction(1, 2)]]
     assert [[f.coefficient(8 * i) for i in range(3)] for f in pieces] == want
-    assert all(f.table == table and f.bound == 16 for f in pieces)
+    assert all(f.table is table and f.bound == 16 for f in pieces)
 
 
 def test_a_direct_product_cancels_a_packed_one():

@@ -8,7 +8,7 @@ families, additive sums over roots) and ``qseries`` (the lattice units) are
 shared ground, and the two routes share one exp, ``algebra.exp_by_grade``.
 No oracle in ``tests/helpers.py`` may reach the fast packed kernel
 (``mul_sum``, its ``field_width`` and ``_kronecker``) it checks, and no library module but
-``algebra`` names the monomial packing, builds a polynomial from raw int
+``algebra`` packs or unpacks a monomial key on its table, builds a polynomial from raw int
 numerators or reads a polynomial's packed ``nums``: the others go through
 ``QColumns.of`` and ``QColumns.coefficient``, and through the public
 constructor and the ring operations.  The string oracle reads nothing of the
@@ -45,7 +45,10 @@ KVIRT = SOURCES / "kvirt.py"
 HELPERS = ROOT / "tests" / "helpers.py"
 
 FAST_KERNEL = ("mul_sum", "field_width", "_kronecker")
-PACKING = {"packing", "Packing", "_from_ints"}
+# a table's key layout, read as attributes (``units`` and ``key`` are common local names too), and
+# ``key`` and ``top`` only off a table (``env.top`` is a method)
+KEY_LAYOUT = {"vector", "vectors", "fields", "units"}
+KEY_READS = {"key", "top"}
 STRING_ORACLE = ("TermSeries", "_weighed", "_add_products", "weighted_poly_mul", "naive_combination",
                  "naive_rescale", "_psi", "_reduce", "_bundle_exp_by_powers", "_string_factor",
                  "string_product_oracle", "theta_strings")
@@ -101,13 +104,23 @@ def test_helpers_never_name_the_fast_kernel(kernel):
     assert kernel not in names_in(ast.parse(HELPERS.read_text()))
 
 
+def key_reads(tree: ast.Module) -> set[str]:
+    """``_from_ints`` if ``tree`` names it, every key layout attribute it reads, and every ``key`` or
+    ``top`` it reads off a table (``table.key``, ``p.table.top``)."""
+    def on_table(value):
+        return "table" in (value.id if isinstance(value, ast.Name) else getattr(value, "attr", ""))
+    return (names_in(tree) & {"_from_ints"}) | {
+        n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+        and (n.attr in KEY_LAYOUT or n.attr in KEY_READS and on_table(n.value))}
+
+
 def test_only_algebra_names_the_packing():
     """Polynomials enter the packed form by ``QColumns.of`` and leave it by ``QColumns.coefficient``;
-    only ``algebra`` builds one from raw ints."""
+    only ``algebra`` packs an exponent vector, unpacks a key or builds a polynomial from raw ints."""
     modules = sorted(SOURCES.glob("*.py"))
     assert len(modules) > 1 and SOURCES / "algebra.py" in modules
-    named = {p.name: sorted(names_in(ast.parse(p.read_text())) & PACKING)
-             for p in modules if p.name != "algebra.py"}
+    assert key_reads(ast.parse((SOURCES / "algebra.py").read_text())) == KEY_LAYOUT | KEY_READS | {"_from_ints"}
+    named = {p.name: sorted(key_reads(ast.parse(p.read_text()))) for p in modules if p.name != "algebra.py"}
     assert not {m: n for m, n in named.items() if n}
 
 

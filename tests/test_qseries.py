@@ -56,7 +56,7 @@ def test_packed_series_edge_and_read():
     series has no polynomial coefficient."""
     table = build_generator_table(1, 0, True, 2)
     zero = GradedPolynomial.zero(table)
-    w2 = table.packing.key((0, 2))
+    w2 = table.key((0, 2))
     c = QColumns(6, 4, {0: [3, 0, -2], w2: [0, 4]}, 12, table)
     f = PuiseuxSeries.from_packed(c)
     assert f.order_bound == 12 and f.table is table and f.to_text() == "1/2 + 2/3*w^2*q^(1/2) + -1/3*q"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anomcancel import theta
-from anomcancel.algebra import AlgebraError
+from anomcancel.algebra import AlgebraError, QColumns
 from anomcancel.qseries import PuiseuxSeries, TruncationError
 from anomcancel.theta import (FACTOR_KINDS, RootFactor, jacobi_residual, theta_factor,
                               theta_log, theta_null)
@@ -288,6 +288,15 @@ def test_root_factor_addition_is_termwise(a, b):
     assert got.terms == termwise_sum(a, b)
     for c in got.cols.values():
         assert any(c.cols[0]) and gcd(c.den, *c.cols[0]) == 1
+
+
+def test_from_columns_drops_all_zero_columns():
+    """A column with no nonzero position is dropped, whether it holds no key or only zeros; the rest
+    is reduced."""
+    f = RootFactor.from_columns({2: QColumns(1, 8, {}, 8), 4: QColumns(2, 8, {0: [2, 4]}, 8),
+                                 6: QColumns(3, 8, {0: [0, 0]}, 8)}, 6, 8)
+    assert f.cols == {4: QColumns(1, 8, {0: [1, 2]}, 8)}
+    assert f.terms == {(4, 0): 1, (4, 8): 2} and f.coefficient(2, 8) == 0
 
 
 @pytest.mark.parametrize("kinds", [("a", "t1"), ("a", "t2"), ("t1", "t2"), ("t2", "t3")])

@@ -11,8 +11,12 @@ two-process pool.  Every point runs ``RUNS`` times per tree, one round at a
 time, and the trees take turns going first from round to round, so a drift of
 the host's speed falls on all of them alike.  Each run records its wall time
 (spawn to exit), the peak resident memory of its largest process (a suite's
-pool workers included) and the status its JSON gives: a verify report's
-``status``, or ``ALL_OK`` / ``NOT_ALL_OK`` from a suite's ``all_ok``.  Each
+pool workers included), the status its JSON gives (a verify report's
+``status``, or ``ALL_OK`` / ``NOT_ALL_OK`` from a suite's ``all_ok``) and the
+sha256 of its whole stdout, so a change that keeps the status but not the
+report bytes shows.  A point whose runs print different bytes, in one tree
+or across trees, is listed under ``outputs_differ``, flagged on stderr, and
+makes the exit status 1.  Each
 tree's ``src`` is byte-compiled first, so no run pays for compiling it, even
 under ``PYTHONDONTWRITEBYTECODE`` (which would leave a fresh clone compiling
 every run, about 40 ms of a 0.2 s suite).  The output holds the machine (CPU
@@ -26,6 +30,7 @@ which one slow run does not stretch the way it stretches the spread.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -72,7 +77,8 @@ def status_of(report: dict) -> str:
 
 
 def run_once(tree: Path, point: str) -> dict:
-    """One command in a fresh interpreter: wall seconds, peak RSS in MB, and the status its JSON gives."""
+    """One command in a fresh interpreter: wall seconds, peak RSS in MB, the status its JSON gives and the
+    sha256 of its stdout."""
     argv = [*point.split(), "--format", "json"]
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     with tempfile.TemporaryFile() as out:
@@ -83,11 +89,13 @@ def run_once(tree: Path, point: str) -> dict:
         wall = time.perf_counter() - start
         proc.returncode = os.waitstatus_to_exitcode(status)
         out.seek(0)
-        try:
-            verdict = status_of(json.loads(out.read()))
-        except (ValueError, KeyError):
-            verdict = f"exit {proc.returncode}"
-    return {"wall_s": round(wall, 4), "peak_rss_mb": round(usage.ru_maxrss / 1024, 1), "status": verdict}
+        data = out.read()
+    try:
+        verdict = status_of(json.loads(data))
+    except (ValueError, KeyError):
+        verdict = f"exit {proc.returncode}"
+    return {"wall_s": round(wall, 4), "peak_rss_mb": round(usage.ru_maxrss / 1024, 1), "status": verdict,
+            "stdout_sha256": hashlib.sha256(data).hexdigest()}
 
 
 def main(argv=None) -> int:
@@ -113,9 +121,12 @@ def main(argv=None) -> int:
                 run = run_once(trees[label], point)
                 runs[point, label].append(run)
                 print(f"round {r + 1}  {point:<45} {label:<8} {run['wall_s']:8.3f} s "
-                      f"{run['peak_rss_mb']:6.1f} MB  {run['status']}", file=sys.stderr)
+                      f"{run['peak_rss_mb']:6.1f} MB  {run['status']}  {run['stdout_sha256'][:12]}", file=sys.stderr)
     def walls(point, label):
         return [x["wall_s"] for x in runs[point, label]]
+
+    def shas(point, *labels):
+        return sorted({x["stdout_sha256"] for label in labels for x in runs[point, label]})
 
     result = {
         "machine": {"cpu": cpu_model(), "cpus": os.cpu_count(), "python": platform.python_version()},
@@ -126,8 +137,10 @@ def main(argv=None) -> int:
             "quartiles_wall_s": [round(q, 4) for q in statistics.quantiles(walls(point, label), n=4)],
             "spread_wall_s": round(max(walls(point, label)) - min(walls(point, label)), 4),
             "median_peak_rss_mb": round(statistics.median(x["peak_rss_mb"] for x in runs[point, label]), 1),
+            "stdout_sha256": shas(point, label),
             "runs": runs[point, label],
         } for point in POINTS for label in labels],
+        "outputs_differ": [point for point in POINTS if len(shas(point, *labels)) > 1],
     }
     args.out.write_text(json.dumps(result, indent=2) + "\n")
     for entry in result["points"]:
@@ -135,8 +148,10 @@ def main(argv=None) -> int:
         print(f"{entry['point']:<45} {entry['tree']:<8} median {entry['median_wall_s']:.3f} s "
               f"(quartiles {q1:.3f}-{q3:.3f}, spread {entry['spread_wall_s']:.3f})  "
               f"{entry['median_peak_rss_mb']} MB  "
-              f"{sorted({x['status'] for x in entry['runs']})}")
-    return 0
+              f"{sorted({x['status'] for x in entry['runs']})}  {[h[:12] for h in entry['stdout_sha256']]}")
+    for point in result["outputs_differ"]:
+        print(f"OUTPUTS DIFFER at {point}: {shas(point, *labels)}", file=sys.stderr)
+    return 1 if result["outputs_differ"] else 0
 
 
 if __name__ == "__main__":
