@@ -94,7 +94,6 @@ class Generator(NamedTuple):
 
     name: str
     weight: int
-    family: str
     std_name: str
     std_factor: Fraction
 
@@ -183,7 +182,7 @@ class GeneratorTable:
         std = self._standard
         if std is None:
             std = GeneratorTable(tuple(
-                Generator(g.std_name, g.weight, g.family, g.std_name, Fraction(1)) for g in self.gens
+                Generator(g.std_name, g.weight, g.std_name, Fraction(1)) for g in self.gens
             ), self.cap)
             object.__setattr__(self, "_standard", std)
         return std

@@ -25,8 +25,8 @@ routes as whole series: one residual per P-series, the packed theta route
 minus the lambda-ring route's weight pieces, as one packed sum.
 
 All comparisons are exact; a status is PASS only when every gating residual
-is identically zero, and each gating check can fail
-(``tests/test_check_census.py``).  Given the paper's modularity,
+is identically zero (:func:`verdict`, the one rule, which the suite's rows
+apply too), and each gating check can fail (``tests/test_check_census.py``).  Given the paper's modularity,
 ``transfer_residual`` through ``q^(k//2)``, the Sturm bound (1987) of weight
 2k on an index-3 group, is a proof.  ``printed_identity_tangent_twist``
 compares ``ch(Delta(M))`` with ``ch(T_C M)`` at the top weight with
@@ -53,8 +53,8 @@ and constant-term side are built on first read (``cached_property``), so a
 verify builds only what its checks read.  The P-series stay
 packed (``_Env.packed``), known through their lattice bound: the
 decomposition, the transfer and the sign-flip check read them as they are,
-the other checks read coefficients (``_Env.coefficient``), which raise past
-the bound, and only :func:`build_P` turns a whole P-series into polynomials.
+the other checks read coefficients (``QColumns.coefficient``), which raise
+past the bound, and only :func:`build_P` turns a whole P-series into polynomials.
 """
 
 from __future__ import annotations
@@ -74,12 +74,18 @@ from .qseries import HALF_UNIT, Q_UNIT, PuiseuxSeries, require_known
 from .theta import RootFactor, theta_log
 from .theta import theta_factor  # not called here: kept as the alias the benchmark tracer wraps
 
-# theorem id -> setting kind (corollaries 3.3/3.4 pin k as well)
-_THEOREM_KIND = {
-    "3.1": "spin4k", "3.2": "spin4k", "3.3": "spin4k", "3.4": "spin4k",
-    "4.1": "spinc4k", "4.2": "spinc4k", "4.6": "spinc4k2", "4.8": "spinc4k2",
+# theorem id -> (setting kind, reading, pinned k, printed coefficients of the genus and of its tangent
+# twist, each times 2^l): the one place a theorem is stated
+_THEOREMS = {
+    "3.1": ("spin4k", "constant_term", None, ()),
+    "3.2": ("spin4k", "q1", None, ()),
+    "3.3": ("spin4k", "tangent_twist", 2, (Fraction(3, 2), Fraction(-1, 16))),
+    "3.4": ("spin4k", "tangent_twist", 3, (Fraction(-1, 2), Fraction(1, 8))),
+    "4.1": ("spinc4k", "constant_term", None, ()),
+    "4.2": ("spinc4k", "q1", None, ()),
+    "4.6": ("spinc4k2", "constant_term", None, ()),
+    "4.8": ("spinc4k2", "q1", None, ()),
 }
-_COROLLARY_K = {"3.3": 2, "3.4": 3}
 
 # divisibility corollary -> (setting kind, claimed 2-adic exponent, q1-flavored)
 _DIV_TABLE = {
@@ -91,7 +97,7 @@ _DIV_TABLE = {
     "4.10": ("spinc4k2", 10, True),
 }
 
-THEOREM_IDS = tuple(_THEOREM_KIND)
+THEOREM_IDS = tuple(_THEOREMS)
 DIVISIBILITY_IDS = tuple(_DIV_TABLE)
 
 
@@ -243,12 +249,7 @@ class _Env:
         self.v_sums = power_sums_gp(self.v, self.table)
         self._p: dict[str, QColumns] = {}
 
-    # the l-free forms are read from the tangent half; these, like them, are built on first read
-    ahat = property(lambda self: self.half.ahat)
-    ch_delta_m = property(lambda self: self.half.ch_delta_m)
-    genus = property(lambda self: self.half.genus)
-    tangent = property(lambda self: self.half.tangent)
-    line = property(lambda self: self.half.line)
+    # the auxiliary forms, like the tangent half's, are built on first read
     ch_delta_v = cached_property(lambda self: classical_genus("spinor_ch", self.v, self.table))
     aux = cached_property(lambda self: complexified_bundle(self.v, self.table))
 
@@ -283,10 +284,6 @@ class _Env:
             return lambda_string(vt, False, +1, order), self.ch_delta_v
         return lambda_string(vt, True, -1 if which == "P2" else +1, order), None
 
-    def coefficient(self, which: str, k: int) -> GradedPolynomial:
-        """One coefficient of P1/P2/P3, at lattice ``k``, read from the packed form."""
-        return self.packed(which).coefficient(k)
-
     @cached_property
     def decomposition(self) -> Decomposition:
         """The decomposition of P2, built once."""
@@ -313,21 +310,21 @@ class _Env:
     @cached_property
     def constant_term_lhs(self) -> GradedPolynomial:
         """Left side of the constant-term identity: the tangent genus times ``ch(Delta(V))``, built once."""
-        return self.top(self.genus, self.ch_delta_v)
+        return self.top(self.half.genus, self.ch_delta_v)
 
     def q1_lhs(self) -> GradedPolynomial:
         """Left side of the q^1 identity (the printed bundle combination)."""
-        s = self.setting
-        tt = reduced(self.tangent)
+        s, half = self.setting, self.half
+        tt = reduced(half.tangent)
         vv = reduced(self.aux) - 24 * s.k
         if s.kind == "spin4k":
             comb1 = tt.scale(2) + vv
             comb2 = tt + lambda_power(tt, 2) + vv
-            return self.top(self.ahat * self.ch_delta_v,
-                            self.ch_delta_m * comb1 + comb2.scale(2 ** (2 * s.k + 1)))
-        ll = reduced(self.line)
+            return self.top(half.ahat * self.ch_delta_v,
+                            half.ch_delta_m * comb1 + comb2.scale(2 ** (2 * s.k + 1)))
+        ll = reduced(half.line)
         line_part = _line_q1(ll) if s.kind == "spinc4k" else -ll
-        return self.top(self.genus, self.ch_delta_v * (tt + line_part + vv))
+        return self.top(half.genus, self.ch_delta_v * (tt + line_part + vv))
 
     def rhs(self, h: list[GradedPolynomial], q1: bool) -> GradedPolynomial:
         """Right side of the constant-term (or ``q^1``) identity: ``sum_r c_r h_r``."""
@@ -397,6 +394,11 @@ class Check:
         return entry
 
 
+def verdict(checks) -> str:
+    """FAIL when a gating check is nonzero, else PASS: the one verdict rule, for reports and suite rows."""
+    return "FAIL" if any(c.gating and not c.zero for c in checks) else "PASS"
+
+
 class VerificationReport:
     def __init__(self, theorem: str, setting: Setting):
         self.theorem, self.setting, self.elapsed = theorem, setting, None
@@ -407,10 +409,9 @@ class VerificationReport:
 
     @property
     def status(self) -> str:
-        for c in self.checks.values():
-            if c.gating and not c.zero:
-                return "FAIL"
-        return "PASS_WITH_VARIANT" if self.variant_notes else "PASS"
+        """The :func:`verdict` of the checks, PASS_WITH_VARIANT for a PASS under a variant reading."""
+        status = verdict(self.checks.values())
+        return "PASS_WITH_VARIANT" if status == "PASS" and self.variant_notes else status
 
     def to_json_obj(self, basis: str = "standard", include_timings: bool = False):
         obj = {
@@ -440,33 +441,25 @@ def _pipeline(report: VerificationReport, env: _Env) -> Decomposition:
     return dec
 
 
-def verify_theorem(theorem: str, k: int | None = None, l: int = 1,
+def verify_theorem(theorem: str, k: int | None = None, l: int | None = None,
                    n_q: int | None = None) -> VerificationReport:
-    """Run the full exact verification for one identity id."""
+    """Run the full exact verification for one identity id, at ``l = 1`` unless ``l`` is given."""
     import time
     t0 = time.perf_counter()
     if theorem in DIVISIBILITY_IDS:
-        raise AlgebraError(
-            f"{theorem} is a divisibility audit; use divisibility_check")
-    if theorem not in THEOREM_IDS:
+        raise AlgebraError(f"{theorem} is a divisibility audit; use divisibility_check")
+    if theorem not in _THEOREMS:
         raise AlgebraError(f"unknown theorem id {theorem!r}")
-    kind = _THEOREM_KIND[theorem]
-    if theorem in _COROLLARY_K:
-        if k is not None and k != _COROLLARY_K[theorem]:
-            raise AlgebraError(f"{theorem} fixes k = {_COROLLARY_K[theorem]}")
-        k = _COROLLARY_K[theorem]
+    kind, reading, pinned, printed = _THEOREMS[theorem]
+    if pinned is not None and k not in (None, pinned):
+        raise AlgebraError(f"{theorem} fixes k = {pinned}")
+    k = k if pinned is None else pinned
     if k is None:
         raise AlgebraError("k is required")
-    setting = make_setting(kind, k, l, n_q)
+    setting = make_setting(kind, k, 1 if l is None else l, n_q)
     env = get_env(setting)
     report = VerificationReport(theorem, setting)
-
-    if theorem in ("3.1", "4.1", "4.6"):
-        _verify_constant_term(report, env)
-    elif theorem in ("3.2", "4.2", "4.8"):
-        _verify_q1(report, env)
-    else:
-        _verify_corollary(report, env, theorem)
+    _READINGS[reading](report, env, *printed)
     report.elapsed = time.perf_counter() - t0
     return report
 
@@ -476,14 +469,15 @@ def _verify_constant_term(report: VerificationReport, env: _Env):
     lhs = env.constant_term_lhs
     rhs = env.rhs(dec.h, False)
     report.checks["main_identity"] = Check(lhs - rhs)
-    report.checks["p1_constant_term"] = Check(env.coefficient("P1", 0) - lhs)
-    report.checks["p1_half_coefficient"] = Check(env.coefficient("P1", HALF_UNIT))
+    p1 = env.packed("P1")
+    report.checks["p1_constant_term"] = Check(p1.coefficient(0) - lhs)
+    report.checks["p1_half_coefficient"] = Check(p1.coefficient(HALF_UNIT))
     s = env.setting
     if s.kind == "spin4k":
         # explicit forms of the two leading coefficients
-        report.checks["h0_closed_form"] = Check(dec.h[0] - env.top(env.genus).scale((-1) ** s.k))
+        report.checks["h0_closed_form"] = Check(dec.h[0] - env.top(env.half.genus).scale((-1) ** s.k))
         if len(dec.h) > 1:
-            h1 = env.top(env.genus, reduced(env.aux) + 24 * s.k).scale((-1) ** (s.k + 1))
+            h1 = env.top(env.half.genus, reduced(env.aux) + 24 * s.k).scale((-1) ** (s.k + 1))
             report.checks["h1_closed_form"] = Check(dec.h[1] - h1)
 
 
@@ -494,24 +488,24 @@ def _verify_q1(report: VerificationReport, env: _Env):
     report.checks["main_identity"] = Check(lhs - rhs)
     # direct q^1 coefficient of P1 against the two bundle-built sides
     expected_q1 = lhs + env.constant_term_lhs.scale(24 * env.setting.k)
-    report.checks["p1_q1_coefficient"] = Check(env.coefficient("P1", Q_UNIT) - expected_q1)
-    if env.setting.kind == "spinc4k":
+    report.checks["p1_q1_coefficient"] = Check(env.packed("P1").coefficient(Q_UNIT) - expected_q1)
+    s, half = env.setting, env.half
+    if s.kind == "spinc4k":
         # the reduced and unreduced line combinations must agree exactly:
         # the trivial-summand corrections cancel across the line terms
         report.checks["tilde_vs_untilde"] = Check(
-            _line_q1(reduced(env.line)) - _line_q1(env.line),
+            _line_q1(reduced(half.line)) - _line_q1(half.line),
             note="reduced and unreduced line combinations have equal characters")
-    if env.setting.kind == "spinc4k2":
-        s = env.setting
-        unred = reduced(env.tangent) - env.line + reduced(env.aux) - 24 * s.k
+    if s.kind == "spinc4k2":
+        unred = reduced(half.tangent) - half.line + reduced(env.aux) - 24 * s.k
         report.checks["unreduced_line_variant"] = Check(
-            env.top(env.genus, env.ch_delta_v * unred) - env.rhs(dec.h, True), gating=False,
+            env.top(half.genus, env.ch_delta_v * unred) - env.rhs(dec.h, True), gating=False,
             note="q^1 combination with the unreduced line; differs from the exact "
                  "(reduced) form by twice the constant-term side")
 
 
-def _verify_corollary(report: VerificationReport, env: _Env, theorem: str):
-    """The two k-pinned corollaries, under the tangent-twist reading.
+def _verify_corollary(report: VerificationReport, env: _Env, main: Fraction, twisted: Fraction):
+    """A k-pinned corollary, under the tangent-twist reading, with its printed coefficients times ``2^l``.
 
     As printed they compare the constant-term side against combinations in
     ``ch(T_C M)``.  Those are exact precisely when the auxiliary bundle's
@@ -524,20 +518,17 @@ def _verify_corollary(report: VerificationReport, env: _Env, theorem: str):
     common factor: the check compares ``ch(Delta(M))`` with ``ch(T_C M)`` at
     the top weight and reads nothing else of the genus.
     """
-    s = env.setting
+    s, half = env.setting, env.half
     dec = _pipeline(report, env)
 
     def kill_nm1(p: GradedPolynomial) -> GradedPolynomial:
         return p.substitute("nM1", GradedPolynomial.zero(env.table))
 
-    g_top, gt_top = env.top(env.genus), env.top(env.genus, env.tangent)
+    g_top, gt_top = env.top(half.genus), env.top(half.genus, half.tangent)
     x_top, xt_top = kill_nm1(g_top), kill_nm1(gt_top)
-    if theorem == "3.3":
-        coef_main, coef_t = Fraction(3 * 2 ** s.l, 2), Fraction(-(2 ** s.l), 16)
-    else:
-        coef_main, coef_t = Fraction(-(2 ** s.l), 2), Fraction(2 ** s.l, 8)
+    coef_main, coef_t = main * 2 ** s.l, twisted * 2 ** s.l
     rhs_tangent = x_top.scale(coef_main) + xt_top.scale(coef_t)
-    lhs_tangent = kill_nm1(env.top(env.genus, env.ch_delta_m)).scale(Fraction(2 ** s.l, 2 ** (2 * s.k)))
+    lhs_tangent = kill_nm1(env.top(half.genus, half.ch_delta_m)).scale(Fraction(2 ** s.l, 2 ** (2 * s.k)))
     report.checks["printed_identity_tangent_twist"] = Check(
         lhs_tangent - rhs_tangent,
         note="auxiliary characters specialized to the tangent bundle, first class zero")
@@ -552,6 +543,9 @@ def _verify_corollary(report: VerificationReport, env: _Env, theorem: str):
     report.checks["constant_term_identity"] = Check(lhs_generic - env.rhs(dec.h, False))
     report.variant_notes.append(
         "printed form verified under the tangent-twist reading; independent-V residual recorded")
+
+
+_READINGS = {"constant_term": _verify_constant_term, "q1": _verify_q1, "tangent_twist": _verify_corollary}
 
 
 # -- structural checks ------------------------------------------------------------
@@ -611,7 +605,7 @@ class DivisibilityAudit:
 
 
 def divisibility_check(corollary: str, m: int, l: int | None = None,
-                       assumed_v2_h: int = 1) -> DivisibilityAudit:
+                       assumed_v2_h: int | None = None) -> DivisibilityAudit:
     """2-adic audit of one divisibility claim.
 
     With ``k = 2m + 1`` the identity writes the index as ``sum_r c_r h_r``,
@@ -619,13 +613,15 @@ def divisibility_check(corollary: str, m: int, l: int | None = None,
     checks verify (``_Env.rhs``), constant-term or ``q^1`` as the claim is
     flavored.  Assuming ``v2(h_r) >= assumed_v2_h``, the least
     ``v2(c_r) + assumed_v2_h`` over the nonzero ``c_r`` bounds the guaranteed
-    power of two.  The audit compares that
+    power of two (``assumed_v2_h`` is 1 unless given).  The audit compares that
     bound against the claimed modulus at the weakest admissible rank
     ``l = 4m + 2``; like the decomposition, it also inverts the basis minor
     in integers, so the h_r are integer combinations of index data.
     """
     if corollary not in DIVISIBILITY_IDS:
         raise AlgebraError(f"unknown divisibility corollary {corollary!r}")
+    if assumed_v2_h is None:
+        assumed_v2_h = 1
     if m < 0 or assumed_v2_h < 0:
         raise AlgebraError("m and assumed_v2_h must be >= 0")
     kind, claimed, q1_flavor = _DIV_TABLE[corollary]

@@ -80,11 +80,10 @@ def _cmd_verify(args) -> int:
         m = args.m or 0
         if args.k is not None and args.k != 2 * m + 1:
             raise AlgebraError(f"{args.theorem} fixes k = 2m+1 = {2 * m + 1}")
-        audit = anomaly.divisibility_check(args.theorem, m, args.l, 1 if args.v2h is None else args.v2h)
+        audit = anomaly.divisibility_check(args.theorem, m, args.l, args.v2h)
         _emit(args, audit.to_json_obj(), _render_audit_text)
         return 0 if audit.outcome == "PASS" else 1
-    report = anomaly.verify_theorem(args.theorem, k=args.k, l=1 if args.l is None else args.l,
-                                    n_q=args.qorder)
+    report = anomaly.verify_theorem(args.theorem, k=args.k, l=args.l, n_q=args.qorder)
     _emit(args, report.to_json_obj(basis=args.basis or "standard", include_timings=bool(args.timings)),
           _render_report_text)
     return 0 if report.status in ("PASS", "PASS_WITH_VARIANT") else 1

@@ -95,11 +95,11 @@ def build_generator_table(n_tm_roots: int, n_v_roots: int, include_w: bool,
     """
     gens: list[Generator] = []
     for i in range(1, min(n_tm_roots, max_weight // 2) + 1):
-        gens.append(Generator(f"nM{i}", 2 * i, FAMILY_TM, f"pM{i}", Fraction(-1, 4) ** i))
+        gens.append(Generator(f"nM{i}", 2 * i, f"pM{i}", Fraction(-1, 4) ** i))
     for i in range(1, min(n_v_roots, max_weight // 2) + 1):
-        gens.append(Generator(f"nV{i}", 2 * i, FAMILY_V, f"pV{i}", Fraction(-1, 4) ** i))
+        gens.append(Generator(f"nV{i}", 2 * i, f"pV{i}", Fraction(-1, 4) ** i))
     if include_w:
-        gens.append(Generator("w", 1, FAMILY_W, "c", Fraction(1, 2)))
+        gens.append(Generator("w", 1, "c", Fraction(1, 2)))
     return GeneratorTable(gens, max_weight)
 
 

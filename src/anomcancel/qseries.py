@@ -91,7 +91,9 @@ class PuiseuxSeries:
         return PuiseuxSeries.from_packed(mul_sum([(f, ONE, 1, [(0, 1)]) for f in pieces]))
 
     def to_standard_basis(self) -> "PuiseuxSeries":
-        """Every polynomial coefficient rewritten in the standard generators."""
+        """Every polynomial coefficient rewritten in the standard generators; a scalar series as it is."""
+        if self.table is None:
+            return self
         return PuiseuxSeries({k: p.to_standard_basis() for k, p in self.terms.items()},
                              self.order_bound, self.table.standard_table)
 
@@ -133,7 +135,7 @@ class PuiseuxSeries:
         parts = []
         for k, c in sorted(self.terms.items()):
             ct = str(c) if self.table is None else c.to_text()
-            if ("+" in ct[1:]) or ("-" in ct[1:]) or " " in ct:
+            if " " in ct:
                 ct = f"({ct})"
             e = exponent_text(k)
             parts.append(ct if e == "1" else (e if ct == "1" else f"{ct}*{e}"))

@@ -31,7 +31,7 @@ from itertools import product
 from . import anomaly
 from .algebra import Record
 from .modforms import delta_eps
-from .qseries import HALF_UNIT, Q_UNIT
+from .qseries import HALF_UNIT, Q_UNIT, PuiseuxSeries
 from .theta import jacobi_residual
 
 THETA_LAYER_ORDER = 10
@@ -61,9 +61,8 @@ def suite_cases(n_q: int | None = None) -> list[SuiteCase]:
             cases.append(SuiteCase(f"{tid} k={k} l={l}", "theorem", (tid, k, l, n_q)))
         cases.append(SuiteCase(f"crosscheck spin4k k={k} l={l}", "crosscheck", ("spin4k", k, l, n_q)))
         cases.append(SuiteCase(f"structural spin4k k={k} l={l}", "structural", ("spin4k", k, l, n_q)))
-    for l in (1, 2, 3, 4):
-        cases.append(SuiteCase(f"3.3 l={l}", "theorem", ("3.3", 2, l, n_q)))
-        cases.append(SuiteCase(f"3.4 l={l}", "theorem", ("3.4", 3, l, n_q)))
+    for l, tid in product((1, 2, 3, 4), ("3.3", "3.4")):
+        cases.append(SuiteCase(f"{tid} l={l}", "theorem", (tid, anomaly._THEOREMS[tid][2], l, n_q)))
     for k, l in product((1, 2), (1, 2, 3)):
         for tid in ("4.1", "4.2"):
             cases.append(SuiteCase(f"{tid} k={k} l={l}", "theorem", (tid, k, l, n_q)))
@@ -81,15 +80,15 @@ def suite_cases(n_q: int | None = None) -> list[SuiteCase]:
     return cases
 
 
-def _theta_layer_report(order: int) -> dict:
-    checks = {}
-    checks["jacobi_identity"] = {"zero": not jacobi_residual(order), "gating": True}
+def _theta_layer_report(case: SuiteCase) -> dict:
+    """The Jacobi residual, and per generator its series less its printed leading terms."""
+    order, = case.params
+    checks = {"jacobi_identity": anomaly.Check(jacobi_residual(order))}
     for name, pins in _LEADING.items():
         series = delta_eps(name, order)
-        ok = all(series.coefficient(k) == c for k, c in pins)
-        checks[f"{name}_leading_terms"] = {"zero": ok, "gating": True}
-    status = "PASS" if all(c["zero"] for c in checks.values()) else "FAIL"
-    return {"schema": 1, "case": "theta-layer", "order": order, "status": status, "checks": checks}
+        off = PuiseuxSeries({k: series.coefficient(k) - c for k, c in pins}, series.order_bound)
+        checks[f"{name}_leading_terms"] = anomaly.Check(off)
+    return _row(case, {"order": order}, checks)
 
 
 def _crosscheck_report(case: SuiteCase) -> dict:
@@ -100,24 +99,24 @@ def _crosscheck_report(case: SuiteCase) -> dict:
         residual = anomaly.cross_check_bundle_expansion(setting, which, 1)
         for units in (0, HALF_UNIT, Q_UNIT):
             checks[f"{which}@q^({Fraction(units, Q_UNIT)})"] = anomaly.Check(residual.coefficient(units))
-    return _setting_report(case, setting, checks)
+    return _row(case, {"setting": setting.to_json_obj()}, checks)
 
 
 def _structural_report(case: SuiteCase) -> dict:
     setting = anomaly.make_setting(*case.params)
-    return _setting_report(case, setting, anomaly.structural_checks(setting))
+    return _row(case, {"setting": setting.to_json_obj()}, anomaly.structural_checks(setting))
 
 
-def _setting_report(case: SuiteCase, setting: anomaly.Setting, checks: dict[str, anomaly.Check]) -> dict:
-    """A setting row: its checks in the order given, each rendered as in a verify report."""
-    status = "FAIL" if any(c.gating and not c.zero for c in checks.values()) else "PASS"
-    return {"schema": 1, "case": case.case_id, "setting": setting.to_json_obj(), "status": status,
+def _row(case: SuiteCase, head: dict, checks: dict[str, anomaly.Check]) -> dict:
+    """A suite row: ``head``, then the :func:`~anomcancel.anomaly.verdict` and the checks in the order given,
+    each rendered as in a verify report."""
+    return {"schema": 1, "case": case.case_id, **head, "status": anomaly.verdict(checks.values()),
             "checks": {name: c.to_json_obj() for name, c in checks.items()}}
 
 
 def run_case(case: SuiteCase) -> dict:
     if case.kind == "theta":
-        report = _theta_layer_report(*case.params)
+        report = _theta_layer_report(case)
     elif case.kind == "theorem":
         tid, k, l, n_q = case.params
         report = anomaly.verify_theorem(tid, k=k, l=l, n_q=n_q).to_json_obj()
@@ -155,7 +154,7 @@ def _shards(cases: list[SuiteCase]) -> list[list[int]]:
     for i, case in enumerate(cases):
         if case.kind in ("theorem", "crosscheck", "structural"):
             first, k, l, n_q = case.params      # first: a theorem id or a setting kind
-            s = anomaly.make_setting(anomaly._THEOREM_KIND.get(first, first), k, l, n_q)
+            s = anomaly.make_setting(anomaly._THEOREMS[first][0] if case.kind == "theorem" else first, k, l, n_q)
             key, weight = (s.kind, s.k, s.n_q), s.weight
         else:
             key, weight = case.case_id, 0

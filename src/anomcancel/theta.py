@@ -173,7 +173,7 @@ class RootFactor:
 
     def __add__(self, other: "RootFactor") -> "RootFactor":
         """The termwise sum, column by column in integers over the lcm of the two denominators."""
-        # the core's log sum, on the verdict path: a mul_sum per column measured 1.7-2.3x slower
+        # the core's log sums: one z-keyed mul_sum, as in __mul__, took 2-3.3x as long on cold logs (ROADMAP, Parked)
         zb = min(self.z_bound, other.z_bound)
         qb = min(self.q_bound, other.q_bound)
         cols = {}

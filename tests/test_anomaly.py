@@ -183,7 +183,7 @@ def test_packed_read_past_the_bound_raises():
         with pytest.raises(TruncationError, match="beyond the computed order"):
             top.coefficient(past)
         with pytest.raises(TruncationError):
-            env.coefficient("P2", past)
+            env.packed("P2").coefficient(past)
     with pytest.raises(TruncationError):
         cross_check_bundle_expansion(s, "P2", s.n_q + 1)
 
@@ -208,6 +208,43 @@ def test_divisibility_respects_assumed_valuation():
     # with v2(h) = 2 the implied power for the gap case reaches 32
     a = divisibility_check("4.9", 0, assumed_v2_h=2)
     assert a.implied_exponent == 5 and a.outcome == "PASS"
+
+
+@pytest.mark.parametrize("corollary", DIVISIBILITY_IDS)
+def test_audit_guard_rejects_each_negative_input_alone(corollary):
+    """A negative ``m`` raises at the default valuation, and a negative valuation at ``m = 0``:
+    at ``m = -1`` the sum over the ``h_r`` is empty, and the audit would read PASS."""
+    with pytest.raises(AlgebraError, match="must be >= 0"):
+        divisibility_check(corollary, -1)
+    with pytest.raises(AlgebraError, match="must be >= 0"):
+        divisibility_check(corollary, 0, assumed_v2_h=-1)
+    assert divisibility_check(corollary, 0).assumed_v2_h == divisibility_check(corollary, 0, None).assumed_v2_h == 1
+
+
+def test_one_theorem_table():
+    """A theorem is one row: its kind, its reading, its pinned k and its printed coefficients.
+    A pinned k is enforced, the suite reads it from the row, and ``l`` defaults to 1."""
+    assert anomaly.THEOREM_IDS == tuple(anomaly._THEOREMS)
+    for kind, reading, pinned, printed in anomaly._THEOREMS.values():
+        assert reading in anomaly._READINGS and bool(printed) == (pinned is not None)
+    with pytest.raises(AlgebraError, match="3.4 fixes k = 3"):
+        verify_theorem("3.4", k=2)
+    pinned = {c.params[:2] for c in suite_cases() if c.params[0] in ("3.3", "3.4")}
+    assert pinned == {("3.3", 2), ("3.4", 3)}
+    assert verify_theorem("3.3").setting.l == verify_theorem("3.3", l=None).setting.l == 1
+
+
+def test_one_verdict_rule():
+    """FAIL exactly when a gating check is nonzero; a variant reading qualifies only a PASS."""
+    zero, one = PuiseuxSeries({}, 0), PuiseuxSeries({0: Fraction(1)}, 0)
+    assert anomaly.verdict([]) == anomaly.verdict([anomaly.Check(one, gating=False)]) == "PASS"
+    assert anomaly.verdict([anomaly.Check(zero), anomaly.Check(one)]) == "FAIL"
+    report = anomaly.VerificationReport("3.3", make_setting("spin4k", 2, 1))
+    report.variant_notes.append("a variant")
+    report.checks["x"] = anomaly.Check(zero)
+    assert report.status == "PASS_WITH_VARIANT"
+    report.checks["y"] = anomaly.Check(one)
+    assert report.status == "FAIL"
 
 
 def _retyped_exponent(corollary, m, l, assumed_v2_h):
@@ -445,19 +482,19 @@ def test_relation_on_the_roots_is_the_relation_on_every_output(kind):
         W, table = env.setting.weight, env.table
         tm, v = RootFamily(FAMILY_TM, W), RootFamily(FAMILY_V, l)
         assert env.half.tm == RootFamily(FAMILY_TM, W, kind) and env.v == RootFamily(FAMILY_V, l, kind)
-        assert env.ahat == phi(classical_genus("ahat", tm, table))
-        assert env.ch_delta_m == phi(classical_genus("spinor_ch", tm, table))
+        assert env.half.ahat == phi(classical_genus("ahat", tm, table))
+        assert env.half.ch_delta_m == phi(classical_genus("spinor_ch", tm, table))
         assert env.ch_delta_v == phi(classical_genus("spinor_ch", v, table))
         tangent, aux = complexified_bundle(tm, table), complexified_bundle(v, table)
-        assert env.tangent == phi(tangent) and env.aux == phi(aux)
+        assert env.half.tangent == phi(tangent) and env.aux == phi(aux)
         # the relation touches the tangent classes (spin^c) or the auxiliary ones (spin)
-        assert (env.aux != aux) if kind == "spin4k" else (env.tangent != tangent)
+        assert (env.aux != aux) if kind == "spin4k" else (env.half.tangent != tangent)
         if kind == "spin4k":
             name, line = "theta2", None
         else:
-            name, line = ("theta_c" if kind == "spinc4k" else "theta_c_star"), env.line
+            name, line = ("theta_c" if kind == "spinc4k" else "theta_c_star"), env.half.line
             assert line == phi(line)
-        assert view(theta_object(name, env.tangent, line, 2)) == related(theta_object(name, tangent, line, 2))
+        assert view(theta_object(name, env.half.tangent, line, 2)) == related(theta_object(name, tangent, line, 2))
         assert (view(lambda_string(reduced(env.aux), True, -1, 2))
                 == related(lambda_string(reduced(aux), True, -1, 2)))
 

@@ -152,6 +152,21 @@ def _census() -> tuple[dict[str, bool], dict[str, set[str]]]:
     return gating, nonzero
 
 
+def test_a_failing_theta_layer_row_carries_its_values(monkeypatch):
+    """With theta'(0) and the generators doubled, the theta-layer row fails, and each nonzero
+    entry carries its residual's text as a setting row's does; a passing row carries none."""
+    assert not any("value" in c for c in run_case(GRID[0])["report"]["checks"].values())
+    faults = _faults()
+    for name in ("theta'(0) doubled", "generators doubled"):
+        monkeypatch.setattr(*faults[name])
+    row = run_case(GRID[0])
+    checks = row["report"]["checks"]
+    assert row["status"] == "FAIL" and not row["ok"]
+    assert not checks["jacobi_identity"]["zero"] and checks["jacobi_identity"]["value"]
+    assert checks["delta1_leading_terms"] == {"zero": False, "gating": True, "value": "1/4 + 6*q"}
+    assert checks["eps2_leading_terms"]["value"] == "q^(1/2)"
+
+
 def test_the_grid_emits_every_key_of_the_suite():
     emitted = {key for r in suite.run_suite()["cases"] for key in r["report"].get("checks", {})}
     assert emitted == set(_census()[0])

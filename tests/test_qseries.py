@@ -71,6 +71,18 @@ def test_packed_series_edge_and_read():
         scalar.coefficient(0)
 
 
+def test_standard_basis_and_text_of_a_coefficient():
+    """A scalar series is its own standard form; a coefficient is parenthesized exactly when its
+    text has several terms, and a single negative term is not."""
+    f = S({0: -1, 8: Fraction(-3, 4)}, bound=8)
+    assert f.to_standard_basis() is f and f.to_text() == "-1 + -3/4*q"
+    table = build_generator_table(1, 0, True, 2)
+    w, one = GradedPolynomial.generator("w", table), GradedPolynomial.one(table)
+    g = PuiseuxSeries({0: w.scale(-1), 4: w - one}, 8, table)
+    assert g.to_text() == "-1*w + (-1 + w)*q^(1/2)"
+    assert g.to_standard_basis().to_text() == "-1/2*c + (-1 + 1/2*c)*q^(1/2)"
+
+
 def test_equality_reads_the_ring():
     """Two views with the same terms and bound are equal only over the same ring."""
     table = build_generator_table(1, 0, True, 2)
